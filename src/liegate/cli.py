@@ -514,18 +514,14 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--corrupt-map", action="store_true", help=argparse.SUPPRESS)
 
     pc = sub.add_parser("constants", help="export structure constants as CSV")
-    pc.add_argument("--algebra", required=True, choices=("lp", "gho", "cp"))
+    pc.add_argument("--algebra", required=True, type=str.lower,
+                    choices=("lp", "gho", "cp"))
     pc.add_argument("--out", default=".", help="output directory")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    threads = os.environ.get("LIEGATE_THREADS")
-    if threads is not None and not threads.isdigit():
-        print(_error_json(2, ConfigError("LIEGATE_THREADS must be an integer",
-                                         field="LIEGATE_THREADS")))
-        return 2
     try:
         if args.command == "verify":
             return cmd_verify(args.out, args.seed, args.corrupt_map)

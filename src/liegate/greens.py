@@ -13,19 +13,19 @@ principal branch continued from t -> 0+, which is what makes the kernel a
 delta sequence and application norm-preserving (the corresponding real
 prefactor convention differs by a constant phase only).
 
-Application is plain trapezoid quadrature; grid adequacy is the caller's
-job and is diagnosed by the unitarity residual.
+Application is trapezoid quadrature, evaluated exactly through chirp
+factors of the quadratic form (see kernel_apply); grid adequacy is the
+caller's job and is diagnosed by the unitarity residual.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import fft as sp_fft
 
 from .errors import CausticError, DomainError
 from .oracle import WaveGrid, _trapezoid_weights
@@ -304,57 +304,52 @@ def kernel_build(
     return _assemble_2d(a, b, c, pref, rec, hbar, t, traj.valid_to)
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("LIEGATE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _chirp(pts: np.ndarray, quad: np.ndarray, lin: np.ndarray) -> np.ndarray:
+    """exp(i [p.quad.p + lin.p]) at points p carried in the last axis."""
+    return np.exp(1j * (np.einsum("...i,ij,...j->...", pts, quad, pts) + pts @ lin))
 
 
 def kernel_apply(kernel: GaussianKernel, psi0: WaveGrid) -> WaveGrid:
     """psi(x) = integral G(x, x') psi0(x') dx' by trapezoid quadrature.
 
-    The output lives on the same grid as the input; each output point is a
-    fixed-order sum, so results do not depend on chunking or thread count.
+    The output lives on the input grid and equals the direct sum
+    sum_j w_j G(x_i, x_j) psi0(x_j) dx up to rounding.  The cross term
+    exp(i x.Qxx'.x') sits between an input and an output chirp:
+    * 1D: c x x' = (c/2)(x^2 + x'^2 - (x - x')^2); the squares join the
+      chirps, the rest is one zero-padded FFT convolution: O(n log n).
+    * 2D: with E_ab[i, j] = exp(i Qxx'_ab x_i x_j) it is one product
+      (P o g) @ Q^T, P[i, (j, k)] = E_00[i, j] E_01[i, k] and
+      Q[l, (j, k)] = E_10[l, j] E_11[l, k]: O(n^4) flops, O(n^3) memory.
+    Qxx' must be real, else DomainError: a complex one makes the chirps
+    grow like exp(|Im c| x^2) and the result lose precision.
     """
     if kernel.dof != psi0.dof:
-        raise DomainError(
-            f"kernel dof={kernel.dof} does not match grid dof={psi0.dof}"
-        )
-    x = psi0.x
-    w = _trapezoid_weights(psi0.n)
+        raise DomainError(f"kernel dof={kernel.dof} does not match grid dof={psi0.dof}")
+    if np.any(kernel.qxx1.imag != 0.0):
+        raise DomainError("kernel_apply needs a real cross block qxx1")
+    n, x, dx = psi0.n, psi0.x, psi0.dx
+    w = _trapezoid_weights(n)
     if kernel.dof == 1:
-        weighted = (w * psi0.amps) * psi0.dx
-        out = np.empty(psi0.n, dtype=complex)
-        chunk = max(1, (1 << 21) // psi0.n)
-        for start in range(0, psi0.n, chunk):
-            stop = min(start + chunk, psi0.n)
-            block = kernel.evaluate(x[start:stop, None], x[None, :])
-            out[start:stop] = block @ weighted
-        return WaveGrid(psi0.n, psi0.x_min, psi0.dx, out, psi0.hbar)
-
-    n = psi0.n
-    ww = np.outer(w, w)
-    weighted = (ww * psi0.amps).ravel() * psi0.dx**2
-    xv, yv = np.meshgrid(x, x, indexing="ij")
-    pts_in = np.column_stack([xv.ravel(), yv.ravel()])
-    out = np.empty(n * n, dtype=complex)
-
-    def fill(rows: range):
-        for i in rows:
-            pts_out = np.column_stack([np.full(n, x[i]), x])
-            block = kernel.evaluate(pts_out[:, None, :], pts_in[None, :, :])
-            out[i * n:(i + 1) * n] = block @ weighted
-
-    threads = _thread_count()
-    if threads == 1:
-        fill(range(n))
+        pts, weights, shift = x[:, None], w * dx, 0.5 * kernel.qxx1.real
     else:
-        ranges = [range(k, n, threads) for k in range(threads)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, ranges))
-    return WaveGrid(n, psi0.x_min, psi0.dx, out.reshape(n, n), psi0.hbar)
+        pts = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1)
+        weights, shift = np.outer(w, w) * dx**2, 0.0
+    g = weights * psi0.amps * _chirp(pts, kernel.qx1x1 + shift, kernel.lx1)
+    if kernel.dof == 1:
+        size = sp_fft.next_fast_len(2 * n - 1)
+        k = np.minimum(np.arange(size), size - np.arange(size))
+        cross = np.exp(-1j * shift[0, 0] * (dx * k) ** 2)
+        cross[n:size - n + 1] = 0.0  # only lags |k| < n reach the output
+        out = sp_fft.ifft(sp_fft.fft(g, size) * sp_fft.fft(cross))[:n]
+    else:
+        e = np.exp(1j * kernel.qxx1.real[:, :, None, None] * np.outer(x, x))
+        p_mat = (e[0, 0][:, :, None] * e[0, 1][:, None, :]).reshape(n, n * n)
+        q_mat = (e[1, 0][:, :, None] * e[1, 1][:, None, :]).reshape(n, n * n)
+        out = (p_mat * g.ravel()) @ q_mat.T
+    out *= kernel.prefactor * np.exp(1j * kernel.scal) * _chirp(
+        pts, kernel.qxx + shift, kernel.lx
+    )
+    return WaveGrid(n, psi0.x_min, dx, out, psi0.hbar)
 
 
 def kernel_unitarity_residual(kernel: GaussianKernel, grid: WaveGrid) -> float:

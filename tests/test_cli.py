@@ -123,6 +123,15 @@ class TestKernel:
         assert lines[0] == "x,re,im"
         assert len(lines) == 257
 
+    def test_apply_outputs_are_byte_identical(self, tmp_path):
+        cfg = sho_config(tmp_path, grid={"n": 256, "x_min": -8.0, "dx": 16.0 / 256})
+        out1, out2 = tmp_path / "a1", tmp_path / "a2"
+        for out in (out1, out2):
+            assert cli.main(["kernel", "--config", cfg, "--out", str(out),
+                             "--apply", "gaussian(sigma=1)"]) == 0
+        for name in ("kernel.json", "psi_out.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
     def test_bad_apply_spec(self, tmp_path, capsys):
         cfg = sho_config(tmp_path)
         code = cli.main(["kernel", "--config", cfg, "--out", str(tmp_path / "x"),
@@ -175,6 +184,13 @@ class TestConstants:
         assert lines[0] == "i,j,k,num,den"
         assert "14,15,6,1,2" in lines
         assert len(lines) == 65  # header + 64 nonzero constants
+
+    def test_algebra_name_is_case_insensitive(self, tmp_path):
+        lower, upper = tmp_path / "lower", tmp_path / "upper"
+        assert cli.main(["constants", "--algebra", "cp", "--out", str(lower)]) == 0
+        assert cli.main(["constants", "--algebra", "CP", "--out", str(upper)]) == 0
+        name = "structure_constants_cp.csv"
+        assert (upper / name).read_bytes() == (lower / name).read_bytes()
 
     def test_lp_export(self, tmp_path):
         out = tmp_path / "consts"

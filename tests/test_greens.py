@@ -363,14 +363,95 @@ class TestPlanarKernels:
         out = kernel_apply(k, psi)
         assert abs(out.norm() - 1.0) <= 1e-6
 
-    def test_thread_count_does_not_change_bits(self, efield_traj, monkeypatch):
-        k = kernel_build(efield_traj, 0.8, "twod_path2")
-        psi = self.make_grid2(n=32)
-        monkeypatch.delenv("LIEGATE_THREADS", raising=False)
-        serial = kernel_apply(k, psi)
-        monkeypatch.setenv("LIEGATE_THREADS", "3")
-        threaded = kernel_apply(k, psi)
-        assert np.array_equal(serial.amps, threaded.amps)
+
+def direct_apply(kernel, psi0):
+    """Reference: the direct trapezoid sum sum_j w_j G(x_i, x_j) psi0(x_j) dx^dof."""
+    n, x = psi0.n, psi0.x
+    w = np.ones(n)
+    w[0] = w[-1] = 0.5
+    if kernel.dof == 1:
+        weighted = w * psi0.amps * psi0.dx
+        rows = [kernel.evaluate(x[start:start + 256, None], x[None, :]) @ weighted
+                for start in range(0, n, 256)]
+        return np.concatenate(rows)
+    xv, yv = np.meshgrid(x, x, indexing="ij")
+    pts = np.stack([xv.ravel(), yv.ravel()], axis=-1)
+    weighted = (np.outer(w, w) * psi0.amps).ravel() * psi0.dx**2
+    rows = [kernel.evaluate(pts[i * n:(i + 1) * n, None, :], pts[None, :, :]) @ weighted
+            for i in range(n)]
+    return np.array(rows)
+
+
+def random_kernel(rng, dof, cross_scale):
+    """Seeded real kernel with general blocks and a complex prefactor."""
+    shape = () if dof == 1 else (dof, dof)
+    return GaussianKernel(
+        dof=dof, t=1.0, prefactor=complex(*rng.normal(size=2)),
+        qxx=rng.normal(size=shape), qx1x1=rng.normal(size=shape),
+        qxx1=cross_scale * rng.normal(size=shape),
+        lx=rng.normal(size=dof), lx1=rng.normal(size=dof),
+        scal=rng.normal(), valid_to=2.0, hbar=1.0,
+    )
+
+
+def assert_matches_direct(kernel, psi):
+    fast = kernel_apply(kernel, psi).amps
+    ref = direct_apply(kernel, psi)
+    assert fast.shape == ref.shape
+    assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+class TestApplyMatchesDirectSum:
+    @pytest.mark.parametrize("n", [64, 257, 1024])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_1d_kernels(self, n, seed):
+        rng = np.random.default_rng(100 + seed)
+        kernel = random_kernel(rng, 1, cross_scale=3.0)
+        psi = gaussian_state(n, -8.0, 16.0 / n, sigma=1.0, x0=0.3, p0=0.5)
+        noise = rng.normal(size=n) + 1j * rng.normal(size=n)
+        assert_matches_direct(kernel, WaveGrid(n, psi.x_min, psi.dx, psi.amps + 0.1 * noise))
+
+    def test_near_delta_free_kernel(self, free_traj):
+        kernel = kernel_build(free_traj, 0.007, "path1")
+        assert_matches_direct(kernel, gaussian_state(4096, -6.0, 12.0 / 4096, sigma=1.0))
+
+    @pytest.mark.parametrize("t", [1.5, 1.569])
+    def test_near_focal_oscillator_kernel(self, t):
+        traj = paramflow.solve_path1(CoefficientSet1D.build(a=1.0, c=1.0), 1.57, tol=1e-12)
+        kernel = kernel_build(traj, t, "path1")
+        assert abs(kernel.qxx1[0, 0]) > 1.0
+        assert_matches_direct(kernel, grid_1024(sigma=1.0, x0=0.5, p0=-0.4))
+
+    @pytest.mark.parametrize("n", [16, 33, 48])
+    def test_random_planar_general_blocks(self, n):
+        rng = np.random.default_rng(200 + n)
+        kernel = random_kernel(rng, 2, cross_scale=2.0)
+        # neither a scaled identity nor a scaled rotation
+        assert abs(kernel.qxx[0, 1].real) > 1e-3
+        assert abs(kernel.qxx1[0, 0] - kernel.qxx1[1, 1]) > 1e-3
+        assert abs(kernel.qxx1[0, 1] + kernel.qxx1[1, 0]) > 1e-3
+        amps = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        assert_matches_direct(kernel, WaveGrid(n, -4.0, 8.0 / n, amps))
+
+    def test_planar_field_kernel(self, efield_traj):
+        kernel = kernel_build(efield_traj, 0.8, "twod_path2")
+        rng = np.random.default_rng(7)
+        amps = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+        assert_matches_direct(kernel, WaveGrid(32, -7.0, 14.0 / 32, amps))
+
+    @pytest.mark.parametrize("dof", [1, 2])
+    def test_complex_cross_block_rejected(self, dof):
+        kernel = random_kernel(np.random.default_rng(3), dof, cross_scale=1.0)
+        complex_cross = GaussianKernel(
+            dof=dof, t=kernel.t, prefactor=kernel.prefactor,
+            qxx=kernel.qxx + 1j * np.eye(dof), qx1x1=kernel.qx1x1 + 1j * np.eye(dof),
+            qxx1=kernel.qxx1 + 0.1j * np.eye(dof),
+            lx=kernel.lx, lx1=kernel.lx1, scal=kernel.scal,
+            valid_to=kernel.valid_to, hbar=kernel.hbar,
+        )
+        psi = WaveGrid(8, -1.0, 0.25, np.ones((8,) * dof, dtype=complex))
+        with pytest.raises(DomainError, match="real cross block"):
+            kernel_apply(complex_cross, psi)
 
 
 class TestGridIO:
