@@ -15,6 +15,8 @@ Subpackages by task:
   magnetic field), including the Mathieu cosine function.
 - ``oracle``: independent ground truth (split-step grid solver, classical
   flow, fundamental matrix, fidelity).
+- ``presets``: the named systems, their parameters with defaults and
+  their builders.
 - ``cli``: the ``liegate`` command line entry point.
 """
 

@@ -10,10 +10,11 @@ Subcommands:
 * ``liegate constants`` export an algebra's structure constants as CSV.
 
 Exit codes: 0 success, 1 verification failure, 2 malformed configuration,
-3 domain error, 4 focal-point (caustic) violation.  All failures print a
-machine-readable error object to stdout.  Numeric output carries 17
-significant digits, so doubles round-trip exactly; identical configuration
-and seed produce byte-identical files.
+3 domain error, 4 focal-point (caustic) violation, 5 internal error (a bug:
+any other exception).  All failures print a machine-readable error object
+to stdout.  Numeric output carries 17 significant digits, so doubles
+round-trip exactly; an identical configuration (and ``verify`` seed)
+produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -27,37 +28,17 @@ import sys
 
 import numpy as np
 
-from . import closedforms, greens, oracle, paramflow, quadops, verify
-from .coeffs import (
-    CoefficientSet1D,
-    Derived,
-    Exponential,
-    FieldProfile2D,
-    Sinusoid,
-    TimeProfile,
-    as_profile,
-    profile_from_dict,
-)
+from . import greens, oracle, paramflow, presets, quadops, verify
+from .coeffs import CoefficientSet1D
 from .errors import CausticError, ConfigError, DomainError, LiegateError
 
-SYSTEMS_1D = ("lp", "gho", "iontrap", "kanai")
-SYSTEMS_2D = ("cp2d", "bsin", "efield")
-SYSTEMS = SYSTEMS_1D + SYSTEMS_2D
+SYSTEMS = tuple(presets.PRESETS)
 
 _TOP_KEYS = {
-    "system", "path", "hbar", "t_end", "tol", "samples", "seed",
+    "system", "path", "hbar", "t_end", "tol", "samples",
     "params", "coefficients", "field", "grid", "kernel_t",
 }
 _GRID_KEYS = {"n", "x_min", "dx"}
-_PARAM_KEYS = {
-    "lp": {"m", "f"},
-    "iontrap": {"m", "K", "k", "omega"},
-    "kanai": {"m", "tau", "omega0", "F0", "F1", "omega1"},
-    "bsin": {"m", "B0", "omega", "charge"},
-    "efield": {"m", "charge", "B", "K", "E0x", "E0y", "E1x", "E1y", "omega", "zeta"},
-}
-_FIELD_KEYS = {"m", "B", "K", "Ex", "Ey", "charge"}
-_COEFF_KEYS = {"a", "b", "c", "d", "e", "g"}
 
 
 def _fmt(x: float) -> str:
@@ -106,24 +87,7 @@ def _require_number(cfg: dict, key: str, *, positive=False, default=None):
         if default is not None:
             return default
         raise ConfigError(f"missing required field {key!r}", field=key)
-    value = cfg[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"field {key!r} must be a number", field=key)
-    if positive and value <= 0:
-        raise ConfigError(f"field {key!r} must be positive, got {value}", field=key)
-    return float(value)
-
-
-def _number_or_profile(spec, field: str) -> TimeProfile:
-    if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        return as_profile(float(spec))
-    if isinstance(spec, dict):
-        try:
-            return profile_from_dict(spec)
-        except DomainError as err:
-            raise ConfigError(str(err), field=field) from None
-    raise ConfigError(f"field {field!r} must be a number or a profile object",
-                      field=field)
+    return presets.check_number(cfg[key], key, positive)
 
 
 def load_config(path: str, overrides: dict) -> dict:
@@ -166,9 +130,6 @@ def validate_config(cfg: dict):
     samples = cfg.get("samples", 201)
     if isinstance(samples, bool) or not isinstance(samples, int) or samples < 2:
         raise ConfigError("field 'samples' must be an integer >= 2", field="samples")
-    seed = cfg.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError("field 'seed' must be an integer", field="seed")
     if "grid" in cfg:
         grid = cfg["grid"]
         if not isinstance(grid, dict):
@@ -182,140 +143,15 @@ def validate_config(cfg: dict):
             raise ConfigError("field 'grid.n' must be an integer >= 8", field="grid.n")
         _require_number(grid, "x_min", default=-12.0)
         _require_number(grid, "dx", positive=True, default=24.0 / 1024)
-    if system in _PARAM_KEYS:
-        params = cfg.get("params")
-        if not isinstance(params, dict):
-            raise ConfigError(
-                f"system {system!r} requires a 'params' object", field="params"
-            )
-        unknown = set(params) - _PARAM_KEYS[system]
-        if unknown:
-            key = sorted(unknown)[0]
-            raise ConfigError(
-                f"unknown parameter {key!r} for system {system!r}",
-                field=f"params.{key}",
-            )
-    if system == "gho":
-        coefficients = cfg.get("coefficients")
-        if not isinstance(coefficients, dict):
-            raise ConfigError("system 'gho' requires a 'coefficients' object",
-                              field="coefficients")
-        unknown = set(coefficients) - _COEFF_KEYS
-        if unknown:
-            key = sorted(unknown)[0]
-            raise ConfigError(f"unknown coefficient {key!r}",
-                              field=f"coefficients.{key}")
-    if system == "cp2d":
-        fld = cfg.get("field")
-        if not isinstance(fld, dict):
-            raise ConfigError("system 'cp2d' requires a 'field' object", field="field")
-        unknown = set(fld) - _FIELD_KEYS
-        if unknown:
-            key = sorted(unknown)[0]
-            raise ConfigError(f"unknown field component {key!r}",
-                              field=f"field.{key}")
+    presets.parameters(system, cfg.get(presets.PRESETS[system].section))
 
 
 def build_problem(cfg: dict):
     """Return ('1d', CoefficientSet1D) or ('2d', FieldProfile2D)."""
     system = cfg["system"]
-    hbar = float(cfg.get("hbar", 1.0))
-    params = cfg.get("params", {})
-
-    if system == "lp":
-        m_prof = _number_or_profile(params.get("m", 1.0), "params.m")
-        f_prof = _number_or_profile(params.get("f", 0.0), "params.f")
-        a_prof = Derived(
-            fn=lambda t, mp=m_prof: 1.0 / mp(t),
-            dfn=lambda t, mp=m_prof: -mp.derivative(t) / mp(t) ** 2,
-            label="1/m",
-        )
-        e_prof = Derived(
-            fn=lambda t, fp=f_prof: -fp(t),
-            dfn=lambda t, fp=f_prof: -fp.derivative(t),
-            label="-f",
-        )
-        return "1d", CoefficientSet1D.build(a=a_prof, e=e_prof, hbar=hbar)
-
-    if system == "gho":
-        spec = cfg["coefficients"]
-        kwargs = {
-            key: _number_or_profile(spec.get(key, 1.0 if key == "a" else 0.0),
-                                    f"coefficients.{key}")
-            for key in _COEFF_KEYS
-        }
-        return "1d", CoefficientSet1D(hbar=hbar, **kwargs)
-
-    if system == "iontrap":
-        m = _require_number(params, "m", positive=True, default=1.0)
-        big_k = _require_number(params, "K", default=1.0)
-        small_k = _require_number(params, "k", default=0.0)
-        omega = _require_number(params, "omega", positive=True, default=1.0)
-        c_prof = Sinusoid(amplitude=small_k, omega=omega, phase=math.pi / 2,
-                          offset=big_k)
-        return "1d", CoefficientSet1D.build(a=1.0 / m, c=c_prof, hbar=hbar)
-
-    if system == "kanai":
-        m = _require_number(params, "m", positive=True, default=1.0)
-        tau = _require_number(params, "tau", positive=True, default=1.0)
-        omega0 = _require_number(params, "omega0", default=0.25)
-        f0 = _require_number(params, "F0", default=0.0)
-        f1 = _require_number(params, "F1", default=0.0)
-        omega1 = _require_number(params, "omega1", default=1.0)
-        # surfaces the critical-damping domain error before any solve
-        closedforms.kanai_caldirola_params(m, tau, omega0, f0, f1, omega1, 0.0)
-        e_prof = Derived(
-            fn=lambda t: -np.exp(t / tau) * (f0 + f1 * np.sin(omega1 * t)),
-            dfn=lambda t: (
-                -np.exp(t / tau) * (f0 + f1 * np.sin(omega1 * t)) / tau
-                - np.exp(t / tau) * f1 * omega1 * np.cos(omega1 * t)
-            ),
-            label="damped drive",
-        )
-        return "1d", CoefficientSet1D.build(
-            a=Exponential(1.0 / m, -1.0 / tau),
-            c=Exponential(m * omega0 * omega0, 1.0 / tau),
-            e=e_prof,
-            hbar=hbar,
-        )
-
-    if system == "cp2d":
-        spec = cfg["field"]
-        charge = _require_number(spec, "charge", default=1.0)
-        kwargs = {
-            key: _number_or_profile(spec.get(key, 1.0 if key == "m" else 0.0),
-                                    f"field.{key}")
-            for key in ("m", "B", "K", "Ex", "Ey")
-        }
-        return "2d", FieldProfile2D(charge=charge, hbar=hbar, **kwargs)
-
-    if system == "bsin":
-        m = _require_number(params, "m", positive=True, default=1.0)
-        b0 = _require_number(params, "B0", default=1.0)
-        omega = _require_number(params, "omega", positive=True, default=1.0)
-        charge = _require_number(params, "charge", default=1.0)
-        return "2d", FieldProfile2D.build(
-            m=m, B=Sinusoid(amplitude=b0, omega=omega), K=0.0,
-            charge=charge, hbar=hbar,
-        )
-
-    # efield: constant B, stiffness K, sinusoidal in-plane drive
-    m = _require_number(params, "m", positive=True, default=1.0)
-    charge = _require_number(params, "charge", default=1.0)
-    b = _require_number(params, "B", default=1.0)
-    big_k = _require_number(params, "K", default=0.5)
-    e0x = _require_number(params, "E0x", default=0.0)
-    e0y = _require_number(params, "E0y", default=0.0)
-    e1x = _require_number(params, "E1x", default=0.0)
-    e1y = _require_number(params, "E1y", default=0.0)
-    omega = _require_number(params, "omega", positive=True, default=1.0)
-    zeta = _require_number(params, "zeta", default=0.0)
-    return "2d", FieldProfile2D.build(
-        m=m, B=b, K=big_k,
-        Ex=Sinusoid(amplitude=e1x, omega=omega, phase=0.0, offset=e0x),
-        Ey=Sinusoid(amplitude=e1y, omega=omega, phase=zeta, offset=e0y),
-        charge=charge, hbar=hbar,
-    )
+    spec = cfg.get(presets.PRESETS[system].section)
+    problem = presets.build(system, spec, float(cfg.get("hbar", 1.0)))
+    return ("1d" if isinstance(problem, CoefficientSet1D) else "2d"), problem
 
 
 def _solve(cfg: dict):
@@ -406,9 +242,9 @@ def cmd_kernel(cfg: dict, out_dir: str, apply_spec: str | None) -> int:
     t_kernel = float(cfg.get("kernel_t", cfg["t_end"]))
     path = cfg.get("path", "path1")
     if kind == "1d":
-        variant = "lp" if cfg["system"] == "lp" else path
+        variant = presets.PRESETS[cfg["system"]].kernel or path
     else:
-        variant = "twod_path1" if path == "path1" else "twod_path2"
+        variant = "twod_" + path
     kernel = greens.kernel_build(traj, t_kernel, variant)
     os.makedirs(out_dir, exist_ok=True)
     payload = kernel.as_dict()
@@ -500,7 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--t-end", type=float, dest="t_end", help="solve horizon")
         p.add_argument("--tol", type=float, help="integration tolerance")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, help="seed for randomized suites")
         if with_apply:
             p.add_argument("--apply", help="apply kernel to gaussian(sigma=..,x0=..,p0=..)")
 
@@ -532,7 +367,6 @@ def main(argv: list[str] | None = None) -> int:
             "path": args.path,
             "t_end": args.t_end,
             "tol": args.tol,
-            "seed": args.seed,
         }
         cfg = load_config(args.config, overrides)
         if args.command == "params":
@@ -547,6 +381,9 @@ def main(argv: list[str] | None = None) -> int:
     except LiegateError as err:
         print(_error_json(3, err))
         return 3
+    except Exception as err:  # a bug, still reported as a JSON error object
+        print(_error_json(5, err))
+        return 5
 
 
 if __name__ == "__main__":

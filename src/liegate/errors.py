@@ -1,7 +1,9 @@
 """Exception taxonomy shared by all liegate modules.
 
-The CLI maps these onto its exit codes: ConfigError -> 2, DomainError and
-subclasses -> 3, CausticError -> 4.  Anything else is a genuine bug.
+The CLI maps these onto its exit codes: ConfigError -> 2, CausticError
+-> 4, every other LiegateError (DomainError and its other subclasses,
+IntegrationError, ConsistencyError) -> 3.  Any other exception is a
+genuine bug; the CLI reports it as an internal error, exit code 5.
 """
 
 

@@ -3,17 +3,19 @@
 Each check returns a record with the measured residual and its threshold;
 the CLI serializes the records to report.json.  The random ingredients are
 driven by a caller-supplied seed so reports are reproducible byte for byte.
+The acceptance tests run the same checks with their own seeds, system
+counts and time grids, given as arguments; the defaults are the suite's.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
+from fractions import Fraction as F
 
 import numpy as np
 
-from . import closedforms, greens, maps, oracle, paramflow, quadops
+from . import closedforms, greens, maps, oracle, paramflow, presets, quadops
 from .coeffs import CoefficientSet1D, FieldProfile2D, Sinusoid
 
 __all__ = [
@@ -23,18 +25,31 @@ __all__ = [
     "run_suite",
 ]
 
-LP_TABLE = {(2, 3, 1): Fraction(1), (2, 4, 3): Fraction(2)}
+# every nonzero structure constant c_ijk with i < j, per algebra
+LP_TABLE = {(2, 3, 1): F(1), (2, 4, 3): F(2)}
 GHO_TABLE = {
-    (2, 3, 1): Fraction(1), (2, 5, 3): Fraction(2), (2, 6, 2): Fraction(2),
-    (3, 4, 2): Fraction(-2), (3, 6, 3): Fraction(-2), (4, 5, 6): Fraction(2),
-    (4, 6, 4): Fraction(4), (5, 6, 5): Fraction(-4),
+    (2, 3, 1): F(1), (2, 5, 3): F(2), (2, 6, 2): F(2), (3, 4, 2): F(-2),
+    (3, 6, 3): F(-2), (4, 5, 6): F(2), (4, 6, 4): F(4), (5, 6, 5): F(-4),
 }
-CP_SPOT_CHECKS = {
-    (2, 3, 1): Fraction(1), (7, 8, 1): Fraction(1), (4, 6, 4): Fraction(4),
-    (10, 11, 10): Fraction(-4), (6, 13, 12): Fraction(-2),
-    (12, 13, 6): Fraction(-1), (12, 13, 11): Fraction(1),
-    (14, 15, 6): Fraction(1, 2), (14, 15, 11): Fraction(1, 2),
+CP_TABLE = {
+    **GHO_TABLE,  # generators 1-6 span the x-axis oscillator algebra
+    (7, 8, 1): F(1), (7, 10, 8): F(2), (7, 11, 7): F(2), (8, 9, 7): F(-2),
+    (8, 11, 8): F(-2), (9, 10, 11): F(2), (9, 11, 9): F(4), (10, 11, 10): F(-4),
+    (2, 12, 7): F(-1), (2, 13, 7): F(1), (2, 15, 8): F(1),
+    (3, 12, 8): F(-1), (3, 13, 8): F(-1), (3, 14, 7): F(-1),
+    (4, 12, 14): F(-2), (4, 13, 14): F(2), (4, 15, 12): F(1), (4, 15, 13): F(1),
+    (5, 12, 15): F(-2), (5, 13, 15): F(-2), (5, 14, 12): F(1), (5, 14, 13): F(-1),
+    (6, 12, 13): F(-2), (6, 13, 12): F(-2), (6, 14, 14): F(-2), (6, 15, 15): F(2),
+    (7, 12, 2): F(1), (7, 13, 2): F(1), (7, 15, 3): F(1),
+    (8, 12, 3): F(1), (8, 13, 3): F(-1), (8, 14, 2): F(-1),
+    (9, 12, 14): F(2), (9, 13, 14): F(2), (9, 15, 12): F(-1), (9, 15, 13): F(1),
+    (10, 12, 15): F(2), (10, 13, 15): F(-2), (10, 14, 12): F(-1), (10, 14, 13): F(-1),
+    (11, 12, 13): F(2), (11, 13, 12): F(2), (11, 14, 14): F(-2), (11, 15, 15): F(2),
+    (12, 13, 6): F(-1), (12, 13, 11): F(1), (12, 14, 4): F(-1), (12, 14, 9): F(1),
+    (12, 15, 5): F(-1), (12, 15, 10): F(1), (13, 14, 4): F(-1), (13, 14, 9): F(-1),
+    (13, 15, 5): F(1), (13, 15, 10): F(1), (14, 15, 6): F(1, 2), (14, 15, 11): F(1, 2),
 }
+STRUCTURE_TABLES = {"LP": LP_TABLE, "GHO": GHO_TABLE, "CP": CP_TABLE}
 
 
 @dataclass(frozen=True)
@@ -45,6 +60,19 @@ class CheckResult:
     threshold: float
     count: int = 1
     note: str = ""
+    parts: dict = field(default_factory=dict)  # named sub-measures; not in report.json
+
+
+@dataclass(frozen=True)
+class Grid:
+    """Sample times ``np.linspace(start, hi, n)[skip:]`` up to a horizon ``hi``."""
+
+    start: float
+    n: int
+    skip: int = 0
+
+    def up_to(self, hi: float) -> np.ndarray:
+        return np.linspace(self.start, hi, self.n)[self.skip:]
 
 
 def random_smooth_coeffs(
@@ -84,63 +112,32 @@ def random_smooth_coeffs(
     return CoefficientSet1D(a=a, b=b, c=c, d=d, e=e, g=g)
 
 
+def _reference(*names: str) -> dict:
+    return {name: presets.build(*presets.REFERENCE[name]) for name in names}
+
+
 def suite_systems() -> dict[str, CoefficientSet1D]:
     """The four built-in 1D systems at their reference parameters."""
-    import numpy as _np
-    from .coeffs import Derived, Exponential
-
-    kanai_force = Derived(
-        fn=lambda t: -_np.exp(t) * (0.3 + 0.2 * _np.sin(t)),
-        dfn=lambda t: -_np.exp(t) * (0.3 + 0.2 * _np.sin(t)) - 0.2 * _np.exp(t) * _np.cos(t),
-        label="kanai drive",
-    )
-    return {
-        "lp": CoefficientSet1D.build(a=1.0, e=-1.0),
-        "sho": CoefficientSet1D.build(a=1.0, c=1.0),
-        "iontrap": CoefficientSet1D.build(
-            a=1.0, c=Sinusoid(0.3, 5.0, math.pi / 2, 1.0)
-        ),
-        "kanai": CoefficientSet1D(
-            a=Exponential(1.0, -1.0),
-            b=Sinusoid(0.0, 1.0, 0.0, 0.0),
-            c=Exponential(0.0625, 1.0),
-            d=Sinusoid(0.0, 1.0, 0.0, 0.0),
-            e=kanai_force,
-            g=Sinusoid(0.0, 1.0, 0.0, 0.0),
-        ),
-    }
+    return _reference("lp", "sho", "iontrap", "kanai")
 
 
 def suite_fields() -> dict[str, FieldProfile2D]:
-    return {
-        "bsin": FieldProfile2D.build(m=1.0, B=Sinusoid(2.0, 3.0), K=0.0, charge=1.0),
-        "efield": FieldProfile2D.build(
-            m=1.0, B=2.0, K=0.5, Ex=0.3,
-            Ey=Sinusoid(0.2, 1.3, math.pi / 2), charge=1.0,
-        ),
-    }
+    """The two built-in planar systems at their reference parameters."""
+    return _reference("bsin", "efield")
 
 
-def _map_times(traj, t_end: float, n: int) -> np.ndarray:
-    hi = min(t_end, 0.95 * traj.valid_to)
-    return np.linspace(0.0, hi, n)
+def _horizon(t_end: float, *trajs) -> float:
+    return min(t_end, *(0.95 * traj.valid_to for traj in trajs))
 
 
 def check_structure_constants() -> CheckResult:
-    count = 0
     ok = True
-    for algebra, expected in (("LP", LP_TABLE), ("GHO", GHO_TABLE)):
-        table = quadops.structure_constants(algebra).as_dict()
-        ok &= table == expected
+    count = 0
+    for algebra, expected in STRUCTURE_TABLES.items():
+        ok &= quadops.structure_constants(algebra).as_dict() == expected
         n = quadops.generator_count(algebra)
         count += n * (n - 1) // 2
-    cp = quadops.structure_constants("CP").as_dict()
-    count += 105
-    for key, value in CP_SPOT_CHECKS.items():
-        ok &= cp.get(key, Fraction(0)) == value
-    return CheckResult(
-        "structure_constants", bool(ok), 0.0 if ok else 1.0, 0.0, count=count
-    )
+    return CheckResult("structure_constants", ok, 0.0 if ok else 1.0, 0.0, count=count)
 
 
 def check_algebra_properties(seed: int) -> CheckResult:
@@ -148,12 +145,12 @@ def check_algebra_properties(seed: int) -> CheckResult:
 
     def rand_obs(dof):
         n = 2 * dof
-        quad = [[Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5))) for _ in range(n)] for _ in range(n)]
+        quad = [[F(int(rng.integers(-6, 7)), int(rng.integers(1, 5))) for _ in range(n)] for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
                 quad[j][i] = quad[i][j]
-        lin = [Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5))) for _ in range(n)]
-        scal = Fraction(int(rng.integers(-6, 7)), int(rng.integers(1, 5)))
+        lin = [F(int(rng.integers(-6, 7)), int(rng.integers(1, 5))) for _ in range(n)]
+        scal = F(int(rng.integers(-6, 7)), int(rng.integers(1, 5)))
         return quadops.QuadraticObservable.build(dof, quad=quad, lin=lin, scal=scal)
 
     failures = 0
@@ -174,7 +171,7 @@ def check_algebra_properties(seed: int) -> CheckResult:
                        count=2 * trials)
 
 
-def check_symplectic(seed: int, n_random: int = 8, n_times: int = 40,
+def check_symplectic(seed: int, n_random: int = 8, times: Grid = Grid(0.0, 40, 1),
                      corrupt: bool = False) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -183,7 +180,7 @@ def check_symplectic(seed: int, n_random: int = 8, n_times: int = 40,
     systems += [random_smooth_coeffs(rng) for _ in range(n_random)]
     for cs in systems:
         traj = paramflow.solve_path1(cs, 2.0, tol=1e-12)
-        for t in _map_times(traj, 2.0, n_times)[1:]:
+        for t in times.up_to(_horizon(2.0, traj)):
             smap = maps.assemble_path1(traj, float(t))
             if corrupt:
                 m = smap.M.copy()
@@ -195,7 +192,8 @@ def check_symplectic(seed: int, n_random: int = 8, n_times: int = 40,
     return CheckResult("symplectic_invariants", worst <= 1e-9, worst, 1e-9, count=count)
 
 
-def check_path_equivalence(seed: int, n_random: int = 3) -> CheckResult:
+def check_path_equivalence(seed: int, n_random: int = 3,
+                           times: Grid = Grid(0.02, 12)) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     count = 0
@@ -205,8 +203,7 @@ def check_path_equivalence(seed: int, n_random: int = 3) -> CheckResult:
         t_end = 2.0
         tr1 = paramflow.solve_path1(cs, t_end, tol=1e-12)
         tr2 = paramflow.solve_path2(cs, t_end, tol=1e-12)
-        hi = min(t_end, 0.95 * tr1.valid_to, 0.95 * tr2.valid_to)
-        for t in np.linspace(0.02, hi, 12):
+        for t in times.up_to(_horizon(t_end, tr1, tr2)):
             m1 = maps.assemble_path1(tr1, float(t)).M
             m2 = maps.assemble_path2(tr2, float(t)).M
             worst = max(worst, float(np.max(np.abs(m1 - m2))))
@@ -214,14 +211,15 @@ def check_path_equivalence(seed: int, n_random: int = 3) -> CheckResult:
     return CheckResult("path_equivalence", worst <= 1e-6, worst, 1e-6, count=count)
 
 
-def check_oracle_maps(seed: int) -> CheckResult:
+def check_oracle_maps(times: Grid = Grid(0.0, 12, 1),
+                      planar_times: Grid = Grid(0.0, 8, 1)) -> CheckResult:
     worst = 0.0
     count = 0
     for name, cs in suite_systems().items():
         t_end = 1.5
         traj = paramflow.solve_path1(cs, t_end, tol=1e-12)
         fm = oracle.fundamental_matrix(cs, t_end, tol=1e-12)
-        for t in _map_times(traj, t_end, 12)[1:]:
+        for t in times.up_to(_horizon(t_end, traj)):
             diff = np.max(np.abs(maps.assemble_path1(traj, float(t)).M - fm.at(float(t))))
             worst = max(worst, float(diff))
             count += 1
@@ -230,33 +228,34 @@ def check_oracle_maps(seed: int) -> CheckResult:
         traj = paramflow.solve_2d(fp, t_end, tol=1e-12,
                                   path="path2" if name == "efield" else "path1")
         fm = oracle.fundamental_matrix(fp, t_end, tol=1e-12)
-        for t in _map_times(traj, t_end, 8)[1:]:
+        for t in planar_times.up_to(_horizon(t_end, traj)):
             diff = np.max(np.abs(maps.assemble_2d(traj, float(t)).M - fm.at(float(t))))
             worst = max(worst, float(diff))
             count += 1
     return CheckResult("oracle_map_equivalence", worst <= 1e-7, worst, 1e-7, count=count)
 
 
-def check_classical_identification(seed: int, n_random: int = 4) -> CheckResult:
+def check_classical_identification(seed: int, n_random: int = 4,
+                                   times: Grid = Grid(0.1, 10)) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     count = 0
+    t_end = 2.0
     cases = [suite_systems()["lp"]] + [random_smooth_coeffs(rng) for _ in range(n_random)]
     for cs in cases:
-        t_end = 2.0
         lt = paramflow.solve_linear_translation(cs, t_end, tol=1e-12)
         flow = oracle.classical_flow(
             cs, oracle.ClassicalState(np.zeros(2), 0.0), t_end, tol=1e-12
         )
-        for t in np.linspace(0.1, t_end, 10):
+        for t in times.up_to(t_end):
             _, lam, pi = lt.at(float(t))
             diff = np.max(np.abs(flow.at(float(t)) - np.array([lam, -pi])))
             worst = max(worst, float(diff))
             count += 1
     fp = suite_fields()["efield"]
-    traj = paramflow.solve_2d(fp, 2.0, tol=1e-12, path="path2")
-    flow = oracle.classical_flow(fp, oracle.ClassicalState(np.zeros(4), 0.0), 2.0, tol=1e-12)
-    for t in np.linspace(0.1, 2.0, 10):
+    traj = paramflow.solve_2d(fp, t_end, tol=1e-12, path="path2")
+    flow = oracle.classical_flow(fp, oracle.ClassicalState(np.zeros(4), 0.0), t_end, tol=1e-12)
+    for t in times.up_to(t_end):
         rec = traj.sample(float(t))
         target = np.array([rec["lam_x"], rec["lam_y"], -rec["Pi_x"], -rec["Pi_y"]])
         worst = max(worst, float(np.max(np.abs(flow.at(float(t)) - target))))
@@ -264,25 +263,38 @@ def check_classical_identification(seed: int, n_random: int = 4) -> CheckResult:
     return CheckResult("classical_identification", worst <= 1e-7, worst, 1e-7, count=count)
 
 
-def check_closed_forms() -> CheckResult:
+# system -> (solve horizon, sample times) of the closed-form cross-checks
+CLOSED_FORM_TIMES = {
+    "iontrap": (1.0, (0.2, 0.4, 0.8)),
+    "kanai": (1.2, (0.5, 1.0)),
+    "bsin": (1.0, (0.3, 0.7)),
+    "efield": (2.2, (1.0, 2.0)),
+}
+
+
+def check_closed_forms(times: dict = CLOSED_FORM_TIMES) -> CheckResult:
     worst = 0.0
     count = 0
+    systems = {**suite_systems(), **suite_fields()}
+    params = {name: spec for name, (_, spec) in presets.REFERENCE.items()}
     # rf trap
-    ion = suite_systems()["iontrap"]
-    traj = paramflow.solve_path1(ion, 1.0, tol=1e-12)
-    for t in (0.2, 0.4, 0.8):
-        alpha, phi, beta = closedforms.ion_trap_params(1.0, 1.0, 0.3, 5.0, t)
-        s = traj.sample(t)
+    p = params["iontrap"]
+    horizon, samples = times["iontrap"]
+    traj = paramflow.solve_path1(systems["iontrap"], horizon, tol=1e-12)
+    for t in samples:
+        alpha, phi, beta = closedforms.ion_trap_params(p["m"], p["K"], p["k"], p["omega"],
+                                                       float(t))
+        s = traj.sample(float(t))
         scale = max(1.0, abs(s.alpha), abs(s.phi), abs(s.beta))
         diff = max(abs(alpha - s.alpha), abs(phi - s.phi), abs(beta - s.beta)) / scale
         worst = max(worst, diff)
         count += 1
     # damped driven oscillator
-    kan = suite_systems()["kanai"]
-    traj = paramflow.solve_path1(kan, 1.2, tol=1e-12)
-    for t in (0.5, 1.0):
-        cf = closedforms.kanai_caldirola_params(1.0, 1.0, 0.25, 0.3, 0.2, 1.0, t)
-        s = traj.sample(t)
+    horizon, samples = times["kanai"]
+    traj = paramflow.solve_path1(systems["kanai"], horizon, tol=1e-12)
+    for t in samples:
+        cf = closedforms.kanai_caldirola_params(**params["kanai"], t=float(t))
+        s = traj.sample(float(t))
         scale = max(1.0, abs(s.lam), abs(s.Pi))
         diff = max(
             abs(cf.lam - s.lam), abs(cf.Pi - s.Pi), abs(cf.alpha - s.alpha),
@@ -291,11 +303,11 @@ def check_closed_forms() -> CheckResult:
         worst = max(worst, diff)
         count += 1
     # sinusoidal magnetic field
-    fp = suite_fields()["bsin"]
-    traj2 = paramflow.solve_2d(fp, 1.0, tol=1e-12, path="path1")
-    for t in (0.3, 0.7):
-        alpha, phi, beta, theta = closedforms.bfield_sin_params(1.0, 2.0, 3.0, 1.0, t)
-        rec = traj2.sample(t)
+    horizon, samples = times["bsin"]
+    traj2 = paramflow.solve_2d(systems["bsin"], horizon, tol=1e-12, path="path1")
+    for t in samples:
+        alpha, phi, beta, theta = closedforms.bfield_sin_params(**params["bsin"], t=float(t))
+        rec = traj2.sample(float(t))
         r = rec["radial"]
         diff = max(
             abs(alpha - r.alpha), abs(phi - r.phi), abs(beta - r.beta),
@@ -304,13 +316,11 @@ def check_closed_forms() -> CheckResult:
         worst = max(worst, diff)
         count += 1
     # constant magnetic field with sinusoidal electric drive
-    fp = suite_fields()["efield"]
-    traj2 = paramflow.solve_2d(fp, 2.2, tol=1e-12, path="path2")
-    for t in (1.0, 2.0):
-        cf = closedforms.efield_const_b_params(
-            1.0, 1.0, 2.0, 0.5, 0.3, 0.0, 0.0, 0.2, 1.3, math.pi / 2, t
-        )
-        rec = traj2.sample(t)
+    horizon, samples = times["efield"]
+    traj2 = paramflow.solve_2d(systems["efield"], horizon, tol=1e-12, path="path2")
+    for t in samples:
+        cf = closedforms.efield_const_b_params(**params["efield"], t=float(t))
+        rec = traj2.sample(float(t))
         scale = max(1.0, abs(rec["lam_x"]), abs(rec["Pi_x"]))
         diff = max(
             abs(cf.lam_x - rec["lam_x"]), abs(cf.lam_y - rec["lam_y"]),
@@ -337,10 +347,19 @@ def check_mathieu() -> CheckResult:
     count += 1
     passed = worst < 1e-10 and pin <= 1e-12
     return CheckResult("mathieu_selfconsistency", passed, max(worst, pin), 1e-10,
-                       count=count)
+                       count=count, parts={"halving_drift": worst, "pin": pin})
 
 
-def check_kernels() -> CheckResult:
+# kernel time of each 1D suite system, and its semigroup split (t1, t2)
+KERNEL_TIMES = {"lp": 1.5, "sho": math.pi / 4, "iontrap": 0.4, "kanai": 1.0}
+SEMIGROUP_SPLITS = {"lp": (0.6, 1.4), "sho": (0.5, 1.2), "iontrap": (0.18, 0.4),
+                    "kanai": (0.45, 1.0)}
+
+
+def check_kernels(variants: dict | None = None) -> CheckResult:
+    """Mehler, unitarity and semigroup checks; ``variants`` maps a system to
+    the kernel variant of its unitarity check (default path1)."""
+    variants = variants or {}
     worst = 0.0
     count = 0
     systems = suite_systems()
@@ -363,18 +382,17 @@ def check_kernels() -> CheckResult:
     passed_mehler = worst <= 1e-9
     # unitarity for every suite system
     unit_worst = 0.0
-    times = {"lp": 1.5, "sho": math.pi / 4, "iontrap": 0.4, "kanai": 1.0}
     for name, cs in systems.items():
-        traj = paramflow.solve_path1(cs, times[name] * 1.05, tol=1e-12)
-        k = greens.kernel_build(traj, times[name], "path1")
+        t = KERNEL_TIMES[name]
+        traj = paramflow.solve_path1(cs, t * 1.05, tol=1e-12)
+        k = greens.kernel_build(traj, t, variants.get(name, "path1"))
         unit_worst = max(unit_worst, greens.kernel_unitarity_residual(k, grid))
         count += 1
     passed_unit = unit_worst <= 1e-6
     # semigroup with one split point per system
     semi_worst = 0.0
-    splits = {"lp": (0.6, 1.4), "sho": (0.5, 1.2), "iontrap": (0.18, 0.4), "kanai": (0.45, 1.0)}
     for name, cs in systems.items():
-        t1, t2 = splits[name]
+        t1, t2 = SEMIGROUP_SPLITS[name]
         traj = paramflow.solve_path1(cs, t2 * 1.05, tol=1e-12)
         full = greens.kernel_apply(greens.kernel_build(traj, t2, "path1"), grid)
         mid = greens.kernel_apply(greens.kernel_build(traj, t1, "path1"), grid)
@@ -390,6 +408,7 @@ def check_kernels() -> CheckResult:
         "kernel_sanity", passed_mehler and passed_unit and passed_semi,
         measured, 1e-5, count=count,
         note=f"mehler={worst:.3e} unitarity={unit_worst:.3e} semigroup={semi_worst:.3e}",
+        parts={"mehler": worst, "unitarity": unit_worst, "semigroup": semi_worst},
     )
 
 
@@ -399,7 +418,7 @@ def run_suite(seed: int = 0, corrupt_map: bool = False) -> list[CheckResult]:
         check_algebra_properties(seed),
         check_symplectic(seed, corrupt=corrupt_map),
         check_path_equivalence(seed),
-        check_oracle_maps(seed),
+        check_oracle_maps(),
         check_classical_identification(seed),
         check_closed_forms(),
         check_mathieu(),

@@ -6,22 +6,15 @@ is reproducible.
 """
 
 import cmath
-import math
 import time
-from fractions import Fraction
 
 import numpy as np
 
-from liegate import closedforms, greens, maps, oracle, paramflow, quadops
-from liegate.verify import (
-    CP_SPOT_CHECKS,
-    GHO_TABLE,
-    LP_TABLE,
-    random_smooth_coeffs,
-    suite_fields,
-    suite_systems,
-)
-from test_quadops import CP_EXPECTED
+from liegate import closedforms, greens, oracle, paramflow, verify
+from liegate.verify import Grid, random_smooth_coeffs, suite_systems
+
+# kernel variant per suite system where it is not route 1's
+KERNEL_VARIANTS = {"lp": "lp"}
 
 
 def _line(record, number, name, passed, detail):
@@ -31,87 +24,40 @@ def _line(record, number, name, passed, detail):
 
 
 def test_criterion_1_structure_constants(acceptance_report):
+    # the commutator of every CP pair outside the table is checked in
+    # test_quadops::test_cp_covers_all_105_pairs
     started = time.perf_counter()
-    ok = quadops.structure_constants("LP").as_dict() == LP_TABLE
-    ok &= quadops.structure_constants("GHO").as_dict() == GHO_TABLE
-    cp = quadops.structure_constants("CP").as_dict()
-    ok &= cp == CP_EXPECTED
-    # every unlisted pair commutes exactly; 105 pairwise checks in total
-    gens = [quadops.generator("CP", k) for k in range(1, 16)]
-    pairs = [(i, j) for i in range(1, 16) for j in range(i + 1, 16)]
-    listed = {(i, j) for (i, j, k) in CP_EXPECTED}
-    for i, j in pairs:
-        if (i, j) not in listed:
-            ok &= quadops.commutator(gens[i - 1], gens[j - 1]).is_zero()
-    for key, value in CP_SPOT_CHECKS.items():
-        ok &= cp.get(key, Fraction(0)) == value
+    result = verify.check_structure_constants()
     elapsed = time.perf_counter() - started
-    ok &= elapsed < 1.0
     _line(acceptance_report, 1, "structure constants exact",
-          ok, f"105 CP pairs + LP/GHO tables, {elapsed:.3f}s")
+          result.passed and elapsed < 1.0,
+          f"105 CP pairs + LP/GHO tables, {elapsed:.3f}s")
 
 
 def test_criterion_2_symplectic_invariants(acceptance_report):
     started = time.perf_counter()
-    rng = np.random.default_rng(2024)
-    systems = [random_smooth_coeffs(rng) for _ in range(20)]
-    systems += list(suite_systems().values())
-    worst = 0.0
-    n_maps = 0
-    for cs in systems:
-        traj = paramflow.solve_path1(cs, 2.0, tol=1e-12)
-        hi = min(2.0, 0.95 * traj.valid_to)
-        for t in np.linspace(0.0, hi, 100):
-            det_r, form_r = maps.check_symplectic(maps.assemble_path1(traj, float(t)))
-            worst = max(worst, det_r, form_r)
-            n_maps += 1
+    result = verify.check_symplectic(2024, n_random=20, times=Grid(0.0, 100))
     elapsed = time.perf_counter() - started
-    passed = worst <= 1e-9 and elapsed < 30.0
     _line(acceptance_report, 2, "symplectic invariants",
-          passed, f"worst residual {worst:.3e} over {n_maps} maps, {elapsed:.1f}s")
+          result.passed and elapsed < 30.0,
+          f"worst residual {result.measured:.3e} over {result.count} maps, {elapsed:.1f}s")
 
 
 def test_criterion_3_path_equivalence(acceptance_report):
-    rng = np.random.default_rng(31)
-    cases = [suite_systems()["sho"], suite_systems()["iontrap"]]
-    cases += [random_smooth_coeffs(rng, positive_c=True) for _ in range(5)]
-    worst = 0.0
-    for cs in cases:
-        tr1 = paramflow.solve_path1(cs, 2.0, tol=1e-12)
-        tr2 = paramflow.solve_path2(cs, 2.0, tol=1e-12)
-        hi = min(2.0, 0.95 * tr1.valid_to, 0.95 * tr2.valid_to)
-        for t in np.linspace(0.02, hi, 25):
-            diff = np.max(np.abs(
-                maps.assemble_path1(tr1, float(t)).M
-                - maps.assemble_path2(tr2, float(t)).M
-            ))
-            worst = max(worst, float(diff))
+    result = verify.check_path_equivalence(31, n_random=5, times=Grid(0.02, 25))
     _line(acceptance_report, 3, "route equivalence",
-          worst <= 1e-6, f"worst entrywise gap {worst:.3e}")
+          result.passed, f"worst entrywise gap {result.measured:.3e}")
 
 
 def test_criterion_4_oracle_map_equivalence(acceptance_report):
-    worst = 0.0
-    for cs in suite_systems().values():
-        traj = paramflow.solve_path1(cs, 1.5, tol=1e-12)
-        fm = oracle.fundamental_matrix(cs, 1.5, tol=1e-12)
-        hi = min(1.5, 0.95 * traj.valid_to)
-        for t in np.linspace(0.05, hi, 15):
-            diff = np.max(np.abs(maps.assemble_path1(traj, float(t)).M - fm.at(float(t))))
-            worst = max(worst, float(diff))
-    for name, field in suite_fields().items():
-        path = "path2" if name == "efield" else "path1"
-        traj = paramflow.solve_2d(field, 1.2, tol=1e-12, path=path)
-        fm = oracle.fundamental_matrix(field, 1.2, tol=1e-12)
-        hi = min(1.2, 0.95 * traj.valid_to)
-        for t in np.linspace(0.05, hi, 10):
-            diff = np.max(np.abs(maps.assemble_2d(traj, float(t)).M - fm.at(float(t))))
-            worst = max(worst, float(diff))
+    result = verify.check_oracle_maps(times=Grid(0.05, 15), planar_times=Grid(0.05, 10))
     _line(acceptance_report, 4, "oracle map equivalence",
-          worst <= 1e-7, f"worst entrywise gap {worst:.3e} incl. planar blocks")
+          result.passed, f"worst entrywise gap {result.measured:.3e} incl. planar blocks")
 
 
 def test_criterion_5_classical_identification(acceptance_report):
+    result = verify.check_classical_identification(55, n_random=6, times=Grid(0.1, 15))
+    # route 1 must carry the same translations through traj.sample
     rng = np.random.default_rng(55)
     worst = 0.0
     cases = [suite_systems()["lp"]] + [random_smooth_coeffs(rng) for _ in range(6)]
@@ -124,17 +70,10 @@ def test_criterion_5_classical_identification(acceptance_report):
             s = traj.sample(float(t))
             diff = np.max(np.abs(flow.at(float(t)) - [s.lam, -s.Pi]))
             worst = max(worst, float(diff))
-    field = suite_fields()["efield"]
-    traj2 = paramflow.solve_2d(field, 2.0, tol=1e-12, path="path2")
-    flow = oracle.classical_flow(
-        field, oracle.ClassicalState(np.zeros(4), 0.0), 2.0, tol=1e-12
-    )
-    for t in np.linspace(0.1, 2.0, 15):
-        rec = traj2.sample(float(t))
-        target = np.array([rec["lam_x"], rec["lam_y"], -rec["Pi_x"], -rec["Pi_y"]])
-        worst = max(worst, float(np.max(np.abs(flow.at(float(t)) - target))))
     _line(acceptance_report, 5, "classical identification",
-          worst <= 1e-7, f"worst |(lam,-Pi) - flow| = {worst:.3e}")
+          result.passed and worst <= 1e-7,
+          f"worst |(lam,-Pi) - flow| = {worst:.3e} on route 1, "
+          f"{result.measured:.3e} by linear translation and planar")
 
 
 def _kanai_complex_continuation(tau, om0, t):
@@ -149,17 +88,14 @@ def _kanai_complex_continuation(tau, om0, t):
 
 
 def test_criterion_6_closed_form_crosschecks(acceptance_report):
-    worst = 0.0
-    # rf trap vs route 1
-    ion = suite_systems()["iontrap"]
-    traj = paramflow.solve_path1(ion, 1.0, tol=1e-12)
-    for t in np.linspace(0.1, 1.0, 7):
-        alpha, phi, beta = closedforms.ion_trap_params(1.0, 1.0, 0.3, 5.0, float(t))
-        s = traj.sample(float(t))
-        scale = max(1.0, abs(s.alpha), abs(s.phi), abs(s.beta))
-        worst = max(worst, abs(alpha - s.alpha) / scale, abs(phi - s.phi) / scale,
-                    abs(beta - s.beta) / scale)
-    # damped driven oscillator vs route 1
+    result = verify.check_closed_forms(times={
+        "iontrap": (1.0, np.linspace(0.1, 1.0, 7)),
+        "kanai": (1.4, np.linspace(0.2, 1.4, 7)),
+        "bsin": (1.0, np.linspace(0.2, 1.0, 5)),
+        "efield": (2.0, np.linspace(0.25, 2.0, 8)),
+    })
+    worst = result.measured
+    # damped driven oscillator with beta in the relative scale
     kan = suite_systems()["kanai"]
     traj = paramflow.solve_path1(kan, 1.4, tol=1e-12)
     for t in np.linspace(0.2, 1.4, 7):
@@ -182,30 +118,7 @@ def test_criterion_6_closed_form_crosschecks(acceptance_report):
                          abs(beta_c.imag))
         worst = max(worst, abs(kp.alpha - alpha_c.real), abs(kp.phi - phi_c.real),
                     abs(kp.beta - beta_c.real))
-    # sinusoidal magnetic field vs planar solve
-    field = suite_fields()["bsin"]
-    traj2 = paramflow.solve_2d(field, 1.0, tol=1e-12, path="path1")
-    for t in np.linspace(0.2, 1.0, 5):
-        alpha, phi, beta, theta = closedforms.bfield_sin_params(1.0, 2.0, 3.0, 1.0, float(t))
-        rec = traj2.sample(float(t))
-        r = rec["radial"]
-        worst = max(worst, abs(alpha - r.alpha), abs(phi - r.phi),
-                    abs(beta - r.beta), abs(theta - rec["theta"]))
-    # constant field with sinusoidal drive vs planar solve
-    field = suite_fields()["efield"]
-    traj2 = paramflow.solve_2d(field, 2.0, tol=1e-12, path="path2")
-    for t in np.linspace(0.25, 2.0, 8):
-        cf = closedforms.efield_const_b_params(
-            1.0, 1.0, 2.0, 0.5, 0.3, 0.0, 0.0, 0.2, 1.3, math.pi / 2, float(t)
-        )
-        rec = traj2.sample(float(t))
-        scale = max(1.0, abs(rec["lam_x"]), abs(rec["Pi_x"]))
-        worst = max(
-            worst,
-            abs(cf.lam_x - rec["lam_x"]) / scale, abs(cf.lam_y - rec["lam_y"]) / scale,
-            abs(cf.Pi_x - rec["Pi_x"]) / scale, abs(cf.Pi_y - rec["Pi_y"]) / scale,
-        )
-    passed = worst <= 1e-6 and imag_worst <= 1e-12
+    passed = result.passed and worst <= 1e-6 and imag_worst <= 1e-12
     _line(acceptance_report, 6, "closed-form crosschecks",
           passed, f"worst relative gap {worst:.3e}, imag leakage {imag_worst:.1e}")
 
@@ -213,13 +126,12 @@ def test_criterion_6_closed_form_crosschecks(acceptance_report):
 def test_criterion_7_wavefunction_fidelity(acceptance_report):
     started = time.perf_counter()
     systems = suite_systems()
-    cases = {"lp": 1.5, "sho": math.pi / 4, "iontrap": 0.4, "kanai": 1.0}
     grid = oracle.gaussian_state(1024, -12.0, 24.0 / 1024, sigma=1.0)
     worst = 1.0
-    for name, t in cases.items():
+    for name, t in verify.KERNEL_TIMES.items():
         cs = systems[name]
         traj = paramflow.solve_path1(cs, t * 1.05, tol=1e-12)
-        variant = "lp" if name == "lp" else "path1"
+        variant = KERNEL_VARIANTS.get(name, "path1")
         psi_kernel = greens.kernel_apply(greens.kernel_build(traj, t, variant), grid)
         psi_oracle = oracle.split_step_evolve(cs, grid, t, 4096)
         worst = min(worst, oracle.fidelity(psi_kernel, psi_oracle))
@@ -230,56 +142,17 @@ def test_criterion_7_wavefunction_fidelity(acceptance_report):
 
 
 def test_criterion_8_kernel_sanity(acceptance_report):
-    sho = suite_systems()["sho"]
-    t = math.pi / 4
-    mehler_q = math.cos(t) / (2.0 * math.sin(t))
-    mehler_cross = -1.0 / math.sin(t)
-    mehler_pref = 1.0 / np.sqrt(2.0j * math.pi * math.sin(t))
-    mehler_worst = 0.0
-    for route, solver in (("path1", paramflow.solve_path1),
-                          ("path2", paramflow.solve_path2)):
-        traj = solver(sho, 1.2, tol=1e-12)
-        k = greens.kernel_build(traj, t, route)
-        mehler_worst = max(
-            mehler_worst,
-            abs(k.qxx[0, 0] - mehler_q), abs(k.qx1x1[0, 0] - mehler_q),
-            abs(k.qxx1[0, 0] - mehler_cross), abs(k.prefactor - mehler_pref),
-        )
-    grid = oracle.gaussian_state(1024, -12.0, 24.0 / 1024, sigma=1.0)
-    unit_worst = 0.0
-    times = {"lp": 1.5, "sho": math.pi / 4, "iontrap": 0.4, "kanai": 1.0}
-    for name, cs in suite_systems().items():
-        traj = paramflow.solve_path1(cs, times[name] * 1.05, tol=1e-12)
-        variant = "lp" if name == "lp" else "path1"
-        k = greens.kernel_build(traj, times[name], variant)
-        unit_worst = max(unit_worst, greens.kernel_unitarity_residual(k, grid))
-    semi_worst = 0.0
-    splits = {"lp": (0.6, 1.4), "sho": (0.5, 1.2), "iontrap": (0.18, 0.4),
-              "kanai": (0.45, 1.0)}
-    for name, cs in suite_systems().items():
-        t1, t2 = splits[name]
-        traj = paramflow.solve_path1(cs, t2 * 1.05, tol=1e-12)
-        full = greens.kernel_apply(greens.kernel_build(traj, t2, "path1"), grid)
-        mid = greens.kernel_apply(greens.kernel_build(traj, t1, "path1"), grid)
-        tail = paramflow.solve_path1(cs.shifted(t1), (t2 - t1) * 1.05, tol=1e-12)
-        two = greens.kernel_apply(greens.kernel_build(tail, t2 - t1, "path1"), mid)
-        semi_worst = max(semi_worst, 1.0 - oracle.fidelity(full, two))
-    passed = mehler_worst <= 1e-9 and unit_worst <= 1e-6 and semi_worst <= 1e-5
+    result = verify.check_kernels(variants=KERNEL_VARIANTS)
+    parts = result.parts
     _line(acceptance_report, 8, "kernel sanity",
-          passed,
-          f"mehler {mehler_worst:.2e}, unitarity {unit_worst:.2e}, "
-          f"semigroup infidelity {semi_worst:.2e}")
+          result.passed,
+          f"mehler {parts['mehler']:.2e}, unitarity {parts['unitarity']:.2e}, "
+          f"semigroup infidelity {parts['semigroup']:.2e}")
 
 
 def test_criterion_9_mathieu_selfconsistency(acceptance_report):
-    worst = 0.0
-    for a in (0.5, 1.0, 2.0):
-        for q in (0.0, 0.4, 1.0):
-            for z in (0.7, 1.5, 3.0):
-                c_full = closedforms.mathieu_c(a, q, z, tol=1e-12)
-                c_half = closedforms.mathieu_c(a, q, z, tol=5e-13)
-                worst = max(worst, abs(c_full.C - c_half.C))
-    pinned = abs(closedforms.mathieu_c(1.0, 0.0, math.pi / 3.0).C - 0.5)
-    passed = worst < 1e-10 and pinned <= 1e-12
+    result = verify.check_mathieu()
+    parts = result.parts
     _line(acceptance_report, 9, "Mathieu self-consistency",
-          passed, f"halving drift {worst:.2e}, C(1,0,pi/3)-1/2 = {pinned:.2e}")
+          result.passed, f"halving drift {parts['halving_drift']:.2e}, "
+          f"C(1,0,pi/3)-1/2 = {parts['pin']:.2e}")

@@ -2,11 +2,16 @@
 
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
 from liegate import cli
+from liegate.verify import suite_fields, suite_systems
+
+CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
+SHIPPED = ["sho", "iontrap", "kanai", "efield"]
 
 
 def write_config(tmp_path, name, payload):
@@ -199,14 +204,64 @@ class TestConstants:
         assert lines[1:] == ["2,3,1,1,1", "2,4,3,2,1"]
 
 
-@pytest.mark.parametrize("name", ["sho", "iontrap", "kanai", "efield"])
+@pytest.mark.parametrize("name", SHIPPED)
 def test_shipped_configs_run(name, tmp_path):
-    import pathlib
-
-    cfg = pathlib.Path(__file__).resolve().parent.parent / "configs" / f"{name}.json"
+    cfg = CONFIGS / f"{name}.json"
     out = tmp_path / name
     assert cli.main(["params", "--config", str(cfg), "--out", str(out)]) == 0
     assert (out / "params.csv").exists() and (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_shipped_configs_are_the_verify_systems(name):
+    # liegate verify checks these systems; a config edit must not drift
+    kind, problem = cli.build_problem(cli.load_config(str(CONFIGS / f"{name}.json"), {}))
+    if kind == "1d":
+        reference, names = suite_systems()[name], "abcdeg"
+    else:
+        reference, names = suite_fields()[name], ("m", "B", "K", "Ex", "Ey")
+        assert problem.charge == reference.charge
+    assert problem.hbar == reference.hbar
+    t = np.linspace(0.0, 2.0, 41)
+    for key in names:
+        ours, theirs = getattr(problem, key), getattr(reference, key)
+        assert np.array_equal(ours(t), theirs(t)), key
+        assert np.array_equal(ours.derivative(t), theirs.derivative(t)), key
+
+
+def test_seed_config_key_is_rejected(tmp_path, capsys):
+    cfg = sho_config(tmp_path, seed=1)
+    code = cli.main(["params", "--config", cfg, "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["error"]["field"] == "seed"
+
+
+def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
+    def broken(cfg, out_dir):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_params", broken)
+    code = cli.main(["params", "--config", sho_config(tmp_path),
+                     "--out", str(tmp_path / "x")])
+    assert code == 5
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err == {"exit_code": 5, "type": "RuntimeError", "message": "boom"}
+
+
+def test_missed_positivity_dip_ends_in_json_not_traceback(tmp_path, capsys):
+    # the positivity probe misses the dips of a(t) below zero at this
+    # frequency; a coarse tol reaches the same failure in seconds, not ~35 s
+    cfg = write_config(tmp_path, "dip.json", {
+        "system": "gho", "t_end": 1, "tol": 1e-3,
+        "coefficients": {"a": {"kind": "sinusoid", "amplitude": 1.5,
+                               "omega": 1608.4954386379741, "phase": 0,
+                               "offset": 1}},
+    })
+    code = cli.main(["params", "--config", cfg, "--out", str(tmp_path / "x")])
+    captured = capsys.readouterr()
+    assert code in (2, 3, 4, 5)
+    assert json.loads(captured.out)["error"]["exit_code"] == code
+    assert "Traceback" not in captured.out + captured.err
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -1,43 +1,17 @@
 """Exact-algebra tests: generators, commutators, structure constants."""
 
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from liegate import quadops
+from liegate import quadops, verify
 from liegate.errors import DomainError
 from liegate.quadops import QuadraticObservable, commutator, generator, structure_constants
+from liegate.verify import STRUCTURE_TABLES
 
 F = Fraction
-
-# Reference tables for the three algebras: every nonzero c_ijk with i < j.
-LP_EXPECTED = {(2, 3, 1): F(1), (2, 4, 3): F(2)}
-
-GHO_EXPECTED = {
-    (2, 3, 1): F(1), (2, 5, 3): F(2), (2, 6, 2): F(2), (3, 4, 2): F(-2),
-    (3, 6, 3): F(-2), (4, 5, 6): F(2), (4, 6, 4): F(4), (5, 6, 5): F(-4),
-}
-
-CP_EXPECTED = {
-    (2, 3, 1): F(1), (2, 5, 3): F(2), (2, 6, 2): F(2), (3, 4, 2): F(-2),
-    (3, 6, 3): F(-2), (4, 5, 6): F(2), (4, 6, 4): F(4), (5, 6, 5): F(-4),
-    (7, 8, 1): F(1), (7, 10, 8): F(2), (7, 11, 7): F(2), (8, 9, 7): F(-2),
-    (8, 11, 8): F(-2), (9, 10, 11): F(2), (9, 11, 9): F(4), (10, 11, 10): F(-4),
-    (2, 12, 7): F(-1), (2, 13, 7): F(1), (2, 15, 8): F(1),
-    (3, 12, 8): F(-1), (3, 13, 8): F(-1), (3, 14, 7): F(-1),
-    (4, 12, 14): F(-2), (4, 13, 14): F(2), (4, 15, 12): F(1), (4, 15, 13): F(1),
-    (5, 12, 15): F(-2), (5, 13, 15): F(-2), (5, 14, 12): F(1), (5, 14, 13): F(-1),
-    (6, 12, 13): F(-2), (6, 13, 12): F(-2), (6, 14, 14): F(-2), (6, 15, 15): F(2),
-    (7, 12, 2): F(1), (7, 13, 2): F(1), (7, 15, 3): F(1),
-    (8, 12, 3): F(1), (8, 13, 3): F(-1), (8, 14, 2): F(-1),
-    (9, 12, 14): F(2), (9, 13, 14): F(2), (9, 15, 12): F(-1), (9, 15, 13): F(1),
-    (10, 12, 15): F(2), (10, 13, 15): F(-2), (10, 14, 12): F(-1), (10, 14, 13): F(-1),
-    (11, 12, 13): F(2), (11, 13, 12): F(2), (11, 14, 14): F(-2), (11, 15, 15): F(2),
-    (12, 13, 6): F(-1), (12, 13, 11): F(1), (12, 14, 4): F(-1), (12, 14, 9): F(1),
-    (12, 15, 5): F(-1), (12, 15, 10): F(1), (13, 14, 4): F(-1), (13, 14, 9): F(-1),
-    (13, 15, 5): F(1), (13, 15, 10): F(1), (14, 15, 6): F(1, 2), (14, 15, 11): F(1, 2),
-}
 
 
 def random_observable(rng, dof):
@@ -131,13 +105,26 @@ class TestCommutator:
 
 
 class TestStructureConstants:
-    @pytest.mark.parametrize(
-        "algebra,expected",
-        [("LP", LP_EXPECTED), ("GHO", GHO_EXPECTED), ("CP", CP_EXPECTED)],
-    )
+    @pytest.mark.parametrize("algebra,expected", list(STRUCTURE_TABLES.items()))
     def test_tables_reproduced_exactly(self, algebra, expected):
         table = structure_constants(algebra)
         assert table.as_dict() == expected
+
+    def test_verify_compares_the_whole_cp_table(self, monkeypatch):
+        real = quadops.structure_constants
+
+        def swapped(algebra):
+            table = real(algebra)
+            if algebra != "CP":
+                return table
+            entries = dict(table.as_dict())
+            entries[(2, 12, 7)] = -entries[(2, 12, 7)]
+            return SimpleNamespace(as_dict=lambda: entries)
+
+        monkeypatch.setattr(quadops, "structure_constants", swapped)
+        result = verify.check_structure_constants()
+        assert result.passed is False
+        assert result.count == 126
 
     def test_cp_covers_all_105_pairs(self):
         table = structure_constants("CP")
