@@ -28,7 +28,6 @@ __all__ = [
     "Exponential",
     "Tabulated",
     "Derived",
-    "evaluate",
     "profile_from_dict",
     "as_profile",
     "CoefficientSet1D",
@@ -197,11 +196,6 @@ class Derived(TimeProfile):
         raise DomainError("derived profiles are not serializable")
 
 
-def evaluate(profile: TimeProfile, t: float) -> float:
-    """Value of a profile at time t (module-level form of profile(t))."""
-    return float(profile(t))
-
-
 def as_profile(value) -> TimeProfile:
     """Coerce a plain number to a Constant; pass profiles through."""
     if isinstance(value, TimeProfile):
@@ -209,38 +203,48 @@ def as_profile(value) -> TimeProfile:
     return Constant(float(value))
 
 
+def _number(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise DomainError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def profile_from_dict(spec: dict) -> TimeProfile:
-    """Build a profile from its JSON form; rejects unknown kinds and keys."""
+    """Build a profile from its JSON form.
+
+    Rejects unknown kinds and keys, missing required keys and non-numeric
+    values with a DomainError.
+    """
     if not isinstance(spec, dict):
         raise DomainError(f"profile spec must be an object, got {type(spec).__name__}")
     kind = spec.get("kind")
-    allowed = {
-        "constant": {"kind", "value"},
-        "sinusoid": {"kind", "amplitude", "omega", "phase", "offset"},
-        "exponential": {"kind", "prefactor", "rate"},
-        "tabulated": {"kind", "knots"},
+    kinds = {  # kind -> (profile class, required keys, optional keys)
+        "constant": (Constant, {"value"}, set()),
+        "sinusoid": (Sinusoid, {"amplitude", "omega"}, {"phase", "offset"}),
+        "exponential": (Exponential, {"prefactor", "rate"}, set()),
+        "tabulated": (Tabulated, {"knots"}, set()),
     }
-    if kind not in allowed:
+    if kind not in kinds:
         raise DomainError(f"unknown profile kind {kind!r}")
-    extra = set(spec) - allowed[kind]
+    cls, required, optional = kinds[kind]
+    extra = set(spec) - required - optional - {"kind"}
     if extra:
         raise DomainError(f"unknown profile keys {sorted(extra)} for kind {kind!r}")
-    if kind == "constant":
-        return Constant(float(spec["value"]))
-    if kind == "sinusoid":
-        return Sinusoid(
-            amplitude=float(spec["amplitude"]),
-            omega=float(spec["omega"]),
-            phase=float(spec.get("phase", 0.0)),
-            offset=float(spec.get("offset", 0.0)),
+    missing = required - set(spec)
+    if missing:
+        raise DomainError(f"{kind} profile needs keys {sorted(missing)}")
+    if kind == "tabulated":
+        knots = spec["knots"]
+        if not isinstance(knots, (list, tuple)) or not all(
+            isinstance(k, (list, tuple)) and len(k) == 2 for k in knots
+        ):
+            raise DomainError("tabulated profile 'knots' must be a list of [t, value] pairs")
+        return Tabulated(
+            knots_t=tuple(_number(k[0], "tabulated knot time") for k in knots),
+            knots_v=tuple(_number(k[1], "tabulated knot value") for k in knots),
         )
-    if kind == "exponential":
-        return Exponential(prefactor=float(spec["prefactor"]), rate=float(spec["rate"]))
-    knots = spec["knots"]
-    return Tabulated(
-        knots_t=tuple(float(k[0]) for k in knots),
-        knots_v=tuple(float(k[1]) for k in knots),
-    )
+    return cls(**{key: _number(value, f"{kind} profile {key!r}")
+                  for key, value in spec.items() if key != "kind"})
 
 
 @dataclass(frozen=True)
@@ -249,7 +253,8 @@ class CoefficientSet1D:
 
     Units: a in 1/mass, b in 1/time, c in mass/time^2, d in velocity,
     e in force, g in energy.  a(t) must stay positive on the working
-    interval; solvers check this on their probe grid.
+    interval; solvers check this on their probe grid and at every time
+    they evaluate.
     """
 
     a: TimeProfile

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CausticError, DomainError
-from .paramflow import ParamTrajectory, ParamTrajectory2D
+from .paramflow import ParamSample, ParamTrajectory, ParamTrajectory2D
 
 __all__ = [
     "SymplecticMap",
@@ -68,85 +68,62 @@ def _window_check(traj, t: float):
         )
 
 
-def _entries_path1(traj: ParamTrajectory, t: float) -> tuple[float, float, float, float]:
+def _entries_path1(s: ParamSample, a: float) -> list[list[float]]:
     # G_qq = e^(phi+gamma), G_qp = (beta/Delta) e^(phi+gamma),
     # G_pq = -alpha Delta e^(phi-gamma), G_pp = e^(-phi-gamma) - alpha beta e^(phi-gamma),
     # evaluated through the globally smooth pair (u, v):
     # e^(phi+gamma) = e^B u, beta/Delta = v/u, alpha = -u'/u, giving
-    # M = e^B [[u, v], [u'/a, v'/a]].
-    s = traj.sample(t)
-    a = float(traj.coeffs.a(t))
-    eb = math.exp(_bint_path1(traj, t))
-    g_qq = eb * s.u
-    g_qp = eb * s.v
-    g_pq = eb * s.udot / a
-    g_pp = eb * s.vdot / a
-    return g_qq, g_qp, g_pq, g_pp
+    # M = e^B [[u, v], [u'/a, v'/a]] with B = bint.
+    eb = math.exp(s.bint)
+    return [[eb * s.u, eb * s.v], [eb * s.udot / a, eb * s.vdot / a]]
 
 
-def _bint_path1(traj: ParamTrajectory, t: float) -> float:
-    return float(traj._base(t)[3])
-
-
-def assemble_path1(traj: ParamTrajectory, t: float) -> SymplecticMap:
-    """Route-1 map M = [[G_qq, G_qp], [G_pq, G_pp]], shift (lam, -Pi)."""
-    if traj.path != "path1":
-        raise DomainError("trajectory was solved with route 2; use assemble_path2")
-    _window_check(traj, t)
-    s = traj.sample(t)
-    g_qq, g_qp, g_pq, g_pp = _entries_path1(traj, t)
-    return SymplecticMap(
-        t=t,
-        M=np.array([[g_qq, g_qp], [g_pq, g_pp]]),
-        shift=np.array([s.lam, -s.Pi]),
-    )
-
-
-def _entries_path2(traj: ParamTrajectory, t: float) -> tuple[float, float, float, float]:
-    s = traj.sample(t)
+def _entries_path2(s: ParamSample, delta: float) -> list[list[float]]:
     cph, sph = math.cos(s.phi), math.sin(s.phi)
     ev, evm = math.exp(s.vphi), math.exp(-s.vphi)
     eg, egm = math.exp(s.gamma), math.exp(-s.gamma)
-    delta = traj.Delta
     g_qq = (cph - s.alpha * sph) * eg * ev
     g_qp = ((s.beta * cph - s.alpha * s.beta * sph) * ev + sph * evm) * eg / delta
     g_pq = -(s.alpha * cph + sph) * delta * ev * egm
     g_pp = -((s.beta * sph + s.alpha * s.beta * cph) * ev - cph * evm) * egm
-    return g_qq, g_qp, g_pq, g_pp
+    return [[g_qq, g_qp], [g_pq, g_pp]]
+
+
+def _radial_block(traj: ParamTrajectory, s: ParamSample) -> np.ndarray:
+    """The 2x2 map [[G_qq, G_qp], [G_pq, G_pp]] from one sample of ``traj``."""
+    if traj.path == "path1":
+        return np.array(_entries_path1(s, float(traj.coeffs.a(s.t))))
+    return np.array(_entries_path2(s, traj.Delta))
+
+
+def _assemble_1d(traj: ParamTrajectory, t: float, path: str) -> SymplecticMap:
+    if traj.path != path:
+        raise DomainError(f"trajectory was solved with route {traj.path[-1]}; "
+                          f"use assemble_{traj.path}")
+    _window_check(traj, t)
+    s = traj.sample(t)
+    return SymplecticMap(t=t, M=_radial_block(traj, s), shift=np.array([s.lam, -s.Pi]))
+
+
+def assemble_path1(traj: ParamTrajectory, t: float) -> SymplecticMap:
+    """Route-1 map M = [[G_qq, G_qp], [G_pq, G_pp]], shift (lam, -Pi)."""
+    return _assemble_1d(traj, t, "path1")
 
 
 def assemble_path2(traj: ParamTrajectory, t: float) -> SymplecticMap:
     """Route-2 map: G_qq = (cos phi - alpha sin phi) e^(gamma+vphi), etc."""
-    if traj.path != "path2":
-        raise DomainError("trajectory was solved with route 1; use assemble_path1")
-    _window_check(traj, t)
-    s = traj.sample(t)
-    g_qq, g_qp, g_pq, g_pp = _entries_path2(traj, t)
-    return SymplecticMap(
-        t=t,
-        M=np.array([[g_qq, g_qp], [g_pq, g_pp]]),
-        shift=np.array([s.lam, -s.Pi]),
-    )
+    return _assemble_1d(traj, t, "path2")
 
 
 def assemble_2d(traj2d: ParamTrajectory2D, t: float) -> SymplecticMap:
     """Planar map: 2x2 blocks G_ab * R(theta) in (x, y, p_x, p_y) ordering."""
     _window_check(traj2d, t)
     rec = traj2d.sample(t)
-    radial = traj2d.radial
-    if radial.path == "path1":
-        g_qq, g_qp, g_pq, g_pp = _entries_path1(radial, t)
-    else:
-        g_qq, g_qp, g_pq, g_pp = _entries_path2(radial, t)
     theta = rec["theta"]
     rot = np.array(
         [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
     )
-    m = np.zeros((4, 4))
-    m[:2, :2] = g_qq * rot
-    m[:2, 2:] = g_qp * rot
-    m[2:, :2] = g_pq * rot
-    m[2:, 2:] = g_pp * rot
+    m = np.kron(_radial_block(traj2d.radial, rec["radial"]), rot)
     shift = np.array([rec["lam_x"], rec["lam_y"], -rec["Pi_x"], -rec["Pi_y"]])
     return SymplecticMap(t=t, M=m, shift=shift)
 

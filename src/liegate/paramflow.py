@@ -32,7 +32,6 @@ from typing import Literal
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from .coeffs import CoefficientSet1D, FieldProfile2D, reduce_2d
 from .errors import DomainError, IntegrationError
@@ -46,7 +45,6 @@ __all__ = [
     "solve_path1",
     "solve_path2",
     "solve_2d",
-    "caustic_window",
     "trajectory_to_csv",
     "trajectory2d_to_csv",
 ]
@@ -57,7 +55,11 @@ _SHORTCUT_RTOL = 1e-12
 
 @dataclass(frozen=True)
 class ParamSample:
-    """All transformation parameters at one instant."""
+    """All transformation parameters at one instant.
+
+    Route 1 also reports its companion solution (v, vdot) and bint, the
+    integral of b(t) from 0, which map assembly reads with the rest.
+    """
 
     t: float
     S: float
@@ -72,6 +74,7 @@ class ParamSample:
     udot: float
     v: float = float("nan")
     vdot: float = float("nan")
+    bint: float = float("nan")
 
 
 @dataclass(frozen=True)
@@ -93,11 +96,14 @@ class ParamTrajectory:
     """Time-sampled transformation parameters for one factorization route.
 
     All parameters vanish at t = 0 (the factorized operator is the identity
-    there).  ``valid_to`` is the first focal time: the first zero of u for
-    route 1, the first zero of sin(phi) with phi > 0 for route 2 (also
-    bounded by divergence of route 2's alpha, which can occur earlier for
-    strongly driven cross terms).  alpha, phi and beta are reported as NaN
-    beyond ``valid_to``; u and its derivative are reported everywhere.
+    there).  ``valid_to`` is the first focal time, or inf if there is none
+    in [0, t_end]: the first zero of u for route 1, the first time phi
+    reaches pi for route 2 (also bounded by divergence of route 2's alpha,
+    which can occur earlier for strongly driven cross terms).  The
+    integrator locates it as an event of the solve itself, a sign change of
+    u or of phi - pi refined on the step's dense output.  alpha, phi and
+    beta are reported as NaN beyond ``valid_to``; u and its derivative are
+    reported everywhere.
     """
 
     def __init__(
@@ -147,7 +153,7 @@ class ParamTrajectory:
             beta = self.Delta * v / u if inside else nan
             return ParamSample(
                 t=t, S=s, lam=lam, Pi=pi, gamma=gamma, alpha=alpha, phi=phi,
-                vphi=0.0, beta=beta, u=u, udot=udot, v=v, vdot=vdot,
+                vphi=0.0, beta=beta, u=u, udot=udot, v=v, vdot=vdot, bint=bint,
             )
         lam, pi, s, phi = (float(x) for x in self._base(t))
         if self.shortcut:
@@ -270,18 +276,10 @@ def solve_linear_translation(
     return LinearTranslation(t_grid=sol.t, S=s, lam=lam, Pi=pi, _dense=sol.sol)
 
 
-def _first_root(fn, t_grid: np.ndarray, t_end: float) -> float:
-    """First sign change of fn on (0, t_end], refined to 1e-10 relative."""
-    ts = np.unique(np.concatenate([t_grid, np.linspace(0.0, t_end, 2049)]))
-    vals = np.array([fn(t) for t in ts])
-    sign = np.sign(vals)
-    for k in range(1, len(ts)):
-        if sign[k] == 0.0 and ts[k] > 0.0:
-            return float(ts[k])
-        if sign[k - 1] * sign[k] < 0.0:
-            lo, hi = ts[k - 1], ts[k]
-            return float(brentq(fn, lo, hi, xtol=1e-300, rtol=1e-10))
-    return math.inf
+def _first_event(sol) -> float:
+    """Time of the solve's first event; +inf if there was none."""
+    times = sol.t_events[0]
+    return float(times[0]) if times.size else math.inf
 
 
 def solve_path1(coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10) -> ParamTrajectory:
@@ -299,6 +297,9 @@ def solve_path1(coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10) -> P
         a = float(coeffs.a(t))
         b = float(coeffs.b(t))
         c = float(coeffs.c(t))
+        if a <= 0.0:
+            raise DomainError(f"a(t) must stay positive (required by exp(2*gamma) = "
+                              f"a*Delta); a={a:.6g} at t={t:.6g}")
         adot = float(coeffs.a.derivative(t))
         damping = 2.0 * b - adot / a
         u, udot, v, vdot = y[4], y[5], y[6], y[7]
@@ -310,30 +311,26 @@ def solve_path1(coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10) -> P
         )
 
     y0 = [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, a0]
-    sol = _run_ivp(rhs, y0, t_end, tol, "route-1 parameters")
-    valid_to = _first_root(lambda t: float(sol.sol(t)[4]), sol.t, t_end)
+    focus = lambda t, y: y[4]   # u = 0
+    sol = _run_ivp(rhs, y0, t_end, tol, "route-1 parameters", events=[focus])
     return ParamTrajectory(
         path="path1", coeffs=coeffs, t_end=t_end, tol=tol, Delta=delta,
-        t_grid=sol.t, base_dense=sol.sol, valid_to=valid_to,
+        t_grid=sol.t, base_dense=sol.sol, valid_to=_first_event(sol),
     )
 
 
-def _path2_gamma_dot(coeffs: CoefficientSet1D, t: float) -> float:
-    a = float(coeffs.a(t))
-    c = float(coeffs.c(t))
-    adot = float(coeffs.a.derivative(t))
-    cdot = float(coeffs.c.derivative(t))
-    return 0.25 * (adot / a - cdot / c)
+def _path2_gamma_dot(coeffs: CoefficientSet1D, t):
+    """gamma' of route 2 at a time or at an array of times."""
+    return 0.25 * (coeffs.a.derivative(t) / coeffs.a(t)
+                   - coeffs.c.derivative(t) / coeffs.c(t))
 
 
 def _is_shortcut(coeffs: CoefficientSet1D, t_end: float) -> bool:
     probe = np.linspace(0.0, t_end, _PROBE_POINTS)
-    for t in probe:
-        b = float(coeffs.b(t))
-        gdot = _path2_gamma_dot(coeffs, t)
-        if abs(b - gdot) >= _SHORTCUT_RTOL * (1.0 + abs(b) + abs(gdot)):
-            return False
-    return True
+    b = coeffs.b(probe)
+    gdot = _path2_gamma_dot(coeffs, probe)
+    gap = np.abs(b - gdot)
+    return not np.any(gap >= _SHORTCUT_RTOL * (1.0 + np.abs(b) + np.abs(gdot)))
 
 
 def solve_path2(coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10) -> ParamTrajectory:
@@ -360,9 +357,15 @@ def solve_path2(coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10) -> P
         lam_dot, pi_dot, s_dot = inner(t, y[:3])
         a = float(coeffs.a(t))
         c = float(coeffs.c(t))
+        if a <= 0.0 or c <= 0.0:
+            raise DomainError(f"a(t) and c(t) must stay positive (sqrt(a*c) must be real); "
+                              f"a={a:.6g}, c={c:.6g} at t={t:.6g}; route 2 needs c > 0, "
+                              f"use route 1 instead")
         return lam_dot, pi_dot, s_dot, math.sqrt(a * c)
 
-    base = _run_ivp(base_rhs, [0.0, 0.0, 0.0, 0.0], t_end, tol, "route-2 parameters")
+    half_turn = lambda t, y: y[3] - math.pi   # phi = pi
+    base = _run_ivp(base_rhs, [0.0, 0.0, 0.0, 0.0], t_end, tol, "route-2 parameters",
+                    events=[half_turn])
 
     riccati_dense = None
     riccati_t_end = t_end
@@ -374,7 +377,7 @@ def solve_path2(coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10) -> P
             # integrated projectively as alpha = Q/P with the linear pair
             # Q' = -w(cos(2phi) Q + sin(2phi) P), P' = w(cos(2phi) P - sin(2phi) Q),
             # which passes smoothly through zeros of the quadratic coefficient.
-            w = float(coeffs.b(t)) - _path2_gamma_dot(coeffs, t)
+            w = float(coeffs.b(t)) - float(_path2_gamma_dot(coeffs, t))
             phi = float(phi_of(t)[3])
             c2, s2 = math.cos(2.0 * phi), math.sin(2.0 * phi)
             qq, pp, _, vphi, _ = y
@@ -396,14 +399,9 @@ def solve_path2(coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10) -> P
                        "route-2 quadratic-phase parameters", events=[blow_up])
         riccati_dense = ric.sol
         if ric.status == 1:
-            riccati_t_end = float(ric.t_events[0][0]) * (1.0 - 1e-12)
+            riccati_t_end = _first_event(ric) * (1.0 - 1e-12)
 
-    phi_end = float(base.sol(t_end)[3])
-    if phi_end >= math.pi:
-        sin_root = _first_root(lambda t: float(base.sol(t)[3]) - math.pi, base.t, t_end)
-    else:
-        sin_root = math.inf
-    valid_to = min(sin_root, riccati_t_end if riccati_t_end < t_end else math.inf)
+    valid_to = min(_first_event(base), riccati_t_end if riccati_t_end < t_end else math.inf)
     return ParamTrajectory(
         path="path2", coeffs=coeffs, t_end=t_end, tol=tol, Delta=delta,
         t_grid=base.t, base_dense=base.sol, valid_to=valid_to,
@@ -455,11 +453,6 @@ def solve_2d(
         radial=radial, field=profile, t_end=t_end, tol=tol,
         t_grid=sol.t, _dense=sol.sol,
     )
-
-
-def caustic_window(traj: ParamTrajectory | ParamTrajectory2D) -> float:
-    """First focal time of the trajectory; +inf if none within [0, t_end]."""
-    return traj.valid_to
 
 
 def _fmt(x: float) -> str:

@@ -250,18 +250,36 @@ def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
 
 def test_missed_positivity_dip_ends_in_json_not_traceback(tmp_path, capsys):
     # the positivity probe misses the dips of a(t) below zero at this
-    # frequency; a coarse tol reaches the same failure in seconds, not ~35 s
+    # frequency; the route-1 right-hand side stops the solve at the first one
     cfg = write_config(tmp_path, "dip.json", {
-        "system": "gho", "t_end": 1, "tol": 1e-3,
+        "system": "gho", "t_end": 1,
         "coefficients": {"a": {"kind": "sinusoid", "amplitude": 1.5,
                                "omega": 1608.4954386379741, "phase": 0,
                                "offset": 1}},
     })
     code = cli.main(["params", "--config", cfg, "--out", str(tmp_path / "x")])
     captured = capsys.readouterr()
-    assert code in (2, 3, 4, 5)
-    assert json.loads(captured.out)["error"]["exit_code"] == code
+    assert code == 3
+    err = json.loads(captured.out)["error"]
+    assert err["exit_code"] == 3 and err["type"] == "DomainError"
+    assert "a(t) must stay positive" in err["message"]
     assert "Traceback" not in captured.out + captured.err
+
+
+@pytest.mark.parametrize("profile, key", [
+    ({"kind": "sinusoid", "omega": 2}, "amplitude"),
+    ({"kind": "tabulated", "knots": [1, 2]}, "knots"),
+    ({"kind": "constant", "value": "one"}, "value"),
+], ids=["missing-key", "bad-knots", "non-numeric"])
+def test_malformed_profile_is_config_error(tmp_path, capsys, profile, key):
+    cfg = write_config(tmp_path, "bad.json", {
+        "system": "gho", "t_end": 1.0, "coefficients": {"a": 1.0, "c": profile},
+    })
+    code = cli.main(["params", "--config", cfg, "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["field"] == "coefficients.c"
+    assert key in err["message"]
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from liegate import oracle, paramflow
 from liegate.coeffs import (
@@ -15,7 +16,6 @@ from liegate.coeffs import (
 )
 from liegate.errors import DomainError
 from liegate.paramflow import (
-    caustic_window,
     solve_2d,
     solve_linear_translation,
     solve_path1,
@@ -26,6 +26,40 @@ from liegate.verify import random_smooth_coeffs
 
 def sho():
     return CoefficientSet1D.build(a=1.0, c=1.0)
+
+
+def scan_first_root(fn, t_grid, t_end):
+    """First sign change of fn on (0, t_end] over the step grid plus 2049
+    fixed points, refined by brentq to 1e-10 relative: the scan the solver
+    events replaced, kept as their reference."""
+    ts = np.unique(np.concatenate([t_grid, np.linspace(0.0, t_end, 2049)]))
+    sign = np.sign([fn(t) for t in ts])
+    for k in range(1, len(ts)):
+        if sign[k] == 0.0 and ts[k] > 0.0:
+            return float(ts[k])
+        if sign[k - 1] * sign[k] < 0.0:
+            return float(brentq(fn, ts[k - 1], ts[k], xtol=1e-300, rtol=1e-10))
+    return math.inf
+
+
+def scan_valid_to(tr):
+    """valid_to by the scan: u = 0 on route 1; phi = pi or the end of the
+    route-2 quadratic-phase solve on route 2."""
+    if tr.path == "path1":
+        return scan_first_root(lambda t: float(tr._base(t)[4]), tr.t_grid, tr.t_end)
+    phi = lambda t: float(tr._base(t)[3]) - math.pi
+    half_turn = scan_first_root(phi, tr.t_grid, tr.t_end) if phi(tr.t_end) >= 0 else math.inf
+    return min(half_turn, tr._riccati_t_end if tr._riccati_t_end < tr.t_end else math.inf)
+
+
+def scalar_is_shortcut(cs, t_end):
+    """Route 2's shortcut test one probe time at a time."""
+    for t in np.linspace(0.0, t_end, 257):
+        a, c, b = float(cs.a(t)), float(cs.c(t)), float(cs.b(t))
+        gdot = 0.25 * (float(cs.a.derivative(t)) / a - float(cs.c.derivative(t)) / c)
+        if abs(b - gdot) >= 1e-12 * (1.0 + abs(b) + abs(gdot)):
+            return False
+    return True
 
 
 def kanai(omega0=0.25, tau=1.0, m=1.0):
@@ -196,7 +230,7 @@ class TestPathTwo:
 
     def test_focal_time_is_sin_phi_zero(self):
         tr = solve_path2(sho(), 4.0, tol=1e-12)
-        assert caustic_window(tr) == pytest.approx(math.pi, rel=1e-10)
+        assert tr.valid_to == pytest.approx(math.pi, rel=1e-10)
 
     def test_rejects_nonpositive_c(self):
         cs = CoefficientSet1D.build(a=1.0, c=Sinusoid(1.0, 1.0, 0.0, 0.2))
@@ -268,18 +302,68 @@ class TestPlanar:
 class TestCausticWindow:
     def test_oscillator(self):
         tr = solve_path1(sho(), 3.0, tol=1e-12)
-        assert caustic_window(tr) == pytest.approx(math.pi / 2, rel=1e-10)
+        assert tr.valid_to == pytest.approx(math.pi / 2, rel=1e-10)
 
     def test_free_particle(self):
         tr = solve_path1(CoefficientSet1D.build(a=1.0), 5.0, tol=1e-10)
-        assert caustic_window(tr) == math.inf
+        assert tr.valid_to == math.inf
 
     def test_strong_damping_never_focuses(self):
         tr = solve_path1(kanai(omega0=0.25), 6.0, tol=1e-10)
-        assert caustic_window(tr) == math.inf
+        assert tr.valid_to == math.inf
         ts = np.linspace(0.0, 6.0, 301)
         u = np.array([tr.sample(float(t)).u for t in ts])
         assert np.all(u > 0.0)
+
+
+class TestEventsMatchTheScan:
+    @pytest.mark.parametrize("path", ["path1", "path2"])
+    def test_valid_to(self, path):
+        solver = solve_path1 if path == "path1" else solve_path2
+        finite = 0
+        for seed in range(16):
+            cs = random_smooth_coeffs(np.random.default_rng(700 + seed),
+                                      positive_c=path == "path2")
+            tr = solver(cs, (0.8, 4.0)[seed % 2], tol=1e-10)
+            ref = scan_valid_to(tr)
+            if math.isinf(ref):
+                assert tr.valid_to == math.inf, seed
+            else:
+                assert abs(tr.valid_to - ref) <= 1e-10 * tr.valid_to, seed
+                finite += 1
+        # both outcomes occur: a focal time inside the long horizon, none
+        # inside the short one
+        assert 4 <= finite <= 12
+
+    def test_shortcut_decision(self):
+        rng = np.random.default_rng(5)
+        damped = kanai()
+        systems = [
+            sho(),
+            CoefficientSet1D.build(a=Sinusoid(0.2, 1.3, 0.4, 1.0),
+                                   c=Sinusoid(0.6, 1.3, 0.4, 3.0)),
+            damped,
+            CoefficientSet1D.build(a=damped.a, b=-0.5, c=damped.c),
+            # b - gamma' vanishes at the first probe only
+            CoefficientSet1D.build(a=1.0, b=Sinusoid(0.1, 1.0), c=1.0),
+        ] + [random_smooth_coeffs(rng, positive_c=True) for _ in range(4)]
+        decisions = [paramflow._is_shortcut(cs, 3.0) for cs in systems]
+        assert decisions == [scalar_is_shortcut(cs, 3.0) for cs in systems]
+        assert decisions == [True, True, False, True, False] + [False] * 4
+
+
+class TestDomainGuard:
+    # a = 1 + 1.5 sin(512 pi t) reads 1 at all 257 probe points of [0, 1]
+    # and dips to -0.5 between them; the RHS guard stops the solve there
+    DIP = Sinusoid(1.5, 512 * math.pi, 0.0, 1.0)
+
+    def test_route_one_rejects_a_dip_in_a(self):
+        with pytest.raises(DomainError, match="a\\(t\\) must stay positive"):
+            solve_path1(CoefficientSet1D.build(a=self.DIP), 1.0)
+
+    def test_route_two_rejects_a_dip_in_c(self):
+        with pytest.raises(DomainError, match="route 1"):
+            solve_path2(CoefficientSet1D.build(a=1.0, c=self.DIP), 1.0)
 
 
 def test_csv_round_trip(tmp_path):
