@@ -1,0 +1,8 @@
+"""``python -m liegate``: the command line of ``liegate.cli``."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

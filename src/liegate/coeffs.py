@@ -12,6 +12,7 @@ range is an error, not a guess.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -36,12 +37,21 @@ __all__ = [
 ]
 
 
+def _time(t):
+    """A float passes through; anything else becomes a float array."""
+    return t if isinstance(t, float) else np.asarray(t, dtype=float)
+
+
 class TimeProfile:
     """A deterministic, side-effect-free scalar function of time.
 
     Subclasses implement ``__call__`` and ``derivative``; both accept floats
-    or numpy arrays.  ``shifted(t0)`` returns the profile re-based so that
-    its new time origin sits at ``t0`` of the old clock.
+    or numpy arrays.  A float in (``np.float64`` included, which is what the
+    ODE solvers pass) gives a float out with exactly the bits the array
+    branch gives for that time; the built-in profiles take a scalar branch
+    for it, since the parameter ODEs evaluate every coefficient at every
+    right-hand-side call.  ``shifted(t0)`` returns the profile re-based so
+    that its new time origin sits at ``t0`` of the old clock.
     """
 
     def __call__(self, t):
@@ -62,9 +72,13 @@ class Constant(TimeProfile):
     value: float
 
     def __call__(self, t):
+        if isinstance(t, float):
+            return float(self.value)
         return self.value * np.ones_like(np.asarray(t, dtype=float))
 
     def derivative(self, t):
+        if isinstance(t, float):
+            return 0.0
         return np.zeros_like(np.asarray(t, dtype=float))
 
     def shifted(self, t0: float) -> "Constant":
@@ -84,10 +98,14 @@ class Sinusoid(TimeProfile):
     offset: float = 0.0
 
     def __call__(self, t):
+        if isinstance(t, float):
+            return self.amplitude * math.sin(self.omega * t + self.phase) + self.offset
         t = np.asarray(t, dtype=float)
         return self.amplitude * np.sin(self.omega * t + self.phase) + self.offset
 
     def derivative(self, t):
+        if isinstance(t, float):
+            return self.amplitude * self.omega * math.cos(self.omega * t + self.phase)
         t = np.asarray(t, dtype=float)
         return self.amplitude * self.omega * np.cos(self.omega * t + self.phase)
 
@@ -111,13 +129,14 @@ class Exponential(TimeProfile):
     prefactor: float
     rate: float
 
+    # np.exp for a float too: math.exp differs from it in the last bit for
+    # some inputs, np.exp of a float has the array branch's bits
+
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.prefactor * np.exp(self.rate * t)
+        return self.prefactor * np.exp(self.rate * _time(t))
 
     def derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.prefactor * self.rate * np.exp(self.rate * t)
+        return self.prefactor * self.rate * np.exp(self.rate * _time(t))
 
     def shifted(self, t0: float) -> "Exponential":
         return replace(self, prefactor=self.prefactor * math.exp(self.rate * t0))
@@ -133,6 +152,10 @@ class Tabulated(TimeProfile):
     knots_t: tuple[float, ...]
     knots_v: tuple[float, ...]
     _spline: CubicSpline = field(init=False, repr=False, compare=False)
+    # the float branch's copies of the spline: knot times, and per interval
+    # the polynomial coefficients (cubic first) as plain floats
+    _breaks: list = field(init=False, repr=False, compare=False)
+    _pieces: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = np.asarray(self.knots_t, dtype=float)
@@ -141,10 +164,12 @@ class Tabulated(TimeProfile):
             raise DomainError("tabulated profile needs at least two (t, value) knots")
         if not np.all(np.diff(t) > 0):
             raise DomainError("tabulated knots must be strictly increasing in t")
-        object.__setattr__(self, "_spline", CubicSpline(t, v, bc_type="natural"))
+        spline = CubicSpline(t, v, bc_type="natural")
+        object.__setattr__(self, "_spline", spline)
+        object.__setattr__(self, "_breaks", spline.x.tolist())
+        object.__setattr__(self, "_pieces", spline.c.T.tolist())
 
     def _check_range(self, t):
-        t = np.asarray(t, dtype=float)
         lo, hi = self.knots_t[0], self.knots_t[-1]
         if np.any(t < lo) or np.any(t > hi):
             raise DomainError(
@@ -152,11 +177,30 @@ class Tabulated(TimeProfile):
             )
         return t
 
+    def _piece(self, t: float):
+        """Offset of t into its knot interval and that interval's
+        coefficients, chosen as scipy does: [t_i, t_i+1), the last one closed."""
+        t = float(t)
+        breaks = self._breaks
+        if t < breaks[0] or t > breaks[-1]:
+            self._check_range(t)   # raises
+        i = min(bisect.bisect_right(breaks, t), len(breaks) - 1) - 1
+        return t - breaks[i], self._pieces[i]
+
+    # The float branches sum the terms as scipy's PPoly evaluation does,
+    # from 0.0 with the constant term first, so they match it bit for bit.
+
     def __call__(self, t):
-        return self._spline(self._check_range(t))
+        if isinstance(t, float):
+            s, (c3, c2, c1, c0) = self._piece(t)
+            return 0.0 + c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
+        return self._spline(self._check_range(np.asarray(t, dtype=float)))
 
     def derivative(self, t):
-        return self._spline(self._check_range(t), 1)
+        if isinstance(t, float):
+            s, (c3, c2, c1, _) = self._piece(t)
+            return 0.0 + c1 + c2 * s * 2.0 + c3 * (s * s) * 3.0
+        return self._spline(self._check_range(np.asarray(t, dtype=float)), 1)
 
     def shifted(self, t0: float) -> "Tabulated":
         return Tabulated(
@@ -172,23 +216,27 @@ class Tabulated(TimeProfile):
 
 @dataclass(frozen=True)
 class Derived(TimeProfile):
-    """Profile defined by callables; produced by reductions, not JSON configs."""
+    """Profile defined by callables; produced by reductions, not JSON configs.
+
+    ``fn`` and ``dfn`` receive a float when the caller passes one and a
+    float array otherwise.
+    """
 
     fn: Callable
     dfn: Callable
     label: str = "derived"
 
     def __call__(self, t):
-        return self.fn(np.asarray(t, dtype=float))
+        return self.fn(_time(t))
 
     def derivative(self, t):
-        return self.dfn(np.asarray(t, dtype=float))
+        return self.dfn(_time(t))
 
     def shifted(self, t0: float) -> "Derived":
         fn, dfn = self.fn, self.dfn
         return Derived(
-            fn=lambda t: fn(np.asarray(t, dtype=float) + t0),
-            dfn=lambda t: dfn(np.asarray(t, dtype=float) + t0),
+            fn=lambda t: fn(_time(t) + t0),
+            dfn=lambda t: dfn(_time(t) + t0),
             label=self.label,
         )
 

@@ -33,7 +33,7 @@ from typing import Literal
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .coeffs import CoefficientSet1D, FieldProfile2D, reduce_2d
+from .coeffs import CoefficientSet1D, FieldProfile2D, Sinusoid, reduce_2d
 from .errors import DomainError, IntegrationError
 
 __all__ = [
@@ -51,6 +51,7 @@ __all__ = [
 
 _PROBE_POINTS = 257
 _SHORTCUT_RTOL = 1e-12
+_MASS_REQUIREMENT = "the kinetic energy is p^2/2m"
 
 
 @dataclass(frozen=True)
@@ -210,8 +211,23 @@ class ParamTrajectory2D:
         }
 
 
+def _first_trough(profile: Sinusoid, t_end: float) -> list[float]:
+    """The first time in [0, t_end] at which the sinusoid takes its least
+    value, as a list of at most one time."""
+    if profile.amplitude == 0.0 or profile.omega == 0.0:
+        return []
+    trough = -0.5 * math.pi if profile.amplitude > 0.0 else 0.5 * math.pi
+    ahead = trough - profile.phase if profile.omega > 0.0 else profile.phase - trough
+    t = (ahead % (2.0 * math.pi)) / abs(profile.omega)
+    return [t] if t <= t_end else []
+
+
 def _check_positive(profile, t_end: float, name: str, requirement: str):
+    """Probe the profile on a uniform grid; a sinusoid also at its first
+    trough, so that its check is exact at any frequency."""
     probe = np.linspace(0.0, t_end, _PROBE_POINTS)
+    if isinstance(profile, Sinusoid):
+        probe = np.append(probe, _first_trough(profile, t_end))
     values = np.asarray(profile(probe), dtype=float)
     if np.any(values <= 0.0):
         bad = float(probe[np.argmin(values)])
@@ -239,24 +255,20 @@ def _run_ivp(rhs, y0, t_end, tol, what, events=None):
     return sol
 
 
-def _linear_rhs(coeffs: CoefficientSet1D):
-    def rhs(t, y):
-        a = float(coeffs.a(t))
-        b = float(coeffs.b(t))
-        c = float(coeffs.c(t))
-        d = float(coeffs.d(t))
-        e = float(coeffs.e(t))
-        g = float(coeffs.g(t))
-        lam, pi = y[0], y[1]
-        lam_dot = b * lam - a * pi + d
-        pi_dot = c * lam - b * pi + e
-        s_dot = (
-            g + 0.5 * a * pi * pi + 0.5 * c * lam * lam
-            - b * lam * pi - d * pi + e * lam + lam_dot * pi
-        )
-        return lam_dot, pi_dot, s_dot
-
-    return rhs
+def _linear_rhs(coeffs: CoefficientSet1D, t, y, a: float, b: float, c: float):
+    """Rates of (lam, Pi, S) at t from the a, b, c values the caller has
+    already read there; d, e and g are read here."""
+    d = float(coeffs.d(t))
+    e = float(coeffs.e(t))
+    g = float(coeffs.g(t))
+    lam, pi = y[0], y[1]
+    lam_dot = b * lam - a * pi + d
+    pi_dot = c * lam - b * pi + e
+    s_dot = (
+        g + 0.5 * a * pi * pi + 0.5 * c * lam * lam
+        - b * lam * pi - d * pi + e * lam + lam_dot * pi
+    )
+    return lam_dot, pi_dot, s_dot
 
 
 def solve_linear_translation(
@@ -269,9 +281,12 @@ def solve_linear_translation(
     """
     if t_end <= 0:
         raise DomainError("t_end must be positive")
-    inner = _linear_rhs(coeffs)
-    sol = _run_ivp(lambda t, y: inner(t, y), [0.0, 0.0, 0.0], t_end, tol,
-                   "translation parameters")
+
+    def rhs(t, y):
+        return _linear_rhs(coeffs, t, y, float(coeffs.a(t)), float(coeffs.b(t)),
+                           float(coeffs.c(t)))
+
+    sol = _run_ivp(rhs, [0.0, 0.0, 0.0], t_end, tol, "translation parameters")
     lam, pi, s = sol.y
     return LinearTranslation(t_grid=sol.t, S=s, lam=lam, Pi=pi, _dense=sol.sol)
 
@@ -290,16 +305,15 @@ def solve_path1(coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10) -> P
     _check_positive(coeffs.a, t_end, "a", "required by exp(2*gamma) = a*Delta")
     a0 = float(coeffs.a(0.0))
     delta = 1.0 / a0
-    inner = _linear_rhs(coeffs)
 
     def rhs(t, y):
-        lam_dot, pi_dot, s_dot = inner(t, y[:3])
         a = float(coeffs.a(t))
         b = float(coeffs.b(t))
         c = float(coeffs.c(t))
         if a <= 0.0:
             raise DomainError(f"a(t) must stay positive (required by exp(2*gamma) = "
                               f"a*Delta); a={a:.6g} at t={t:.6g}")
+        lam_dot, pi_dot, s_dot = _linear_rhs(coeffs, t, y, a, b, c)
         adot = float(coeffs.a.derivative(t))
         damping = 2.0 * b - adot / a
         u, udot, v, vdot = y[4], y[5], y[6], y[7]
@@ -351,17 +365,16 @@ def solve_path2(coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10) -> P
     c0 = float(coeffs.c(0.0))
     delta = math.sqrt(c0 / a0)
     shortcut = _is_shortcut(coeffs, t_end)
-    inner = _linear_rhs(coeffs)
 
     def base_rhs(t, y):
-        lam_dot, pi_dot, s_dot = inner(t, y[:3])
         a = float(coeffs.a(t))
+        b = float(coeffs.b(t))
         c = float(coeffs.c(t))
         if a <= 0.0 or c <= 0.0:
             raise DomainError(f"a(t) and c(t) must stay positive (sqrt(a*c) must be real); "
                               f"a={a:.6g}, c={c:.6g} at t={t:.6g}; route 2 needs c > 0, "
                               f"use route 1 instead")
-        return lam_dot, pi_dot, s_dot, math.sqrt(a * c)
+        return (*_linear_rhs(coeffs, t, y, a, b, c), math.sqrt(a * c))
 
     half_turn = lambda t, y: y[3] - math.pi   # phi = pi
     base = _run_ivp(base_rhs, [0.0, 0.0, 0.0, 0.0], t_end, tol, "route-2 parameters",
@@ -421,11 +434,15 @@ def solve_2d(
         raise DomainError("t_end must be positive")
     if path not in ("path1", "path2"):
         raise DomainError(f"path must be 'path1' or 'path2', got {path!r}")
+    _check_positive(profile.m, t_end, "m", _MASS_REQUIREMENT)
     reduced, theta_rate = reduce_2d(profile)
     q = profile.charge
 
     def rhs(t, y):
         m = float(profile.m(t))
+        if m <= 0.0:
+            raise DomainError(f"m(t) must stay positive ({_MASS_REQUIREMENT}); "
+                              f"m={m:.6g} at t={t:.6g}")
         bb = float(profile.B(t))
         kk = float(profile.K(t))
         ex = float(profile.Ex(t))

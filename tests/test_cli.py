@@ -2,7 +2,10 @@
 
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -249,8 +252,8 @@ def test_unexpected_exception_is_internal_error(tmp_path, capsys, monkeypatch):
 
 
 def test_missed_positivity_dip_ends_in_json_not_traceback(tmp_path, capsys):
-    # the positivity probe misses the dips of a(t) below zero at this
-    # frequency; the route-1 right-hand side stops the solve at the first one
+    # a(t) reads 1 at every uniform probe point at this frequency and dips
+    # below zero between them; the probe of the sinusoid's trough finds it
     cfg = write_config(tmp_path, "dip.json", {
         "system": "gho", "t_end": 1,
         "coefficients": {"a": {"kind": "sinusoid", "amplitude": 1.5,
@@ -264,6 +267,34 @@ def test_missed_positivity_dip_ends_in_json_not_traceback(tmp_path, capsys):
     assert err["exit_code"] == 3 and err["type"] == "DomainError"
     assert "a(t) must stay positive" in err["message"]
     assert "Traceback" not in captured.out + captured.err
+
+
+def test_negative_planar_mass_is_domain_error(tmp_path, capsys):
+    # the same dip in the mass: 1/m runs into a pole as m falls to zero, so
+    # an unchecked solve fails on step size before it ever sees m <= 0
+    cfg = write_config(tmp_path, "dip2d.json", {
+        "system": "cp2d", "t_end": 1,
+        "field": {"m": {"kind": "sinusoid", "amplitude": 1.5,
+                        "omega": 1608.4954386379741, "offset": 1.0}, "B": 1},
+    })
+    code = cli.main(["params", "--config", cfg, "--out", str(tmp_path / "x")])
+    assert code == 3
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "DomainError"
+    assert "m(t) must stay positive" in err["message"]
+
+
+def test_python_m_liegate_runs_the_cli(tmp_path):
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-m", "liegate", "constants", "--algebra", "lp",
+         "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    rows = (tmp_path / "structure_constants_lp.csv").read_text().splitlines()
+    assert rows[0] == "i,j,k,num,den" and len(rows) > 1
 
 
 @pytest.mark.parametrize("profile, key", [

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liegate import coeffs
 from liegate.coeffs import (
     Constant,
+    Derived,
     Exponential,
     FieldProfile2D,
     Sinusoid,
@@ -96,6 +99,125 @@ class TestProfiles:
             profile_from_dict({"kind": "sawtooth"})
         with pytest.raises(DomainError, match="unknown profile keys"):
             profile_from_dict({"kind": "constant", "value": 1.0, "slope": 2.0})
+
+
+KNOTS = Tabulated(knots_t=(-1.0, -0.2, 0.5, 1.25, 2.0, 4.0),
+                  knots_v=(0.3, 1.0, -1.0, 2.0, 0.7, 1.1))
+MASS_KNOTS = Tabulated(knots_t=(0.0, 0.5, 1.2, 2.5), knots_v=(1.0, 1.3, 0.8, 1.1))
+SMOOTH = Sinusoid(0.2, 1.3, 0.1, 1.0)
+FLOAT_BRANCH_CASES = {
+    "constant": Constant(2.5),
+    "sinusoid": Sinusoid(1.0, 2.0, 0.3, 0.5),
+    "sinusoid-shifted": Sinusoid(0.7, -3.1, 1.2, 0.2).shifted(0.8),
+    "exponential": Exponential(1.5, -0.7),
+    "exponential-shifted": Exponential(0.4, 1.1).shifted(-0.3),
+    "tabulated": KNOTS,
+    "tabulated-shifted": KNOTS.shifted(0.25),
+    "derived": Derived(lambda t: np.exp(-t) * np.sin(3.0 * t),
+                       lambda t: np.exp(-t) * (3.0 * np.cos(3.0 * t) - np.sin(3.0 * t))),
+    "derived-shifted": Derived(SMOOTH, SMOOTH.derivative).shifted(0.4),
+}
+
+
+def bits_equal(x, y) -> bool:
+    return np.asarray(x, dtype=float).tobytes() == np.asarray(y, dtype=float).tobytes()
+
+
+def float_branch_mismatches(prof, ts):
+    """Times at which a float in does not give a float with the bits of the
+    array branch, for __call__ and derivative; the array branch is taken
+    both on the whole array and on each time as a 0-d array."""
+    bad = []
+    for method in (prof.__call__, prof.derivative):
+        whole = method(ts)
+        for k, t in enumerate(ts.tolist()):
+            for value in (method(t), method(np.float64(t))):
+                if not (isinstance(value, float) and bits_equal(value, whole[k])
+                        and bits_equal(value, method(np.asarray(t)))):
+                    bad.append((method.__name__, t))
+    return bad
+
+
+class TestFloatBranch:
+    @pytest.mark.parametrize("name", sorted(FLOAT_BRANCH_CASES))
+    def test_float_branch_has_the_array_bits(self, name):
+        prof = FLOAT_BRANCH_CASES[name]
+        rng = np.random.default_rng(11)
+        if isinstance(prof, Tabulated):
+            # every knot, the last included
+            lo, hi = prof.knots_t[0], prof.knots_t[-1]
+            ts = np.concatenate([rng.uniform(lo, hi, 200), prof.knots_t])
+        else:
+            ts = rng.uniform(-0.9, 3.9, 200)
+        assert float_branch_mismatches(prof, ts) == []
+
+    @pytest.mark.parametrize("m, B, K", [
+        (Sinusoid(0.2, 1.3, 0.1, 1.0), Sinusoid(1.5, 2.1, 0.7), Sinusoid(0.3, 0.9, 0.0, 0.5)),
+        (Exponential(1.0, 0.3), Constant(2.0), KNOTS.shifted(-1.0)),
+        (MASS_KNOTS, Exponential(0.5, -0.2), Constant(0.0)),
+    ], ids=["sinusoids", "exponential-m", "tabulated-m"])
+    def test_reduced_profiles_match_the_0d_evaluation(self, m, B, K):
+        # the reduction's callables see a float now where the solvers used to
+        # pass a 0-d array; for B not tabulated that gives the same bits
+        reduced, theta_rate = reduce_2d(FieldProfile2D.build(m=m, B=B, K=K, charge=1.2))
+        ts = np.random.default_rng(12).uniform(0.0, 2.4, 200).tolist()
+        for prof in (reduced.a, reduced.c, theta_rate):
+            for method in (prof.__call__, prof.derivative):
+                for t in ts:
+                    value = method(t)
+                    assert isinstance(value, float)
+                    assert bits_equal(value, method(np.asarray(t))), (prof.label, t)
+
+    def test_derived_callables_receive_the_float(self):
+        seen = []
+        prof = Derived(lambda t: seen.append(t) or 1.0, lambda t: seen.append(t) or 0.0)
+        for p in (prof, prof.shifted(0.25)):
+            p(0.5), p.derivative(np.float64(0.5)), p(np.array([0.5]))
+        assert [type(t) for t in seen] == [float, np.float64, np.ndarray] * 2
+        assert seen[3:5] == [0.75, 0.75]
+
+    def test_reduced_stiffness_with_tabulated_field_is_within_an_ulp(self):
+        # B(t) ** 2 of a float B rounds through pow, of a 0-d array through
+        # x*x: the two differ by one ulp for about 1 in 1200 values
+        field = FieldProfile2D.build(m=1.1, B=KNOTS.shifted(-1.0), K=0.4)
+        reduced, _ = reduce_2d(field)
+        ts = np.random.default_rng(13).uniform(0.0, 3.0, 2000).tolist()
+        gaps = [abs(reduced.c(t) - float(reduced.c(np.asarray(t)))) / reduced.c(t)
+                for t in ts]
+        assert max(gaps) <= 2.5e-16
+
+    def test_tabulated_float_branch_refuses_times_beyond_the_knots(self):
+        lo, hi = KNOTS.knots_t[0], KNOTS.knots_t[-1]
+        for t in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)):
+            with pytest.raises(DomainError, match="extrapolation"):
+                KNOTS(t)
+            with pytest.raises(DomainError, match="extrapolation"):
+                KNOTS.derivative(t)
+
+
+FINITE = st.floats(-3.0, 3.0, allow_nan=False)
+PROFILE_SPECS = st.one_of(
+    st.builds(lambda v: {"kind": "constant", "value": v}, FINITE),
+    st.builds(lambda a, w, p, o: {"kind": "sinusoid", "amplitude": a, "omega": w,
+                                  "phase": p, "offset": o},
+              FINITE, st.floats(-20.0, 20.0), FINITE, FINITE),
+    st.builds(lambda f, r: {"kind": "exponential", "prefactor": f, "rate": r},
+              FINITE, FINITE),
+    st.builds(lambda ts, vs: {"kind": "tabulated",
+                              "knots": [[t, v] for t, v in zip(sorted(ts), vs)]},
+              st.lists(st.integers(-40, 40).map(lambda k: 0.1 * k),
+                       min_size=2, max_size=7, unique=True),
+              st.lists(FINITE, min_size=7, max_size=7)),
+)
+
+
+@settings(derandomize=True, database=None, max_examples=150, deadline=None)
+@given(spec=PROFILE_SPECS, u=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=5))
+def test_float_branch_property(spec, u):
+    prof = profile_from_dict(spec)
+    lo, hi = (prof.knots_t[0], prof.knots_t[-1]) if isinstance(prof, Tabulated) else (-4.0, 4.0)
+    ts = np.array([lo + x * (hi - lo) for x in u] + [lo, hi])
+    assert float_branch_mismatches(prof, ts) == []
 
 
 class TestReduce2D:

@@ -1,18 +1,22 @@
 """Transformation-parameter solvers: both routes, 1D and planar."""
 
 import math
+from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from liegate import oracle, paramflow
+from liegate import maps, oracle, paramflow
 from liegate.coeffs import (
     CoefficientSet1D,
+    Constant,
     Derived,
     Exponential,
     FieldProfile2D,
     Sinusoid,
+    Tabulated,
+    TimeProfile,
 )
 from liegate.errors import DomainError
 from liegate.paramflow import (
@@ -353,17 +357,140 @@ class TestEventsMatchTheScan:
 
 
 class TestDomainGuard:
-    # a = 1 + 1.5 sin(512 pi t) reads 1 at all 257 probe points of [0, 1]
-    # and dips to -0.5 between them; the RHS guard stops the solve there
+    # 1 + 1.5 sin(512 pi t) reads 1 at all 257 uniform probe points of
+    # [0, 1] and dips to -0.5 between them.  The probe also visits a
+    # sinusoid's first trough (t = 3/1024); behind Derived the dip is hidden
+    # from the probe and only the right-hand-side guards can stop the solve.
     DIP = Sinusoid(1.5, 512 * math.pi, 0.0, 1.0)
+    HIDDEN_DIP = Derived(DIP, DIP.derivative, label="hidden dip")
+    # a mass that is -1 on the middle half of every probe interval
+    JUMP = Derived(lambda t: np.where(abs(256.0 * t - np.round(256.0 * t)) < 0.25, 1.0, -1.0),
+                   lambda t: 0.0 * t, label="jump")
 
-    def test_route_one_rejects_a_dip_in_a(self):
-        with pytest.raises(DomainError, match="a\\(t\\) must stay positive"):
+    def test_probe_visits_the_trough(self):
+        with pytest.raises(DomainError, match="a\\(t\\) must stay positive on .* "
+                                              "violated near t=0.00292969"):
             solve_path1(CoefficientSet1D.build(a=self.DIP), 1.0)
 
+    def test_route_one_rejects_a_dip_in_a(self):
+        with pytest.raises(DomainError, match="a\\(t\\) must stay positive \\(.* at t="):
+            solve_path1(CoefficientSet1D.build(a=self.HIDDEN_DIP), 1.0)
+
     def test_route_two_rejects_a_dip_in_c(self):
-        with pytest.raises(DomainError, match="route 1"):
-            solve_path2(CoefficientSet1D.build(a=1.0, c=self.DIP), 1.0)
+        with pytest.raises(DomainError, match="at t=.*route 1"):
+            solve_path2(CoefficientSet1D.build(a=1.0, c=self.HIDDEN_DIP), 1.0)
+
+    def test_planar_probe_rejects_a_dip_in_m(self):
+        with pytest.raises(DomainError, match="m\\(t\\) must stay positive on"):
+            solve_2d(FieldProfile2D.build(m=self.DIP, B=1.0), 1.0)
+
+    def test_planar_rhs_rejects_a_negative_mass(self):
+        with pytest.raises(DomainError, match="m\\(t\\) must stay positive \\(.*m=-1 at t="):
+            solve_2d(FieldProfile2D.build(m=self.JUMP, B=1.0), 1.0)
+
+
+class ArrayOnly(TimeProfile):
+    """A profile evaluated only through its array branch, on a 0-d array:
+    what the solvers evaluated before profiles had a float branch."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __call__(self, t):
+        return self.inner(np.asarray(t, dtype=float))
+
+    def derivative(self, t):
+        return self.inner.derivative(np.asarray(t, dtype=float))
+
+
+def mixed_system(seed: int) -> CoefficientSet1D:
+    """a, c > 0; every profile kind in some slot, b not gamma' (no shortcut)."""
+    rng = np.random.default_rng(seed)
+    knots = np.linspace(0.0, 4.0, 17)
+    ripple = 1.0 + 0.15 * np.sin(rng.uniform(1.0, 2.0) * knots + rng.uniform(0.0, 6.0))
+    eps, w = rng.uniform(0.1, 0.2), rng.uniform(1.0, 2.0)
+    return CoefficientSet1D(
+        a=Tabulated(tuple(knots), tuple(rng.uniform(0.9, 1.1) * ripple)),
+        b=Sinusoid(rng.uniform(0.1, 0.2), rng.uniform(1.0, 2.0), rng.uniform(0.0, 6.0)),
+        c=Derived(lambda t: 1.7 / (1.0 + eps * np.sin(w * t)),
+                  lambda t: -1.7 * eps * w * np.cos(w * t) / (1.0 + eps * np.sin(w * t)) ** 2),
+        d=Exponential(rng.uniform(0.1, 0.3), rng.uniform(-0.5, 0.5)),
+        e=Sinusoid(rng.uniform(0.0, 0.4), rng.uniform(1.0, 2.0), rng.uniform(0.0, 6.0)),
+        g=Constant(0.2),
+    )
+
+
+def mixed_field(seed: int) -> FieldProfile2D:
+    """Every profile kind but a tabulated B, whose B(t) ** 2 rounds through
+    pow for a float and through x*x for a 0-d array."""
+    cs = mixed_system(seed)
+    return FieldProfile2D(m=cs.a, B=Sinusoid(2.0, 1.4, 0.3, 0.1), K=cs.d,
+                          Ex=cs.c, Ey=cs.g, charge=1.0)
+
+
+def map_bytes(traj, assemble, t_end):
+    times = [t for t in np.linspace(0.0, t_end, 61)[1:] if t <= 0.95 * traj.valid_to]
+    assert len(times) >= 10
+    return b"".join(m.M.tobytes() + m.shift.tobytes()
+                    for m in (assemble(traj, float(t)) for t in times))
+
+
+class TestFloatBranchEndToEnd:
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("route", ["path1", "path2", "2d-path1", "2d-path2"])
+    def test_maps_equal_the_array_branch_bitwise(self, route, seed):
+        if route.startswith("2d"):
+            system = mixed_field(seed)
+            slow = FieldProfile2D(**{k: ArrayOnly(getattr(system, k))
+                                     for k in ("m", "B", "K", "Ex", "Ey")}, charge=1.0)
+            solve = lambda field: solve_2d(field, 4.0, 1e-10, path=route[3:])
+            assemble = maps.assemble_2d
+        else:
+            system = mixed_system(seed)
+            slow = CoefficientSet1D(*(ArrayOnly(getattr(system, k)) for k in "abcdeg"))
+            solver = solve_path1 if route == "path1" else solve_path2
+            solve = lambda cs: solver(cs, 4.0, 1e-10)
+            assemble = maps.assemble_path1 if route == "path1" else maps.assemble_path2
+        fast, reference = solve(system), solve(slow)
+        assert fast.valid_to == reference.valid_to
+        assert fast.t_grid.tobytes() == reference.t_grid.tobytes()
+        assert map_bytes(fast, assemble, 4.0) == map_bytes(reference, assemble, 4.0)
+
+    def test_rhs_reads_each_coefficient_once(self, monkeypatch):
+        counts = Counter()
+
+        class Counted(TimeProfile):
+            def __init__(self, inner):
+                self.inner = inner
+
+            def __call__(self, t):
+                counts["call"] += 1
+                return self.inner(t)
+
+            def derivative(self, t):
+                counts["derivative"] += 1
+                return self.inner.derivative(t)
+
+        per_eval = defaultdict(set)   # integration -> profile calls of one RHS call
+        run_ivp = paramflow._run_ivp
+
+        def counting_run_ivp(rhs, y0, t_end, tol, what, events=None):
+            def counted(t, y):
+                before = counts.copy()
+                out = rhs(t, y)
+                per_eval[what].add(tuple(sorted((counts - before).items())))
+                return out
+            return run_ivp(counted, y0, t_end, tol, what, events)
+
+        monkeypatch.setattr(paramflow, "_run_ivp", counting_run_ivp)
+        cs = mixed_system(0)
+        counted = CoefficientSet1D(*(Counted(getattr(cs, k)) for k in "abcdeg"))
+        solve_linear_translation(counted, 1.0)
+        solve_path1(counted, 1.0)
+        solve_path2(counted, 1.0)
+        assert per_eval["translation parameters"] == {(("call", 6),)}
+        assert per_eval["route-1 parameters"] == {(("call", 6), ("derivative", 1))}
+        assert per_eval["route-2 parameters"] == {(("call", 6),)}
 
 
 def test_csv_round_trip(tmp_path):
