@@ -51,8 +51,12 @@ class TimeProfile:
     branch gives for that time; the built-in profiles take a scalar branch
     for it, since the parameter ODEs evaluate every coefficient at every
     right-hand-side call.  ``shifted(t0)`` returns the profile re-based so
-    that its new time origin sits at ``t0`` of the old clock.
+    that its new time origin sits at ``t0`` of the old clock.  ``knots``
+    are the times at which the profile is not smooth (a spline's knots);
+    the parameter solvers restart their integration at each.
     """
+
+    knots: tuple = ()
 
     def __call__(self, t):
         raise NotImplementedError
@@ -169,6 +173,10 @@ class Tabulated(TimeProfile):
         object.__setattr__(self, "_breaks", spline.x.tolist())
         object.__setattr__(self, "_pieces", spline.c.T.tolist())
 
+    @property
+    def knots(self) -> tuple[float, ...]:
+        return self.knots_t
+
     def _check_range(self, t):
         lo, hi = self.knots_t[0], self.knots_t[-1]
         if np.any(t < lo) or np.any(t > hi):
@@ -219,12 +227,14 @@ class Derived(TimeProfile):
     """Profile defined by callables; produced by reductions, not JSON configs.
 
     ``fn`` and ``dfn`` receive a float when the caller passes one and a
-    float array otherwise.
+    float array otherwise.  ``knots`` are those of the profiles the
+    callables read.
     """
 
     fn: Callable
     dfn: Callable
     label: str = "derived"
+    knots: tuple = ()
 
     def __call__(self, t):
         return self.fn(_time(t))
@@ -238,6 +248,7 @@ class Derived(TimeProfile):
             fn=lambda t: fn(_time(t) + t0),
             dfn=lambda t: dfn(_time(t) + t0),
             label=self.label,
+            knots=tuple(tk - t0 for tk in self.knots),
         )
 
     def to_dict(self) -> dict:
@@ -379,6 +390,7 @@ def reduce_2d(profile: FieldProfile2D) -> tuple[CoefficientSet1D, Derived]:
     """
     q = profile.charge
     m, B, K = profile.m, profile.B, profile.K
+    knots = tuple(sorted({*m.knots, *B.knots, *K.knots}))
 
     def a_fn(t):
         return 1.0 / m(t)
@@ -388,7 +400,8 @@ def reduce_2d(profile: FieldProfile2D) -> tuple[CoefficientSet1D, Derived]:
         return -m.derivative(t) / (mt * mt)
 
     def c_fn(t):
-        return K(t) + q * q * B(t) ** 2 / (4.0 * m(t))
+        bt = B(t)
+        return K(t) + q * q * (bt * bt) / (4.0 * m(t))
 
     def c_dfn(t):
         mt = m(t)
@@ -407,13 +420,13 @@ def reduce_2d(profile: FieldProfile2D) -> tuple[CoefficientSet1D, Derived]:
         return q * (B.derivative(t) * mt - B(t) * m.derivative(t)) / (2.0 * mt * mt)
 
     coeffs = CoefficientSet1D(
-        a=Derived(a_fn, a_dfn, label="1/m"),
+        a=Derived(a_fn, a_dfn, label="1/m", knots=knots),
         b=Constant(0.0),
-        c=Derived(c_fn, c_dfn, label="K + q^2 B^2/4m"),
+        c=Derived(c_fn, c_dfn, label="K + q^2 B^2/4m", knots=knots),
         d=Constant(0.0),
         e=Constant(0.0),
         g=Constant(0.0),
         hbar=profile.hbar,
     )
-    theta_rate = Derived(theta_rate_fn, theta_rate_dfn, label="q B/2m")
+    theta_rate = Derived(theta_rate_fn, theta_rate_dfn, label="q B/2m", knots=knots)
     return coeffs, theta_rate

@@ -2,8 +2,9 @@
 
 Nothing in this module knows about transformation parameters or factorized
 evolution operators: the classical flow and fundamental matrix integrate
-Hamilton's equations directly with a high-order adaptive Runge-Kutta
-scheme, and the wavefunction oracle is a Strang split-step Fourier solver.
+Hamilton's equations directly with adaptive RK45 (not the parameter
+solvers' DOP853, and over [0, t_end] in one piece, unaware of spline
+knots), and the wavefunction oracle is a Strang split-step Fourier solver.
 These are the yardsticks the algebraic machinery is measured against.
 
 The split-step solver deliberately refuses Hamiltonians with a nonzero
@@ -34,7 +35,7 @@ __all__ = [
     "grid_moments",
 ]
 
-_ORACLE_METHOD = "DOP853"
+_ORACLE_METHOD = "RK45"
 
 
 @dataclass(frozen=True)

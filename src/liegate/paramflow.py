@@ -28,12 +28,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Literal
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import OdeSolution, solve_ivp
 
-from .coeffs import CoefficientSet1D, FieldProfile2D, Sinusoid, reduce_2d
+from .coeffs import CoefficientSet1D, FieldProfile2D, Sinusoid, Tabulated, reduce_2d
 from .errors import DomainError, IntegrationError
 
 __all__ = [
@@ -52,6 +53,7 @@ __all__ = [
 _PROBE_POINTS = 257
 _SHORTCUT_RTOL = 1e-12
 _MASS_REQUIREMENT = "the kinetic energy is p^2/2m"
+_RTOL_FLOOR = 100.0 * np.finfo(float).eps   # scipy's least rtol
 
 
 @dataclass(frozen=True)
@@ -104,7 +106,10 @@ class ParamTrajectory:
     integrator locates it as an event of the solve itself, a sign change of
     u or of phi - pi refined on the step's dense output.  alpha, phi and
     beta are reported as NaN beyond ``valid_to``; u and its derivative are
-    reported everywhere.
+    reported everywhere.  Route 2 carries phi in its quadratic-phase
+    (Riccati) state too, so that solve reads no dense output of the base
+    solve; ``sample`` reports phi from the base solve, whose event sets
+    ``valid_to``.
     """
 
     def __init__(
@@ -163,7 +168,7 @@ class ParamTrajectory:
                 vphi=0.0, beta=0.0, u=1.0, udot=0.0,
             )
         if t <= self._riccati_t_end:
-            qq, pp, aint, vphi, beta = (float(x) for x in self._riccati(t))
+            qq, pp, aint, vphi, beta, _ = (float(x) for x in self._riccati(t))
             alpha = qq / pp
             u = math.exp(-aint)
             return ParamSample(
@@ -222,12 +227,25 @@ def _first_trough(profile: Sinusoid, t_end: float) -> list[float]:
     return [t] if t <= t_end else []
 
 
+def _spline_extrema(profile: Tabulated, t_end: float) -> np.ndarray:
+    """The knots and the zeros of the spline's derivative in [0, t_end]:
+    with the interval's ends, the times at which its least value can sit."""
+    times = np.concatenate([profile.knots_t,
+                            profile._spline.derivative().roots(extrapolate=False)])
+    return times[(times >= 0.0) & (times <= t_end)]
+
+
 def _check_positive(profile, t_end: float, name: str, requirement: str):
     """Probe the profile on a uniform grid; a sinusoid also at its first
-    trough, so that its check is exact at any frequency."""
+    trough and a spline at its knots and at the zeros of its derivative,
+    so that their checks are exact.  Other profiles (``Derived`` ones come
+    from presets and reductions) rely on the probe plus the right-hand-side
+    guards, which check every time the integrator evaluates."""
     probe = np.linspace(0.0, t_end, _PROBE_POINTS)
     if isinstance(profile, Sinusoid):
         probe = np.append(probe, _first_trough(profile, t_end))
+    elif isinstance(profile, Tabulated):
+        probe = np.append(probe, _spline_extrema(profile, t_end))
     values = np.asarray(profile(probe), dtype=float)
     if np.any(values <= 0.0):
         bad = float(probe[np.argmin(values)])
@@ -237,22 +255,49 @@ def _check_positive(profile, t_end: float, name: str, requirement: str):
         )
 
 
-def _run_ivp(rhs, y0, t_end, tol, what, events=None):
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_end),
-        y0,
-        method="RK45",
-        rtol=tol,
-        atol=tol * 1e-2,
-        dense_output=True,
-        events=events,
+def _knots(*profiles) -> set[float]:
+    return {float(tk) for p in profiles for tk in p.knots}
+
+
+def _coefficient_knots(coeffs: CoefficientSet1D) -> set[float]:
+    return _knots(coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e, coeffs.g)
+
+
+def _run_ivp(rhs, y0, t_end, tol, what, knots=(), events=None):
+    """Solve y' = rhs(t, y), y(0) = y0 on [0, t_end] with DOP853.
+
+    rtol = tol/10 and atol = rtol/100: at a tenth of tol the order-8
+    method is as accurate, in the worst case, as RK45 at tol, in far fewer
+    steps.  rtol is clamped at 100 eps, the least value scipy accepts
+    without raising it and warning.  The solve restarts at every knot in
+    (0, t_end), since the right-hand side is not smooth there and a
+    high-order step across such a point loses its order; the segments
+    join into one dense solution, and a terminal event ends the solve.
+    """
+    rtol = max(tol / 10.0, _RTOL_FLOOR)
+    bounds = [0.0, *sorted(tk for tk in knots if 0.0 < tk < t_end), t_end]
+    segments = []
+    y = y0
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        seg = solve_ivp(rhs, (lo, hi), y, method="DOP853", rtol=rtol, atol=rtol * 1e-2,
+                        dense_output=True, events=events)
+        if seg.status == -1:
+            raise IntegrationError(
+                f"{what} integration failed: {seg.message}", last_time=float(seg.t[-1])
+            )
+        segments.append(seg)
+        if seg.status == 1:
+            break
+        y = seg.y[:, -1]
+    t = np.concatenate([segments[0].t] + [seg.t[1:] for seg in segments[1:]])
+    return SimpleNamespace(
+        t=t,
+        y=np.concatenate([segments[0].y] + [seg.y[:, 1:] for seg in segments[1:]], axis=1),
+        sol=OdeSolution(t, [piece for seg in segments for piece in seg.sol.interpolants]),
+        t_events=(None if events is None else
+                  [np.concatenate(times) for times in zip(*(seg.t_events for seg in segments))]),
+        status=segments[-1].status,
     )
-    if sol.status == -1:
-        raise IntegrationError(
-            f"{what} integration failed: {sol.message}", last_time=float(sol.t[-1])
-        )
-    return sol
 
 
 def _linear_rhs(coeffs: CoefficientSet1D, t, y, a: float, b: float, c: float):
@@ -286,7 +331,8 @@ def solve_linear_translation(
         return _linear_rhs(coeffs, t, y, float(coeffs.a(t)), float(coeffs.b(t)),
                            float(coeffs.c(t)))
 
-    sol = _run_ivp(rhs, [0.0, 0.0, 0.0], t_end, tol, "translation parameters")
+    sol = _run_ivp(rhs, [0.0, 0.0, 0.0], t_end, tol, "translation parameters",
+                   knots=_coefficient_knots(coeffs))
     lam, pi, s = sol.y
     return LinearTranslation(t_grid=sol.t, S=s, lam=lam, Pi=pi, _dense=sol.sol)
 
@@ -326,23 +372,31 @@ def solve_path1(coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10) -> P
 
     y0 = [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, a0]
     focus = lambda t, y: y[4]   # u = 0
-    sol = _run_ivp(rhs, y0, t_end, tol, "route-1 parameters", events=[focus])
+    sol = _run_ivp(rhs, y0, t_end, tol, "route-1 parameters",
+                   knots=_coefficient_knots(coeffs), events=[focus])
     return ParamTrajectory(
         path="path1", coeffs=coeffs, t_end=t_end, tol=tol, Delta=delta,
         t_grid=sol.t, base_dense=sol.sol, valid_to=_first_event(sol),
     )
 
 
-def _path2_gamma_dot(coeffs: CoefficientSet1D, t):
-    """gamma' of route 2 at a time or at an array of times."""
-    return 0.25 * (coeffs.a.derivative(t) / coeffs.a(t)
-                   - coeffs.c.derivative(t) / coeffs.c(t))
+def _path2_gamma_dot(a, adot, c, cdot):
+    """gamma' of route 2 from a, c and their rates, floats or arrays."""
+    return 0.25 * (adot / a - cdot / c)
+
+
+def _path2_guard(t, a: float, c: float):
+    if a <= 0.0 or c <= 0.0:
+        raise DomainError(f"a(t) and c(t) must stay positive (sqrt(a*c) must be real); "
+                          f"a={a:.6g}, c={c:.6g} at t={t:.6g}; route 2 needs c > 0, "
+                          f"use route 1 instead")
 
 
 def _is_shortcut(coeffs: CoefficientSet1D, t_end: float) -> bool:
     probe = np.linspace(0.0, t_end, _PROBE_POINTS)
     b = coeffs.b(probe)
-    gdot = _path2_gamma_dot(coeffs, probe)
+    gdot = _path2_gamma_dot(coeffs.a(probe), coeffs.a.derivative(probe),
+                            coeffs.c(probe), coeffs.c.derivative(probe))
     gap = np.abs(b - gdot)
     return not np.any(gap >= _SHORTCUT_RTOL * (1.0 + np.abs(b) + np.abs(gdot)))
 
@@ -370,37 +424,38 @@ def solve_path2(coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10) -> P
         a = float(coeffs.a(t))
         b = float(coeffs.b(t))
         c = float(coeffs.c(t))
-        if a <= 0.0 or c <= 0.0:
-            raise DomainError(f"a(t) and c(t) must stay positive (sqrt(a*c) must be real); "
-                              f"a={a:.6g}, c={c:.6g} at t={t:.6g}; route 2 needs c > 0, "
-                              f"use route 1 instead")
+        _path2_guard(t, a, c)
         return (*_linear_rhs(coeffs, t, y, a, b, c), math.sqrt(a * c))
 
     half_turn = lambda t, y: y[3] - math.pi   # phi = pi
     base = _run_ivp(base_rhs, [0.0, 0.0, 0.0, 0.0], t_end, tol, "route-2 parameters",
-                    events=[half_turn])
+                    knots=_coefficient_knots(coeffs), events=[half_turn])
 
     riccati_dense = None
     riccati_t_end = t_end
     if not shortcut:
-        phi_of = base.sol
 
         def ric_rhs(t, y):
             # alpha' = w sin(2phi) alpha^2 - 2w cos(2phi) alpha - w sin(2phi)
             # integrated projectively as alpha = Q/P with the linear pair
             # Q' = -w(cos(2phi) Q + sin(2phi) P), P' = w(cos(2phi) P - sin(2phi) Q),
-            # which passes smoothly through zeros of the quadratic coefficient.
-            w = float(coeffs.b(t)) - float(_path2_gamma_dot(coeffs, t))
-            phi = float(phi_of(t)[3])
+            # which passes smoothly through zeros of the quadratic coefficient;
+            # phi' = sqrt(a c) rides along, so no dense output is read here.
+            a = float(coeffs.a(t))
+            c = float(coeffs.c(t))
+            _path2_guard(t, a, c)
+            w = float(coeffs.b(t)) - _path2_gamma_dot(
+                a, float(coeffs.a.derivative(t)), c, float(coeffs.c.derivative(t)))
+            qq, pp, _, vphi, _, phi = y
             c2, s2 = math.cos(2.0 * phi), math.sin(2.0 * phi)
-            qq, pp, _, vphi, _ = y
             alpha = qq / pp
             return (
                 -w * (c2 * qq + s2 * pp),
                 w * (c2 * pp - s2 * qq),
                 alpha,
                 w * (c2 - alpha * s2),
-                w * math.exp(-2.0 * y[3]) * s2,
+                w * math.exp(-2.0 * vphi) * s2,
+                math.sqrt(a * c),
             )
 
         # alpha = Q/P diverges where P vanishes; stop just before that point
@@ -408,8 +463,9 @@ def solve_path2(coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10) -> P
         cap = 1e8
         blow_up = lambda t, y: y[0] * y[0] - (cap * y[1]) ** 2
         blow_up.terminal = True
-        ric = _run_ivp(ric_rhs, [0.0, 1.0, 0.0, 0.0, 0.0], t_end, tol,
-                       "route-2 quadratic-phase parameters", events=[blow_up])
+        ric = _run_ivp(ric_rhs, [0.0, 1.0, 0.0, 0.0, 0.0, 0.0], t_end, tol,
+                       "route-2 quadratic-phase parameters",
+                       knots=_knots(coeffs.a, coeffs.b, coeffs.c), events=[blow_up])
         riccati_dense = ric.sol
         if ric.status == 1:
             riccati_t_end = _first_event(ric) * (1.0 - 1e-12)
@@ -463,7 +519,8 @@ def solve_2d(
         )
         return lamx_dot, lamy_dot, pix_dot, piy_dot, lagrangian, wb
 
-    sol = _run_ivp(rhs, [0.0] * 6, t_end, tol, "planar translation parameters")
+    sol = _run_ivp(rhs, [0.0] * 6, t_end, tol, "planar translation parameters",
+                   knots=_knots(profile.m, profile.B, profile.K, profile.Ex, profile.Ey))
     solver = solve_path1 if path == "path1" else solve_path2
     radial = solver(reduced, t_end, tol)
     return ParamTrajectory2D(

@@ -71,9 +71,14 @@ def _number_or_profile(spec, field: str) -> TimeProfile:
 
 def _lp(p, hbar):
     m, f = p["m"], p["f"]
-    a = Derived(fn=lambda t: 1.0 / m(t),
-                dfn=lambda t: -m.derivative(t) / m(t) ** 2, label="1/m")
-    e = Derived(fn=lambda t: -f(t), dfn=lambda t: -f.derivative(t), label="-f")
+
+    def a_dfn(t):
+        mt = m(t)
+        return -m.derivative(t) / (mt * mt)
+
+    a = Derived(fn=lambda t: 1.0 / m(t), dfn=a_dfn, label="1/m", knots=m.knots)
+    e = Derived(fn=lambda t: -f(t), dfn=lambda t: -f.derivative(t), label="-f",
+                knots=f.knots)
     return CoefficientSet1D.build(a=a, e=e, hbar=hbar)
 
 

@@ -284,6 +284,30 @@ def test_negative_planar_mass_is_domain_error(tmp_path, capsys):
     assert "m(t) must stay positive" in err["message"]
 
 
+# splines through 1 at 0, 0.5, 0.5 + 1/256 and 1, which read 1 at every
+# uniform probe point k/256 of [0, 1]: one with a knot at -0.5 between two
+# probe points, one whose knots are all positive but which dips to -0.31
+DIP_KNOTS = {
+    "knot": [[0, 1], [0.5, 1], [0.501953125, -0.5], [0.50390625, 1], [1, 1]],
+    "between": [[0, 1], [0.5, 1], [0.5009765625, 0.05], [0.5029296875, 0.05],
+                [0.50390625, 1], [1, 1]],
+}
+
+
+@pytest.mark.parametrize("dip", sorted(DIP_KNOTS))
+def test_tabulated_mass_dip_is_domain_error(tmp_path, capsys, dip):
+    # an unchecked solve runs into the 1/m pole and fails on step size
+    cfg = write_config(tmp_path, "tab2d.json", {
+        "system": "cp2d", "t_end": 1,
+        "field": {"m": {"kind": "tabulated", "knots": DIP_KNOTS[dip]}, "B": 1},
+    })
+    code = cli.main(["params", "--config", cfg, "--out", str(tmp_path / "x")])
+    assert code == 3
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "DomainError"
+    assert "m(t) must stay positive on [0, 1.0]" in err["message"]
+
+
 def test_python_m_liegate_runs_the_cli(tmp_path):
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))

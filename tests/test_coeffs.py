@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liegate import coeffs
+from liegate import coeffs, presets
 from liegate.coeffs import (
     Constant,
     Derived,
@@ -176,15 +176,14 @@ class TestFloatBranch:
         assert [type(t) for t in seen] == [float, np.float64, np.ndarray] * 2
         assert seen[3:5] == [0.75, 0.75]
 
-    def test_reduced_stiffness_with_tabulated_field_is_within_an_ulp(self):
-        # B(t) ** 2 of a float B rounds through pow, of a 0-d array through
-        # x*x: the two differ by one ulp for about 1 in 1200 values
+    def test_reduced_stiffness_with_tabulated_field_is_bitwise(self):
+        # B(t) ** 2 would round through pow for a float and through x*x for
+        # a 0-d array, one ulp apart for about 1 in 1200 values; the
+        # reduction squares as B(t) * B(t) in both
         field = FieldProfile2D.build(m=1.1, B=KNOTS.shifted(-1.0), K=0.4)
         reduced, _ = reduce_2d(field)
         ts = np.random.default_rng(13).uniform(0.0, 3.0, 2000).tolist()
-        gaps = [abs(reduced.c(t) - float(reduced.c(np.asarray(t)))) / reduced.c(t)
-                for t in ts]
-        assert max(gaps) <= 2.5e-16
+        assert [t for t in ts if not bits_equal(reduced.c(t), reduced.c(np.asarray(t)))] == []
 
     def test_tabulated_float_branch_refuses_times_beyond_the_knots(self):
         lo, hi = KNOTS.knots_t[0], KNOTS.knots_t[-1]
@@ -218,6 +217,20 @@ def test_float_branch_property(spec, u):
     lo, hi = (prof.knots_t[0], prof.knots_t[-1]) if isinstance(prof, Tabulated) else (-4.0, 4.0)
     ts = np.array([lo + x * (hi - lo) for x in u] + [lo, hi])
     assert float_branch_mismatches(prof, ts) == []
+
+
+def test_knots_follow_the_profiles():
+    assert Constant(1.0).knots == Sinusoid(1.0, 2.0).knots == Exponential(1.0, 0.1).knots == ()
+    assert KNOTS.knots == KNOTS.knots_t
+    assert KNOTS.shifted(0.5).knots == (-1.5, -0.7, 0.0, 0.75, 1.5, 3.5)
+    assert Derived(SMOOTH, SMOOTH.derivative, knots=(1.0, 2.0)).shifted(0.5).knots == (0.5, 1.5)
+    field = FieldProfile2D.build(m=MASS_KNOTS, B=KNOTS, K=Tabulated((0.0, 0.7), (1.0, 1.0)))
+    reduced, theta_rate = reduce_2d(field)
+    union = (-1.0, -0.2, 0.0, 0.5, 0.7, 1.2, 1.25, 2.0, 2.5, 4.0)
+    assert reduced.a.knots == reduced.c.knots == theta_rate.knots == union
+    assert reduced.b.knots == reduced.d.knots == ()
+    lp = presets.build("lp", {"m": MASS_KNOTS.to_dict(), "f": KNOTS.to_dict()})
+    assert lp.a.knots == MASS_KNOTS.knots_t and lp.e.knots == KNOTS.knots_t
 
 
 class TestReduce2D:

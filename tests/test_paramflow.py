@@ -1,10 +1,12 @@
 """Transformation-parameter solvers: both routes, 1D and planar."""
 
 import math
+import warnings
 from collections import Counter, defaultdict
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
 from liegate import maps, oracle, paramflow
@@ -388,6 +390,34 @@ class TestDomainGuard:
         with pytest.raises(DomainError, match="m\\(t\\) must stay positive \\(.*m=-1 at t="):
             solve_2d(FieldProfile2D.build(m=self.JUMP, B=1.0), 1.0)
 
+    def test_route_two_quadratic_phase_solve_guards_c_itself(self, monkeypatch):
+        # c turns negative once the base solve is done, so only the
+        # quadratic-phase right-hand side, which takes sqrt(a c), can see it
+        base_done = []
+        c = Derived(lambda t: (-1.0 if any(base_done) else 1.0) + 0.0 * np.asarray(t),
+                    lambda t: 0.0 * np.asarray(t))
+        run_ivp = paramflow._run_ivp
+
+        def marking_run_ivp(rhs, y0, t_end, tol, what, knots=(), events=None):
+            sol = run_ivp(rhs, y0, t_end, tol, what, knots, events)
+            base_done.append(what == "route-2 parameters")
+            return sol
+
+        monkeypatch.setattr(paramflow, "_run_ivp", marking_run_ivp)
+        with pytest.raises(DomainError, match="c=-1 at t=.*route 1"):
+            solve_path2(CoefficientSet1D.build(a=1.0, b=Sinusoid(0.2, 1.0), c=c), 1.0)
+
+    # knots all positive, 1 at every probe point; dips to -0.31 near t=0.502
+    SPLINE_DIP = Tabulated((0.0, 0.5, 0.5009765625, 0.5029296875, 0.50390625, 1.0),
+                           (1.0, 1.0, 0.05, 0.05, 1.0, 1.0))
+
+    @pytest.mark.parametrize("name", ["a", "c"])
+    def test_probe_finds_a_spline_dip(self, name):
+        solver = solve_path1 if name == "a" else solve_path2
+        with pytest.raises(DomainError, match=f"{name}\\(t\\) must stay positive on "
+                                              f".* violated near t=0.50195"):
+            solver(CoefficientSet1D.build(**{"a": 1.0, "c": 1.0, name: self.SPLINE_DIP}), 1.0)
+
 
 class ArrayOnly(TimeProfile):
     """A profile evaluated only through its array branch, on a 0-d array:
@@ -395,6 +425,7 @@ class ArrayOnly(TimeProfile):
 
     def __init__(self, inner):
         self.inner = inner
+        self.knots = inner.knots
 
     def __call__(self, t):
         return self.inner(np.asarray(t, dtype=float))
@@ -421,11 +452,11 @@ def mixed_system(seed: int) -> CoefficientSet1D:
 
 
 def mixed_field(seed: int) -> FieldProfile2D:
-    """Every profile kind but a tabulated B, whose B(t) ** 2 rounds through
-    pow for a float and through x*x for a 0-d array."""
+    """Tabulated mass and field, exponential stiffness, derived and
+    sinusoidal drives."""
     cs = mixed_system(seed)
-    return FieldProfile2D(m=cs.a, B=Sinusoid(2.0, 1.4, 0.3, 0.1), K=cs.d,
-                          Ex=cs.c, Ey=cs.g, charge=1.0)
+    field = Tabulated(cs.a.knots_t, tuple(2.0 + 0.5 * np.sin(cs.a.knots_t)))
+    return FieldProfile2D(m=cs.a, B=field, K=cs.d, Ex=cs.c, Ey=cs.e, charge=1.0)
 
 
 def map_bytes(traj, assemble, t_end):
@@ -474,13 +505,20 @@ class TestFloatBranchEndToEnd:
         per_eval = defaultdict(set)   # integration -> profile calls of one RHS call
         run_ivp = paramflow._run_ivp
 
-        def counting_run_ivp(rhs, y0, t_end, tol, what, events=None):
+        def counting_run_ivp(rhs, y0, t_end, tol, what, knots=(), events=None):
             def counted(t, y):
                 before = counts.copy()
                 out = rhs(t, y)
                 per_eval[what].add(tuple(sorted((counts - before).items())))
                 return out
-            return run_ivp(counted, y0, t_end, tol, what, events)
+
+            def dense(t):
+                counts["dense"] += 1
+                return sol_of(t)
+
+            sol = run_ivp(counted, y0, t_end, tol, what, knots, events)
+            sol_of, sol.sol = sol.sol, dense
+            return sol
 
         monkeypatch.setattr(paramflow, "_run_ivp", counting_run_ivp)
         cs = mixed_system(0)
@@ -491,6 +529,93 @@ class TestFloatBranchEndToEnd:
         assert per_eval["translation parameters"] == {(("call", 6),)}
         assert per_eval["route-1 parameters"] == {(("call", 6), ("derivative", 1))}
         assert per_eval["route-2 parameters"] == {(("call", 6),)}
+        # a, b, c and the rates of a and c; phi is carried in the state, so
+        # the base solve's dense output is never read
+        assert per_eval["route-2 quadratic-phase parameters"] == {
+            (("call", 3), ("derivative", 2))}
+
+
+SPLINE_KNOTS = np.linspace(0.0, 4.0, 17)
+
+
+def spline(level: float, rng) -> Tabulated:
+    ripple = 1.0 + 0.15 * np.sin(rng.uniform(1.0, 2.0) * SPLINE_KNOTS + rng.uniform(0.0, 6.0))
+    return Tabulated(tuple(SPLINE_KNOTS), tuple(level * ripple))
+
+
+def fundamental_matrices(system, times, knots):
+    """Fundamental matrix of Hamilton's equations at the given increasing
+    times, solved by DOP853 at 1e-13 from knot to knot."""
+    if isinstance(system, CoefficientSet1D):
+        n = 2
+
+        def generator(t):
+            a, b, c = float(system.a(t)), float(system.b(t)), float(system.c(t))
+            return np.array([[b, a], [-c, -b]])
+    else:
+        n, q = 4, system.charge
+
+        def generator(t):
+            m, bb, kk = float(system.m(t)), float(system.B(t)), float(system.K(t))
+            wb, kappa = q * bb / (2.0 * m), kk + q * q * bb * bb / (4.0 * m)
+            return np.array([[0.0, -wb, 1.0 / m, 0.0], [wb, 0.0, 0.0, 1.0 / m],
+                             [-kappa, 0.0, 0.0, -wb], [0.0, -kappa, wb, 0.0]])
+
+    rhs = lambda t, y: (generator(t) @ y.reshape(n, n)).ravel()
+    bounds = [0.0, *[tk for tk in knots if 0.0 < tk < times[-1]], times[-1]]
+    out, y = [], np.eye(n).ravel()
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        sol = solve_ivp(rhs, (lo, hi), y, method="DOP853", rtol=1e-13, atol=1e-15,
+                        dense_output=True)
+        out += [sol.sol(t).reshape(n, n) for t in times if lo < t <= hi]
+        y = sol.y[:, -1]
+    return out
+
+
+class TestKnotToKnot:
+    @pytest.mark.parametrize("planar", [False, True], ids=["1d", "planar"])
+    def test_route_two_maps_match_a_knot_aware_reference(self, planar):
+        # a step across a spline knot loses the method's order; solved from
+        # knot to knot the maps stay at the tolerance level (RK45 over the
+        # whole interval reads 5 and 136 times tol here)
+        rng, tol = np.random.default_rng(0), 1e-12
+        cs = CoefficientSet1D(a=spline(1.0, rng), b=Sinusoid(0.15, 1.3, 0.4), c=spline(1.7, rng),
+                              d=Sinusoid(0.2, 1.1), e=Sinusoid(0.3, 1.7), g=Sinusoid(0.1, 1.0))
+        field = FieldProfile2D(m=spline(1.0, rng), B=spline(2.0, rng), K=spline(1.0, rng),
+                               Ex=Sinusoid(0.2, 1.1), Ey=Sinusoid(0.3, 1.7), charge=1.0)
+        if planar:
+            system, tr = field, solve_2d(field, 4.0, tol, path="path2")
+            assemble = maps.assemble_2d
+        else:
+            system, tr = cs, solve_path2(cs, 4.0, tol)
+            assemble = maps.assemble_path2
+        times = [float(t) for t in np.linspace(0.0, 4.0, 81)[1:] if t <= 0.95 * tr.valid_to]
+        assert len(times) >= 30
+        gaps = [np.max(np.abs(m.M - f)) / max(1.0, np.max(np.abs(m.M)))
+                for m, f in zip((assemble(tr, t) for t in times),
+                                fundamental_matrices(system, times, SPLINE_KNOTS))]
+        assert max(gaps) <= 10.0 * tol
+
+    def test_segments_join_into_one_solution(self):
+        cs = mixed_system(0)
+        # every interior knot is a step boundary, and the grids increase
+        for grid in (solve_path1(cs, 4.0, 1e-10).t_grid, solve_path2(cs, 4.0, 1e-10)._riccati.ts):
+            assert set(SPLINE_KNOTS[1:-1]) <= set(grid.tolist())
+            assert np.all(np.diff(grid) > 0.0)
+
+    def test_tolerance_below_the_rtol_floor_is_clamped_silently(self, monkeypatch):
+        rtols = set()
+
+        def recording_solve_ivp(*args, **kwargs):
+            rtols.add(kwargs["rtol"])
+            return solve_ivp(*args, **kwargs)
+
+        monkeypatch.setattr(paramflow, "solve_ivp", recording_solve_ivp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            solve_path2(mixed_system(0), 1.0, tol=1e-13)
+            solve_2d(mixed_field(0), 1.0, tol=1e-13, path="path1")
+        assert rtols == {100.0 * np.finfo(float).eps}
 
 
 def test_csv_round_trip(tmp_path):
