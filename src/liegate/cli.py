@@ -96,7 +96,7 @@ def load_config(path: str, overrides: dict) -> dict:
             cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}", field="config")
-    except json.JSONDecodeError as err:
+    except ValueError as err:  # JSONDecodeError, or an int too long to convert
         raise ConfigError(f"config is not valid JSON: {err}", field="config")
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object", field="config")
@@ -232,6 +232,9 @@ def parse_apply_spec(spec: str) -> dict:
             except ValueError:
                 raise ConfigError(f"--apply parameter {key!r} must be a number",
                                   field="apply") from None
+            if not math.isfinite(out[key]):
+                raise ConfigError(f"--apply parameter {key!r} must be a finite number",
+                                  field="apply")
     if out["sigma"] <= 0:
         raise ConfigError("--apply sigma must be positive", field="apply")
     return out

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -265,6 +266,8 @@ def as_profile(value) -> TimeProfile:
 def _number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DomainError(f"{what} must be a number, got {value!r}")
+    if not -sys.float_info.max <= value <= sys.float_info.max:  # NaN, inf, huge int
+        raise DomainError(f"{what} must be a finite number")
     return float(value)
 
 

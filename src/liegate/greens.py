@@ -6,12 +6,21 @@ initial coordinates x',
     G(x, x') = prefactor * exp(i * [ x.Qxx.x + x'.Qx'x'.x' + x.Qxx'.x'
                                      + Lx.x + Lx'.x' + scal ]),
 
-together with its validity window (0, t_caustic).  The coefficient formulas
-come from the factorized evolution operator for each route; the prefactor
-modulus is the square-root-of-beta type expression and its phase is the
-principal branch continued from t -> 0+, which is what makes the kernel a
-delta sequence and application norm-preserving (the corresponding real
-prefactor convention differs by a constant phase only).
+together with its validity window (0, t_caustic).  Every route builds it
+with one formula from the Heisenberg map that ``maps`` assembles: the
+radial block [[G_qq, G_qp], [G_pq, G_pp]], the rotation R (the 1x1
+identity in 1D), the translation (lam, -Pi) and the action S give
+
+    Qxx = G_pp / (2 hbar G_qp) I,   Qx'x' = G_qq / (2 hbar G_qp) I,
+    Qxx' = -R / (hbar G_qp),
+    prefactor = (1 / sqrt(2 pi i hbar G_qp))^dof,
+
+with the linear and scalar terms from completing the square around lam
+(Moshinsky and Quesne, J. Math. Phys. 12 (1971)).  The square root is the
+principal branch, which keeps the sign of G_qp and so is the branch
+continued from t -> 0+; that is what makes the kernel a delta sequence and
+application norm-preserving (the corresponding real prefactor convention
+differs by a constant phase only).
 
 Application is trapezoid quadrature, evaluated exactly through chirp
 factors of the quadratic form (see kernel_apply); grid adequacy is the
@@ -20,6 +29,7 @@ caller's job and is diagnosed by the unitarity residual.
 
 from __future__ import annotations
 
+import cmath
 import math
 import struct
 from dataclasses import dataclass
@@ -28,6 +38,7 @@ import numpy as np
 from scipy import fft as sp_fft
 
 from .errors import CausticError, DomainError
+from .maps import _radial_block, _rotation
 from .oracle import WaveGrid, _trapezoid_weights
 from .paramflow import ParamTrajectory, ParamTrajectory2D
 
@@ -96,8 +107,10 @@ class GaussianKernel:
     def evaluate(self, x, xp) -> np.ndarray:
         """Pointwise values; x and xp broadcast against each other.
 
-        For dof=1, x and xp are arrays of coordinates.  For dof=2 they must
-        carry the coordinate pair in the last axis.
+        This is the kernel's definition, written out term by term: the tests
+        compare ``kernel_apply`` against the direct trapezoid sum of these
+        values.  For dof=1, x and xp are arrays of coordinates.  For dof=2
+        they must carry the coordinate pair in the last axis.
         """
         if self.dof == 1:
             x = np.asarray(x, dtype=float)
@@ -142,97 +155,6 @@ class GaussianKernel:
         }
 
 
-def _sqrt_principal(z: complex) -> complex:
-    return complex(np.sqrt(complex(z)))
-
-
-def _coeffs_path1(s, delta: float, hbar: float) -> tuple[float, float, float, complex]:
-    # Exponent blocks of the route-1 propagator:
-    #   A = Delta e^(-2 gamma) (e^(-2 phi)/beta - alpha) / (2 hbar)   on (x-lam)^2
-    #   B = Delta / (2 hbar beta)                                     on x'^2
-    #   C = -Delta e^(-phi-gamma) / (hbar beta)                       on (x-lam) x'
-    # prefactor sqrt(Delta/(2 pi i hbar beta)) e^(-(phi+gamma)/2).
-    egam = math.exp(s.gamma)
-    ephi = math.exp(s.phi)
-    a_coef = delta * (math.exp(-2.0 * s.phi) / s.beta - s.alpha) / (
-        2.0 * hbar * egam * egam
-    )
-    b_coef = delta / (2.0 * hbar * s.beta)
-    c_coef = -delta / (hbar * s.beta * ephi * egam)
-    pref = _sqrt_principal(delta / (2.0j * math.pi * hbar * s.beta)) / math.sqrt(
-        ephi * egam
-    )
-    return a_coef, b_coef, c_coef, pref
-
-
-def _coeffs_path2(s, delta: float, hbar: float) -> tuple[float, float, float, complex]:
-    # Exponent functions of the route-2 propagator, written through
-    #   D = beta cos(phi) - alpha beta sin(phi) + e^(-2 vphi) sin(phi)
-    # which keeps them finite at beta = 0 (the short-circuit case):
-    #   w = Delta e^(-2 gamma) (D cos(phi) - beta) / (2 hbar D sin(phi))
-    #   u = Delta (cos(phi) - alpha sin(phi)) / (2 hbar D)
-    #   q = -Delta e^(-(gamma+vphi)) / (hbar D)
-    # prefactor e^(-(gamma+vphi)/2) sqrt(Delta/(2 pi i hbar D)).
-    cph, sph = math.cos(s.phi), math.sin(s.phi)
-    e2v = math.exp(-2.0 * s.vphi)
-    dd = s.beta * cph - s.alpha * s.beta * sph + e2v * sph
-    if dd == 0.0 or sph == 0.0:
-        raise CausticError("route-2 kernel is singular at this time")
-    w_fn = math.exp(-2.0 * s.gamma) * delta * (dd * cph - s.beta) / (
-        2.0 * hbar * dd * sph
-    )
-    u_fn = delta * (cph - s.alpha * sph) / (2.0 * hbar * dd)
-    q_fn = -delta * math.exp(-(s.gamma + s.vphi)) / (hbar * dd)
-    pref = math.exp(-0.5 * (s.gamma + s.vphi)) * _sqrt_principal(
-        delta / (2.0j * math.pi * hbar * dd)
-    )
-    return w_fn, u_fn, q_fn, pref
-
-
-def _coeffs_lp(s, hbar: float) -> tuple[float, float, float, complex]:
-    # Linear-potential propagator: exponent (x - x' - lam)^2 / (2 hbar beta)
-    # with beta = int(a); the companion solution v carries exactly that
-    # integral when b = c = 0.
-    beta = s.v
-    a_coef = 1.0 / (2.0 * hbar * beta)
-    return a_coef, a_coef, -2.0 * a_coef, _sqrt_principal(
-        1.0 / (2.0j * math.pi * hbar * beta)
-    )
-
-
-def _assemble_1d(a, b, c, pref, lam, pi, s_action, hbar, t, valid_to) -> GaussianKernel:
-    lx = -2.0 * a * lam - pi / hbar
-    lx1 = -c * lam
-    scal = a * lam * lam + pi * lam / hbar - s_action / hbar
-    return GaussianKernel(
-        dof=1, t=t, prefactor=pref,
-        qxx=np.array([[a]]), qx1x1=np.array([[b]]), qxx1=np.array([[c]]),
-        lx=np.array([lx]), lx1=np.array([lx1]), scal=scal,
-        valid_to=valid_to, hbar=hbar,
-    )
-
-
-def _assemble_2d(a, b, c, pref, rec, hbar, t, valid_to) -> GaussianKernel:
-    theta = rec["theta"]
-    rot = np.array(
-        [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
-    )
-    lam = np.array([rec["lam_x"], rec["lam_y"]])
-    pi = np.array([rec["Pi_x"], rec["Pi_y"]])
-    eye = np.eye(2)
-    qxx = a * eye
-    qx1x1 = b * eye
-    qxx1 = c * rot
-    lx = -2.0 * a * lam - pi / hbar
-    lx1 = -c * rot.T @ lam
-    scal = a * lam @ lam + pi @ lam / hbar - rec["S"] / hbar
-    return GaussianKernel(
-        dof=2, t=t, prefactor=pref * pref,
-        qxx=qxx, qx1x1=qx1x1, qxx1=qxx1, lx=lx, lx1=lx1, scal=scal,
-        valid_to=valid_to, hbar=hbar,
-    )
-
-
 def _check_lp_shape(traj: ParamTrajectory):
     probe = np.linspace(0.0, traj.t_end, 65)
     b = np.asarray(traj.coeffs.b(probe), dtype=float)
@@ -275,33 +197,45 @@ def kernel_build(
                 f"variant {variant!r} needs a route '{expected}' trajectory, "
                 f"got {traj.path!r}"
             )
-        s = traj.sample(t)
-        hbar = traj.hbar
         if key == "lp":
             _check_lp_shape(traj)
-            a, b, c, pref = _coeffs_lp(s, hbar)
-        elif key == "path1":
-            a, b, c, pref = _coeffs_path1(s, traj.Delta, hbar)
-        else:
-            a, b, c, pref = _coeffs_path2(s, traj.Delta, hbar)
-        return _assemble_1d(a, b, c, pref, s.lam, s.Pi, s.S, hbar, t, traj.valid_to)
-
-    if not isinstance(traj, ParamTrajectory2D):
-        raise DomainError(f"variant {variant!r} needs a planar trajectory")
-    expected = "path1" if key == "twod_path1" else "path2"
-    if traj.radial.path != expected:
-        raise DomainError(
-            f"variant {variant!r} needs a radial route '{expected}' trajectory, "
-            f"got {traj.radial.path!r}"
-        )
-    rec = traj.sample(t)
-    radial_sample = rec["radial"]
-    hbar = traj.hbar
-    if expected == "path1":
-        a, b, c, pref = _coeffs_path1(radial_sample, traj.radial.Delta, hbar)
+        radial = traj
+        s = traj.sample(t)
+        rot = np.eye(1)
+        lam, pi, action = np.array([s.lam]), np.array([s.Pi]), s.S
     else:
-        a, b, c, pref = _coeffs_path2(radial_sample, traj.radial.Delta, hbar)
-    return _assemble_2d(a, b, c, pref, rec, hbar, t, traj.valid_to)
+        if not isinstance(traj, ParamTrajectory2D):
+            raise DomainError(f"variant {variant!r} needs a planar trajectory")
+        expected = "path1" if key == "twod_path1" else "path2"
+        if traj.radial.path != expected:
+            raise DomainError(
+                f"variant {variant!r} needs a radial route '{expected}' trajectory, "
+                f"got {traj.radial.path!r}"
+            )
+        rec = traj.sample(t)
+        radial, s = traj.radial, rec["radial"]
+        rot = _rotation(rec["theta"])
+        lam = np.array([rec["lam_x"], rec["lam_y"]])
+        pi = np.array([rec["Pi_x"], rec["Pi_y"]])
+        action = rec["S"]
+
+    (g_qq, g_qp), (_, g_pp) = _radial_block(radial, s).tolist()
+    if g_qp == 0.0:
+        raise CausticError("the map's x-p entry vanishes: the kernel is singular "
+                           "at this time")
+    hbar = traj.hbar
+    dof = len(lam)
+    eye = np.eye(dof)
+    a = g_pp / (2.0 * hbar * g_qp)       # Qxx = a I
+    c = -1.0 / (hbar * g_qp)             # Qxx' = c R
+    return GaussianKernel(
+        dof=dof, t=t,
+        prefactor=cmath.sqrt(1.0 / (2.0j * math.pi * hbar * g_qp)) ** dof,
+        qxx=a * eye, qx1x1=g_qq / (2.0 * hbar * g_qp) * eye, qxx1=c * rot,
+        lx=-2.0 * a * lam - pi / hbar, lx1=-c * rot.T @ lam,
+        scal=a * lam @ lam + pi @ lam / hbar - action / hbar,
+        valid_to=traj.valid_to, hbar=hbar,
+    )
 
 
 def _chirp(pts: np.ndarray, quad: np.ndarray, lin: np.ndarray) -> np.ndarray:

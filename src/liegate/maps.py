@@ -28,7 +28,6 @@ __all__ = [
     "assemble_2d",
     "check_symplectic",
     "evolve_gaussian_moments",
-    "maps_to_csv",
 ]
 
 
@@ -96,6 +95,13 @@ def _radial_block(traj: ParamTrajectory, s: ParamSample) -> np.ndarray:
     return np.array(_entries_path2(s, traj.Delta))
 
 
+def _rotation(theta: float) -> np.ndarray:
+    """The 2x2 rotation R(theta) that the planar maps and kernels share."""
+    return np.array(
+        [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
+    )
+
+
 def _assemble_1d(traj: ParamTrajectory, t: float, path: str) -> SymplecticMap:
     if traj.path != path:
         raise DomainError(f"trajectory was solved with route {traj.path[-1]}; "
@@ -119,11 +125,7 @@ def assemble_2d(traj2d: ParamTrajectory2D, t: float) -> SymplecticMap:
     """Planar map: 2x2 blocks G_ab * R(theta) in (x, y, p_x, p_y) ordering."""
     _window_check(traj2d, t)
     rec = traj2d.sample(t)
-    theta = rec["theta"]
-    rot = np.array(
-        [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
-    )
-    m = np.kron(_radial_block(traj2d.radial, rec["radial"]), rot)
+    m = np.kron(_radial_block(traj2d.radial, rec["radial"]), _rotation(rec["theta"]))
     shift = np.array([rec["lam_x"], rec["lam_y"], -rec["Pi_x"], -rec["Pi_y"]])
     return SymplecticMap(t=t, M=m, shift=shift)
 
@@ -152,18 +154,3 @@ def evolve_gaussian_moments(
         raise DomainError("covariance must be positive definite")
     return smap.M @ mean + smap.shift, smap.M @ cov @ smap.M.T
 
-
-def maps_to_csv(maps: list[SymplecticMap], path: str):
-    """CSV dump: t, M entries row-major, shift entries, both residuals."""
-    if not maps:
-        raise DomainError("no maps to write")
-    n = maps[0].M.shape[0]
-    m_cols = ",".join(f"m{i + 1}{j + 1}" for i in range(n) for j in range(n))
-    s_cols = ",".join(f"shift{i + 1}" for i in range(n))
-    lines = [f"t,{m_cols},{s_cols},det_residual,form_residual"]
-    for smap in maps:
-        det_r, form_r = check_symplectic(smap)
-        row = [smap.t, *smap.M.ravel(), *smap.shift, det_r, form_r]
-        lines.append(",".join(f"{v:.17g}" for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -70,7 +70,7 @@ class FlowResult:
         if self.y.ndim == 3:
             n = self.y.shape[1]
             return np.moveaxis(out.reshape(n, n, -1), -1, 0)
-        return out if np.ndim(t) else out
+        return out
 
 
 def _hamilton_rhs_1d(coeffs: CoefficientSet1D):

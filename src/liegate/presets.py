@@ -9,6 +9,7 @@ the shipped ``configs/`` repeat for sho, iontrap, kanai and efield.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -52,6 +53,8 @@ class Preset:
 def check_number(value, field: str, positive: bool = False) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"field {field!r} must be a number", field=field)
+    if not -sys.float_info.max <= value <= sys.float_info.max:  # NaN, inf, huge int
+        raise ConfigError(f"field {field!r} must be a finite number", field=field)
     if positive and value <= 0:
         raise ConfigError(f"field {field!r} must be positive, got {value}", field=field)
     return float(value)
@@ -59,7 +62,7 @@ def check_number(value, field: str, positive: bool = False) -> float:
 
 def _number_or_profile(spec, field: str) -> TimeProfile:
     if isinstance(spec, (int, float)) and not isinstance(spec, bool):
-        return as_profile(float(spec))
+        return as_profile(check_number(spec, field))
     if isinstance(spec, dict):
         try:
             return profile_from_dict(spec)

@@ -50,12 +50,15 @@ class TestParams:
         assert summary["final"]["beta"] == pytest.approx(1.0, abs=1e-9)
 
     def test_negative_t_end_is_config_error(self, tmp_path, capsys):
+        # a non-finite horizon or tolerance used to reach the solver and hang
         cfg = sho_config(tmp_path)
-        code = cli.main(["params", "--config", cfg, "--t-end", "-1.0",
-                         "--out", str(tmp_path / "x")])
-        assert code == 2
-        err = json.loads(capsys.readouterr().out)["error"]
-        assert err["field"] == "t_end"
+        for flag, value in [("--t-end", "-1.0"), ("--t-end", "nan"), ("--t-end", "inf"),
+                            ("--tol", "nan"), ("--tol", "inf")]:
+            code = cli.main(["params", "--config", cfg, flag, value,
+                             "--out", str(tmp_path / "x")])
+            assert code == 2
+            err = json.loads(capsys.readouterr().out)["error"]
+            assert err["field"] == flag[2:].replace("-", "_")
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "bad.json", {
@@ -142,11 +145,12 @@ class TestKernel:
 
     def test_bad_apply_spec(self, tmp_path, capsys):
         cfg = sho_config(tmp_path)
-        code = cli.main(["kernel", "--config", cfg, "--out", str(tmp_path / "x"),
-                         "--apply", "gaussian(width=1)"])
-        assert code == 2
-        err = json.loads(capsys.readouterr().out)["error"]
-        assert err["field"] == "apply"
+        for spec in ("gaussian(width=1)", "gaussian(sigma=nan)", "gaussian(x0=inf)"):
+            code = cli.main(["kernel", "--config", cfg, "--out", str(tmp_path / "x"),
+                             "--apply", spec])
+            assert code == 2
+            err = json.loads(capsys.readouterr().out)["error"]
+            assert err["field"] == "apply"
 
 
 @pytest.fixture(scope="module")
@@ -308,14 +312,24 @@ def test_tabulated_mass_dip_is_domain_error(tmp_path, capsys, dip):
     assert "m(t) must stay positive on [0, 1.0]" in err["message"]
 
 
-def test_python_m_liegate_runs_the_cli(tmp_path):
+def run_module(*args):
+    """``python -m liegate args`` in a subprocess, with a timeout."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    done = subprocess.run(
-        [sys.executable, "-m", "liegate", "constants", "--algebra", "lp",
-         "--out", str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    return subprocess.run([sys.executable, "-m", "liegate", *args],
+                          env=env, capture_output=True, text=True, timeout=60)
+
+
+def test_non_finite_t_end_exits_without_solving(tmp_path):
+    # a solve that never ends fails on the timeout instead of stalling the suite
+    done = run_module("params", "--config", str(CONFIGS / "sho.json"),
+                      "--t-end", "nan", "--out", str(tmp_path))
+    assert done.returncode == 2, done.stderr
+    assert json.loads(done.stdout)["error"]["field"] == "t_end"
+
+
+def test_python_m_liegate_runs_the_cli(tmp_path):
+    done = run_module("constants", "--algebra", "lp", "--out", str(tmp_path))
     assert done.returncode == 0, done.stderr
     rows = (tmp_path / "structure_constants_lp.csv").read_text().splitlines()
     assert rows[0] == "i,j,k,num,den" and len(rows) > 1
@@ -325,7 +339,11 @@ def test_python_m_liegate_runs_the_cli(tmp_path):
     ({"kind": "sinusoid", "omega": 2}, "amplitude"),
     ({"kind": "tabulated", "knots": [1, 2]}, "knots"),
     ({"kind": "constant", "value": "one"}, "value"),
-], ids=["missing-key", "bad-knots", "non-numeric"])
+    (math.nan, "finite"),
+    (10**400, "finite"),
+    ({"kind": "sinusoid", "amplitude": math.inf, "omega": 2}, "amplitude"),
+], ids=["missing-key", "bad-knots", "non-numeric", "nan-number", "huge-int",
+        "inf-amplitude"])
 def test_malformed_profile_is_config_error(tmp_path, capsys, profile, key):
     cfg = write_config(tmp_path, "bad.json", {
         "system": "gho", "t_end": 1.0, "coefficients": {"a": 1.0, "c": profile},
@@ -342,6 +360,16 @@ def test_missing_config_file(tmp_path, capsys):
                      "--out", str(tmp_path)])
     assert code == 2
     assert "not found" in json.loads(capsys.readouterr().out)["error"]["message"]
+
+
+@pytest.mark.parametrize("text", ['{"system": "gho",', '{"t_end": 1' + "0" * 5000 + "}"],
+                         ids=["truncated", "int-past-digit-limit"])
+def test_unparsable_config_is_config_error(tmp_path, capsys, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code = cli.main(["params", "--config", str(path), "--out", str(tmp_path / "x")])
+    assert code == 2
+    assert json.loads(capsys.readouterr().out)["error"]["field"] == "config"
 
 
 def test_seventeen_digit_serialization(tmp_path):

@@ -278,10 +278,24 @@ class TestSemigroup:
         assert fidelity(full, two) >= 1.0 - 1e-5
 
 
+def assert_exponent_encodes_map(k, smap):
+    """The gradient relations p' = -hbar d(phase)/dx', p = hbar d(phase)/dx
+    must reproduce the affine map (M, shift) at random initial points."""
+    n, hbar = k.dof, k.hbar
+    qxx, qx1x1, cross = k.qxx.real, k.qx1x1.real, k.qxx1.real
+    lx, lx1 = k.lx.real, k.lx1.real
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        xp = rng.uniform(-2, 2, size=n)
+        pp = rng.uniform(-2, 2, size=n)
+        x = -np.linalg.solve(cross.T, 2 * qx1x1 @ xp + lx1 + pp / hbar)
+        p = hbar * (2 * qxx @ x + cross @ xp + lx)
+        target = smap.M @ np.concatenate([xp, pp]) + smap.shift
+        assert np.allclose(np.concatenate([x, p]), target, atol=1e-8)
+
+
 class TestStationaryPhase:
     def test_kernel_exponent_encodes_the_map(self):
-        # gradient relations p' = -hbar d(phase)/dx', p = hbar d(phase)/dx
-        # must reproduce the affine map (M, shift)
         cs = CoefficientSet1D.build(
             a=Sinusoid(0.2, 1.1, 0.3, 1.0),
             b=Sinusoid(0.15, 2.0, 0.0, 0.0),
@@ -290,22 +304,26 @@ class TestStationaryPhase:
         )
         traj = paramflow.solve_path1(cs, 1.2, tol=1e-12)
         t = min(1.0, 0.8 * traj.valid_to)
-        k = kernel_build(traj, t, "path1")
-        smap = maps.assemble_path1(traj, t)
-        rng = np.random.default_rng(5)
-        for _ in range(5):
-            xp = float(rng.uniform(-2, 2))
-            pp = float(rng.uniform(-2, 2))
-            qxx = k.qxx[0, 0].real
-            qx1x1 = k.qx1x1[0, 0].real
-            cross = k.qxx1[0, 0].real
-            lx = k.lx[0].real
-            lx1 = k.lx1[0].real
-            hbar = k.hbar
-            x = -(2 * qx1x1 * xp + lx1 + pp / hbar) / cross
-            p = hbar * (2 * qxx * x + cross * xp + lx)
-            target = smap.M @ np.array([xp, pp]) + smap.shift
-            assert np.allclose([x, p], target, atol=1e-8)
+        assert_exponent_encodes_map(kernel_build(traj, t, "path1"),
+                                    maps.assemble_path1(traj, t))
+
+    @pytest.mark.parametrize("variant", ["path2", "twod_path1", "twod_path2"])
+    def test_other_routes_encode_the_map(self, variant):
+        if variant == "path2":
+            # the rf trap drives route 2 through its quadratic-phase branch
+            cs = CoefficientSet1D.build(a=1.0, c=Sinusoid(0.3, 5.0, math.pi / 2, 1.0),
+                                        d=0.2, e=Sinusoid(0.5, 1.2, 0.0, 0.0), g=0.1)
+            traj = paramflow.solve_path2(cs, 0.5, tol=1e-12)
+            assert not traj.shortcut
+            t, assemble = 0.4, maps.assemble_path2
+        else:
+            field = FieldProfile2D.build(
+                m=1.0, B=Sinusoid(0.8, 1.3, 0.2, 2.0), K=Sinusoid(0.3, 2.1, 0.0, 0.5),
+                Ex=0.3, Ey=Sinusoid(0.2, 1.3, math.pi / 2), charge=1.0,
+            )
+            traj = paramflow.solve_2d(field, 1.0, tol=1e-12, path=variant[5:])
+            t, assemble = 0.8, maps.assemble_2d
+        assert_exponent_encodes_map(kernel_build(traj, t, variant), assemble(traj, t))
 
 
 @pytest.fixture(scope="module")
@@ -350,6 +368,18 @@ class TestPlanarKernels:
         cov0 = np.diag([0.64, 0.64, 1 / 2.56, 1 / 2.56])
         mean1, _ = maps.evolve_gaussian_moments(smap, mean0, cov0)
         assert np.max(np.abs(mean_grid - mean1[:2])) < 1e-4
+
+    @pytest.mark.parametrize("variant", ["twod_path1", "twod_path2"])
+    def test_isotropic_oscillator_is_mehler(self, variant):
+        # B = 0 and m = K = 1: two uncoupled unit oscillators, no rotation
+        field = FieldProfile2D.build(m=1.0, B=0.0, K=1.0, charge=1.0)
+        traj = paramflow.solve_2d(field, 1.2, tol=1e-12, path=variant[5:])
+        t = 1.0
+        k = kernel_build(traj, t, variant)
+        assert abs(k.prefactor - 1.0 / (2.0j * math.pi * math.sin(t))) < 1e-12
+        assert np.max(np.abs(k.qxx - math.cos(t) / (2.0 * math.sin(t)) * np.eye(2))) < 1e-12
+        assert np.max(np.abs(k.qx1x1 - k.qxx)) < 1e-12
+        assert np.max(np.abs(k.qxx1 + np.eye(2) / math.sin(t))) < 1e-12
 
     def test_variant_requires_planar_trajectory(self, sho_traj):
         with pytest.raises(DomainError, match="planar"):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from liegate import maps, oracle, paramflow
+from liegate import oracle, paramflow
 from liegate.coeffs import CoefficientSet1D, Exponential, FieldProfile2D, Sinusoid
 from liegate.errors import CausticError, DomainError
 from liegate.maps import (
@@ -243,11 +243,3 @@ class TestMoments:
         with pytest.raises(DomainError, match="symmetric"):
             evolve_gaussian_moments(smap, np.zeros(2), np.array([[1.0, 0.2], [0.1, 1.0]]))
 
-
-def test_csv_export(tmp_path, sho_traj):
-    rows = [assemble_path1(sho_traj, float(t)) for t in np.linspace(0.0, 1.0, 5)]
-    out = tmp_path / "maps.csv"
-    maps.maps_to_csv(rows, str(out))
-    lines = out.read_text().splitlines()
-    assert lines[0] == "t,m11,m12,m21,m22,shift1,shift2,det_residual,form_residual"
-    assert len(lines) == 6
