@@ -38,13 +38,9 @@ _TOP_KEYS = {
     "system", "path", "hbar", "t_end", "tol", "samples",
     "params", "coefficients", "field", "grid", "kernel_t",
 }
-_GRID_KEYS = {"n", "x_min", "dx"}
-
-
-def _fmt(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return f"{x:.17g}"
+# values a configuration may leave out; load_config fills them in
+_DEFAULTS = {"path": "path1", "tol": 1e-10, "hbar": 1.0, "samples": 201}
+_GRID_DEFAULTS = {"n": 1024, "x_min": -12.0, "dx": 24.0 / 1024}
 
 
 def _json_dumps(obj, indent: int = 0) -> str:
@@ -76,18 +72,14 @@ def _json_dumps(obj, indent: int = 0) -> str:
             return '"nan"'
         if math.isinf(x):
             return '"inf"' if x > 0 else '"-inf"'
-        return _fmt(x)
+        return f"{x:.17g}"
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _require_number(cfg: dict, key: str, *, positive=False, default=None):
-    if key not in cfg:
-        if default is not None:
-            return default
-        raise ConfigError(f"missing required field {key!r}", field=key)
-    return presets.check_number(cfg[key], key, positive)
+def _is_int_at_least(value, lo: int) -> bool:
+    return not isinstance(value, bool) and isinstance(value, int) and value >= lo
 
 
 def load_config(path: str, overrides: dict) -> dict:
@@ -104,6 +96,9 @@ def load_config(path: str, overrides: dict) -> dict:
         if value is not None:
             cfg[key] = value
     validate_config(cfg)
+    for key, value in _DEFAULTS.items():
+        cfg.setdefault(key, value)
+    cfg["grid"] = {**_GRID_DEFAULTS, **cfg.get("grid", {})}
     return cfg
 
 
@@ -118,31 +113,29 @@ def validate_config(cfg: dict):
             f"field 'system' must be one of {', '.join(SYSTEMS)}; got {system!r}",
             field="system",
         )
-    path = cfg.get("path", "path1")
-    if path not in ("path1", "path2"):
-        raise ConfigError(f"field 'path' must be 'path1' or 'path2', got {path!r}",
+    if "path" in cfg and cfg["path"] not in ("path1", "path2"):
+        raise ConfigError(f"field 'path' must be 'path1' or 'path2', got {cfg['path']!r}",
                           field="path")
-    _require_number(cfg, "t_end", positive=True)
-    _require_number(cfg, "tol", positive=True, default=1e-10)
-    _require_number(cfg, "hbar", positive=True, default=1.0)
-    if "kernel_t" in cfg:
-        _require_number(cfg, "kernel_t", positive=True)
-    samples = cfg.get("samples", 201)
-    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 2:
+    if "t_end" not in cfg:
+        raise ConfigError("missing required field 't_end'", field="t_end")
+    for key in ("t_end", "tol", "hbar", "kernel_t"):
+        if key in cfg:
+            presets.check_number(cfg[key], key, positive=True)
+    if "samples" in cfg and not _is_int_at_least(cfg["samples"], 2):
         raise ConfigError("field 'samples' must be an integer >= 2", field="samples")
     if "grid" in cfg:
         grid = cfg["grid"]
         if not isinstance(grid, dict):
             raise ConfigError("field 'grid' must be an object", field="grid")
-        unknown = set(grid) - _GRID_KEYS
+        unknown = set(grid) - set(_GRID_DEFAULTS)
         if unknown:
             key = sorted(unknown)[0]
             raise ConfigError(f"unknown grid key {key!r}", field=f"grid.{key}")
-        n = grid.get("n", 1024)
-        if isinstance(n, bool) or not isinstance(n, int) or n < 8:
+        if "n" in grid and not _is_int_at_least(grid["n"], 8):
             raise ConfigError("field 'grid.n' must be an integer >= 8", field="grid.n")
-        _require_number(grid, "x_min", default=-12.0)
-        _require_number(grid, "dx", positive=True, default=24.0 / 1024)
+        for key, positive in (("x_min", False), ("dx", True)):
+            if key in grid:
+                presets.check_number(grid[key], key, positive)
     presets.parameters(system, cfg.get(presets.PRESETS[system].section))
 
 
@@ -150,15 +143,15 @@ def build_problem(cfg: dict):
     """Return ('1d', CoefficientSet1D) or ('2d', FieldProfile2D)."""
     system = cfg["system"]
     spec = cfg.get(presets.PRESETS[system].section)
-    problem = presets.build(system, spec, float(cfg.get("hbar", 1.0)))
+    problem = presets.build(system, spec, float(cfg["hbar"]))
     return ("1d" if isinstance(problem, CoefficientSet1D) else "2d"), problem
 
 
 def _solve(cfg: dict):
     kind, problem = build_problem(cfg)
     t_end = float(cfg["t_end"])
-    tol = float(cfg.get("tol", 1e-10))
-    path = cfg.get("path", "path1")
+    tol = float(cfg["tol"])
+    path = cfg["path"]
     if kind == "1d":
         solver = paramflow.solve_path1 if path == "path1" else paramflow.solve_path2
         return kind, problem, solver(problem, t_end, tol)
@@ -169,9 +162,9 @@ def _summary(cfg: dict, kind: str, traj) -> dict:
     t_end = float(cfg["t_end"])
     out = {
         "system": cfg["system"],
-        "path": cfg.get("path", "path1"),
+        "path": cfg["path"],
         "t_end": t_end,
-        "tol": float(cfg.get("tol", 1e-10)),
+        "tol": float(cfg["tol"]),
         "valid_to": traj.valid_to if math.isfinite(traj.valid_to) else None,
     }
     if kind == "1d":
@@ -196,7 +189,7 @@ def _summary(cfg: dict, kind: str, traj) -> dict:
 
 def cmd_params(cfg: dict, out_dir: str) -> int:
     kind, _, traj = _solve(cfg)
-    samples = int(cfg.get("samples", 201))
+    samples = cfg["samples"]
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "params.csv")
     if kind == "1d":
@@ -243,11 +236,10 @@ def parse_apply_spec(spec: str) -> dict:
 def cmd_kernel(cfg: dict, out_dir: str, apply_spec: str | None) -> int:
     kind, problem, traj = _solve(cfg)
     t_kernel = float(cfg.get("kernel_t", cfg["t_end"]))
-    path = cfg.get("path", "path1")
     if kind == "1d":
-        variant = presets.PRESETS[cfg["system"]].kernel or path
+        variant = presets.PRESETS[cfg["system"]].kernel or cfg["path"]
     else:
-        variant = "twod_" + path
+        variant = "twod_" + cfg["path"]
     kernel = greens.kernel_build(traj, t_kernel, variant)
     os.makedirs(out_dir, exist_ok=True)
     payload = kernel.as_dict()
@@ -259,13 +251,10 @@ def cmd_kernel(cfg: dict, out_dir: str, apply_spec: str | None) -> int:
         if kind != "1d":
             raise DomainError("--apply operates on 1D systems")
         gauss = parse_apply_spec(apply_spec)
-        grid_cfg = cfg.get("grid", {})
-        n = int(grid_cfg.get("n", 1024))
-        x_min = float(grid_cfg.get("x_min", -12.0))
-        dx = float(grid_cfg.get("dx", 24.0 / 1024))
+        grid = cfg["grid"]
         psi0 = oracle.gaussian_state(
-            n, x_min, dx, sigma=gauss["sigma"], x0=gauss["x0"], p0=gauss["p0"],
-            hbar=float(cfg.get("hbar", 1.0)),
+            grid["n"], float(grid["x_min"]), float(grid["dx"]),
+            sigma=gauss["sigma"], x0=gauss["x0"], p0=gauss["p0"], hbar=float(cfg["hbar"]),
         )
         psi_out = greens.kernel_apply(kernel, psi0)
         greens.wavegrid_to_csv(psi_out, os.path.join(out_dir, "psi_out.csv"))
@@ -323,8 +312,18 @@ def _error_json(code: int, err: Exception) -> str:
     return _json_dumps(payload)
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as a ConfigError, so it ends in the
+    JSON error object like any other bad input; the field is the first
+    --option the message names."""
+
+    def error(self, message):
+        flag = re.search(r"--([\w-]+)", message)
+        raise ConfigError(message, field=flag and flag.group(1).replace("-", "_"))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="liegate",
         description="Exact time-evolution data for time-dependent quadratic "
                     "Hamiltonians",
@@ -359,8 +358,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command == "verify":
             return cmd_verify(args.out, args.seed, args.corrupt_map)
         if args.command == "constants":

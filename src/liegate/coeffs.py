@@ -68,9 +68,6 @@ class TimeProfile:
     def shifted(self, t0: float) -> "TimeProfile":
         raise NotImplementedError
 
-    def to_dict(self) -> dict:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Constant(TimeProfile):
@@ -88,9 +85,6 @@ class Constant(TimeProfile):
 
     def shifted(self, t0: float) -> "Constant":
         return self
-
-    def to_dict(self) -> dict:
-        return {"kind": "constant", "value": self.value}
 
 
 @dataclass(frozen=True)
@@ -117,15 +111,6 @@ class Sinusoid(TimeProfile):
     def shifted(self, t0: float) -> "Sinusoid":
         return replace(self, phase=self.phase + self.omega * t0)
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "sinusoid",
-            "amplitude": self.amplitude,
-            "omega": self.omega,
-            "phase": self.phase,
-            "offset": self.offset,
-        }
-
 
 @dataclass(frozen=True)
 class Exponential(TimeProfile):
@@ -145,9 +130,6 @@ class Exponential(TimeProfile):
 
     def shifted(self, t0: float) -> "Exponential":
         return replace(self, prefactor=self.prefactor * math.exp(self.rate * t0))
-
-    def to_dict(self) -> dict:
-        return {"kind": "exponential", "prefactor": self.prefactor, "rate": self.rate}
 
 
 @dataclass(frozen=True)
@@ -216,12 +198,6 @@ class Tabulated(TimeProfile):
             knots_t=tuple(tk - t0 for tk in self.knots_t), knots_v=self.knots_v
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": "tabulated",
-            "knots": [[tk, vk] for tk, vk in zip(self.knots_t, self.knots_v)],
-        }
-
 
 @dataclass(frozen=True)
 class Derived(TimeProfile):
@@ -251,9 +227,6 @@ class Derived(TimeProfile):
             label=self.label,
             knots=tuple(tk - t0 for tk in self.knots),
         )
-
-    def to_dict(self) -> dict:
-        raise DomainError("derived profiles are not serializable")
 
 
 def as_profile(value) -> TimeProfile:
@@ -375,21 +348,15 @@ class FieldProfile2D:
             Ex=as_profile(Ex), Ey=as_profile(Ey), charge=charge, hbar=hbar,
         )
 
-    def shifted(self, t0: float) -> "FieldProfile2D":
-        return FieldProfile2D(
-            m=self.m.shifted(t0), B=self.B.shifted(t0), K=self.K.shifted(t0),
-            Ex=self.Ex.shifted(t0), Ey=self.Ey.shifted(t0),
-            charge=self.charge, hbar=self.hbar,
-        )
 
-
-def reduce_2d(profile: FieldProfile2D) -> tuple[CoefficientSet1D, Derived]:
+def reduce_2d(profile: FieldProfile2D) -> CoefficientSet1D:
     """Rotating-frame reduction of the planar particle.
 
     Returns the shared radial oscillator a = 1/m, b = 0,
-    c = K + q^2 B^2 / 4m, d = e = g = 0 together with the rotation rate
-    theta_dot = q B / 2m.  The rotation removes the angular-momentum cross
-    term, so the reduced b is identically zero.
+    c = K + q^2 B^2 / 4m, d = e = g = 0.  The frame rotates at
+    theta_dot = q B / 2m (the planar solver integrates theta alongside
+    the radial parameters); the rotation removes the angular-momentum
+    cross term, so the reduced b is identically zero.
     """
     q = profile.charge
     m, B, K = profile.m, profile.B, profile.K
@@ -415,14 +382,7 @@ def reduce_2d(profile: FieldProfile2D) -> tuple[CoefficientSet1D, Derived]:
             / (4.0 * mt * mt)
         )
 
-    def theta_rate_fn(t):
-        return q * B(t) / (2.0 * m(t))
-
-    def theta_rate_dfn(t):
-        mt = m(t)
-        return q * (B.derivative(t) * mt - B(t) * m.derivative(t)) / (2.0 * mt * mt)
-
-    coeffs = CoefficientSet1D(
+    return CoefficientSet1D(
         a=Derived(a_fn, a_dfn, label="1/m", knots=knots),
         b=Constant(0.0),
         c=Derived(c_fn, c_dfn, label="K + q^2 B^2/4m", knots=knots),
@@ -431,5 +391,3 @@ def reduce_2d(profile: FieldProfile2D) -> tuple[CoefficientSet1D, Derived]:
         g=Constant(0.0),
         hbar=profile.hbar,
     )
-    theta_rate = Derived(theta_rate_fn, theta_rate_dfn, label="q B/2m", knots=knots)
-    return coeffs, theta_rate

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,11 +46,7 @@ __all__ = [
     "kernel_build",
     "kernel_apply",
     "kernel_unitarity_residual",
-    "WaveGrid",
     "wavegrid_to_csv",
-    "wavegrid_from_csv",
-    "wavegrid_to_binary",
-    "wavegrid_from_binary",
 ]
 
 _VARIANTS = ("lp", "path1", "path2", "twod_path1", "twod_path2")
@@ -304,42 +299,3 @@ def wavegrid_to_csv(grid: WaveGrid, path: str):
         lines.append(f"{xv:.17g},{amp.real:.17g},{amp.imag:.17g}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def wavegrid_from_csv(path: str, hbar: float = 1.0) -> WaveGrid:
-    data = np.loadtxt(path, delimiter=",", skiprows=1)
-    if data.ndim != 2 or data.shape[1] != 3 or data.shape[0] < 2:
-        raise DomainError("grid CSV must have columns x,re,im and at least two rows")
-    x = data[:, 0]
-    steps = np.diff(x)
-    if not np.allclose(steps, steps[0], rtol=1e-12, atol=1e-12):
-        raise DomainError("grid CSV must be uniformly spaced")
-    amps = data[:, 1] + 1j * data[:, 2]
-    return WaveGrid(len(x), float(x[0]), float(steps[0]), amps, hbar)
-
-
-def wavegrid_to_binary(grid: WaveGrid, path: str):
-    """Raw little-endian layout: n, x_min, dx as float64, then Re/Im pairs."""
-    if grid.dof != 1:
-        raise DomainError("binary grid format is one-dimensional")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<3d", float(grid.n), grid.x_min, grid.dx))
-        interleaved = np.empty(2 * grid.n)
-        interleaved[0::2] = grid.amps.real
-        interleaved[1::2] = grid.amps.imag
-        fh.write(interleaved.astype("<f8").tobytes())
-
-
-def wavegrid_from_binary(path: str, hbar: float = 1.0) -> WaveGrid:
-    with open(path, "rb") as fh:
-        header = fh.read(24)
-        if len(header) != 24:
-            raise DomainError("binary grid file truncated")
-        n_f, x_min, dx = struct.unpack("<3d", header)
-        n = int(n_f)
-        raw = fh.read()
-    if n < 1 or len(raw) != 16 * n:
-        raise DomainError("binary grid payload does not match its header")
-    body = np.frombuffer(raw, dtype="<f8")
-    amps = body[0::2] + 1j * body[1::2]
-    return WaveGrid(n, x_min, dx, amps, hbar)

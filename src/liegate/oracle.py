@@ -40,10 +40,10 @@ _ORACLE_METHOD = "RK45"
 
 @dataclass(frozen=True)
 class ClassicalState:
-    """Phase-space point: positions then momenta, and the time it refers to."""
+    """Phase-space point at t = 0, where ``classical_flow`` starts:
+    positions then momenta."""
 
     z: np.ndarray
-    t: float
 
     def __post_init__(self):
         z = np.asarray(self.z, dtype=float)
@@ -62,14 +62,11 @@ class FlowResult:
     y: np.ndarray          # state samples, shape (len(t), dim) or (len(t), n, n)
     _dense: object
 
-    def at(self, t):
+    def at(self, t: float) -> np.ndarray:
         out = np.asarray(self._dense(t))
-        if out.ndim == 1 and self.y.ndim == 3:
-            n = self.y.shape[1]
-            return out.reshape(n, n)
         if self.y.ndim == 3:
             n = self.y.shape[1]
-            return np.moveaxis(out.reshape(n, n, -1), -1, 0)
+            return out.reshape(n, n)
         return out
 
 
@@ -126,7 +123,8 @@ def _integrate(rhs, y0, t_end, tol, what):
 
 
 def classical_flow(coeffs, z0: ClassicalState, t_end: float, tol: float = 1e-10) -> FlowResult:
-    """Adaptive integration of Hamilton's equations for the quadratic H.
+    """Adaptive integration of Hamilton's equations for the quadratic H,
+    from z0 at t = 0 to t_end.
 
     Accepts a CoefficientSet1D (phase space (x, p)) or a FieldProfile2D
     (phase space (x, y, p_x, p_y)).

@@ -491,7 +491,7 @@ def solve_2d(
     if path not in ("path1", "path2"):
         raise DomainError(f"path must be 'path1' or 'path2', got {path!r}")
     _check_positive(profile.m, t_end, "m", _MASS_REQUIREMENT)
-    reduced, theta_rate = reduce_2d(profile)
+    reduced = reduce_2d(profile)
     q = profile.charge
 
     def rhs(t, y):

@@ -102,10 +102,6 @@ class QuadraticObservable:
             scal=_frac(scal),
         )
 
-    @staticmethod
-    def zero(dof: int) -> "QuadraticObservable":
-        return QuadraticObservable.build(dof)
-
     def is_zero(self) -> bool:
         return (
             self.scal == 0
@@ -173,14 +169,6 @@ class StructureTable:
 
     def as_dict(self) -> dict[tuple[int, int, int], Fraction]:
         return {(i, j, k): c for (i, j, k, c) in self.entries}
-
-    def constant(self, i: int, j: int, k: int) -> Fraction:
-        d = self.as_dict()
-        if (i, j, k) in d:
-            return d[(i, j, k)]
-        if (j, i, k) in d:
-            return -d[(j, i, k)]
-        return Fraction(0)
 
 
 def _lp_generators() -> list[QuadraticObservable]:

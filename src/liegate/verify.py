@@ -244,9 +244,7 @@ def check_classical_identification(seed: int, n_random: int = 4,
     cases = [suite_systems()["lp"]] + [random_smooth_coeffs(rng) for _ in range(n_random)]
     for cs in cases:
         lt = paramflow.solve_linear_translation(cs, t_end, tol=1e-12)
-        flow = oracle.classical_flow(
-            cs, oracle.ClassicalState(np.zeros(2), 0.0), t_end, tol=1e-12
-        )
+        flow = oracle.classical_flow(cs, oracle.ClassicalState(np.zeros(2)), t_end, tol=1e-12)
         for t in times.up_to(t_end):
             _, lam, pi = lt.at(float(t))
             diff = np.max(np.abs(flow.at(float(t)) - np.array([lam, -pi])))
@@ -254,7 +252,7 @@ def check_classical_identification(seed: int, n_random: int = 4,
             count += 1
     fp = suite_fields()["efield"]
     traj = paramflow.solve_2d(fp, t_end, tol=1e-12, path="path2")
-    flow = oracle.classical_flow(fp, oracle.ClassicalState(np.zeros(4), 0.0), t_end, tol=1e-12)
+    flow = oracle.classical_flow(fp, oracle.ClassicalState(np.zeros(4)), t_end, tol=1e-12)
     for t in times.up_to(t_end):
         rec = traj.sample(float(t))
         target = np.array([rec["lam_x"], rec["lam_y"], -rec["Pi_x"], -rec["Pi_y"]])

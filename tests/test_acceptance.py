@@ -64,7 +64,7 @@ def test_criterion_5_classical_identification(acceptance_report):
     for cs in cases:
         traj = paramflow.solve_path1(cs, 2.0, tol=1e-12)
         flow = oracle.classical_flow(
-            cs, oracle.ClassicalState(np.zeros(2), 0.0), 2.0, tol=1e-12
+            cs, oracle.ClassicalState(np.zeros(2)), 2.0, tol=1e-12
         )
         for t in np.linspace(0.1, 2.0, 15):
             s = traj.sample(float(t))
@@ -95,19 +95,6 @@ def test_criterion_6_closed_form_crosschecks(acceptance_report):
         "efield": (2.0, np.linspace(0.25, 2.0, 8)),
     })
     worst = result.measured
-    # damped driven oscillator with beta in the relative scale
-    kan = suite_systems()["kanai"]
-    traj = paramflow.solve_path1(kan, 1.4, tol=1e-12)
-    for t in np.linspace(0.2, 1.4, 7):
-        cf = closedforms.kanai_caldirola_params(1.0, 1.0, 0.25, 0.3, 0.2, 1.0, float(t))
-        s = traj.sample(float(t))
-        scale = max(1.0, abs(s.lam), abs(s.Pi), abs(s.beta))
-        worst = max(
-            worst,
-            abs(cf.lam - s.lam) / scale, abs(cf.Pi - s.Pi) / scale,
-            abs(cf.alpha - s.alpha) / scale, abs(cf.phi - s.phi) / scale,
-            abs(cf.beta - s.beta) / scale,
-        )
     # weak damping stays real: compare the real-trig branch against literal
     # complex continuation and bound the imaginary leakage
     imag_worst = 0.0

@@ -50,15 +50,26 @@ class TestParams:
         assert summary["final"]["beta"] == pytest.approx(1.0, abs=1e-9)
 
     def test_negative_t_end_is_config_error(self, tmp_path, capsys):
-        # a non-finite horizon or tolerance used to reach the solver and hang
+        # a non-finite horizon or tolerance used to reach the solver and
+        # hang; a command line argparse rejects used to leave stdout empty
         cfg = sho_config(tmp_path)
-        for flag, value in [("--t-end", "-1.0"), ("--t-end", "nan"), ("--t-end", "inf"),
-                            ("--tol", "nan"), ("--tol", "inf")]:
-            code = cli.main(["params", "--config", cfg, flag, value,
-                             "--out", str(tmp_path / "x")])
+        cases = [(["--config", cfg, flag, value], flag[2:].replace("-", "_"))
+                 for flag, value in [("--t-end", "-1.0"), ("--t-end", "nan"),
+                                     ("--t-end", "inf"), ("--tol", "nan"),
+                                     ("--tol", "inf"), ("--t-end", "-inf"),
+                                     ("--t-end", "abc")]]
+        cases += [(["--t-end", "1.0"], "config"), (["--config", cfg, "--bogus"], "bogus")]
+        for argv, field in cases:
+            code = cli.main(["params", *argv, "--out", str(tmp_path / "x")])
             assert code == 2
             err = json.loads(capsys.readouterr().out)["error"]
-            assert err["field"] == flag[2:].replace("-", "_")
+            assert err["type"] == "ConfigError" and err["field"] == field
+
+    def test_help_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as done:
+            cli.main(["params", "--help"])
+        assert done.value.code == 0
+        assert "--config" in capsys.readouterr().out
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         cfg = write_config(tmp_path, "bad.json", {

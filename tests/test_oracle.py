@@ -26,17 +26,17 @@ def make_grid(n=1024, half_width=12.0, **kwargs):
 class TestClassicalFlow:
     def test_free_particle(self):
         cs = CoefficientSet1D.build(a=1.0)
-        flow = classical_flow(cs, ClassicalState(np.array([0.0, 1.0]), 0.0), 2.0)
+        flow = classical_flow(cs, ClassicalState(np.array([0.0, 1.0])), 2.0)
         assert np.allclose(flow.at(2.0), [2.0, 1.0], atol=1e-10)
 
     def test_oscillator_quarter_period(self):
         cs = CoefficientSet1D.build(a=1.0, c=1.0)
-        flow = classical_flow(cs, ClassicalState(np.array([1.0, 0.0]), 0.0), 2.0)
+        flow = classical_flow(cs, ClassicalState(np.array([1.0, 0.0])), 2.0)
         assert np.allclose(flow.at(math.pi / 2), [0.0, -1.0], atol=1e-9)
 
     def test_forced_particle_from_origin(self):
         cs = CoefficientSet1D.build(a=1.0, e=-1.0)  # force f = 1
-        flow = classical_flow(cs, ClassicalState(np.zeros(2), 0.0), 2.0)
+        flow = classical_flow(cs, ClassicalState(np.zeros(2)), 2.0)
         assert np.allclose(flow.at(2.0), [2.0, 2.0], atol=1e-10)
 
 

@@ -95,7 +95,7 @@ class TestLinearTranslation:
         cs = CoefficientSet1D.build(a=1.0, e=Sinusoid(1.0, 1.0))
         lt = solve_linear_translation(cs, math.pi, tol=1e-12)
         flow = oracle.classical_flow(
-            cs, oracle.ClassicalState(np.zeros(2), 0.0), math.pi, tol=1e-12
+            cs, oracle.ClassicalState(np.zeros(2)), math.pi, tol=1e-12
         )
         for t in np.linspace(0.2, math.pi, 9):
             _, lam, pi = lt.at(float(t))
@@ -152,7 +152,7 @@ class TestPathOne:
         cs = random_smooth_coeffs(np.random.default_rng(3))
         tr = solve_path1(cs, 2.0, tol=1e-12)
         flow = oracle.classical_flow(
-            cs, oracle.ClassicalState(np.zeros(2), 0.0), 2.0, tol=1e-12
+            cs, oracle.ClassicalState(np.zeros(2)), 2.0, tol=1e-12
         )
         worst = 0.0
         for t in np.linspace(0.1, 2.0, 11):
@@ -291,7 +291,7 @@ class TestPlanar:
         )
         tr = solve_2d(field, 2.0, tol=1e-12, path="path2")
         flow = oracle.classical_flow(
-            field, oracle.ClassicalState(np.zeros(4), 0.0), 2.0, tol=1e-12
+            field, oracle.ClassicalState(np.zeros(4)), 2.0, tol=1e-12
         )
         for t in np.linspace(0.25, 2.0, 8):
             rec = tr.sample(float(t))

@@ -137,12 +137,6 @@ class TestStructureConstants:
         for i, j in sorted(pairs - listed):
             assert commutator(gens[i - 1], gens[j - 1]).is_zero()
 
-    def test_antisymmetric_lookup(self):
-        table = structure_constants("GHO")
-        assert table.constant(3, 2, 1) == F(-1)
-        assert table.constant(2, 3, 1) == F(1)
-        assert table.constant(1, 2, 3) == F(0)
-
     def test_closure_failure_detected(self):
         # an artificially truncated generator list cannot expand [x, p^2]
         from liegate.quadops import _solve_exact
