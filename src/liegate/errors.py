@@ -36,7 +36,8 @@ class ResonanceError(DomainError):
 
 
 class IntegrationError(LiegateError):
-    """Adaptive integration failed (step-size underflow or event blow-up)."""
+    """Adaptive integration failed (step-size underflow, event blow-up or
+    work budget spent)."""
 
     def __init__(self, message: str, last_time: float | None = None):
         super().__init__(message)

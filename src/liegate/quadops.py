@@ -18,12 +18,20 @@ the (x, p) slot, and x^2 carries quad coefficient 2 on the (x, x) slot.
 Commutators of quadratic observables close at this order: [A, B] = i*hbar*C
 where C follows the Poisson-bracket rule on the (quad, lin, scal) parts with
 no truncation.  hbar never appears in C.
+
+The arithmetic is exact integer arithmetic over a common denominator:
+`commutator` scales each operand to integers by the lcm of its
+denominators, and `structure_constants` reduces the generator coordinates
+once, on integers, against every pair's commutator.  Results are built
+as Fractions only at the end, so every check stays an exact equality.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, DomainError
@@ -40,20 +48,11 @@ __all__ = [
 ]
 
 RationalLike = int | Fraction
+_ZERO = Fraction(0)
 
 
 def _frac(value: RationalLike) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
-
-
-def _symplectic_form(dof: int) -> list[list[Fraction]]:
-    # z = (positions, momenta); J maps gradients to Hamiltonian flows.
-    n = 2 * dof
-    j = [[Fraction(0)] * n for _ in range(n)]
-    for k in range(dof):
-        j[k][dof + k] = Fraction(1)
-        j[dof + k][k] = Fraction(-1)
-    return j
 
 
 @dataclass(frozen=True)
@@ -73,10 +72,8 @@ class QuadraticObservable:
             raise DomainError(f"quad must be {n}x{n}")
         if len(self.lin) != n:
             raise DomainError(f"lin must have length {n}")
-        for i in range(n):
-            for j in range(n):
-                if self.quad[i][j] != self.quad[j][i]:
-                    raise DomainError("quad must be exactly symmetric")
+        if any(tuple(row) != col for row, col in zip(self.quad, zip(*self.quad))):
+            raise DomainError("quad must be exactly symmetric")
 
     @staticmethod
     def build(
@@ -86,39 +83,24 @@ class QuadraticObservable:
         scal: RationalLike = 0,
     ) -> "QuadraticObservable":
         n = 2 * dof
-        q = [[Fraction(0)] * n for _ in range(n)]
-        if quad is not None:
-            for i in range(n):
-                for j in range(n):
-                    q[i][j] = _frac(quad[i][j])
-        l = [Fraction(0)] * n
-        if lin is not None:
-            for i in range(n):
-                l[i] = _frac(lin[i])
+        quad = [[0] * n] * n if quad is None else quad
+        lin = [0] * n if lin is None else lin
         return QuadraticObservable(
             dof=dof,
-            quad=tuple(tuple(row) for row in q),
-            lin=tuple(l),
+            quad=tuple(tuple(_frac(quad[i][j]) for j in range(n)) for i in range(n)),
+            lin=tuple(_frac(lin[i]) for i in range(n)),
             scal=_frac(scal),
         )
 
     def is_zero(self) -> bool:
-        return (
-            self.scal == 0
-            and all(v == 0 for v in self.lin)
-            and all(v == 0 for row in self.quad for v in row)
-        )
+        return not any(self.coordinates())
 
     def __add__(self, other: "QuadraticObservable") -> "QuadraticObservable":
         self._check_dof(other)
-        n = 2 * self.dof
         return QuadraticObservable(
             dof=self.dof,
-            quad=tuple(
-                tuple(self.quad[i][j] + other.quad[i][j] for j in range(n))
-                for i in range(n)
-            ),
-            lin=tuple(self.lin[i] + other.lin[i] for i in range(n)),
+            quad=tuple(tuple(map(add, ra, rb)) for ra, rb in zip(self.quad, other.quad)),
+            lin=tuple(map(add, self.lin, other.lin)),
             scal=self.scal + other.scal,
         )
 
@@ -130,10 +112,9 @@ class QuadraticObservable:
 
     def scale(self, factor: RationalLike) -> "QuadraticObservable":
         f = _frac(factor)
-        n = 2 * self.dof
         return QuadraticObservable(
             dof=self.dof,
-            quad=tuple(tuple(f * self.quad[i][j] for j in range(n)) for i in range(n)),
+            quad=tuple(tuple(f * v for v in row) for row in self.quad),
             lin=tuple(f * v for v in self.lin),
             scal=f * self.scal,
         )
@@ -141,18 +122,12 @@ class QuadraticObservable:
     def coordinates(self) -> tuple[Fraction, ...]:
         """Flat exact coordinates: scal, lin entries, quad upper triangle."""
         n = 2 * self.dof
-        coords = [self.scal]
-        coords.extend(self.lin)
-        for i in range(n):
-            for j in range(i, n):
-                coords.append(self.quad[i][j])
-        return tuple(coords)
+        upper = (self.quad[i][j] for i in range(n) for j in range(i, n))
+        return (self.scal, *self.lin, *upper)
 
     def _check_dof(self, other: "QuadraticObservable"):
         if self.dof != other.dof:
-            raise DomainError(
-                f"degree-of-freedom mismatch: {self.dof} vs {other.dof}"
-            )
+            raise DomainError(f"degree-of-freedom mismatch: {self.dof} vs {other.dof}")
 
 
 @dataclass(frozen=True)
@@ -254,6 +229,12 @@ def generator(algebra: str, index: int) -> QuadraticObservable:
     return gens[index - 1]
 
 
+def _integers(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(den, ints): den the lcm of the denominators, ints the values times den."""
+    den = lcm(*[v.denominator for v in values])
+    return den, [v.numerator * (den // v.denominator) for v in values]
+
+
 def commutator(a: QuadraticObservable, b: QuadraticObservable) -> QuadraticObservable:
     """Exact commutator: returns C with [A, B] = i*hbar*C.
 
@@ -262,98 +243,112 @@ def commutator(a: QuadraticObservable, b: QuadraticObservable) -> QuadraticObser
 
         C_scal = lin_A . J lin_B
         C_lin  = Q_A J lin_B - Q_B J lin_A
-        C_quad = Q_A J Q_B - Q_B J Q_A
+        C_quad = Q_A J Q_B - Q_B J Q_A = X + X^T,  X = Q_A J Q_B
+
+    The last identity holds because Q_A and Q_B are symmetric and
+    J^T = -J, so Q_B J Q_A = -X^T.  Each operand is scaled to integers by
+    the lcm of its denominators, J is applied as the signed permutation
+    (x, p) -> (p, -x) it is, and every sum is an integer dot product; each
+    coordinate of C becomes one Fraction over den_A * den_B at the end.
     """
     a._check_dof(b)
-    n = 2 * a.dof
-    j = _symplectic_form(a.dof)
+    dof, n = a.dof, 2 * a.dof
 
-    def matvec(m, v):
-        return [sum(m[i][k] * v[k] for k in range(n)) for i in range(n)]
+    def integer_form(obs):  # scal is left out: the identity commutes with all
+        den, ints = _integers([*obs.lin, *(v for row in obs.quad for v in row)])
+        return den, [ints[n * (i + 1): n * (i + 2)] for i in range(n)], ints[:n]
 
-    def matmul(x, y):
-        return [
-            [sum(x[i][k] * y[k][c] for k in range(n)) for c in range(n)]
-            for i in range(n)
-        ]
+    def j(v: list[int]) -> list[int]:
+        return v[dof:] + [-x for x in v[:dof]]
 
-    jlb = matvec(j, list(b.lin))
-    jla = matvec(j, list(a.lin))
-    scal = sum(a.lin[i] * jlb[i] for i in range(n))
-    qa = [list(row) for row in a.quad]
-    qb = [list(row) for row in b.quad]
-    lin_c = [
-        sum(qa[i][k] * jlb[k] for k in range(n))
-        - sum(qb[i][k] * jla[k] for k in range(n))
-        for i in range(n)
-    ]
-    qajqb = matmul(matmul(qa, j), qb)
-    qbjqa = matmul(matmul(qb, j), qa)
-    quad_c = [
-        [qajqb[i][c] - qbjqa[i][c] for c in range(n)] for i in range(n)
-    ]
+    def dot(u: list[int], v: list[int]) -> int:
+        return sum(map(mul, u, v))
+
+    den_a, qa, la = integer_form(a)
+    den_b, qb, lb = integer_form(b)
+    den = den_a * den_b
+    jla, jlb = j(la), j(lb)
+    # X[i][c] = (Q_A J)[i] . Q_B[c], and the row (Q_A J)[i] is -J Q_A[i]
+    x = [[-dot(jrow, qb_c) for qb_c in qb] for jrow in map(j, qa)]
+    quad = [[_ZERO] * n for _ in range(n)]
+    for i in range(n):
+        for c in range(i, n):
+            quad[i][c] = quad[c][i] = Fraction(x[i][c] + x[c][i], den)
     return QuadraticObservable(
         dof=a.dof,
-        quad=tuple(tuple(row) for row in quad_c),
-        lin=tuple(lin_c),
-        scal=scal,
+        quad=tuple(map(tuple, quad)),
+        lin=tuple(Fraction(dot(qa[i], jlb) - dot(qb[i], jla), den) for i in range(n)),
+        scal=Fraction(dot(la, jlb), den),
     )
 
 
 def _solve_exact(
-    columns: list[tuple[Fraction, ...]], rhs: tuple[Fraction, ...]
-) -> list[Fraction] | None:
-    """Solve sum_k x_k * columns[k] = rhs exactly; None if inconsistent."""
-    n_rows = len(rhs)
+    columns: list[tuple[Fraction, ...]], rhss: list[tuple[Fraction, ...]]
+) -> list[list[Fraction] | None]:
+    """Solve sum_k x_k * columns[k] = rhs exactly for every rhs in rhss.
+
+    One Gauss-Jordan elimination of the augmented matrix [columns | rhss],
+    on integers: each row is first scaled by the lcm of its denominators,
+    which changes no solution, and rows are combined fraction-free and
+    divided by their gcd.  Returns one solution per rhs, with free
+    variables zero, or None in place of an inconsistent rhs.
+    """
     n_cols = len(columns)
-    aug = [[columns[c][r] for c in range(n_cols)] + [rhs[r]] for r in range(n_rows)]
+    rows = [_integers([col[r] for col in columns] + [rhs[r] for rhs in rhss])[1]
+            for r in range(len(columns[0]))]
     pivot_cols: list[int] = []
-    row = 0
     for col in range(n_cols):
-        pivot = next((r for r in range(row, n_rows) if aug[r][col] != 0), None)
+        top = len(pivot_cols)
+        pivot = next((r for r in range(top, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
-        aug[row], aug[pivot] = aug[pivot], aug[row]
-        inv = 1 / aug[row][col]
-        aug[row] = [v * inv for v in aug[row]]
-        for r in range(n_rows):
-            if r != row and aug[r][col] != 0:
-                factor = aug[r][col]
-                aug[r] = [vr - factor * vc for vr, vc in zip(aug[r], aug[row])]
+        rows[top], rows[pivot] = rows[pivot], rows[top]
+        prow = rows[top]
+        pv = prow[col]
+        for r, row in enumerate(rows):
+            factor = row[col]
+            if r != top and factor:
+                row = [pv * vr - factor * vp for vr, vp in zip(row, prow)]
+                g = gcd(*row)
+                rows[r] = [v // g for v in row] if g > 1 else row
         pivot_cols.append(col)
-        row += 1
-        if row == n_rows:
+        if len(pivot_cols) == len(rows):
             break
-    for r in range(row, n_rows):
-        if aug[r][n_cols] != 0:
-            return None
-    solution = [Fraction(0)] * n_cols
-    for r, col in enumerate(pivot_cols):
-        solution[col] = aug[r][n_cols]
-    return solution
+    rank = len(pivot_cols)
+    solutions: list[list[Fraction] | None] = []
+    for k in range(n_cols, n_cols + len(rhss)):
+        if any(row[k] for row in rows[rank:]):
+            solutions.append(None)
+            continue
+        solution = [_ZERO] * n_cols
+        for row, col in zip(rows, pivot_cols):
+            if row[k]:
+                solution[col] = Fraction(row[k], row[col])
+        solutions.append(solution)
+    return solutions
 
 
 def structure_constants(algebra: str) -> StructureTable:
     """Compute every c_ijk (i < j) by expanding commutators in the generator set.
 
+    One elimination of the generator coordinates solves for every pair.
     Raises ConsistencyError if any commutator falls outside the span of the
     generators (closure failure); that must never happen for LP, GHO or CP.
     """
     gens = _generators(algebra)
-    columns = [g.coordinates() for g in gens]
+    pairs = [(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))]
+    solutions = _solve_exact(
+        [g.coordinates() for g in gens],
+        [commutator(gens[i], gens[j]).coordinates() for i, j in pairs],
+    )
     entries: list[tuple[int, int, int, Fraction]] = []
-    for i in range(len(gens)):
-        for j in range(i + 1, len(gens)):
-            c = commutator(gens[i], gens[j])
-            coeffs = _solve_exact(columns, c.coordinates())
-            if coeffs is None:
-                raise ConsistencyError(
-                    f"[{algebra} generator {i + 1}, generator {j + 1}] is outside "
-                    "the algebra's span: closure failure"
-                )
-            for k, value in enumerate(coeffs):
-                if value != 0:
-                    entries.append((i + 1, j + 1, k + 1, value))
+    for (i, j), coeffs in zip(pairs, solutions):
+        if coeffs is None:
+            raise ConsistencyError(
+                f"[{algebra} generator {i + 1}, generator {j + 1}] is outside "
+                "the algebra's span: closure failure"
+            )
+        entries.extend((i + 1, j + 1, k + 1, v) for k, v in enumerate(coeffs) if v)
     return StructureTable(algebra=algebra.upper(), n=len(gens), entries=tuple(entries))
 
 

@@ -1,5 +1,6 @@
 """Command-line interface: contracts, exit codes, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -221,6 +222,17 @@ class TestConstants:
         lines = (out / "structure_constants_lp.csv").read_text().splitlines()
         assert lines[1:] == ["2,3,1,1,1", "2,4,3,2,1"]
 
+    # exact rationals, so these hashes hold on every platform
+    @pytest.mark.parametrize("algebra,sha256", [
+        ("lp", "c397fa8508aa5b6ac19c43b261b985f2618a2088686a15509b8aef68c9aa048d"),
+        ("gho", "8d05f946a0dd3ff40ae23db73063b10ad6ba20285dc277dae0973db408fc1bb7"),
+        ("cp", "348056c39787e8cc19279a41fa453aeb7bf8624378f2a4913f6a343c308c72cc"),
+    ])
+    def test_export_bytes_are_pinned(self, tmp_path, algebra, sha256):
+        assert cli.main(["constants", "--algebra", algebra, "--out", str(tmp_path)]) == 0
+        data = (tmp_path / f"structure_constants_{algebra}.csv").read_bytes()
+        assert hashlib.sha256(data).hexdigest() == sha256
+
 
 @pytest.mark.parametrize("name", SHIPPED)
 def test_shipped_configs_run(name, tmp_path):
@@ -337,6 +349,20 @@ def test_non_finite_t_end_exits_without_solving(tmp_path):
                       "--t-end", "nan", "--out", str(tmp_path))
     assert done.returncode == 2, done.stderr
     assert json.loads(done.stdout)["error"]["field"] == "t_end"
+
+
+def test_huge_finite_t_end_spends_the_work_budget(tmp_path, capsys, monkeypatch):
+    # with the shipped budget this ends after about 3e5 RHS evaluations
+    from liegate import paramflow
+
+    monkeypatch.setattr(paramflow, "_RHS_BUDGET", 3000)
+    code = cli.main(["params", "--config", str(CONFIGS / "sho.json"), "--t-end", "1e300",
+                     "--tol", "1e-3", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    err = json.loads(captured.out)["error"]
+    assert err["type"] == "IntegrationError"
+    assert "work budget of 3000 right-hand-side evaluations spent by t = " in err["message"]
 
 
 def test_python_m_liegate_runs_the_cli(tmp_path):

@@ -212,6 +212,21 @@ class TestPathOne:
             solve_path1(cs, 1.2, tol=1e-10)
         assert err.value.last_time == pytest.approx(1.02, abs=1e-3)
 
+    @pytest.mark.parametrize("planar", [False, True], ids=["1d", "planar"])
+    def test_work_budget_ends_a_huge_horizon(self, planar, monkeypatch):
+        # t_end 1e300 is finite but holds ~1e299 oscillation periods
+        from liegate.errors import IntegrationError
+
+        monkeypatch.setattr(paramflow, "_RHS_BUDGET", 3000)
+        with pytest.raises(IntegrationError, match="work budget of 3000") as err:
+            if planar:
+                solve_2d(FieldProfile2D.build(m=1.0, B=1.0, K=0.5, charge=1.0), 1e300,
+                         tol=1e-3, path="path1")
+            else:
+                solve_path1(sho(), 1e300, tol=1e-3)
+        assert 0.0 < err.value.last_time < 1e300
+        assert f"{err.value.last_time:.17g}" in str(err.value)
+
 
 class TestPathTwo:
     def test_constant_radial_oscillator(self):

@@ -7,11 +7,37 @@ import numpy as np
 import pytest
 
 from liegate import quadops, verify
-from liegate.errors import DomainError
+from liegate.errors import ConsistencyError, DomainError
 from liegate.quadops import QuadraticObservable, commutator, generator, structure_constants
 from liegate.verify import STRUCTURE_TABLES
 
 F = Fraction
+
+
+def reference_commutator(a, b):
+    """[A, B] = i*hbar*C from its definition: explicit Fraction J and matrix
+    products, C_quad = Q_A J Q_B - Q_B J Q_A, C_lin = Q_A J l_B - Q_B J l_A."""
+    dof, n = a.dof, 2 * a.dof
+    j = [[F(0)] * n for _ in range(n)]
+    for k in range(dof):
+        j[k][dof + k], j[dof + k][k] = F(1), F(-1)
+
+    def matvec(m, v):
+        return [sum((m[i][k] * v[k] for k in range(n)), F(0)) for i in range(n)]
+
+    def matmul(x, y):
+        return [[sum((x[i][k] * y[k][c] for k in range(n)), F(0)) for c in range(n)]
+                for i in range(n)]
+
+    qa, qb = a.quad, b.quad
+    jla, jlb = matvec(j, a.lin), matvec(j, b.lin)
+    qajqb, qbjqa = matmul(matmul(qa, j), qb), matmul(matmul(qb, j), qa)
+    return QuadraticObservable(
+        dof=dof,
+        quad=tuple(tuple(qajqb[i][c] - qbjqa[i][c] for c in range(n)) for i in range(n)),
+        lin=tuple(u - w for u, w in zip(matvec(qa, jlb), matvec(qb, jla))),
+        scal=sum((a.lin[i] * jlb[i] for i in range(n)), F(0)),
+    )
 
 
 def random_observable(rng, dof):
@@ -72,6 +98,43 @@ class TestCommutator:
     def test_dof_mismatch(self):
         with pytest.raises(DomainError, match="mismatch"):
             commutator(generator("LP", 2), generator("CP", 2))
+
+    def assert_matches_reference(self, a, b):
+        fast = commutator(a, b)
+        assert fast == reference_commutator(a, b)
+        fields = [fast.scal, *fast.lin, *(v for row in fast.quad for v in row)]
+        assert all(type(v) is Fraction for v in fields)
+
+    def test_matches_definition_on_random_observables(self):
+        rng = np.random.default_rng(21)
+        for _ in range(300):
+            dof = int(rng.integers(1, 3))
+            self.assert_matches_reference(random_observable(rng, dof),
+                                          random_observable(rng, dof))
+
+    @pytest.mark.parametrize("dof", [1, 2])
+    def test_matches_definition_with_zero_and_mixed_denominators(self, dof):
+        rng = np.random.default_rng(22 + dof)
+        zero = QuadraticObservable.build(dof)
+        n = 2 * dof
+        # denominators 3, 7 and 11 on different slots: the lcm scaling must combine them
+        mixed = QuadraticObservable.build(
+            dof, quad=[[F(1 + i + j, (3, 7, 11)[(i + j) % 3]) for j in range(n)]
+                       for i in range(n)],
+            lin=[F(-5, 7), *[F(k, 11) for k in range(1, n)]], scal=F(2, 9))
+        for other in (zero, mixed, random_observable(rng, dof)):
+            self.assert_matches_reference(zero, other)
+            self.assert_matches_reference(other, zero)
+            self.assert_matches_reference(mixed, other)
+            self.assert_matches_reference(other, mixed)
+        assert commutator(zero, mixed).is_zero()
+
+    @pytest.mark.parametrize("algebra", ["LP", "GHO", "CP"])
+    def test_matches_definition_on_generator_pairs(self, algebra):
+        gens = quadops.ALGEBRAS[algebra]
+        for a in gens:
+            for b in gens:
+                self.assert_matches_reference(a, b)
 
     def test_antisymmetry_on_random_observables(self):
         rng = np.random.default_rng(11)
@@ -144,7 +207,36 @@ class TestStructureConstants:
         gens = [generator("LP", 1), generator("LP", 2), generator("LP", 4)]
         columns = [g.coordinates() for g in gens]
         c = commutator(generator("LP", 2), generator("LP", 4))
-        assert _solve_exact(columns, c.coordinates()) is None
+        # [x, p^2] = 2 p is outside; 3/2 * 1 - 1/4 * x in the same call is inside
+        inside = generator("LP", 1).scale(F(3, 2)) - generator("LP", 2).scale(F(1, 4))
+        solutions = _solve_exact(columns, [c.coordinates(), inside.coordinates()])
+        assert solutions == [None, [F(3, 2), F(-1, 4), F(0)]]
+
+    def test_one_elimination_solves_dense_systems_exactly(self):
+        # dense mixed-denominator columns with a zero last row: each rhs built
+        # from known coefficients solves back to them, and the same rhs with
+        # a nonzero last entry is outside the span
+        from liegate.quadops import _solve_exact
+
+        rng = np.random.default_rng(31)
+
+        def rational():
+            return F(int(rng.integers(-9, 10)), int(rng.integers(1, 7)))
+
+        for _ in range(50):
+            columns = [tuple(rational() for _ in range(6)) + (F(0),) for _ in range(5)]
+            coeffs = [[rational() for _ in range(5)] for _ in range(4)]
+            inside = [tuple(sum((c * col[r] for c, col in zip(cs, columns)), F(0))
+                            for r in range(7)) for cs in coeffs]
+            outside = [rhs[:-1] + (F(1, 3),) for rhs in inside]
+            assert _solve_exact(columns, outside + inside) == [None] * 4 + coeffs
+
+    def test_closure_failure_names_the_first_failing_pair(self, monkeypatch):
+        # LP without p: [x, p^2] (generators 2 and 3 here) is the first pair outside
+        truncated = [generator("LP", 1), generator("LP", 2), generator("LP", 4)]
+        monkeypatch.setitem(quadops.ALGEBRAS, "LP", truncated)
+        with pytest.raises(ConsistencyError, match=r"\[LP generator 2, generator 3\]"):
+            structure_constants("LP")
 
     def test_csv_rows_are_integer_pairs(self):
         rows = quadops.structure_table_rows(structure_constants("CP"))
