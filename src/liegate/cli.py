@@ -20,6 +20,7 @@ produces byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -41,10 +42,16 @@ _TOP_KEYS = {
 # values a configuration may leave out; load_config fills them in
 _DEFAULTS = {"path": "path1", "tol": 1e-10, "hbar": 1.0, "samples": 201}
 _GRID_DEFAULTS = {"n": 1024, "x_min": -12.0, "dx": 24.0 / 1024}
+# Far above every shipped and tested value (201 samples, n = 1024), and
+# low enough that memory runs out of neither: params.csv holds one row per
+# sample, and --apply holds a few complex arrays of about 2n points.
+_MAX_SAMPLES = 10**6
+_MAX_GRID_N = 2**22
 
 
 def _json_dumps(obj, indent: int = 0) -> str:
-    """JSON text with floats at 17 significant digits, keys sorted."""
+    """JSON text with floats at 17 significant digits, keys sorted; a complex
+    number is the pair [re, im] and an array its nested lists."""
     pad = "  " * indent
     pad_in = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -55,6 +62,10 @@ def _json_dumps(obj, indent: int = 0) -> str:
             for k in sorted(obj)
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
+    if isinstance(obj, np.ndarray):
+        return _json_dumps(obj.tolist(), indent)
+    if isinstance(obj, complex):
+        return _json_dumps([obj.real, obj.imag], indent)
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
@@ -78,8 +89,17 @@ def _json_dumps(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def _is_int_at_least(value, lo: int) -> bool:
-    return not isinstance(value, bool) and isinstance(value, int) and value >= lo
+def _write_csv(path: str, header, rows):
+    """CSV with floats at 17 significant digits and integers exactly."""
+    lines = [",".join(header)]
+    lines += [",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def _is_int_in(value, lo: int, hi: int) -> bool:
+    return not isinstance(value, bool) and isinstance(value, int) and lo <= value <= hi
 
 
 def load_config(path: str, overrides: dict) -> dict:
@@ -121,8 +141,9 @@ def validate_config(cfg: dict):
     for key in ("t_end", "tol", "hbar", "kernel_t"):
         if key in cfg:
             presets.check_number(cfg[key], key, positive=True)
-    if "samples" in cfg and not _is_int_at_least(cfg["samples"], 2):
-        raise ConfigError("field 'samples' must be an integer >= 2", field="samples")
+    if "samples" in cfg and not _is_int_in(cfg["samples"], 2, _MAX_SAMPLES):
+        raise ConfigError(f"field 'samples' must be an integer in [2, {_MAX_SAMPLES}]",
+                          field="samples")
     if "grid" in cfg:
         grid = cfg["grid"]
         if not isinstance(grid, dict):
@@ -131,8 +152,9 @@ def validate_config(cfg: dict):
         if unknown:
             key = sorted(unknown)[0]
             raise ConfigError(f"unknown grid key {key!r}", field=f"grid.{key}")
-        if "n" in grid and not _is_int_at_least(grid["n"], 8):
-            raise ConfigError("field 'grid.n' must be an integer >= 8", field="grid.n")
+        if "n" in grid and not _is_int_in(grid["n"], 8, _MAX_GRID_N):
+            raise ConfigError(f"field 'grid.n' must be an integer in [8, {_MAX_GRID_N}]",
+                              field="grid.n")
         for key, positive in (("x_min", False), ("dx", True)):
             if key in grid:
                 presets.check_number(grid[key], key, positive)
@@ -147,15 +169,14 @@ def build_problem(cfg: dict):
     return ("1d" if isinstance(problem, CoefficientSet1D) else "2d"), problem
 
 
-def _solve(cfg: dict):
-    kind, problem = build_problem(cfg)
+def _solve(cfg: dict, kind: str, problem):
     t_end = float(cfg["t_end"])
     tol = float(cfg["tol"])
     path = cfg["path"]
     if kind == "1d":
         solver = paramflow.solve_path1 if path == "path1" else paramflow.solve_path2
-        return kind, problem, solver(problem, t_end, tol)
-    return kind, problem, paramflow.solve_2d(problem, t_end, tol, path=path)
+        return solver(problem, t_end, tol)
+    return paramflow.solve_2d(problem, t_end, tol, path=path)
 
 
 def _summary(cfg: dict, kind: str, traj) -> dict:
@@ -187,15 +208,29 @@ def _summary(cfg: dict, kind: str, traj) -> dict:
     return out
 
 
-def cmd_params(cfg: dict, out_dir: str) -> int:
-    kind, _, traj = _solve(cfg)
-    samples = cfg["samples"]
-    os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "params.csv")
+def _params_table(kind: str, traj, samples: int):
+    """params.csv columns and rows: the ParamSample fields at uniform times,
+    route 1 with its companion solution (v, vdot).  A planar row reads t, S,
+    theta and the per-axis translations from the planar sample, the rest
+    from its radial sample."""
+    names = [f.name for f in dataclasses.fields(paramflow.ParamSample)
+             if f.default is dataclasses.MISSING]
     if kind == "1d":
-        paramflow.trajectory_to_csv(traj, csv_path, samples)
+        header = names + (["v", "vdot"] if traj.path == "path1" else [])
     else:
-        paramflow.trajectory2d_to_csv(traj, csv_path, samples)
+        header = [n for n in names if n not in ("lam", "Pi")]
+        header += ["theta", "lam_x", "lam_y", "Pi_x", "Pi_y"]
+    points = (traj.sample(float(t)) for t in np.linspace(0.0, traj.t_end, samples))
+    records = (vars(s) if kind == "1d" else {**vars(s["radial"]), **s} for s in points)
+    return header, ([rec[n] for n in header] for rec in records)
+
+
+def cmd_params(cfg: dict, out_dir: str) -> int:
+    kind, problem = build_problem(cfg)
+    traj = _solve(cfg, kind, problem)
+    os.makedirs(out_dir, exist_ok=True)
+    _write_csv(os.path.join(out_dir, "params.csv"),
+               *_params_table(kind, traj, cfg["samples"]))
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         fh.write(_json_dumps(_summary(cfg, kind, traj)) + "\n")
     return 0
@@ -234,7 +269,12 @@ def parse_apply_spec(spec: str) -> dict:
 
 
 def cmd_kernel(cfg: dict, out_dir: str, apply_spec: str | None) -> int:
-    kind, problem, traj = _solve(cfg)
+    kind, problem = build_problem(cfg)
+    if apply_spec is not None:
+        gauss = parse_apply_spec(apply_spec)
+        if kind != "1d":
+            raise DomainError("--apply operates on 1D systems")
+    traj = _solve(cfg, kind, problem)
     t_kernel = float(cfg.get("kernel_t", cfg["t_end"]))
     if kind == "1d":
         variant = presets.PRESETS[cfg["system"]].kernel or cfg["path"]
@@ -242,22 +282,20 @@ def cmd_kernel(cfg: dict, out_dir: str, apply_spec: str | None) -> int:
         variant = "twod_" + cfg["path"]
     kernel = greens.kernel_build(traj, t_kernel, variant)
     os.makedirs(out_dir, exist_ok=True)
-    payload = kernel.as_dict()
-    payload["system"] = cfg["system"]
-    payload["variant"] = variant
+    payload = {f.name: getattr(kernel, f.name) for f in dataclasses.fields(kernel)}
+    payload.update(system=cfg["system"], variant=variant,
+                   valid_to=kernel.valid_to if math.isfinite(kernel.valid_to) else None)
     with open(os.path.join(out_dir, "kernel.json"), "w") as fh:
         fh.write(_json_dumps(payload) + "\n")
     if apply_spec is not None:
-        if kind != "1d":
-            raise DomainError("--apply operates on 1D systems")
-        gauss = parse_apply_spec(apply_spec)
         grid = cfg["grid"]
         psi0 = oracle.gaussian_state(
             grid["n"], float(grid["x_min"]), float(grid["dx"]),
             sigma=gauss["sigma"], x0=gauss["x0"], p0=gauss["p0"], hbar=float(cfg["hbar"]),
         )
         psi_out = greens.kernel_apply(kernel, psi0)
-        greens.wavegrid_to_csv(psi_out, os.path.join(out_dir, "psi_out.csv"))
+        _write_csv(os.path.join(out_dir, "psi_out.csv"), ("x", "re", "im"),
+                   zip(psi_out.x, psi_out.amps.real, psi_out.amps.imag))
     return 0
 
 
@@ -288,12 +326,9 @@ def cmd_verify(out_dir: str, seed: int, corrupt_map: bool) -> int:
 def cmd_constants(algebra: str, out_dir: str) -> int:
     table = quadops.structure_constants(algebra)
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"structure_constants_{algebra.lower()}.csv")
-    lines = ["i,j,k,num,den"]
-    for i, j, k, num, den in quadops.structure_table_rows(table):
-        lines.append(f"{i},{j},{k},{num},{den}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_csv(os.path.join(out_dir, f"structure_constants_{algebra.lower()}.csv"),
+               ("i", "j", "k", "num", "den"),
+               ((i, j, k, c.numerator, c.denominator) for i, j, k, c in table.entries))
     return 0
 
 

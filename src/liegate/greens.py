@@ -46,7 +46,6 @@ __all__ = [
     "kernel_build",
     "kernel_apply",
     "kernel_unitarity_residual",
-    "wavegrid_to_csv",
 ]
 
 _VARIANTS = ("lp", "path1", "path2", "twod_path1", "twod_path2")
@@ -127,28 +126,6 @@ class GaussianKernel:
         )
         return self.prefactor * np.exp(1j * exponent)
 
-    def as_dict(self) -> dict:
-        def c(z):
-            z = complex(z)
-            return [z.real, z.imag]
-
-        def carr(a):
-            return [[c(v) for v in row] for row in np.atleast_2d(a)]
-
-        return {
-            "dof": self.dof,
-            "t": self.t,
-            "hbar": self.hbar,
-            "valid_to": self.valid_to if math.isfinite(self.valid_to) else None,
-            "prefactor": c(self.prefactor),
-            "qxx": carr(self.qxx),
-            "qx1x1": carr(self.qx1x1),
-            "qxx1": carr(self.qxx1),
-            "lx": [c(v) for v in self.lx],
-            "lx1": [c(v) for v in self.lx1],
-            "scal": c(self.scal),
-        }
-
 
 def _check_lp_shape(traj: ParamTrajectory):
     probe = np.linspace(0.0, traj.t_end, 65)
@@ -228,7 +205,7 @@ def kernel_build(
         prefactor=cmath.sqrt(1.0 / (2.0j * math.pi * hbar * g_qp)) ** dof,
         qxx=a * eye, qx1x1=g_qq / (2.0 * hbar * g_qp) * eye, qxx1=c * rot,
         lx=-2.0 * a * lam - pi / hbar, lx1=-c * rot.T @ lam,
-        scal=a * lam @ lam + pi @ lam / hbar - action / hbar,
+        scal=complex(a * lam @ lam + pi @ lam / hbar - action / hbar),
         valid_to=traj.valid_to, hbar=hbar,
     )
 
@@ -288,14 +265,3 @@ def kernel_unitarity_residual(kernel: GaussianKernel, grid: WaveGrid) -> float:
         raise DomainError("unitarity residual undefined for the zero state")
     norm_out = kernel_apply(kernel, grid).norm()
     return abs(norm_out - norm_in) / norm_in
-
-
-def wavegrid_to_csv(grid: WaveGrid, path: str):
-    """Write a 1D grid as CSV rows x, Re psi, Im psi."""
-    if grid.dof != 1:
-        raise DomainError("CSV grid format is one-dimensional")
-    lines = ["x,re,im"]
-    for xv, amp in zip(grid.x, grid.amps):
-        lines.append(f"{xv:.17g},{amp.real:.17g},{amp.imag:.17g}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

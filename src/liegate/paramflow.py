@@ -46,8 +46,6 @@ __all__ = [
     "solve_path1",
     "solve_path2",
     "solve_2d",
-    "trajectory_to_csv",
-    "trajectory2d_to_csv",
 ]
 
 _PROBE_POINTS = 257
@@ -546,47 +544,3 @@ def solve_2d(
         radial=radial, field=profile, t_end=t_end, tol=tol,
         t_grid=sol.t, _dense=sol.sol,
     )
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def trajectory_to_csv(traj: ParamTrajectory, path: str, n_samples: int = 201):
-    """Uniform-time CSV dump: t,S,lam,Pi,gamma,alpha,phi,vphi,beta,u,udot
-    (route 1 appends the companion solution columns v,vdot)."""
-    ts = np.linspace(0.0, traj.t_end, n_samples)
-    with_companion = traj.path == "path1"
-    header = "t,S,lam,Pi,gamma,alpha,phi,vphi,beta,u,udot"
-    if with_companion:
-        header += ",v,vdot"
-    lines = [header]
-    for t in ts:
-        s = traj.sample(float(t))
-        row = [s.t, s.S, s.lam, s.Pi, s.gamma, s.alpha, s.phi, s.vphi, s.beta, s.u, s.udot]
-        if with_companion:
-            row += [s.v, s.vdot]
-        lines.append(",".join(_fmt(v) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def trajectory2d_to_csv(traj: ParamTrajectory2D, path: str, n_samples: int = 201):
-    """Planar CSV dump: shared radial parameters plus rotation and per-axis
-    translation columns."""
-    ts = np.linspace(0.0, traj.t_end, n_samples)
-    header = (
-        "t,S,gamma,alpha,phi,vphi,beta,u,udot,theta,lam_x,lam_y,Pi_x,Pi_y"
-    )
-    lines = [header]
-    for t in ts:
-        rec = traj.sample(float(t))
-        r = rec["radial"]
-        row = [
-            rec["t"], rec["S"], r.gamma, r.alpha, r.phi, r.vphi, r.beta,
-            r.u, r.udot, rec["theta"], rec["lam_x"], rec["lam_y"],
-            rec["Pi_x"], rec["Pi_y"],
-        ]
-        lines.append(",".join(_fmt(v) for v in row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")

@@ -44,7 +44,6 @@ __all__ = [
     "generator_count",
     "commutator",
     "structure_constants",
-    "structure_table_rows",
 ]
 
 RationalLike = int | Fraction
@@ -350,10 +349,3 @@ def structure_constants(algebra: str) -> StructureTable:
             )
         entries.extend((i + 1, j + 1, k + 1, v) for k, v in enumerate(coeffs) if v)
     return StructureTable(algebra=algebra.upper(), n=len(gens), entries=tuple(entries))
-
-
-def structure_table_rows(table: StructureTable) -> list[tuple[int, int, int, int, int]]:
-    """CSV-ready rows (i, j, k, numerator, denominator)."""
-    return [
-        (i, j, k, c.numerator, c.denominator) for (i, j, k, c) in table.entries
-    ]

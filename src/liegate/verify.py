@@ -354,10 +354,9 @@ SEMIGROUP_SPLITS = {"lp": (0.6, 1.4), "sho": (0.5, 1.2), "iontrap": (0.18, 0.4),
                     "kanai": (0.45, 1.0)}
 
 
-def check_kernels(variants: dict | None = None) -> CheckResult:
-    """Mehler, unitarity and semigroup checks; ``variants`` maps a system to
-    the kernel variant of its unitarity check (default path1)."""
-    variants = variants or {}
+def check_kernels() -> CheckResult:
+    """Mehler, unitarity and semigroup checks; the unitarity check builds each
+    system's kernel in its preset's variant, as ``liegate kernel`` does."""
     worst = 0.0
     count = 0
     systems = suite_systems()
@@ -383,7 +382,8 @@ def check_kernels(variants: dict | None = None) -> CheckResult:
     for name, cs in systems.items():
         t = KERNEL_TIMES[name]
         traj = paramflow.solve_path1(cs, t * 1.05, tol=1e-12)
-        k = greens.kernel_build(traj, t, variants.get(name, "path1"))
+        variant = presets.PRESETS[presets.REFERENCE[name][0]].kernel or "path1"
+        k = greens.kernel_build(traj, t, variant)
         unit_worst = max(unit_worst, greens.kernel_unitarity_residual(k, grid))
         count += 1
     passed_unit = unit_worst <= 1e-6

@@ -129,7 +129,7 @@ def test_criterion_7_wavefunction_fidelity(acceptance_report):
 
 
 def test_criterion_8_kernel_sanity(acceptance_report):
-    result = verify.check_kernels(variants=KERNEL_VARIANTS)
+    result = verify.check_kernels()
     parts = result.parts
     _line(acceptance_report, 8, "kernel sanity",
           result.passed,

@@ -1,5 +1,6 @@
 """Command-line interface: contracts, exit codes, determinism."""
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -11,7 +12,8 @@ import sys
 import numpy as np
 import pytest
 
-from liegate import cli
+from liegate import cli, greens, paramflow
+from liegate.oracle import gaussian_state
 from liegate.verify import suite_fields, suite_systems
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
@@ -35,18 +37,35 @@ def sho_config(tmp_path, **extra):
     return write_config(tmp_path, "sho.json", payload)
 
 
+def sho_kernel(cfg):
+    """The kernel ``liegate kernel`` builds for a sho_config, built directly."""
+    _, problem = cli.build_problem(cli.load_config(cfg, {}))
+    traj = paramflow.solve_path1(problem, math.pi / 4, 1e-12)
+    return greens.kernel_build(traj, math.pi / 4, "path1")
+
+
+def no_solve(*args, **kwargs):
+    raise AssertionError("the command solved before rejecting its input")
+
+
 class TestParams:
     def test_writes_csv_and_summary(self, tmp_path, capsys):
-        cfg = sho_config(tmp_path)
-        out = tmp_path / "run"
-        code = cli.main(["params", "--system", "gho", "--path", "path1",
-                         "--config", cfg, "--out", str(out)])
-        assert code == 0
-        header = (out / "params.csv").read_text().splitlines()[0]
-        for column in "t,S,lam,Pi,gamma,alpha,phi,vphi,beta,u,udot".split(","):
-            assert column in header.split(",")
-        summary = json.loads((out / "summary.json").read_text())
-        assert summary["system"] == "gho"
+        # the columns are the ParamSample fields; route 1 adds v, vdot
+        cfg = sho_config(tmp_path, samples=11)
+        columns = "t,S,lam,Pi,gamma,alpha,phi,vphi,beta,u,udot"
+        for path, header in (("path1", columns + ",v,vdot"), ("path2", columns)):
+            out = tmp_path / path
+            code = cli.main(["params", "--system", "gho", "--path", path,
+                             "--config", cfg, "--out", str(out)])
+            assert code == 0
+            assert (out / "params.csv").read_text().splitlines()[0] == header
+            data = np.genfromtxt(out / "params.csv", delimiter=",", names=True)
+            assert data["t"].size == 11
+            summary = json.loads((out / "summary.json").read_text())
+            assert summary["system"] == "gho"
+            # the last row and the summary sample t_end alike, to the bit
+            assert {k: data[k][-1] for k in summary["final"]} == summary["final"]
+        summary = json.loads((tmp_path / "path1" / "summary.json").read_text())
         assert summary["final"]["alpha"] == pytest.approx(1.0, abs=1e-9)
         assert summary["final"]["beta"] == pytest.approx(1.0, abs=1e-9)
 
@@ -103,7 +122,7 @@ class TestParams:
         out = tmp_path / "run2d"
         assert cli.main(["params", "--config", cfg, "--out", str(out)]) == 0
         header = (out / "params.csv").read_text().splitlines()[0]
-        assert "theta" in header and "lam_x" in header
+        assert header == "t,S,gamma,alpha,phi,vphi,beta,u,udot,theta,lam_x,lam_y,Pi_x,Pi_y"
 
     def test_deterministic_outputs(self, tmp_path):
         cfg = sho_config(tmp_path)
@@ -127,6 +146,16 @@ class TestKernel:
         assert payload["qxx1"][0][0][0] == pytest.approx(-1 / math.sin(t), abs=1e-9)
         pref = complex(*payload["prefactor"])
         assert abs(pref - 1 / np.sqrt(2j * math.pi * math.sin(t))) < 1e-9
+        # every field as kernel_build returns it, complex values as [re, im]
+        kernel = sho_kernel(cfg)
+        assert (payload["system"], payload["variant"]) == ("gho", "path1")
+        for field in dataclasses.fields(kernel):
+            value, written = getattr(kernel, field.name), payload[field.name]
+            if isinstance(value, (complex, np.ndarray)):
+                pairs = np.asarray(written)
+                assert np.array_equal(pairs[..., 0] + 1j * pairs[..., 1], value), field.name
+            else:  # valid_to is null when no focal time precedes the horizon
+                assert written == (None if value == math.inf else value), field.name
 
     def test_focal_time_exit_code(self, tmp_path, capsys):
         cfg = sho_config(tmp_path)
@@ -145,6 +174,10 @@ class TestKernel:
         lines = (out / "psi_out.csv").read_text().splitlines()
         assert lines[0] == "x,re,im"
         assert len(lines) == 257
+        psi = greens.kernel_apply(sho_kernel(cfg), gaussian_state(256, -8.0, 16.0 / 256))
+        x, re, im = np.loadtxt(out / "psi_out.csv", delimiter=",", skiprows=1, unpack=True)
+        assert np.array_equal(x, psi.x)
+        assert np.array_equal(re, psi.amps.real) and np.array_equal(im, psi.amps.imag)
 
     def test_apply_outputs_are_byte_identical(self, tmp_path):
         cfg = sho_config(tmp_path, grid={"n": 256, "x_min": -8.0, "dx": 16.0 / 256})
@@ -155,14 +188,27 @@ class TestKernel:
         for name in ("kernel.json", "psi_out.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
-    def test_bad_apply_spec(self, tmp_path, capsys):
+    def test_bad_apply_spec(self, tmp_path, capsys, monkeypatch):
+        # rejected before the solve, so no kernel.json is left behind
+        monkeypatch.setattr(paramflow, "solve_path1", no_solve)
         cfg = sho_config(tmp_path)
-        for spec in ("gaussian(width=1)", "gaussian(sigma=nan)", "gaussian(x0=inf)"):
+        for spec in ("gaussian(width=1)", "gaussian(sigma=nan)", "gaussian(x0=inf)", "bogus"):
             code = cli.main(["kernel", "--config", cfg, "--out", str(tmp_path / "x"),
                              "--apply", spec])
             assert code == 2
             err = json.loads(capsys.readouterr().out)["error"]
             assert err["field"] == "apply"
+            assert not (tmp_path / "x" / "kernel.json").exists()
+
+    def test_apply_on_planar_system_is_rejected(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(paramflow, "solve_2d", no_solve)
+        code = cli.main(["kernel", "--config", str(CONFIGS / "efield.json"),
+                         "--out", str(tmp_path), "--apply", "gaussian(sigma=1)"])
+        assert code == 3
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "DomainError"
+        assert err["message"] == "--apply operates on 1D systems"
+        assert not (tmp_path / "kernel.json").exists()
 
 
 @pytest.fixture(scope="module")
@@ -257,6 +303,22 @@ def test_shipped_configs_are_the_verify_systems(name):
         ours, theirs = getattr(problem, key), getattr(reference, key)
         assert np.array_equal(ours(t), theirs(t)), key
         assert np.array_equal(ours.derivative(t), theirs.derivative(t)), key
+
+
+@pytest.mark.parametrize("argv, extra, field", [
+    (["params"], {"samples": 10**13}, "samples"),
+    (["kernel", "--apply", "gaussian(sigma=1)"], {"grid": {"n": 10**13}}, "grid.n"),
+], ids=["samples", "grid-n"])
+def test_oversized_output_is_config_error(tmp_path, capsys, monkeypatch, argv, extra, field):
+    # 10**13 samples or grid points would ask for tens of TiB: exit 2 from
+    # the configuration check, before the solve allocates anything
+    monkeypatch.setattr(paramflow, "solve_path1", no_solve)
+    code = cli.main([*argv, "--config", sho_config(tmp_path, **extra),
+                     "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "ConfigError" and err["field"] == field
+    assert not (tmp_path / "x").exists()
 
 
 def test_seed_config_key_is_rejected(tmp_path, capsys):

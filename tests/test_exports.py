@@ -3,6 +3,7 @@
 A name left in ``__all__`` after its definition is deleted, or a
 re-export of another module's name, would otherwise go unseen: tools that
 walk ``__all__`` with ``getattr(module, name, None)`` skip it silently.
+The same source scan checks that no module but ``cli`` opens a file.
 """
 
 import ast
@@ -41,3 +42,20 @@ def test_module_exports_are_its_own(name):
 
 def test_package_exports_exist():
     assert [n for n in liegate.__all__ if not hasattr(liegate, n)] == []
+
+
+def opens_files(path: str) -> bool:
+    """Whether the module's source calls ``open`` (a name or an attribute)."""
+    for node in ast.walk(ast.parse(pathlib.Path(path).read_text())):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "open":
+                return True
+    return False
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "cli"])
+def test_library_leaves_files_to_the_cli(name):
+    # the library returns data; cli owns every file format and writes every file
+    assert not opens_files(importlib.import_module(f"liegate.{name}").__file__)

@@ -13,7 +13,6 @@ from liegate.greens import (
     kernel_apply,
     kernel_build,
     kernel_unitarity_residual,
-    wavegrid_to_csv,
 )
 from liegate.oracle import WaveGrid, fidelity, gaussian_state, grid_moments
 
@@ -479,21 +478,3 @@ class TestApplyMatchesDirectSum:
         psi = WaveGrid(8, -1.0, 0.25, np.ones((8,) * dof, dtype=complex))
         with pytest.raises(DomainError, match="real cross block"):
             kernel_apply(complex_cross, psi)
-
-
-class TestGridIO:
-    def test_csv_round_trip(self, tmp_path):
-        psi = gaussian_state(64, -4.0, 0.125, sigma=0.7, p0=0.4)
-        path = tmp_path / "grid.csv"
-        wavegrid_to_csv(psi, str(path))
-        x, re, im = np.loadtxt(path, delimiter=",", skiprows=1, unpack=True)
-        assert np.array_equal(x, psi.x)
-        assert np.array_equal(re + 1j * im, psi.amps)
-
-
-def test_kernel_dict_serialization(sho_traj):
-    k = kernel_build(sho_traj, 0.5, "path1")
-    payload = k.as_dict()
-    assert payload["dof"] == 1
-    assert payload["prefactor"][0] == pytest.approx(k.prefactor.real)
-    assert payload["qxx"][0][0][0] == pytest.approx(k.qxx[0, 0].real)

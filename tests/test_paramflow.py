@@ -631,23 +631,3 @@ class TestKnotToKnot:
             solve_path2(mixed_system(0), 1.0, tol=1e-13)
             solve_2d(mixed_field(0), 1.0, tol=1e-13, path="path1")
         assert rtols == {100.0 * np.finfo(float).eps}
-
-
-def test_csv_round_trip(tmp_path):
-    tr = solve_path1(sho(), 1.0, tol=1e-10)
-    path = tmp_path / "params.csv"
-    paramflow.trajectory_to_csv(tr, str(path), n_samples=11)
-    header = path.read_text().splitlines()[0]
-    assert header == "t,S,lam,Pi,gamma,alpha,phi,vphi,beta,u,udot,v,vdot"
-    data = np.genfromtxt(path, delimiter=",", names=True)
-    assert data["t"].size == 11
-    assert data["beta"][-1] == pytest.approx(math.tan(1.0), abs=1e-9)
-
-
-def test_csv_2d(tmp_path):
-    field = FieldProfile2D.build(m=1.0, B=Sinusoid(2.0, 3.0), K=0.0, charge=1.0)
-    tr = solve_2d(field, 1.0, tol=1e-10, path="path1")
-    path = tmp_path / "params2d.csv"
-    paramflow.trajectory2d_to_csv(tr, str(path), n_samples=9)
-    header = path.read_text().splitlines()[0]
-    assert header == "t,S,gamma,alpha,phi,vphi,beta,u,udot,theta,lam_x,lam_y,Pi_x,Pi_y"

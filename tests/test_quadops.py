@@ -238,11 +238,6 @@ class TestStructureConstants:
         with pytest.raises(ConsistencyError, match=r"\[LP generator 2, generator 3\]"):
             structure_constants("LP")
 
-    def test_csv_rows_are_integer_pairs(self):
-        rows = quadops.structure_table_rows(structure_constants("CP"))
-        assert (14, 15, 6, 1, 2) in rows
-        assert all(len(r) == 5 for r in rows)
-
 
 def test_symmetry_enforced():
     with pytest.raises(DomainError, match="symmetric"):
