@@ -14,9 +14,7 @@ Cases:
 * constant magnetic field with sinusoidal in-plane electric drive: the
   long translation-parameter expressions, with the resonance denominator
   fixed to the product (4 w^2 - (Omega+w_c)^2)(4 w^2 - (Omega-w_c)^2)
-  demanded by the equations of motion (an alternative denominator with
-  (Omega+w_c)^2 in place of Omega^2+w_c^2 is retained for comparison and
-  is shown by the tests to violate the equations of motion).
+  demanded by the equations of motion.
 
 The Mathieu cosine is computed by direct ODE integration of
 y'' + (a - 2 q cos 2z) y = 0 with y(0)=1, y'(0)=0, which is its defining
@@ -46,6 +44,7 @@ __all__ = [
 ]
 
 _MATHIEU_TOL = 1e-12
+_RECIPROCAL_SQUARE_TOL = 1e-10   # the closed forms' Mathieu solves with int dz/C^2
 
 
 @dataclass(frozen=True)
@@ -83,12 +82,11 @@ def mathieu_c(a: float, q: float, z: float, tol: float = _MATHIEU_TOL) -> Mathie
     return MathieuEval(a=a, q=q, z=z, C=float(sol.y[0, -1]), Cp=float(sol.y[1, -1]))
 
 
-def _mathieu_with_reciprocal_square(
-    a: float, q: float, z: float, tol: float = 1e-10
-) -> tuple[float, float, float]:
+def _mathieu_with_reciprocal_square(a: float, q: float, z: float) -> tuple[float, float, float]:
     """(C, C', int_0^z dz'/C^2); raises CausticError if C vanishes first."""
     if z == 0.0:
         return 1.0, 0.0, 0.0
+    tol = _RECIPROCAL_SQUARE_TOL
     rhs2 = _mathieu_rhs(a, q)
 
     # locate a zero crossing of C with the regular two-state system before
@@ -268,9 +266,8 @@ class EFieldDerived:
     """Derived constants of the constant-B driven system.
 
     gamma4 is the resonance denominator consistent with the equations of
-    motion, (4w^2 - (Omega+w_c)^2)(4w^2 - (Omega-w_c)^2); gamma4_alt keeps
-    the variant with (Omega+w_c)^2 in place of Omega^2+w_c^2 for
-    comparison.  gamma_minus2 = Omega^2 - w_c^2 = 4K/m.
+    motion, (4w^2 - (Omega+w_c)^2)(4w^2 - (Omega-w_c)^2).
+    gamma_minus2 = Omega^2 - w_c^2 = 4K/m.
     """
 
     omega_c: float
@@ -278,7 +275,6 @@ class EFieldDerived:
     gamma_plus2: float
     gamma_minus2: float
     gamma4: float
-    gamma4_alt: float
 
 
 def efield_derived_constants(
@@ -294,10 +290,8 @@ def efield_derived_constants(
     gp2 = omega2 + omega_c * omega_c
     gm2 = omega2 - omega_c * omega_c
     g4 = 16.0 * omega**4 + gm2 * gm2 - 8.0 * omega**2 * gp2
-    g4_alt = 16.0 * omega**4 + gm2 * gm2 - 8.0 * omega**2 * (big + omega_c) ** 2
     return EFieldDerived(
-        omega_c=omega_c, Omega=big, gamma_plus2=gp2, gamma_minus2=gm2,
-        gamma4=g4, gamma4_alt=g4_alt,
+        omega_c=omega_c, Omega=big, gamma_plus2=gp2, gamma_minus2=gm2, gamma4=g4,
     )
 
 
@@ -449,7 +443,6 @@ def efield_const_b_params(
     omega: float,
     zeta: float,
     t: float,
-    use_alt_gamma4: bool = False,
 ) -> EFieldSample:
     """Closed forms for constant B, stiffness K and sinusoidal E drive.
 
@@ -460,8 +453,7 @@ def efield_const_b_params(
     """
     derived = efield_derived_constants(m, charge, B, K, omega)
     wc, om = derived.omega_c, derived.Omega
-    gm2, gp2 = derived.gamma_minus2, derived.gamma_plus2
-    g4 = derived.gamma4_alt if use_alt_gamma4 else derived.gamma4
+    gm2, gp2, g4 = derived.gamma_minus2, derived.gamma_plus2, derived.gamma4
     scale2 = om * om + wc * wc
     scale4 = scale2 * scale2 + 16.0 * omega**4
     if abs(gm2) < 1e-12 * scale2:

@@ -2,9 +2,10 @@
 
 Nothing in this module knows about transformation parameters or factorized
 evolution operators: the classical flow and fundamental matrix integrate
-Hamilton's equations directly with adaptive RK45 (not the parameter
-solvers' DOP853, and over [0, t_end] in one piece, unaware of spline
-knots), and the wavefunction oracle is a Strang split-step Fourier solver.
+Hamilton's equations directly, written once per system as
+z' = A(t) z + f(t), with adaptive RK45 (not the parameter solvers' DOP853,
+and over [0, t_end] in one piece, unaware of spline knots), and the
+wavefunction oracle is a Strang split-step Fourier solver.
 These are the yardsticks the algebraic machinery is measured against.
 
 The split-step solver deliberately refuses Hamiltonians with a nonzero
@@ -24,7 +25,6 @@ from .coeffs import CoefficientSet1D, FieldProfile2D
 from .errors import DomainError, IntegrationError
 
 __all__ = [
-    "ClassicalState",
     "FlowResult",
     "classical_flow",
     "fundamental_matrix",
@@ -39,73 +39,63 @@ _ORACLE_METHOD = "RK45"
 
 
 @dataclass(frozen=True)
-class ClassicalState:
-    """Phase-space point at t = 0, where ``classical_flow`` starts:
-    positions then momenta."""
-
-    z: np.ndarray
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=float)
-        if z.ndim != 1 or z.size not in (2, 4):
-            raise DomainError("state vector must have 2 or 4 entries")
-        if not np.all(np.isfinite(z)):
-            raise DomainError("state vector entries must be finite")
-        object.__setattr__(self, "z", z)
-
-
-@dataclass(frozen=True)
 class FlowResult:
-    """Dense trajectory of a flow or fundamental-matrix integration."""
+    """Dense trajectory of a flow (frames of shape (n,)) or a fundamental
+    matrix (frames of shape (n, n))."""
 
-    t: np.ndarray
-    y: np.ndarray          # state samples, shape (len(t), dim) or (len(t), n, n)
     _dense: object
+    shape: tuple[int, ...]
 
     def at(self, t: float) -> np.ndarray:
-        out = np.asarray(self._dense(t))
-        if self.y.ndim == 3:
-            n = self.y.shape[1]
-            return out.reshape(n, n)
-        return out
+        return np.asarray(self._dense(t)).reshape(self.shape)
 
 
-def _hamilton_rhs_1d(coeffs: CoefficientSet1D):
-    def rhs(t, z):
-        a = float(coeffs.a(t))
-        b = float(coeffs.b(t))
-        c = float(coeffs.c(t))
-        d = float(coeffs.d(t))
-        e = float(coeffs.e(t))
-        x, p = z
-        return [a * p + b * x + d, -(c * x + b * p + e)]
+def _generator(coeffs):
+    """Hamilton's equations of the quadratic H as z' = A(t) z + f(t).
 
-    return rhs
+    A = J Hess H and f = J grad H(0) on the phase space (x, p) of a
+    CoefficientSet1D or (x, y, p_x, p_y) of a FieldProfile2D.  Returns
+    (n, A, f) with A and f callables of t.
+    """
+    if isinstance(coeffs, CoefficientSet1D):
+        def a_of_t(t):
+            a = float(coeffs.a(t))
+            b = float(coeffs.b(t))
+            c = float(coeffs.c(t))
+            return np.array([[b, a], [-c, -b]])
 
+        def f_of_t(t):
+            return np.array([float(coeffs.d(t)), -float(coeffs.e(t))])
 
-def _hamilton_rhs_2d(profile: FieldProfile2D):
-    q = profile.charge
+        return 2, a_of_t, f_of_t
+    if isinstance(coeffs, FieldProfile2D):
+        q = coeffs.charge
 
-    def rhs(t, z):
-        m = float(profile.m(t))
-        bb = float(profile.B(t))
-        kk = float(profile.K(t))
-        ex = float(profile.Ex(t))
-        ey = float(profile.Ey(t))
-        wb = q * bb / (2.0 * m)
-        kappa = kk + q * q * bb * bb / (4.0 * m)
-        x, y, px, py = z
-        return [
-            px / m - wb * y,
-            py / m + wb * x,
-            -kappa * x - wb * py - q * ex,
-            -kappa * y + wb * px - q * ey,
-        ]
+        def a_of_t(t):
+            m = float(coeffs.m(t))
+            bb = float(coeffs.B(t))
+            kk = float(coeffs.K(t))
+            wb = q * bb / (2.0 * m)
+            kappa = kk + q * q * bb * bb / (4.0 * m)
+            return np.array(
+                [
+                    [0.0, -wb, 1.0 / m, 0.0],
+                    [wb, 0.0, 0.0, 1.0 / m],
+                    [-kappa, 0.0, 0.0, -wb],
+                    [0.0, -kappa, wb, 0.0],
+                ]
+            )
 
-    return rhs
+        def f_of_t(t):
+            return np.array([0.0, 0.0, -q * float(coeffs.Ex(t)), -q * float(coeffs.Ey(t))])
+
+        return 4, a_of_t, f_of_t
+    raise DomainError("coeffs must be CoefficientSet1D or FieldProfile2D")
 
 
 def _integrate(rhs, y0, t_end, tol, what):
+    if t_end <= 0:
+        raise DomainError("t_end must be positive")
     sol = solve_ivp(
         rhs,
         (0.0, t_end),
@@ -119,82 +109,37 @@ def _integrate(rhs, y0, t_end, tol, what):
         raise IntegrationError(
             f"{what} integration failed: {sol.message}", last_time=float(sol.t[-1])
         )
-    return sol
+    return sol.sol
 
 
-def classical_flow(coeffs, z0: ClassicalState, t_end: float, tol: float = 1e-10) -> FlowResult:
-    """Adaptive integration of Hamilton's equations for the quadratic H,
-    from z0 at t = 0 to t_end.
+def classical_flow(coeffs, z0, t_end: float, tol: float = 1e-10) -> FlowResult:
+    """Integrate z' = A(t) z + f(t) from the phase-space point z0 at t = 0
+    (positions then momenta) to t_end."""
+    n, a_of_t, f_of_t = _generator(coeffs)
+    z0 = np.asarray(z0, dtype=float)
+    if z0.shape != (n,):
+        raise DomainError(f"initial state must have {n} entries")
+    if not np.all(np.isfinite(z0)):
+        raise DomainError("state vector entries must be finite")
 
-    Accepts a CoefficientSet1D (phase space (x, p)) or a FieldProfile2D
-    (phase space (x, y, p_x, p_y)).
-    """
-    if t_end <= 0:
-        raise DomainError("t_end must be positive")
-    if isinstance(coeffs, CoefficientSet1D):
-        rhs, dim = _hamilton_rhs_1d(coeffs), 2
-    elif isinstance(coeffs, FieldProfile2D):
-        rhs, dim = _hamilton_rhs_2d(coeffs), 4
-    else:
-        raise DomainError("coeffs must be CoefficientSet1D or FieldProfile2D")
-    if z0.z.size != dim:
-        raise DomainError(f"initial state must have {dim} entries")
-    sol = _integrate(rhs, z0.z, t_end, tol, "classical flow")
-    return FlowResult(t=sol.t, y=sol.y.T.copy(), _dense=sol.sol)
+    def rhs(t, z):
+        return a_of_t(t) @ z + f_of_t(t)
 
-
-def _linear_part_1d(coeffs: CoefficientSet1D):
-    def a_of_t(t):
-        a = float(coeffs.a(t))
-        b = float(coeffs.b(t))
-        c = float(coeffs.c(t))
-        return np.array([[b, a], [-c, -b]])
-
-    return a_of_t, 2
-
-
-def _linear_part_2d(profile: FieldProfile2D):
-    q = profile.charge
-
-    def a_of_t(t):
-        m = float(profile.m(t))
-        bb = float(profile.B(t))
-        kk = float(profile.K(t))
-        wb = q * bb / (2.0 * m)
-        kappa = kk + q * q * bb * bb / (4.0 * m)
-        return np.array(
-            [
-                [0.0, -wb, 1.0 / m, 0.0],
-                [wb, 0.0, 0.0, 1.0 / m],
-                [-kappa, 0.0, 0.0, -wb],
-                [0.0, -kappa, wb, 0.0],
-            ]
-        )
-
-    return a_of_t, 4
+    return FlowResult(_integrate(rhs, z0, t_end, tol, "classical flow"), (n,))
 
 
 def fundamental_matrix(coeffs, t_end: float, tol: float = 1e-10) -> FlowResult:
-    """Integrate Phi' = A(t) Phi, Phi(0) = I, for the linearized flow.
+    """Integrate Phi' = A(t) Phi, Phi(0) = I, the linear part of the flow.
 
-    A = [[b, a], [-c, -b]] in 1D; the traceless 4x4 analog in 2D.  det Phi
-    stays 1 (Liouville) up to integration error.
+    A is traceless, so det Phi stays 1 (Liouville) up to integration error.
     """
-    if t_end <= 0:
-        raise DomainError("t_end must be positive")
-    if isinstance(coeffs, CoefficientSet1D):
-        a_of_t, n = _linear_part_1d(coeffs)
-    elif isinstance(coeffs, FieldProfile2D):
-        a_of_t, n = _linear_part_2d(coeffs)
-    else:
-        raise DomainError("coeffs must be CoefficientSet1D or FieldProfile2D")
+    n, a_of_t, _ = _generator(coeffs)
 
     def rhs(t, y):
         return (a_of_t(t) @ y.reshape(n, n)).ravel()
 
-    sol = _integrate(rhs, np.eye(n).ravel(), t_end, tol, "fundamental matrix")
-    frames = sol.y.T.reshape(-1, n, n).copy()
-    return FlowResult(t=sol.t, y=frames, _dense=sol.sol)
+    return FlowResult(_integrate(rhs, np.eye(n).ravel(), t_end, tol, "fundamental matrix"),
+                      (n, n))
 
 
 @dataclass(frozen=True)

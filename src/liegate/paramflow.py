@@ -49,6 +49,10 @@ __all__ = [
 ]
 
 _PROBE_POINTS = 257
+# Offsets, as fractions of t_end, at which a planar solve that fails probes
+# the mass past the failure time: geometric, so a zero of m a few steps
+# ahead is bracketed at any scale.
+_POLE_OFFSETS = np.geomspace(1e-12, 1e-2, _PROBE_POINTS)
 _SHORTCUT_RTOL = 1e-12
 _MASS_REQUIREMENT = "the kinetic energy is p^2/2m"
 _RTOL_FLOOR = 100.0 * np.finfo(float).eps   # scipy's least rtol
@@ -243,12 +247,18 @@ def _check_positive(profile, t_end: float, name: str, requirement: str):
     trough and a spline at its knots and at the zeros of its derivative,
     so that their checks are exact.  Other profiles (``Derived`` ones come
     from presets and reductions) rely on the probe plus the right-hand-side
-    guards, which check every time the integrator evaluates."""
+    guards, which check every time the integrator evaluates; a planar solve
+    that fails also probes m just past the time where it stopped."""
     probe = np.linspace(0.0, t_end, _PROBE_POINTS)
     if isinstance(profile, Sinusoid):
         probe = np.append(probe, _first_trough(profile, t_end))
     elif isinstance(profile, Tabulated):
         probe = np.append(probe, _spline_extrema(profile, t_end))
+    _require_positive(profile, probe, t_end, name, requirement)
+
+
+def _require_positive(profile, probe: np.ndarray, t_end: float, name: str, requirement: str):
+    """Raise the DomainError for ``name`` if the profile is <= 0 at a probe time."""
     values = np.asarray(profile(probe), dtype=float)
     if np.any(values <= 0.0):
         bad = float(probe[np.argmin(values)])
@@ -536,8 +546,15 @@ def solve_2d(
         )
         return lamx_dot, lamy_dot, pix_dot, piy_dot, lagrangian, wb
 
-    sol = _run_ivp(rhs, [0.0] * 6, t_end, tol, "planar translation parameters",
-                   knots=_knots(profile.m, profile.B, profile.K, profile.Ex, profile.Ey))
+    try:
+        sol = _run_ivp(rhs, [0.0] * 6, t_end, tol, "planar translation parameters",
+                       knots=_knots(profile.m, profile.B, profile.K, profile.Ex, profile.Ey))
+    except IntegrationError as err:
+        # the solver can meet the 1/m pole on step size without evaluating
+        # m <= 0, so look just past where it stopped
+        past = err.last_time + t_end * _POLE_OFFSETS
+        _require_positive(profile.m, past[past <= t_end], t_end, "m", _MASS_REQUIREMENT)
+        raise
     solver = solve_path1 if path == "path1" else solve_path2
     radial = solver(reduced, t_end, tol)
     return ParamTrajectory2D(

@@ -75,9 +75,7 @@ class Grid:
         return np.linspace(self.start, hi, self.n)[self.skip:]
 
 
-def random_smooth_coeffs(
-    rng: np.random.Generator, positive_c: bool = False, with_drive: bool = True
-) -> CoefficientSet1D:
+def random_smooth_coeffs(rng: np.random.Generator, positive_c: bool = False) -> CoefficientSet1D:
     """Random sinusoidal coefficient set with a(t) > 0 (and c(t) > 0 on demand)."""
 
     def sin_profile(lo_off, hi_off, amp_scale):
@@ -100,15 +98,8 @@ def random_smooth_coeffs(
                      rng.uniform(0.0, 2.0 * math.pi), rng.uniform(-0.8, 1.2))
         b = Sinusoid(rng.uniform(0.0, 0.4), rng.uniform(0.3, 3.0),
                      rng.uniform(0.0, 2.0 * math.pi), 0.0)
-    if with_drive:
-        d = Sinusoid(rng.uniform(0.0, 0.8), rng.uniform(0.3, 3.0),
-                     rng.uniform(0.0, 2.0 * math.pi), 0.0)
-        e = Sinusoid(rng.uniform(0.0, 0.8), rng.uniform(0.3, 3.0),
-                     rng.uniform(0.0, 2.0 * math.pi), 0.0)
-        g = Sinusoid(rng.uniform(0.0, 0.5), rng.uniform(0.3, 3.0),
-                     rng.uniform(0.0, 2.0 * math.pi), 0.0)
-    else:
-        d = e = g = Sinusoid(0.0, 1.0, 0.0, 0.0)
+    d, e, g = (Sinusoid(rng.uniform(0.0, amp), rng.uniform(0.3, 3.0),
+                        rng.uniform(0.0, 2.0 * math.pi), 0.0) for amp in (0.8, 0.8, 0.5))
     return CoefficientSet1D(a=a, b=b, c=c, d=d, e=e, g=g)
 
 
@@ -244,7 +235,7 @@ def check_classical_identification(seed: int, n_random: int = 4,
     cases = [suite_systems()["lp"]] + [random_smooth_coeffs(rng) for _ in range(n_random)]
     for cs in cases:
         lt = paramflow.solve_linear_translation(cs, t_end, tol=1e-12)
-        flow = oracle.classical_flow(cs, oracle.ClassicalState(np.zeros(2)), t_end, tol=1e-12)
+        flow = oracle.classical_flow(cs, np.zeros(2), t_end, tol=1e-12)
         for t in times.up_to(t_end):
             _, lam, pi = lt.at(float(t))
             diff = np.max(np.abs(flow.at(float(t)) - np.array([lam, -pi])))
@@ -252,7 +243,7 @@ def check_classical_identification(seed: int, n_random: int = 4,
             count += 1
     fp = suite_fields()["efield"]
     traj = paramflow.solve_2d(fp, t_end, tol=1e-12, path="path2")
-    flow = oracle.classical_flow(fp, oracle.ClassicalState(np.zeros(4)), t_end, tol=1e-12)
+    flow = oracle.classical_flow(fp, np.zeros(4), t_end, tol=1e-12)
     for t in times.up_to(t_end):
         rec = traj.sample(float(t))
         target = np.array([rec["lam_x"], rec["lam_y"], -rec["Pi_x"], -rec["Pi_y"]])

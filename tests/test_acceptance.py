@@ -10,11 +10,8 @@ import time
 
 import numpy as np
 
-from liegate import closedforms, greens, oracle, paramflow, verify
+from liegate import closedforms, greens, oracle, paramflow, presets, verify
 from liegate.verify import Grid, random_smooth_coeffs, suite_systems
-
-# kernel variant per suite system where it is not route 1's
-KERNEL_VARIANTS = {"lp": "lp"}
 
 
 def _line(record, number, name, passed, detail):
@@ -63,9 +60,7 @@ def test_criterion_5_classical_identification(acceptance_report):
     cases = [suite_systems()["lp"]] + [random_smooth_coeffs(rng) for _ in range(6)]
     for cs in cases:
         traj = paramflow.solve_path1(cs, 2.0, tol=1e-12)
-        flow = oracle.classical_flow(
-            cs, oracle.ClassicalState(np.zeros(2)), 2.0, tol=1e-12
-        )
+        flow = oracle.classical_flow(cs, np.zeros(2), 2.0, tol=1e-12)
         for t in np.linspace(0.1, 2.0, 15):
             s = traj.sample(float(t))
             diff = np.max(np.abs(flow.at(float(t)) - [s.lam, -s.Pi]))
@@ -118,7 +113,7 @@ def test_criterion_7_wavefunction_fidelity(acceptance_report):
     for name, t in verify.KERNEL_TIMES.items():
         cs = systems[name]
         traj = paramflow.solve_path1(cs, t * 1.05, tol=1e-12)
-        variant = KERNEL_VARIANTS.get(name, "path1")
+        variant = presets.PRESETS[presets.REFERENCE[name][0]].kernel or "path1"
         psi_kernel = greens.kernel_apply(greens.kernel_build(traj, t, variant), grid)
         psi_oracle = oracle.split_step_evolve(cs, grid, t, 4096)
         worst = min(worst, oracle.fidelity(psi_kernel, psi_oracle))

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from liegate import cli, greens, paramflow
+from liegate.coeffs import Derived
 from liegate.oracle import gaussian_state
 from liegate.verify import suite_fields, suite_systems
 
@@ -358,19 +359,41 @@ def test_missed_positivity_dip_ends_in_json_not_traceback(tmp_path, capsys):
     assert "Traceback" not in captured.out + captured.err
 
 
+# the same dip in the mass, m = 1 + 1.5 sin(512 pi t)
+DIP_2D = {
+    "system": "cp2d", "t_end": 1,
+    "field": {"m": {"kind": "sinusoid", "amplitude": 1.5,
+                    "omega": 1608.4954386379741, "offset": 1.0}, "B": 1},
+}
+
+
 def test_negative_planar_mass_is_domain_error(tmp_path, capsys):
-    # the same dip in the mass: 1/m runs into a pole as m falls to zero, so
-    # an unchecked solve fails on step size before it ever sees m <= 0
-    cfg = write_config(tmp_path, "dip2d.json", {
-        "system": "cp2d", "t_end": 1,
-        "field": {"m": {"kind": "sinusoid", "amplitude": 1.5,
-                        "omega": 1608.4954386379741, "offset": 1.0}, "B": 1},
-    })
+    # 1/m runs into a pole as m falls to zero, so an unchecked solve fails
+    # on step size before it ever sees m <= 0
+    cfg = write_config(tmp_path, "dip2d.json", DIP_2D)
     code = cli.main(["params", "--config", cfg, "--out", str(tmp_path / "x")])
     assert code == 3
     err = json.loads(capsys.readouterr().out)["error"]
     assert err["type"] == "DomainError"
     assert "m(t) must stay positive" in err["message"]
+
+
+def test_derived_planar_mass_pole_is_domain_error(tmp_path, capsys, monkeypatch):
+    # behind Derived the probe misses the dip and the solve fails on step
+    # size at the pole; the mass is then probed past the failure time
+    build = cli.build_problem
+
+    def derived_mass(cfg):
+        kind, field = build(cfg)
+        return kind, dataclasses.replace(field, m=Derived(field.m, field.m.derivative))
+
+    monkeypatch.setattr(cli, "build_problem", derived_mass)
+    cfg = write_config(tmp_path, "dip2d.json", DIP_2D)
+    code = cli.main(["params", "--config", cfg, "--out", str(tmp_path / "x")])
+    assert code == 3
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert err["type"] == "DomainError"
+    assert "m(t) must stay positive on [0, 1.0]" in err["message"]
 
 
 # splines through 1 at 0, 0.5, 0.5 + 1/256 and 1, which read 1 at every

@@ -8,6 +8,8 @@ from scipy.integrate import solve_ivp
 
 from liegate import paramflow
 from liegate.closedforms import (
+    _efield_addends,
+    _sum_addends,
     bfield_sin_params,
     efield_const_b_params,
     efield_derived_constants,
@@ -232,11 +234,16 @@ class TestEFieldConstB:
             assert np.max(np.abs(got - ref[:, idx])) < 1e-6
 
     def test_alt_resonance_denominator_fails_equations_of_motion(self):
-        # the (Omega + w_c)^2 variant of the denominator is demonstrably
-        # inconsistent with the translation equations: keep it quarantined
+        # the denominator with (Omega + w_c)^2 in place of Omega^2 + w_c^2
+        # is inconsistent with the translation equations
+        a = EFIELD_ARGS
+        d = efield_derived_constants(a["m"], a["charge"], a["B"], a["K"], a["omega"])
+        wc, om, w = d.omega_c, d.Omega, a["omega"]
+        g4_alt = 16.0 * w**4 + d.gamma_minus2**2 - 8.0 * w**2 * (om + wc) ** 2
+        tables = _efield_addends(a["m"], a["charge"], a["E0x"], a["E0y"], a["E1x"], a["E1y"],
+                                 a["zeta"], w, wc, om, d.gamma_minus2, d.gamma_plus2, g4_alt)
+        got = np.array([_sum_addends(table, 2.0, om, wc, w) for table in tables])
         ref = efield_translation_ode(np.array([2.0]))[:, 0]
-        cf = efield_const_b_params(t=2.0, use_alt_gamma4=True, **EFIELD_ARGS)
-        got = np.array([cf.lam_x, cf.lam_y, cf.Pi_x, cf.Pi_y])
         assert np.max(np.abs(got - ref)) > 1e-3
 
     def test_radial_shortcut_values(self):

@@ -3,17 +3,23 @@
 A name left in ``__all__`` after its definition is deleted, or a
 re-export of another module's name, would otherwise go unseen: tools that
 walk ``__all__`` with ``getattr(module, name, None)`` skip it silently.
-The same source scan checks that no module but ``cli`` opens a file.
+The same source scan checks that no module but ``cli`` opens a file, and
+the benchmark's span recorder still finds every name it wraps.
 """
 
 import ast
 import importlib
 import pathlib
 import pkgutil
+import types
 
 import pytest
 
 import liegate
+import liegate.cli
+import liegate.verify
+
+SPANS = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(liegate.__path__))
 
@@ -59,3 +65,17 @@ def opens_files(path: str) -> bool:
 def test_library_leaves_files_to_the_cli(name):
     # the library returns data; cli owns every file format and writes every file
     assert not opens_files(importlib.import_module(f"liegate.{name}").__file__)
+
+
+def test_benchmark_spans_find_every_wrapped_name():
+    # perfbench/spans.py wraps methods and verify checks by name; a renamed
+    # or deleted one fails the traced benchmark run, so catch it here.  The
+    # source is executed, not imported, so nothing is written beside it.
+    spans = types.ModuleType("perfbench_spans")
+    exec(compile(SPANS.read_text(), str(SPANS), "exec"), spans.__dict__)
+    recorder = spans.Recorder()
+    try:
+        recorder.instrument(liegate)
+    finally:
+        recorder.close()
+    assert [n for n in spans.VERIFY_CHECKS if not hasattr(liegate.verify, n)] == []

@@ -8,7 +8,6 @@ import pytest
 from liegate.coeffs import CoefficientSet1D, FieldProfile2D, Sinusoid
 from liegate.errors import DomainError
 from liegate.oracle import (
-    ClassicalState,
     WaveGrid,
     classical_flow,
     fidelity,
@@ -23,27 +22,55 @@ def make_grid(n=1024, half_width=12.0, **kwargs):
     return gaussian_state(n, -half_width, 2 * half_width / n, **kwargs)
 
 
+FREE = CoefficientSet1D.build(a=1.0)
+NOT_A_SYSTEM = "neither CoefficientSet1D nor FieldProfile2D"
+
+
 class TestClassicalFlow:
     def test_free_particle(self):
-        cs = CoefficientSet1D.build(a=1.0)
-        flow = classical_flow(cs, ClassicalState(np.array([0.0, 1.0])), 2.0)
+        flow = classical_flow(FREE, np.array([0.0, 1.0]), 2.0)
+        assert flow.at(2.0).shape == (2,)
         assert np.allclose(flow.at(2.0), [2.0, 1.0], atol=1e-10)
 
     def test_oscillator_quarter_period(self):
         cs = CoefficientSet1D.build(a=1.0, c=1.0)
-        flow = classical_flow(cs, ClassicalState(np.array([1.0, 0.0])), 2.0)
+        flow = classical_flow(cs, np.array([1.0, 0.0]), 2.0)
         assert np.allclose(flow.at(math.pi / 2), [0.0, -1.0], atol=1e-9)
 
     def test_forced_particle_from_origin(self):
         cs = CoefficientSet1D.build(a=1.0, e=-1.0)  # force f = 1
-        flow = classical_flow(cs, ClassicalState(np.zeros(2)), 2.0)
+        flow = classical_flow(cs, np.zeros(2), 2.0)
         assert np.allclose(flow.at(2.0), [2.0, 2.0], atol=1e-10)
+
+    def test_planar_uniform_electric_field(self):
+        # force -q E = (-0.5, 1): x = -t^2/4, y = t^2/2, p = force * t
+        field = FieldProfile2D.build(m=1.0, Ex=0.5, Ey=-1.0, charge=1.0)
+        flow = classical_flow(field, np.zeros(4), 2.0)
+        assert flow.at(2.0).shape == (4,)
+        assert np.allclose(flow.at(2.0), [-1.0, 2.0, -1.0, 2.0], atol=1e-10)
+
+    @pytest.mark.parametrize(
+        "system, z0, t_end, message",
+        [
+            (NOT_A_SYSTEM, np.zeros(2), 1.0, "must be CoefficientSet1D or FieldProfile2D"),
+            (FREE, np.zeros(2), 0.0, "t_end must be positive"),
+            (FREE, np.zeros(2), -1.0, "t_end must be positive"),
+            (FREE, np.zeros(4), 1.0, "initial state must have 2 entries"),
+            (FieldProfile2D.build(), np.zeros(2), 1.0, "initial state must have 4 entries"),
+            (FREE, np.array([0.0, np.nan]), 1.0, "entries must be finite"),
+            (FREE, np.array([np.inf, 0.0]), 1.0, "entries must be finite"),
+        ],
+        ids=["system", "t-end-zero", "t-end-negative", "size-1d", "size-planar", "nan", "inf"],
+    )
+    def test_rejects(self, system, z0, t_end, message):
+        with pytest.raises(DomainError, match=message):
+            classical_flow(system, z0, t_end)
 
 
 class TestFundamentalMatrix:
     def test_free_particle(self):
-        cs = CoefficientSet1D.build(a=1.0)
-        fm = fundamental_matrix(cs, 2.0)
+        fm = fundamental_matrix(FREE, 2.0)
+        assert fm.at(1.3).shape == (2, 2)
         assert np.allclose(fm.at(1.3), [[1.0, 1.3], [0.0, 1.0]], atol=1e-11)
 
     def test_oscillator_rotation(self):
@@ -68,8 +95,22 @@ class TestFundamentalMatrix:
     def test_2d_liouville(self):
         field = FieldProfile2D.build(m=1.0, B=Sinusoid(1.5, 2.0), K=0.4, charge=1.0)
         fm = fundamental_matrix(field, 2.0, tol=1e-12)
+        assert fm.at(1.0).shape == (4, 4)
         for t in np.linspace(0.2, 2.0, 7):
             assert abs(np.linalg.det(fm.at(float(t))) - 1.0) < 1e-9
+
+    @pytest.mark.parametrize(
+        "system, t_end, message",
+        [
+            (NOT_A_SYSTEM, 1.0, "must be CoefficientSet1D or FieldProfile2D"),
+            (FREE, 0.0, "t_end must be positive"),
+            (FREE, -1.0, "t_end must be positive"),
+        ],
+        ids=["system", "t-end-zero", "t-end-negative"],
+    )
+    def test_rejects(self, system, t_end, message):
+        with pytest.raises(DomainError, match=message):
+            fundamental_matrix(system, t_end)
 
 
 class TestSplitStep:

@@ -20,7 +20,7 @@ from liegate.coeffs import (
     Tabulated,
     TimeProfile,
 )
-from liegate.errors import DomainError
+from liegate.errors import DomainError, IntegrationError
 from liegate.paramflow import (
     solve_2d,
     solve_linear_translation,
@@ -94,9 +94,7 @@ class TestLinearTranslation:
     def test_sinusoidal_drive_matches_classical_flow(self):
         cs = CoefficientSet1D.build(a=1.0, e=Sinusoid(1.0, 1.0))
         lt = solve_linear_translation(cs, math.pi, tol=1e-12)
-        flow = oracle.classical_flow(
-            cs, oracle.ClassicalState(np.zeros(2)), math.pi, tol=1e-12
-        )
+        flow = oracle.classical_flow(cs, np.zeros(2), math.pi, tol=1e-12)
         for t in np.linspace(0.2, math.pi, 9):
             _, lam, pi = lt.at(float(t))
             assert np.max(np.abs(flow.at(float(t)) - [lam, -pi])) < 1e-8
@@ -151,9 +149,7 @@ class TestPathOne:
     def test_classical_identification(self):
         cs = random_smooth_coeffs(np.random.default_rng(3))
         tr = solve_path1(cs, 2.0, tol=1e-12)
-        flow = oracle.classical_flow(
-            cs, oracle.ClassicalState(np.zeros(2)), 2.0, tol=1e-12
-        )
+        flow = oracle.classical_flow(cs, np.zeros(2), 2.0, tol=1e-12)
         worst = 0.0
         for t in np.linspace(0.1, 2.0, 11):
             s = tr.sample(float(t))
@@ -305,9 +301,7 @@ class TestPlanar:
             Ey=Sinusoid(0.2, 1.3, math.pi / 2), charge=1.0,
         )
         tr = solve_2d(field, 2.0, tol=1e-12, path="path2")
-        flow = oracle.classical_flow(
-            field, oracle.ClassicalState(np.zeros(4)), 2.0, tol=1e-12
-        )
+        flow = oracle.classical_flow(field, np.zeros(4), 2.0, tol=1e-12)
         for t in np.linspace(0.25, 2.0, 8):
             rec = tr.sample(float(t))
             target = np.array([rec["lam_x"], rec["lam_y"], -rec["Pi_x"], -rec["Pi_y"]])
@@ -404,6 +398,19 @@ class TestDomainGuard:
     def test_planar_rhs_rejects_a_negative_mass(self):
         with pytest.raises(DomainError, match="m\\(t\\) must stay positive \\(.*m=-1 at t="):
             solve_2d(FieldProfile2D.build(m=self.JUMP, B=1.0), 1.0)
+
+    def test_planar_failure_with_a_positive_mass_is_reraised(self, monkeypatch):
+        # m stays at or above 0.5, so the probe past the failure finds no pole
+        failure = IntegrationError("planar translation parameters integration failed",
+                                   last_time=0.5)
+
+        def failing_run_ivp(*args, **kwargs):
+            raise failure
+
+        monkeypatch.setattr(paramflow, "_run_ivp", failing_run_ivp)
+        with pytest.raises(IntegrationError) as raised:
+            solve_2d(FieldProfile2D.build(m=Sinusoid(0.5, 512 * math.pi, 0.0, 1.0), B=1.0), 1.0)
+        assert raised.value is failure
 
     def test_route_two_quadratic_phase_solve_guards_c_itself(self, monkeypatch):
         # c turns negative once the base solve is done, so only the
