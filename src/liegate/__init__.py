@@ -6,7 +6,7 @@ Subpackages by task:
 - ``coeffs``: time-dependent Hamiltonian coefficient profiles and the
   rotating-frame reduction of the planar charged particle.
 - ``paramflow``: transformation-parameter ODE solvers (both factorization
-  routes, 1D and 2D).
+  routes, 1D and 2D), integrated by ``ode``, a DOP853 that takes scipy's steps.
 - ``maps``: symplectic Heisenberg maps assembled from parameter
   trajectories, plus symplectic invariant checks.
 - ``greens``: Gaussian propagator kernels and grid quadrature application.

@@ -18,7 +18,8 @@ Cases:
 
 The Mathieu cosine is computed by direct ODE integration of
 y'' + (a - 2 q cos 2z) y = 0 with y(0)=1, y'(0)=0, which is its defining
-property; no characteristic-value expansions are involved.
+property; no characteristic-value expansions are involved.  The solves use
+``ode.solve`` without dense output: only an event step pays for interpolation.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from scipy.integrate import solve_ivp
-
-from .errors import CausticError, DomainError, IntegrationError, ResonanceError
+from . import ode
+from .errors import CausticError, DomainError, ResonanceError
 
 __all__ = [
     "MathieuEval",
@@ -66,20 +66,15 @@ def _mathieu_rhs(a: float, q: float):
 
 
 def mathieu_c(a: float, q: float, z: float, tol: float = _MATHIEU_TOL) -> MathieuEval:
-    """Cosine Mathieu function C(a, q, z) with C(a,q,0)=1, C'(a,q,0)=0."""
+    """Cosine Mathieu function C(a, q, z) with C(a,q,0)=1, C'(a,q,0)=0.
+
+    C is even in z, so a negative z is solved at |z| and C' changes sign."""
     if z == 0.0:
         return MathieuEval(a=a, q=q, z=0.0, C=1.0, Cp=0.0)
-    sol = solve_ivp(
-        _mathieu_rhs(a, q),
-        (0.0, z),
-        [1.0, 0.0],
-        method="DOP853",
-        rtol=tol,
-        atol=tol,
-    )
-    if not sol.success:
-        raise IntegrationError(f"Mathieu integration failed: {sol.message}")
-    return MathieuEval(a=a, q=q, z=z, C=float(sol.y[0, -1]), Cp=float(sol.y[1, -1]))
+    sol = ode.solve(_mathieu_rhs(a, q), [1.0, 0.0], (0.0, abs(z)), tol, tol, "Mathieu",
+                    dense=False)
+    return MathieuEval(a=a, q=q, z=z, C=float(sol.y[0, -1]),
+                       Cp=math.copysign(1.0, z) * float(sol.y[1, -1]))
 
 
 def _mathieu_with_reciprocal_square(a: float, q: float, z: float) -> tuple[float, float, float]:
@@ -93,30 +88,21 @@ def _mathieu_with_reciprocal_square(a: float, q: float, z: float) -> tuple[float
     # attaching the 1/C^2 quadrature, whose blow-up stalls the integrator
     crossing = lambda zz, y: y[0]
     crossing.terminal = True
-    probe = solve_ivp(
-        rhs2, (0.0, z), [1.0, 0.0], method="DOP853",
-        rtol=tol, atol=tol * 1e-2, events=[crossing],
-    )
+    probe = ode.solve(rhs2, [1.0, 0.0], (0.0, z), tol, tol * 1e-2, "Mathieu", event=crossing,
+                      dense=False)
     if probe.status == 1:
-        z_c = float(probe.t_events[0][0])
+        z_c = probe.t_events[0]
         raise CausticError(
             f"Mathieu cosine vanishes at z={z_c:.12g}, before the requested "
             f"z={z}; parameters are singular there",
             valid_to=z_c,
         )
-    if not probe.success:
-        raise IntegrationError(f"Mathieu integration failed: {probe.message}")
 
     def rhs(zz, y):
         d1, d2 = rhs2(zz, y[:2])
         return d1, d2, 1.0 / (y[0] * y[0])
 
-    sol = solve_ivp(
-        rhs, (0.0, z), [1.0, 0.0, 0.0], method="DOP853",
-        rtol=tol, atol=tol * 1e-2,
-    )
-    if not sol.success:
-        raise IntegrationError(f"Mathieu integration failed: {sol.message}")
+    sol = ode.solve(rhs, [1.0, 0.0, 0.0], (0.0, z), tol, tol * 1e-2, "Mathieu", dense=False)
     return float(sol.y[0, -1]), float(sol.y[1, -1]), float(sol.y[2, -1])
 
 

@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Literal
 
 import numpy as np
-from scipy.integrate import OdeSolution, solve_ivp
 
+from . import ode
 from .coeffs import CoefficientSet1D, FieldProfile2D, Sinusoid, Tabulated, reduce_2d
 from .errors import DomainError, IntegrationError
 
@@ -55,9 +54,11 @@ _PROBE_POINTS = 257
 _POLE_OFFSETS = np.geomspace(1e-12, 1e-2, _PROBE_POINTS)
 _SHORTCUT_RTOL = 1e-12
 _MASS_REQUIREMENT = "the kinetic energy is p^2/2m"
-_RTOL_FLOOR = 100.0 * np.finfo(float).eps   # scipy's least rtol
+# Below 100 eps the error estimate is rounding noise; scipy's DOP853 raises
+# a smaller rtol to this floor too, so the two take the same steps.
+_RTOL_FLOOR = 100.0 * np.finfo(float).eps
 # Right-hand-side evaluations one solve may spend before it fails: about
-# 9 s of the 1D oscillator solve on one Xeon core.  Successful solves in
+# 6 s of the 1D oscillator solve on one Xeon core.  Successful solves in
 # the tests, `liegate verify` and perfbench spend at most 3.8e3; a solve
 # that ends in step-size underflow at a coefficient singularity, 7.8e4.
 _RHS_BUDGET = 300_000
@@ -277,23 +278,20 @@ def _coefficient_knots(coeffs: CoefficientSet1D) -> set[float]:
 
 
 def _run_ivp(rhs, y0, t_end, tol, what, knots=(), events=None):
-    """Solve y' = rhs(t, y), y(0) = y0 on [0, t_end] with DOP853.
+    """Solve y' = rhs(t, y), y(0) = y0 on [0, t_end] with ``ode.solve`` (DOP853).
 
-    rtol = tol/10 and atol = rtol/100: at a tenth of tol the order-8
-    method is as accurate, in the worst case, as RK45 at tol, in far fewer
-    steps.  rtol is clamped at 100 eps, the least value scipy accepts
-    without raising it and warning.  The solve restarts at every knot in
-    (0, t_end), since the right-hand side is not smooth there and a
-    high-order step across such a point loses its order; the segments
-    join into one dense solution, and a terminal event ends the solve.
-    A solve that spends _RHS_BUDGET right-hand-side evaluations, over all
-    segments, fails with IntegrationError: a horizon far beyond the time
-    scale of the dynamics would otherwise run without bound.
+    rtol = tol/10 (at least _RTOL_FLOOR) and atol = rtol/100: at a tenth of
+    tol the order-8 method is as accurate, in the worst case, as RK45 at tol,
+    in far fewer steps.  The solve restarts at every knot in (0, t_end), since
+    a high-order step across a point where the right-hand side is not smooth
+    loses its order; one dense solution spans the segments, and a terminal
+    event (``events`` holds at most one) ends the solve.  _RHS_BUDGET bounds
+    the right-hand-side evaluations of all segments, first-step probes and
+    dense-output stages: past it the solve fails with IntegrationError, since
+    a horizon far beyond the time scale of the dynamics would run unbounded.
     """
     rtol = max(tol / 10.0, _RTOL_FLOOR)
     bounds = [0.0, *sorted(tk for tk in knots if 0.0 < tk < t_end), t_end]
-    segments = []
-    y = y0
     calls = 0
 
     def budgeted(t, y):
@@ -305,26 +303,8 @@ def _run_ivp(rhs, y0, t_end, tol, what, knots=(), events=None):
                 f"evaluations spent by t = {float(t):.17g}", last_time=float(t))
         return rhs(t, y)
 
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        seg = solve_ivp(budgeted, (lo, hi), y, method="DOP853", rtol=rtol, atol=rtol * 1e-2,
-                        dense_output=True, events=events)
-        if seg.status == -1:
-            raise IntegrationError(
-                f"{what} integration failed: {seg.message}", last_time=float(seg.t[-1])
-            )
-        segments.append(seg)
-        if seg.status == 1:
-            break
-        y = seg.y[:, -1]
-    t = np.concatenate([segments[0].t] + [seg.t[1:] for seg in segments[1:]])
-    return SimpleNamespace(
-        t=t,
-        y=np.concatenate([segments[0].y] + [seg.y[:, 1:] for seg in segments[1:]], axis=1),
-        sol=OdeSolution(t, [piece for seg in segments for piece in seg.sol.interpolants]),
-        t_events=(None if events is None else
-                  [np.concatenate(times) for times in zip(*(seg.t_events for seg in segments))]),
-        status=segments[-1].status,
-    )
+    return ode.solve(budgeted, y0, bounds, rtol, rtol * 1e-2, what,
+                     event=events[0] if events else None)
 
 
 def _linear_rhs(coeffs: CoefficientSet1D, t, y, a: float, b: float, c: float):
@@ -366,8 +346,7 @@ def solve_linear_translation(
 
 def _first_event(sol) -> float:
     """Time of the solve's first event; +inf if there was none."""
-    times = sol.t_events[0]
-    return float(times[0]) if times.size else math.inf
+    return sol.t_events[0] if sol.t_events else math.inf
 
 
 def solve_path1(coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10) -> ParamTrajectory:

@@ -3,8 +3,9 @@
 A name left in ``__all__`` after its definition is deleted, or a
 re-export of another module's name, would otherwise go unseen: tools that
 walk ``__all__`` with ``getattr(module, name, None)`` skip it silently.
-The same source scan checks that no module but ``cli`` opens a file, and
-the benchmark's span recorder still finds every name it wraps.
+The same source scan checks that no module but ``cli`` opens a file and
+that the solvers import nothing from scipy, and the benchmark's span
+recorder still finds every name it wraps.
 """
 
 import ast
@@ -65,6 +66,24 @@ def opens_files(path: str) -> bool:
 def test_library_leaves_files_to_the_cli(name):
     # the library returns data; cli owns every file format and writes every file
     assert not opens_files(importlib.import_module(f"liegate.{name}").__file__)
+
+
+def imported_packages(path: str) -> set[str]:
+    """Top-level package of every absolute import in the module's source."""
+    names = set()
+    for node in ast.walk(ast.parse(pathlib.Path(path).read_text())):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+@pytest.mark.parametrize("name", ["closedforms", "ode", "paramflow"])
+def test_solvers_import_nothing_from_scipy(name):
+    # the parameter solves run on the package's own DOP853; the oracle keeps
+    # scipy's RK45 by design, so that it shares no integrator code with them
+    assert "scipy" not in imported_packages(importlib.import_module(f"liegate.{name}").__file__)
 
 
 def test_benchmark_spans_find_every_wrapped_name():
