@@ -20,10 +20,11 @@ import numpy as np
 
 from .errors import IntegrationError
 
-__all__ = ["Dense", "Result", "brentq", "solve"]
+__all__ = ["Dense", "Result", "solve"]
 
 _EPS = float(np.finfo(float).eps)
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
+_BRENT_TOL, _BRENT_MAXITER = 4 * _EPS, 100   # xtol = rtol, as solve_ivp refines events
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
 
 # Hairer's published DOP853 coefficients, each as the shortest decimal that
@@ -219,8 +220,7 @@ def solve(fun, y0, bounds, rtol: float, atol: float, what: str, event=None,
                 g, g_old = event(t, y), g
                 if g_old <= 0 <= g or g_old >= 0 >= g:
                     at = Dense([t_old, t], [steps[-1] if dense else interpolant()])
-                    root = brentq(lambda x: event(x, np.array(at(x))), t_old, t,
-                                  4 * _EPS, 4 * _EPS)
+                    root = _brentq(lambda x: event(x, np.array(at(x))), t_old, t)
                     t_events.append(root)
                     if getattr(event, "terminal", False):
                         status, t, y = 1, root, np.array(at(root))
@@ -235,7 +235,7 @@ def solve(fun, y0, bounds, rtol: float, atol: float, what: str, event=None,
                   t_events=t_events, status=status)
 
 
-def brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100) -> float:
+def _brentq(f, xa: float, xb: float) -> float:
     """A root of f in [xa, xb] by scipy's ``brentq`` iteration (Brent 1973,
     chapter 4), operation for operation, so the iterates are the same."""
 
@@ -245,21 +245,21 @@ def brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100
             raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
         return fx
 
-    xpre, xcur, xtol, rtol = float(xa), float(xb), float(xtol), float(rtol)
+    xpre, xcur = float(xa), float(xb)
     xblk = fblk = spre = scur = 0.0
     fpre, fcur = value(xpre), value(xcur)
     if fpre == 0 or fcur == 0:
         return xpre if fpre == 0 else xcur
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (_BRENT_TOL + _BRENT_TOL * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -281,4 +281,4 @@ def brentq(f, xa: float, xb: float, xtol: float, rtol: float, maxiter: int = 100
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations, value is {xcur}")
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations, value is {xcur}")

@@ -182,11 +182,11 @@ def test_brent_port_takes_scipys_iterates(kind, coefficients, a, width, at):
     g, b = FUNCTIONS[kind](coefficients), a + width
     level = g(a + at * width)
     f = lambda x: g(x) - level
-    tol = 4 * float(np.finfo(float).eps)
     try:
-        expected = scipy_brentq(f, a, b, xtol=tol, rtol=tol)
+        expected = scipy_brentq(f, a, b, xtol=ode._BRENT_TOL, rtol=ode._BRENT_TOL,
+                                maxiter=ode._BRENT_MAXITER)
     except (ValueError, RuntimeError) as err:
         with pytest.raises(type(err)):
-            ode.brentq(f, a, b, tol, tol)
+            ode._brentq(f, a, b)
         return
-    assert ode.brentq(f, a, b, tol, tol).hex() == float(expected).hex()
+    assert ode._brentq(f, a, b).hex() == float(expected).hex()
