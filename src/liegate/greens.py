@@ -37,7 +37,7 @@ import numpy as np
 from scipy import fft as sp_fft
 
 from .errors import CausticError, DomainError
-from .maps import _radial_block, _rotation
+from .maps import _radial_entries, _rotation
 from .oracle import WaveGrid, _trapezoid_weights
 from .paramflow import ParamTrajectory, ParamTrajectory2D
 
@@ -191,7 +191,7 @@ def kernel_build(
         pi = np.array([rec["Pi_x"], rec["Pi_y"]])
         action = rec["S"]
 
-    (g_qq, g_qp), (_, g_pp) = _radial_block(radial, s).tolist()
+    (g_qq, g_qp), (_, g_pp) = _radial_entries(radial, s)
     if g_qp == 0.0:
         raise CausticError("the map's x-p entry vanishes: the kernel is singular "
                            "at this time")

@@ -67,17 +67,18 @@ def _window_check(traj, t: float):
         )
 
 
-def _entries_path1(s: ParamSample, a: float) -> list[list[float]]:
-    # G_qq = e^(phi+gamma), G_qp = (beta/Delta) e^(phi+gamma),
-    # G_pq = -alpha Delta e^(phi-gamma), G_pp = e^(-phi-gamma) - alpha beta e^(phi-gamma),
-    # evaluated through the globally smooth pair (u, v):
-    # e^(phi+gamma) = e^B u, beta/Delta = v/u, alpha = -u'/u, giving
-    # M = e^B [[u, v], [u'/a, v'/a]] with B = bint.
-    eb = math.exp(s.bint)
-    return [[eb * s.u, eb * s.v], [eb * s.udot / a, eb * s.vdot / a]]
-
-
-def _entries_path2(s: ParamSample, delta: float) -> list[list[float]]:
+def _radial_entries(traj: ParamTrajectory, s: ParamSample) -> tuple[tuple[float, float], ...]:
+    """The 2x2 map ((G_qq, G_qp), (G_pq, G_pp)) from one sample of ``traj``."""
+    if traj.path == "path1":
+        # G_qq = e^(phi+gamma), G_qp = (beta/Delta) e^(phi+gamma),
+        # G_pq = -alpha Delta e^(phi-gamma), G_pp = e^(-phi-gamma) - alpha beta e^(phi-gamma),
+        # evaluated through the globally smooth pair (u, v):
+        # e^(phi+gamma) = e^B u, beta/Delta = v/u, alpha = -u'/u, giving
+        # M = e^B [[u, v], [u'/a, v'/a]] with B = bint.
+        a = float(traj.coeffs.a(s.t))
+        eb = math.exp(s.bint)
+        return (eb * s.u, eb * s.v), (eb * s.udot / a, eb * s.vdot / a)
+    delta = traj.Delta
     cph, sph = math.cos(s.phi), math.sin(s.phi)
     ev, evm = math.exp(s.vphi), math.exp(-s.vphi)
     eg, egm = math.exp(s.gamma), math.exp(-s.gamma)
@@ -85,21 +86,18 @@ def _entries_path2(s: ParamSample, delta: float) -> list[list[float]]:
     g_qp = ((s.beta * cph - s.alpha * s.beta * sph) * ev + sph * evm) * eg / delta
     g_pq = -(s.alpha * cph + sph) * delta * ev * egm
     g_pp = -((s.beta * sph + s.alpha * s.beta * cph) * ev - cph * evm) * egm
-    return [[g_qq, g_qp], [g_pq, g_pp]]
+    return (g_qq, g_qp), (g_pq, g_pp)
 
 
 def _radial_block(traj: ParamTrajectory, s: ParamSample) -> np.ndarray:
-    """The 2x2 map [[G_qq, G_qp], [G_pq, G_pp]] from one sample of ``traj``."""
-    if traj.path == "path1":
-        return np.array(_entries_path1(s, float(traj.coeffs.a(s.t))))
-    return np.array(_entries_path2(s, traj.Delta))
+    """``_radial_entries`` as a 2x2 array."""
+    return np.array(_radial_entries(traj, s))
 
 
 def _rotation(theta: float) -> np.ndarray:
     """The 2x2 rotation R(theta) that the planar maps and kernels share."""
-    return np.array(
-        [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
-    )
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, -s], [s, c]])
 
 
 def _assemble_1d(traj: ParamTrajectory, t: float, path: str) -> SymplecticMap:
@@ -125,16 +123,30 @@ def assemble_2d(traj2d: ParamTrajectory2D, t: float) -> SymplecticMap:
     """Planar map: 2x2 blocks G_ab * R(theta) in (x, y, p_x, p_y) ordering."""
     _window_check(traj2d, t)
     rec = traj2d.sample(t)
-    m = np.kron(_radial_block(traj2d.radial, rec["radial"]), _rotation(rec["theta"]))
+    cth, sth = math.cos(rec["theta"]), math.sin(rec["theta"])
+    rot = (cth, -sth), (sth, cth)
+    # np.kron(G, R) entry by entry: the same single product G_ij * R_kl each
+    m = np.array([[g * r for g in g_row for r in r_row]
+                  for g_row in _radial_entries(traj2d.radial, rec["radial"])
+                  for r_row in rot])
     shift = np.array([rec["lam_x"], rec["lam_y"], -rec["Pi_x"], -rec["Pi_y"]])
     return SymplecticMap(t=t, M=m, shift=shift)
 
 
+def _frozen_form(dof: int) -> np.ndarray:
+    j = symplectic_form(dof)
+    j.flags.writeable = False
+    return j
+
+
+_FORMS = {2: _frozen_form(1), 4: _frozen_form(2)}   # J by the size of M
+
+
 def check_symplectic(smap: SymplecticMap) -> tuple[float, float]:
     """Residuals (|det M - 1|, max-norm of M^T J M - J)."""
-    j = symplectic_form(smap.dof)
+    j = _FORMS[len(smap.M)]
     det_residual = abs(float(np.linalg.det(smap.M)) - 1.0)
-    form_residual = float(np.max(np.abs(smap.M.T @ j @ smap.M - j)))
+    form_residual = float(abs(smap.M.T @ j @ smap.M - j).max())
     return det_residual, form_residual
 
 

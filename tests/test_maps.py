@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from liegate import oracle, paramflow
+from liegate import maps, oracle, paramflow
 from liegate.coeffs import CoefficientSet1D, Exponential, FieldProfile2D, Sinusoid
 from liegate.errors import CausticError, DomainError
 from liegate.maps import (
@@ -161,7 +161,87 @@ class TestPlanarAssembly:
         assert np.allclose(smap.M @ r4, r4 @ smap.M, atol=1e-12)
 
 
+def seeded_field(seed: int, B=None) -> FieldProfile2D:
+    """Sinusoidal m, B, K and drives with m > 0.7 and K > 0.1 (so the
+    radial c > 0 and route 2 applies); ``B`` replaces the drawn field."""
+    rng = np.random.default_rng(seed)
+
+    def sin(offset, amplitude):
+        return Sinusoid(rng.uniform(0.0, amplitude), rng.uniform(0.5, 3.0),
+                        rng.uniform(0.0, 2.0 * math.pi), offset)
+
+    drawn = sin(rng.uniform(-2.0, 2.0), 1.0)
+    return FieldProfile2D.build(m=sin(1.0, 0.3), B=drawn if B is None else B,
+                                K=sin(rng.uniform(0.3, 1.0), 0.2),
+                                Ex=sin(0.0, 0.5), Ey=sin(0.0, 0.5))
+
+
+def with_zeros(f, ts) -> list[float]:
+    """The increasing times ``ts`` plus, at each sign change of f between
+    neighbours, the two adjacent floats that bracket f's zero; sorted."""
+    out = list(ts)
+    for lo, hi in zip(ts, ts[1:]):
+        f_lo = f(lo)
+        if f_lo * f(hi) < 0.0:
+            while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+                lo, hi = (mid, hi) if f(mid) * f_lo > 0.0 else (lo, mid)
+            out += [lo, hi]
+    return sorted(out)
+
+
+class TestPlanarMapsEqualKron:
+    def test_bytes_equal_kron_of_radial_block_and_rotation(self):
+        # assemble_2d forms each entry G_ij * R_kl as one float product,
+        # which must be the product np.kron forms, signed zeros included.
+        # Between them the six solves see each of G_qq, G_qp, G_pq, G_pp,
+        # cos(theta) and sin(theta) change sign before valid_to; G_qp, G_pq
+        # and sin(theta) are exact zeros at t = 0 and tiny just after it.
+        crossed, signed_zeros = set(), 0
+        for field in (seeded_field(1), seeded_field(3), seeded_field(0, B=0.0)):
+            for path in ("path1", "path2"):
+                tr = paramflow.solve_2d(field, 4.0, tol=1e-10, path=path)
+
+                def entries(t):
+                    rec = tr.sample(t)
+                    return [*maps._radial_block(tr.radial, rec["radial"]).ravel(),
+                            math.cos(rec["theta"]), math.sin(rec["theta"])]
+
+                times = [0.0, 5e-324, 1e-300, 1e-160, 1e-20,
+                         *np.linspace(0.0, min(4.0, tr.valid_to), 120)[1:].tolist()]
+                for k in range(6):
+                    bracketed = with_zeros(lambda t: entries(t)[k], times)
+                    if len(bracketed) > len(times):
+                        crossed.add(k)
+                    times = bracketed
+                for t in times:
+                    rec = tr.sample(t)
+                    m = assemble_2d(tr, t).M
+                    kron = np.kron(maps._radial_block(tr.radial, rec["radial"]),
+                                   maps._rotation(rec["theta"]))
+                    assert m.tobytes() == kron.tobytes(), (path, t)
+                    signed_zeros += int(np.sum((m == 0.0) & np.signbit(m)))
+        assert crossed == set(range(6))
+        assert signed_zeros > 0
+
+
 class TestSymplecticChecks:
+    def test_residuals_equal_the_direct_formula_bitwise(self):
+        rng = np.random.default_rng(5)
+        cs = random_smooth_coeffs(rng, positive_c=True)
+        trajs = [(paramflow.solve_path1(cs, 2.0, tol=1e-10), assemble_path1),
+                 (paramflow.solve_path2(cs, 2.0, tol=1e-10), assemble_path2),
+                 (paramflow.solve_2d(seeded_field(2), 2.0, tol=1e-10), assemble_2d)]
+        smaps = [assemble(tr, float(t)) for tr, assemble in trajs
+                 for t in np.linspace(0.0, 0.95 * min(2.0, tr.valid_to), 15)]
+        smaps += [SymplecticMap(t=0.0, M=rng.normal(size=(n, n)), shift=np.zeros(n))
+                  for n in (2, 4, 2, 4)]
+        for smap in smaps:
+            j = symplectic_form(smap.dof)
+            direct = (abs(float(np.linalg.det(smap.M)) - 1.0),
+                      float(np.max(np.abs(smap.M.T @ j @ smap.M - j))))
+            assert [x.hex() for x in check_symplectic(smap)] == [x.hex() for x in direct]
+        assert not any(j.flags.writeable for j in maps._FORMS.values())
+
     def test_identity(self):
         smap = SymplecticMap(t=0.0, M=np.eye(2), shift=np.zeros(2))
         assert check_symplectic(smap) == (0.0, 0.0)

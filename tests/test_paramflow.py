@@ -557,6 +557,48 @@ class TestFloatBranchEndToEnd:
             (("call", 3), ("derivative", 2))}
 
 
+class TestFloatState:
+    def test_rhs_on_a_list_equals_the_rhs_on_the_array_bitwise(self, monkeypatch):
+        # every right-hand side gets its state as a list of floats; at each
+        # stage input of one solve per right-hand side it must return the
+        # bits it returns for the same state as an array
+        recorded = defaultdict(list)   # integration -> (rhs, t, y) per call
+        run_ivp = paramflow._run_ivp
+
+        def recording_run_ivp(rhs, y0, t_end, tol, what, knots=(), events=None):
+            def recording(t, y):
+                recorded[what].append((rhs, t, y))
+                return rhs(t, y)
+
+            return run_ivp(recording, y0, t_end, tol, what, knots, events)
+
+        monkeypatch.setattr(paramflow, "_run_ivp", recording_run_ivp)
+        cs = mixed_system(0)
+        solve_linear_translation(cs, 4.0)
+        solve_path1(cs, 4.0)
+        solve_path2(cs, 4.0)
+        solve_2d(mixed_field(0), 4.0, path="path2")
+        assert set(recorded) == {
+            "translation parameters", "route-1 parameters", "route-2 parameters",
+            "route-2 quadratic-phase parameters", "planar translation parameters"}
+        for what, calls in recorded.items():
+            assert len(calls) > 100, what
+            for rhs, t, y in calls:
+                assert type(y) is list and all(type(x) is float for x in y)
+                on_array = np.array(rhs(t, np.array(y)))
+                assert np.array(rhs(t, y)).tobytes() == on_array.tobytes(), (what, t)
+
+    def test_float_overflow_takes_the_array_path(self):
+        # pi_x**2 overflows as a float (OverflowError) where numpy returns
+        # inf; that call is made on the array, so the solve ends as it does
+        # on arrays, in step-size underflow at the same time
+        field = FieldProfile2D.build(m=1.0, B=1.0, K=-1.0, Ex=0.3)
+        with pytest.warns(RuntimeWarning), pytest.raises(
+                IntegrationError, match="Required step size is less than spacing") as raised:
+            solve_2d(field, 2000.0, 1e-3)
+        assert raised.value.last_time == 411.2631422543169
+
+
 SPLINE_KNOTS = np.linspace(0.0, 4.0, 17)
 
 
