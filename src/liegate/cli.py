@@ -141,6 +141,9 @@ def validate_config(cfg: dict):
     for key in ("t_end", "tol", "hbar", "kernel_t"):
         if key in cfg:
             presets.check_number(cfg[key], key, positive=True)
+    if cfg.get("kernel_t", 0) > cfg["t_end"]:
+        raise ConfigError(f"field 'kernel_t' must not exceed t_end={cfg['t_end']}, "
+                          f"got {cfg['kernel_t']}", field="kernel_t")
     if "samples" in cfg and not _is_int_in(cfg["samples"], 2, _MAX_SAMPLES):
         raise ConfigError(f"field 'samples' must be an integer in [2, {_MAX_SAMPLES}]",
                           field="samples")
@@ -357,6 +360,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message, field=flag and flag.group(1).replace("-", "_"))
 
 
+def non_negative_int(text: str) -> int:
+    """An integer >= 0, as the suite's random generator takes for a seed."""
+    if int(text) < 0:
+        raise ValueError(text)
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="liegate",
@@ -382,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run the invariant verification suite")
     pv.add_argument("--out", default=".", help="output directory")
-    pv.add_argument("--seed", type=int, default=0, help="suite seed")
+    pv.add_argument("--seed", type=non_negative_int, default=0, help="suite seed")
     pv.add_argument("--corrupt-map", action="store_true", help=argparse.SUPPRESS)
 
     pc = sub.add_parser("constants", help="export structure constants as CSV")

@@ -143,8 +143,8 @@ def kernel_build(
 ) -> GaussianKernel:
     """Build the propagator kernel at time t from a solved trajectory.
 
-    variant is one of 'lp', 'path1', 'path2', 'twod_path1', 'twod_path2'
-    and must be consistent with the trajectory.  t must lie strictly inside
+    variant is the trajectory's route, 'twod_' + route if it is planar, or
+    'lp' on a 1D route-1 one with b = c = 0.  t must lie strictly inside
     (0, caustic time): at t = 0 the propagator is a delta, not a Gaussian,
     and at the focal time its prefactor diverges.
     """
@@ -160,36 +160,26 @@ def kernel_build(
             valid_to=traj.valid_to,
         )
 
-    if key in ("lp", "path1", "path2"):
-        if not isinstance(traj, ParamTrajectory):
-            raise DomainError(f"variant {variant!r} needs a 1D trajectory")
-        expected = "path2" if key == "path2" else "path1"
-        if traj.path != expected:
-            raise DomainError(
-                f"variant {variant!r} needs a route '{expected}' trajectory, "
-                f"got {traj.path!r}"
-            )
-        if key == "lp":
-            _check_lp_shape(traj)
-        radial = traj
-        s = traj.sample(t)
-        rot = np.eye(1)
-        lam, pi, action = np.array([s.lam]), np.array([s.Pi]), s.S
-    else:
-        if not isinstance(traj, ParamTrajectory2D):
-            raise DomainError(f"variant {variant!r} needs a planar trajectory")
-        expected = "path1" if key == "twod_path1" else "path2"
-        if traj.radial.path != expected:
-            raise DomainError(
-                f"variant {variant!r} needs a radial route '{expected}' trajectory, "
-                f"got {traj.radial.path!r}"
-            )
+    planar = isinstance(traj, ParamTrajectory2D)
+    radial = traj.radial if planar else traj
+    expected = ("twod_" if planar else "") + radial.path
+    if key != expected and not (key == "lp" and expected == "path1"):
+        raise DomainError(f"variant {variant!r} does not fit a {'planar' if planar else '1D'} "
+                          f"trajectory of route {radial.path!r}; use variant {expected!r} "
+                          "('twod_' + route if planar, the route or 'lp' on route 1 if 1D)")
+    if key == "lp":
+        _check_lp_shape(traj)
+    if planar:
         rec = traj.sample(t)
-        radial, s = traj.radial, rec["radial"]
+        s = rec["radial"]
         rot = _rotation(rec["theta"])
         lam = np.array([rec["lam_x"], rec["lam_y"]])
         pi = np.array([rec["Pi_x"], rec["Pi_y"]])
         action = rec["S"]
+    else:
+        s = traj.sample(t)
+        rot = np.eye(1)
+        lam, pi, action = np.array([s.lam]), np.array([s.Pi]), s.S
 
     (g_qq, g_qp), (_, g_pp) = _radial_entries(radial, s)
     if g_qp == 0.0:

@@ -75,9 +75,8 @@ def _radial_entries(traj: ParamTrajectory, s: ParamSample) -> tuple[tuple[float,
         # evaluated through the globally smooth pair (u, v):
         # e^(phi+gamma) = e^B u, beta/Delta = v/u, alpha = -u'/u, giving
         # M = e^B [[u, v], [u'/a, v'/a]] with B = bint.
-        a = float(traj.coeffs.a(s.t))
         eb = math.exp(s.bint)
-        return (eb * s.u, eb * s.v), (eb * s.udot / a, eb * s.vdot / a)
+        return (eb * s.u, eb * s.v), (eb * s.udot / s.a, eb * s.vdot / s.a)
     delta = traj.Delta
     cph, sph = math.cos(s.phi), math.sin(s.phi)
     ev, evm = math.exp(s.vphi), math.exp(-s.vphi)
@@ -87,11 +86,6 @@ def _radial_entries(traj: ParamTrajectory, s: ParamSample) -> tuple[tuple[float,
     g_pq = -(s.alpha * cph + sph) * delta * ev * egm
     g_pp = -((s.beta * sph + s.alpha * s.beta * cph) * ev - cph * evm) * egm
     return (g_qq, g_qp), (g_pq, g_pp)
-
-
-def _radial_block(traj: ParamTrajectory, s: ParamSample) -> np.ndarray:
-    """``_radial_entries`` as a 2x2 array."""
-    return np.array(_radial_entries(traj, s))
 
 
 def _rotation(theta: float) -> np.ndarray:
@@ -106,7 +100,8 @@ def _assemble_1d(traj: ParamTrajectory, t: float, path: str) -> SymplecticMap:
                           f"use assemble_{traj.path}")
     _window_check(traj, t)
     s = traj.sample(t)
-    return SymplecticMap(t=t, M=_radial_block(traj, s), shift=np.array([s.lam, -s.Pi]))
+    return SymplecticMap(t=t, M=np.array(_radial_entries(traj, s)),
+                         shift=np.array([s.lam, -s.Pi]))
 
 
 def assemble_path1(traj: ParamTrajectory, t: float) -> SymplecticMap:

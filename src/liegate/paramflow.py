@@ -66,10 +66,12 @@ _RHS_BUDGET = 300_000
 
 @dataclass(frozen=True)
 class ParamSample:
-    """All transformation parameters at one instant.
+    """All transformation parameters at one instant, and (u, udot) with
+    alpha = -udot/u.  The fields without a default are the params.csv columns.
 
     Route 1 also reports its companion solution (v, vdot) and bint, the
-    integral of b(t) from 0, which map assembly reads with the rest.
+    integral of b(t) from 0; both routes report a(t), read for gamma.  Map
+    assembly reads these with the rest.
     """
 
     t: float
@@ -86,16 +88,14 @@ class ParamSample:
     v: float = float("nan")
     vdot: float = float("nan")
     bint: float = float("nan")
+    a: float = float("nan")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearTranslation:
     """Solution of the translation-parameter equations only."""
 
     t_grid: np.ndarray
-    S: np.ndarray
-    lam: np.ndarray
-    Pi: np.ndarray
     _dense: object
 
     def at(self, t: float) -> tuple[float, float, float]:
@@ -103,8 +103,12 @@ class LinearTranslation:
         return float(s), float(lam), float(pi)
 
 
+@dataclass(frozen=True, eq=False)
 class ParamTrajectory:
-    """Time-sampled transformation parameters for one factorization route.
+    """Transformation parameters of one factorization route on [0, t_end]:
+    the route, its coefficients, Delta, the integrator's grid, ``valid_to``
+    and the dense solutions ``sample`` reads; route 2 also holds whether it
+    took the shortcut and, if not, its Riccati solve and where that ended.
 
     All parameters vanish at t = 0 (the factorized operator is the identity
     there).  ``valid_to`` is the first focal time, or inf if there is none
@@ -112,91 +116,68 @@ class ParamTrajectory:
     reaches pi for route 2 (also bounded by divergence of route 2's alpha,
     which can occur earlier for strongly driven cross terms).  The
     integrator locates it as an event of the solve itself, a sign change of
-    u or of phi - pi refined on the step's dense output.  alpha, phi and
-    beta are reported as NaN beyond ``valid_to``; u and its derivative are
-    reported everywhere.  Route 2 carries phi in its quadratic-phase
-    (Riccati) state too, so that solve reads no dense output of the base
-    solve; ``sample`` reports phi from the base solve, whose event sets
-    ``valid_to``.
+    u or of phi - pi refined on the step's dense output.  Route 1 reports
+    alpha, phi and beta as NaN beyond ``valid_to`` and u, udot everywhere;
+    route 2 reports alpha, vphi, beta, u and udot as NaN past its Riccati
+    solve.  Route 2 carries phi in its Riccati state too, so that solve reads
+    no dense output of the base solve; ``sample`` reports phi from the base
+    solve, whose event sets ``valid_to``.
     """
 
-    def __init__(
-        self,
-        path: Literal["path1", "path2"],
-        coeffs: CoefficientSet1D,
-        t_end: float,
-        tol: float,
-        Delta: float,
-        t_grid: np.ndarray,
-        base_dense,
-        valid_to: float,
-        shortcut: bool = False,
-        riccati_dense=None,
-        riccati_t_end: float | None = None,
-    ):
-        self.path = path
-        self.coeffs = coeffs
-        self.hbar = coeffs.hbar
-        self.t_end = float(t_end)
-        self.tol = float(tol)
-        self.Delta = float(Delta)
-        self.t_grid = np.asarray(t_grid, dtype=float)
-        self._base = base_dense
-        self.valid_to = float(valid_to)
-        self.shortcut = shortcut
-        self._riccati = riccati_dense
-        self._riccati_t_end = riccati_t_end if riccati_t_end is not None else t_end
+    path: Literal["path1", "path2"]
+    coeffs: CoefficientSet1D
+    t_end: float
+    Delta: float
+    t_grid: np.ndarray
+    valid_to: float
+    _base: object
+    shortcut: bool = False
+    _riccati: object = None
+    _riccati_t_end: float = math.inf
 
-    def _gamma(self, t: float) -> float:
-        a = float(self.coeffs.a(t))
-        if self.path == "path1":
-            return 0.5 * math.log(a * self.Delta)
-        c = float(self.coeffs.c(t))
-        return 0.5 * math.log(self.Delta * math.sqrt(a / c))
+    @property
+    def hbar(self) -> float:
+        return self.coeffs.hbar
 
     def sample(self, t: float) -> ParamSample:
         if not 0.0 <= t <= self.t_end:
             raise DomainError(f"t={t} outside the solved interval [0, {self.t_end}]")
-        gamma = self._gamma(t)
+        a = float(self.coeffs.a(t))
         inside = t < self.valid_to
         nan = float("nan")
         if self.path == "path1":
+            gamma = 0.5 * math.log(a * self.Delta)
             lam, pi, s, bint, u, udot, v, vdot = self._base(t)
             alpha = -udot / u if inside else nan
             phi = bint - gamma + math.log(u) if inside else nan
             beta = self.Delta * v / u if inside else nan
             return ParamSample(
                 t=t, S=s, lam=lam, Pi=pi, gamma=gamma, alpha=alpha, phi=phi,
-                vphi=0.0, beta=beta, u=u, udot=udot, v=v, vdot=vdot, bint=bint,
+                vphi=0.0, beta=beta, u=u, udot=udot, v=v, vdot=vdot, bint=bint, a=a,
             )
+        gamma = 0.5 * math.log(self.Delta * math.sqrt(a / float(self.coeffs.c(t))))
         lam, pi, s, phi = self._base(t)
         if self.shortcut:
-            return ParamSample(
-                t=t, S=s, lam=lam, Pi=pi, gamma=gamma, alpha=0.0, phi=phi,
-                vphi=0.0, beta=0.0, u=1.0, udot=0.0,
-            )
-        if t <= self._riccati_t_end:
+            alpha, vphi, beta, u, udot = 0.0, 0.0, 0.0, 1.0, 0.0
+        elif t <= self._riccati_t_end:
             qq, pp, aint, vphi, beta, _ = self._riccati(t)
             alpha = qq / pp
             u = math.exp(-aint)
-            return ParamSample(
-                t=t, S=s, lam=lam, Pi=pi, gamma=gamma, alpha=alpha, phi=phi,
-                vphi=vphi, beta=beta, u=u, udot=-alpha * u,
-            )
+            udot = -alpha * u
+        else:
+            alpha = vphi = beta = u = udot = nan
         return ParamSample(
-            t=t, S=s, lam=lam, Pi=pi, gamma=gamma, alpha=nan, phi=phi,
-            vphi=nan, beta=nan, u=nan, udot=nan,
+            t=t, S=s, lam=lam, Pi=pi, gamma=gamma, alpha=alpha, phi=phi,
+            vphi=vphi, beta=beta, u=u, udot=udot, a=a,
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParamTrajectory2D:
     """Planar trajectory: rotation angle, per-axis translations, shared radial."""
 
     radial: ParamTrajectory
-    field: FieldProfile2D
     t_end: float
-    tol: float
     t_grid: np.ndarray
     _dense: object
 
@@ -206,7 +187,7 @@ class ParamTrajectory2D:
 
     @property
     def hbar(self) -> float:
-        return self.field.hbar
+        return self.radial.hbar
 
     def sample(self, t: float):
         if not 0.0 <= t <= self.t_end:
@@ -277,15 +258,15 @@ def _coefficient_knots(coeffs: CoefficientSet1D) -> set[float]:
     return _knots(coeffs.a, coeffs.b, coeffs.c, coeffs.d, coeffs.e, coeffs.g)
 
 
-def _run_ivp(rhs, y0, t_end, tol, what, knots=(), events=None):
+def _run_ivp(rhs, y0, t_end, tol, what, knots=(), event=None):
     """Solve y' = rhs(t, y), y(0) = y0 on [0, t_end] with ``ode.solve`` (DOP853).
 
     rtol = tol/10 (at least _RTOL_FLOOR) and atol = rtol/100: at a tenth of
     tol the order-8 method is as accurate, in the worst case, as RK45 at tol,
     in far fewer steps.  The solve restarts at every knot in (0, t_end), since
     a high-order step across a point where the right-hand side is not smooth
-    loses its order; one dense solution spans the segments, and a terminal
-    event (``events`` holds at most one) ends the solve.  _RHS_BUDGET bounds
+    loses its order; one dense solution spans the segments, and the terminal
+    ``event``, if given, ends the solve.  _RHS_BUDGET bounds
     the right-hand-side evaluations of all segments, first-step probes and
     dense-output stages: past it the solve fails with IntegrationError, since
     a horizon far beyond the time scale of the dynamics would run unbounded.
@@ -310,8 +291,7 @@ def _run_ivp(rhs, y0, t_end, tol, what, knots=(), events=None):
         except ArithmeticError:   # where numpy scalars give inf or nan, with a warning
             return rhs(t, y)
 
-    return ode.solve(budgeted, y0, bounds, rtol, rtol * 1e-2, what,
-                     event=events[0] if events else None)
+    return ode.solve(budgeted, y0, bounds, rtol, rtol * 1e-2, what, event=event)
 
 
 def _linear_rhs(coeffs: CoefficientSet1D, t, y, a: float, b: float, c: float):
@@ -347,8 +327,7 @@ def solve_linear_translation(
 
     sol = _run_ivp(rhs, [0.0, 0.0, 0.0], t_end, tol, "translation parameters",
                    knots=_coefficient_knots(coeffs))
-    lam, pi, s = sol.y
-    return LinearTranslation(t_grid=sol.t, S=s, lam=lam, Pi=pi, _dense=sol.sol)
+    return LinearTranslation(t_grid=sol.t, _dense=sol.sol)
 
 
 def _first_event(sol) -> float:
@@ -386,10 +365,10 @@ def solve_path1(coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10) -> P
     y0 = [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, a0]
     focus = lambda t, y: y[4]   # u = 0
     sol = _run_ivp(rhs, y0, t_end, tol, "route-1 parameters",
-                   knots=_coefficient_knots(coeffs), events=[focus])
+                   knots=_coefficient_knots(coeffs), event=focus)
     return ParamTrajectory(
-        path="path1", coeffs=coeffs, t_end=t_end, tol=tol, Delta=delta,
-        t_grid=sol.t, base_dense=sol.sol, valid_to=_first_event(sol),
+        path="path1", coeffs=coeffs, t_end=float(t_end), Delta=delta,
+        t_grid=sol.t, valid_to=_first_event(sol), _base=sol.sol,
     )
 
 
@@ -442,7 +421,7 @@ def solve_path2(coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10) -> P
 
     half_turn = lambda t, y: y[3] - math.pi   # phi = pi
     base = _run_ivp(base_rhs, [0.0, 0.0, 0.0, 0.0], t_end, tol, "route-2 parameters",
-                    knots=_coefficient_knots(coeffs), events=[half_turn])
+                    knots=_coefficient_knots(coeffs), event=half_turn)
 
     riccati_dense = None
     riccati_t_end = t_end
@@ -478,16 +457,16 @@ def solve_path2(coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10) -> P
         blow_up.terminal = True
         ric = _run_ivp(ric_rhs, [0.0, 1.0, 0.0, 0.0, 0.0, 0.0], t_end, tol,
                        "route-2 quadratic-phase parameters",
-                       knots=_knots(coeffs.a, coeffs.b, coeffs.c), events=[blow_up])
+                       knots=_knots(coeffs.a, coeffs.b, coeffs.c), event=blow_up)
         riccati_dense = ric.sol
         if ric.status == 1:
             riccati_t_end = _first_event(ric) * (1.0 - 1e-12)
 
     valid_to = min(_first_event(base), riccati_t_end if riccati_t_end < t_end else math.inf)
     return ParamTrajectory(
-        path="path2", coeffs=coeffs, t_end=t_end, tol=tol, Delta=delta,
-        t_grid=base.t, base_dense=base.sol, valid_to=valid_to,
-        shortcut=shortcut, riccati_dense=riccati_dense, riccati_t_end=riccati_t_end,
+        path="path2", coeffs=coeffs, t_end=float(t_end), Delta=delta,
+        t_grid=base.t, valid_to=valid_to, _base=base.sol,
+        shortcut=shortcut, _riccati=riccati_dense, _riccati_t_end=riccati_t_end,
     )
 
 
@@ -543,7 +522,4 @@ def solve_2d(
         raise
     solver = solve_path1 if path == "path1" else solve_path2
     radial = solver(reduced, t_end, tol)
-    return ParamTrajectory2D(
-        radial=radial, field=profile, t_end=t_end, tol=tol,
-        t_grid=sol.t, _dense=sol.sol,
-    )
+    return ParamTrajectory2D(radial=radial, t_end=t_end, t_grid=sol.t, _dense=sol.sol)

@@ -158,6 +158,27 @@ class TestKernel:
             else:  # valid_to is null when no focal time precedes the horizon
                 assert written == (None if value == math.inf else value), field.name
 
+    def test_kernel_t_inside_the_horizon(self, tmp_path):
+        cfg = sho_config(tmp_path, kernel_t=0.5)
+        out = tmp_path / "krun"
+        assert cli.main(["kernel", "--config", cfg, "--out", str(out)]) == 0
+        assert json.loads((out / "kernel.json").read_text())["t"] == 0.5
+
+    @pytest.mark.parametrize("extra, argv", [
+        ({"kernel_t": 1.0}, []),
+        ({"kernel_t": 0.7, "t_end": 2.0}, ["--t-end", "0.6"]),
+    ], ids=["config", "t-end-override"])
+    def test_kernel_t_past_t_end_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                                 extra, argv):
+        # checked against the horizon after --t-end, before anything is solved
+        monkeypatch.setattr(paramflow, "solve_path1", no_solve)
+        code = cli.main(["kernel", "--config", sho_config(tmp_path, **extra), *argv,
+                         "--out", str(tmp_path / "x")])
+        assert code == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ConfigError" and err["field"] == "kernel_t"
+        assert not (tmp_path / "x" / "kernel.json").exists()
+
     def test_focal_time_exit_code(self, tmp_path, capsys):
         cfg = sho_config(tmp_path)
         code = cli.main(["kernel", "--config", cfg, "--t-end", "2.0",
@@ -245,6 +266,14 @@ class TestVerify:
         assert report["all_passed"] is False
         failing = [c["name"] for c in report["checks"] if not c["passed"]]
         assert failing == ["symplectic_invariants"]
+
+    @pytest.mark.parametrize("seed", ["-1", "x"])
+    def test_bad_seed_is_config_error(self, tmp_path, capsys, seed):
+        out = tmp_path / "v"
+        assert cli.main(["verify", "--seed", seed, "--out", str(out)]) == 2
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "ConfigError" and err["field"] == "seed"
+        assert not (out / "report.json").exists()
 
 
 class TestConstants:

@@ -112,6 +112,34 @@ class TestKernelCoefficients:
         with pytest.raises(DomainError, match="'lp'"):
             kernel_build(sho_traj, 0.3, "lp")
 
+    def test_variant_matrix(self, free_traj, sho_traj, sho_traj2):
+        # one trajectory of each kind and route: the variant must be the
+        # route, 'twod_' + route for a planar one, or 'lp' on route 1 with
+        # b = c = 0; the other 15 pairs are refused before anything is built
+        field = FieldProfile2D.build(m=1.0, B=1.0, K=0.5)
+        trajs = {
+            "lp": free_traj, "path2": sho_traj2,
+            "twod_path1": paramflow.solve_2d(field, 1.0, tol=1e-10, path="path1"),
+            "twod_path2": paramflow.solve_2d(field, 1.0, tol=1e-10, path="path2"),
+        }
+        built = set()
+        for kind, traj in trajs.items():
+            for variant in ("lp", "path1", "path2", "twod_path1", "twod_path2"):
+                try:
+                    kernel_build(traj, 0.5, variant)
+                except DomainError as err:
+                    assert "use variant" in str(err), (kind, variant)
+                else:
+                    built.add((kind, variant))
+        assert built == {("lp", "lp"), ("lp", "path1"), ("path2", "path2"),
+                         ("twod_path1", "twod_path1"), ("twod_path2", "twod_path2")}
+        with pytest.raises(DomainError, match=r"variant 'lp' requires b\(t\) == 0"):
+            kernel_build(sho_traj, 0.5, "lp")
+
+    def test_unknown_variant(self, sho_traj):
+        with pytest.raises(DomainError, match="unknown kernel variant 'path3'; choose from"):
+            kernel_build(sho_traj, 0.3, "path3")
+
 
 class TestKernelApply:
     def test_near_delta_reproduces_input(self, free_traj):

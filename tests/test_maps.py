@@ -203,7 +203,7 @@ class TestPlanarMapsEqualKron:
 
                 def entries(t):
                     rec = tr.sample(t)
-                    return [*maps._radial_block(tr.radial, rec["radial"]).ravel(),
+                    return [*np.array(maps._radial_entries(tr.radial, rec["radial"])).ravel(),
                             math.cos(rec["theta"]), math.sin(rec["theta"])]
 
                 times = [0.0, 5e-324, 1e-300, 1e-160, 1e-20,
@@ -216,7 +216,7 @@ class TestPlanarMapsEqualKron:
                 for t in times:
                     rec = tr.sample(t)
                     m = assemble_2d(tr, t).M
-                    kron = np.kron(maps._radial_block(tr.radial, rec["radial"]),
+                    kron = np.kron(np.array(maps._radial_entries(tr.radial, rec["radial"])),
                                    maps._rotation(rec["theta"]))
                     assert m.tobytes() == kron.tobytes(), (path, t)
                     signed_zeros += int(np.sum((m == 0.0) & np.signbit(m)))
