@@ -20,8 +20,9 @@ Two factorization routes exist for the general 1D quadratic Hamiltonian:
   alpha = vphi = beta = 0 exactly.
 
 The linear/translation parameters (lam, Pi, S) solve the classical
-equations of motion from the origin in both routes; this is checked against
-the independent flow oracle in the test suite.
+equations of motion from the origin in both routes.  ``liegate verify``
+checks route 1's (lam, -Pi) against the independent flow oracle, and route
+2's whole affine map and action S against route 1's.
 """
 
 from __future__ import annotations
@@ -39,9 +40,7 @@ from .errors import DomainError, IntegrationError
 __all__ = [
     "ParamSample",
     "ParamTrajectory",
-    "LinearTranslation",
     "ParamTrajectory2D",
-    "solve_linear_translation",
     "solve_path1",
     "solve_path2",
     "solve_2d",
@@ -91,6 +90,7 @@ class ParamSample:
     a: float = float("nan")
 
 
+# No solve builds one; perfbench/spans.py wraps LinearTranslation.at by name.
 @dataclass(frozen=True, eq=False)
 class LinearTranslation:
     """Solution of the translation-parameter equations only."""
@@ -308,26 +308,6 @@ def _linear_rhs(coeffs: CoefficientSet1D, t, y, a: float, b: float, c: float):
         - b * lam * pi - d * pi + e * lam + lam_dot * pi
     )
     return lam_dot, pi_dot, s_dot
-
-
-def solve_linear_translation(
-    coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10
-) -> LinearTranslation:
-    """Solve Pi' = c lam - b Pi + e, lam' = b lam - a Pi + d, S' = L from zero.
-
-    (lam, -Pi) traces the classical Hamiltonian flow launched from the
-    phase-space origin; S accumulates the associated action integral.
-    """
-    if t_end <= 0:
-        raise DomainError("t_end must be positive")
-
-    def rhs(t, y):
-        return _linear_rhs(coeffs, t, y, float(coeffs.a(t)), float(coeffs.b(t)),
-                           float(coeffs.c(t)))
-
-    sol = _run_ivp(rhs, [0.0, 0.0, 0.0], t_end, tol, "translation parameters",
-                   knots=_coefficient_knots(coeffs))
-    return LinearTranslation(t_grid=sol.t, _dense=sol.sol)
 
 
 def _first_event(sol) -> float:

@@ -15,7 +15,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import closedforms
 from .coeffs import (
     CoefficientSet1D,
     Derived,
@@ -93,8 +92,6 @@ def _iontrap(p, hbar):
 def _kanai(p, hbar):
     m, tau, omega0 = p["m"], p["tau"], p["omega0"]
     f0, f1, omega1 = p["F0"], p["F1"], p["omega1"]
-    # surfaces the critical-damping domain error before any solve
-    closedforms.kanai_caldirola_params(**p, t=0.0)
     drive = Derived(
         fn=lambda t: -np.exp(t / tau) * (f0 + f1 * np.sin(omega1 * t)),
         dfn=lambda t: (

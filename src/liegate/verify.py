@@ -185,8 +185,9 @@ def check_symplectic(seed: int, n_random: int = 8, times: Grid = Grid(0.0, 40, 1
 
 def check_path_equivalence(seed: int, n_random: int = 3,
                            times: Grid = Grid(0.02, 12)) -> CheckResult:
+    """Route 2's affine map (M and shift) and action S against route 1's."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    gaps = {"map": 0.0, "shift": 0.0, "action": 0.0}
     count = 0
     cases = [suite_systems()["sho"], suite_systems()["iontrap"]]
     cases += [random_smooth_coeffs(rng, positive_c=True) for _ in range(n_random)]
@@ -195,11 +196,16 @@ def check_path_equivalence(seed: int, n_random: int = 3,
         tr1 = paramflow.solve_path1(cs, t_end, tol=1e-12)
         tr2 = paramflow.solve_path2(cs, t_end, tol=1e-12)
         for t in times.up_to(_horizon(t_end, tr1, tr2)):
-            m1 = maps.assemble_path1(tr1, float(t)).M
-            m2 = maps.assemble_path2(tr2, float(t)).M
-            worst = max(worst, float(np.max(np.abs(m1 - m2))))
+            t = float(t)
+            map1, map2 = maps.assemble_path1(tr1, t), maps.assemble_path2(tr2, t)
+            gaps["map"] = max(gaps["map"], float(np.max(np.abs(map1.M - map2.M))))
+            gaps["shift"] = max(gaps["shift"],
+                                float(np.max(np.abs(map1.shift - map2.shift))))
+            gaps["action"] = max(gaps["action"], abs(tr1.sample(t).S - tr2.sample(t).S))
             count += 1
-    return CheckResult("path_equivalence", worst <= 1e-6, worst, 1e-6, count=count)
+    worst = max(gaps.values())
+    return CheckResult("path_equivalence", worst <= 1e-6, worst, 1e-6, count=count,
+                       parts=gaps)
 
 
 def check_oracle_maps(times: Grid = Grid(0.0, 12, 1),
@@ -228,17 +234,19 @@ def check_oracle_maps(times: Grid = Grid(0.0, 12, 1),
 
 def check_classical_identification(seed: int, n_random: int = 4,
                                    times: Grid = Grid(0.1, 10)) -> CheckResult:
+    """Route 1's and the planar solve's (lam, -Pi) against the classical flow
+    from the phase-space origin."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     count = 0
     t_end = 2.0
     cases = [suite_systems()["lp"]] + [random_smooth_coeffs(rng) for _ in range(n_random)]
     for cs in cases:
-        lt = paramflow.solve_linear_translation(cs, t_end, tol=1e-12)
+        traj = paramflow.solve_path1(cs, t_end, tol=1e-12)
         flow = oracle.classical_flow(cs, np.zeros(2), t_end, tol=1e-12)
         for t in times.up_to(t_end):
-            _, lam, pi = lt.at(float(t))
-            diff = np.max(np.abs(flow.at(float(t)) - np.array([lam, -pi])))
+            s = traj.sample(float(t))
+            diff = np.max(np.abs(flow.at(float(t)) - np.array([s.lam, -s.Pi])))
             worst = max(worst, float(diff))
             count += 1
     fp = suite_fields()["efield"]

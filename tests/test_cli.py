@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from liegate import cli, greens, paramflow
+from liegate import cli, greens, paramflow, verify
 from liegate.coeffs import Derived
 from liegate.oracle import gaussian_state
 from liegate.verify import suite_fields, suite_systems
@@ -102,16 +102,24 @@ class TestParams:
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["field"] == "extra_knob"
 
-    def test_critical_damping_is_domain_error(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, "kanai.json", {
-            "system": "kanai",
-            "params": {"m": 1.0, "tau": 1.0, "omega0": 0.5},
-            "t_end": 1.0,
-        })
-        code = cli.main(["params", "--config", cfg, "--out", str(tmp_path / "x")])
-        assert code == 3
-        err = json.loads(capsys.readouterr().out)["error"]
-        assert "critical damping" in err["message"]
+    def test_kanai_without_a_closed_form_solves(self, tmp_path):
+        # the preset accepts every system the ODE solves, closed form or not
+        exact = {
+            # a = e^-t, c = 0, e = -e^t: Pi = 1 - e^t, lam = t + e^-t - 1
+            "constant force": ({"omega0": 0.0, "F0": 1.0},
+                               {"lam": math.exp(-1.0), "Pi": 1.0 - math.e}),
+            # u'' + u' + u/4 = 0: u = (1 + t/2) e^(-t/2)
+            "critical damping": ({"omega0": 0.5}, {"u": 1.5 * math.exp(-0.5)}),
+        }
+        for name, (params, final) in exact.items():
+            cfg = write_config(tmp_path, "kanai.json", {
+                "system": "kanai", "params": {"m": 1.0, "tau": 1.0, **params},
+                "t_end": 1.0, "tol": 1e-12,
+            })
+            out = tmp_path / name.replace(" ", "_")
+            assert cli.main(["params", "--config", cfg, "--out", str(out)]) == 0, name
+            summary = json.loads((out / "summary.json").read_text())["final"]
+            assert {k: summary[k] for k in final} == pytest.approx(final, abs=1e-9), name
 
     def test_planar_system(self, tmp_path):
         cfg = write_config(tmp_path, "bsin.json", {
@@ -233,6 +241,23 @@ class TestKernel:
         assert not (tmp_path / "kernel.json").exists()
 
 
+def nudged(solve, index):
+    """``solve`` whose trajectories add 1e-4 to component ``index`` of the
+    base solution that ``sample`` reads."""
+
+    def wrapped(*args, **kwargs):
+        traj = solve(*args, **kwargs)
+
+        def base(t):
+            y = list(traj._base(t))
+            y[index] += 1e-4
+            return y
+
+        return dataclasses.replace(traj, _base=base)
+
+    return wrapped
+
+
 @pytest.fixture(scope="module")
 def report_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("verify")
@@ -266,6 +291,20 @@ class TestVerify:
         assert report["all_passed"] is False
         failing = [c["name"] for c in report["checks"] if not c["passed"]]
         assert failing == ["symplectic_invariants"]
+
+    def test_route_two_action_is_checked(self, monkeypatch):
+        # (lam, Pi, S, phi): route 2's S moves by 1e-4, its map does not
+        monkeypatch.setattr(paramflow, "solve_path2", nudged(paramflow.solve_path2, 2))
+        result = verify.check_path_equivalence(7)
+        assert not result.passed
+        assert result.parts["action"] == pytest.approx(1e-4, rel=1e-3)
+
+    def test_route_one_translation_is_checked(self, monkeypatch):
+        # (lam, Pi, S, bint, u, udot, v, vdot): route 1's lam moves by 1e-4
+        monkeypatch.setattr(paramflow, "solve_path1", nudged(paramflow.solve_path1, 0))
+        result = verify.check_classical_identification(7)
+        assert not result.passed
+        assert result.measured == pytest.approx(1e-4, rel=1e-3)
 
     @pytest.mark.parametrize("seed", ["-1", "x"])
     def test_bad_seed_is_config_error(self, tmp_path, capsys, seed):

@@ -3,9 +3,10 @@
 A name left in ``__all__`` after its definition is deleted, or a
 re-export of another module's name, would otherwise go unseen: tools that
 walk ``__all__`` with ``getattr(module, name, None)`` skip it silently.
-The same source scan checks that no module but ``cli`` opens a file and
-that the solvers import nothing from scipy, and the benchmark's span
-recorder still finds every name it wraps.
+The same source scan checks that no module but ``cli`` opens a file,
+that the solvers import nothing from scipy, that ``verify`` checks only
+solvers the CLI calls and that the presets import none of the checks, and
+the benchmark's span recorder still finds every name it wraps.
 """
 
 import ast
@@ -84,6 +85,35 @@ def test_solvers_import_nothing_from_scipy(name):
     # the parameter solves run on the package's own DOP853; the oracle keeps
     # scipy's RK45 by design, so that it shares no integrator code with them
     assert "scipy" not in imported_packages(importlib.import_module(f"liegate.{name}").__file__)
+
+
+def paramflow_names(path: str) -> set[str]:
+    """Every ``paramflow.<name>`` the module's source reads."""
+    return {node.attr for node in ast.walk(ast.parse(pathlib.Path(path).read_text()))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+            and node.value.id == "paramflow"}
+
+
+def test_verify_checks_the_solvers_the_cli_ships():
+    # a solver only verify calls would be checked while no output comes from it
+    checked = paramflow_names(liegate.verify.__file__)
+    assert checked and checked - paramflow_names(liegate.cli.__file__) == set()
+
+
+def package_imports(path: str) -> set[str]:
+    """The package modules a module's source imports relatively."""
+    names = set()
+    for node in ast.walk(ast.parse(pathlib.Path(path).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            names.update([node.module] if node.module else [a.name for a in node.names])
+    return names
+
+
+def test_presets_do_not_depend_on_the_checks():
+    # a preset accepts every system the solvers take; the closed forms and the
+    # oracle only check solves, and verify builds on the presets
+    presets = importlib.import_module("liegate.presets").__file__
+    assert package_imports(presets) & {"closedforms", "oracle", "verify"} == set()
 
 
 def test_benchmark_spans_find_every_wrapped_name():

@@ -21,12 +21,7 @@ from liegate.coeffs import (
     TimeProfile,
 )
 from liegate.errors import DomainError, IntegrationError
-from liegate.paramflow import (
-    solve_2d,
-    solve_linear_translation,
-    solve_path1,
-    solve_path2,
-)
+from liegate.paramflow import solve_2d, solve_path1, solve_path2
 from liegate.verify import random_smooth_coeffs
 
 
@@ -76,27 +71,29 @@ def kanai(omega0=0.25, tau=1.0, m=1.0):
 
 
 class TestLinearTranslation:
+    """(lam, Pi, S) on the routes: the classical flow from the phase-space origin."""
+
     def test_forced_free_particle(self):
         # force f = 1 means e = -1; antiderivatives give Pi = -t, lam = t^2/2
         lp = CoefficientSet1D.build(a=1.0, e=-1.0)
-        lt = solve_linear_translation(lp, 2.0, tol=1e-12)
-        _, lam, pi = lt.at(2.0)
-        assert lam == pytest.approx(2.0, abs=1e-10)
-        assert pi == pytest.approx(-2.0, abs=1e-10)
+        s = solve_path1(lp, 2.0, tol=1e-12).sample(2.0)
+        assert s.lam == pytest.approx(2.0, abs=1e-10)
+        assert s.Pi == pytest.approx(-2.0, abs=1e-10)
 
     def test_zero_drive_stays_at_origin(self):
         cs = CoefficientSet1D.build(a=1.0, b=0.1, c=0.7)
-        lt = solve_linear_translation(cs, 3.0, tol=1e-12)
-        times = np.union1d(lt.t_grid, np.linspace(0.0, 3.0, 31))
-        assert all(lt.at(float(t)) == (0.0, 0.0, 0.0) for t in times)
+        for tr in (solve_path1(cs, 3.0, tol=1e-12), solve_path2(cs, 3.0, tol=1e-12)):
+            times = np.union1d(tr.t_grid, np.linspace(0.0, 3.0, 31))
+            samples = [tr.sample(float(t)) for t in times]
+            assert all((s.S, s.lam, s.Pi) == (0.0, 0.0, 0.0) for s in samples), tr.path
 
     def test_sinusoidal_drive_matches_classical_flow(self):
         cs = CoefficientSet1D.build(a=1.0, e=Sinusoid(1.0, 1.0))
-        lt = solve_linear_translation(cs, math.pi, tol=1e-12)
+        tr = solve_path1(cs, math.pi, tol=1e-12)
         flow = oracle.classical_flow(cs, np.zeros(2), math.pi, tol=1e-12)
         for t in np.linspace(0.2, math.pi, 9):
-            _, lam, pi = lt.at(float(t))
-            assert np.max(np.abs(flow.at(float(t)) - [lam, -pi])) < 1e-8
+            s = tr.sample(float(t))
+            assert np.max(np.abs(flow.at(float(t)) - [s.lam, -s.Pi])) < 1e-8
 
 
 class TestPathOne:
@@ -544,10 +541,8 @@ class TestFloatBranchEndToEnd:
         monkeypatch.setattr(paramflow, "_run_ivp", counting_run_ivp)
         cs = mixed_system(0)
         counted = CoefficientSet1D(*(Counted(getattr(cs, k)) for k in "abcdeg"))
-        solve_linear_translation(counted, 1.0)
         solve_path1(counted, 1.0)
         solve_path2(counted, 1.0)
-        assert per_eval["translation parameters"] == {(("call", 6),)}
         assert per_eval["route-1 parameters"] == {(("call", 6), ("derivative", 1))}
         assert per_eval["route-2 parameters"] == {(("call", 6),)}
         # a, b, c and the rates of a and c; phi is carried in the state, so
@@ -573,12 +568,11 @@ class TestFloatState:
 
         monkeypatch.setattr(paramflow, "_run_ivp", recording_run_ivp)
         cs = mixed_system(0)
-        solve_linear_translation(cs, 4.0)
         solve_path1(cs, 4.0)
         solve_path2(cs, 4.0)
         solve_2d(mixed_field(0), 4.0, path="path2")
         assert set(recorded) == {
-            "translation parameters", "route-1 parameters", "route-2 parameters",
+            "route-1 parameters", "route-2 parameters",
             "route-2 quadratic-phase parameters", "planar translation parameters"}
         for what, calls in recorded.items():
             assert len(calls) > 100, what
