@@ -216,15 +216,15 @@ def _params_table(kind: str, traj, samples: int):
     route 1 with its companion solution (v, vdot).  A planar row reads t, S,
     theta and the per-axis translations from the planar sample, the rest
     from its radial sample."""
-    names = [f.name for f in dataclasses.fields(paramflow.ParamSample)
-             if f.default is dataclasses.MISSING]
+    sample = paramflow.ParamSample
+    names = [n for n in sample._fields if n not in sample._field_defaults]
     if kind == "1d":
         header = names + (["v", "vdot"] if traj.path == "path1" else [])
     else:
         header = [n for n in names if n not in ("lam", "Pi")]
         header += ["theta", "lam_x", "lam_y", "Pi_x", "Pi_y"]
     points = (traj.sample(float(t)) for t in np.linspace(0.0, traj.t_end, samples))
-    records = (vars(s) if kind == "1d" else {**vars(s["radial"]), **s} for s in points)
+    records = (s._asdict() if kind == "1d" else {**s["radial"]._asdict(), **s} for s in points)
     return header, ([rec[n] for n in header] for rec in records)
 
 

@@ -38,23 +38,18 @@ __all__ = [
 ]
 
 
-def _time(t):
-    """A float passes through; anything else becomes a float array."""
-    return t if isinstance(t, float) else np.asarray(t, dtype=float)
-
-
 class TimeProfile:
     """A deterministic, side-effect-free scalar function of time.
 
-    Subclasses implement ``__call__`` and ``derivative``; both accept floats
-    or numpy arrays.  A float in (``np.float64`` included, which is what the
-    ODE solvers pass) gives a float out with exactly the bits the array
-    branch gives for that time; the built-in profiles take a scalar branch
-    for it, since the parameter ODEs evaluate every coefficient at every
-    right-hand-side call.  ``shifted(t0)`` returns the profile re-based so
-    that its new time origin sits at ``t0`` of the old clock.  ``knots``
-    are the times at which the profile is not smooth (a spline's knots);
-    the parameter solvers restart their integration at each.
+    Subclasses implement ``__call__`` and ``derivative`` on float arrays.
+    ``scalar()`` compiles the profile into (value, derivative), two plain
+    functions of a float with the bits the array methods give at that time;
+    the solvers compile each coefficient once per solve.  The base class
+    compiles to ``float(self(t))``; the built-in profiles compile to
+    closures over their numbers.  ``shifted(t0)`` returns the profile
+    re-based so that its new time origin sits at ``t0`` of the old clock.
+    ``knots`` are the times at which the profile is not smooth (a spline's
+    knots); the parameter solvers restart their integration at each.
     """
 
     knots: tuple = ()
@@ -65,6 +60,9 @@ class TimeProfile:
     def derivative(self, t):
         raise NotImplementedError
 
+    def scalar(self) -> tuple[Callable[[float], float], Callable[[float], float]]:
+        return (lambda t: float(self(t))), (lambda t: float(self.derivative(t)))
+
     def shifted(self, t0: float) -> "TimeProfile":
         raise NotImplementedError
 
@@ -74,14 +72,14 @@ class Constant(TimeProfile):
     value: float
 
     def __call__(self, t):
-        if isinstance(t, float):
-            return float(self.value)
         return self.value * np.ones_like(np.asarray(t, dtype=float))
 
     def derivative(self, t):
-        if isinstance(t, float):
-            return 0.0
         return np.zeros_like(np.asarray(t, dtype=float))
+
+    def scalar(self):
+        value = float(self.value)
+        return (lambda t: value), (lambda t: 0.0)
 
     def shifted(self, t0: float) -> "Constant":
         return self
@@ -97,16 +95,18 @@ class Sinusoid(TimeProfile):
     offset: float = 0.0
 
     def __call__(self, t):
-        if isinstance(t, float):
-            return self.amplitude * math.sin(self.omega * t + self.phase) + self.offset
         t = np.asarray(t, dtype=float)
         return self.amplitude * np.sin(self.omega * t + self.phase) + self.offset
 
     def derivative(self, t):
-        if isinstance(t, float):
-            return self.amplitude * self.omega * math.cos(self.omega * t + self.phase)
         t = np.asarray(t, dtype=float)
         return self.amplitude * self.omega * np.cos(self.omega * t + self.phase)
+
+    def scalar(self):
+        amplitude, omega, phase, offset = self.amplitude, self.omega, self.phase, self.offset
+        rate, sin, cos = amplitude * omega, math.sin, math.cos
+        return (lambda t: amplitude * sin(omega * t + phase) + offset,
+                lambda t: rate * cos(omega * t + phase))
 
     def shifted(self, t0: float) -> "Sinusoid":
         return replace(self, phase=self.phase + self.omega * t0)
@@ -119,14 +119,18 @@ class Exponential(TimeProfile):
     prefactor: float
     rate: float
 
-    # np.exp for a float too: math.exp differs from it in the last bit for
-    # some inputs, np.exp of a float has the array branch's bits
-
     def __call__(self, t):
-        return self.prefactor * np.exp(self.rate * _time(t))
+        return self.prefactor * np.exp(self.rate * np.asarray(t, dtype=float))
 
     def derivative(self, t):
-        return self.prefactor * self.rate * np.exp(self.rate * _time(t))
+        return self.prefactor * self.rate * np.exp(self.rate * np.asarray(t, dtype=float))
+
+    def scalar(self):
+        # np.exp, since math.exp differs from it in the last bit for some inputs
+        prefactor, rate, exp = self.prefactor, self.rate, np.exp
+        slope = prefactor * rate
+        return (lambda t: float(prefactor * exp(rate * t)),
+                lambda t: float(slope * exp(rate * t)))
 
     def shifted(self, t0: float) -> "Exponential":
         return replace(self, prefactor=self.prefactor * math.exp(self.rate * t0))
@@ -139,10 +143,6 @@ class Tabulated(TimeProfile):
     knots_t: tuple[float, ...]
     knots_v: tuple[float, ...]
     _spline: CubicSpline = field(init=False, repr=False, compare=False)
-    # the float branch's copies of the spline: knot times, and per interval
-    # the polynomial coefficients (cubic first) as plain floats
-    _breaks: list = field(init=False, repr=False, compare=False)
-    _pieces: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         t = np.asarray(self.knots_t, dtype=float)
@@ -151,10 +151,7 @@ class Tabulated(TimeProfile):
             raise DomainError("tabulated profile needs at least two (t, value) knots")
         if not np.all(np.diff(t) > 0):
             raise DomainError("tabulated knots must be strictly increasing in t")
-        spline = CubicSpline(t, v, bc_type="natural")
-        object.__setattr__(self, "_spline", spline)
-        object.__setattr__(self, "_breaks", spline.x.tolist())
-        object.__setattr__(self, "_pieces", spline.c.T.tolist())
+        object.__setattr__(self, "_spline", CubicSpline(t, v, bc_type="natural"))
 
     @property
     def knots(self) -> tuple[float, ...]:
@@ -168,65 +165,83 @@ class Tabulated(TimeProfile):
             )
         return t
 
-    def _piece(self, t: float):
-        """Offset of t into its knot interval and that interval's
-        coefficients, chosen as scipy does: [t_i, t_i+1), the last one closed."""
-        t = float(t)
-        breaks = self._breaks
-        if t < breaks[0] or t > breaks[-1]:
-            self._check_range(t)   # raises
-        i = min(bisect.bisect_right(breaks, t), len(breaks) - 1) - 1
-        return t - breaks[i], self._pieces[i]
-
-    # The float branches sum the terms as scipy's PPoly evaluation does,
-    # from 0.0 with the constant term first, so they match it bit for bit.
-
     def __call__(self, t):
-        if isinstance(t, float):
-            s, (c3, c2, c1, c0) = self._piece(t)
-            return 0.0 + c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
         return self._spline(self._check_range(np.asarray(t, dtype=float)))
 
     def derivative(self, t):
-        if isinstance(t, float):
-            s, (c3, c2, c1, _) = self._piece(t)
-            return 0.0 + c1 + c2 * s * 2.0 + c3 * (s * s) * 3.0
         return self._spline(self._check_range(np.asarray(t, dtype=float)), 1)
 
+    def scalar(self):
+        # per interval [t_i, t_i+1) (the last one closed, as scipy chooses)
+        # the cubic's coefficients as floats, summed as scipy's PPoly sums
+        # them, from 0.0 with the constant term first, so the bits are its
+        breaks, pieces = self._spline.x.tolist(), self._spline.c.T.tolist()
+        lo, hi, last = breaks[0], breaks[-1], len(breaks) - 1
+        find, check = bisect.bisect_right, self._check_range
+
+        def piece(t):
+            if t < lo or t > hi:
+                check(t)   # raises
+            i = min(find(breaks, t), last) - 1
+            return t - breaks[i], pieces[i]
+
+        def value(t):
+            s, (c3, c2, c1, c0) = piece(t)
+            return 0.0 + c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
+
+        def rate(t):
+            s, (c3, c2, c1, _) = piece(t)
+            return 0.0 + c1 + c2 * s * 2.0 + c3 * (s * s) * 3.0
+
+        return value, rate
+
     def shifted(self, t0: float) -> "Tabulated":
-        return Tabulated(
-            knots_t=tuple(tk - t0 for tk in self.knots_t), knots_v=self.knots_v
-        )
+        return Tabulated(tuple(tk - t0 for tk in self.knots_t), self.knots_v)
 
 
 @dataclass(frozen=True)
 class Derived(TimeProfile):
-    """Profile defined by callables; produced by reductions, not JSON configs.
+    """Profile defined by callables; made by reductions and presets only.
 
-    ``fn`` and ``dfn`` receive a float when the caller passes one and a
-    float array otherwise.  ``knots`` are those of the profiles the
-    callables read.
+    ``fn`` and ``dfn`` receive a float array from ``__call__`` and
+    ``derivative`` and a float from the compiled pair.  ``knots`` are those
+    of the profiles the callables read.  A profile made by ``Derived.of``
+    combines ``parts``: ``build`` makes (fn, dfn) from their (value,
+    derivative) pairs, so ``scalar()`` builds it from their compiled pairs.
     """
 
     fn: Callable
     dfn: Callable
     label: str = "derived"
     knots: tuple = ()
+    parts: tuple = ()
+    build: Callable | None = None
+
+    @classmethod
+    def of(cls, build: Callable, *parts: TimeProfile, label: str) -> "Derived":
+        fn, dfn = build(*((p.__call__, p.derivative) for p in parts))
+        knots = tuple(sorted({tk for p in parts for tk in p.knots}))
+        return cls(fn, dfn, label=label, knots=knots, parts=parts, build=build)
 
     def __call__(self, t):
-        return self.fn(_time(t))
+        return self.fn(np.asarray(t, dtype=float))
 
     def derivative(self, t):
-        return self.dfn(_time(t))
+        return self.dfn(np.asarray(t, dtype=float))
+
+    def scalar(self):
+        if self.build is not None:
+            return self.build(*(p.scalar() for p in self.parts))
+        fn, dfn = self.fn, self.dfn
+        return (lambda t: float(fn(t))), (lambda t: float(dfn(t)))
 
     def shifted(self, t0: float) -> "Derived":
-        fn, dfn = self.fn, self.dfn
-        return Derived(
-            fn=lambda t: fn(_time(t) + t0),
-            dfn=lambda t: dfn(_time(t) + t0),
-            label=self.label,
-            knots=tuple(tk - t0 for tk in self.knots),
-        )
+        def build(pair):
+            value, rate = pair
+            return (lambda t: value(t + t0)), (lambda t: rate(t + t0))
+
+        return Derived(*build((self.fn, self.dfn)), label=self.label,
+                       knots=tuple(tk - t0 for tk in self.knots), parts=(self,), build=build)
 
 
 def as_profile(value) -> TimeProfile:
@@ -349,6 +364,17 @@ class FieldProfile2D:
         )
 
 
+def reciprocal(m):
+    """1/m and its rate from m's (value, derivative) pair, for ``Derived.of``."""
+    m, dm = m
+
+    def rate(t):
+        mt = m(t)
+        return -dm(t) / (mt * mt)
+
+    return (lambda t: 1.0 / m(t)), rate
+
+
 def reduce_2d(profile: FieldProfile2D) -> CoefficientSet1D:
     """Rotating-frame reduction of the planar particle.
 
@@ -359,33 +385,25 @@ def reduce_2d(profile: FieldProfile2D) -> CoefficientSet1D:
     cross term, so the reduced b is identically zero.
     """
     q = profile.charge
-    m, B, K = profile.m, profile.B, profile.K
-    knots = tuple(sorted({*m.knots, *B.knots, *K.knots}))
 
-    def a_fn(t):
-        return 1.0 / m(t)
+    def stiffness(m, B, K):
+        (m, dm), (B, dB), (K, dK) = m, B, K
 
-    def a_dfn(t):
-        mt = m(t)
-        return -m.derivative(t) / (mt * mt)
+        def c_fn(t):
+            bt = B(t)
+            return K(t) + q * q * (bt * bt) / (4.0 * m(t))
 
-    def c_fn(t):
-        bt = B(t)
-        return K(t) + q * q * (bt * bt) / (4.0 * m(t))
+        def c_dfn(t):
+            mt = m(t)
+            bt = B(t)
+            return dK(t) + q * q * (2.0 * bt * dB(t) * mt - bt * bt * dm(t)) / (4.0 * mt * mt)
 
-    def c_dfn(t):
-        mt = m(t)
-        bt = B(t)
-        return (
-            K.derivative(t)
-            + q * q * (2.0 * bt * B.derivative(t) * mt - bt * bt * m.derivative(t))
-            / (4.0 * mt * mt)
-        )
+        return c_fn, c_dfn
 
     return CoefficientSet1D(
-        a=Derived(a_fn, a_dfn, label="1/m", knots=knots),
+        a=Derived.of(reciprocal, profile.m, label="1/m"),
         b=Constant(0.0),
-        c=Derived(c_fn, c_dfn, label="K + q^2 B^2/4m", knots=knots),
+        c=Derived.of(stiffness, profile.m, profile.B, profile.K, label="K + q^2 B^2/4m"),
         d=Constant(0.0),
         e=Constant(0.0),
         g=Constant(0.0),

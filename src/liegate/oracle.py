@@ -50,31 +50,40 @@ class FlowResult:
         return np.asarray(self._dense(t)).reshape(self.shape)
 
 
+def _compiled(coeffs, names) -> list:
+    """The compiled values of the named coefficient profiles."""
+    return [getattr(coeffs, name).scalar()[0] for name in names]
+
+
 def _generator(coeffs):
     """Hamilton's equations of the quadratic H as z' = A(t) z + f(t).
 
     A = J Hess H and f = J grad H(0) on the phase space (x, p) of a
     CoefficientSet1D or (x, y, p_x, p_y) of a FieldProfile2D.  Returns
-    (n, A, f) with A and f callables of t.
+    (n, A, f) with A and f callables of t, which read the coefficients
+    compiled here.
     """
     if isinstance(coeffs, CoefficientSet1D):
+        a_of, b_of, c_of, d_of, e_of = _compiled(coeffs, "abcde")
+
         def a_of_t(t):
-            a = float(coeffs.a(t))
-            b = float(coeffs.b(t))
-            c = float(coeffs.c(t))
+            a = a_of(t)
+            b = b_of(t)
+            c = c_of(t)
             return np.array([[b, a], [-c, -b]])
 
         def f_of_t(t):
-            return np.array([float(coeffs.d(t)), -float(coeffs.e(t))])
+            return np.array([d_of(t), -e_of(t)])
 
         return 2, a_of_t, f_of_t
     if isinstance(coeffs, FieldProfile2D):
         q = coeffs.charge
+        m_of, b_of, k_of, ex_of, ey_of = _compiled(coeffs, ("m", "B", "K", "Ex", "Ey"))
 
         def a_of_t(t):
-            m = float(coeffs.m(t))
-            bb = float(coeffs.B(t))
-            kk = float(coeffs.K(t))
+            m = m_of(t)
+            bb = b_of(t)
+            kk = k_of(t)
             wb = q * bb / (2.0 * m)
             kappa = kk + q * q * bb * bb / (4.0 * m)
             return np.array(
@@ -87,7 +96,7 @@ def _generator(coeffs):
             )
 
         def f_of_t(t):
-            return np.array([0.0, 0.0, -q * float(coeffs.Ex(t)), -q * float(coeffs.Ey(t))])
+            return np.array([0.0, 0.0, -q * ex_of(t), -q * ey_of(t)])
 
         return 4, a_of_t, f_of_t
     raise DomainError("coeffs must be CoefficientSet1D or FieldProfile2D")
@@ -248,13 +257,14 @@ def split_step_evolve(
     p = 2.0 * np.pi * hbar * np.fft.fftfreq(psi0.n, d=psi0.dx)
     psi = psi0.amps.copy()
     dt = t_end / n_steps
+    a_of, c_of, d_of, e_of, g_of = _compiled(coeffs, "acdeg")
     for k in range(n_steps):
         tm = (k + 0.5) * dt
-        a = float(coeffs.a(tm))
-        c = float(coeffs.c(tm))
-        d = float(coeffs.d(tm))
-        e = float(coeffs.e(tm))
-        g = float(coeffs.g(tm))
+        a = a_of(tm)
+        c = c_of(tm)
+        d = d_of(tm)
+        e = e_of(tm)
+        g = g_of(tm)
         v_half = np.exp(-0.5j * dt * (0.5 * c * x**2 + e * x + g) / hbar)
         t_full = np.exp(-1j * dt * (0.5 * a * p**2 + d * p) / hbar)
         psi = v_half * psi

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Callable, Literal, NamedTuple
 
 import numpy as np
 
@@ -63,8 +63,7 @@ _RTOL_FLOOR = 100.0 * np.finfo(float).eps
 _RHS_BUDGET = 300_000
 
 
-@dataclass(frozen=True)
-class ParamSample:
+class ParamSample(NamedTuple):
     """All transformation parameters at one instant, and (u, udot) with
     alpha = -udot/u.  The fields without a default are the params.csv columns.
 
@@ -107,21 +106,18 @@ class LinearTranslation:
 class ParamTrajectory:
     """Transformation parameters of one factorization route on [0, t_end]:
     the route, its coefficients, Delta, the integrator's grid, ``valid_to``
-    and the dense solutions ``sample`` reads; route 2 also holds whether it
-    took the shortcut and, if not, its Riccati solve and where that ended.
+    and what ``sample`` reads: the dense solutions and the compiled a(t)
+    (route 2: and c(t)) the solve used; route 2 also holds whether it took
+    the shortcut and, if not, its Riccati solve and where that ended.
 
     All parameters vanish at t = 0 (the factorized operator is the identity
     there).  ``valid_to`` is the first focal time, or inf if there is none
     in [0, t_end]: the first zero of u for route 1, the first time phi
-    reaches pi for route 2 (also bounded by divergence of route 2's alpha,
-    which can occur earlier for strongly driven cross terms).  The
-    integrator locates it as an event of the solve itself, a sign change of
-    u or of phi - pi refined on the step's dense output.  Route 1 reports
-    alpha, phi and beta as NaN beyond ``valid_to`` and u, udot everywhere;
-    route 2 reports alpha, vphi, beta, u and udot as NaN past its Riccati
-    solve.  Route 2 carries phi in its Riccati state too, so that solve reads
-    no dense output of the base solve; ``sample`` reports phi from the base
-    solve, whose event sets ``valid_to``.
+    reaches pi for route 2 (or earlier, where route 2's alpha diverges), an
+    event of the solve refined on the step's dense output.  Route 1 reports
+    alpha, phi and beta as NaN beyond ``valid_to``; route 2 reports alpha,
+    vphi, beta, u and udot as NaN past its Riccati solve, which carries phi
+    in its own state; ``sample`` reports phi from the base solve.
     """
 
     path: Literal["path1", "path2"]
@@ -131,6 +127,8 @@ class ParamTrajectory:
     t_grid: np.ndarray
     valid_to: float
     _base: object
+    _a: Callable[[float], float]
+    _c: Callable[[float], float] | None = None
     shortcut: bool = False
     _riccati: object = None
     _riccati_t_end: float = math.inf
@@ -142,7 +140,7 @@ class ParamTrajectory:
     def sample(self, t: float) -> ParamSample:
         if not 0.0 <= t <= self.t_end:
             raise DomainError(f"t={t} outside the solved interval [0, {self.t_end}]")
-        a = float(self.coeffs.a(t))
+        a = self._a(t)
         inside = t < self.valid_to
         nan = float("nan")
         if self.path == "path1":
@@ -151,11 +149,9 @@ class ParamTrajectory:
             alpha = -udot / u if inside else nan
             phi = bint - gamma + math.log(u) if inside else nan
             beta = self.Delta * v / u if inside else nan
-            return ParamSample(
-                t=t, S=s, lam=lam, Pi=pi, gamma=gamma, alpha=alpha, phi=phi,
-                vphi=0.0, beta=beta, u=u, udot=udot, v=v, vdot=vdot, bint=bint, a=a,
-            )
-        gamma = 0.5 * math.log(self.Delta * math.sqrt(a / float(self.coeffs.c(t))))
+            return ParamSample(t, s, lam, pi, gamma, alpha, phi, 0.0, beta, u, udot,
+                               v, vdot, bint, a)
+        gamma = 0.5 * math.log(self.Delta * math.sqrt(a / self._c(t)))
         lam, pi, s, phi = self._base(t)
         if self.shortcut:
             alpha, vphi, beta, u, udot = 0.0, 0.0, 0.0, 1.0, 0.0
@@ -166,10 +162,7 @@ class ParamTrajectory:
             udot = -alpha * u
         else:
             alpha = vphi = beta = u = udot = nan
-        return ParamSample(
-            t=t, S=s, lam=lam, Pi=pi, gamma=gamma, alpha=alpha, phi=phi,
-            vphi=vphi, beta=beta, u=u, udot=udot, a=a,
-        )
+        return ParamSample(t, s, lam, pi, gamma, alpha, phi, vphi, beta, u, udot, a=a)
 
 
 @dataclass(frozen=True, eq=False)
@@ -193,16 +186,8 @@ class ParamTrajectory2D:
         if not 0.0 <= t <= self.t_end:
             raise DomainError(f"t={t} outside the solved interval [0, {self.t_end}]")
         lam_x, lam_y, pi_x, pi_y, s, theta = self._dense(t)
-        return {
-            "t": t,
-            "S": s,
-            "theta": theta,
-            "lam_x": lam_x,
-            "lam_y": lam_y,
-            "Pi_x": pi_x,
-            "Pi_y": pi_y,
-            "radial": self.radial.sample(t),
-        }
+        return {"t": t, "S": s, "theta": theta, "lam_x": lam_x, "lam_y": lam_y,
+                "Pi_x": pi_x, "Pi_y": pi_y, "radial": self.radial.sample(t)}
 
 
 def _first_trough(profile: Sinusoid, t_end: float) -> list[float]:
@@ -294,20 +279,23 @@ def _run_ivp(rhs, y0, t_end, tol, what, knots=(), event=None):
     return ode.solve(budgeted, y0, bounds, rtol, rtol * 1e-2, what, event=event)
 
 
-def _linear_rhs(coeffs: CoefficientSet1D, t, y, a: float, b: float, c: float):
-    """Rates of (lam, Pi, S) at t from the a, b, c values the caller has
-    already read there; d, e and g are read here."""
-    d = float(coeffs.d(t))
-    e = float(coeffs.e(t))
-    g = float(coeffs.g(t))
-    lam, pi = y[0], y[1]
-    lam_dot = b * lam - a * pi + d
-    pi_dot = c * lam - b * pi + e
-    s_dot = (
-        g + 0.5 * a * pi * pi + 0.5 * c * lam * lam
-        - b * lam * pi - d * pi + e * lam + lam_dot * pi
-    )
-    return lam_dot, pi_dot, s_dot
+def _linear_rhs(coeffs: CoefficientSet1D):
+    """Rates of (lam, Pi, S) as a function of (t, y, a, b, c), from the a, b,
+    c values its caller has read at t; d, e and g are compiled here."""
+    d_of, e_of, g_of = (p.scalar()[0] for p in (coeffs.d, coeffs.e, coeffs.g))
+
+    def rates(t, y, a: float, b: float, c: float):
+        d, e, g = d_of(t), e_of(t), g_of(t)
+        lam, pi = y[0], y[1]
+        lam_dot = b * lam - a * pi + d
+        pi_dot = c * lam - b * pi + e
+        s_dot = (
+            g + 0.5 * a * pi * pi + 0.5 * c * lam * lam
+            - b * lam * pi - d * pi + e * lam + lam_dot * pi
+        )
+        return lam_dot, pi_dot, s_dot
+
+    return rates
 
 
 def _first_event(sol) -> float:
@@ -321,19 +309,18 @@ def solve_path1(coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10) -> P
     if t_end <= 0:
         raise DomainError("t_end must be positive")
     _check_positive(coeffs.a, t_end, "a", "required by exp(2*gamma) = a*Delta")
-    a0 = float(coeffs.a(0.0))
+    (a_of, adot_of), (b_of, _), (c_of, _) = (p.scalar() for p in (coeffs.a, coeffs.b, coeffs.c))
+    linear = _linear_rhs(coeffs)
+    a0 = a_of(0.0)
     delta = 1.0 / a0
 
     def rhs(t, y):
-        a = float(coeffs.a(t))
-        b = float(coeffs.b(t))
-        c = float(coeffs.c(t))
+        a, b, c = a_of(t), b_of(t), c_of(t)
         if a <= 0.0:
             raise DomainError(f"a(t) must stay positive (required by exp(2*gamma) = "
                               f"a*Delta); a={a:.6g} at t={t:.6g}")
-        lam_dot, pi_dot, s_dot = _linear_rhs(coeffs, t, y, a, b, c)
-        adot = float(coeffs.a.derivative(t))
-        damping = 2.0 * b - adot / a
+        lam_dot, pi_dot, s_dot = linear(t, y, a, b, c)
+        damping = 2.0 * b - adot_of(t) / a
         u, udot, v, vdot = y[4], y[5], y[6], y[7]
         return (
             lam_dot, pi_dot, s_dot,
@@ -348,7 +335,7 @@ def solve_path1(coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10) -> P
                    knots=_coefficient_knots(coeffs), event=focus)
     return ParamTrajectory(
         path="path1", coeffs=coeffs, t_end=float(t_end), Delta=delta,
-        t_grid=sol.t, valid_to=_first_event(sol), _base=sol.sol,
+        t_grid=sol.t, valid_to=_first_event(sol), _base=sol.sol, _a=a_of,
     )
 
 
@@ -387,17 +374,16 @@ def solve_path2(coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10) -> P
         _check_positive(coeffs.c, t_end, "c", "sqrt(a/c) must be real")
     except DomainError as err:
         raise DomainError(f"{err}; route 2 needs c > 0, use route 1 instead") from None
-    a0 = float(coeffs.a(0.0))
-    c0 = float(coeffs.c(0.0))
-    delta = math.sqrt(c0 / a0)
+    (a_of, adot_of), (b_of, _), (c_of, cdot_of) = (
+        p.scalar() for p in (coeffs.a, coeffs.b, coeffs.c))
+    linear = _linear_rhs(coeffs)
+    delta = math.sqrt(c_of(0.0) / a_of(0.0))
     shortcut = _is_shortcut(coeffs, t_end)
 
     def base_rhs(t, y):
-        a = float(coeffs.a(t))
-        b = float(coeffs.b(t))
-        c = float(coeffs.c(t))
+        a, b, c = a_of(t), b_of(t), c_of(t)
         _path2_guard(t, a, c)
-        return (*_linear_rhs(coeffs, t, y, a, b, c), math.sqrt(a * c))
+        return (*linear(t, y, a, b, c), math.sqrt(a * c))
 
     half_turn = lambda t, y: y[3] - math.pi   # phi = pi
     base = _run_ivp(base_rhs, [0.0, 0.0, 0.0, 0.0], t_end, tol, "route-2 parameters",
@@ -413,11 +399,9 @@ def solve_path2(coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10) -> P
             # Q' = -w(cos(2phi) Q + sin(2phi) P), P' = w(cos(2phi) P - sin(2phi) Q),
             # which passes smoothly through zeros of the quadratic coefficient;
             # phi' = sqrt(a c) rides along, so no dense output is read here.
-            a = float(coeffs.a(t))
-            c = float(coeffs.c(t))
+            a, c = a_of(t), c_of(t)
             _path2_guard(t, a, c)
-            w = float(coeffs.b(t)) - _path2_gamma_dot(
-                a, float(coeffs.a.derivative(t)), c, float(coeffs.c.derivative(t)))
+            w = b_of(t) - _path2_gamma_dot(a, adot_of(t), c, cdot_of(t))
             qq, pp, _, vphi, _, phi = y
             c2, s2 = math.cos(2.0 * phi), math.sin(2.0 * phi)
             alpha = qq / pp
@@ -445,7 +429,7 @@ def solve_path2(coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10) -> P
     valid_to = min(_first_event(base), riccati_t_end if riccati_t_end < t_end else math.inf)
     return ParamTrajectory(
         path="path2", coeffs=coeffs, t_end=float(t_end), Delta=delta,
-        t_grid=base.t, valid_to=valid_to, _base=base.sol,
+        t_grid=base.t, valid_to=valid_to, _base=base.sol, _a=a_of, _c=c_of,
         shortcut=shortcut, _riccati=riccati_dense, _riccati_t_end=riccati_t_end,
     )
 
@@ -463,18 +447,16 @@ def solve_2d(
     if path not in ("path1", "path2"):
         raise DomainError(f"path must be 'path1' or 'path2', got {path!r}")
     _check_positive(profile.m, t_end, "m", _MASS_REQUIREMENT)
-    reduced = reduce_2d(profile)
     q = profile.charge
+    m_of, b_of, k_of, ex_of, ey_of = (
+        p.scalar()[0] for p in (profile.m, profile.B, profile.K, profile.Ex, profile.Ey))
 
     def rhs(t, y):
-        m = float(profile.m(t))
+        m = m_of(t)
         if m <= 0.0:
             raise DomainError(f"m(t) must stay positive ({_MASS_REQUIREMENT}); "
                               f"m={m:.6g} at t={t:.6g}")
-        bb = float(profile.B(t))
-        kk = float(profile.K(t))
-        ex = float(profile.Ex(t))
-        ey = float(profile.Ey(t))
+        bb, kk, ex, ey = b_of(t), k_of(t), ex_of(t), ey_of(t)
         wb = q * bb / (2.0 * m)
         kappa = kk + q * q * bb * bb / (4.0 * m)
         lam_x, lam_y, pi_x, pi_y = y[0], y[1], y[2], y[3]
@@ -501,5 +483,5 @@ def solve_2d(
         _require_positive(profile.m, past[past <= t_end], t_end, "m", _MASS_REQUIREMENT)
         raise
     solver = solve_path1 if path == "path1" else solve_path2
-    radial = solver(reduced, t_end, tol)
+    radial = solver(reduce_2d(profile), t_end, tol)
     return ParamTrajectory2D(radial=radial, t_end=t_end, t_grid=sol.t, _dense=sol.sol)

@@ -24,6 +24,7 @@ from .coeffs import (
     TimeProfile,
     as_profile,
     profile_from_dict,
+    reciprocal,
 )
 from .errors import ConfigError, DomainError
 
@@ -72,15 +73,12 @@ def _number_or_profile(spec, field: str) -> TimeProfile:
 
 
 def _lp(p, hbar):
-    m, f = p["m"], p["f"]
+    def negated(f):
+        f, df = f
+        return (lambda t: -f(t)), (lambda t: -df(t))
 
-    def a_dfn(t):
-        mt = m(t)
-        return -m.derivative(t) / (mt * mt)
-
-    a = Derived(fn=lambda t: 1.0 / m(t), dfn=a_dfn, label="1/m", knots=m.knots)
-    e = Derived(fn=lambda t: -f(t), dfn=lambda t: -f.derivative(t), label="-f",
-                knots=f.knots)
+    a = Derived.of(reciprocal, p["m"], label="1/m")
+    e = Derived.of(negated, p["f"], label="-f")
     return CoefficientSet1D.build(a=a, e=e, hbar=hbar)
 
 

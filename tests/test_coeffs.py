@@ -93,6 +93,12 @@ KNOTS = Tabulated(knots_t=(-1.0, -0.2, 0.5, 1.25, 2.0, 4.0),
                   knots_v=(0.3, 1.0, -1.0, 2.0, 0.7, 1.1))
 MASS_KNOTS = Tabulated(knots_t=(0.0, 0.5, 1.2, 2.5), knots_v=(1.0, 1.3, 0.8, 1.1))
 SMOOTH = Sinusoid(0.2, 1.3, 0.1, 1.0)
+REDUCED = reduce_2d(FieldProfile2D.build(m=SMOOTH, B=Sinusoid(1.5, 2.1, 0.7),
+                                         K=Sinusoid(0.3, 0.9, 0.0, 0.5), charge=1.2))
+LP = presets.build("lp", {"m": {"kind": "sinusoid", "amplitude": 0.2, "omega": 1.3,
+                                "offset": 1.0},
+                          "f": {"kind": "tabulated", "knots": [[-1.0, 0.3], [0.5, -1.0],
+                                                               [4.0, 1.1]]}})
 FLOAT_BRANCH_CASES = {
     "constant": Constant(2.5),
     "sinusoid": Sinusoid(1.0, 2.0, 0.3, 0.5),
@@ -104,6 +110,14 @@ FLOAT_BRANCH_CASES = {
     "derived": Derived(lambda t: np.exp(-t) * np.sin(3.0 * t),
                        lambda t: np.exp(-t) * (3.0 * np.cos(3.0 * t) - np.sin(3.0 * t))),
     "derived-shifted": Derived(SMOOTH, SMOOTH.derivative).shifted(0.4),
+    "reduced-a": REDUCED.a,
+    "reduced-c": REDUCED.c,
+    "reduced-c-shifted": REDUCED.c.shifted(0.3),
+    "reduced-c-tabulated-B": reduce_2d(FieldProfile2D.build(m=1.1, B=KNOTS.shifted(-1.0),
+                                                            K=0.4)).c,
+    "lp-a": LP.a,
+    "lp-e": LP.e,
+    "kanai-e": presets.build("kanai", {"F0": 0.3, "F1": 0.2}).e,
 }
 
 
@@ -112,14 +126,15 @@ def bits_equal(x, y) -> bool:
 
 
 def float_branch_mismatches(prof, ts):
-    """Times at which a float in does not give a float with the bits of the
-    array branch, for __call__ and derivative; the array branch is taken
-    both on the whole array and on each time as a 0-d array."""
+    """Times at which the compiled pair, given a float or an np.float64, does
+    not give a float with the bits of the array methods, value and
+    derivative; the array methods are taken both on the whole array and on
+    each time as a 0-d array."""
     bad = []
-    for method in (prof.__call__, prof.derivative):
+    for method, compiled in zip((prof.__call__, prof.derivative), prof.scalar()):
         whole = method(ts)
         for k, t in enumerate(ts.tolist()):
-            for value in (method(t), method(np.float64(t))):
+            for value in (compiled(t), compiled(np.float64(t))):
                 if not (isinstance(value, float) and bits_equal(value, whole[k])
                         and bits_equal(value, method(np.asarray(t)))):
                     bad.append((method.__name__, t))
@@ -127,14 +142,17 @@ def float_branch_mismatches(prof, ts):
 
 
 class TestFloatBranch:
+    """The compiled pair of ``scalar()``, the float path the solvers read,
+    has the bits of the array methods."""
+
     @pytest.mark.parametrize("name", sorted(FLOAT_BRANCH_CASES))
     def test_float_branch_has_the_array_bits(self, name):
         prof = FLOAT_BRANCH_CASES[name]
         rng = np.random.default_rng(11)
-        if isinstance(prof, Tabulated):
+        if prof.knots:
             # every knot, the last included
-            lo, hi = prof.knots_t[0], prof.knots_t[-1]
-            ts = np.concatenate([rng.uniform(lo, hi, 200), prof.knots_t])
+            lo, hi = prof.knots[0], prof.knots[-1]
+            ts = np.concatenate([rng.uniform(lo, hi, 200), prof.knots])
         else:
             ts = rng.uniform(-0.9, 3.9, 200)
         assert float_branch_mismatches(prof, ts) == []
@@ -145,24 +163,27 @@ class TestFloatBranch:
         (MASS_KNOTS, Exponential(0.5, -0.2), Constant(0.0)),
     ], ids=["sinusoids", "exponential-m", "tabulated-m"])
     def test_reduced_profiles_match_the_0d_evaluation(self, m, B, K):
-        # the reduction's callables see a float now where the solvers used to
-        # pass a 0-d array; for B not tabulated that gives the same bits
+        # the reduction compiles by composing the compiled pairs of m, B and
+        # K with the formulas its array methods use
         reduced = reduce_2d(FieldProfile2D.build(m=m, B=B, K=K, charge=1.2))
         ts = np.random.default_rng(12).uniform(0.0, 2.4, 200).tolist()
         for prof in (reduced.a, reduced.c):
-            for method in (prof.__call__, prof.derivative):
+            for method, compiled in zip((prof.__call__, prof.derivative), prof.scalar()):
                 for t in ts:
-                    value = method(t)
+                    value = compiled(t)
                     assert isinstance(value, float)
                     assert bits_equal(value, method(np.asarray(t))), (prof.label, t)
 
     def test_derived_callables_receive_the_float(self):
+        # the compiled pair hands fn and dfn the time it is given; __call__
+        # and derivative hand them a float array
         seen = []
         prof = Derived(lambda t: seen.append(t) or 1.0, lambda t: seen.append(t) or 0.0)
         for p in (prof, prof.shifted(0.25)):
-            p(0.5), p.derivative(np.float64(0.5)), p(np.array([0.5]))
-        assert [type(t) for t in seen] == [float, np.float64, np.ndarray] * 2
-        assert seen[3:5] == [0.75, 0.75]
+            value, rate = p.scalar()
+            value(0.5), rate(np.float64(0.5)), p(np.array([0.5])), p.derivative([0.5])
+        assert [type(t) for t in seen] == [float, np.float64, np.ndarray, np.ndarray] * 2
+        assert seen[4:6] == [0.75, 0.75]
 
     def test_reduced_stiffness_with_tabulated_field_is_bitwise(self):
         # B(t) ** 2 would round through pow for a float and through x*x for
@@ -170,16 +191,17 @@ class TestFloatBranch:
         # reduction squares as B(t) * B(t) in both
         field = FieldProfile2D.build(m=1.1, B=KNOTS.shifted(-1.0), K=0.4)
         reduced = reduce_2d(field)
+        c = reduced.c.scalar()[0]
         ts = np.random.default_rng(13).uniform(0.0, 3.0, 2000).tolist()
-        assert [t for t in ts if not bits_equal(reduced.c(t), reduced.c(np.asarray(t)))] == []
+        assert [t for t in ts if not bits_equal(c(t), reduced.c(np.asarray(t)))] == []
 
     def test_tabulated_float_branch_refuses_times_beyond_the_knots(self):
         lo, hi = KNOTS.knots_t[0], KNOTS.knots_t[-1]
-        for t in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)):
-            with pytest.raises(DomainError, match="extrapolation"):
-                KNOTS(t)
-            with pytest.raises(DomainError, match="extrapolation"):
-                KNOTS.derivative(t)
+        for compiled in KNOTS.scalar():
+            assert compiled(lo) == compiled(lo) and compiled(hi) == compiled(hi)
+            for t in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)):
+                with pytest.raises(DomainError, match="extrapolation"):
+                    compiled(t)
 
 
 FINITE = st.floats(-3.0, 3.0, allow_nan=False)
@@ -215,7 +237,7 @@ def test_knots_follow_the_profiles():
     field = FieldProfile2D.build(m=MASS_KNOTS, B=KNOTS, K=Tabulated((0.0, 0.7), (1.0, 1.0)))
     reduced = reduce_2d(field)
     union = (-1.0, -0.2, 0.0, 0.5, 0.7, 1.2, 1.25, 2.0, 2.5, 4.0)
-    assert reduced.a.knots == reduced.c.knots == union
+    assert reduced.a.knots == MASS_KNOTS.knots_t and reduced.c.knots == union
     assert reduced.b.knots == reduced.d.knots == ()
     lp = presets.build("lp", {
         "m": {"kind": "tabulated", "knots": [[0.0, 1.0], [0.5, 1.3], [1.2, 0.8], [2.5, 1.1]]},

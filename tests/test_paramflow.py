@@ -551,6 +551,68 @@ class TestFloatBranchEndToEnd:
             (("call", 3), ("derivative", 2))}
 
 
+class Watched(TimeProfile):
+    """A profile that records every compile and every evaluation through
+    __call__ and derivative, and compiles to its inner profile's pair."""
+
+    def __init__(self, inner, log):
+        self.inner, self.log = inner, log
+        self.knots = inner.knots
+
+    def __call__(self, t):
+        self.log.append(("call", self, t))
+        return self.inner(t)
+
+    def derivative(self, t):
+        self.log.append(("derivative", self, t))
+        return self.inner.derivative(t)
+
+    def scalar(self):
+        self.log.append(("scalar", self, None))
+        return self.inner.scalar()
+
+
+class TestCompiledCoefficients:
+    @pytest.mark.parametrize("route", ["path1", "path2", "2d-path1", "2d-path2"])
+    def test_each_solve_compiles_each_profile_once(self, route):
+        log = []
+        if route.startswith("2d"):
+            names = ("m", "B", "K", "Ex", "Ey")
+            field = mixed_field(0)
+            system = FieldProfile2D(**{k: Watched(getattr(field, k), log) for k in names},
+                                    charge=1.0)
+            solve = lambda t_end: solve_2d(system, t_end, 1e-10, path=route[3:])
+            assemble = maps.assemble_2d
+            # the planar right-hand side compiles each profile; the radial
+            # solve compiles a = 1/m and c = K + q^2 B^2/4m, each from the
+            # compiled pairs of the profiles it reads
+            expected = {"m": 3, "B": 2, "K": 2, "Ex": 1, "Ey": 1}
+        else:
+            names = tuple("abcdeg")
+            cs = mixed_system(0)
+            system = CoefficientSet1D(*(Watched(getattr(cs, k), log) for k in names))
+            solve = lambda t_end: (solve_path1 if route == "path1" else solve_path2)(
+                system, t_end, 1e-10)
+            assemble = maps.assemble_path1 if route == "path1" else maps.assemble_path2
+            expected = dict.fromkeys(names, 1)
+        by_profile = {getattr(system, k): k for k in names}
+        for t_end in (0.5, 4.0):
+            log.clear()
+            traj = solve(t_end)
+            compiles = Counter(by_profile[p] for kind, p, _ in log if kind == "scalar")
+            assert compiles == expected, t_end
+            # evaluations outside the compiled pairs are the vectorized probes
+            probes = [t for kind, _, t in log if kind != "scalar"]
+            assert probes and all(np.ndim(t) == 1 and len(t) >= 257 for t in probes)
+        log.clear()
+        times = [t for t in np.linspace(0.0, 4.0, 41) if t <= 0.95 * traj.valid_to]
+        assert len(times) > 10
+        for t in times:
+            traj.sample(float(t))
+            assemble(traj, float(t))
+        assert log == []
+
+
 class TestFloatState:
     def test_rhs_on_a_list_equals_the_rhs_on_the_array_bitwise(self, monkeypatch):
         # every right-hand side gets its state as a list of floats; at each
