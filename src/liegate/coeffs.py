@@ -172,9 +172,9 @@ class Tabulated(TimeProfile):
         return self._spline(self._check_range(np.asarray(t, dtype=float)), 1)
 
     def scalar(self):
-        # per interval [t_i, t_i+1) (the last one closed, as scipy chooses)
-        # the cubic's coefficients as floats, summed as scipy's PPoly sums
-        # them, from 0.0 with the constant term first, so the bits are its
+        # per interval [t_i, t_i+1), the last one closed as scipy has it, the
+        # cubic's coefficients as floats, summed in scipy's PPoly order (from
+        # 0.0, constant term first), so the bits are scipy's
         breaks, pieces = self._spline.x.tolist(), self._spline.c.T.tolist()
         lo, hi, last = breaks[0], breaks[-1], len(breaks) - 1
         find, check = bisect.bisect_right, self._check_range
@@ -201,7 +201,7 @@ class Tabulated(TimeProfile):
 
 @dataclass(frozen=True)
 class Derived(TimeProfile):
-    """Profile defined by callables; made by reductions and presets only.
+    """Profile defined by callables; made by reductions and presets, not JSON configs.
 
     ``fn`` and ``dfn`` receive a float array from ``__call__`` and
     ``derivative`` and a float from the compiled pair.  ``knots`` are those
