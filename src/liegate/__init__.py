@@ -18,9 +18,13 @@ Subpackages by task:
 - ``presets``: the named systems, their parameters with defaults and
   their builders.
 - ``cli``: the ``liegate`` command line entry point.
+
+``import liegate`` loads only the errors; each subpackage is imported on
+first attribute access (PEP 562), so a caller pays only for what it uses.
 """
 
-from . import quadops, coeffs, paramflow, maps, greens, closedforms, oracle
+import importlib
+
 from .errors import (
     LiegateError,
     DomainError,
@@ -33,14 +37,10 @@ from .errors import (
 
 __version__ = "0.1.0"
 
+_SUBMODULES = ("quadops", "coeffs", "paramflow", "maps", "greens", "closedforms", "oracle")
+
 __all__ = [
-    "quadops",
-    "coeffs",
-    "paramflow",
-    "maps",
-    "greens",
-    "closedforms",
-    "oracle",
+    *_SUBMODULES,
     "LiegateError",
     "DomainError",
     "ConfigError",
@@ -50,3 +50,9 @@ __all__ = [
     "ConsistencyError",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

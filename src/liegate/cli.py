@@ -29,7 +29,7 @@ import sys
 
 import numpy as np
 
-from . import greens, oracle, paramflow, presets, quadops, verify
+from . import paramflow, presets, quadops
 from .coeffs import CoefficientSet1D
 from .errors import CausticError, ConfigError, DomainError, LiegateError
 
@@ -272,6 +272,8 @@ def parse_apply_spec(spec: str) -> dict:
 
 
 def cmd_kernel(cfg: dict, out_dir: str, apply_spec: str | None) -> int:
+    from . import greens, oracle
+
     kind, problem = build_problem(cfg)
     if apply_spec is not None:
         gauss = parse_apply_spec(apply_spec)
@@ -303,6 +305,8 @@ def cmd_kernel(cfg: dict, out_dir: str, apply_spec: str | None) -> int:
 
 
 def cmd_verify(out_dir: str, seed: int, corrupt_map: bool) -> int:
+    from . import verify  # with it the oracle and the closed forms
+
     results = verify.run_suite(seed=seed, corrupt_map=corrupt_map)
     os.makedirs(out_dir, exist_ok=True)
     report = {

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .errors import DomainError
 
@@ -142,7 +141,7 @@ class Tabulated(TimeProfile):
 
     knots_t: tuple[float, ...]
     knots_v: tuple[float, ...]
-    _spline: CubicSpline = field(init=False, repr=False, compare=False)
+    _spline: object = field(init=False, repr=False, compare=False)  # CubicSpline
 
     def __post_init__(self):
         t = np.asarray(self.knots_t, dtype=float)
@@ -151,7 +150,17 @@ class Tabulated(TimeProfile):
             raise DomainError("tabulated profile needs at least two (t, value) knots")
         if not np.all(np.diff(t) > 0):
             raise DomainError("tabulated knots must be strictly increasing in t")
-        object.__setattr__(self, "_spline", CubicSpline(t, v, bc_type="natural"))
+        from scipy.interpolate import CubicSpline  # loaded by tabulated profiles alone
+
+        with np.errstate(all="ignore"):
+            try:
+                spline = CubicSpline(t, v, bc_type="natural")
+            except ValueError:  # scipy refuses slopes that overflow
+                spline = None
+        if spline is None or not np.all(np.isfinite(spline.c)):
+            raise DomainError("tabulated knot values overflow the cubic spline: "
+                              "its coefficients are not finite")
+        object.__setattr__(self, "_spline", spline)
 
     @property
     def knots(self) -> tuple[float, ...]:

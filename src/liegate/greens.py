@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import fft as sp_fft
 
 from .errors import CausticError, DomainError
 from .maps import _radial_entries, _rotation
@@ -200,6 +199,25 @@ def kernel_build(
     )
 
 
+def _next_fast_len(target: int) -> int:
+    """The smallest n >= target whose prime factors are all at most 11: the
+    complex FFT sizes pocketfft does fastest, as ``scipy.fft.next_fast_len``.
+
+    Each 3-5-7-11-smooth odd part m below the power of two that bounds the
+    answer takes the least power of two lifting it to target.
+    """
+    best = 1 << (target - 1).bit_length()
+    odd = [1]
+    for prime in (3, 5, 7, 11):
+        grown = []
+        for m in odd:
+            while m <= best:
+                grown.append(m)
+                m *= prime
+        odd = grown
+    return min(m << (-(-target // m) - 1).bit_length() for m in odd)
+
+
 def _chirp(pts: np.ndarray, quad: np.ndarray, lin: np.ndarray) -> np.ndarray:
     """exp(i [p.quad.p + lin.p]) at points p carried in the last axis."""
     return np.exp(1j * (np.einsum("...i,ij,...j->...", pts, quad, pts) + pts @ lin))
@@ -232,11 +250,11 @@ def kernel_apply(kernel: GaussianKernel, psi0: WaveGrid) -> WaveGrid:
         weights, shift = np.outer(w, w) * dx**2, 0.0
     g = weights * psi0.amps * _chirp(pts, kernel.qx1x1 + shift, kernel.lx1)
     if kernel.dof == 1:
-        size = sp_fft.next_fast_len(2 * n - 1)
+        size = _next_fast_len(2 * n - 1)
         k = np.minimum(np.arange(size), size - np.arange(size))
         cross = np.exp(-1j * shift[0, 0] * (dx * k) ** 2)
         cross[n:size - n + 1] = 0.0  # only lags |k| < n reach the output
-        out = sp_fft.ifft(sp_fft.fft(g, size) * sp_fft.fft(cross))[:n]
+        out = np.fft.ifft(np.fft.fft(g, size) * np.fft.fft(cross))[:n]
     else:
         e = np.exp(1j * kernel.qxx1.real[:, :, None, None] * np.outer(x, x))
         p_mat = (e[0, 0][:, :, None] * e[0, 1][:, None, :]).reshape(n, n * n)

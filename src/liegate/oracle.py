@@ -19,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .coeffs import CoefficientSet1D, FieldProfile2D
 from .errors import DomainError, IntegrationError
@@ -103,6 +102,8 @@ def _generator(coeffs):
 
 
 def _integrate(rhs, y0, t_end, tol, what):
+    from scipy.integrate import solve_ivp  # loaded by the checks alone
+
     if t_end <= 0:
         raise DomainError("t_end must be positive")
     sol = solve_ivp(

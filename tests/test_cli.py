@@ -545,6 +545,20 @@ def test_malformed_profile_is_config_error(tmp_path, capsys, profile, key):
     assert key in err["message"]
 
 
+def test_overflowing_spline_is_config_error(tmp_path):
+    # finite knots whose spline slopes overflow: numpy warns, scipy refuses them
+    cfg = write_config(tmp_path, "overflow.json", {
+        "system": "gho", "t_end": 0.5, "coefficients": {
+            "a": {"kind": "tabulated", "knots": [[0, 1], [0.5, 1e308], [1, 1.1]]}, "c": 1.0},
+    })
+    done = run_module("params", "--config", cfg, "--out", str(tmp_path / "x"))
+    assert done.returncode == 2
+    assert done.stderr == ""
+    err = json.loads(done.stdout)["error"]
+    assert err["field"] == "coefficients.a"
+    assert "not finite" in err["message"]
+
+
 def test_missing_config_file(tmp_path, capsys):
     code = cli.main(["params", "--config", str(tmp_path / "nope.json"),
                      "--out", str(tmp_path)])

@@ -64,6 +64,17 @@ class TestProfiles:
         with pytest.raises(DomainError, match="increasing"):
             Tabulated(knots_t=(0.0, 2.0, 1.0), knots_v=(0.0, 1.0, 2.0))
 
+    @pytest.mark.parametrize("knots_t, knots_v", [
+        ((0.0, 0.5, 1.0), (1.0, 1e308, 1.1)),
+        ((0.0, 0.5, 1.0), (-1e308, 1e308, -1e308)),
+        ((0.0, 1e-300, 1.0), (0.0, 1e-10, 0.0)),
+    ], ids=["slope", "alternating", "cubic-term"])
+    def test_tabulated_refuses_a_spline_that_overflows(self, knots_t, knots_v):
+        # finite knots whose slopes (scipy refuses them) or cubic terms (scipy
+        # builds them) overflow; a numpy overflow warning would fail the test
+        with pytest.raises(DomainError, match="not finite"):
+            Tabulated(knots_t=knots_t, knots_v=knots_v)
+
     @pytest.mark.parametrize(
         "prof",
         [

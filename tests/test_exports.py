@@ -4,9 +4,10 @@ A name left in ``__all__`` after its definition is deleted, or a
 re-export of another module's name, would otherwise go unseen: tools that
 walk ``__all__`` with ``getattr(module, name, None)`` skip it silently.
 The same source scan checks that no module but ``cli`` opens a file,
-that the solvers import nothing from scipy, that ``verify`` checks only
-solvers the CLI calls and that the presets import none of the checks, and
-the benchmark's span recorder still finds every name it wraps.
+that scipy is imported only inside the functions that run it, that
+``verify`` checks only solvers the CLI calls and that the presets import
+none of the checks, and the benchmark's span recorder still finds every
+name it wraps.
 """
 
 import ast
@@ -69,22 +70,31 @@ def test_library_leaves_files_to_the_cli(name):
     assert not opens_files(importlib.import_module(f"liegate.{name}").__file__)
 
 
-def imported_packages(path: str) -> set[str]:
-    """Top-level package of every absolute import in the module's source."""
-    names = set()
-    for node in ast.walk(ast.parse(pathlib.Path(path).read_text())):
-        if isinstance(node, ast.Import):
-            names.update(alias.name.split(".")[0] for alias in node.names)
-        elif isinstance(node, ast.ImportFrom) and node.level == 0:
-            names.add(node.module.split(".")[0])
-    return names
+def imports_scipy(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+    return (isinstance(node, ast.ImportFrom) and node.level == 0
+            and node.module.split(".")[0] == "scipy")
 
 
-@pytest.mark.parametrize("name", ["closedforms", "ode", "paramflow"])
-def test_solvers_import_nothing_from_scipy(name):
-    # the parameter solves run on the package's own DOP853; the oracle keeps
-    # scipy's RK45 by design, so that it shares no integrator code with them
-    assert "scipy" not in imported_packages(importlib.import_module(f"liegate.{name}").__file__)
+def scipy_imports(path: str) -> list[bool]:
+    """For each scipy import in the module's source, whether a function holds it."""
+    tree = ast.parse(pathlib.Path(path).read_text())
+    in_functions = {id(node) for fn in ast.walk(tree)
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    for node in ast.walk(fn)}
+    return [id(node) in in_functions for node in ast.walk(tree) if imports_scipy(node)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_scipy_is_imported_only_where_it_runs(name):
+    # scipy costs a process most of its start-up: only the oracle's RK45 and
+    # the tabulated profiles' spline load it, each in the function that runs
+    # it; the parameter solves run on the package's own DOP853, and greens
+    # applies kernels with numpy.fft
+    found = scipy_imports(importlib.import_module(f"liegate.{name}").__file__)
+    assert all(found), "a module-level scipy import"
+    assert bool(found) == (name in ("coeffs", "oracle"))
 
 
 def paramflow_names(path: str) -> set[str]:

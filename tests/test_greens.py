@@ -5,16 +5,18 @@ import math
 import numpy as np
 import pytest
 
-from liegate import maps, paramflow
+from liegate import greens, maps, paramflow
+from liegate.cli import _MAX_GRID_N
 from liegate.coeffs import CoefficientSet1D, Exponential, FieldProfile2D, Sinusoid
 from liegate.errors import CausticError, DomainError
 from liegate.greens import (
     GaussianKernel,
+    _next_fast_len,
     kernel_apply,
     kernel_build,
     kernel_unitarity_residual,
 )
-from liegate.oracle import WaveGrid, fidelity, gaussian_state, grid_moments
+from liegate.oracle import WaveGrid, _trapezoid_weights, fidelity, gaussian_state, grid_moments
 
 
 def grid_1024(**kwargs):
@@ -506,3 +508,39 @@ class TestApplyMatchesDirectSum:
         psi = WaveGrid(8, -1.0, 0.25, np.ones((8,) * dof, dtype=complex))
         with pytest.raises(DomainError, match="real cross block"):
             kernel_apply(complex_cross, psi)
+
+
+def test_next_fast_len_is_scipys():
+    # the FFT length of the 1D apply, as scipy chose it before numpy.fft took over
+    from scipy.fft import next_fast_len
+
+    targets = [*range(1, 20001), 2 * _MAX_GRID_N - 1]
+    assert [t for t in targets if _next_fast_len(t) != next_fast_len(t)] == []
+
+
+def scipy_fft_apply_1d(kernel, psi0):
+    """The 1D kernel_apply as it was written with scipy.fft."""
+    import scipy.fft
+
+    n, x, dx = psi0.n, psi0.x, psi0.dx
+    pts, weights, shift = x[:, None], _trapezoid_weights(n) * dx, 0.5 * kernel.qxx1.real
+    g = weights * psi0.amps * greens._chirp(pts, kernel.qx1x1 + shift, kernel.lx1)
+    size = scipy.fft.next_fast_len(2 * n - 1)
+    k = np.minimum(np.arange(size), size - np.arange(size))
+    cross = np.exp(-1j * shift[0, 0] * (dx * k) ** 2)
+    cross[n:size - n + 1] = 0.0
+    out = scipy.fft.ifft(scipy.fft.fft(g, size) * scipy.fft.fft(cross))[:n]
+    out *= kernel.prefactor * np.exp(1j * kernel.scal) * greens._chirp(
+        pts, kernel.qxx + shift, kernel.lx
+    )
+    return out
+
+
+@pytest.mark.parametrize("n", [8, 48, 1000, 1024, 2048, 3000])
+def test_1d_apply_has_the_scipy_fft_bits(n):
+    # numpy.fft and scipy.fft are both pocketfft: at powers of two and other
+    # sizes the apply gives the bits it gave with scipy.fft
+    rng = np.random.default_rng(n)
+    kernel = random_kernel(rng, 1, cross_scale=3.0)
+    psi = WaveGrid(n, -8.0, 16.0 / n, rng.normal(size=n) + 1j * rng.normal(size=n))
+    assert kernel_apply(kernel, psi).amps.tobytes() == scipy_fft_apply_1d(kernel, psi).tobytes()
