@@ -6,7 +6,8 @@ Subpackages by task:
 - ``coeffs``: time-dependent Hamiltonian coefficient profiles and the
   rotating-frame reduction of the planar charged particle.
 - ``paramflow``: transformation-parameter ODE solvers (both factorization
-  routes, 1D and 2D), integrated by ``ode``, a DOP853 that takes scipy's steps.
+  routes, 1D and 2D), integrated by ``ode``'s DOP853, which takes scipy's
+  steps.
 - ``maps``: symplectic Heisenberg maps assembled from parameter
   trajectories, plus symplectic invariant checks.
 - ``greens``: Gaussian propagator kernels and grid quadrature application.
@@ -14,7 +15,7 @@ Subpackages by task:
   cases (rf trap, damped driven oscillator, sinusoidal and constant
   magnetic field), including the Mathieu cosine function.
 - ``oracle``: independent ground truth (split-step grid solver, classical
-  flow, fundamental matrix, fidelity).
+  flow and fundamental matrix on ``ode``'s RK45, fidelity).
 - ``presets``: the named systems, their parameters with defaults and
   their builders.
 - ``cli``: the ``liegate`` command line entry point.

@@ -1,13 +1,24 @@
-"""Dormand-Prince 8(5,3) integration that takes scipy's DOP853 steps bit for bit.
+"""Explicit Runge-Kutta integration that takes scipy's steps bit for bit.
 
-``solve`` repeats ``scipy.integrate.solve_ivp(method="DOP853")`` operation
-for operation: its tableau, first-step rule, step-size control (safety 0.9,
-factor bounds 0.2 and 10, the norm that blends the E3 and E5 estimates),
-array products per stage, 7th-order dense output, and events refined by a
-port of its ``brentq``.  Steps, states and event times equal scipy's to the
-last bit, without its per-step overhead.  References: Hairer, Norsett and
-Wanner, *Solving ODEs I* (2nd ed. 1993), II.4-II.6; Brent, *Algorithms for
-Minimization without Derivatives* (1973), ch. 4.
+``solve`` repeats ``scipy.integrate.solve_ivp`` operation for operation with
+either of two methods, through one step loop that reads the method as data
+(tableau, error norm, interpolant):
+
+- ``"DOP853"``, Dormand-Prince 8(5,3), for the parameter solves and the
+  closed forms: its tableau, the norm that blends the E3 and E5 estimates,
+  7th-order dense output, and events refined by a port of scipy's ``brentq``;
+- ``"RK45"``, Dormand-Prince 5(4), for the oracle: its tableau, the RMS error
+  norm, and Shampine's quartic dense output ``h Q cumprod(x) + y_old`` with
+  Q = K^T P.
+
+Both share scipy's first-step rule and step-size control (safety 0.9, factor
+bounds 0.2 and 10, exponent -1/(order of the error estimate + 1)) and its
+array products per stage.  Steps, states and event times equal scipy's to
+the last bit, without its per-step overhead.  References: Dormand and
+Prince, J. Comput. Appl. Math. 6 (1980) 19-26; Shampine, Math. Comp. 46
+(1986) 135-150; Hairer, Norsett and Wanner, *Solving ODEs I* (2nd ed.
+1993), II.4-II.6; Brent, *Algorithms for Minimization without Derivatives*
+(1973), ch. 4.
 """
 
 from __future__ import annotations
@@ -15,6 +26,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -102,16 +114,112 @@ _E5 = _matrix([_E5_ROW], (1, 13))[0]
 _E3 = np.append(_B, 0.0)
 _E3[list(_E3_LESS)] -= list(_E3_LESS.values())
 _D = _matrix(_D_ROWS, (4, 16))
-_STAGES = [(s, _A[s, :s], float(_C[s])) for s in range(1, 12)]
-_EXTRA = [(s, _A[s, :s], float(_C[s])) for s in range(13, 16)]
+_DOP853_EXTRA = [(s, _A[s, :s], float(_C[s])) for s in range(13, 16)]
+
+# Dormand and Prince's RK5(4)7M with Shampine's quartic dense output, as
+# scipy writes it: nodes C, rows A, weights B, the error weights E (the
+# 4th-order weights less B, over all seven stages), and the interpolant's P.
+_RK45_C = np.array([0, 1/5, 3/10, 4/5, 8/9, 1])
+_RK45_A = np.array([
+    [0, 0, 0, 0, 0],
+    [1/5, 0, 0, 0, 0],
+    [3/40, 9/40, 0, 0, 0],
+    [44/45, -56/15, 32/9, 0, 0],
+    [19372/6561, -25360/2187, 64448/6561, -212/729, 0],
+    [9017/3168, -355/33, 46732/5247, 49/176, -5103/18656],
+])
+_RK45_B = np.array([35/384, 0, 500/1113, 125/192, -2187/6784, 11/84])
+_RK45_E = np.array([-71/57600, 0, 71/16695, -71/1920, 17253/339200, -22/525, 1/40])
+_RK45_P = np.array([
+    [1, -8048581381/2820520608, 8663915743/2820520608, -12715105075/11282082432],
+    [0, 0, 0, 0],
+    [0, 131558114200/32700410799, -68118460800/10900136933, 87487479700/32700410799],
+    [0, -1754552775/470086768, 14199869525/1410260304, -10690763975/1880347072],
+    [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875/199316789632],
+    [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
+    [0, 40617522/29380423, -110615467/29380423, 69997945/29380423],
+])
 
 
 def _rms(x):
     return np.linalg.norm(x) / x.size ** 0.5
 
 
-def _first_step(fun, t0, y0, f0, t_bound, rtol, atol):
-    """scipy's starting step (HNW II.4) for the order-7 error estimate."""
+def _dop853_error(KT, h, scale):
+    """The step's error norm, blending the E5 and E3 estimates."""
+    err5, err3 = np.dot(KT, _E5) / scale, np.dot(KT, _E3) / scale
+    err5, err3 = np.sqrt(err5.dot(err5)) ** 2, np.sqrt(err3.dot(err3)) ** 2
+    return abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * scale.size) if err5 or err3 else 0.0
+
+
+def _dop853_interpolant(fun, K, KT, t_old, h, y_old, f_old, y, f):
+    """The three extra stages and the rows F of the 7th-order interpolant."""
+    for s, a, c in _DOP853_EXTRA:
+        K[s] = fun(t_old + c * h, y_old + np.dot(KT[s], a) * h)
+    F = np.empty((7, y.size))
+    F[0] = delta = y - y_old
+    F[1] = h * f_old - delta
+    F[2] = 2 * delta - h * (f + f_old)
+    F[3:] = h * np.dot(_D, K)
+    return t_old, h, y_old, F
+
+
+def _dop853_columns(step):
+    """A step's interpolant as float columns, read faster than F's rows."""
+    t_old, h, y_old, F = step
+    return t_old, h, list(zip(*F[::-1].tolist(), y_old.tolist()))
+
+
+def _dop853_at(read, t):
+    t_old, h, columns = read
+    x = (float(t) - t_old) / h
+    x1 = 1 - x
+    return [(((((((0.0 + f6) * x + f5) * x1 + f4) * x + f3) * x1 + f2) * x + f1) * x1
+             + f0) * x + y0 for f6, f5, f4, f3, f2, f1, f0, y0 in columns]
+
+
+def _rk45_error(KT, h, scale):
+    return _rms(np.dot(KT, _RK45_E) * h / scale)
+
+
+def _rk45_interpolant(fun, K, KT, t_old, h, y_old, f_old, y, f):
+    return t_old, h, y_old, KT[-1].dot(_RK45_P)
+
+
+def _rk45_at(step, t):
+    """Shampine's quartic at t, as scipy's ``RkDenseOutput`` forms it."""
+    t_old, h, y_old, Q = step
+    return h * np.dot(Q, np.cumprod(np.tile((t - t_old) / h, 4))) + y_old
+
+
+class _Method(NamedTuple):
+    """An embedded Runge-Kutta pair as scipy's solver class for it runs: its
+    stages after the first as (s, A[s, :s], C[s]), the weights B, the rows
+    of the stage store K, the order of the error estimate (it sets the first
+    step and the step-size exponent), the error norm of a step from K's
+    columns, the interpolant made after a step, the form it is read in, and
+    its value at a time."""
+
+    stages: list
+    B: np.ndarray
+    rows: int
+    error_order: int
+    error_norm: Callable
+    interpolant: Callable
+    read: Callable
+    at: Callable
+
+
+_METHODS = {
+    "DOP853": _Method([(s, _A[s, :s], float(_C[s])) for s in range(1, 12)], _B, 16, 7,
+                      _dop853_error, _dop853_interpolant, _dop853_columns, _dop853_at),
+    "RK45": _Method([(s, _RK45_A[s, :s], float(_RK45_C[s])) for s in range(1, 6)], _RK45_B,
+                    7, 4, _rk45_error, _rk45_interpolant, lambda step: step, _rk45_at),
+}
+
+
+def _first_step(fun, t0, y0, f0, t_bound, rtol, atol, order):
+    """scipy's starting step (HNW II.4) for an error estimate of this order."""
     interval = t_bound - t0
     scale = atol + np.abs(y0) * rtol
     d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
@@ -119,28 +227,26 @@ def _first_step(fun, t0, y0, f0, t_bound, rtol, atol):
     d2 = _rms((fun(t0 + h0, y0 + h0 * f0) - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         return min(100 * h0, max(1e-6, h0 * 1e-3), interval)
-    return min(100 * h0, (0.01 / max(d1, d2)) ** 0.125, interval)
+    return min(100 * h0, (0.01 / max(d1, d2)) ** (1 / (order + 1)), interval)
 
 
 class Dense:
-    """Each step's 7th-order interpolant, picked for a time as scipy's
-    ``OdeSolution`` picks it; ``ts`` holds the step times."""
+    """Each step's interpolant, picked for a time as scipy's ``OdeSolution``
+    picks it; ``ts`` holds the step times."""
 
-    def __init__(self, ts: list, steps: list):
+    def __init__(self, ts: list, steps: list, method: _Method):
         self.ts = ts
-        self._steps = steps   # (t_old, h, y_old, F) per step
-        self._read = -1, None   # last step read, as float columns (5x the memory of F)
+        self._steps = steps
+        self._method = method
+        # the last step read, in its reading form: DOP853's float columns
+        # take 5x the memory of F, so only one step is held
+        self._read = -1, None
 
-    def __call__(self, t) -> list[float]:
+    def __call__(self, t):
         i = min(max(bisect_left(self.ts, t) - 1, 0), len(self._steps) - 1)
         if self._read[0] != i:
-            t_old, h, y_old, F = self._steps[i]
-            self._read = i, (t_old, h, list(zip(*F[::-1].tolist(), y_old.tolist())))
-        t_old, h, columns = self._read[1]
-        x = (float(t) - t_old) / h
-        x1 = 1 - x
-        return [(((((((0.0 + f6) * x + f5) * x1 + f4) * x + f3) * x1 + f2) * x + f1) * x1
-                 + f0) * x + y0 for f6, f5, f4, f3, f2, f1, f0, y0 in columns]
+            self._read = i, self._method.read(self._steps[i])
+        return self._method.at(self._read[1], t)
 
 
 @dataclass
@@ -156,15 +262,20 @@ class Result:
 
 
 def solve(fun, y0, bounds, rtol: float, atol: float, what: str, event=None,
-          dense: bool = True) -> Result:
-    """Solve y' = fun(t, y), y(bounds[0]) = y0 up to bounds[-1], restarting
-    the step-size control at every interior bound; ``bounds`` increase.
+          dense: bool = True, method: str = "DOP853") -> Result:
+    """Solve y' = fun(t, y), y(bounds[0]) = y0 up to bounds[-1] with
+    ``method`` ("DOP853" or "RK45"), restarting the step-size control at
+    every interior bound; ``bounds`` increase.
 
     A sign change of ``event(t, y)`` over a step is refined to a root on the
     step's interpolant, which ends the solve if ``event.terminal`` is true.
-    The interpolant's three extra stages run on every step with ``dense``,
-    else only where the event fires.  Step-size underflow raises
-    IntegrationError with scipy's message and the last step time."""
+    DOP853's interpolant costs three extra stages; with ``dense`` it is made
+    on every step, else only where the event fires.  Step-size underflow
+    raises IntegrationError with scipy's message and the last step time."""
+    m = _METHODS[method]
+    stages, B, rows, error_order, error_norm, make_interpolant, _, _ = m
+    n_stages = len(stages) + 1
+    exponent = -1 / (error_order + 1)
     y = np.asarray(y0, dtype=float)
     n = y.size
     call = lambda t, y: np.asarray(fun(t, y), dtype=float)
@@ -172,9 +283,9 @@ def solve(fun, y0, bounds, rtol: float, atol: float, what: str, event=None,
     for lo, hi in zip(bounds[:-1], bounds[1:]):
         t, hi = float(lo), float(hi)
         f = call(t, y)
-        h_abs = float(_first_step(call, t, y, f, hi, rtol, atol))
-        K = np.empty((16, n))
-        KT = [K[:s].T for s in range(17)]
+        h_abs = float(_first_step(call, t, y, f, hi, rtol, atol, error_order))
+        K = np.empty((rows, n))
+        KT = [K[:s].T for s in range(rows + 1)]
         g = None if event is None else event(t, y)
         while status == 0 and t < hi:
             min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -187,39 +298,30 @@ def solve(fun, y0, bounds, rtol: float, atol: float, what: str, event=None,
                 h = t_new - t
                 h_abs = abs(h)
                 K[0] = f
-                for s, a, c in _STAGES:
+                for s, a, c in stages:
                     K[s] = fun(t + c * h, y + np.dot(KT[s], a) * h)
-                y_new = y + h * np.dot(KT[12], _B)
-                K[12] = f_new = call(t + h, y_new)
+                y_new = y + h * np.dot(KT[n_stages], B)
+                K[n_stages] = f_new = call(t + h, y_new)
                 scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-                err5, err3 = np.dot(KT[13], _E5) / scale, np.dot(KT[13], _E3) / scale
-                err5, err3 = np.sqrt(err5.dot(err5)) ** 2, np.sqrt(err3.dot(err3)) ** 2
-                error = abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * n) if err5 or err3 else 0.0
+                error = error_norm(KT[n_stages + 1], h, scale)
                 if error < 1:
-                    factor = min(_MAX_FACTOR, _SAFETY * error ** -0.125) if error else _MAX_FACTOR
+                    factor = min(_MAX_FACTOR, _SAFETY * error ** exponent) if error else _MAX_FACTOR
                     h_abs = float(h_abs * (min(1, factor) if rejected else factor))
                     break
-                h_abs = float(h_abs * max(_MIN_FACTOR, _SAFETY * error ** -0.125))
+                h_abs = float(h_abs * max(_MIN_FACTOR, _SAFETY * error ** exponent))
                 rejected = True
             t_old, y_old, f_old = t, y, K[0]
             t, y, f = t_new, y_new, f_new
 
             def interpolant():
-                for s, a, c in _EXTRA:
-                    K[s] = fun(t_old + c * h, y_old + np.dot(KT[s], a) * h)
-                F = np.empty((7, n))
-                F[0] = delta = y - y_old
-                F[1] = h * f_old - delta
-                F[2] = 2 * delta - h * (f + f_old)
-                F[3:] = h * np.dot(_D, K)
-                return t_old, h, y_old, F
+                return make_interpolant(fun, K, KT, t_old, h, y_old, f_old, y, f)
 
             if dense:
                 steps.append(interpolant())
             if event is not None:
                 g, g_old = event(t, y), g
                 if g_old <= 0 <= g or g_old >= 0 >= g:
-                    at = Dense([t_old, t], [steps[-1] if dense else interpolant()])
+                    at = Dense([t_old, t], [steps[-1] if dense else interpolant()], m)
                     root = _brentq(lambda x: event(x, np.array(at(x))), t_old, t)
                     t_events.append(root)
                     if getattr(event, "terminal", False):
@@ -231,7 +333,7 @@ def solve(fun, y0, bounds, rtol: float, atol: float, what: str, event=None,
                 ys.append(y)
         if status:
             break
-    return Result(t=np.array(ts), y=np.array(ys).T, sol=Dense(ts, steps) if dense else None,
+    return Result(t=np.array(ts), y=np.array(ys).T, sol=Dense(ts, steps, m) if dense else None,
                   t_events=t_events, status=status)
 
 

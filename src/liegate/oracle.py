@@ -3,10 +3,16 @@
 Nothing in this module knows about transformation parameters or factorized
 evolution operators: the classical flow and fundamental matrix integrate
 Hamilton's equations directly, written once per system as
-z' = A(t) z + f(t), with adaptive RK45 (not the parameter solvers' DOP853,
-and over [0, t_end] in one piece, unaware of spline knots), and the
-wavefunction oracle is a Strang split-step Fourier solver.
-These are the yardsticks the algebraic machinery is measured against.
+z' = A(t) z + f(t), and the wavefunction oracle is a Strang split-step
+Fourier solver.  These are the yardsticks the algebraic machinery is
+measured against.
+
+The flows run ``ode.solve`` with RK45 over [0, t_end] in one piece, unaware
+of spline knots.  They stay independent of the parameter solves they check
+through a different method (not DOP853), a different ODE and no knot
+segmentation; the step loop is shared, and the tests hold each method's
+steps and dense output to scipy's bit for bit, so a slip in that loop fails
+the pins of both.
 
 The split-step solver deliberately refuses Hamiltonians with a nonzero
 (xp+px) coefficient: that term breaks the kinetic/potential splitting, and
@@ -16,12 +22,14 @@ cases reduce to b = 0.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import ode
 from .coeffs import CoefficientSet1D, FieldProfile2D
-from .errors import DomainError, IntegrationError
+from .errors import DomainError
 
 __all__ = [
     "FlowResult",
@@ -34,7 +42,7 @@ __all__ = [
     "grid_moments",
 ]
 
-_ORACLE_METHOD = "RK45"
+_RTOL_FLOOR = 100 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -102,24 +110,13 @@ def _generator(coeffs):
 
 
 def _integrate(rhs, y0, t_end, tol, what):
-    from scipy.integrate import solve_ivp  # loaded by the checks alone
-
-    if t_end <= 0:
-        raise DomainError("t_end must be positive")
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_end),
-        y0,
-        method=_ORACLE_METHOD,
-        rtol=tol,
-        atol=tol * 1e-2,
-        dense_output=True,
-    )
-    if not sol.success:
-        raise IntegrationError(
-            f"{what} integration failed: {sol.message}", last_time=float(sol.t[-1])
-        )
-    return sol.sol
+    """RK45 over [0, t_end] in one piece, as ``solve_ivp(method="RK45")``
+    with rtol = tol (at least its floor of 100 machine epsilons) and
+    atol = tol/100."""
+    if not 0 < t_end < math.inf:
+        raise DomainError("t_end must be positive and finite")
+    return ode.solve(rhs, y0, (0.0, t_end), max(tol, _RTOL_FLOOR), tol * 1e-2, what,
+                     method="RK45").sol
 
 
 def classical_flow(coeffs, z0, t_end: float, tol: float = 1e-10) -> FlowResult:

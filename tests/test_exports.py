@@ -88,13 +88,13 @@ def scipy_imports(path: str) -> list[bool]:
 
 @pytest.mark.parametrize("name", MODULES)
 def test_scipy_is_imported_only_where_it_runs(name):
-    # scipy costs a process most of its start-up: only the oracle's RK45 and
-    # the tabulated profiles' spline load it, each in the function that runs
-    # it; the parameter solves run on the package's own DOP853, and greens
-    # applies kernels with numpy.fft
+    # scipy costs a process most of its start-up: only the tabulated
+    # profiles' spline loads it, in the function that runs it; the parameter
+    # solves and the oracle run on the package's own DOP853 and RK45, and
+    # greens applies kernels with numpy.fft
     found = scipy_imports(importlib.import_module(f"liegate.{name}").__file__)
     assert all(found), "a module-level scipy import"
-    assert bool(found) == (name in ("coeffs", "oracle"))
+    assert bool(found) == (name == "coeffs")
 
 
 def paramflow_names(path: str) -> set[str]:

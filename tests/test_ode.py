@@ -1,9 +1,13 @@
-"""The package's DOP853 against scipy's, which it repeats bit for bit.
+"""The package's DOP853 and RK45 against scipy's, which they repeat bit for bit.
 
 Every solve that paramflow and closedforms make on the shipped configs and
 on seeded systems (spline knots, terminal events, step-size failures) is
 recorded and solved again by ``solve_ivp(method="DOP853")`` from bound to
 bound, the way paramflow solved before it had an integrator of its own.
+Every solve the oracle makes in ``liegate verify`` and in acceptance
+criteria 4 and 5 is solved again by ``solve_ivp(method="RK45")``, the way
+the oracle solved before, and its dense solution is read at the times the
+checks read it.
 """
 
 import math
@@ -16,13 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import OdeSolution, solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as published
+from scipy.integrate._ivp.rk import RK45
 from scipy.optimize import brentq as scipy_brentq
 
-from liegate import cli, closedforms, ode, paramflow
+from liegate import cli, closedforms, ode, oracle, paramflow, verify
 from liegate.coeffs import CoefficientSet1D, Derived, FieldProfile2D, Sinusoid, Tabulated
 from liegate.errors import CausticError, IntegrationError, LiegateError
 from liegate.paramflow import solve_2d, solve_path1, solve_path2
-from liegate.verify import random_smooth_coeffs
+from liegate.verify import Grid, random_smooth_coeffs
 
 CONFIGS = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -34,12 +39,19 @@ def test_tableau_equals_scipys_bitwise():
         assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
 
 
-def scipy_solve(fun, y0, bounds, rtol, atol, event=None, dense=True):
-    """solve_ivp's DOP853 from bound to bound, its segments joined into one
-    step grid and one OdeSolution."""
+def test_rk45_tableau_equals_scipys_bitwise():
+    pairs = [(ode._RK45_A, RK45.A), (ode._RK45_B, RK45.B), (ode._RK45_C, RK45.C),
+             (ode._RK45_E, RK45.E), (ode._RK45_P, RK45.P)]
+    for mine, theirs in pairs:
+        assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes()
+
+
+def scipy_solve(fun, y0, bounds, rtol, atol, event=None, dense=True, method="DOP853"):
+    """solve_ivp's ``method`` from bound to bound, its segments joined into
+    one step grid and one OdeSolution."""
     segments, y = [], y0
     for lo, hi in zip(bounds[:-1], bounds[1:]):
-        seg = solve_ivp(fun, (lo, hi), y, method="DOP853", rtol=rtol, atol=atol,
+        seg = solve_ivp(fun, (lo, hi), y, method=method, rtol=rtol, atol=atol,
                         dense_output=dense, events=None if event is None else [event])
         segments.append(seg)
         if seg.status != 0:
@@ -63,17 +75,21 @@ def counted(fun):
     return wrapper
 
 
-def assert_same_as_scipy(fun, y0, bounds, rtol, atol, what, event=None, dense=True):
+def assert_same_as_scipy(fun, y0, bounds, rtol, atol, what, event=None, dense=True,
+                         method="DOP853", times=()):
+    """Steps, states, events, right-hand-side calls and failure as scipy's;
+    the dense solution as scipy's at the step times, at 40 random times and
+    at ``times``."""
     ref_fun, our_fun = counted(fun), counted(fun)
-    ref = scipy_solve(ref_fun, y0, bounds, rtol, atol, event, dense)
+    ref = scipy_solve(ref_fun, y0, bounds, rtol, atol, event, dense, method)
     if ref.status == -1:
         with pytest.raises(IntegrationError) as err:
-            ode.solve(our_fun, y0, bounds, rtol, atol, what, event, dense)
+            ode.solve(our_fun, y0, bounds, rtol, atol, what, event, dense, method)
         assert str(err.value) == f"{what} integration failed: {ref.message}"
         assert err.value.last_time == ref.t[-1]
         assert our_fun.calls == ref_fun.calls
         return
-    ours = ode.solve(our_fun, y0, bounds, rtol, atol, what, event, dense)
+    ours = ode.solve(our_fun, y0, bounds, rtol, atol, what, event, dense, method)
     assert ours.t.tobytes() == ref.t.tobytes()
     assert ours.y.tobytes() == ref.y.tobytes()
     assert np.array(ours.t_events).tobytes() == np.array(ref.t_events).tobytes()
@@ -82,19 +98,30 @@ def assert_same_as_scipy(fun, y0, bounds, rtol, atol, what, event=None, dense=Tr
     assert our_fun.calls == ref_fun.calls
     if dense:
         rng = np.random.default_rng(len(ref.t))
-        times = np.concatenate([ref.t, rng.uniform(ref.t[0], ref.t[-1], 40)])
+        times = np.concatenate([ref.t, rng.uniform(ref.t[0], ref.t[-1], 40), times])
         assert (np.array([ours.sol(t) for t in times]).tobytes()
                 == np.array([ref.sol(t) for t in times]).tobytes())
 
 
 @pytest.fixture
 def recorded(monkeypatch):
-    """Every ode.solve call made while the test runs, as its arguments."""
+    """Every ode.solve call made while the test runs, as its arguments, and
+    the times its dense solution is read at."""
     calls, solve = [], ode.solve
 
-    def recording(fun, y0, bounds, rtol, atol, what, event=None, dense=True):
-        calls.append((fun, y0, bounds, rtol, atol, what, event, dense))
-        return solve(fun, y0, bounds, rtol, atol, what, event, dense)
+    def recording(fun, y0, bounds, rtol, atol, what, event=None, dense=True, method="DOP853"):
+        times = []
+        calls.append((fun, y0, bounds, rtol, atol, what, event, dense, method, times))
+        result = solve(fun, y0, bounds, rtol, atol, what, event, dense, method)
+        if method == "RK45":   # the oracle reads its solution through FlowResult.at alone
+            sol = result.sol
+
+            def reading(t):
+                times.append(t)
+                return sol(t)
+
+            result.sol = reading
+        return result
 
     monkeypatch.setattr(ode, "solve", recording)
     return calls
@@ -158,6 +185,33 @@ def test_terminal_events_and_failures_solve_as_scipy_does(recorded, monkeypatch)
         solve_path1(CoefficientSet1D.build(a=1.0, c=sing), 1.2, tol=1e-6)
     assert sum(call[6] is not None and getattr(call[6], "terminal", False)
                for call in recorded) >= 2
+    replay(recorded, monkeypatch)
+
+
+ORACLE_RUNS = {
+    "verify-seed-0": lambda: verify.run_suite(0),
+    "verify-seed-7": lambda: verify.run_suite(7),
+    # acceptance criteria 4 and 5, on their grids
+    "criterion-4": lambda: verify.check_oracle_maps(times=Grid(0.05, 15),
+                                                    planar_times=Grid(0.05, 10)),
+    "criterion-5": lambda: verify.check_classical_identification(55, n_random=6,
+                                                                 times=Grid(0.1, 15)),
+}
+
+
+@pytest.mark.parametrize("run", list(ORACLE_RUNS))
+def test_oracle_solves_as_scipys_rk45(run, recorded, monkeypatch):
+    ORACLE_RUNS[run]()
+    solves = [call for call in recorded if call[8] == "RK45"]
+    assert solves and all(times for *_, times in solves)
+    replay(solves, monkeypatch)
+
+
+def test_rk45_step_size_underflow_fails_as_scipys(recorded, monkeypatch):
+    # the oracle's fundamental matrix at a pole of c
+    sing = Derived(fn=lambda t: 1.0 / (1.02 - t) ** 2, dfn=lambda t: 2.0 / (1.02 - t) ** 3)
+    with pytest.raises(IntegrationError, match="Required step size"):
+        oracle.fundamental_matrix(CoefficientSet1D.build(a=1.0, c=sing), 1.2, tol=1e-6)
     replay(recorded, monkeypatch)
 
 

@@ -113,6 +113,16 @@ class TestFundamentalMatrix:
             fundamental_matrix(system, t_end)
 
 
+@pytest.mark.parametrize("t_end", [math.nan, math.inf, -math.inf, 0.0])
+def test_flows_refuse_a_t_end_that_is_not_positive_and_finite(t_end):
+    # nan passes a ``t_end <= 0`` test, and an infinite interval never ends
+    sho = CoefficientSet1D.build(a=1.0, c=1.0)
+    with pytest.raises(DomainError, match="t_end must be positive and finite"):
+        classical_flow(sho, np.zeros(2), t_end)
+    with pytest.raises(DomainError, match="t_end must be positive and finite"):
+        fundamental_matrix(sho, t_end)
+
+
 class TestSplitStep:
     def test_zero_steps_is_identity(self):
         cs = CoefficientSet1D.build(a=1.0, c=1.0)
