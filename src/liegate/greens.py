@@ -23,8 +23,10 @@ application norm-preserving (the corresponding real prefactor convention
 differs by a constant phase only).
 
 Application is trapezoid quadrature, evaluated exactly through chirp
-factors of the quadratic form (see kernel_apply); grid adequacy is the
-caller's job and is diagnosed by the unitarity residual.
+factors of the quadratic form (see kernel_apply): one FFT convolution in
+1D, and in the plane a contraction over blocks of input rows whose working
+memory stays O(n^2) on an n x n grid.  Grid adequacy is the caller's job
+and is diagnosed by the unitarity residual.
 """
 
 from __future__ import annotations
@@ -48,6 +50,8 @@ __all__ = [
 ]
 
 _VARIANTS = ("lp", "path1", "path2", "twod_path1", "twod_path2")
+# complex entries (256 KiB) in one block of the planar apply's n x n slices
+_BLOCK_ENTRIES = 16384
 
 
 @dataclass(frozen=True)
@@ -77,9 +81,9 @@ class GaussianKernel:
         self._validate()
 
     def _validate(self):
-        values = [self.prefactor, self.scal, *self.qxx.ravel(),
-                  *self.qx1x1.ravel(), *self.qxx1.ravel(), *self.lx, *self.lx1]
-        if not all(np.isfinite(v) for v in values):
+        values = np.concatenate([[self.prefactor, self.scal], self.qxx.ravel(),
+                                 self.qx1x1.ravel(), self.qxx1.ravel(), self.lx, self.lx1])
+        if not np.isfinite(values).all():
             raise DomainError("kernel coefficients are not finite")
         quad = np.block([[self.qxx, self.qxx1 / 2.0],
                          [self.qxx1.T / 2.0, self.qx1x1]])
@@ -231,9 +235,13 @@ def kernel_apply(kernel: GaussianKernel, psi0: WaveGrid) -> WaveGrid:
     exp(i x.Qxx'.x') sits between an input and an output chirp:
     * 1D: c x x' = (c/2)(x^2 + x'^2 - (x - x')^2); the squares join the
       chirps, the rest is one zero-padded FFT convolution: O(n log n).
-    * 2D: with E_ab[i, j] = exp(i Qxx'_ab x_i x_j) it is one product
-      (P o g) @ Q^T, P[i, (j, k)] = E_00[i, j] E_01[i, k] and
-      Q[l, (j, k)] = E_10[l, j] E_11[l, k]: O(n^4) flops, O(n^3) memory.
+    * 2D: with E_ab[i, j] = exp(i Qxx'_ab x_i x_j) the output at (x_i, x_l) is
+      sum_j E_00[i, j] E_10[l, j] t_j[i, l], where the matrix product
+      t_j = (g[j] o E_01) @ E_11 sums over k (each E_ab is symmetric, as
+      the grid is the same on both axes).  Input rows j go in blocks
+      of _BLOCK_ENTRIES // n^2 (at least one), one matrix product each, so
+      besides the n x n factors only two block-sized temporaries of about
+      256 KiB are live: O(n^4) flops, O(n^2) memory.
     Qxx' must be real, else DomainError: a complex one makes the chirps
     grow like exp(|Im c| x^2) and the result lose precision.
     """
@@ -256,10 +264,14 @@ def kernel_apply(kernel: GaussianKernel, psi0: WaveGrid) -> WaveGrid:
         cross[n:size - n + 1] = 0.0  # only lags |k| < n reach the output
         out = np.fft.ifft(np.fft.fft(g, size) * np.fft.fft(cross))[:n]
     else:
-        e = np.exp(1j * kernel.qxx1.real[:, :, None, None] * np.outer(x, x))
-        p_mat = (e[0, 0][:, :, None] * e[0, 1][:, None, :]).reshape(n, n * n)
-        q_mat = (e[1, 0][:, :, None] * e[1, 1][:, None, :]).reshape(n, n * n)
-        out = (p_mat * g.ravel()) @ q_mat.T
+        e = np.exp(1j * kernel.qxx1.real[:, :, None, None] * np.outer(x, x))  # symmetric
+        rows = max(1, _BLOCK_ENTRIES // (n * n))
+        out = np.zeros((n, n), dtype=complex)
+        for j in range(0, n, rows):
+            t = ((g[j:j + rows, None, :] * e[0, 1]).reshape(-1, n) @ e[1, 1]).reshape(-1, n, n)
+            t *= e[0, 0][j:j + rows, :, None]
+            t *= e[1, 0][j:j + rows, None, :]
+            out += t.sum(0)
     out *= kernel.prefactor * np.exp(1j * kernel.scal) * _chirp(
         pts, kernel.qxx + shift, kernel.lx
     )

@@ -306,8 +306,8 @@ def _first_event(sol) -> float:
 def solve_path1(coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10) -> ParamTrajectory:
     """Route 1 parameters: Delta = 1/a(0), gamma = ln(a*Delta)/2, linearized
     Riccati via u'' + (2b - a'/a) u' + a c u = 0."""
-    if t_end <= 0:
-        raise DomainError("t_end must be positive")
+    if not 0 < t_end < math.inf:
+        raise DomainError("t_end must be positive and finite")
     _check_positive(coeffs.a, t_end, "a", "required by exp(2*gamma) = a*Delta")
     (a_of, adot_of), (b_of, _), (c_of, _) = (p.scalar() for p in (coeffs.a, coeffs.b, coeffs.c))
     linear = _linear_rhs(coeffs)
@@ -367,8 +367,8 @@ def solve_path2(coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10) -> P
     If b - gamma' vanishes identically the factorization terminates early
     and alpha = vphi = beta = 0.
     """
-    if t_end <= 0:
-        raise DomainError("t_end must be positive")
+    if not 0 < t_end < math.inf:
+        raise DomainError("t_end must be positive and finite")
     _check_positive(coeffs.a, t_end, "a", "sqrt(a*c) must be real")
     try:
         _check_positive(coeffs.c, t_end, "c", "sqrt(a/c) must be real")
@@ -442,8 +442,8 @@ def solve_2d(
 ) -> ParamTrajectory2D:
     """Planar charged particle: coupled (lam, Pi) system, theta' = qB/2m,
     radial parameters delegated to the chosen 1D route."""
-    if t_end <= 0:
-        raise DomainError("t_end must be positive")
+    if not 0 < t_end < math.inf:
+        raise DomainError("t_end must be positive and finite")
     if path not in ("path1", "path2"):
         raise DomainError(f"path must be 'path1' or 'path2', got {path!r}")
     _check_positive(profile.m, t_end, "m", _MASS_REQUIREMENT)

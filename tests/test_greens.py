@@ -1,6 +1,8 @@
 """Gaussian propagator kernels: coefficients, quadrature, invariants."""
 
+import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -137,6 +139,19 @@ class TestKernelCoefficients:
                          ("twod_path1", "twod_path1"), ("twod_path2", "twod_path2")}
         with pytest.raises(DomainError, match=r"variant 'lp' requires b\(t\) == 0"):
             kernel_build(sho_traj, 0.5, "lp")
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["prefactor", "scal", "qxx", "qx1x1", "qxx1", "lx", "lx1"])
+    def test_rejects_coefficients_that_are_not_finite(self, field, bad):
+        kernel = random_kernel(np.random.default_rng(4), 2, cross_scale=1.0)
+        value = getattr(kernel, field)
+        if isinstance(value, np.ndarray):
+            value = value.copy()
+            value.flat[-1] = bad
+        else:
+            value = complex(bad, 0.0)
+        with pytest.raises(DomainError, match="kernel coefficients are not finite"):
+            dataclasses.replace(kernel, **{field: value})
 
     def test_unknown_variant(self, sho_traj):
         with pytest.raises(DomainError, match="unknown kernel variant 'path3'; choose from"):
@@ -457,6 +472,9 @@ def assert_matches_direct(kernel, psi):
     assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+ONE_BLOCK_N = max(n for n in range(1, 64) if greens._BLOCK_ENTRIES // n**2 >= n)
+
+
 class TestApplyMatchesDirectSum:
     @pytest.mark.parametrize("n", [64, 257, 1024])
     @pytest.mark.parametrize("seed", [0, 1])
@@ -478,7 +496,11 @@ class TestApplyMatchesDirectSum:
         assert abs(kernel.qxx1[0, 0]) > 1.0
         assert_matches_direct(kernel, grid_1024(sigma=1.0, x0=0.5, p0=-0.4))
 
-    @pytest.mark.parametrize("n", [16, 33, 48])
+    # the planar apply sums its input rows in blocks of _BLOCK_ENTRIES // n^2:
+    # the smallest CLI grid (8), the largest grid that is one block, two
+    # full blocks (32), a prime n whose last block is partial (61), and the
+    # benchmark's 48
+    @pytest.mark.parametrize("n", [8, 16, ONE_BLOCK_N, 32, 33, 48, 61])
     def test_random_planar_general_blocks(self, n):
         rng = np.random.default_rng(200 + n)
         kernel = random_kernel(rng, 2, cross_scale=2.0)
@@ -494,6 +516,28 @@ class TestApplyMatchesDirectSum:
         rng = np.random.default_rng(7)
         amps = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
         assert_matches_direct(kernel, WaveGrid(32, -7.0, 14.0 / 32, amps))
+
+    def test_planar_field_kernel_at_benchmark_size(self, efield_traj):
+        kernel = kernel_build(efield_traj, 0.8, "twod_path2")
+        rng = np.random.default_rng(48)
+        amps = rng.normal(size=(48, 48)) + 1j * rng.normal(size=(48, 48))
+        assert_matches_direct(kernel, WaveGrid(48, -7.0, 14.0 / 48, amps))
+
+    def test_planar_working_memory_is_below_one_cube(self):
+        # the peak stays below one n^3 complex array (4 MiB at n = 64), so no
+        # n^3 temporary can come back unnoticed
+        n = 64
+        rng = np.random.default_rng(64)
+        kernel = random_kernel(rng, 2, cross_scale=2.0)
+        psi = WaveGrid(n, -4.0, 8.0 / n, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        kernel_apply(kernel, psi)
+        tracemalloc.start()
+        try:
+            kernel_apply(kernel, psi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n**3 * 16
 
     @pytest.mark.parametrize("dof", [1, 2])
     def test_complex_cross_block_rejected(self, dof):

@@ -436,6 +436,17 @@ class TestDomainGuard:
                                               f".* violated near t=0.50195"):
             solver(CoefficientSet1D.build(**{"a": 1.0, "c": 1.0, name: self.SPLINE_DIP}), 1.0)
 
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf, 0.0])
+    @pytest.mark.parametrize("solve", [
+        lambda t_end: solve_path1(sho(), t_end),
+        lambda t_end: solve_path2(sho(), t_end),
+        lambda t_end: solve_2d(FieldProfile2D.build(m=1.0, B=1.0), t_end),
+    ], ids=["path1", "path2", "planar"])
+    def test_refuses_a_t_end_that_is_not_positive_and_finite(self, solve, t_end):
+        # nan slips past a `t_end <= 0` test, and inf would run out the work budget
+        with pytest.raises(DomainError, match="t_end must be positive and finite"):
+            solve(t_end)
+
 
 class ArrayOnly(TimeProfile):
     """A profile evaluated only through its array branch, on a 0-d array:
