@@ -3,8 +3,9 @@
 Subpackages by task:
 
 - ``quadops``: exact rational algebra of at-most-quadratic observables.
-- ``coeffs``: time-dependent Hamiltonian coefficient profiles and the
-  rotating-frame reduction of the planar charged particle.
+- ``coeffs``: time-dependent Hamiltonian coefficient profiles (tabulated
+  ones on the package's own natural cubic spline, with scipy's bits) and
+  the rotating-frame reduction of the planar charged particle.
 - ``paramflow``: transformation-parameter ODE solvers (both factorization
   routes, 1D and 2D), integrated by ``ode``'s DOP853, which takes scipy's
   steps.
@@ -22,6 +23,7 @@ Subpackages by task:
 
 ``import liegate`` loads only the errors; each subpackage is imported on
 first attribute access (PEP 562), so a caller pays only for what it uses.
+The package depends on numpy alone; scipy is the tests' reference.
 """
 
 import importlib

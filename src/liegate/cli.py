@@ -27,13 +27,11 @@ import os
 import re
 import sys
 
-import numpy as np
-
-from . import paramflow, presets, quadops
-from .coeffs import CoefficientSet1D
 from .errors import CausticError, ConfigError, DomainError, LiegateError
 
-SYSTEMS = tuple(presets.PRESETS)
+# presets.PRESETS's names, kept here (and equal to it in a test) so that the
+# parser needs no preset: `constants` runs without numpy
+SYSTEMS = ("lp", "gho", "iontrap", "kanai", "cp2d", "bsin", "efield")
 
 _TOP_KEYS = {
     "system", "path", "hbar", "t_end", "tol", "samples",
@@ -51,7 +49,8 @@ _MAX_GRID_N = 2**22
 
 def _json_dumps(obj, indent: int = 0) -> str:
     """JSON text with floats at 17 significant digits, keys sorted; a complex
-    number is the pair [re, im] and an array its nested lists."""
+    number is the pair [re, im], and a numpy array or scalar is written as
+    its ``tolist()``."""
     pad = "  " * indent
     pad_in = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -62,8 +61,6 @@ def _json_dumps(obj, indent: int = 0) -> str:
             for k in sorted(obj)
         ]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, np.ndarray):
-        return _json_dumps(obj.tolist(), indent)
     if isinstance(obj, complex):
         return _json_dumps([obj.real, obj.imag], indent)
     if isinstance(obj, (list, tuple)):
@@ -75,9 +72,9 @@ def _json_dumps(obj, indent: int = 0) -> str:
         return "true" if obj else "false"
     if obj is None:
         return "null"
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         x = float(obj)
         if math.isnan(x):
             return '"nan"'
@@ -86,6 +83,8 @@ def _json_dumps(obj, indent: int = 0) -> str:
         return f"{x:.17g}"
     if isinstance(obj, str):
         return json.dumps(obj)
+    if hasattr(obj, "tolist"):   # numpy's, without importing it
+        return _json_dumps(obj.tolist(), indent)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -123,6 +122,8 @@ def load_config(path: str, overrides: dict) -> dict:
 
 
 def validate_config(cfg: dict):
+    from . import presets
+
     unknown = set(cfg) - _TOP_KEYS
     if unknown:
         key = sorted(unknown)[0]
@@ -166,6 +167,9 @@ def validate_config(cfg: dict):
 
 def build_problem(cfg: dict):
     """Return ('1d', CoefficientSet1D) or ('2d', FieldProfile2D)."""
+    from . import presets
+    from .coeffs import CoefficientSet1D
+
     system = cfg["system"]
     spec = cfg.get(presets.PRESETS[system].section)
     problem = presets.build(system, spec, float(cfg["hbar"]))
@@ -173,6 +177,8 @@ def build_problem(cfg: dict):
 
 
 def _solve(cfg: dict, kind: str, problem):
+    from . import paramflow
+
     t_end = float(cfg["t_end"])
     tol = float(cfg["tol"])
     path = cfg["path"]
@@ -216,6 +222,10 @@ def _params_table(kind: str, traj, samples: int):
     route 1 with its companion solution (v, vdot).  A planar row reads t, S,
     theta and the per-axis translations from the planar sample, the rest
     from its radial sample."""
+    import numpy as np
+
+    from . import paramflow
+
     sample = paramflow.ParamSample
     names = [n for n in sample._fields if n not in sample._field_defaults]
     if kind == "1d":
@@ -272,7 +282,7 @@ def parse_apply_spec(spec: str) -> dict:
 
 
 def cmd_kernel(cfg: dict, out_dir: str, apply_spec: str | None) -> int:
-    from . import greens, oracle
+    from . import greens, oracle, presets
 
     kind, problem = build_problem(cfg)
     if apply_spec is not None:
@@ -331,6 +341,8 @@ def cmd_verify(out_dir: str, seed: int, corrupt_map: bool) -> int:
 
 
 def cmd_constants(algebra: str, out_dir: str) -> int:
+    from . import quadops
+
     table = quadops.structure_constants(algebra)
     os.makedirs(out_dir, exist_ok=True)
     _write_csv(os.path.join(out_dir, f"structure_constants_{algebra.lower()}.csv"),

@@ -7,7 +7,11 @@ field profiles.  ``reduce_2d`` maps the latter onto the shared radial 1D
 oscillator of the rotating frame.
 
 Profiles never extrapolate: evaluating a tabulated profile outside its knot
-range is an error, not a guess.
+range is an error, not a guess.  A tabulated profile is a natural cubic
+spline of the module's own: the natural-end slope system (de Boor, *A
+Practical Guide to Splines*, 2001, ch. IV), solved by a port of LAPACK's
+``dgtsv`` (Anderson et al., *LAPACK Users' Guide*, 1999), and summed in
+scipy's ``PPoly`` order, so it has the bits of scipy's ``CubicSpline``.
 """
 
 from __future__ import annotations
@@ -135,13 +139,72 @@ class Exponential(TimeProfile):
         return replace(self, prefactor=self.prefactor * math.exp(self.rate * t0))
 
 
+def _natural_spline(x: list[float], y: list[float]) -> list[list[float]]:
+    """The rows c3, c2, c1, c0 of the natural cubic spline through (x, y):
+    on [x[i], x[i+1]] it is the cubic with coefficients c3[i] ... c0[i] in
+    the local time s = t - x[i], as scipy's ``PPoly.c`` holds them.
+
+    The knot slopes solve the banded system that ``CubicSpline(x, y,
+    bc_type="natural")`` builds (de Boor, *A Practical Guide to Splines*,
+    2001, ch. IV), by a port of LAPACK's ``dgtsv`` for one right-hand side,
+    with partial pivoting (Anderson et al., *LAPACK Users' Guide*, 1999),
+    which is what ``solve_banded`` runs for a (1, 1) band.  The cubics are
+    formed as ``CubicHermiteSpline`` forms them.  Every operation is
+    scipy's, in its order, so the coefficients carry its bits.  A zero
+    pivot raises ZeroDivisionError where LAPACK reports a singular matrix;
+    an overflow leaves inf or nan in the coefficients.
+    """
+    n = len(x)
+    dx = [x[i + 1] - x[i] for i in range(n - 1)]
+    slope = [(y[i + 1] - y[i]) / dx[i] for i in range(n - 1)]
+    # sub-diagonal, diagonal, super-diagonal and right-hand side; the end
+    # rows set the second derivative to 0.0
+    dl = dx[1:] + dx[-1:]
+    d = [2.0 * dx[0]] + [2.0 * (dx[i - 1] + dx[i]) for i in range(1, n - 1)] + [2.0 * dx[-1]]
+    du = dx[:1] + dx[:-1]
+    b = ([-0.5 * 0.0 * (dx[0] * dx[0]) + 3.0 * (y[1] - y[0])]
+         + [3.0 * (dx[i] * slope[i - 1] + dx[i - 1] * slope[i]) for i in range(1, n - 1)]
+         + [0.5 * 0.0 * (dx[-1] * dx[-1]) + 3.0 * (y[-1] - y[-2])])
+    for i in range(n - 1):   # dgtsv's elimination
+        if abs(d[i]) >= abs(dl[i]):
+            fact = dl[i] / d[i]
+            d[i + 1] = d[i + 1] - fact * du[i]
+            b[i + 1] = b[i + 1] - fact * b[i]
+            dl[i] = 0.0
+        else:   # interchange rows i and i + 1
+            fact = d[i] / dl[i]
+            d[i], temp = dl[i], d[i + 1]
+            d[i + 1] = du[i] - fact * temp
+            if i < n - 2:
+                dl[i] = du[i + 1]
+                du[i + 1] = -fact * dl[i]
+            du[i] = temp
+            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
+    s = b   # the slopes, by back substitution
+    s[-1] = s[-1] / d[-1]
+    s[-2] = (s[-2] - du[-1] * s[-1]) / d[-2]
+    for i in range(n - 3, -1, -1):
+        s[i] = (s[i] - du[i] * s[i + 1] - dl[i] * s[i + 2]) / d[i]
+    t = [(s[i] + s[i + 1] - 2.0 * slope[i]) / dx[i] for i in range(n - 1)]
+    return [[t[i] / dx[i] for i in range(n - 1)],
+            [(slope[i] - s[i]) / dx[i] - t[i] for i in range(n - 1)], s[:-1], y[:-1]]
+
+
 @dataclass(frozen=True)
 class Tabulated(TimeProfile):
-    """Natural cubic spline through strictly increasing (t, value) knots."""
+    """Natural cubic spline through strictly increasing (t, value) knots.
+
+    The spline is the package's own (``_natural_spline``): its
+    coefficients equal scipy's ``CubicSpline(t, v, bc_type="natural")``
+    bit for bit, and values and derivatives are summed in scipy's
+    ``PPoly`` order (from 0.0, constant term first), so every evaluation
+    has scipy's bits too.
+    """
 
     knots_t: tuple[float, ...]
     knots_v: tuple[float, ...]
-    _spline: object = field(init=False, repr=False, compare=False)  # CubicSpline
+    _x: np.ndarray = field(init=False, repr=False, compare=False)
+    _c: np.ndarray = field(init=False, repr=False, compare=False)   # rows c3, c2, c1, c0
 
     def __post_init__(self):
         t = np.asarray(self.knots_t, dtype=float)
@@ -150,17 +213,15 @@ class Tabulated(TimeProfile):
             raise DomainError("tabulated profile needs at least two (t, value) knots")
         if not np.all(np.diff(t) > 0):
             raise DomainError("tabulated knots must be strictly increasing in t")
-        from scipy.interpolate import CubicSpline  # loaded by tabulated profiles alone
-
-        with np.errstate(all="ignore"):
-            try:
-                spline = CubicSpline(t, v, bc_type="natural")
-            except ValueError:  # scipy refuses slopes that overflow
-                spline = None
-        if spline is None or not np.all(np.isfinite(spline.c)):
+        try:
+            c = np.array(_natural_spline(t.tolist(), v.tolist()))
+        except ZeroDivisionError:   # a zero pivot
+            c = None
+        if c is None or not np.all(np.isfinite(c)):
             raise DomainError("tabulated knot values overflow the cubic spline: "
                               "its coefficients are not finite")
-        object.__setattr__(self, "_spline", spline)
+        object.__setattr__(self, "_x", t)
+        object.__setattr__(self, "_c", c)
 
     @property
     def knots(self) -> tuple[float, ...]:
@@ -174,17 +235,27 @@ class Tabulated(TimeProfile):
             )
         return t
 
+    def _local(self, t):
+        """Each time's offset s into its interval [x_i, x_i+1), the last one
+        closed, and that interval's coefficient rows (c3, c2, c1, c0)."""
+        x = self._x
+        t = self._check_range(np.asarray(t, dtype=float))
+        i = np.searchsorted(x[1:-1], t.ravel(), side="right")
+        return t.shape, t.ravel() - x[i], self._c.take(i, axis=1)
+
     def __call__(self, t):
-        return self._spline(self._check_range(np.asarray(t, dtype=float)))
+        shape, s, (c3, c2, c1, c0) = self._local(t)
+        with np.errstate(all="ignore"):
+            return (0.0 + c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)).reshape(shape)
 
     def derivative(self, t):
-        return self._spline(self._check_range(np.asarray(t, dtype=float)), 1)
+        shape, s, (c3, c2, c1, _) = self._local(t)
+        with np.errstate(all="ignore"):
+            return (0.0 + c1 + c2 * s * 2.0 + c3 * (s * s) * 3.0).reshape(shape)
 
     def scalar(self):
-        # per interval [t_i, t_i+1), the last one closed as scipy has it, the
-        # cubic's coefficients as floats, summed in scipy's PPoly order (from
-        # 0.0, constant term first), so the bits are scipy's
-        breaks, pieces = self._spline.x.tolist(), self._spline.c.T.tolist()
+        # the same sums on floats, the interval found by bisection
+        breaks, pieces = self._x.tolist(), self._c.T.tolist()
         lo, hi, last = breaks[0], breaks[-1], len(breaks) - 1
         find, check = bisect.bisect_right, self._check_range
 
@@ -203,6 +274,58 @@ class Tabulated(TimeProfile):
             return 0.0 + c1 + c2 * s * 2.0 + c3 * (s * s) * 3.0
 
         return value, rate
+
+    def derivative_zeros(self) -> np.ndarray:
+        """The times in the knot range at which the derivative is zero, as
+        scipy's ``PPoly.derivative().roots(extrapolate=False)`` lists them.
+
+        Each interval's derivative is a quadratic, solved in closed form
+        for all intervals at once: a complex pair whose imaginary part is
+        at most 1e-10 counts as a double root, each root takes one Newton
+        step, and one outside its interval is dropped.  Per interval the
+        list holds its first knot where the derivative changes sign across
+        it, then the roots, each one equal to the last listed left out; an
+        interval where the derivative is identically zero lists its first
+        knot and nan.
+        """
+        x, (c3, c2, c1, _) = self._x, self._c
+        lo, hi = x[:-1], x[1:]
+        with np.errstate(all="ignore"):
+            a, b, c = c3 * 3.0, c2 * 2.0, c1   # PPoly.derivative's rows
+            disc = b * b - 4.0 * a * c
+            d = np.sqrt(np.abs(disc))
+            # the root of larger size from q, the other from the product
+            q = -b + np.where(b < 0.0, d, -d)
+            large, small = q / (2.0 * a), (2.0 * c) / q
+            pair = (disc < 0.0) | (d == 0.0)
+            vertex = -b / (2.0 * a)
+            r = np.where(pair, vertex, np.where(b < 0.0, [small, large], [large, small]))
+            line = (a == 0.0) & (b != 0.0)
+            r[0] = np.where(line, -c / b, r[0])
+            real = (a != 0.0) & ~((disc < 0.0) & (np.abs(-d / (2.0 * a)) > 1e-10))
+            f = 0.0 + c + b * r + a * (r * r)
+            df = 0.0 + b + a * r * 2.0
+            step = f / df
+            r = np.where((df != 0.0) & (np.abs(step) < np.abs(r)), r - step, r) + lo
+            real = np.array([real | line, real]) & ~((r < lo) | (r > hi))
+            h = hi[:-1] - lo[:-1]
+            va = 0.0 + c[:-1] + b[:-1] * h + a[:-1] * (h * h)
+            vb = 0.0 + c[1:] + b[1:] * 0.0 + a[1:] * (0.0 * 0.0)
+        flip = ((va < 0.0) & (vb > 0.0)) | ((va > 0.0) & (vb < 0.0))
+        flat = (a == 0.0) & (b == 0.0) & (c == 0.0)
+        times, last = [], math.nan
+        for i in np.flatnonzero(real[0] | real[1] | flat | np.append(False, flip)).tolist():
+            if i > 0 and flip[i - 1] and lo[i] != last:
+                last = lo[i]
+                times.append(last)
+            if flat[i]:
+                times += [lo[i], math.nan]
+                last = math.nan
+            for k in (0, 1):
+                if real[k, i] and r[k, i] != last:
+                    last = r[k, i]
+                    times.append(last)
+        return np.array(times, dtype=float)
 
     def shifted(self, t0: float) -> "Tabulated":
         return Tabulated(tuple(tk - t0 for tk in self.knots_t), self.knots_v)

@@ -280,59 +280,62 @@ def solve(fun, y0, bounds, rtol: float, atol: float, what: str, event=None,
     n = y.size
     call = lambda t, y: np.asarray(fun(t, y), dtype=float)
     ts, ys, steps, t_events, status = [float(bounds[0])], [y], [], [], 0
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        t, hi = float(lo), float(hi)
-        f = call(t, y)
-        h_abs = float(_first_step(call, t, y, f, hi, rtol, atol, error_order))
-        K = np.empty((rows, n))
-        KT = [K[:s].T for s in range(rows + 1)]
-        g = None if event is None else event(t, y)
-        while status == 0 and t < hi:
-            min_step = 10 * (math.nextafter(t, math.inf) - t)
-            h_abs, rejected = max(h_abs, min_step), False
-            while True:
-                if h_abs < min_step:
-                    raise IntegrationError(f"{what} integration failed: {_TOO_SMALL_STEP}",
-                                           last_time=t)
-                t_new = min(t + h_abs, hi)
-                h = t_new - t
-                h_abs = abs(h)
-                K[0] = f
-                for s, a, c in stages:
-                    K[s] = fun(t + c * h, y + np.dot(KT[s], a) * h)
-                y_new = y + h * np.dot(KT[n_stages], B)
-                K[n_stages] = f_new = call(t + h, y_new)
-                scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-                error = error_norm(KT[n_stages + 1], h, scale)
-                if error < 1:
-                    factor = min(_MAX_FACTOR, _SAFETY * error ** exponent) if error else _MAX_FACTOR
-                    h_abs = float(h_abs * (min(1, factor) if rejected else factor))
-                    break
-                h_abs = float(h_abs * max(_MIN_FACTOR, _SAFETY * error ** exponent))
-                rejected = True
-            t_old, y_old, f_old = t, y, K[0]
-            t, y, f = t_new, y_new, f_new
+    # a solution that overflows ends in step-size underflow (IntegrationError),
+    # not in numpy's warnings
+    with np.errstate(all="ignore"):
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            t, hi = float(lo), float(hi)
+            f = call(t, y)
+            h_abs = float(_first_step(call, t, y, f, hi, rtol, atol, error_order))
+            K = np.empty((rows, n))
+            KT = [K[:s].T for s in range(rows + 1)]
+            g = None if event is None else event(t, y)
+            while status == 0 and t < hi:
+                min_step = 10 * (math.nextafter(t, math.inf) - t)
+                h_abs, rejected = max(h_abs, min_step), False
+                while True:
+                    if h_abs < min_step:
+                        raise IntegrationError(f"{what} integration failed: {_TOO_SMALL_STEP}",
+                                               last_time=t)
+                    t_new = min(t + h_abs, hi)
+                    h = t_new - t
+                    h_abs = abs(h)
+                    K[0] = f
+                    for s, a, c in stages:
+                        K[s] = fun(t + c * h, y + np.dot(KT[s], a) * h)
+                    y_new = y + h * np.dot(KT[n_stages], B)
+                    K[n_stages] = f_new = call(t + h, y_new)
+                    scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+                    error = error_norm(KT[n_stages + 1], h, scale)
+                    if error < 1:
+                        factor = min(_MAX_FACTOR, _SAFETY * error ** exponent) if error else _MAX_FACTOR
+                        h_abs = float(h_abs * (min(1, factor) if rejected else factor))
+                        break
+                    h_abs = float(h_abs * max(_MIN_FACTOR, _SAFETY * error ** exponent))
+                    rejected = True
+                t_old, y_old, f_old = t, y, K[0]
+                t, y, f = t_new, y_new, f_new
 
-            def interpolant():
-                return make_interpolant(fun, K, KT, t_old, h, y_old, f_old, y, f)
+                def interpolant():
+                    return make_interpolant(fun, K, KT, t_old, h, y_old, f_old, y, f)
 
-            if dense:
-                steps.append(interpolant())
-            if event is not None:
-                g, g_old = event(t, y), g
-                if g_old <= 0 <= g or g_old >= 0 >= g:
-                    at = Dense([t_old, t], [steps[-1] if dense else interpolant()], m)
-                    root = _brentq(lambda x: event(x, np.array(at(x))), t_old, t)
-                    t_events.append(root)
-                    if getattr(event, "terminal", False):
-                        status, t, y = 1, root, np.array(at(root))
-            if dense and t == ts[-1]:   # a terminal root at the step's start: drop it
-                steps.pop()
-            else:
-                ts.append(t)
-                ys.append(y)
-        if status:
-            break
+                if dense:
+                    steps.append(interpolant())
+                if event is not None:
+                    g, g_old = event(t, y), g
+                    if g_old <= 0 <= g or g_old >= 0 >= g:
+                        at = Dense([t_old, t], [steps[-1] if dense else interpolant()], m)
+                        root = _brentq(lambda x: event(x, np.array(at(x))), t_old, t)
+                        t_events.append(root)
+                        if getattr(event, "terminal", False):
+                            status, t, y = 1, root, np.array(at(root))
+                if dense and t == ts[-1]:   # a terminal root at the step's start: drop it
+                    steps.pop()
+                else:
+                    ts.append(t)
+                    ys.append(y)
+            if status:
+                break
     return Result(t=np.array(ts), y=np.array(ys).T, sol=Dense(ts, steps, m) if dense else None,
                   t_events=t_events, status=status)
 

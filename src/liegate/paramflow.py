@@ -204,8 +204,7 @@ def _first_trough(profile: Sinusoid, t_end: float) -> list[float]:
 def _spline_extrema(profile: Tabulated, t_end: float) -> np.ndarray:
     """The knots and the zeros of the spline's derivative in [0, t_end]:
     with the interval's ends, the times at which its least value can sit."""
-    times = np.concatenate([profile.knots_t,
-                            profile._spline.derivative().roots(extrapolate=False)])
+    times = np.concatenate([profile.knots_t, profile.derivative_zeros()])
     return times[(times >= 0.0) & (times <= t_end)]
 
 

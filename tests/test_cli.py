@@ -1,18 +1,23 @@
 """Command-line interface: contracts, exit codes, determinism."""
 
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from liegate import cli, greens, paramflow, verify
+from liegate import cli, greens, paramflow, presets, verify
 from liegate.coeffs import Derived
 from liegate.oracle import gaussian_state
 from liegate.verify import suite_fields, suite_systems
@@ -546,7 +551,7 @@ def test_malformed_profile_is_config_error(tmp_path, capsys, profile, key):
 
 
 def test_overflowing_spline_is_config_error(tmp_path):
-    # finite knots whose spline slopes overflow: numpy warns, scipy refuses them
+    # finite knots whose spline slopes overflow: its coefficients are not finite
     cfg = write_config(tmp_path, "overflow.json", {
         "system": "gho", "t_end": 0.5, "coefficients": {
             "a": {"kind": "tabulated", "knots": [[0, 1], [0.5, 1e308], [1, 1.1]]}, "c": 1.0},
@@ -583,3 +588,63 @@ def test_seventeen_digit_serialization(tmp_path):
     summary = (out / "summary.json").read_text()
     # pi/4 rendered with enough digits to round-trip exactly
     assert "0.78539816339744828" in summary
+
+
+def test_system_choices_are_the_presets():
+    # the parser's --system choices are written out so that cli needs no
+    # preset (and no numpy) to parse a command line
+    assert cli.SYSTEMS == tuple(presets.PRESETS)
+
+
+# Knot lists for the property below: 2 to 12 knots from t = 0, with gaps
+# from one ulp (near-equal times) to 1e3 and values from 1e-8 to 1e8 in
+# size; half the lists also draw from the extremes: a 1e300 gap, and zeros,
+# subnormals and values near the float limit.
+def knot_gap(exponent: int) -> float:
+    return 0.0 if exponent < -16 else 10.0 ** exponent   # 0.0: the next float
+
+
+GAPS = st.integers(-17, 3).map(knot_gap)
+SIZES = st.integers(-8, 8).map(lambda k: 10.0 ** k)
+EXTREME_GAPS = st.one_of(GAPS, st.just(1e300))
+EXTREME_SIZES = st.one_of(SIZES, st.sampled_from([0.0, 5e-324, 1e300, 1.7e308]))
+
+
+@st.composite
+def knot_lists(draw):
+    n = draw(st.integers(2, 12))
+    gaps, sizes = (EXTREME_GAPS, EXTREME_SIZES) if draw(st.booleans()) else (GAPS, SIZES)
+    times = [0.0]
+    for gap in draw(st.lists(gaps, min_size=n - 1, max_size=n - 1)):
+        times.append(max(times[-1] + gap, math.nextafter(times[-1], math.inf)))
+    values = st.one_of(st.builds(lambda sign, size: sign * size,
+                                 st.sampled_from([1.0, -1.0]), sizes),
+                       st.floats(-10.0, 10.0))
+    return [[t, v] for t, v in zip(times, draw(st.lists(values, min_size=n, max_size=n)))]
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(knots=knot_lists(), name=st.sampled_from(["a", "e"]), share=st.floats(1e-3, 1.0))
+def test_tabulated_specs_end_in_a_documented_exit(knots, name, share):
+    # the spline's error paths (a non-finite spline, a tabulated a(t) that
+    # is not positive) and the solves behind them end in exit 0, 2, 3 or 4
+    # with the JSON error object, never in a traceback.  The spline is the
+    # mass term of a free particle or the force on a unit oscillator, so no
+    # solve's work grows with the spline's size (a large a*c is a fast
+    # oscillator, which the work budget stops only after seconds).
+    coefficients = {"a": 1.0, "c": 0.0 if name == "a" else 1.0,
+                    name: {"kind": "tabulated", "knots": knots}}
+    config = {"system": "gho", "t_end": min(knots[-1][0], 1.0) * share,
+              "coefficients": coefficients, "samples": 3}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["params", "--config", str(path), "--out", tmp])
+    assert code in (0, 2, 3, 4), out.getvalue()
+    assert err.getvalue() == "" and "Traceback" not in out.getvalue()
+    if code:
+        assert json.loads(out.getvalue())["error"]["exit_code"] == code
+    else:
+        assert out.getvalue() == ""

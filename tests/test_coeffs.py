@@ -70,8 +70,8 @@ class TestProfiles:
         ((0.0, 1e-300, 1.0), (0.0, 1e-10, 0.0)),
     ], ids=["slope", "alternating", "cubic-term"])
     def test_tabulated_refuses_a_spline_that_overflows(self, knots_t, knots_v):
-        # finite knots whose slopes (scipy refuses them) or cubic terms (scipy
-        # builds them) overflow; a numpy overflow warning would fail the test
+        # finite knots whose slopes or cubic terms overflow; a numpy overflow
+        # warning would fail the test
         with pytest.raises(DomainError, match="not finite"):
             Tabulated(knots_t=knots_t, knots_v=knots_v)
 
@@ -98,6 +98,99 @@ class TestProfiles:
             profile_from_dict({"kind": "sawtooth"})
         with pytest.raises(DomainError, match="unknown profile keys"):
             profile_from_dict({"kind": "constant", "value": 1.0, "slope": 2.0})
+
+
+def knot_sets(seed: int, count: int):
+    """Seeded (t, v) knot arrays, 2 to 13 knots: even, jittered and
+    scattered spacings, gaps up to 1e3 times their neighbour (a second gap
+    more than twice the first makes dgtsv interchange the first two rows),
+    values from 1e-8 to 1e8 in size."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        n = int(rng.integers(2, 14))
+        gaps = [np.full(n - 1, 0.5), rng.uniform(0.01, 1.0, n - 1),
+                rng.uniform(0.01, 1.0, n - 1) * rng.choice([1e-3, 1.0, 1e3], n - 1),
+                10.0 ** rng.uniform(-8, 8, n - 1)][k % 4]
+        t = np.cumsum(np.append(rng.uniform(-5.0, 5.0), gaps))
+        v = rng.normal(size=n) * 10.0 ** rng.uniform(-8, 8, n)
+        yield t, v
+
+
+# (t, v) sets beside the seeded ones: the fewest knots, constants (a
+# derivative that is identically zero), a straight line, double roots of
+# the derivative, and first-row interchanges
+SPLINE_CASES = [
+    ((0.0, 1.0), (1.0, 2.0)),
+    ((0.0, 1.0, 2.0), (1.0, -1.0, 1.0)),
+    ((0.0, 0.1, 10.0), (1.0, 3.0, -2.0)),
+    ((-1.0, 0.0, 1.0, 2.0), (1.0, 1.0, 1.0, 1.0)),
+    ((0.0, 1.0, 2.0, 3.0), (0.0, 1.0, 2.0, 3.0)),
+    ((0.0, 1.0, 2.0, 3.0, 4.0), (0.0, 1.0, 0.0, 1.0, 0.0)),
+    ((0.0, 1e-3, 1.0, 1e3, 1e3 + 1e-3), (1e-8, 1e8, -1e8, 1e-8, 3.0)),
+]
+
+
+def spline_sets():
+    return [*((np.array(t), np.array(v)) for t, v in SPLINE_CASES), *knot_sets(5, 400)]
+
+
+def scipy_spline(t, v):
+    from scipy.interpolate import CubicSpline
+
+    return CubicSpline(t, v, bc_type="natural")
+
+
+class TestNaturalSpline:
+    """The package's natural spline against scipy's ``CubicSpline(t, v,
+    bc_type="natural")``, the definition it replaced: coefficients and
+    evaluations bit for bit, the zeros of the derivative to 4 ulp."""
+
+    def test_coefficients_are_scipys(self):
+        interchanged = 0
+        for t, v in spline_sets():
+            got = Tabulated(tuple(t), tuple(v))._c
+            assert got.tobytes() == scipy_spline(t, v).c.tobytes(), (t, v)
+            interchanged += t.size > 2 and t[2] - t[1] > 2.0 * (t[1] - t[0])
+        assert interchanged > 50
+
+    def test_values_and_rates_are_ppolys(self):
+        for t, v in spline_sets():
+            prof, spline = Tabulated(tuple(t), tuple(v)), scipy_spline(t, v)
+            inside = [np.nextafter(t[1:], -np.inf), np.nextafter(t[:-1], np.inf)]
+            ts = np.concatenate([t, *inside, np.random.default_rng(6).uniform(t[0], t[-1], 40)])
+            assert bits_equal(prof(ts), spline(ts)), (t, v)
+            assert bits_equal(prof.derivative(ts), spline(ts, 1)), (t, v)
+            assert bits_equal(prof(t[-1]), spline(t[-1])) and prof(t[-1]).shape == ()
+
+    def test_derivative_zeros_are_scipys_roots(self):
+        listed = 0
+        for t, v in spline_sets():
+            got = Tabulated(tuple(t), tuple(v)).derivative_zeros()
+            want = scipy_spline(t, v).derivative().roots(extrapolate=False)
+            assert got.shape == want.shape and np.array_equal(np.isnan(got), np.isnan(want))
+            real = ~np.isnan(want)
+            ulps = np.abs(got[real].view(np.int64) - want[real].view(np.int64))
+            assert np.all(ulps <= 4), (t, v, got, want)
+            listed += want.size
+        assert listed > 1000
+
+    def test_a_zero_pivot_is_a_domain_error(self, monkeypatch):
+        # LAPACK reports a singular matrix where the port divides by zero
+        def singular(x, y):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setattr(coeffs, "_natural_spline", singular)
+        with pytest.raises(DomainError, match="not finite"):
+            Tabulated((0.0, 1.0), (1.0, 2.0))
+
+    @pytest.mark.parametrize("knots_t, knots_v", [
+        ((0.0, 1e200), (1.0, 2.0)),
+        ((-1e308, 0.0, 1e308), (1.0, 2.0, 1.0)),
+        ((0.0, 5e-324, 1.0), (1.7e308, -1.7e308, 1.7e308)),
+    ], ids=["wide-gap", "gaps-overflow", "subnormal-gap"])
+    def test_an_overflowing_spline_is_a_domain_error(self, knots_t, knots_v):
+        with pytest.raises(DomainError, match="not finite"):
+            Tabulated(knots_t, knots_v)
 
 
 KNOTS = Tabulated(knots_t=(-1.0, -0.2, 0.5, 1.25, 2.0, 4.0),

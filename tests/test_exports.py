@@ -4,7 +4,7 @@ A name left in ``__all__`` after its definition is deleted, or a
 re-export of another module's name, would otherwise go unseen: tools that
 walk ``__all__`` with ``getattr(module, name, None)`` skip it silently.
 The same source scan checks that no module but ``cli`` opens a file,
-that scipy is imported only inside the functions that run it, that
+that no module imports scipy, that
 ``verify`` checks only solvers the CLI calls and that the presets import
 none of the checks, and the benchmark's span recorder still finds every
 name it wraps.
@@ -77,24 +77,26 @@ def imports_scipy(node) -> bool:
             and node.module.split(".")[0] == "scipy")
 
 
-def scipy_imports(path: str) -> list[bool]:
-    """For each scipy import in the module's source, whether a function holds it."""
+def scipy_imports(path: str) -> list[int]:
+    """The line of each scipy import in the module's source, at any depth."""
     tree = ast.parse(pathlib.Path(path).read_text())
-    in_functions = {id(node) for fn in ast.walk(tree)
-                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-                    for node in ast.walk(fn)}
-    return [id(node) in in_functions for node in ast.walk(tree) if imports_scipy(node)]
+    return [node.lineno for node in ast.walk(tree) if imports_scipy(node)]
 
 
 @pytest.mark.parametrize("name", MODULES)
 def test_scipy_is_imported_only_where_it_runs(name):
-    # scipy costs a process most of its start-up: only the tabulated
-    # profiles' spline loads it, in the function that runs it; the parameter
-    # solves and the oracle run on the package's own DOP853 and RK45, and
-    # greens applies kernels with numpy.fft
-    found = scipy_imports(importlib.import_module(f"liegate.{name}").__file__)
-    assert all(found), "a module-level scipy import"
-    assert bool(found) == (name == "coeffs")
+    # scipy costs a process most of its start-up and runs nowhere in the
+    # package: the parameter solves and the oracle run on its own DOP853
+    # and RK45, tabulated profiles on its own natural spline, and greens
+    # applies kernels with numpy.fft.  scipy is a test dependency only.
+    assert scipy_imports(importlib.import_module(f"liegate.{name}").__file__) == []
+
+
+def test_the_scipy_scan_sees_nested_imports(tmp_path):
+    source = tmp_path / "nested.py"
+    source.write_text("import math\n\ndef f():\n    from scipy.interpolate import CubicSpline\n"
+                      "    import scipy.linalg as la\n")
+    assert scipy_imports(str(source)) == [4, 5]
 
 
 def paramflow_names(path: str) -> set[str]:
