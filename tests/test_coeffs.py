@@ -68,10 +68,16 @@ class TestProfiles:
         ((0.0, 0.5, 1.0), (1.0, 1e308, 1.1)),
         ((0.0, 0.5, 1.0), (-1e308, 1e308, -1e308)),
         ((0.0, 1e-300, 1.0), (0.0, 1e-10, 0.0)),
-    ], ids=["slope", "alternating", "cubic-term"])
+        ((0.0, 1e200), (1.0, 2.0)),
+        ((-1e308, 0.0, 1e308), (1.0, 2.0, 1.0)),
+        ((0.0, 5e-324, 1.0), (1.7e308, -1.7e308, 1.7e308)),
+        ((0.0, 1e160, 1.0000000000001e160), (1.0, 2.0, 1.0)),
+    ], ids=["slope", "alternating", "cubic-term", "wide-gap", "gaps-overflow",
+            "subnormal-gap", "first-gap-squared"])
     def test_tabulated_refuses_a_spline_that_overflows(self, knots_t, knots_v):
-        # finite knots whose slopes or cubic terms overflow; a numpy overflow
-        # warning would fail the test
+        # finite knots whose slopes, cubic terms, squared end gap (the
+        # natural end row's 0 * dx**2) or diagonal overflow; a numpy
+        # overflow warning would fail the test
         with pytest.raises(DomainError, match="not finite"):
             Tabulated(knots_t=knots_t, knots_v=knots_v)
 
@@ -182,15 +188,6 @@ class TestNaturalSpline:
         monkeypatch.setattr(coeffs, "_natural_spline", singular)
         with pytest.raises(DomainError, match="not finite"):
             Tabulated((0.0, 1.0), (1.0, 2.0))
-
-    @pytest.mark.parametrize("knots_t, knots_v", [
-        ((0.0, 1e200), (1.0, 2.0)),
-        ((-1e308, 0.0, 1e308), (1.0, 2.0, 1.0)),
-        ((0.0, 5e-324, 1.0), (1.7e308, -1.7e308, 1.7e308)),
-    ], ids=["wide-gap", "gaps-overflow", "subnormal-gap"])
-    def test_an_overflowing_spline_is_a_domain_error(self, knots_t, knots_v):
-        with pytest.raises(DomainError, match="not finite"):
-            Tabulated(knots_t, knots_v)
 
 
 KNOTS = Tabulated(knots_t=(-1.0, -0.2, 0.5, 1.25, 2.0, 4.0),
