@@ -23,10 +23,10 @@ application norm-preserving (the corresponding real prefactor convention
 differs by a constant phase only).
 
 Application is trapezoid quadrature, evaluated exactly through chirp
-factors of the quadratic form (see kernel_apply): one FFT convolution in
-1D, and in the plane a contraction over blocks of input rows whose working
-memory stays O(n^2) on an n x n grid.  Grid adequacy is the caller's job
-and is diagnosed by the unitarity residual.
+factors of the quadratic form (see kernel_apply): one FFT convolution in 1D;
+in the plane, row (x) column chirps, each distinct phase factor formed once
+and a contraction over blocks of input rows, O(n^4) flops in O(n^2) memory.
+Grid adequacy is the caller's job and is diagnosed by the unitarity residual.
 """
 
 from __future__ import annotations
@@ -174,15 +174,12 @@ def kernel_build(
         _check_lp_shape(traj)
     if planar:
         rec = traj.sample(t)
-        s = rec["radial"]
-        rot = _rotation(rec["theta"])
+        s, rot, action = rec["radial"], _rotation(rec["theta"]), rec["S"]
         lam = np.array([rec["lam_x"], rec["lam_y"]])
         pi = np.array([rec["Pi_x"], rec["Pi_y"]])
-        action = rec["S"]
     else:
         s = traj.sample(t)
-        rot = np.eye(1)
-        lam, pi, action = np.array([s.lam]), np.array([s.Pi]), s.S
+        rot, lam, pi, action = np.eye(1), np.array([s.lam]), np.array([s.Pi]), s.S
 
     (g_qq, g_qp), (_, g_pp) = _radial_entries(radial, s)
     if g_qp == 0.0:
@@ -222,9 +219,14 @@ def _next_fast_len(target: int) -> int:
     return min(m << (-(-target // m) - 1).bit_length() for m in odd)
 
 
-def _chirp(pts: np.ndarray, quad: np.ndarray, lin: np.ndarray) -> np.ndarray:
-    """exp(i [p.quad.p + lin.p]) at points p carried in the last axis."""
-    return np.exp(1j * (np.einsum("...i,ij,...j->...", pts, quad, pts) + pts @ lin))
+def _chirp(x: np.ndarray, quad: np.ndarray, lin: np.ndarray) -> np.ndarray:
+    """exp(i [p.quad.p + lin.p]) at the points p of the grid x, or of x (x) x."""
+    out = np.exp(1j * (x * quad[0, 0] * x + x * lin[0]))
+    if len(lin) == 2:  # row (x) column, times the cross term where it is nonzero
+        out = np.outer(out, np.exp(1j * (x * quad[1, 1] * x + x * lin[1])))
+        if quad[0, 1] + quad[1, 0] != 0.0:
+            out *= np.exp(1j * (quad[0, 1] + quad[1, 0]) * np.outer(x, x))
+    return out
 
 
 def kernel_apply(kernel: GaussianKernel, psi0: WaveGrid) -> WaveGrid:
@@ -235,13 +237,13 @@ def kernel_apply(kernel: GaussianKernel, psi0: WaveGrid) -> WaveGrid:
     exp(i x.Qxx'.x') sits between an input and an output chirp:
     * 1D: c x x' = (c/2)(x^2 + x'^2 - (x - x')^2); the squares join the
       chirps, the rest is one zero-padded FFT convolution: O(n log n).
-    * 2D: with E_ab[i, j] = exp(i Qxx'_ab x_i x_j) the output at (x_i, x_l) is
-      sum_j E_00[i, j] E_10[l, j] t_j[i, l], where the matrix product
-      t_j = (g[j] o E_01) @ E_11 sums over k (each E_ab is symmetric, as
-      the grid is the same on both axes).  Input rows j go in blocks
-      of _BLOCK_ENTRIES // n^2 (at least one), one matrix product each, so
-      besides the n x n factors only two block-sized temporaries of about
-      256 KiB are live: O(n^4) flops, O(n^2) memory.
+    * 2D: the chirps are row (x) column products of 1D ones.  With the
+      symmetric E_ab[i, j] = exp(i Qxx'_ab x_i x_j), each formed once and a
+      negated Qxx'_ab's as a conjugate, the output at (x_i, x_l) is
+      sum_j E_00[i, j] E_10[l, j] t_j[i, l], where t_j = (g[j] o E_01) @ E_11
+      sums over k.  Input rows j go in blocks of max(1, _BLOCK_ENTRIES // n^2),
+      one matrix product each, so besides the n x n factors only two
+      block-sized temporaries are live: O(n^4) flops, O(n^2) memory.
     Qxx' must be real, else DomainError: a complex one makes the chirps
     grow like exp(|Im c| x^2) and the result lose precision.
     """
@@ -250,13 +252,9 @@ def kernel_apply(kernel: GaussianKernel, psi0: WaveGrid) -> WaveGrid:
     if np.any(kernel.qxx1.imag != 0.0):
         raise DomainError("kernel_apply needs a real cross block qxx1")
     n, x, dx = psi0.n, psi0.x, psi0.dx
-    w = _trapezoid_weights(n)
-    if kernel.dof == 1:
-        pts, weights, shift = x[:, None], w * dx, 0.5 * kernel.qxx1.real
-    else:
-        pts = np.stack(np.meshgrid(x, x, indexing="ij"), axis=-1)
-        weights, shift = np.outer(w, w) * dx**2, 0.0
-    g = weights * psi0.amps * _chirp(pts, kernel.qx1x1 + shift, kernel.lx1)
+    w = _trapezoid_weights(n) * dx
+    weights, shift = (w, 0.5 * kernel.qxx1.real) if kernel.dof == 1 else (np.outer(w, w), 0.0)
+    g = weights * psi0.amps * _chirp(x, kernel.qx1x1 + shift, kernel.lx1)
     if kernel.dof == 1:
         size = _next_fast_len(2 * n - 1)
         k = np.minimum(np.arange(size), size - np.arange(size))
@@ -264,17 +262,19 @@ def kernel_apply(kernel: GaussianKernel, psi0: WaveGrid) -> WaveGrid:
         cross[n:size - n + 1] = 0.0  # only lags |k| < n reach the output
         out = np.fft.ifft(np.fft.fft(g, size) * np.fft.fft(cross))[:n]
     else:
-        e = np.exp(1j * kernel.qxx1.real[:, :, None, None] * np.outer(x, x))  # symmetric
+        e = {}  # Qxx'_ab -> E_ab
+        for q in kernel.qxx1.real.ravel():
+            if q not in e:
+                e[q] = e[-q].conj() if -q in e else np.exp(1j * q * np.outer(x, x))
+        e00, e01, e10, e11 = (e[q] for q in kernel.qxx1.real.ravel())
         rows = max(1, _BLOCK_ENTRIES // (n * n))
         out = np.zeros((n, n), dtype=complex)
         for j in range(0, n, rows):
-            t = ((g[j:j + rows, None, :] * e[0, 1]).reshape(-1, n) @ e[1, 1]).reshape(-1, n, n)
-            t *= e[0, 0][j:j + rows, :, None]
-            t *= e[1, 0][j:j + rows, None, :]
+            t = ((g[j:j + rows, None, :] * e01).reshape(-1, n) @ e11).reshape(-1, n, n)
+            t *= e00[j:j + rows, :, None]
+            t *= e10[j:j + rows, None, :]
             out += t.sum(0)
-    out *= kernel.prefactor * np.exp(1j * kernel.scal) * _chirp(
-        pts, kernel.qxx + shift, kernel.lx
-    )
+    out *= kernel.prefactor * np.exp(1j * kernel.scal) * _chirp(x, kernel.qxx + shift, kernel.lx)
     return WaveGrid(n, psi0.x_min, dx, out, psi0.hbar)
 
 

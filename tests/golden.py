@@ -6,9 +6,10 @@ writes, of their stdout, and their exit codes, in ``tests/golden.json``.
 
 This script is the only writer of the manifest, and it writes only when
 given ``--write``.  ``tests/test_golden.py`` runs the comparison inside the
-test suite.  Floating-point results depend on the libraries and the CPU, so
-the manifest also records the fingerprint of the machine it was written on;
-the test reports an expected failure, naming both fingerprints, elsewhere.
+test suite.  Floating-point results depend on Python, numpy, its BLAS and
+the CPU (the package imports no other library), so the manifest also records
+that fingerprint of the machine it was written on; the test reports an
+expected failure, naming both fingerprints, elsewhere.
 """
 
 from __future__ import annotations
@@ -53,13 +54,11 @@ def _sha256(data: bytes) -> str:
 def fingerprint() -> dict[str, str]:
     """The versions and CPU architecture that floating-point output depends on."""
     import numpy as np
-    import scipy
 
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "scipy": scipy.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
         "machine": platform.machine(),
     }

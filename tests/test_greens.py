@@ -473,6 +473,20 @@ def assert_matches_direct(kernel, psi):
 
 
 ONE_BLOCK_N = max(n for n in range(1, 64) if greens._BLOCK_ENTRIES // n**2 >= n)
+# the planar apply sums its input rows in blocks of _BLOCK_ENTRIES // n^2:
+# the smallest CLI grid (8), the largest grid that is one block, two full
+# blocks (32), a prime n whose last block is partial (61), and the
+# benchmark's 48
+PLANAR_SIZES = [8, 16, ONE_BLOCK_N, 32, 33, 48, 61]
+
+
+@pytest.fixture(scope="module")
+def built_planar_kernels(efield_traj):
+    """kernel_build's planar kernel on each route: Qxx' = kappa R(theta)."""
+    field = FieldProfile2D.build(m=1.0, B=Sinusoid(2.0, 3.0), K=0.0, charge=1.0)
+    bsin_traj = paramflow.solve_2d(field, 0.8, tol=1e-11, path="path1")
+    return {"twod_path2": kernel_build(efield_traj, 0.8, "twod_path2"),
+            "twod_path1": kernel_build(bsin_traj, 0.6, "twod_path1")}
 
 
 class TestApplyMatchesDirectSum:
@@ -496,11 +510,7 @@ class TestApplyMatchesDirectSum:
         assert abs(kernel.qxx1[0, 0]) > 1.0
         assert_matches_direct(kernel, grid_1024(sigma=1.0, x0=0.5, p0=-0.4))
 
-    # the planar apply sums its input rows in blocks of _BLOCK_ENTRIES // n^2:
-    # the smallest CLI grid (8), the largest grid that is one block, two
-    # full blocks (32), a prime n whose last block is partial (61), and the
-    # benchmark's 48
-    @pytest.mark.parametrize("n", [8, 16, ONE_BLOCK_N, 32, 33, 48, 61])
+    @pytest.mark.parametrize("n", PLANAR_SIZES)
     def test_random_planar_general_blocks(self, n):
         rng = np.random.default_rng(200 + n)
         kernel = random_kernel(rng, 2, cross_scale=2.0)
@@ -511,17 +521,35 @@ class TestApplyMatchesDirectSum:
         amps = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         assert_matches_direct(kernel, WaveGrid(n, -4.0, 8.0 / n, amps))
 
-    def test_planar_field_kernel(self, efield_traj):
-        kernel = kernel_build(efield_traj, 0.8, "twod_path2")
-        rng = np.random.default_rng(7)
-        amps = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
-        assert_matches_direct(kernel, WaveGrid(32, -7.0, 14.0 / 32, amps))
+    @pytest.mark.parametrize("n", PLANAR_SIZES)
+    @pytest.mark.parametrize("variant", ["twod_path2", "twod_path1"])
+    def test_planar_built_kernels(self, built_planar_kernels, variant, n):
+        kernel = built_planar_kernels[variant]
+        # a rotation block: E_11 is E_00 and E_10 is the conjugate of E_01
+        assert kernel.qxx1[0, 0] == kernel.qxx1[1, 1]
+        assert kernel.qxx1[0, 1] == -kernel.qxx1[1, 0] != 0.0
+        rng = np.random.default_rng(300 + n)
+        amps = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        assert_matches_direct(kernel, WaveGrid(n, -7.0, 14.0 / n, amps))
 
-    def test_planar_field_kernel_at_benchmark_size(self, efield_traj):
-        kernel = kernel_build(efield_traj, 0.8, "twod_path2")
-        rng = np.random.default_rng(48)
-        amps = rng.normal(size=(48, 48)) + 1j * rng.normal(size=(48, 48))
-        assert_matches_direct(kernel, WaveGrid(48, -7.0, 14.0 / 48, amps))
+    @pytest.mark.parametrize("case", ["mixed-cross", "antisymmetric-qxx"])
+    def test_random_planar_structured_blocks(self, case):
+        n = 33
+        rng = np.random.default_rng(400 if case == "mixed-cross" else 401)
+        kernel = random_kernel(rng, 2, cross_scale=2.0)
+        if case == "mixed-cross":
+            # [[a, b], [-b, d]] with a != d: E_10 is E_01's conjugate, E_11 is formed
+            (a, b), (_, d) = kernel.qxx1.real
+            assert abs(a - d) > 1e-3
+            kernel = dataclasses.replace(kernel, qxx1=np.array([[a, b], [-b, d]]))
+        else:
+            # Q01 = -Q10 != 0 in both chirps: their cross factors are exactly 1
+            anti = np.array([[0.0, 1.0], [-1.0, 0.0]])
+            kernel = dataclasses.replace(kernel, qxx=np.diag(np.diag(kernel.qxx)) + 0.7 * anti,
+                                         qx1x1=np.diag(np.diag(kernel.qx1x1)) - 1.3 * anti)
+            assert kernel.qxx[0, 1] + kernel.qxx[1, 0] == 0.0 != kernel.qxx[0, 1]
+        amps = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        assert_matches_direct(kernel, WaveGrid(n, -4.0, 8.0 / n, amps))
 
     def test_planar_working_memory_is_below_one_cube(self):
         # the peak stays below one n^3 complex array (4 MiB at n = 64), so no
@@ -563,27 +591,29 @@ def test_next_fast_len_is_scipys():
 
 
 def scipy_fft_apply_1d(kernel, psi0):
-    """The 1D kernel_apply as it was written with scipy.fft."""
+    """The 1D kernel_apply as it was written with scipy.fft and einsum chirps."""
     import scipy.fft
+
+    def chirp(pts, quad, lin):
+        return np.exp(1j * (np.einsum("...i,ij,...j->...", pts, quad, pts) + pts @ lin))
 
     n, x, dx = psi0.n, psi0.x, psi0.dx
     pts, weights, shift = x[:, None], _trapezoid_weights(n) * dx, 0.5 * kernel.qxx1.real
-    g = weights * psi0.amps * greens._chirp(pts, kernel.qx1x1 + shift, kernel.lx1)
+    g = weights * psi0.amps * chirp(pts, kernel.qx1x1 + shift, kernel.lx1)
     size = scipy.fft.next_fast_len(2 * n - 1)
     k = np.minimum(np.arange(size), size - np.arange(size))
     cross = np.exp(-1j * shift[0, 0] * (dx * k) ** 2)
     cross[n:size - n + 1] = 0.0
     out = scipy.fft.ifft(scipy.fft.fft(g, size) * scipy.fft.fft(cross))[:n]
-    out *= kernel.prefactor * np.exp(1j * kernel.scal) * greens._chirp(
-        pts, kernel.qxx + shift, kernel.lx
-    )
+    out *= kernel.prefactor * np.exp(1j * kernel.scal) * chirp(pts, kernel.qxx + shift, kernel.lx)
     return out
 
 
 @pytest.mark.parametrize("n", [8, 48, 1000, 1024, 2048, 3000])
 def test_1d_apply_has_the_scipy_fft_bits(n):
-    # numpy.fft and scipy.fft are both pocketfft: at powers of two and other
-    # sizes the apply gives the bits it gave with scipy.fft
+    # numpy.fft and scipy.fft are both pocketfft, and the 1D chirp
+    # x * q * x + x * l rounds as the einsum did: at powers of two and other
+    # sizes the apply gives the bits it gave with scipy.fft and einsum
     rng = np.random.default_rng(n)
     kernel = random_kernel(rng, 1, cross_scale=3.0)
     psi = WaveGrid(n, -8.0, 16.0 / n, rng.normal(size=n) + 1j * rng.normal(size=n))
