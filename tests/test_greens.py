@@ -2,7 +2,10 @@
 
 import dataclasses
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -204,6 +207,12 @@ class TestKernelApply:
         square = WaveGrid(32, -4.0, 0.25, np.ones((32, 32), dtype=complex))
         with pytest.raises(DomainError, match="dof"):
             kernel_apply(k, square)
+
+    def test_hbar_mismatch(self, free_traj):
+        # a kernel built at hbar = 1 is not the propagator on an hbar = 0.25 grid
+        k = kernel_build(free_traj, 0.5, "path1")
+        with pytest.raises(DomainError, match="hbar"):
+            kernel_apply(k, gaussian_state(256, -8.0, 16.0 / 256, hbar=0.25))
 
 
 class TestUnitarity:
@@ -465,6 +474,12 @@ def random_kernel(rng, dof, cross_scale):
     )
 
 
+def on_fresh_thread(fn, *args):
+    """fn(*args) on a new thread, which has no planar-apply workspace yet."""
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return pool.submit(fn, *args).result(timeout=120)
+
+
 def assert_matches_direct(kernel, psi):
     fast = kernel_apply(kernel, psi).amps
     ref = direct_apply(kernel, psi)
@@ -553,7 +568,8 @@ class TestApplyMatchesDirectSum:
 
     def test_planar_working_memory_is_below_one_cube(self):
         # the peak stays below one n^3 complex array (4 MiB at n = 64), so no
-        # n^3 temporary can come back unnoticed
+        # n^3 temporary can come back unnoticed; the traced apply runs on a
+        # fresh thread, so the peak counts that thread's new workspace too
         n = 64
         rng = np.random.default_rng(64)
         kernel = random_kernel(rng, 2, cross_scale=2.0)
@@ -561,11 +577,64 @@ class TestApplyMatchesDirectSum:
         kernel_apply(kernel, psi)
         tracemalloc.start()
         try:
-            kernel_apply(kernel, psi)
+            on_fresh_thread(kernel_apply, kernel, psi)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < n**3 * 16
+
+    def test_planar_blocks_split_output_rows(self, monkeypatch):
+        # with blocks of 64 entries, n^2 > 64 at n = 9 and 16, so blocks of
+        # one input row also split the output rows; the workspace made on a
+        # fresh thread is two blocks and does not grow
+        monkeypatch.setattr(greens, "_BLOCK_ENTRIES", 64)
+        rng = np.random.default_rng(500)
+        kernel = random_kernel(rng, 2, cross_scale=2.0)
+
+        def apply_and_workspace(psi):
+            return kernel_apply(kernel, psi).amps, greens._LOCAL.ws.size
+
+        for n in (9, 16):
+            psi = WaveGrid(n, -4.0, 8.0 / n, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            fast, entries = on_fresh_thread(apply_and_workspace, psi)
+            ref = direct_apply(kernel, psi)
+            assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert entries == 2 * 64
+        # one input row of a 65-point grid is larger than a block
+        wide = WaveGrid(65, -4.0, 8.0 / 65, np.ones((65, 65), dtype=complex))
+        with pytest.raises(DomainError, match="at most 64 points"):
+            on_fresh_thread(kernel_apply, kernel, wide)
+
+    def test_planar_workspace_is_per_thread(self):
+        # two threads per kernel, two kernels whose blocks differ in shape:
+        # every apply gives the serial bits, so no thread writes into
+        # another's workspace
+        rng = np.random.default_rng(600)
+        cases = []
+        for n in (33, 48):
+            kernel = random_kernel(rng, 2, cross_scale=2.0)
+            psi = WaveGrid(n, -4.0, 8.0 / n, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+            cases.append((kernel, psi, kernel_apply(kernel, psi).amps.tobytes()))
+        matches = []
+        start = threading.Barrier(2 * len(cases))
+
+        def worker(kernel, psi, serial):
+            start.wait(timeout=60)
+            matches.append(sum(kernel_apply(kernel, psi).amps.tobytes() == serial
+                               for _ in range(200)))
+
+        threads = [threading.Thread(target=worker, args=case) for case in cases for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert matches == [200] * len(threads)
 
     @pytest.mark.parametrize("dof", [1, 2])
     def test_complex_cross_block_rejected(self, dof):
