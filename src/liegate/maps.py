@@ -118,8 +118,7 @@ def assemble_2d(traj2d: ParamTrajectory2D, t: float) -> SymplecticMap:
     """Planar map: 2x2 blocks G_ab * R(theta) in (x, y, p_x, p_y) ordering."""
     _window_check(traj2d, t)
     rec = traj2d.sample(t)
-    cth, sth = math.cos(rec["theta"]), math.sin(rec["theta"])
-    rot = (cth, -sth), (sth, cth)
+    rot = _rotation(rec["theta"]).tolist()
     # np.kron(G, R) entry by entry: the same single product G_ij * R_kl each
     m = np.array([[g * r for g in g_row for r in r_row]
                   for g_row in _radial_entries(traj2d.radial, rec["radial"])

@@ -35,6 +35,9 @@ from .errors import IntegrationError
 __all__ = ["Dense", "Result", "solve"]
 
 _EPS = float(np.finfo(float).eps)
+# Below 100 eps the error estimate is rounding noise; scipy raises a smaller
+# rtol to this floor too, so the callers that clamp to it take scipy's steps.
+RTOL_FLOOR = 100 * _EPS
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _BRENT_TOL, _BRENT_MAXITER = 4 * _EPS, 100   # xtol = rtol, as solve_ivp refines events
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."

@@ -42,9 +42,6 @@ __all__ = [
     "grid_moments",
 ]
 
-_RTOL_FLOOR = 100 * float(np.finfo(float).eps)
-
-
 @dataclass(frozen=True)
 class FlowResult:
     """Dense trajectory of a flow (frames of shape (n,)) or a fundamental
@@ -115,7 +112,7 @@ def _integrate(rhs, y0, t_end, tol, what):
     atol = tol/100."""
     if not 0 < t_end < math.inf:
         raise DomainError("t_end must be positive and finite")
-    return ode.solve(rhs, y0, (0.0, t_end), max(tol, _RTOL_FLOOR), tol * 1e-2, what,
+    return ode.solve(rhs, y0, (0.0, t_end), max(tol, ode.RTOL_FLOOR), tol * 1e-2, what,
                      method="RK45").sol
 
 

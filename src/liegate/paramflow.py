@@ -53,9 +53,6 @@ _PROBE_POINTS = 257
 _POLE_OFFSETS = np.geomspace(1e-12, 1e-2, _PROBE_POINTS)
 _SHORTCUT_RTOL = 1e-12
 _MASS_REQUIREMENT = "the kinetic energy is p^2/2m"
-# Below 100 eps the error estimate is rounding noise; scipy's DOP853 raises
-# a smaller rtol to this floor too, so the two take the same steps.
-_RTOL_FLOOR = 100.0 * np.finfo(float).eps
 # Right-hand-side evaluations one solve may spend before it fails: about
 # 3.2 s of the 1D oscillator solve on one Xeon core.  Successful solves in
 # the tests, `liegate verify` and perfbench spend at most 3.8e3; a solve
@@ -245,7 +242,7 @@ def _coefficient_knots(coeffs: CoefficientSet1D) -> set[float]:
 def _run_ivp(rhs, y0, t_end, tol, what, knots=(), event=None):
     """Solve y' = rhs(t, y), y(0) = y0 on [0, t_end] with ``ode.solve`` (DOP853).
 
-    rtol = tol/10 (at least _RTOL_FLOOR) and atol = rtol/100: at a tenth of
+    rtol = tol/10 (at least ``ode.RTOL_FLOOR``) and atol = rtol/100: at a tenth of
     tol the order-8 method is as accurate, in the worst case, as RK45 at tol,
     in far fewer steps.  The solve restarts at every knot in (0, t_end), since
     a high-order step across a point where the right-hand side is not smooth
@@ -259,7 +256,7 @@ def _run_ivp(rhs, y0, t_end, tol, what, knots=(), event=None):
     raise ArithmeticError (division by zero, a power that overflows) and
     numpy scalars give inf or nan with a warning, that call gets the array.
     """
-    rtol = max(tol / 10.0, _RTOL_FLOOR)
+    rtol = max(tol / 10.0, ode.RTOL_FLOOR)
     bounds = [0.0, *sorted(tk for tk in knots if 0.0 < tk < t_end), t_end]
     calls = 0
 

@@ -1,14 +1,19 @@
 """Built-in verification suite behind ``liegate verify``.
 
 Each check returns a record with the measured residual and its threshold;
-the CLI serializes the records to report.json.  The random ingredients are
-driven by a caller-supplied seed so reports are reproducible byte for byte.
+the CLI serializes the records to report.json.  Every float check reports
+the largest gap of each named part (``parts``, which report.json leaves
+out) and measures the largest part; a NaN gap fails the check and is
+written as "nan", and ``count`` is the number of comparisons.  The random
+ingredients are driven by a caller-supplied seed so reports are
+reproducible byte for byte.
 The acceptance tests run the same checks with their own seeds, system
 counts and time grids, given as arguments; the defaults are the suite's.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction as F
@@ -54,6 +59,11 @@ STRUCTURE_TABLES = {"LP": LP_TABLE, "GHO": GHO_TABLE, "CP": CP_TABLE}
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's verdict.  A float check's ``measured`` is the largest gap
+    of its ``count`` comparisons, NaN if any gap is NaN (which fails it), and
+    ``parts`` holds the largest gap of each named part; the exact checks
+    count their cases and measure their failures."""
+
     name: str
     passed: bool
     measured: float
@@ -162,11 +172,39 @@ def check_algebra_properties(seed: int) -> CheckResult:
                        count=2 * trials)
 
 
+def _nanmax(gaps) -> float:
+    """The largest of ``gaps`` and 0.0, or NaN once a gap is NaN.
+
+    ``max`` would drop a NaN: every comparison with NaN is false, so it keeps
+    whichever operand it met first, and a NaN result would pass its check.
+    """
+    top = 0.0
+    for gap in gaps:
+        if gap > top or math.isnan(gap):
+            top = gap
+    return top
+
+
+def _verdict(name: str, threshold: float, rows: list, limits: dict,
+             note: str = "") -> CheckResult:
+    """A float check's result from its comparisons, one ``{part: gap}`` row each.
+
+    Each part of ``limits`` reports its largest gap, or NaN if any of its
+    gaps is NaN, and the check passes when every part is within its limit.
+    ``measured`` is the largest part, ``count`` the number of rows, and
+    ``note`` is formatted with the parts.
+    """
+    parts = {part: float(_nanmax(row[part] for row in rows if part in row))
+             for part in limits}
+    return CheckResult(name, all(parts[part] <= limit for part, limit in limits.items()),
+                       _nanmax(parts.values()), threshold, count=len(rows),
+                       note=note.format(**parts), parts=parts)
+
+
 def check_symplectic(seed: int, n_random: int = 8, times: Grid = Grid(0.0, 40, 1),
                      corrupt: bool = False) -> CheckResult:
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    count = 0
+    rows = []
     systems = list(suite_systems().values())
     systems += [random_smooth_coeffs(rng) for _ in range(n_random)]
     for cs in systems:
@@ -178,17 +216,15 @@ def check_symplectic(seed: int, n_random: int = 8, times: Grid = Grid(0.0, 40, 1
                 m[0, 1] += 0.1
                 smap = maps.SymplecticMap(t=smap.t, M=m, shift=smap.shift)
             det_r, form_r = maps.check_symplectic(smap)
-            worst = max(worst, det_r, form_r)
-            count += 1
-    return CheckResult("symplectic_invariants", worst <= 1e-9, worst, 1e-9, count=count)
+            rows.append({"det": det_r, "form": form_r})
+    return _verdict("symplectic_invariants", 1e-9, rows, dict.fromkeys(("det", "form"), 1e-9))
 
 
 def check_path_equivalence(seed: int, n_random: int = 3,
                            times: Grid = Grid(0.02, 12)) -> CheckResult:
     """Route 2's affine map (M and shift) and action S against route 1's."""
     rng = np.random.default_rng(seed)
-    gaps = {"map": 0.0, "shift": 0.0, "action": 0.0}
-    count = 0
+    rows = []
     cases = [suite_systems()["sho"], suite_systems()["iontrap"]]
     cases += [random_smooth_coeffs(rng, positive_c=True) for _ in range(n_random)]
     for cs in cases:
@@ -198,38 +234,36 @@ def check_path_equivalence(seed: int, n_random: int = 3,
         for t in times.up_to(_horizon(t_end, tr1, tr2)):
             t = float(t)
             map1, map2 = maps.assemble_path1(tr1, t), maps.assemble_path2(tr2, t)
-            gaps["map"] = max(gaps["map"], float(np.max(np.abs(map1.M - map2.M))))
-            gaps["shift"] = max(gaps["shift"],
-                                float(np.max(np.abs(map1.shift - map2.shift))))
-            gaps["action"] = max(gaps["action"], abs(tr1.sample(t).S - tr2.sample(t).S))
-            count += 1
-    worst = max(gaps.values())
-    return CheckResult("path_equivalence", worst <= 1e-6, worst, 1e-6, count=count,
-                       parts=gaps)
+            rows.append({"map": float(np.max(np.abs(map1.M - map2.M))),
+                         "shift": float(np.max(np.abs(map1.shift - map2.shift))),
+                         "action": abs(tr1.sample(t).S - tr2.sample(t).S)})
+    return _verdict("path_equivalence", 1e-6, rows,
+                    dict.fromkeys(("map", "shift", "action"), 1e-6))
+
+
+# planar suite system -> the radial route of its solve
+PLANAR_ROUTES = {"bsin": "path1", "efield": "path2"}
 
 
 def check_oracle_maps(times: Grid = Grid(0.0, 12, 1),
                       planar_times: Grid = Grid(0.0, 8, 1)) -> CheckResult:
-    worst = 0.0
-    count = 0
+    rows = []
     for name, cs in suite_systems().items():
         t_end = 1.5
         traj = paramflow.solve_path1(cs, t_end, tol=1e-12)
         fm = oracle.fundamental_matrix(cs, t_end, tol=1e-12)
         for t in times.up_to(_horizon(t_end, traj)):
             diff = np.max(np.abs(maps.assemble_path1(traj, float(t)).M - fm.at(float(t))))
-            worst = max(worst, float(diff))
-            count += 1
+            rows.append({"1d": float(diff)})
     for name, fp in suite_fields().items():
         t_end = 1.2
-        traj = paramflow.solve_2d(fp, t_end, tol=1e-12,
-                                  path="path2" if name == "efield" else "path1")
+        traj = paramflow.solve_2d(fp, t_end, tol=1e-12, path=PLANAR_ROUTES[name])
         fm = oracle.fundamental_matrix(fp, t_end, tol=1e-12)
         for t in planar_times.up_to(_horizon(t_end, traj)):
             diff = np.max(np.abs(maps.assemble_2d(traj, float(t)).M - fm.at(float(t))))
-            worst = max(worst, float(diff))
-            count += 1
-    return CheckResult("oracle_map_equivalence", worst <= 1e-7, worst, 1e-7, count=count)
+            rows.append({"planar": float(diff)})
+    return _verdict("oracle_map_equivalence", 1e-7, rows,
+                    dict.fromkeys(("1d", "planar"), 1e-7))
 
 
 def check_classical_identification(seed: int, n_random: int = 4,
@@ -237,8 +271,7 @@ def check_classical_identification(seed: int, n_random: int = 4,
     """Route 1's and the planar solve's (lam, -Pi) against the classical flow
     from the phase-space origin."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    count = 0
+    rows = []
     t_end = 2.0
     cases = [suite_systems()["lp"]] + [random_smooth_coeffs(rng) for _ in range(n_random)]
     for cs in cases:
@@ -247,17 +280,16 @@ def check_classical_identification(seed: int, n_random: int = 4,
         for t in times.up_to(t_end):
             s = traj.sample(float(t))
             diff = np.max(np.abs(flow.at(float(t)) - np.array([s.lam, -s.Pi])))
-            worst = max(worst, float(diff))
-            count += 1
+            rows.append({"1d": float(diff)})
     fp = suite_fields()["efield"]
     traj = paramflow.solve_2d(fp, t_end, tol=1e-12, path="path2")
     flow = oracle.classical_flow(fp, np.zeros(4), t_end, tol=1e-12)
     for t in times.up_to(t_end):
         rec = traj.sample(float(t))
         target = np.array([rec["lam_x"], rec["lam_y"], -rec["Pi_x"], -rec["Pi_y"]])
-        worst = max(worst, float(np.max(np.abs(flow.at(float(t)) - target))))
-        count += 1
-    return CheckResult("classical_identification", worst <= 1e-7, worst, 1e-7, count=count)
+        rows.append({"planar": float(np.max(np.abs(flow.at(float(t)) - target)))})
+    return _verdict("classical_identification", 1e-7, rows,
+                    dict.fromkeys(("1d", "planar"), 1e-7))
 
 
 # system -> (solve horizon, sample times) of the closed-form cross-checks
@@ -269,82 +301,56 @@ CLOSED_FORM_TIMES = {
 }
 
 
+def _closed_form_case(name: str, p: dict, traj, t: float) -> tuple:
+    """(closed form, solved, scale) for one system at time t: the gap is the
+    largest difference of the two value tuples over the scale."""
+    if name == "iontrap":   # rf trap
+        s = traj.sample(t)
+        return (closedforms.ion_trap_params(p["m"], p["K"], p["k"], p["omega"], t),
+                (s.alpha, s.phi, s.beta), max(1.0, abs(s.alpha), abs(s.phi), abs(s.beta)))
+    if name == "kanai":     # damped driven oscillator
+        cf, s = closedforms.kanai_caldirola_params(**p, t=t), traj.sample(t)
+        return ((cf.lam, cf.Pi, cf.alpha, cf.phi, cf.beta),
+                (s.lam, s.Pi, s.alpha, s.phi, s.beta), max(1.0, abs(s.lam), abs(s.Pi)))
+    rec = traj.sample(t)
+    if name == "bsin":      # sinusoidal magnetic field
+        r = rec["radial"]
+        return (closedforms.bfield_sin_params(**p, t=t),
+                (r.alpha, r.phi, r.beta, rec["theta"]), 1.0)
+    # constant magnetic field with sinusoidal electric drive
+    cf = closedforms.efield_const_b_params(**p, t=t)
+    return ((cf.lam_x, cf.lam_y, cf.Pi_x, cf.Pi_y, cf.theta),
+            (rec["lam_x"], rec["lam_y"], rec["Pi_x"], rec["Pi_y"], rec["theta"]),
+            max(1.0, abs(rec["lam_x"]), abs(rec["Pi_x"])))
+
+
 def check_closed_forms(times: dict = CLOSED_FORM_TIMES) -> CheckResult:
-    worst = 0.0
-    count = 0
+    rows = []
     systems = {**suite_systems(), **suite_fields()}
     params = {name: spec for name, (_, spec) in presets.REFERENCE.items()}
-    # rf trap
-    p = params["iontrap"]
-    horizon, samples = times["iontrap"]
-    traj = paramflow.solve_path1(systems["iontrap"], horizon, tol=1e-12)
-    for t in samples:
-        alpha, phi, beta = closedforms.ion_trap_params(p["m"], p["K"], p["k"], p["omega"],
-                                                       float(t))
-        s = traj.sample(float(t))
-        scale = max(1.0, abs(s.alpha), abs(s.phi), abs(s.beta))
-        diff = max(abs(alpha - s.alpha), abs(phi - s.phi), abs(beta - s.beta)) / scale
-        worst = max(worst, diff)
-        count += 1
-    # damped driven oscillator
-    horizon, samples = times["kanai"]
-    traj = paramflow.solve_path1(systems["kanai"], horizon, tol=1e-12)
-    for t in samples:
-        cf = closedforms.kanai_caldirola_params(**params["kanai"], t=float(t))
-        s = traj.sample(float(t))
-        scale = max(1.0, abs(s.lam), abs(s.Pi))
-        diff = max(
-            abs(cf.lam - s.lam), abs(cf.Pi - s.Pi), abs(cf.alpha - s.alpha),
-            abs(cf.phi - s.phi), abs(cf.beta - s.beta),
-        ) / scale
-        worst = max(worst, diff)
-        count += 1
-    # sinusoidal magnetic field
-    horizon, samples = times["bsin"]
-    traj2 = paramflow.solve_2d(systems["bsin"], horizon, tol=1e-12, path="path1")
-    for t in samples:
-        alpha, phi, beta, theta = closedforms.bfield_sin_params(**params["bsin"], t=float(t))
-        rec = traj2.sample(float(t))
-        r = rec["radial"]
-        diff = max(
-            abs(alpha - r.alpha), abs(phi - r.phi), abs(beta - r.beta),
-            abs(theta - rec["theta"]),
-        )
-        worst = max(worst, diff)
-        count += 1
-    # constant magnetic field with sinusoidal electric drive
-    horizon, samples = times["efield"]
-    traj2 = paramflow.solve_2d(systems["efield"], horizon, tol=1e-12, path="path2")
-    for t in samples:
-        cf = closedforms.efield_const_b_params(**params["efield"], t=float(t))
-        rec = traj2.sample(float(t))
-        scale = max(1.0, abs(rec["lam_x"]), abs(rec["Pi_x"]))
-        diff = max(
-            abs(cf.lam_x - rec["lam_x"]), abs(cf.lam_y - rec["lam_y"]),
-            abs(cf.Pi_x - rec["Pi_x"]), abs(cf.Pi_y - rec["Pi_y"]),
-            abs(cf.theta - rec["theta"]),
-        ) / scale
-        worst = max(worst, diff)
-        count += 1
-    return CheckResult("closed_form_crosschecks", worst <= 1e-6, worst, 1e-6, count=count)
+    for name, (horizon, samples) in times.items():
+        if name in PLANAR_ROUTES:
+            traj = paramflow.solve_2d(systems[name], horizon, tol=1e-12,
+                                      path=PLANAR_ROUTES[name])
+        else:
+            traj = paramflow.solve_path1(systems[name], horizon, tol=1e-12)
+        for t in samples:
+            closed, solved, scale = _closed_form_case(name, params[name], traj, float(t))
+            rows.append({name: _nanmax(abs(c - s) for c, s in zip(closed, solved)) / scale})
+    return _verdict("closed_form_crosschecks", 1e-6, rows, dict.fromkeys(times, 1e-6))
 
 
 def check_mathieu() -> CheckResult:
-    worst = 0.0
-    count = 0
-    for a in (0.5, 1.0, 2.0):
-        for q in (0.0, 0.4, 1.0):
-            for z in (0.7, 1.5, 3.0):
-                c1 = closedforms.mathieu_c(a, q, z, tol=1e-12)
-                c2 = closedforms.mathieu_c(a, q, z, tol=5e-13)
-                worst = max(worst, abs(c1.C - c2.C))
-                count += 1
+    rows = []
+    for a, q, z in itertools.product((0.5, 1.0, 2.0), (0.0, 0.4, 1.0), (0.7, 1.5, 3.0)):
+        c1 = closedforms.mathieu_c(a, q, z, tol=1e-12)
+        c2 = closedforms.mathieu_c(a, q, z, tol=5e-13)
+        rows.append({"halving_drift": abs(c1.C - c2.C)})
     exact = closedforms.mathieu_c(1.0, 0.0, math.pi / 3.0)
-    pin = abs(exact.C - 0.5)
-    count += 1
-    passed = worst < 1e-10 and pin <= 1e-12
-    return CheckResult("mathieu_selfconsistency", passed, max(worst, pin), 1e-10,
-                       count=count, parts={"halving_drift": worst, "pin": pin})
+    rows.append({"pin": abs(exact.C - 0.5)})
+    # the drift must stay strictly below 1e-10: at most the double before it
+    return _verdict("mathieu_selfconsistency", 1e-10, rows,
+                    {"halving_drift": math.nextafter(1e-10, 0.0), "pin": 1e-12})
 
 
 # kernel time of each 1D suite system, and its semigroup split (t1, t2)
@@ -356,8 +362,7 @@ SEMIGROUP_SPLITS = {"lp": (0.6, 1.4), "sho": (0.5, 1.2), "iontrap": (0.18, 0.4),
 def check_kernels() -> CheckResult:
     """Mehler, unitarity and semigroup checks; the unitarity check builds each
     system's kernel in its preset's variant, as ``liegate kernel`` does."""
-    worst = 0.0
-    count = 0
+    rows = []
     systems = suite_systems()
     grid = oracle.gaussian_state(1024, -12.0, 24.0 / 1024, sigma=1.0)
     # Mehler comparison for the oscillator, both routes
@@ -369,25 +374,18 @@ def check_kernels() -> CheckResult:
     for route, solver in (("path1", paramflow.solve_path1), ("path2", paramflow.solve_path2)):
         traj = solver(sho, 1.2, tol=1e-12)
         k = greens.kernel_build(traj, t, route)
-        diff = max(
+        rows.append({"mehler": float(_nanmax((
             abs(k.qxx[0, 0] - mehler_q), abs(k.qx1x1[0, 0] - mehler_q),
             abs(k.qxx1[0, 0] - mehler_cross), abs(k.prefactor - mehler_pref),
-        )
-        worst = max(worst, float(diff))
-        count += 1
-    passed_mehler = worst <= 1e-9
+        )))})
     # unitarity for every suite system
-    unit_worst = 0.0
     for name, cs in systems.items():
         t = KERNEL_TIMES[name]
         traj = paramflow.solve_path1(cs, t * 1.05, tol=1e-12)
         variant = presets.PRESETS[presets.REFERENCE[name][0]].kernel or "path1"
         k = greens.kernel_build(traj, t, variant)
-        unit_worst = max(unit_worst, greens.kernel_unitarity_residual(k, grid))
-        count += 1
-    passed_unit = unit_worst <= 1e-6
+        rows.append({"unitarity": greens.kernel_unitarity_residual(k, grid)})
     # semigroup with one split point per system
-    semi_worst = 0.0
     for name, cs in systems.items():
         t1, t2 = SEMIGROUP_SPLITS[name]
         traj = paramflow.solve_path1(cs, t2 * 1.05, tol=1e-12)
@@ -397,15 +395,10 @@ def check_kernels() -> CheckResult:
         two = greens.kernel_apply(
             greens.kernel_build(traj_tail, t2 - t1, "path1"), mid
         )
-        semi_worst = max(semi_worst, 1.0 - oracle.fidelity(full, two))
-        count += 1
-    passed_semi = semi_worst <= 1e-5
-    measured = max(worst, unit_worst, semi_worst)
-    return CheckResult(
-        "kernel_sanity", passed_mehler and passed_unit and passed_semi,
-        measured, 1e-5, count=count,
-        note=f"mehler={worst:.3e} unitarity={unit_worst:.3e} semigroup={semi_worst:.3e}",
-        parts={"mehler": worst, "unitarity": unit_worst, "semigroup": semi_worst},
+        rows.append({"semigroup": 1.0 - oracle.fidelity(full, two)})
+    return _verdict(
+        "kernel_sanity", 1e-5, rows, {"mehler": 1e-9, "unitarity": 1e-6, "semigroup": 1e-5},
+        note="mehler={mehler:.3e} unitarity={unitarity:.3e} semigroup={semigroup:.3e}",
     )
 
 

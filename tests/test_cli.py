@@ -4,6 +4,7 @@ import contextlib
 import dataclasses
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liegate import cli, greens, paramflow, presets, verify
+from liegate import cli, closedforms, greens, maps, oracle, paramflow, presets, verify
 from liegate.coeffs import Derived
 from liegate.oracle import gaussian_state
 from liegate.verify import suite_fields, suite_systems
@@ -246,21 +247,74 @@ class TestKernel:
         assert not (tmp_path / "kernel.json").exists()
 
 
-def nudged(solve, index):
-    """``solve`` whose trajectories add 1e-4 to component ``index`` of the
-    base solution that ``sample`` reads."""
+def on_call(func, call, change):
+    """``func`` whose result passes through ``change`` at call number ``call``
+    (counted from 1) only, or at every call if ``call`` is None."""
+    calls = itertools.count(1)
 
     def wrapped(*args, **kwargs):
-        traj = solve(*args, **kwargs)
+        result = func(*args, **kwargs)
+        return change(result) if call is None or next(calls) == call else result
 
+    return wrapped
+
+
+def nudged(solve, index, by=1e-4, call=None):
+    """``solve`` whose trajectories add ``by`` to component ``index`` of the
+    base solution that ``sample`` reads: every trajectory, or only the one
+    of call number ``call``."""
+
+    def nudge(traj):
         def base(t):
             y = list(traj._base(t))
-            y[index] += 1e-4
+            y[index] += by
             return y
 
         return dataclasses.replace(traj, _base=base)
 
-    return wrapped
+    return on_call(solve, call, nudge)
+
+
+def first_entry_nan(frame):
+    frame = frame.copy()
+    frame.flat[0] = math.nan
+    return frame
+
+
+# check -> (part, module, function, how it turns one result NaN, the check's
+# call): each NaN comes mid-stream, and finite gaps follow it
+NAN_CASES = {
+    "symplectic_invariants": (
+        "det", maps, "check_symplectic",
+        lambda f: on_call(f, 100, lambda r: (math.nan, r[1])),
+        lambda: verify.check_symplectic(7)),
+    "path_equivalence": (  # route 2's S, iontrap (the second case)
+        "action", paramflow, "solve_path2", lambda f: nudged(f, 2, math.nan, call=2),
+        lambda: verify.check_path_equivalence(7)),
+    "oracle_map_equivalence": (  # one fundamental-matrix entry of 44 1D samples
+        "1d", oracle.FlowResult, "at", lambda f: on_call(f, 20, first_entry_nan),
+        verify.check_oracle_maps),
+    "classical_identification": (  # route 1's lam, the first random system
+        "1d", paramflow, "solve_path1", lambda f: nudged(f, 0, math.nan, call=2),
+        lambda: verify.check_classical_identification(7)),
+    "closed_form_crosschecks": (  # route 1's lam of the second system, kanai
+        "kanai", paramflow, "solve_path1", lambda f: nudged(f, 0, math.nan, call=2),
+        verify.check_closed_forms),
+    "mathieu_selfconsistency": (  # C of the fifth halving pair
+        "halving_drift", closedforms, "mathieu_c",
+        lambda f: on_call(f, 9, lambda e: dataclasses.replace(e, C=math.nan)),
+        verify.check_mathieu),
+    "kernel_sanity": (  # the second of four unitarity residuals
+        "unitarity", greens, "kernel_unitarity_residual",
+        lambda f: on_call(f, 2, lambda r: math.nan), verify.check_kernels),
+}
+
+
+def spoil(monkeypatch, name):
+    """Install the NaN of ``NAN_CASES[name]``; return its part and check."""
+    part, owner, attr, change, check = NAN_CASES[name]
+    monkeypatch.setattr(owner, attr, change(getattr(owner, attr)))
+    return part, check
 
 
 @pytest.fixture(scope="module")
@@ -310,6 +364,35 @@ class TestVerify:
         result = verify.check_classical_identification(7)
         assert not result.passed
         assert result.measured == pytest.approx(1e-4, rel=1e-3)
+
+    @pytest.mark.parametrize("name", NAN_CASES)
+    def test_a_nan_gap_fails_its_check(self, monkeypatch, name):
+        part, check = spoil(monkeypatch, name)
+        result = check()
+        assert result.name == name and not result.passed
+        assert math.isnan(result.measured) and math.isnan(result.parts[part])
+        assert all(math.isfinite(v) for p, v in result.parts.items() if p != part)
+
+    def test_a_nan_gap_fails_verify_and_is_written(self, monkeypatch, tmp_path):
+        spoil(monkeypatch, "symplectic_invariants")
+        out = tmp_path / "nan"
+        assert cli.main(["verify", "--seed", "7", "--out", str(out)]) == 1
+        text = (out / "report.json").read_text()
+        assert '"measured": "nan"' in text
+        failing = [c for c in json.loads(text)["checks"] if not c["passed"]]
+        assert [(c["name"], c["measured"]) for c in failing] == \
+            [("symplectic_invariants", "nan")]
+
+    def test_mathieu_drift_must_stay_below_its_limit(self, monkeypatch):
+        def mathieu_c(a, q, z, tol=1e-12):
+            # every halving drift is exactly 1e-10, and the pin holds
+            c = 0.5 if z == math.pi / 3.0 else (0.0 if tol == 5e-13 else 1e-10)
+            return closedforms.MathieuEval(a, q, z, c, 0.0)
+
+        monkeypatch.setattr(closedforms, "mathieu_c", mathieu_c)
+        result = verify.check_mathieu()
+        assert not result.passed
+        assert result.parts == {"halving_drift": 1e-10, "pin": 0.0}
 
     @pytest.mark.parametrize("seed", ["-1", "x"])
     def test_bad_seed_is_config_error(self, tmp_path, capsys, seed):
