@@ -200,7 +200,7 @@ def _summary(cfg: dict, kind: str, traj) -> dict:
     if kind == "1d":
         s = traj.sample(t_end)
         out["Delta"] = traj.Delta
-        out["shortcut"] = bool(getattr(traj, "shortcut", False))
+        out["shortcut"] = traj.shortcut
         out["final"] = {
             "S": s.S, "lam": s.lam, "Pi": s.Pi, "gamma": s.gamma,
             "alpha": s.alpha, "phi": s.phi, "vphi": s.vphi, "beta": s.beta,

@@ -53,6 +53,9 @@ class TimeProfile:
     re-based so that its new time origin sits at ``t0`` of the old clock.
     ``knots`` are the times at which the profile is not smooth (a spline's
     knots); the parameter solvers restart their integration at each.
+    The solvers' and kernels' checks evaluate a profile at its
+    ``extremal_times(t_end)``; a subclass may define them to make those
+    checks exact, where the base class samples a uniform grid.
     """
 
     knots: tuple = ()
@@ -62,6 +65,11 @@ class TimeProfile:
 
     def derivative(self, t):
         raise NotImplementedError
+
+    def extremal_times(self, t_end: float) -> np.ndarray:
+        """Times in [0, t_end] that hold the profile's least and greatest
+        value there.  Here 257 uniform points: a sample, not a proof."""
+        return np.linspace(0.0, t_end, 257)
 
     def scalar(self) -> tuple[Callable[[float], float], Callable[[float], float]]:
         return (lambda t: float(self(t))), (lambda t: float(self.derivative(t)))
@@ -83,6 +91,9 @@ class Constant(TimeProfile):
     def scalar(self):
         value = float(self.value)
         return (lambda t: value), (lambda t: 0.0)
+
+    def extremal_times(self, t_end: float) -> np.ndarray:
+        return np.array([0.0, t_end], dtype=float)
 
     def shifted(self, t0: float) -> "Constant":
         return self
@@ -111,6 +122,17 @@ class Sinusoid(TimeProfile):
         return (lambda t: amplitude * sin(omega * t + phase) + offset,
                 lambda t: rate * cos(omega * t + phase))
 
+    def extremal_times(self, t_end: float) -> np.ndarray:
+        """The ends, and the first trough and crest of sin in [0, t_end]."""
+        times = [0.0, t_end]
+        if self.amplitude != 0.0 and self.omega != 0.0:
+            for peak in (-0.5 * math.pi, 0.5 * math.pi):
+                ahead = peak - self.phase if self.omega > 0.0 else self.phase - peak
+                t = (ahead % (2.0 * math.pi)) / abs(self.omega)
+                if t <= t_end:
+                    times.append(t)
+        return np.array(times, dtype=float)
+
     def shifted(self, t0: float) -> "Sinusoid":
         return replace(self, phase=self.phase + self.omega * t0)
 
@@ -134,6 +156,9 @@ class Exponential(TimeProfile):
         slope = prefactor * rate
         return (lambda t: float(prefactor * exp(rate * t)),
                 lambda t: float(slope * exp(rate * t)))
+
+    def extremal_times(self, t_end: float) -> np.ndarray:
+        return np.array([0.0, t_end], dtype=float)   # monotone
 
     def shifted(self, t0: float) -> "Exponential":
         return replace(self, prefactor=self.prefactor * math.exp(self.rate * t0))
@@ -275,57 +300,21 @@ class Tabulated(TimeProfile):
 
         return value, rate
 
-    def derivative_zeros(self) -> np.ndarray:
-        """The times in the knot range at which the derivative is zero, as
-        scipy's ``PPoly.derivative().roots(extrapolate=False)`` lists them.
-
-        Each interval's derivative is a quadratic, solved in closed form
-        for all intervals at once: a complex pair whose imaginary part is
-        at most 1e-10 counts as a double root, each root takes one Newton
-        step, and one outside its interval is dropped.  Per interval the
-        list holds its first knot where the derivative changes sign across
-        it, then the roots, each one equal to the last listed left out; an
-        interval where the derivative is identically zero lists its first
-        knot and nan.
-        """
+    def extremal_times(self, t_end: float) -> np.ndarray:
+        """The ends, and the knots and the real zeros of the derivative
+        strictly inside an interval that lie in [0, t_end]: a cubic piece
+        takes its extremes there (de Boor, *A Practical Guide to Splines*,
+        2001, ch. IV).  Each piece's derivative a s^2 + b s + c has the roots
+        q/a and c/q, q = -(b + sign(b) sqrt(b^2 - 4ac))/2, which cancels
+        nothing, or -c/b where it is linear."""
         x, (c3, c2, c1, _) = self._x, self._c
-        lo, hi = x[:-1], x[1:]
+        a, b, c = c3 * 3.0, c2 * 2.0, c1
         with np.errstate(all="ignore"):
-            a, b, c = c3 * 3.0, c2 * 2.0, c1   # PPoly.derivative's rows
-            disc = b * b - 4.0 * a * c
-            d = np.sqrt(np.abs(disc))
-            # the root of larger size from q, the other from the product
-            q = -b + np.where(b < 0.0, d, -d)
-            large, small = q / (2.0 * a), (2.0 * c) / q
-            pair = (disc < 0.0) | (d == 0.0)
-            vertex = -b / (2.0 * a)
-            r = np.where(pair, vertex, np.where(b < 0.0, [small, large], [large, small]))
-            line = (a == 0.0) & (b != 0.0)
-            r[0] = np.where(line, -c / b, r[0])
-            real = (a != 0.0) & ~((disc < 0.0) & (np.abs(-d / (2.0 * a)) > 1e-10))
-            f = 0.0 + c + b * r + a * (r * r)
-            df = 0.0 + b + a * r * 2.0
-            step = f / df
-            r = np.where((df != 0.0) & (np.abs(step) < np.abs(r)), r - step, r) + lo
-            real = np.array([real | line, real]) & ~((r < lo) | (r > hi))
-            h = hi[:-1] - lo[:-1]
-            va = 0.0 + c[:-1] + b[:-1] * h + a[:-1] * (h * h)
-            vb = 0.0 + c[1:] + b[1:] * 0.0 + a[1:] * (0.0 * 0.0)
-        flip = ((va < 0.0) & (vb > 0.0)) | ((va > 0.0) & (vb < 0.0))
-        flat = (a == 0.0) & (b == 0.0) & (c == 0.0)
-        times, last = [], math.nan
-        for i in np.flatnonzero(real[0] | real[1] | flat | np.append(False, flip)).tolist():
-            if i > 0 and flip[i - 1] and lo[i] != last:
-                last = lo[i]
-                times.append(last)
-            if flat[i]:
-                times += [lo[i], math.nan]
-                last = math.nan
-            for k in (0, 1):
-                if real[k, i] and r[k, i] != last:
-                    last = r[k, i]
-                    times.append(last)
-        return np.array(times, dtype=float)
+            q = -0.5 * (b + np.copysign(np.sqrt(b * b - 4.0 * a * c), b))
+            roots = x[:-1] + np.where(a != 0.0, [q / a, c / q], -c / b)
+        roots = roots[(roots > x[:-1]) & (roots < x[1:])]
+        times = np.concatenate([x, roots])
+        return np.concatenate([[0.0, t_end], times[(times >= 0.0) & (times <= t_end)]])
 
     def shifted(self, t0: float) -> "Tabulated":
         return Tabulated(tuple(tk - t0 for tk in self.knots_t), self.knots_v)
@@ -435,7 +424,7 @@ class CoefficientSet1D:
 
     Units: a in 1/mass, b in 1/time, c in mass/time^2, d in velocity,
     e in force, g in energy.  a(t) must stay positive on the working
-    interval; solvers check this on their probe grid and at every time
+    interval; solvers check this at its extremal times and at every time
     they evaluate.
     """
 

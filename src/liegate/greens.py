@@ -138,10 +138,8 @@ class GaussianKernel:
 
 
 def _check_lp_shape(traj: ParamTrajectory):
-    probe = np.linspace(0.0, traj.t_end, 65)
-    b = np.asarray(traj.coeffs.b(probe), dtype=float)
-    c = np.asarray(traj.coeffs.c(probe), dtype=float)
-    if np.max(np.abs(b)) > 1e-14 or np.max(np.abs(c)) > 1e-14:
+    if any(np.max(np.abs(np.asarray(p(p.extremal_times(traj.t_end)), dtype=float))) > 1e-14
+           for p in (traj.coeffs.b, traj.coeffs.c)):
         raise DomainError(
             "variant 'lp' requires b(t) == 0 and c(t) == 0; "
             "use variant 'path1' for the general quadratic Hamiltonian"

@@ -239,8 +239,8 @@ def split_step_evolve(
         raise DomainError("split-step oracle operates on 1D grids")
     if n_steps < 0:
         raise DomainError("n_steps must be non-negative")
-    probe = np.linspace(0.0, max(t_end, 1e-30), 65)
-    if np.max(np.abs(np.asarray(coeffs.b(probe), dtype=float))) > 1e-14:
+    b = coeffs.b
+    if np.max(np.abs(np.asarray(b(b.extremal_times(t_end)), dtype=float))) > 1e-14:
         raise DomainError(
             "split-step oracle requires b(t) == 0; validate b != 0 cases "
             "against the fundamental-matrix oracle instead"

@@ -34,7 +34,7 @@ from typing import Callable, Literal, NamedTuple
 import numpy as np
 
 from . import ode
-from .coeffs import CoefficientSet1D, FieldProfile2D, Sinusoid, Tabulated, reduce_2d
+from .coeffs import CoefficientSet1D, FieldProfile2D, reduce_2d
 from .errors import DomainError, IntegrationError
 
 __all__ = [
@@ -187,43 +187,17 @@ class ParamTrajectory2D:
                 "Pi_x": pi_x, "Pi_y": pi_y, "radial": self.radial.sample(t)}
 
 
-def _first_trough(profile: Sinusoid, t_end: float) -> list[float]:
-    """The first time in [0, t_end] at which the sinusoid takes its least
-    value, as a list of at most one time."""
-    if profile.amplitude == 0.0 or profile.omega == 0.0:
-        return []
-    trough = -0.5 * math.pi if profile.amplitude > 0.0 else 0.5 * math.pi
-    ahead = trough - profile.phase if profile.omega > 0.0 else profile.phase - trough
-    t = (ahead % (2.0 * math.pi)) / abs(profile.omega)
-    return [t] if t <= t_end else []
-
-
-def _spline_extrema(profile: Tabulated, t_end: float) -> np.ndarray:
-    """The knots and the zeros of the spline's derivative in [0, t_end]:
-    with the interval's ends, the times at which its least value can sit."""
-    times = np.concatenate([profile.knots_t, profile.derivative_zeros()])
-    return times[(times >= 0.0) & (times <= t_end)]
-
-
 def _check_positive(profile, t_end: float, name: str, requirement: str):
-    """Probe the profile on a uniform grid; a sinusoid also at its first
-    trough and a spline at its knots and at the zeros of its derivative,
-    so that their checks are exact.  Other profiles (``Derived`` ones come
-    from presets and reductions) rely on the probe plus the right-hand-side
-    guards, which check every time the integrator evaluates; a planar solve
-    that fails also probes m just past the time where it stopped."""
-    probe = np.linspace(0.0, t_end, _PROBE_POINTS)
-    if isinstance(profile, Sinusoid):
-        probe = np.append(probe, _first_trough(profile, t_end))
-    elif isinstance(profile, Tabulated):
-        probe = np.append(probe, _spline_extrema(profile, t_end))
-    _require_positive(profile, probe, t_end, name, requirement)
+    """Evaluate the profile at its extremal times: exact for the built-in
+    kinds.  A ``Derived`` one is sampled and relies on the right-hand-side
+    guards too, and a planar solve that fails probes m past where it stopped."""
+    _require_positive(profile, profile.extremal_times(t_end), t_end, name, requirement)
 
 
 def _require_positive(profile, probe: np.ndarray, t_end: float, name: str, requirement: str):
-    """Raise the DomainError for ``name`` if the profile is <= 0 at a probe time."""
+    """Raise the DomainError for ``name`` unless the profile is > 0 at every probe time."""
     values = np.asarray(profile(probe), dtype=float)
-    if np.any(values <= 0.0):
+    if not np.all(values > 0.0):
         bad = float(probe[np.argmin(values)])
         raise DomainError(
             f"{name}(t) must stay positive on [0, {t_end}] ({requirement}); "
@@ -312,7 +286,7 @@ def solve_path1(coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10) -> P
 
     def rhs(t, y):
         a, b, c = a_of(t), b_of(t), c_of(t)
-        if a <= 0.0:
+        if not a > 0.0:
             raise DomainError(f"a(t) must stay positive (required by exp(2*gamma) = "
                               f"a*Delta); a={a:.6g} at t={t:.6g}")
         lam_dot, pi_dot, s_dot = linear(t, y, a, b, c)
@@ -341,7 +315,7 @@ def _path2_gamma_dot(a, adot, c, cdot):
 
 
 def _path2_guard(t, a: float, c: float):
-    if a <= 0.0 or c <= 0.0:
+    if not a > 0.0 or not c > 0.0:
         raise DomainError(f"a(t) and c(t) must stay positive (sqrt(a*c) must be real); "
                           f"a={a:.6g}, c={c:.6g} at t={t:.6g}; route 2 needs c > 0, "
                           f"use route 1 instead")
@@ -449,7 +423,7 @@ def solve_2d(
 
     def rhs(t, y):
         m = m_of(t)
-        if m <= 0.0:
+        if not m > 0.0:
             raise DomainError(f"m(t) must stay positive ({_MASS_REQUIREMENT}); "
                               f"m={m:.6g} at t={t:.6g}")
         bb, kk, ex, ey = b_of(t), k_of(t), ex_of(t), ey_of(t)

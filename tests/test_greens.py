@@ -21,7 +21,14 @@ from liegate.greens import (
     kernel_build,
     kernel_unitarity_residual,
 )
-from liegate.oracle import WaveGrid, _trapezoid_weights, fidelity, gaussian_state, grid_moments
+from liegate.oracle import (
+    WaveGrid,
+    _trapezoid_weights,
+    fidelity,
+    gaussian_state,
+    grid_moments,
+    split_step_evolve,
+)
 
 
 def grid_1024(**kwargs):
@@ -142,6 +149,15 @@ class TestKernelCoefficients:
                          ("twod_path1", "twod_path1"), ("twod_path2", "twod_path2")}
         with pytest.raises(DomainError, match=r"variant 'lp' requires b\(t\) == 0"):
             kernel_build(sho_traj, 0.5, "lp")
+
+    def test_b_that_vanishes_on_a_uniform_grid_is_refused(self):
+        # 1e-3 sin(64 pi t) is below 1e-14 at every 65-point grid time of
+        # [0, 1]; its crests and troughs are not
+        cs = CoefficientSet1D.build(a=1.0, b=Sinusoid(1e-3, 64.0 * math.pi))
+        with pytest.raises(DomainError, match=r"variant 'lp' requires b\(t\) == 0"):
+            kernel_build(paramflow.solve_path1(cs, 1.0), 0.5, "lp")
+        with pytest.raises(DomainError, match=r"split-step oracle requires b\(t\) == 0"):
+            split_step_evolve(cs, grid_1024(), 1.0, 16)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["prefactor", "scal", "qxx", "qx1x1", "qxx1", "lx", "lx1"])

@@ -436,6 +436,19 @@ class TestDomainGuard:
                                               f".* violated near t=0.50195"):
             solver(CoefficientSet1D.build(**{"a": 1.0, "c": 1.0, name: self.SPLINE_DIP}), 1.0)
 
+    @pytest.mark.parametrize("name, solve", [
+        ("a", lambda: solve_path1(CoefficientSet1D.build(a=math.nan), 1.0)),
+        ("a", lambda: solve_path2(CoefficientSet1D.build(a=math.nan, c=1.0), 1.0)),
+        ("c", lambda: solve_path2(CoefficientSet1D.build(a=1.0, c=math.nan), 1.0)),
+        ("m", lambda: solve_2d(FieldProfile2D.build(m=math.nan, B=1.0), 1.0)),
+    ], ids=["path1-a", "path2-a", "path2-c", "planar-m"])
+    def test_a_nan_coefficient_is_refused_before_the_solve(self, name, solve):
+        # nan <= 0 is False, so only a check written as `not x > 0` refuses
+        # a NaN before the solve spends its whole work budget on it
+        with pytest.raises(DomainError, match=f"{name}\\(t\\) must stay positive on "
+                                              f".* violated near t=0\\b"):
+            solve()
+
     @pytest.mark.parametrize("t_end", [math.nan, math.inf, 0.0])
     @pytest.mark.parametrize("solve", [
         lambda t_end: solve_path1(sho(), t_end),
