@@ -138,7 +138,7 @@ class GaussianKernel:
 
 
 def _check_lp_shape(traj: ParamTrajectory):
-    if any(np.max(np.abs(np.asarray(p(p.extremal_times(traj.t_end)), dtype=float))) > 1e-14
+    if any(not np.max(np.abs(np.asarray(p(p.extremal_times(traj.t_end)), dtype=float))) <= 1e-14
            for p in (traj.coeffs.b, traj.coeffs.c)):
         raise DomainError(
             "variant 'lp' requires b(t) == 0 and c(t) == 0; "

@@ -14,11 +14,12 @@ either of two methods, through one step loop that reads the method as data
 Both share scipy's first-step rule and step-size control (safety 0.9, factor
 bounds 0.2 and 10, exponent -1/(order of the error estimate + 1)) and its
 array products per stage.  Steps, states and event times equal scipy's to
-the last bit, without its per-step overhead.  References: Dormand and
-Prince, J. Comput. Appl. Math. 6 (1980) 19-26; Shampine, Math. Comp. 46
-(1986) 135-150; Hairer, Norsett and Wanner, *Solving ODEs I* (2nd ed.
-1993), II.4-II.6; Brent, *Algorithms for Minimization without Derivatives*
-(1973), ch. 4.
+the last bit, without its per-step overhead.  The step loop counts the
+right-hand-side evaluations, and a solve that would spend more than its work
+budget, ``_RHS_BUDGET``, fails.  References: Dormand and Prince, J. Comput.
+Appl. Math. 6 (1980) 19-26; Shampine, Math. Comp. 46 (1986) 135-150; Hairer,
+Norsett and Wanner, *Solving ODEs I* (2nd ed. 1993), II.4-II.6; Brent,
+*Algorithms for Minimization without Derivatives* (1973), ch. 4.
 """
 
 from __future__ import annotations
@@ -41,6 +42,11 @@ RTOL_FLOOR = 100 * _EPS
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.9, 0.2, 10
 _BRENT_TOL, _BRENT_MAXITER = 4 * _EPS, 100   # xtol = rtol, as solve_ivp refines events
 _TOO_SMALL_STEP = "Required step size is less than spacing between numbers."
+# The work budget: about 3.2 s of the 1D oscillator's parameter solve on one
+# Xeon core.  Successful solves in the tests, `liegate verify` (the oracle's
+# classical flow, 1,766) and perfbench spend at most 3.8e3; a solve that ends
+# in step-size underflow at a coefficient singularity, 7.8e4.
+_RHS_BUDGET = 300_000
 
 # Hairer's published DOP853 coefficients, each as the shortest decimal that
 # reads back as the same double: nodes C, the rows of A from row 1 as {column:
@@ -254,14 +260,15 @@ class Dense:
 
 @dataclass
 class Result:
-    """Step times, states (a column per time), the dense solution (None
-    unless asked for), the event's times, and status 1 if it ended the solve."""
+    """Step times, states (a column per time), the dense solution (None unless
+    asked for), the event's times, status 1 if it ended the solve, and nfev."""
 
     t: np.ndarray
     y: np.ndarray
     sol: Dense | None
     t_events: list[float]
     status: int
+    nfev: int
 
 
 def solve(fun, y0, bounds, rtol: float, atol: float, what: str, event=None,
@@ -273,11 +280,21 @@ def solve(fun, y0, bounds, rtol: float, atol: float, what: str, event=None,
     A sign change of ``event(t, y)`` over a step is refined to a root on the
     step's interpolant, which ends the solve if ``event.terminal`` is true.
     DOP853's interpolant costs three extra stages; with ``dense`` it is made
-    on every step, else only where the event fires.  Step-size underflow
-    raises IntegrationError with scipy's message and the last step time."""
+    on every step, else only where the event fires.  Step-size underflow (NaN
+    too) or a spent work budget raises IntegrationError at the time reached."""
     m = _METHODS[method]
     stages, B, rows, error_order, error_norm, make_interpolant, _, _ = m
     n_stages = len(stages) + 1
+    nfev = 0
+
+    def spend(evaluations, t):   # before they are made
+        nonlocal nfev
+        nfev += evaluations
+        if nfev > _RHS_BUDGET:
+            raise IntegrationError(
+                f"{what} integration failed: work budget of {_RHS_BUDGET} right-hand-side "
+                f"evaluations spent by t = {t:.17g}", last_time=t)
+
     exponent = -1 / (error_order + 1)
     y = np.asarray(y0, dtype=float)
     n = y.size
@@ -288,6 +305,7 @@ def solve(fun, y0, bounds, rtol: float, atol: float, what: str, event=None,
     with np.errstate(all="ignore"):
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             t, hi = float(lo), float(hi)
+            spend(2, t)   # f and the first-step probe
             f = call(t, y)
             h_abs = float(_first_step(call, t, y, f, hi, rtol, atol, error_order))
             K = np.empty((rows, n))
@@ -297,9 +315,10 @@ def solve(fun, y0, bounds, rtol: float, atol: float, what: str, event=None,
                 min_step = 10 * (math.nextafter(t, math.inf) - t)
                 h_abs, rejected = max(h_abs, min_step), False
                 while True:
-                    if h_abs < min_step:
+                    if not h_abs >= min_step:
                         raise IntegrationError(f"{what} integration failed: {_TOO_SMALL_STEP}",
                                                last_time=t)
+                    spend(n_stages, t)
                     t_new = min(t + h_abs, hi)
                     h = t_new - t
                     h_abs = abs(h)
@@ -320,6 +339,7 @@ def solve(fun, y0, bounds, rtol: float, atol: float, what: str, event=None,
                 t, y, f = t_new, y_new, f_new
 
                 def interpolant():
+                    spend(rows - n_stages - 1, t)   # DOP853's extra stages
                     return make_interpolant(fun, K, KT, t_old, h, y_old, f_old, y, f)
 
                 if dense:
@@ -340,7 +360,7 @@ def solve(fun, y0, bounds, rtol: float, atol: float, what: str, event=None,
             if status:
                 break
     return Result(t=np.array(ts), y=np.array(ys).T, sol=Dense(ts, steps, m) if dense else None,
-                  t_events=t_events, status=status)
+                  t_events=t_events, status=status, nfev=nfev)
 
 
 def _brentq(f, xa: float, xb: float) -> float:

@@ -240,7 +240,7 @@ def split_step_evolve(
     if n_steps < 0:
         raise DomainError("n_steps must be non-negative")
     b = coeffs.b
-    if np.max(np.abs(np.asarray(b(b.extremal_times(t_end)), dtype=float))) > 1e-14:
+    if not np.max(np.abs(np.asarray(b(b.extremal_times(t_end)), dtype=float))) <= 1e-14:
         raise DomainError(
             "split-step oracle requires b(t) == 0; validate b != 0 cases "
             "against the fundamental-matrix oracle instead"

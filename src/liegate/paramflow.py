@@ -53,11 +53,6 @@ _PROBE_POINTS = 257
 _POLE_OFFSETS = np.geomspace(1e-12, 1e-2, _PROBE_POINTS)
 _SHORTCUT_RTOL = 1e-12
 _MASS_REQUIREMENT = "the kinetic energy is p^2/2m"
-# Right-hand-side evaluations one solve may spend before it fails: about
-# 3.2 s of the 1D oscillator solve on one Xeon core.  Successful solves in
-# the tests, `liegate verify` and perfbench spend at most 3.8e3; a solve
-# that ends in step-size underflow at a coefficient singularity, 7.8e4.
-_RHS_BUDGET = 300_000
 
 
 class ParamSample(NamedTuple):
@@ -221,32 +216,15 @@ def _run_ivp(rhs, y0, t_end, tol, what, knots=(), event=None):
     in far fewer steps.  The solve restarts at every knot in (0, t_end), since
     a high-order step across a point where the right-hand side is not smooth
     loses its order; one dense solution spans the segments, and the terminal
-    ``event``, if given, ends the solve.  _RHS_BUDGET bounds
-    the right-hand-side evaluations of all segments, first-step probes and
-    dense-output stages: past it the solve fails with IntegrationError, since
-    a horizon far beyond the time scale of the dynamics would run unbounded.
-    ``rhs`` gets t as a float and y as a list of floats, since arithmetic on
-    them gives numpy's results without its per-scalar cost; where floats
-    raise ArithmeticError (division by zero, a power that overflows) and
-    numpy scalars give inf or nan with a warning, that call gets the array.
+    ``event``, if given, ends the solve.  ``rhs`` gets t as a float and y as a
+    list of floats, since arithmetic on them gives numpy's results without
+    its per-scalar cost; so it squares by products and divides by no part of
+    y that can be zero, where a float raises and numpy gives inf or nan.
     """
     rtol = max(tol / 10.0, ode.RTOL_FLOOR)
     bounds = [0.0, *sorted(tk for tk in knots if 0.0 < tk < t_end), t_end]
-    calls = 0
-
-    def budgeted(t, y):
-        nonlocal calls
-        calls += 1
-        if calls > _RHS_BUDGET:
-            raise IntegrationError(
-                f"{what} integration failed: work budget of {_RHS_BUDGET} right-hand-side "
-                f"evaluations spent by t = {float(t):.17g}", last_time=float(t))
-        try:
-            return rhs(t, y.tolist())
-        except ArithmeticError:   # where numpy scalars give inf or nan, with a warning
-            return rhs(t, y)
-
-    return ode.solve(budgeted, y0, bounds, rtol, rtol * 1e-2, what, event=event)
+    return ode.solve(lambda t, y: rhs(t, y.tolist()), y0, bounds, rtol, rtol * 1e-2, what,
+                     event=event)
 
 
 def _linear_rhs(coeffs: CoefficientSet1D):
@@ -374,7 +352,8 @@ def solve_path2(coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10) -> P
             w = b_of(t) - _path2_gamma_dot(a, adot_of(t), c, cdot_of(t))
             qq, pp, _, vphi, _, phi = y
             c2, s2 = math.cos(2.0 * phi), math.sin(2.0 * phi)
-            alpha = qq / pp
+            # a stage past the blow-up event can land on P = 0: IEEE's qq/pp
+            alpha = qq / pp if pp else math.copysign(math.inf, pp) * qq
             return (
                 -w * (c2 * qq + s2 * pp),
                 w * (c2 * pp - s2 * qq),
@@ -435,8 +414,8 @@ def solve_2d(
         pix_dot = kappa * lam_x - wb * pi_y + q * ex
         piy_dot = kappa * lam_y + wb * pi_x + q * ey
         lagrangian = (
-            (pi_x**2 + pi_y**2) / (2.0 * m)
-            + 0.5 * kappa * (lam_x**2 + lam_y**2)
+            (pi_x * pi_x + pi_y * pi_y) / (2.0 * m)
+            + 0.5 * kappa * (lam_x * lam_x + lam_y * lam_y)
             + wb * (lam_y * pi_x - lam_x * pi_y)
             + lamx_dot * pi_x + lamy_dot * pi_y
             + q * ex * lam_x + q * ey * lam_y

@@ -594,9 +594,9 @@ def test_non_finite_t_end_exits_without_solving(tmp_path):
 
 def test_huge_finite_t_end_spends_the_work_budget(tmp_path, capsys, monkeypatch):
     # with the shipped budget this ends after about 3e5 RHS evaluations
-    from liegate import paramflow
+    from liegate import ode
 
-    monkeypatch.setattr(paramflow, "_RHS_BUDGET", 3000)
+    monkeypatch.setattr(ode, "_RHS_BUDGET", 3000)
     code = cli.main(["params", "--config", str(CONFIGS / "sho.json"), "--t-end", "1e300",
                      "--tol", "1e-3", "--out", str(tmp_path)])
     captured = capsys.readouterr()

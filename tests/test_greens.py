@@ -159,6 +159,12 @@ class TestKernelCoefficients:
         with pytest.raises(DomainError, match=r"split-step oracle requires b\(t\) == 0"):
             split_step_evolve(cs, grid_1024(), 1.0, 16)
 
+    def test_a_nan_b_is_refused(self, sho_traj):
+        # NaN > 1e-14 is False: only `not ... <= 1e-14` refuses it
+        traj = dataclasses.replace(sho_traj, coeffs=CoefficientSet1D.build(a=1.0, b=math.nan))
+        with pytest.raises(DomainError, match=r"variant 'lp' requires b\(t\) == 0"):
+            kernel_build(traj, 0.5, "lp")
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     @pytest.mark.parametrize("field", ["prefactor", "scal", "qxx", "qx1x1", "qxx1", "lx", "lx1"])
     def test_rejects_coefficients_that_are_not_finite(self, field, bad):

@@ -23,7 +23,7 @@ from scipy.integrate._ivp import dop853_coefficients as published
 from scipy.integrate._ivp.rk import RK45
 from scipy.optimize import brentq as scipy_brentq
 
-from liegate import cli, closedforms, ode, oracle, paramflow, verify
+from liegate import cli, closedforms, ode, oracle, verify
 from liegate.coeffs import CoefficientSet1D, Derived, FieldProfile2D, Sinusoid, Tabulated
 from liegate.errors import CausticError, IntegrationError, LiegateError
 from liegate.paramflow import solve_2d, solve_path1, solve_path2
@@ -94,8 +94,9 @@ def assert_same_as_scipy(fun, y0, bounds, rtol, atol, what, event=None, dense=Tr
     assert ours.y.tobytes() == ref.y.tobytes()
     assert np.array(ours.t_events).tobytes() == np.array(ref.t_events).tobytes()
     assert ours.status == ref.status
-    # the budget counts the same right-hand-side evaluations, extra stages included
-    assert our_fun.calls == ref_fun.calls
+    # the same right-hand-side evaluations, extra stages included, and the
+    # step loop's count, which the work budget reads, is theirs
+    assert ours.nfev == our_fun.calls == ref_fun.calls
     if dense:
         rng = np.random.default_rng(len(ref.t))
         times = np.concatenate([ref.t, rng.uniform(ref.t[0], ref.t[-1], 40), times])
@@ -129,8 +130,6 @@ def recorded(monkeypatch):
 
 def replay(calls, monkeypatch):
     monkeypatch.undo()
-    # each recorded right-hand side still counts against its solve's budget
-    monkeypatch.setattr(paramflow, "_RHS_BUDGET", 10**9)
     assert calls
     for call in calls:
         assert_same_as_scipy(*call)
@@ -213,6 +212,48 @@ def test_rk45_step_size_underflow_fails_as_scipys(recorded, monkeypatch):
     with pytest.raises(IntegrationError, match="Required step size"):
         oracle.fundamental_matrix(CoefficientSet1D.build(a=1.0, c=sing), 1.2, tol=1e-6)
     replay(recorded, monkeypatch)
+
+
+def oscillator(t, y):
+    return y[1], -(1.0 + 0.3 * math.cos(t)) * y[0]
+
+
+def crossing(t, y):
+    return y[0]
+
+
+def first_crossing(t, y):
+    return y[0]
+
+
+first_crossing.terminal = True
+
+
+@pytest.mark.parametrize("bounds, event, dense, method", [
+    ((0.0, 1.0, 2.5, 4.0), crossing, True, "DOP853"),
+    ((0.0, 4.0), first_crossing, False, "DOP853"),
+    ((0.0, 4.0), None, False, "DOP853"),
+    ((0.0, 4.0), crossing, True, "RK45"),
+], ids=["dop853-dense-segments", "dop853-event-only", "dop853-bare", "rk45"])
+def test_the_work_budget_admits_exactly_the_evaluations_made(bounds, event, dense, method,
+                                                             monkeypatch):
+    # the step loop counts each attempt's stages, each segment's start and
+    # each interpolant's extra stages before it makes them: a budget of the
+    # calls made is enough, and one fewer fails at the step that needs it
+    def solve(fun):
+        return ode.solve(fun, [1.0, 0.0], bounds, 1e-9, 1e-11, "test", event, dense, method)
+
+    fun = counted(oscillator)
+    made = solve(fun).nfev
+    assert made == fun.calls > 0
+    monkeypatch.setattr(ode, "_RHS_BUDGET", made)
+    assert solve(oscillator).nfev == made
+    monkeypatch.setattr(ode, "_RHS_BUDGET", made - 1)
+    fun = counted(oscillator)
+    with pytest.raises(IntegrationError, match=f"test integration failed: work budget of "
+                                               f"{made - 1} right-hand-side evaluations"):
+        solve(fun)
+    assert fun.calls < made
 
 
 def test_mathieu_cosine_is_even():

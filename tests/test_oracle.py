@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from liegate import ode
 from liegate.coeffs import CoefficientSet1D, FieldProfile2D, Sinusoid
-from liegate.errors import DomainError
+from liegate.errors import DomainError, IntegrationError
 from liegate.oracle import (
     WaveGrid,
     classical_flow,
@@ -123,6 +124,21 @@ def test_flows_refuse_a_t_end_that_is_not_positive_and_finite(t_end):
         fundamental_matrix(sho, t_end)
 
 
+@pytest.mark.parametrize("flow", [
+    lambda: classical_flow(CoefficientSet1D.build(a=1.0, c=1.0), [1.0, 0.0], 1e300, tol=1e-3),
+    lambda: fundamental_matrix(FieldProfile2D.build(m=1.0, B=1.0, K=0.5), 1e300, tol=1e-3),
+], ids=["classical-flow", "fundamental-matrix"])
+def test_flows_end_a_huge_horizon_on_the_work_budget(flow, monkeypatch):
+    # t_end 1e300 is finite but holds ~1e299 periods: without the budget
+    # the flow runs on and on
+    monkeypatch.setattr(ode, "_RHS_BUDGET", 3000)
+    with pytest.raises(IntegrationError,
+                       match="work budget of 3000 right-hand-side evaluations spent") as err:
+        flow()
+    assert 0.0 < err.value.last_time < 1e300
+    assert f"{err.value.last_time:.17g}" in str(err.value)
+
+
 class TestSplitStep:
     def test_zero_steps_is_identity(self):
         cs = CoefficientSet1D.build(a=1.0, c=1.0)
@@ -151,6 +167,12 @@ class TestSplitStep:
         cs = CoefficientSet1D.build(a=1.0, b=0.3)
         with pytest.raises(DomainError, match="b"):
             split_step_evolve(cs, make_grid(), 1.0, 16)
+
+    def test_rejects_a_nan_cross_term(self):
+        # NaN > 1e-14 is False: only `not ... <= 1e-14` refuses it
+        cs = CoefficientSet1D.build(a=1.0, b=math.nan)
+        with pytest.raises(DomainError, match=r"requires b\(t\) == 0"):
+            split_step_evolve(cs, gaussian_state(256, -8.0, 1 / 16), 0.5, 64)
 
     def test_norm_preserved(self):
         cs = CoefficientSet1D.build(a=1.0, c=Sinusoid(0.4, 3.0, 0.0, 1.0), e=0.3)

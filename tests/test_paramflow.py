@@ -209,8 +209,9 @@ class TestPathOne:
         # t_end 1e300 is finite but holds ~1e299 oscillation periods
         from liegate.errors import IntegrationError
 
-        monkeypatch.setattr(paramflow, "_RHS_BUDGET", 3000)
-        with pytest.raises(IntegrationError, match="work budget of 3000") as err:
+        monkeypatch.setattr(ode, "_RHS_BUDGET", 3000)
+        with pytest.raises(IntegrationError,
+                           match="work budget of 3000 right-hand-side evaluations spent") as err:
             if planar:
                 solve_2d(FieldProfile2D.build(m=1.0, B=1.0, K=0.5, charge=1.0), 1e300,
                          tol=1e-3, path="path1")
@@ -449,6 +450,17 @@ class TestDomainGuard:
                                               f".* violated near t=0\\b"):
             solve()
 
+    @pytest.mark.parametrize("solve", [
+        lambda: solve_path1(CoefficientSet1D.build(a=1.0, b=math.nan), 1.0),
+        lambda: solve_path2(CoefficientSet1D.build(a=1.0, b=math.nan, c=1.0), 1.0),
+        lambda: solve_2d(FieldProfile2D.build(m=1.0, B=1.0, Ex=math.nan), 1.0),
+    ], ids=["path1-b", "path2-b", "planar-Ex"])
+    def test_a_nan_no_check_reads_fails_on_step_size(self, solve):
+        # a NaN right-hand side makes the step size NaN, which fails the
+        # underflow test at once rather than spending the work budget
+        with pytest.raises(IntegrationError, match="Required step size is less than spacing"):
+            solve()
+
     @pytest.mark.parametrize("t_end", [math.nan, math.inf, 0.0])
     @pytest.mark.parametrize("solve", [
         lambda t_end: solve_path1(sho(), t_end),
@@ -667,16 +679,16 @@ class TestFloatState:
                 on_array = np.array(rhs(t, np.array(y)))
                 assert np.array(rhs(t, y)).tobytes() == on_array.tobytes(), (what, t)
 
-    def test_float_overflow_takes_the_array_path(self):
-        # pi_x**2 overflows as a float (OverflowError) where numpy returns
-        # inf; that call is made on the array, so the solve ends as it does
-        # on arrays, in step-size underflow at the same time, and without a
-        # numpy warning (which the test configuration turns into an error)
+    def test_float_overflow_ends_in_step_size_underflow(self):
+        # the planar right-hand side squares by products, which overflow to
+        # inf on floats as on numpy scalars (a float ** 2 raises), so the
+        # diverging solve ends in step-size underflow without a numpy
+        # warning (which the test configuration turns into an error)
         field = FieldProfile2D.build(m=1.0, B=1.0, K=-1.0, Ex=0.3)
         with pytest.raises(
                 IntegrationError, match="Required step size is less than spacing") as raised:
             solve_2d(field, 2000.0, 1e-3)
-        assert raised.value.last_time == 411.2631422543169
+        assert raised.value.last_time == 411.26314225429377
 
 
 SPLINE_KNOTS = np.linspace(0.0, 4.0, 17)
