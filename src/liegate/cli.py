@@ -29,10 +29,6 @@ import sys
 
 from .errors import CausticError, ConfigError, DomainError, LiegateError
 
-# presets.PRESETS's names, kept here (and equal to it in a test) so that the
-# parser needs no preset: `constants` runs without numpy
-SYSTEMS = ("lp", "gho", "iontrap", "kanai", "cp2d", "bsin", "efield")
-
 _TOP_KEYS = {
     "system", "path", "hbar", "t_end", "tol", "samples",
     "params", "coefficients", "field", "grid", "kernel_t",
@@ -129,9 +125,9 @@ def validate_config(cfg: dict):
         key = sorted(unknown)[0]
         raise ConfigError(f"unknown configuration key {key!r}", field=key)
     system = cfg.get("system")
-    if system not in SYSTEMS:
+    if not (isinstance(system, str) and system in presets.PRESETS):
         raise ConfigError(
-            f"field 'system' must be one of {', '.join(SYSTEMS)}; got {system!r}",
+            f"field 'system' must be one of {', '.join(presets.PRESETS)}; got {system!r}",
             field="system",
         )
     if "path" in cfg and cfg["path"] not in ("path1", "path2"):
@@ -162,7 +158,6 @@ def validate_config(cfg: dict):
         for key, positive in (("x_min", False), ("dx", True)):
             if key in grid:
                 presets.check_number(grid[key], key, positive)
-    presets.parameters(system, cfg.get(presets.PRESETS[system].section))
 
 
 def build_problem(cfg: dict):
@@ -392,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, with_apply=False):
-        p.add_argument("--system", choices=SYSTEMS, help="system preset")
+        p.add_argument("--system", help="system preset")
         p.add_argument("--path", choices=("path1", "path2"),
                        help="factorization route")
         p.add_argument("--config", required=True, help="JSON configuration file")

@@ -41,6 +41,12 @@ __all__ = [
 ]
 
 
+def check_horizon(t_end: float):
+    """Refuse a horizon [0, t_end] that a solve or check cannot read profiles over."""
+    if not 0 < t_end < math.inf:
+        raise DomainError("t_end must be positive and finite")
+
+
 class TimeProfile:
     """A deterministic, side-effect-free scalar function of time.
 
@@ -53,9 +59,10 @@ class TimeProfile:
     re-based so that its new time origin sits at ``t0`` of the old clock.
     ``knots`` are the times at which the profile is not smooth (a spline's
     knots); the parameter solvers restart their integration at each.
-    The solvers' and kernels' checks evaluate a profile at its
-    ``extremal_times(t_end)``; a subclass may define them to make those
-    checks exact, where the base class samples a uniform grid.
+    The solvers' and kernels' sign checks, ``require_positive`` and
+    ``vanishes``, read the profile at its ``extremal_times(t_end)``, and a
+    NaN fails both; a subclass may define those times to make the checks
+    exact, where the base class samples a uniform grid.
     """
 
     knots: tuple = ()
@@ -70,6 +77,24 @@ class TimeProfile:
         """Times in [0, t_end] that hold the profile's least and greatest
         value there.  Here 257 uniform points: a sample, not a proof."""
         return np.linspace(0.0, t_end, 257)
+
+    def require_positive(self, t_end: float, name: str, requirement: str, times=None):
+        """Raise the DomainError for ``name`` unless the profile is > 0 at
+        every one of ``times``, by default its extremal times."""
+        if times is None:
+            times = self.extremal_times(t_end)
+        values = np.asarray(self(times), dtype=float)
+        if not np.all(values > 0.0):
+            bad = float(times[np.argmin(values)])
+            raise DomainError(
+                f"{name}(t) must stay positive on [0, {t_end}] ({requirement}); "
+                f"violated near t={bad:.6g}"
+            )
+
+    def vanishes(self, t_end: float) -> bool:
+        """Whether |profile| <= 1e-14 at its extremal times; NaN does not."""
+        values = np.asarray(self(self.extremal_times(t_end)), dtype=float)
+        return bool(np.max(np.abs(values)) <= 1e-14)
 
     def scalar(self) -> tuple[Callable[[float], float], Callable[[float], float]]:
         return (lambda t: float(self(t))), (lambda t: float(self.derivative(t)))

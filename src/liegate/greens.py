@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import CausticError, DomainError
 from .maps import _radial_entries, _rotation
-from .oracle import WaveGrid, _trapezoid_weights
+from .oracle import WaveGrid
 from .paramflow import ParamTrajectory, ParamTrajectory2D
 
 __all__ = [
@@ -137,15 +137,6 @@ class GaussianKernel:
         return self.prefactor * np.exp(1j * exponent)
 
 
-def _check_lp_shape(traj: ParamTrajectory):
-    if any(not np.max(np.abs(np.asarray(p(p.extremal_times(traj.t_end)), dtype=float))) <= 1e-14
-           for p in (traj.coeffs.b, traj.coeffs.c)):
-        raise DomainError(
-            "variant 'lp' requires b(t) == 0 and c(t) == 0; "
-            "use variant 'path1' for the general quadratic Hamiltonian"
-        )
-
-
 def kernel_build(
     traj: ParamTrajectory | ParamTrajectory2D, t: float, variant: str
 ) -> GaussianKernel:
@@ -175,8 +166,12 @@ def kernel_build(
         raise DomainError(f"variant {variant!r} does not fit a {'planar' if planar else '1D'} "
                           f"trajectory of route {radial.path!r}; use variant {expected!r} "
                           "('twod_' + route if planar, the route or 'lp' on route 1 if 1D)")
-    if key == "lp":
-        _check_lp_shape(traj)
+    if key == "lp" and not (traj.coeffs.b.vanishes(traj.t_end)
+                            and traj.coeffs.c.vanishes(traj.t_end)):
+        raise DomainError(
+            "variant 'lp' requires b(t) == 0 and c(t) == 0; "
+            "use variant 'path1' for the general quadratic Hamiltonian"
+        )
     if planar:
         rec = traj.sample(t)
         s, rot, action = rec["radial"], _rotation(rec["theta"]), rec["S"]
@@ -266,8 +261,9 @@ def kernel_apply(kernel: GaussianKernel, psi0: WaveGrid) -> WaveGrid:
     if np.any(kernel.qxx1.imag != 0.0):
         raise DomainError("kernel_apply needs a real cross block qxx1")
     n, x, dx = psi0.n, psi0.x, psi0.dx
-    w = _trapezoid_weights(n) * dx
-    weights, shift = (w, 0.5 * kernel.qxx1.real) if kernel.dof == 1 else (np.outer(w, w), 0.0)
+    # dx**dof as products: pow(dx, 2) is not always dx * dx in the last bit
+    weights = psi0.weights * math.prod([dx] * psi0.dof)
+    shift = 0.5 * kernel.qxx1.real if kernel.dof == 1 else 0.0
     g = weights * psi0.amps * _chirp(x, kernel.qx1x1 + shift, kernel.lx1)
     if kernel.dof == 1:
         size = _next_fast_len(2 * n - 1)

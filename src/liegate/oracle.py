@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ode
-from .coeffs import CoefficientSet1D, FieldProfile2D
+from .coeffs import CoefficientSet1D, FieldProfile2D, check_horizon
 from .errors import DomainError
 
 __all__ = [
@@ -110,8 +110,7 @@ def _integrate(rhs, y0, t_end, tol, what):
     """RK45 over [0, t_end] in one piece, as ``solve_ivp(method="RK45")``
     with rtol = tol (at least its floor of 100 machine epsilons) and
     atol = tol/100."""
-    if not 0 < t_end < math.inf:
-        raise DomainError("t_end must be positive and finite")
+    check_horizon(t_end)
     return ode.solve(rhs, y0, (0.0, t_end), max(tol, ode.RTOL_FLOOR), tol * 1e-2, what,
                      method="RK45").sol
 
@@ -164,10 +163,7 @@ class WaveGrid:
         amps = np.asarray(self.amps, dtype=complex)
         if amps.shape not in ((self.n,), (self.n, self.n)):
             raise DomainError(f"amps shape {amps.shape} does not match n={self.n}")
-        if self.dx <= 0:
-            raise DomainError("dx must be positive")
-        if self.hbar <= 0:
-            raise DomainError("hbar must be positive")
+        _check_geometry(self.x_min, self.dx, self.hbar)
         object.__setattr__(self, "amps", amps)
 
     @property
@@ -178,12 +174,16 @@ class WaveGrid:
     def x(self) -> np.ndarray:
         return self.x_min + self.dx * np.arange(self.n)
 
+    @property
+    def weights(self) -> np.ndarray:
+        """The trapezoid rule's weights in the shape of ``amps``: w, or w (x) w
+        in the plane; the rule's sums times dx**dof are the integrals."""
+        w = np.ones(self.n)
+        w[0] = w[-1] = 0.5
+        return w if self.dof == 1 else np.outer(w, w)
+
     def norm(self) -> float:
-        w = _trapezoid_weights(self.n)
-        if self.dof == 1:
-            total = np.sum(w * np.abs(self.amps) ** 2) * self.dx
-        else:
-            total = np.sum(np.outer(w, w) * np.abs(self.amps) ** 2) * self.dx**2
+        total = np.sum(self.weights * np.abs(self.amps) ** 2) * self.dx**self.dof
         return float(np.sqrt(total))
 
     def normalized(self) -> "WaveGrid":
@@ -201,10 +201,13 @@ class WaveGrid:
         )
 
 
-def _trapezoid_weights(n: int) -> np.ndarray:
-    w = np.ones(n)
-    w[0] = w[-1] = 0.5
-    return w
+def _check_geometry(x_min, dx, hbar):
+    if not 0 < dx < math.inf:
+        raise DomainError("dx must be positive and finite")
+    if not math.isfinite(x_min):
+        raise DomainError("x_min must be finite")
+    if not 0 < hbar < math.inf:
+        raise DomainError("hbar must be positive and finite")
 
 
 def gaussian_state(
@@ -217,6 +220,9 @@ def gaussian_state(
     hbar: float = 1.0,
 ) -> WaveGrid:
     """Normalized minimum-uncertainty packet with position width sigma."""
+    _check_geometry(x_min, dx, hbar)
+    if not (0 < sigma < math.inf and math.isfinite(x0) and math.isfinite(p0)):
+        raise DomainError("sigma must be positive and finite, and x0 and p0 finite")
     x = x_min + dx * np.arange(n)
     psi = np.exp(-((x - x0) ** 2) / (4.0 * sigma**2) + 1j * p0 * (x - x0) / hbar)
     grid = WaveGrid(n, x_min, dx, psi, hbar)
@@ -233,14 +239,14 @@ def split_step_evolve(
 
     exp(-i V dt/2) FFT exp(-i T dt) IFFT exp(-i V dt/2) per step, with all
     coefficients sampled at the step midpoint (second order in dt).
-    Requires b(t) identically zero.
+    Requires b(t) identically zero and 0 < t_end < inf.
     """
+    check_horizon(t_end)
     if psi0.dof != 1:
         raise DomainError("split-step oracle operates on 1D grids")
     if n_steps < 0:
         raise DomainError("n_steps must be non-negative")
-    b = coeffs.b
-    if not np.max(np.abs(np.asarray(b(b.extremal_times(t_end)), dtype=float))) <= 1e-14:
+    if not coeffs.b.vanishes(t_end):
         raise DomainError(
             "split-step oracle requires b(t) == 0; validate b != 0 cases "
             "against the fundamental-matrix oracle instead"
@@ -272,11 +278,7 @@ def fidelity(psi1: WaveGrid, psi2: WaveGrid) -> float:
     """|<psi1|psi2>| / (||psi1|| ||psi2||), blind to global phase."""
     if not psi1.same_geometry(psi2):
         raise DomainError("fidelity requires identical grids")
-    w = _trapezoid_weights(psi1.n)
-    if psi1.dof == 1:
-        overlap = np.sum(w * np.conj(psi1.amps) * psi2.amps) * psi1.dx
-    else:
-        overlap = np.sum(np.outer(w, w) * np.conj(psi1.amps) * psi2.amps) * psi1.dx**2
+    overlap = np.sum(psi1.weights * np.conj(psi1.amps) * psi2.amps) * psi1.dx**psi1.dof
     denom = psi1.norm() * psi2.norm()
     if denom == 0.0:
         raise DomainError("fidelity undefined for the zero wavefunction")
@@ -294,7 +296,7 @@ def grid_moments(psi: WaveGrid) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError("grid_moments operates on 1D grids")
     x = psi.x
     amps = psi.amps
-    w = _trapezoid_weights(psi.n)
+    w = psi.weights
     rho = w * np.abs(amps) ** 2
     total = np.sum(rho) * psi.dx
     mean_x = float(np.sum(rho * x) * psi.dx / total)

@@ -34,7 +34,7 @@ from typing import Callable, Literal, NamedTuple
 import numpy as np
 
 from . import ode
-from .coeffs import CoefficientSet1D, FieldProfile2D, reduce_2d
+from .coeffs import CoefficientSet1D, FieldProfile2D, check_horizon, reduce_2d
 from .errors import DomainError, IntegrationError
 
 __all__ = [
@@ -182,24 +182,6 @@ class ParamTrajectory2D:
                 "Pi_x": pi_x, "Pi_y": pi_y, "radial": self.radial.sample(t)}
 
 
-def _check_positive(profile, t_end: float, name: str, requirement: str):
-    """Evaluate the profile at its extremal times: exact for the built-in
-    kinds.  A ``Derived`` one is sampled and relies on the right-hand-side
-    guards too, and a planar solve that fails probes m past where it stopped."""
-    _require_positive(profile, profile.extremal_times(t_end), t_end, name, requirement)
-
-
-def _require_positive(profile, probe: np.ndarray, t_end: float, name: str, requirement: str):
-    """Raise the DomainError for ``name`` unless the profile is > 0 at every probe time."""
-    values = np.asarray(profile(probe), dtype=float)
-    if not np.all(values > 0.0):
-        bad = float(probe[np.argmin(values)])
-        raise DomainError(
-            f"{name}(t) must stay positive on [0, {t_end}] ({requirement}); "
-            f"violated near t={bad:.6g}"
-        )
-
-
 def _knots(*profiles) -> set[float]:
     return {float(tk) for p in profiles for tk in p.knots}
 
@@ -254,9 +236,8 @@ def _first_event(sol) -> float:
 def solve_path1(coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10) -> ParamTrajectory:
     """Route 1 parameters: Delta = 1/a(0), gamma = ln(a*Delta)/2, linearized
     Riccati via u'' + (2b - a'/a) u' + a c u = 0."""
-    if not 0 < t_end < math.inf:
-        raise DomainError("t_end must be positive and finite")
-    _check_positive(coeffs.a, t_end, "a", "required by exp(2*gamma) = a*Delta")
+    check_horizon(t_end)
+    coeffs.a.require_positive(t_end, "a", "required by exp(2*gamma) = a*Delta")
     (a_of, adot_of), (b_of, _), (c_of, _) = (p.scalar() for p in (coeffs.a, coeffs.b, coeffs.c))
     linear = _linear_rhs(coeffs)
     a0 = a_of(0.0)
@@ -315,11 +296,10 @@ def solve_path2(coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10) -> P
     If b - gamma' vanishes identically the factorization terminates early
     and alpha = vphi = beta = 0.
     """
-    if not 0 < t_end < math.inf:
-        raise DomainError("t_end must be positive and finite")
-    _check_positive(coeffs.a, t_end, "a", "sqrt(a*c) must be real")
+    check_horizon(t_end)
+    coeffs.a.require_positive(t_end, "a", "sqrt(a*c) must be real")
     try:
-        _check_positive(coeffs.c, t_end, "c", "sqrt(a/c) must be real")
+        coeffs.c.require_positive(t_end, "c", "sqrt(a/c) must be real")
     except DomainError as err:
         raise DomainError(f"{err}; route 2 needs c > 0, use route 1 instead") from None
     (a_of, adot_of), (b_of, _), (c_of, cdot_of) = (
@@ -391,11 +371,10 @@ def solve_2d(
 ) -> ParamTrajectory2D:
     """Planar charged particle: coupled (lam, Pi) system, theta' = qB/2m,
     radial parameters delegated to the chosen 1D route."""
-    if not 0 < t_end < math.inf:
-        raise DomainError("t_end must be positive and finite")
+    check_horizon(t_end)
     if path not in ("path1", "path2"):
         raise DomainError(f"path must be 'path1' or 'path2', got {path!r}")
-    _check_positive(profile.m, t_end, "m", _MASS_REQUIREMENT)
+    profile.m.require_positive(t_end, "m", _MASS_REQUIREMENT)
     q = profile.charge
     m_of, b_of, k_of, ex_of, ey_of = (
         p.scalar()[0] for p in (profile.m, profile.B, profile.K, profile.Ex, profile.Ey))
@@ -429,7 +408,7 @@ def solve_2d(
         # the solver can meet the 1/m pole on step size without evaluating
         # m <= 0, so look just past where it stopped
         past = err.last_time + t_end * _POLE_OFFSETS
-        _require_positive(profile.m, past[past <= t_end], t_end, "m", _MASS_REQUIREMENT)
+        profile.m.require_positive(t_end, "m", _MASS_REQUIREMENT, times=past[past <= t_end])
         raise
     solver = solve_path1 if path == "path1" else solve_path2
     radial = solver(reduce_2d(profile), t_end, tol)

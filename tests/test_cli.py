@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liegate import cli, closedforms, greens, maps, oracle, paramflow, presets, verify
+from liegate import cli, closedforms, greens, maps, oracle, paramflow, verify
 from liegate.coeffs import Derived
 from liegate.oracle import gaussian_state
 from liegate.verify import suite_fields, suite_systems
@@ -654,6 +654,21 @@ def test_missing_config_file(tmp_path, capsys):
     assert "not found" in json.loads(capsys.readouterr().out)["error"]["message"]
 
 
+def test_unknown_system_is_config_error(tmp_path, capsys):
+    # --system is checked against the preset table once the config is read,
+    # so a missing config file is reported first
+    cfg = sho_config(tmp_path)
+    listed = write_config(tmp_path, "listed.json", {"system": ["gho"], "t_end": 1.0})
+    errors = []
+    for argv in (["--system", "nosuch", "--config", cfg], ["--config", listed],
+                 ["--system", "nosuch", "--config", str(tmp_path / "nope.json")]):
+        assert cli.main(["params", *argv, "--out", str(tmp_path / "x")]) == 2
+        errors.append(json.loads(capsys.readouterr().out)["error"])
+    assert [err["field"] for err in errors] == ["system", "system", "config"]
+    assert errors[0]["message"] == ("field 'system' must be one of lp, gho, iontrap, kanai, "
+                                    "cp2d, bsin, efield; got 'nosuch'")
+
+
 @pytest.mark.parametrize("text", ['{"system": "gho",', '{"t_end": 1' + "0" * 5000 + "}"],
                          ids=["truncated", "int-past-digit-limit"])
 def test_unparsable_config_is_config_error(tmp_path, capsys, text):
@@ -671,12 +686,6 @@ def test_seventeen_digit_serialization(tmp_path):
     summary = (out / "summary.json").read_text()
     # pi/4 rendered with enough digits to round-trip exactly
     assert "0.78539816339744828" in summary
-
-
-def test_system_choices_are_the_presets():
-    # the parser's --system choices are written out so that cli needs no
-    # preset (and no numpy) to parse a command line
-    assert cli.SYSTEMS == tuple(presets.PRESETS)
 
 
 # Knot lists for the property below: 2 to 12 knots from t = 0, with gaps

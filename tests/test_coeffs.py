@@ -417,6 +417,72 @@ class TestReduce2D:
             assert float(prof.derivative(t)) == pytest.approx(fd, rel=1e-7, abs=1e-9)
 
 
+def negated(pair):
+    f, df = pair
+    return (lambda t: -f(t)), (lambda t: -df(t))
+
+
+# kind -> (positive on [0, 1], not positive, the time its check names, zero
+# on [0, 1], NaN); a spline through NaN knots is refused when it is made
+SIGN_CASES = {
+    "constant": (Constant(2.0), Constant(-1.0), 0.0, Constant(0.0), Constant(math.nan)),
+    "sinusoid": (Sinusoid(0.5, 3.0, 0.0, 1.0), Sinusoid(1.5, 512 * math.pi, 0.0, 1.0),
+                 3 / 1024, Sinusoid(0.0, 3.0), Sinusoid(1.0, 3.0, 0.0, math.nan)),
+    "exponential": (Exponential(1.0, -2.0), Exponential(-1.0, 1.0), 1.0,
+                    Exponential(0.0, 1.0), Exponential(math.nan, 1.0)),
+    "tabulated": (Tabulated((0.0, 0.5, 1.0), (1.0, 2.0, 1.0)),
+                  Tabulated((0.0, 0.5, 0.5009765625, 0.5029296875, 0.50390625, 1.0),
+                            (1.0, 1.0, 0.05, 0.05, 1.0, 1.0)), 0.501953,
+                  Tabulated((0.0, 1.0), (0.0, 0.0)), None),
+    "derived": (Derived(lambda t: 1.0 + t, lambda t: 1.0 + 0.0 * t),
+                Derived(lambda t: 0.5 - t, lambda t: -1.0 + 0.0 * t), 1.0,
+                Derived(lambda t: 0.0 * t, lambda t: 0.0 * t),
+                Derived(lambda t: math.nan + 0.0 * t, lambda t: 0.0 * t)),
+    "derived-of": (Derived.of(negated, Constant(-2.0), label="2"),
+                   Derived.of(negated, Exponential(1.0, 1.0), label="-e^t"), 1.0,
+                   Derived.of(negated, Constant(0.0), label="-0"),
+                   Derived.of(negated, Constant(math.nan), label="nan")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SIGN_CASES))
+def test_sign_checks_read_the_extremal_times(kind):
+    positive, dips, at, zero, nan = SIGN_CASES[kind]
+    message = "a(t) must stay positive on [0, 1.0] (needed); violated near t={:.6g}"
+    assert positive.require_positive(1.0, "a", "needed") is None
+    assert positive.require_positive(1.0, "a", "needed", times=np.linspace(0.0, 1.0, 5)) is None
+    with pytest.raises(DomainError) as err:
+        dips.require_positive(1.0, "a", "needed")
+    assert str(err.value) == message.format(at)
+    with pytest.raises(DomainError) as err:
+        dips.require_positive(1.0, "a", "needed", times=np.array([at]))
+    assert str(err.value) == message.format(at)
+    assert zero.vanishes(1.0)
+    assert not positive.vanishes(1.0) and not dips.vanishes(1.0)
+    if nan is not None:
+        with pytest.raises(DomainError) as err:
+            nan.require_positive(1.0, "a", "needed")
+        assert str(err.value) == message.format(0.0)
+        assert not nan.vanishes(1.0)
+
+
+def test_given_times_replace_the_extremal_times():
+    # the planar solve's pole probe: a dip behind Derived reads 1 at every
+    # one of the base class's 257 points, and only the given times see it
+    dip = Sinusoid(1.5, 512 * math.pi, 0.0, 1.0)
+    hidden = Derived(dip, dip.derivative)
+    assert hidden.require_positive(1.0, "m", "needed") is None
+    with pytest.raises(DomainError, match="violated near t=0.00292969$"):
+        hidden.require_positive(1.0, "m", "needed", times=np.array([0.5, 3 / 1024]))
+
+
+def test_a_small_fast_cross_term_does_not_vanish():
+    # |b| <= 1e-3 reads 0 at the 65 uniform points a b = 0 check once used
+    b = Sinusoid(1e-3, 64.0 * math.pi)
+    assert not b.vanishes(1.0)
+    assert not Derived(b, b.derivative).vanishes(1.0)
+
+
 def test_hbar_must_be_positive():
     with pytest.raises(DomainError, match="hbar"):
         coeffs.CoefficientSet1D.build(a=1.0, hbar=0.0)

@@ -23,7 +23,6 @@ from liegate.greens import (
 )
 from liegate.oracle import (
     WaveGrid,
-    _trapezoid_weights,
     fidelity,
     gaussian_state,
     grid_moments,
@@ -673,6 +672,20 @@ class TestApplyMatchesDirectSum:
             kernel_apply(complex_cross, psi)
 
 
+@pytest.mark.parametrize("dx", [0.25, 8.0 / 33, 16.0 / 61, 0.1, 0.19166005950097081])
+def test_planar_quadrature_weighs_by_dx_times_dx(dx):
+    # with no chirps and no cross term, the planar apply at the origin is the
+    # trapezoid sum of the input: the four weights 0.25 dx dx of a 2 x 2 grid,
+    # np.outer(w * dx, w * dx) to the bit.  pow(dx, 2) is one ulp off dx * dx
+    # at the last dx, so the apply must not square dx by a power.
+    kernel = GaussianKernel(dof=2, t=1.0, prefactor=1.0, qxx=1j * np.eye(2),
+                            qx1x1=np.zeros((2, 2)), qxx1=np.zeros((2, 2)), lx=np.zeros(2),
+                            lx1=np.zeros(2), scal=0.0, valid_to=math.inf, hbar=1.0)
+    out = kernel_apply(kernel, WaveGrid(2, 0.0, dx, np.ones((2, 2))))
+    w = np.array([0.5, 0.5])
+    assert out.amps[0, 0] == np.outer(w * dx, w * dx).sum() == dx * dx
+
+
 def test_next_fast_len_is_scipys():
     # the FFT length of the 1D apply, as scipy chose it before numpy.fft took over
     from scipy.fft import next_fast_len
@@ -689,7 +702,7 @@ def scipy_fft_apply_1d(kernel, psi0):
         return np.exp(1j * (np.einsum("...i,ij,...j->...", pts, quad, pts) + pts @ lin))
 
     n, x, dx = psi0.n, psi0.x, psi0.dx
-    pts, weights, shift = x[:, None], _trapezoid_weights(n) * dx, 0.5 * kernel.qxx1.real
+    pts, weights, shift = x[:, None], psi0.weights * dx, 0.5 * kernel.qxx1.real
     g = weights * psi0.amps * chirp(pts, kernel.qx1x1 + shift, kernel.lx1)
     size = scipy.fft.next_fast_len(2 * n - 1)
     k = np.minimum(np.arange(size), size - np.arange(size))

@@ -174,6 +174,13 @@ class TestSplitStep:
         with pytest.raises(DomainError, match=r"requires b\(t\) == 0"):
             split_step_evolve(cs, gaussian_state(256, -8.0, 1 / 16), 0.5, 64)
 
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_a_t_end_that_is_not_positive_and_finite(self, t_end):
+        # inf and nan evolved to all-NaN amplitudes, and -1 evolved backward
+        cs = CoefficientSet1D.build(a=1.0, c=1.0)
+        with pytest.raises(DomainError, match="t_end must be positive and finite"):
+            split_step_evolve(cs, gaussian_state(64, -8.0, 0.25), t_end, 8)
+
     def test_norm_preserved(self):
         cs = CoefficientSet1D.build(a=1.0, c=Sinusoid(0.4, 3.0, 0.0, 1.0), e=0.3)
         out = split_step_evolve(cs, make_grid(), 1.5, 512)
@@ -212,3 +219,38 @@ class TestFidelityAndGrids:
         assert mean[1] == pytest.approx(-0.7, abs=1e-8)
         assert cov[0, 0] == pytest.approx(0.64, abs=1e-8)
         assert cov[1, 1] == pytest.approx(1.0 / (4 * 0.64), abs=1e-8)
+
+    def test_weights_are_the_trapezoid_rule_in_the_shape_of_the_amplitudes(self):
+        w = np.array([0.5, 1.0, 1.0, 1.0, 0.5])
+        line = WaveGrid(5, 0.0, 0.5, np.ones(5))
+        plane = WaveGrid(5, 0.0, 0.5, np.ones((5, 5)))
+        assert np.array_equal(line.weights, w)
+        assert np.array_equal(plane.weights, np.outer(w, w))
+        assert line.norm() == math.sqrt(2.0) and plane.norm() == 2.0
+
+    @pytest.mark.parametrize("x_min, dx, hbar, message", [
+        (0.0, math.nan, 1.0, "dx must be positive and finite"),
+        (0.0, math.inf, 1.0, "dx must be positive and finite"),
+        (0.0, 0.0, 1.0, "dx must be positive and finite"),
+        (0.0, -0.1, 1.0, "dx must be positive and finite"),
+        (math.nan, 0.1, 1.0, "x_min must be finite"),
+        (-math.inf, 0.1, 1.0, "x_min must be finite"),
+        (0.0, 0.1, math.nan, "hbar must be positive and finite"),
+        (0.0, 0.1, 0.0, "hbar must be positive and finite"),
+    ])
+    def test_grids_refuse_a_geometry_that_is_not_finite(self, x_min, dx, hbar, message):
+        # nan passed ``dx <= 0`` and made every x NaN; inf made x warn
+        with pytest.raises(DomainError, match=message):
+            WaveGrid(8, x_min, dx, np.ones(8), hbar)
+        with pytest.raises(DomainError, match=message):
+            gaussian_state(8, x_min, dx, hbar=hbar)
+
+    @pytest.mark.parametrize("packet", [
+        {"sigma": 0.0}, {"sigma": -1.0}, {"sigma": math.nan}, {"sigma": math.inf},
+        {"x0": math.nan}, {"x0": math.inf}, {"p0": math.nan}, {"p0": -math.inf},
+    ])
+    def test_packets_refuse_a_width_or_centre_that_is_not_finite(self, packet):
+        # sigma 0 and nan gave NaN amplitudes, and sigma -1 acted as sigma 1
+        with pytest.raises(DomainError, match="sigma must be positive and finite, "
+                                              "and x0 and p0 finite"):
+            gaussian_state(64, -8.0, 0.25, **packet)
