@@ -388,8 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, with_apply=False):
         p.add_argument("--system", help="system preset")
-        p.add_argument("--path", choices=("path1", "path2"),
-                       help="factorization route")
+        p.add_argument("--path", help="factorization route: path1 or path2")
         p.add_argument("--config", required=True, help="JSON configuration file")
         p.add_argument("--t-end", type=float, dest="t_end", help="solve horizon")
         p.add_argument("--tol", type=float, help="integration tolerance")

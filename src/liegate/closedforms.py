@@ -65,6 +65,18 @@ def _mathieu_rhs(a: float, q: float):
     return rhs
 
 
+def _reciprocal_square_rhs(a: float, q: float):
+    """Mathieu's equation with the quadrature of 1/C^2 attached; at C = 0 the
+    rate is IEEE's inf, as numpy divides, where a float division would raise."""
+    mathieu = _mathieu_rhs(a, q)
+
+    def rhs(z, y):
+        square = y[0] * y[0]
+        return (*mathieu(z, y), 1.0 / square if square else math.inf)
+
+    return rhs
+
+
 def mathieu_c(a: float, q: float, z: float, tol: float = _MATHIEU_TOL) -> MathieuEval:
     """Cosine Mathieu function C(a, q, z) with C(a,q,0)=1, C'(a,q,0)=0.
 
@@ -98,11 +110,8 @@ def _mathieu_with_reciprocal_square(a: float, q: float, z: float) -> tuple[float
             valid_to=z_c,
         )
 
-    def rhs(zz, y):
-        d1, d2 = rhs2(zz, y[:2])
-        return d1, d2, 1.0 / (y[0] * y[0])
-
-    sol = ode.solve(rhs, [1.0, 0.0, 0.0], (0.0, z), tol, tol * 1e-2, "Mathieu", dense=False)
+    sol = ode.solve(_reciprocal_square_rhs(a, q), [1.0, 0.0, 0.0], (0.0, z), tol, tol * 1e-2,
+                    "Mathieu", dense=False)
     return float(sol.y[0, -1]), float(sol.y[1, -1]), float(sol.y[2, -1])
 
 

@@ -47,6 +47,12 @@ def check_horizon(t_end: float):
         raise DomainError("t_end must be positive and finite")
 
 
+def check_hbar(hbar: float):
+    """Refuse an hbar that is not positive and finite (NaN included)."""
+    if not 0 < hbar < math.inf:
+        raise DomainError("hbar must be positive and finite")
+
+
 class TimeProfile:
     """A deterministic, side-effect-free scalar function of time.
 
@@ -462,8 +468,7 @@ class CoefficientSet1D:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.hbar <= 0:
-            raise DomainError("hbar must be positive")
+        check_hbar(self.hbar)
 
     @staticmethod
     def build(a=1.0, b=0.0, c=0.0, d=0.0, e=0.0, g=0.0, hbar=1.0) -> "CoefficientSet1D":
@@ -499,8 +504,9 @@ class FieldProfile2D:
     hbar: float = 1.0
 
     def __post_init__(self):
-        if self.hbar <= 0:
-            raise DomainError("hbar must be positive")
+        check_hbar(self.hbar)
+        if not math.isfinite(self.charge):
+            raise DomainError("charge must be finite")
 
     @staticmethod
     def build(m=1.0, B=0.0, K=0.0, Ex=0.0, Ey=0.0, charge=1.0, hbar=1.0) -> "FieldProfile2D":

@@ -34,6 +34,7 @@ Grid adequacy is the caller's job and is diagnosed by the unitarity residual.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -174,7 +175,7 @@ def kernel_build(
         )
     if planar:
         rec = traj.sample(t)
-        s, rot, action = rec["radial"], _rotation(rec["theta"]), rec["S"]
+        s, rot, action = rec["radial"], np.array(_rotation(rec["theta"])), rec["S"]
         lam = np.array([rec["lam_x"], rec["lam_y"]])
         pi = np.array([rec["Pi_x"], rec["Pi_y"]])
     else:
@@ -200,6 +201,7 @@ def kernel_build(
     )
 
 
+@functools.cache   # a pure function of one int: found once per 1D grid size
 def _next_fast_len(target: int) -> int:
     """The smallest n >= target whose prime factors are all at most 11: the
     complex FFT sizes pocketfft does fastest, as ``scipy.fft.next_fast_len``.

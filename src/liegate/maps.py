@@ -16,9 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import det as _det
 
 from .errors import CausticError, DomainError
-from .paramflow import ParamSample, ParamTrajectory, ParamTrajectory2D
+from .paramflow import ParamSample, ParamTrajectory, ParamTrajectory2D, _check_solved
 
 __all__ = [
     "SymplecticMap",
@@ -65,18 +66,23 @@ def _window_check(traj, t: float):
             f"t={t} is beyond the first focal time valid_to={traj.valid_to}",
             valid_to=traj.valid_to,
         )
+    _check_solved(traj, t)
+
+
+def _path1_entries(a: float, bint: float, u: float, udot: float, v: float, vdot: float):
+    # G_qq = e^(phi+gamma), G_qp = (beta/Delta) e^(phi+gamma),
+    # G_pq = -alpha Delta e^(phi-gamma), G_pp = e^(-phi-gamma) - alpha beta e^(phi-gamma),
+    # evaluated through the globally smooth pair (u, v):
+    # e^(phi+gamma) = e^B u, beta/Delta = v/u, alpha = -u'/u, giving
+    # M = e^B [[u, v], [u'/a, v'/a]] with B = bint.
+    eb = math.exp(bint)
+    return (eb * u, eb * v), (eb * udot / a, eb * vdot / a)
 
 
 def _radial_entries(traj: ParamTrajectory, s: ParamSample) -> tuple[tuple[float, float], ...]:
     """The 2x2 map ((G_qq, G_qp), (G_pq, G_pp)) from one sample of ``traj``."""
     if traj.path == "path1":
-        # G_qq = e^(phi+gamma), G_qp = (beta/Delta) e^(phi+gamma),
-        # G_pq = -alpha Delta e^(phi-gamma), G_pp = e^(-phi-gamma) - alpha beta e^(phi-gamma),
-        # evaluated through the globally smooth pair (u, v):
-        # e^(phi+gamma) = e^B u, beta/Delta = v/u, alpha = -u'/u, giving
-        # M = e^B [[u, v], [u'/a, v'/a]] with B = bint.
-        eb = math.exp(s.bint)
-        return (eb * s.u, eb * s.v), (eb * s.udot / s.a, eb * s.vdot / s.a)
+        return _path1_entries(s.a, s.bint, s.u, s.udot, s.v, s.vdot)
     delta = traj.Delta
     cph, sph = math.cos(s.phi), math.sin(s.phi)
     ev, evm = math.exp(s.vphi), math.exp(-s.vphi)
@@ -88,10 +94,26 @@ def _radial_entries(traj: ParamTrajectory, s: ParamSample) -> tuple[tuple[float,
     return (g_qq, g_qp), (g_pq, g_pp)
 
 
-def _rotation(theta: float) -> np.ndarray:
-    """The 2x2 rotation R(theta) that the planar maps and kernels share."""
+def _radial(traj: ParamTrajectory, t: float):
+    """The radial entries and shift (lam, -Pi) at t: route 1 reads its base solve and a."""
+    if traj.path == "path2":
+        s = traj.sample(t)
+        return _radial_entries(traj, s), [s.lam, -s.Pi]
+    lam, pi, _, *base = traj._base(t)
+    return _path1_entries(traj._a(t), *base), [lam, -pi]
+
+
+def _rotation(theta: float) -> tuple[tuple[float, float], ...]:
+    """The 2x2 rotation R(theta), as rows, that the planar maps and kernels share."""
     c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
+    return (c, -s), (s, c)
+
+
+def _map(t: float, entries, shift: list) -> SymplecticMap:
+    """A SymplecticMap of float rows this module built, not checked again."""
+    smap = object.__new__(SymplecticMap)
+    smap.__dict__.update(t=t, M=np.array(entries), shift=np.array(shift))
+    return smap
 
 
 def _assemble_1d(traj: ParamTrajectory, t: float, path: str) -> SymplecticMap:
@@ -99,9 +121,7 @@ def _assemble_1d(traj: ParamTrajectory, t: float, path: str) -> SymplecticMap:
         raise DomainError(f"trajectory was solved with route {traj.path[-1]}; "
                           f"use assemble_{traj.path}")
     _window_check(traj, t)
-    s = traj.sample(t)
-    return SymplecticMap(t=t, M=np.array(_radial_entries(traj, s)),
-                         shift=np.array([s.lam, -s.Pi]))
+    return _map(t, *_radial(traj, t))
 
 
 def assemble_path1(traj: ParamTrajectory, t: float) -> SymplecticMap:
@@ -117,14 +137,11 @@ def assemble_path2(traj: ParamTrajectory, t: float) -> SymplecticMap:
 def assemble_2d(traj2d: ParamTrajectory2D, t: float) -> SymplecticMap:
     """Planar map: 2x2 blocks G_ab * R(theta) in (x, y, p_x, p_y) ordering."""
     _window_check(traj2d, t)
-    rec = traj2d.sample(t)
-    rot = _rotation(rec["theta"]).tolist()
+    lam_x, lam_y, pi_x, pi_y, _, theta = traj2d._dense(t)
     # np.kron(G, R) entry by entry: the same single product G_ij * R_kl each
-    m = np.array([[g * r for g in g_row for r in r_row]
-                  for g_row in _radial_entries(traj2d.radial, rec["radial"])
-                  for r_row in rot])
-    shift = np.array([rec["lam_x"], rec["lam_y"], -rec["Pi_x"], -rec["Pi_y"]])
-    return SymplecticMap(t=t, M=m, shift=shift)
+    return _map(t, [[g * r for g in g_row for r in r_row]
+                    for g_row in _radial(traj2d.radial, t)[0] for r_row in _rotation(theta)],
+                [lam_x, lam_y, -pi_x, -pi_y])
 
 
 def _frozen_form(dof: int) -> np.ndarray:
@@ -139,7 +156,8 @@ _FORMS = {2: _frozen_form(1), 4: _frozen_form(2)}   # J by the size of M
 def check_symplectic(smap: SymplecticMap) -> tuple[float, float]:
     """Residuals (|det M - 1|, max-norm of M^T J M - J)."""
     j = _FORMS[len(smap.M)]
-    det_residual = abs(float(np.linalg.det(smap.M)) - 1.0)
+    # np.linalg.det's own ufunc, without its checks: M is a square float64 array
+    det_residual = abs(float(_det(smap.M, signature="d->d")) - 1.0)
     form_residual = float(abs(smap.M.T @ j @ smap.M - j).max())
     return det_residual, form_residual
 

@@ -13,13 +13,17 @@ either of two methods, through one step loop that reads the method as data
 
 Both share scipy's first-step rule and step-size control (safety 0.9, factor
 bounds 0.2 and 10, exponent -1/(order of the error estimate + 1)) and its
-array products per stage.  Steps, states and event times equal scipy's to
-the last bit, without its per-step overhead.  The step loop counts the
-right-hand-side evaluations, and a solve that would spend more than its work
-budget, ``_RHS_BUDGET``, fails.  References: Dormand and Prince, J. Comput.
-Appl. Math. 6 (1980) 19-26; Shampine, Math. Comp. 46 (1986) 135-150; Hairer,
-Norsett and Wanner, *Solving ODEs I* (2nd ed. 1993), II.4-II.6; Brent,
-*Algorithms for Minimization without Derivatives* (1973), ch. 4.
+array products per stage, the numpy (BLAS) reductions that set the bits; the
+elementwise rest runs on Python floats, which give numpy's bits without its
+per-call cost.  So ``fun`` and ``event`` get t as a float and y as a list of
+floats, as the dense solution returns it, and divide by no part of y that can
+be zero (a float raises there).  Steps, states and event times equal scipy's
+to the last bit.  The step loop counts the right-hand-side evaluations, and a
+solve that would spend more than its work budget, ``_RHS_BUDGET``, fails.
+References: Dormand and Prince, J. Comput. Appl. Math. 6 (1980) 19-26;
+Shampine, Math. Comp. 46 (1986) 135-150; Hairer, Norsett and Wanner, *Solving
+ODEs I* (2nd ed. 1993), II.4-II.6; Brent, *Algorithms for Minimization
+without Derivatives* (1973), ch. 4.
 """
 
 from __future__ import annotations
@@ -151,32 +155,37 @@ _RK45_P = np.array([
 
 
 def _rms(x):
-    return np.linalg.norm(x) / x.size ** 0.5
+    return math.sqrt(x.dot(x)) / x.size ** 0.5   # np.linalg.norm's own formula
+
+
+def _shifted(y, dy, h):
+    """y + dy h for a list y and an array dy, elementwise as numpy forms it."""
+    return [yi + di * h for yi, di in zip(y, dy.tolist())]
 
 
 def _dop853_error(KT, h, scale):
     """The step's error norm, blending the E5 and E3 estimates."""
     err5, err3 = np.dot(KT, _E5) / scale, np.dot(KT, _E3) / scale
-    err5, err3 = np.sqrt(err5.dot(err5)) ** 2, np.sqrt(err3.dot(err3)) ** 2
-    return abs(h) * err5 / np.sqrt((err5 + 0.01 * err3) * scale.size) if err5 or err3 else 0.0
+    err5, err3 = math.sqrt(err5.dot(err5)) ** 2, math.sqrt(err3.dot(err3)) ** 2
+    norm = math.sqrt((err5 + 0.01 * err3) * scale.size)
+    return abs(h) * err5 / norm if norm else math.nan if err3 else 0.0   # numpy's 0/0 is nan
 
 
 def _dop853_interpolant(fun, K, KT, t_old, h, y_old, f_old, y, f):
-    """The three extra stages and the rows F of the 7th-order interpolant."""
+    """The three extra stages and the rows F of the 7th-order interpolant,
+    the first three as floats and the last four as one product."""
     for s, a, c in _DOP853_EXTRA:
-        K[s] = fun(t_old + c * h, y_old + np.dot(KT[s], a) * h)
-    F = np.empty((7, y.size))
-    F[0] = delta = y - y_old
-    F[1] = h * f_old - delta
-    F[2] = 2 * delta - h * (f + f_old)
-    F[3:] = h * np.dot(_D, K)
-    return t_old, h, y_old, F
+        K[s] = fun(t_old + c * h, _shifted(y_old, np.dot(KT[s], a), h))
+    delta = [yi - oi for yi, oi in zip(y, y_old)]
+    F = [delta, [h * fo - d for fo, d in zip(f_old, delta)],
+         [2 * d - h * (fi + fo) for d, fi, fo in zip(delta, f, f_old)]]
+    return t_old, h, y_old, F, h * np.dot(_D, K)
 
 
 def _dop853_columns(step):
     """A step's interpolant as float columns, read faster than F's rows."""
-    t_old, h, y_old, F = step
-    return t_old, h, list(zip(*F[::-1].tolist(), y_old.tolist()))
+    t_old, h, y_old, F, F_tail = step
+    return t_old, h, list(zip(*F_tail[::-1].tolist(), *F[::-1], y_old))
 
 
 def _dop853_at(read, t):
@@ -198,7 +207,7 @@ def _rk45_interpolant(fun, K, KT, t_old, h, y_old, f_old, y, f):
 def _rk45_at(step, t):
     """Shampine's quartic at t, as scipy's ``RkDenseOutput`` forms it."""
     t_old, h, y_old, Q = step
-    return h * np.dot(Q, np.cumprod(np.tile((t - t_old) / h, 4))) + y_old
+    return (h * np.dot(Q, np.cumprod(np.tile((t - t_old) / h, 4))) + y_old).tolist()
 
 
 class _Method(NamedTuple):
@@ -230,10 +239,12 @@ _METHODS = {
 def _first_step(fun, t0, y0, f0, t_bound, rtol, atol, order):
     """scipy's starting step (HNW II.4) for an error estimate of this order."""
     interval = t_bound - t0
+    y0, f0 = np.array(y0), np.asarray(f0, dtype=float)
     scale = atol + np.abs(y0) * rtol
-    d0, d1 = _rms(y0 / scale), _rms(f0 / scale)
+    # numpy scalars, so that a zero or infinite norm divides to inf or nan
+    d0, d1 = np.float64(_rms(y0 / scale)), np.float64(_rms(f0 / scale))
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, interval)
-    d2 = _rms((fun(t0 + h0, y0 + h0 * f0) - f0) / scale) / h0
+    d2 = _rms((fun(float(t0 + h0), (y0 + h0 * f0).tolist()) - f0) / scale) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         return min(100 * h0, max(1e-6, h0 * 1e-3), interval)
     return min(100 * h0, (0.01 / max(d1, d2)) ** (1 / (order + 1)), interval)
@@ -241,7 +252,7 @@ def _first_step(fun, t0, y0, f0, t_bound, rtol, atol, order):
 
 class Dense:
     """Each step's interpolant, picked for a time as scipy's ``OdeSolution``
-    picks it; ``ts`` holds the step times."""
+    picks it, read as a list of floats; ``ts`` holds the step times."""
 
     def __init__(self, ts: list, steps: list, method: _Method):
         self.ts = ts
@@ -296,9 +307,7 @@ def solve(fun, y0, bounds, rtol: float, atol: float, what: str, event=None,
                 f"evaluations spent by t = {t:.17g}", last_time=t)
 
     exponent = -1 / (error_order + 1)
-    y = np.asarray(y0, dtype=float)
-    n = y.size
-    call = lambda t, y: np.asarray(fun(t, y), dtype=float)
+    y = np.asarray(y0, dtype=float).tolist()
     ts, ys, steps, t_events, status = [float(bounds[0])], [y], [], [], 0
     # a solution that overflows ends in step-size underflow (IntegrationError),
     # not in numpy's warnings
@@ -306,9 +315,9 @@ def solve(fun, y0, bounds, rtol: float, atol: float, what: str, event=None,
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             t, hi = float(lo), float(hi)
             spend(2, t)   # f and the first-step probe
-            f = call(t, y)
-            h_abs = float(_first_step(call, t, y, f, hi, rtol, atol, error_order))
-            K = np.empty((rows, n))
+            f = fun(t, y)
+            h_abs = float(_first_step(fun, t, y, f, hi, rtol, atol, error_order))
+            K = np.empty((rows, len(y)))
             KT = [K[:s].T for s in range(rows + 1)]
             g = None if event is None else event(t, y)
             while status == 0 and t < hi:
@@ -324,18 +333,19 @@ def solve(fun, y0, bounds, rtol: float, atol: float, what: str, event=None,
                     h_abs = abs(h)
                     K[0] = f
                     for s, a, c in stages:
-                        K[s] = fun(t + c * h, y + np.dot(KT[s], a) * h)
-                    y_new = y + h * np.dot(KT[n_stages], B)
-                    K[n_stages] = f_new = call(t + h, y_new)
-                    scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+                        K[s] = fun(t + c * h, _shifted(y, np.dot(KT[s], a), h))
+                    y_new = _shifted(y, np.dot(KT[n_stages], B), h)
+                    K[n_stages] = f_new = fun(t + h, y_new)
+                    scale = np.array([atol + max(abs(yi), abs(zi)) * rtol
+                                      for yi, zi in zip(y, y_new)])
                     error = error_norm(KT[n_stages + 1], h, scale)
                     if error < 1:
                         factor = min(_MAX_FACTOR, _SAFETY * error ** exponent) if error else _MAX_FACTOR
-                        h_abs = float(h_abs * (min(1, factor) if rejected else factor))
+                        h_abs *= min(1, factor) if rejected else factor
                         break
-                    h_abs = float(h_abs * max(_MIN_FACTOR, _SAFETY * error ** exponent))
+                    h_abs *= max(_MIN_FACTOR, _SAFETY * error ** exponent)
                     rejected = True
-                t_old, y_old, f_old = t, y, K[0]
+                t_old, y_old, f_old = t, y, f
                 t, y, f = t_new, y_new, f_new
 
                 def interpolant():
@@ -348,10 +358,10 @@ def solve(fun, y0, bounds, rtol: float, atol: float, what: str, event=None,
                     g, g_old = event(t, y), g
                     if g_old <= 0 <= g or g_old >= 0 >= g:
                         at = Dense([t_old, t], [steps[-1] if dense else interpolant()], m)
-                        root = _brentq(lambda x: event(x, np.array(at(x))), t_old, t)
+                        root = _brentq(lambda x: event(x, at(x)), t_old, t)
                         t_events.append(root)
                         if getattr(event, "terminal", False):
-                            status, t, y = 1, root, np.array(at(root))
+                            status, t, y = 1, root, at(root)
                 if dense and t == ts[-1]:   # a terminal root at the step's start: drop it
                     steps.pop()
                 else:

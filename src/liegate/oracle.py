@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ode
-from .coeffs import CoefficientSet1D, FieldProfile2D, check_horizon
+from .coeffs import CoefficientSet1D, FieldProfile2D, check_hbar, check_horizon
 from .errors import DomainError
 
 __all__ = [
@@ -139,7 +139,7 @@ def fundamental_matrix(coeffs, t_end: float, tol: float = 1e-10) -> FlowResult:
     n, a_of_t, _ = _generator(coeffs)
 
     def rhs(t, y):
-        return (a_of_t(t) @ y.reshape(n, n)).ravel()
+        return (a_of_t(t) @ np.reshape(y, (n, n))).ravel()
 
     return FlowResult(_integrate(rhs, np.eye(n).ravel(), t_end, tol, "fundamental matrix"),
                       (n, n))
@@ -206,8 +206,7 @@ def _check_geometry(x_min, dx, hbar):
         raise DomainError("dx must be positive and finite")
     if not math.isfinite(x_min):
         raise DomainError("x_min must be finite")
-    if not 0 < hbar < math.inf:
-        raise DomainError("hbar must be positive and finite")
+    check_hbar(hbar)
 
 
 def gaussian_state(

@@ -60,8 +60,8 @@ class ParamSample(NamedTuple):
     alpha = -udot/u.  The fields without a default are the params.csv columns.
 
     Route 1 also reports its companion solution (v, vdot) and bint, the
-    integral of b(t) from 0; both routes report a(t), read for gamma.  Map
-    assembly reads these with the rest.
+    integral of b(t) from 0; both routes report a(t), read for gamma.  The
+    kernels read the map from these with the rest.
     """
 
     t: float
@@ -130,8 +130,7 @@ class ParamTrajectory:
         return self.coeffs.hbar
 
     def sample(self, t: float) -> ParamSample:
-        if not 0.0 <= t <= self.t_end:
-            raise DomainError(f"t={t} outside the solved interval [0, {self.t_end}]")
+        _check_solved(self, t)
         a = self._a(t)
         inside = t < self.valid_to
         nan = float("nan")
@@ -175,11 +174,15 @@ class ParamTrajectory2D:
         return self.radial.hbar
 
     def sample(self, t: float):
-        if not 0.0 <= t <= self.t_end:
-            raise DomainError(f"t={t} outside the solved interval [0, {self.t_end}]")
+        _check_solved(self, t)
         lam_x, lam_y, pi_x, pi_y, s, theta = self._dense(t)
         return {"t": t, "S": s, "theta": theta, "lam_x": lam_x, "lam_y": lam_y,
                 "Pi_x": pi_x, "Pi_y": pi_y, "radial": self.radial.sample(t)}
+
+
+def _check_solved(traj, t: float):
+    if not 0.0 <= t <= traj.t_end:
+        raise DomainError(f"t={t} outside the solved interval [0, {traj.t_end}]")
 
 
 def _knots(*profiles) -> set[float]:
@@ -198,15 +201,14 @@ def _run_ivp(rhs, y0, t_end, tol, what, knots=(), event=None):
     in far fewer steps.  The solve restarts at every knot in (0, t_end), since
     a high-order step across a point where the right-hand side is not smooth
     loses its order; one dense solution spans the segments, and the terminal
-    ``event``, if given, ends the solve.  ``rhs`` gets t as a float and y as a
-    list of floats, since arithmetic on them gives numpy's results without
-    its per-scalar cost; so it squares by products and divides by no part of
-    y that can be zero, where a float raises and numpy gives inf or nan.
+    ``event``, if given, ends the solve.  ``rhs`` and ``event`` get t as a
+    float and y as a list of floats, as ``ode.solve`` passes them; so they
+    square by products or numpy's power and divide by no part of y that can
+    be zero, where a float raises and numpy gives inf or nan.
     """
     rtol = max(tol / 10.0, ode.RTOL_FLOOR)
     bounds = [0.0, *sorted(tk for tk in knots if 0.0 < tk < t_end), t_end]
-    return ode.solve(lambda t, y: rhs(t, y.tolist()), y0, bounds, rtol, rtol * 1e-2, what,
-                     event=event)
+    return ode.solve(rhs, y0, bounds, rtol, rtol * 1e-2, what, event=event)
 
 
 def _linear_rhs(coeffs: CoefficientSet1D):
@@ -346,7 +348,8 @@ def solve_path2(coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10) -> P
         # alpha = Q/P diverges where P vanishes; stop just before that point
         # (|alpha| crossing the cap) so the quadrature components stay finite
         cap = 1e8
-        blow_up = lambda t, y: y[0] * y[0] - (cap * y[1]) ** 2
+        # numpy's power on the float state: pow's bits, and inf where a float's ** raises
+        blow_up = lambda t, y: y[0] * y[0] - np.float64(cap * y[1]) ** 2
         blow_up.terminal = True
         ric = _run_ivp(ric_rhs, [0.0, 1.0, 0.0, 0.0, 0.0, 0.0], t_end, tol,
                        "route-2 quadratic-phase parameters",

@@ -669,6 +669,19 @@ def test_unknown_system_is_config_error(tmp_path, capsys):
                                     "cp2d, bsin, efield; got 'nosuch'")
 
 
+def test_unknown_path_is_config_error(tmp_path, capsys):
+    # --path is checked once, by validate_config: on the command line and in
+    # the config file it gets the same message and field
+    errors = []
+    for cfg, argv in ((sho_config(tmp_path), ["--path", "nosuch"]),
+                      (sho_config(tmp_path, path="nosuch"), [])):
+        assert cli.main(["params", "--config", cfg, *argv, "--out", str(tmp_path / "x")]) == 2
+        errors.append(json.loads(capsys.readouterr().out)["error"])
+    assert errors[0] == errors[1]
+    assert errors[0]["field"] == "path"
+    assert errors[0]["message"] == "field 'path' must be 'path1' or 'path2', got 'nosuch'"
+
+
 @pytest.mark.parametrize("text", ['{"system": "gho",', '{"t_end": 1' + "0" * 5000 + "}"],
                          ids=["truncated", "int-past-digit-limit"])
 def test_unparsable_config_is_config_error(tmp_path, capsys, text):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from liegate import paramflow
+from liegate import closedforms, paramflow
 from liegate.closedforms import (
     _efield_addends,
     _sum_addends,
@@ -43,6 +43,16 @@ class TestMathieu:
             for z in (0.5, 1.2, 2.5):
                 ev = mathieu_c(a, 0.0, z)
                 assert ev.C == pytest.approx(math.cos(math.sqrt(a) * z), abs=1e-11)
+
+
+def test_reciprocal_square_rate_is_ieee_at_a_zero_of_c():
+    # the step loop passes y as floats, where 1.0 / 0.0 raises; the rate
+    # stays numpy's inf, and nan at nan
+    rhs = closedforms._reciprocal_square_rhs(2.0, 0.5)
+    for c in (0.0, -0.0, 1e-170):
+        assert rhs(0.3, [c, 1.0, 0.0]) == (1.0, -(2.0 - math.cos(0.6)) * c, math.inf)
+    assert rhs(0.3, [2.0, 1.0, 0.0])[2] == 0.25
+    assert math.isnan(rhs(0.3, [math.nan, 1.0, 0.0])[2])
 
 
 class TestIonTrap:

@@ -484,5 +484,16 @@ def test_a_small_fast_cross_term_does_not_vanish():
 
 
 def test_hbar_must_be_positive():
-    with pytest.raises(DomainError, match="hbar"):
-        coeffs.CoefficientSet1D.build(a=1.0, hbar=0.0)
+    # NaN passed ``hbar <= 0``: route 1 solved, and only kernel_build failed
+    for hbar in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(DomainError, match="^hbar must be positive and finite$"):
+            coeffs.CoefficientSet1D.build(a=1.0, c=1.0, hbar=hbar)
+        with pytest.raises(DomainError, match="^hbar must be positive and finite$"):
+            coeffs.FieldProfile2D.build(hbar=hbar)
+
+
+@pytest.mark.parametrize("charge", [math.nan, math.inf, -math.inf])
+def test_planar_charge_must_be_finite(charge):
+    with pytest.raises(DomainError, match="^charge must be finite$"):
+        coeffs.FieldProfile2D.build(charge=charge)
+    assert coeffs.FieldProfile2D.build(charge=-2.0).charge == -2.0

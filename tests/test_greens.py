@@ -694,6 +694,14 @@ def test_next_fast_len_is_scipys():
     assert [t for t in targets if _next_fast_len(t) != next_fast_len(t)] == []
 
 
+def test_next_fast_len_is_cached_and_equals_its_loop():
+    _next_fast_len.cache_clear()
+    loop = _next_fast_len.__wrapped__
+    for _ in range(2):
+        assert [t for t in range(1, 5001) if _next_fast_len(t) != loop(t)] == []
+    assert _next_fast_len.cache_info().hits == 5000
+
+
 def scipy_fft_apply_1d(kernel, psi0):
     """The 1D kernel_apply as it was written with scipy.fft and einsum chirps."""
     import scipy.fft

@@ -1,5 +1,6 @@
 """Symplectic map assembly and invariant checks."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -224,6 +225,68 @@ class TestPlanarMapsEqualKron:
         assert signed_zeros > 0
 
 
+def sample_map(tr, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """The map at t as it is defined: from one whole sample of ``tr``."""
+    s = tr.sample(t)
+    if isinstance(tr, paramflow.ParamTrajectory2D):
+        return (np.kron(np.array(maps._radial_entries(tr.radial, s["radial"])),
+                        maps._rotation(s["theta"])),
+                np.array([s["lam_x"], s["lam_y"], -s["Pi_x"], -s["Pi_y"]]))
+    return np.array(maps._radial_entries(tr, s)), np.array([s.lam, -s.Pi])
+
+
+def seeded_trajectories(seed: int, t_end: float):
+    cs = random_smooth_coeffs(np.random.default_rng(seed), positive_c=True)
+    return [(paramflow.solve_path1(cs, t_end, tol=1e-10), assemble_path1),
+            (paramflow.solve_path2(cs, t_end, tol=1e-10), assemble_path2),
+            *[(paramflow.solve_2d(seeded_field(seed), t_end, tol=1e-10, path=path), assemble_2d)
+              for path in ("path1", "path2")]]
+
+
+class TestAssemblyReadsOnlyWhatTheMapNeeds:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_maps_equal_the_sample_definition_bitwise(self, seed):
+        # route 1 reads its base solve and a(t), not a whole sample; every
+        # assembler builds its map without SymplecticMap's checks
+        for tr, assemble in seeded_trajectories(seed, 3.0):
+            n = 4 if assemble is assemble_2d else 2
+            hi = 0.95 * min(tr.t_end, tr.valid_to)
+            for t in [0.0, 5e-324, *np.linspace(0.0, hi, 40)[1:].tolist()]:
+                smap = assemble(tr, t)
+                m, shift = sample_map(tr, t)
+                assert smap.t == t
+                assert (smap.M.shape, smap.shift.shape) == ((n, n), (n,))
+                assert smap.M.dtype == smap.shift.dtype == np.float64
+                assert smap.M.tobytes() == m.tobytes() and smap.shift.tobytes() == shift.tobytes()
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                smap.M = m
+
+    def test_out_of_window_times_fail_as_before(self):
+        cases = [(t_end, *case) for t_end in (4.0, 0.5) for case in seeded_trajectories(1, t_end)]
+        # focal times inside [0, t_end], and none
+        assert {tr.valid_to < math.inf for _, tr, _ in cases} == {True, False}
+        for t_end, tr, assemble in cases:
+            late = [t_end + 1.0] if tr.valid_to == math.inf else []
+            for t in (-0.25, math.nan, *late):
+                with pytest.raises(DomainError) as err:
+                    assemble(tr, t)
+                assert str(err.value) == f"t={t} outside the solved interval [0, {t_end}]"
+            if tr.valid_to < math.inf:
+                t = 0.5 * (tr.valid_to + t_end)
+                with pytest.raises(CausticError) as err:
+                    assemble(tr, t)
+                assert str(err.value) == (f"t={t} is beyond the first focal time "
+                                          f"valid_to={tr.valid_to}")
+                assert err.value.valid_to == tr.valid_to
+
+    def test_user_built_maps_are_still_checked(self):
+        for m, shift in ((np.eye(3), np.zeros(3)), (np.eye(2), np.zeros(3))):
+            with pytest.raises(DomainError, match="2x2 or 4x4"):
+                SymplecticMap(t=0.0, M=m, shift=shift)
+        smap = SymplecticMap(t=0.0, M=[[1, 0], [0, 1]], shift=(0, 0))
+        assert smap.M.dtype == smap.shift.dtype == np.float64
+
+
 class TestSymplecticChecks:
     def test_residuals_equal_the_direct_formula_bitwise(self):
         rng = np.random.default_rng(5)
@@ -241,6 +304,22 @@ class TestSymplecticChecks:
                       float(np.max(np.abs(smap.M.T @ j @ smap.M - j))))
             assert [x.hex() for x in check_symplectic(smap)] == [x.hex() for x in direct]
         assert not any(j.flags.writeable for j in maps._FORMS.values())
+
+    def test_determinant_is_np_linalg_det_bitwise(self):
+        # check_symplectic calls the ufunc np.linalg.det wraps, without its checks
+        rng = np.random.default_rng(11)
+        singular = rng.normal(size=(4, 4))
+        singular[3] = singular[0] + 2.0 * singular[1]
+        nan, inf = rng.normal(size=(2, 2)), rng.normal(size=(4, 4))
+        nan[1, 0], inf[2, 3] = math.nan, math.inf
+        matrices = [np.zeros((2, 2)), np.ones((4, 4)), singular, nan, inf,
+                    *[rng.normal(size=(n, n)) * 10.0 ** rng.uniform(-150, 150)
+                      for n in (2, 4) for _ in range(50)]]
+        for m in matrices:
+            smap = SymplecticMap(t=0.0, M=m, shift=np.zeros(len(m)))
+            with np.errstate(all="ignore"):   # NaN, inf and overflow warn in both
+                expected, (got, _) = abs(float(np.linalg.det(m)) - 1.0), check_symplectic(smap)
+            assert got.hex() == expected.hex()
 
     def test_identity(self):
         smap = SymplecticMap(t=0.0, M=np.eye(2), shift=np.zeros(2))

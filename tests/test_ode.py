@@ -20,7 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import OdeSolution, solve_ivp
 from scipy.integrate._ivp import dop853_coefficients as published
-from scipy.integrate._ivp.rk import RK45
+from scipy.integrate._ivp.common import norm as scipy_norm
+from scipy.integrate._ivp.rk import DOP853, RK45
 from scipy.optimize import brentq as scipy_brentq
 
 from liegate import cli, closedforms, ode, oracle, verify
@@ -75,12 +76,22 @@ def counted(fun):
     return wrapper
 
 
+def listed(fun):
+    """fun, asserting the step loop's contract: t a float, y a list of floats
+    (scipy passes numpy arrays, which the same fun must read alike)."""
+    def wrapper(t, y):
+        assert type(t) is float and type(y) is list and all(type(v) is float for v in y)
+        return fun(t, y)
+
+    return wrapper
+
+
 def assert_same_as_scipy(fun, y0, bounds, rtol, atol, what, event=None, dense=True,
                          method="DOP853", times=()):
-    """Steps, states, events, right-hand-side calls and failure as scipy's;
-    the dense solution as scipy's at the step times, at 40 random times and
-    at ``times``."""
-    ref_fun, our_fun = counted(fun), counted(fun)
+    """Steps, states, events, right-hand-side calls and failure as scipy's,
+    with ``fun`` given floats; the dense solution as scipy's at the step
+    times, at 40 random times and at ``times``."""
+    ref_fun, our_fun = counted(fun), counted(listed(fun))
     ref = scipy_solve(ref_fun, y0, bounds, rtol, atol, event, dense, method)
     if ref.status == -1:
         with pytest.raises(IntegrationError) as err:
@@ -184,6 +195,8 @@ def test_terminal_events_and_failures_solve_as_scipy_does(recorded, monkeypatch)
         solve_path1(CoefficientSet1D.build(a=1.0, c=sing), 1.2, tol=1e-6)
     assert sum(call[6] is not None and getattr(call[6], "terminal", False)
                for call in recorded) >= 2
+    # the Mathieu solves with and without the 1/C^2 quadrature
+    assert {len(call[1]) for call in recorded if call[5] == "Mathieu"} == {2, 3}
     replay(recorded, monkeypatch)
 
 
@@ -254,6 +267,39 @@ def test_the_work_budget_admits_exactly_the_evaluations_made(bounds, event, dens
                                                f"{made - 1} right-hand-side evaluations"):
         solve(fun)
     assert fun.calls < made
+
+
+@pytest.mark.parametrize("method", ["DOP853", "RK45"])
+@pytest.mark.parametrize("fun, y0", [
+    (lambda t, y: (0.0 if t == 0.0 else math.nan,), [0.0]),
+    (lambda t, y: (y[1], 0.0 if t == 0.0 else math.nan), [0.0, 0.0]),
+    (lambda t, y: (math.inf,), [1.0]),
+], ids=["nan-after-rest", "nan-after-rest-2", "inf-at-start"])
+def test_degenerate_first_steps_fail_as_scipys(fun, y0, method):
+    # the first-step rule divides by a zero norm and by a zero step here,
+    # which numpy (and so scipy) turns into inf or nan and a float raises
+    with np.errstate(all="ignore"):
+        assert_same_as_scipy(fun, y0, (0.0, 1.0), 1e-6, 1e-8, "test", method=method)
+
+
+def test_error_norms_are_scipys_bitwise():
+    # the norms' scalar tails run on floats; at a zero E5 sum beside an E3
+    # sum that 0.01 scales to zero, scipy's 0/0 is nan
+    rng, h = np.random.default_rng(3), 0.125
+    x = 1e-161
+    degenerate = np.zeros((13, 2))
+    degenerate[0, 0], degenerate[5, 0] = DOP853.E5[5] * x, -DOP853.E5[0] * x
+    stores = [degenerate, np.zeros((13, 3)),
+              *[rng.normal(size=(13, 3)) * 10.0 ** rng.uniform(-170, 170) for _ in range(300)]]
+    dop853 = SimpleNamespace(E5=DOP853.E5, E3=DOP853.E3)
+    with np.errstate(all="ignore"):
+        for K in stores:
+            scale = 1e-12 + np.abs(rng.normal(size=K.shape[1]))
+            expected = DOP853._estimate_error_norm(dop853, K, h, scale)
+            assert float(ode._dop853_error(K.T, h, scale)).hex() == float(expected).hex()
+            expected = scipy_norm(np.dot(K[:7].T, RK45.E) * h / scale)
+            assert float(ode._rk45_error(K[:7].T, h, scale)).hex() == float(expected).hex()
+    assert math.isnan(ode._dop853_error(degenerate.T, h, np.ones(2)))
 
 
 def test_mathieu_cosine_is_even():

@@ -679,6 +679,31 @@ class TestFloatState:
                 on_array = np.array(rhs(t, np.array(y)))
                 assert np.array(rhs(t, y)).tobytes() == on_array.tobytes(), (what, t)
 
+    def test_events_on_a_list_equal_the_events_on_the_array_bitwise(self, monkeypatch):
+        # the step loop hands the events their state as floats too; the
+        # route-2 blow-up event squares by numpy's power, as it did on the
+        # array, which overflows to inf where a float ** raises
+        events = {}
+        run_ivp = paramflow._run_ivp
+
+        def recording_run_ivp(rhs, y0, t_end, tol, what, knots=(), event=None):
+            events[what] = event
+            return run_ivp(rhs, y0, t_end, tol, what, knots, event)
+
+        monkeypatch.setattr(paramflow, "_run_ivp", recording_run_ivp)
+        solve_path1(mixed_system(0), 4.0)
+        solve_path2(mixed_system(0), 4.0)
+        assert all(events.values()) and len(events) == 3
+        rng = np.random.default_rng(0)
+        states = [(rng.normal(size=8) * 10.0 ** rng.uniform(-3, 3, 8)).tolist()
+                  for _ in range(200)] + [[1.0, 1e200, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]]
+        with np.errstate(over="ignore"):   # as inside the solve
+            for event in events.values():
+                for y in states:
+                    assert float(event(0.5, y)).hex() == float(event(0.5, np.array(y))).hex()
+            blow_up = events["route-2 quadratic-phase parameters"]
+            assert blow_up(0.5, states[-1]) == -math.inf
+
     def test_float_overflow_ends_in_step_size_underflow(self):
         # the planar right-hand side squares by products, which overflow to
         # inf on floats as on numpy scalars (a float ** 2 raises), so the
