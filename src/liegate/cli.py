@@ -157,7 +157,7 @@ def validate_config(cfg: dict):
                               field="grid.n")
         for key, positive in (("x_min", False), ("dx", True)):
             if key in grid:
-                presets.check_number(grid[key], key, positive)
+                presets.check_number(grid[key], f"grid.{key}", positive)
 
 
 def build_problem(cfg: dict):

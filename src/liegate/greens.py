@@ -25,9 +25,9 @@ differs by a constant phase only).
 Application is trapezoid quadrature, evaluated exactly through chirp
 factors of the quadratic form (see kernel_apply): one FFT convolution in 1D;
 in the plane, row (x) column chirps, each distinct phase factor formed once,
-and blocks laid out by output row, each summed by one matrix product and one
-batched row sum in a workspace of 512 KiB that each thread keeps after its
-first planar apply: O(n^4) flops in O(n^2) memory.
+and blocks of input rows laid out by output row, each summed by one matrix
+product and one batched row sum in two buffers made for the call: O(n^4)
+flops in O(n^2) memory.
 Grid adequacy is the caller's job and is diagnosed by the unitarity residual.
 """
 
@@ -36,7 +36,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,12 +53,9 @@ __all__ = [
 ]
 
 _VARIANTS = ("lp", "path1", "path2", "twod_path1", "twod_path2")
-# complex entries (256 KiB) in one block of the planar apply; the workspace
-# each thread keeps for it holds two blocks (512 KiB).  It outlives the apply
-# on purpose: a buffer freed at the end of each apply goes back to the
-# system and page-faults anew in the next one.
+# complex entries (256 KiB) in one block of the planar apply, for grids of
+# up to 128 points per axis; a larger grid takes one input row per block
 _BLOCK_ENTRIES = 16384
-_LOCAL = threading.local()  # .ws: this thread's planar-apply workspace
 
 
 @dataclass(frozen=True)
@@ -244,14 +240,11 @@ def kernel_apply(kernel: GaussianKernel, psi0: WaveGrid) -> WaveGrid:
       negated Qxx'_ab's as a conjugate, the output at (x_i, x_l) is
       sum_j E_00[i, j] t[i, j, l], where
       t[i, j, l] = E_10[j, l] sum_k E_01[i, k] g[j, k] E_11[k, l].  A block
-      of input rows j, and where n^2 > _BLOCK_ENTRIES of output rows i too,
-      is laid out by output row: a[i, j, k] = E_01[i, k] g[j, k], then
-      t = a @ E_11 (one matrix product), t *= E_10, and the sum over j is
-      one batched matrix-vector product.  a and t live in the calling
-      thread's workspace of 2 _BLOCK_ENTRIES complex entries (512 KiB),
-      made on its first planar apply and kept for the thread's life, so no
-      block allocates: O(n^4) flops, O(n^2) memory.  A grid of more than
-      _BLOCK_ENTRIES points per axis does not fit one block: DomainError.
+      of max(1, _BLOCK_ENTRIES // n^2) input rows j is laid out by output
+      row: a[i, j, k] = E_01[i, k] g[j, k], then t = a @ E_11 (one matrix
+      product), t *= E_10, and the sum over j is one batched matrix-vector
+      product.  a and t are two buffers of one block each, made for the
+      call and reused by its blocks: O(n^4) flops, O(n^2) memory.
     The grid's hbar must be the kernel's, and Qxx' must be real, else
     DomainError: a complex one makes the chirps grow like exp(|Im c| x^2)
     and the result lose precision.
@@ -279,27 +272,19 @@ def kernel_apply(kernel: GaussianKernel, psi0: WaveGrid) -> WaveGrid:
             if q not in e:
                 e[q] = e[-q].conj() if -q in e else np.exp(1j * q * np.outer(x, x))
         e00, e01, e10, e11 = (e[q] for q in kernel.qxx1.real.ravel())
-        ws = getattr(_LOCAL, "ws", None)
-        if ws is None:
-            ws = _LOCAL.ws = np.empty(2 * _BLOCK_ENTRIES, dtype=complex)
-        block = ws.size // 2
-        if n > block:
-            raise DomainError(f"a planar grid has at most {block} points per axis")
-        r = max(1, block // (n * n))   # input rows j per block
-        ri = min(n, block // (r * n))  # output rows i per block
+        r = min(n, max(1, _BLOCK_ENTRIES // (n * n)))   # input rows j per block
+        buf_a, buf_t = np.empty((2, n * r * n), dtype=complex)
         out = np.zeros((n, n), dtype=complex)
-        for i in range(0, n, ri):
-            m = min(ri, n - i)
-            for j in range(0, n, r):
-                rr = min(r, n - j)
-                a = ws[:m * rr * n].reshape(m, rr, n)
-                t = ws[block:block + m * rr * n].reshape(m, rr, n)
-                np.multiply(e01[i:i + m, None, :], g[None, j:j + rr, :], out=a)
-                np.matmul(a.reshape(-1, n), e11, out=t.reshape(-1, n))
-                t *= e10[None, j:j + rr, :]
-                row = ws[:m * n].reshape(m, 1, n)  # a is spent: the row sums go there
-                np.matmul(e00[i:i + m, None, j:j + rr], t, out=row)
-                out[i:i + m] += row[:, 0, :]
+        for j in range(0, n, r):
+            rr = min(r, n - j)
+            a = buf_a[:n * rr * n].reshape(n, rr, n)
+            t = buf_t[:n * rr * n].reshape(n, rr, n)
+            np.multiply(e01[:, None, :], g[None, j:j + rr, :], out=a)
+            np.matmul(a.reshape(-1, n), e11, out=t.reshape(-1, n))
+            t *= e10[None, j:j + rr, :]
+            row = buf_a[:n * n].reshape(n, 1, n)  # a is spent: the row sums go there
+            np.matmul(e00[:, None, j:j + rr], t, out=row)
+            out += row[:, 0, :]
     out *= kernel.prefactor * np.exp(1j * kernel.scal) * _chirp(x, kernel.qxx + shift, kernel.lx)
     return WaveGrid(n, psi0.x_min, dx, out, psi0.hbar)
 

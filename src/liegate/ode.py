@@ -172,24 +172,19 @@ def _dop853_error(KT, h, scale):
 
 
 def _dop853_interpolant(fun, K, KT, t_old, h, y_old, f_old, y, f):
-    """The three extra stages and the rows F of the 7th-order interpolant,
-    the first three as floats and the last four as one product."""
+    """The three extra stages and the 7th-order interpolant's rows F, the
+    first three as floats and the last four as one product, stored as the
+    float columns ``_dop853_at`` reads."""
     for s, a, c in _DOP853_EXTRA:
         K[s] = fun(t_old + c * h, _shifted(y_old, np.dot(KT[s], a), h))
     delta = [yi - oi for yi, oi in zip(y, y_old)]
     F = [delta, [h * fo - d for fo, d in zip(f_old, delta)],
          [2 * d - h * (fi + fo) for d, fi, fo in zip(delta, f, f_old)]]
-    return t_old, h, y_old, F, h * np.dot(_D, K)
+    return t_old, h, list(zip(*(h * np.dot(_D, K))[::-1].tolist(), *F[::-1], y_old))
 
 
-def _dop853_columns(step):
-    """A step's interpolant as float columns, read faster than F's rows."""
-    t_old, h, y_old, F, F_tail = step
-    return t_old, h, list(zip(*F_tail[::-1].tolist(), *F[::-1], y_old))
-
-
-def _dop853_at(read, t):
-    t_old, h, columns = read
+def _dop853_at(step, t):
+    t_old, h, columns = step
     x = (float(t) - t_old) / h
     x1 = 1 - x
     return [(((((((0.0 + f6) * x + f5) * x1 + f4) * x + f3) * x1 + f2) * x + f1) * x1
@@ -215,8 +210,7 @@ class _Method(NamedTuple):
     stages after the first as (s, A[s, :s], C[s]), the weights B, the rows
     of the stage store K, the order of the error estimate (it sets the first
     step and the step-size exponent), the error norm of a step from K's
-    columns, the interpolant made after a step, the form it is read in, and
-    its value at a time."""
+    columns, the interpolant made after a step, and its value at a time."""
 
     stages: list
     B: np.ndarray
@@ -224,15 +218,14 @@ class _Method(NamedTuple):
     error_order: int
     error_norm: Callable
     interpolant: Callable
-    read: Callable
     at: Callable
 
 
 _METHODS = {
     "DOP853": _Method([(s, _A[s, :s], float(_C[s])) for s in range(1, 12)], _B, 16, 7,
-                      _dop853_error, _dop853_interpolant, _dop853_columns, _dop853_at),
+                      _dop853_error, _dop853_interpolant, _dop853_at),
     "RK45": _Method([(s, _RK45_A[s, :s], float(_RK45_C[s])) for s in range(1, 6)], _RK45_B,
-                    7, 4, _rk45_error, _rk45_interpolant, lambda step: step, _rk45_at),
+                    7, 4, _rk45_error, _rk45_interpolant, _rk45_at),
 }
 
 
@@ -252,21 +245,18 @@ def _first_step(fun, t0, y0, f0, t_bound, rtol, atol, order):
 
 class Dense:
     """Each step's interpolant, picked for a time as scipy's ``OdeSolution``
-    picks it, read as a list of floats; ``ts`` holds the step times."""
+    picks it, read as a list of floats; ``ts`` holds the step times.  A step
+    is stored in the form its method reads (DOP853's as float columns), so
+    a read keeps no state."""
 
     def __init__(self, ts: list, steps: list, method: _Method):
         self.ts = ts
         self._steps = steps
-        self._method = method
-        # the last step read, in its reading form: DOP853's float columns
-        # take 5x the memory of F, so only one step is held
-        self._read = -1, None
+        self._at = method.at
 
     def __call__(self, t):
         i = min(max(bisect_left(self.ts, t) - 1, 0), len(self._steps) - 1)
-        if self._read[0] != i:
-            self._read = i, self._method.read(self._steps[i])
-        return self._method.at(self._read[1], t)
+        return self._at(self._steps[i], t)
 
 
 @dataclass
@@ -294,7 +284,7 @@ def solve(fun, y0, bounds, rtol: float, atol: float, what: str, event=None,
     on every step, else only where the event fires.  Step-size underflow (NaN
     too) or a spent work budget raises IntegrationError at the time reached."""
     m = _METHODS[method]
-    stages, B, rows, error_order, error_norm, make_interpolant, _, _ = m
+    stages, B, rows, error_order, error_norm, make_interpolant, _ = m
     n_stages = len(stages) + 1
     nfev = 0
 
@@ -362,11 +352,8 @@ def solve(fun, y0, bounds, rtol: float, atol: float, what: str, event=None,
                         t_events.append(root)
                         if getattr(event, "terminal", False):
                             status, t, y = 1, root, at(root)
-                if dense and t == ts[-1]:   # a terminal root at the step's start: drop it
-                    steps.pop()
-                else:
-                    ts.append(t)
-                    ys.append(y)
+                ts.append(t)
+                ys.append(y)
             if status:
                 break
     return Result(t=np.array(ts), y=np.array(ys).T, sol=Dense(ts, steps, m) if dense else None,

@@ -682,6 +682,44 @@ def test_unknown_path_is_config_error(tmp_path, capsys):
     assert errors[0]["message"] == "field 'path' must be 'path1' or 'path2', got 'nosuch'"
 
 
+SHO = {"system": "gho", "coefficients": {"a": 1.0, "c": 1.0}, "t_end": 1.0}
+
+
+@pytest.mark.parametrize("payload, apply, field, message", [
+    ({"system": "gho", "coefficients": {"a": 1.0}}, None, "t_end",
+     "missing required field 't_end'"),
+    ({**SHO, "grid": 3}, None, "grid", "field 'grid' must be an object"),
+    ({**SHO, "grid": {"nx": 8}}, None, "grid.nx", "unknown grid key 'nx'"),
+    ({**SHO, "grid": {"dx": -1}}, None, "grid.dx", "field 'grid.dx' must be positive, got -1"),
+    ({**SHO, "grid": {"x_min": "a"}}, None, "grid.x_min", "field 'grid.x_min' must be a number"),
+    ({"system": "lp", "params": 3, "t_end": 1.0}, None, "params",
+     "system 'lp' requires a 'params' object"),
+    ({"system": "lp", "params": {"q": 1.0}, "t_end": 1.0}, None, "params.q",
+     "unknown parameter 'q' for system 'lp'"),
+    ({"system": "iontrap", "params": {"m": "one"}, "t_end": 1.0}, None, "params.m",
+     "field 'params.m' must be a number"),
+    ({**SHO, "coefficients": {"a": 1.0, "c": [1.0]}}, None, "coefficients.c",
+     "field 'coefficients.c' must be a number or a profile object"),
+    (SHO, "gaussian(sigma)", "apply", "malformed --apply entry 'sigma'"),
+    (SHO, "gaussian(sigma=wide)", "apply", "--apply parameter 'sigma' must be a number"),
+    (SHO, "gaussian(sigma=0)", "apply", "--apply sigma must be positive"),
+    (SHO, "gaussian(sigma=-1)", "apply", "--apply sigma must be positive"),
+], ids=["no-t_end", "grid-not-object", "grid-unknown-key", "grid-dx", "grid-x_min",
+        "section-not-object", "unknown-parameter", "parameter-not-number",
+        "profile-neither", "apply-no-equals", "apply-not-number", "apply-zero-sigma",
+        "apply-negative-sigma"])
+def test_config_refusals_name_their_field(tmp_path, capsys, monkeypatch, payload, apply, field,
+                                          message):
+    # each is refused before the solve: exit 2 and one JSON object on stdout
+    monkeypatch.setattr(paramflow, "solve_path1", no_solve)
+    cfg = write_config(tmp_path, "bad.json", payload)
+    argv = ["params"] if apply is None else ["kernel", "--apply", apply]
+    assert cli.main([*argv, "--config", cfg, "--out", str(tmp_path / "x")]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert (err["type"], err["field"], err["message"]) == ("ConfigError", field, message)
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("text", ['{"system": "gho",', '{"t_end": 1' + "0" * 5000 + "}"],
                          ids=["truncated", "int-past-digit-limit"])
 def test_unparsable_config_is_config_error(tmp_path, capsys, text):

@@ -181,6 +181,20 @@ class TestKernelCoefficients:
         with pytest.raises(DomainError, match="unknown kernel variant 'path3'; choose from"):
             kernel_build(sho_traj, 0.3, "path3")
 
+    @pytest.mark.parametrize("qxx, qxx1, message", [
+        (1.0, 0.0, "real exponent with a singular cross block"),
+        (-1j, 1.0, "imaginary part of the exponent is not positive semidefinite"),
+    ], ids=["real-singular-cross", "imaginary-not-psd"])
+    def test_kernels_that_are_not_delta_convergent_are_refused(self, qxx, qxx1, message):
+        with pytest.raises(DomainError, match=f"kernel is not delta-convergent: {message}"):
+            GaussianKernel(dof=1, t=1.0, prefactor=1.0, qxx=qxx, qx1x1=1.0, qxx1=qxx1,
+                           lx=0.0, lx1=0.0, scal=0.0, valid_to=math.inf, hbar=1.0)
+
+    def test_unitarity_residual_of_the_zero_state_is_refused(self, sho_traj):
+        zero = WaveGrid(8, -1.0, 0.25, np.zeros(8, dtype=complex))
+        with pytest.raises(DomainError, match="unitarity residual undefined for the zero state"):
+            kernel_unitarity_residual(kernel_build(sho_traj, 0.3, "path1"), zero)
+
 
 class TestKernelApply:
     def test_near_delta_reproduces_input(self, free_traj):
@@ -496,7 +510,7 @@ def random_kernel(rng, dof, cross_scale):
 
 
 def on_fresh_thread(fn, *args):
-    """fn(*args) on a new thread, which has no planar-apply workspace yet."""
+    """fn(*args) on a new thread."""
     with ThreadPoolExecutor(max_workers=1) as pool:
         return pool.submit(fn, *args).result(timeout=120)
 
@@ -590,7 +604,7 @@ class TestApplyMatchesDirectSum:
     def test_planar_working_memory_is_below_one_cube(self):
         # the peak stays below one n^3 complex array (4 MiB at n = 64), so no
         # n^3 temporary can come back unnoticed; the traced apply runs on a
-        # fresh thread, so the peak counts that thread's new workspace too
+        # fresh thread, so the peak counts all that the apply allocates there
         n = 64
         rng = np.random.default_rng(64)
         kernel = random_kernel(rng, 2, cross_scale=2.0)
@@ -605,31 +619,21 @@ class TestApplyMatchesDirectSum:
         assert peak < n**3 * 16
 
     def test_planar_blocks_split_output_rows(self, monkeypatch):
-        # with blocks of 64 entries, n^2 > 64 at n = 9 and 16, so blocks of
-        # one input row also split the output rows; the workspace made on a
-        # fresh thread is two blocks and does not grow
+        # with blocks of 64 entries, n^2 > 64 at n = 9 and 16, so each block
+        # is one input row against all output rows, larger than 64 entries
         monkeypatch.setattr(greens, "_BLOCK_ENTRIES", 64)
         rng = np.random.default_rng(500)
         kernel = random_kernel(rng, 2, cross_scale=2.0)
-
-        def apply_and_workspace(psi):
-            return kernel_apply(kernel, psi).amps, greens._LOCAL.ws.size
-
         for n in (9, 16):
             psi = WaveGrid(n, -4.0, 8.0 / n, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-            fast, entries = on_fresh_thread(apply_and_workspace, psi)
+            fast = kernel_apply(kernel, psi).amps
             ref = direct_apply(kernel, psi)
             assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
-            assert entries == 2 * 64
-        # one input row of a 65-point grid is larger than a block
-        wide = WaveGrid(65, -4.0, 8.0 / 65, np.ones((65, 65), dtype=complex))
-        with pytest.raises(DomainError, match="at most 64 points"):
-            on_fresh_thread(kernel_apply, kernel, wide)
 
     def test_planar_workspace_is_per_thread(self):
         # two threads per kernel, two kernels whose blocks differ in shape:
         # every apply gives the serial bits, so no thread writes into
-        # another's workspace
+        # another's block buffers
         rng = np.random.default_rng(600)
         cases = []
         for n in (33, 48):

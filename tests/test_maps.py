@@ -286,6 +286,17 @@ class TestAssemblyReadsOnlyWhatTheMapNeeds:
         smap = SymplecticMap(t=0.0, M=[[1, 0], [0, 1]], shift=(0, 0))
         assert smap.M.dtype == smap.shift.dtype == np.float64
 
+    @pytest.mark.parametrize("mean, cov, message", [
+        (np.zeros(4), np.eye(2), "moments must have dimension 2"),
+        (np.zeros(2), np.eye(4), "moments must have dimension 2"),
+        (np.zeros(2), np.diag([1.0, 0.0]), "covariance must be positive definite"),
+        (np.zeros(2), np.diag([1.0, -1.0]), "covariance must be positive definite"),
+    ], ids=["mean-4d", "cov-4d", "cov-singular", "cov-indefinite"])
+    def test_moment_transport_refuses(self, mean, cov, message):
+        smap = SymplecticMap(t=0.0, M=np.eye(2), shift=np.zeros(2))
+        with pytest.raises(DomainError, match=message):
+            evolve_gaussian_moments(smap, mean, cov)
+
 
 class TestSymplecticChecks:
     def test_residuals_equal_the_direct_formula_bitwise(self):

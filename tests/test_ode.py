@@ -282,6 +282,25 @@ def test_degenerate_first_steps_fail_as_scipys(fun, y0, method):
         assert_same_as_scipy(fun, y0, (0.0, 1.0), 1e-6, 1e-8, "test", method=method)
 
 
+@pytest.mark.parametrize("method", ["DOP853", "RK45"])
+def test_terminal_root_at_a_steps_start_solves_as_scipys(method):
+    # the event is exactly zero at t0: the first step's root is its start,
+    # and scipy keeps that step, so t is [t0, t0] and the dense solution
+    # answers at t0
+    def at_start(t, y):
+        return y[0]
+
+    def fun(t, y):
+        return [1.0, -y[0]]
+
+    at_start.terminal = True
+    result = ode.solve(fun, [0.0, 1.0], (0.0, 1.0), 1e-8, 1e-10, "test", at_start, True, method)
+    assert result.t.tolist() == [0.0, 0.0] and result.status == 1
+    assert result.sol(0.0) == [0.0, 1.0]
+    assert_same_as_scipy(fun, [0.0, 1.0], (0.0, 1.0), 1e-8, 1e-10, "test", at_start,
+                         method=method)
+
+
 def test_error_norms_are_scipys_bitwise():
     # the norms' scalar tails run on floats; at a zero E5 sum beside an E3
     # sum that 0.01 scales to zero, scipy's 0/0 is nan

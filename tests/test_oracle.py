@@ -24,6 +24,8 @@ def make_grid(n=1024, half_width=12.0, **kwargs):
 
 
 FREE = CoefficientSet1D.build(a=1.0)
+ZERO = WaveGrid(8, -1.0, 0.25, np.zeros(8))
+PLANAR = WaveGrid(8, -1.0, 0.25, np.ones((8, 8)))
 NOT_A_SYSTEM = "neither CoefficientSet1D nor FieldProfile2D"
 
 
@@ -207,6 +209,20 @@ class TestFidelityAndGrids:
     def test_grid_mismatch(self):
         with pytest.raises(DomainError, match="identical grids"):
             fidelity(make_grid(n=512), make_grid(n=1024))
+
+    @pytest.mark.parametrize("refused, message", [
+        (lambda: WaveGrid(8, -1.0, 0.25, np.ones(7)), r"amps shape \(7,\) does not match n=8"),
+        (lambda: ZERO.normalized(), "cannot normalize the zero wavefunction"),
+        (lambda: fidelity(ZERO, ZERO), "fidelity undefined for the zero wavefunction"),
+        (lambda: split_step_evolve(FREE, PLANAR, 1.0, 4), "split-step oracle operates on 1D grids"),
+        (lambda: split_step_evolve(FREE, make_grid(n=8), 1.0, -1),
+         "n_steps must be non-negative"),
+        (lambda: grid_moments(PLANAR), "grid_moments operates on 1D grids"),
+    ], ids=["amps-shape", "normalize-zero", "fidelity-zero", "split-step-planar",
+            "split-step-negative-steps", "moments-planar"])
+    def test_grid_operations_refuse(self, refused, message):
+        with pytest.raises(DomainError, match=message):
+            refused()
 
     def test_normalization(self):
         psi = make_grid()

@@ -310,6 +310,11 @@ class TestPlanar:
         expected_rate = -0.8 * 1.7 / (2 * 1.3)
         assert tr.sample(1.0)["theta"] == pytest.approx(expected_rate * 1.0, rel=1e-10)
 
+    def test_unknown_route_is_refused(self):
+        field = FieldProfile2D.build(m=1.0, B=1.0, K=0.0, charge=1.0)
+        with pytest.raises(DomainError, match="path must be 'path1' or 'path2', got 'nosuch'"):
+            solve_2d(field, 1.0, path="nosuch")
+
 
 class TestCausticWindow:
     def test_oscillator(self):
