@@ -310,23 +310,26 @@ class Tabulated(TimeProfile):
             return (0.0 + c1 + c2 * s * 2.0 + c3 * (s * s) * 3.0).reshape(shape)
 
     def scalar(self):
-        # the same sums on floats, the interval found by bisection
-        breaks, pieces = self._x.tolist(), self._c.T.tolist()
-        lo, hi, last = breaks[0], breaks[-1], len(breaks) - 1
+        # the same sums on floats; one bisection over the interior breaks
+        # picks the interval _local's searchsorted picks, whose piece holds
+        # its left break and rows c3 ... c0
+        breaks = self._x.tolist()
+        interior, pieces = breaks[1:-1], list(zip(breaks, *self._c.tolist()))
+        lo, hi = breaks[0], breaks[-1]
         find, check = bisect.bisect_right, self._check_range
 
-        def piece(t):
+        def value(t):
             if t < lo or t > hi:
                 check(t)   # raises
-            i = min(find(breaks, t), last) - 1
-            return t - breaks[i], pieces[i]
-
-        def value(t):
-            s, (c3, c2, c1, c0) = piece(t)
+            x, c3, c2, c1, c0 = pieces[find(interior, t)]
+            s = t - x
             return 0.0 + c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
 
         def rate(t):
-            s, (c3, c2, c1, _) = piece(t)
+            if t < lo or t > hi:
+                check(t)   # raises
+            x, c3, c2, c1, _ = pieces[find(interior, t)]
+            s = t - x
             return 0.0 + c1 + c2 * s * 2.0 + c3 * (s * s) * 3.0
 
         return value, rate

@@ -79,28 +79,40 @@ def _path1_entries(a: float, bint: float, u: float, udot: float, v: float, vdot:
     return (eb * u, eb * v), (eb * udot / a, eb * vdot / a)
 
 
+def _path2_entries(delta: float, gamma: float, phi: float, alpha: float, vphi: float,
+                   beta: float):
+    cph, sph = math.cos(phi), math.sin(phi)
+    ev, evm = math.exp(vphi), math.exp(-vphi)
+    eg, egm = math.exp(gamma), math.exp(-gamma)
+    g_qq = (cph - alpha * sph) * eg * ev
+    g_qp = ((beta * cph - alpha * beta * sph) * ev + sph * evm) * eg / delta
+    g_pq = -(alpha * cph + sph) * delta * ev * egm
+    g_pp = -((beta * sph + alpha * beta * cph) * ev - cph * evm) * egm
+    return (g_qq, g_qp), (g_pq, g_pp)
+
+
 def _radial_entries(traj: ParamTrajectory, s: ParamSample) -> tuple[tuple[float, float], ...]:
     """The 2x2 map ((G_qq, G_qp), (G_pq, G_pp)) from one sample of ``traj``."""
     if traj.path == "path1":
         return _path1_entries(s.a, s.bint, s.u, s.udot, s.v, s.vdot)
-    delta = traj.Delta
-    cph, sph = math.cos(s.phi), math.sin(s.phi)
-    ev, evm = math.exp(s.vphi), math.exp(-s.vphi)
-    eg, egm = math.exp(s.gamma), math.exp(-s.gamma)
-    g_qq = (cph - s.alpha * sph) * eg * ev
-    g_qp = ((s.beta * cph - s.alpha * s.beta * sph) * ev + sph * evm) * eg / delta
-    g_pq = -(s.alpha * cph + sph) * delta * ev * egm
-    g_pp = -((s.beta * sph + s.alpha * s.beta * cph) * ev - cph * evm) * egm
-    return (g_qq, g_qp), (g_pq, g_pp)
+    return _path2_entries(traj.Delta, s.gamma, s.phi, s.alpha, s.vphi, s.beta)
 
 
 def _radial(traj: ParamTrajectory, t: float):
-    """The radial entries and shift (lam, -Pi) at t: route 1 reads its base solve and a."""
-    if traj.path == "path2":
-        s = traj.sample(t)
-        return _radial_entries(traj, s), [s.lam, -s.Pi]
-    lam, pi, _, *base = traj._base(t)
-    return _path1_entries(traj._a(t), *base), [lam, -pi]
+    """The radial entries and shift (lam, -Pi) at t <= valid_to, read as
+    ``sample`` reads them: route 1 from its base solve and a, route 2 from
+    its base and Riccati solves, a and c."""
+    if traj.path == "path1":
+        lam, pi, _, *base = traj._base(t)
+        return _path1_entries(traj._a(t), *base), [lam, -pi]
+    lam, pi, _, phi = traj._base(t)
+    gamma = 0.5 * math.log(traj.Delta * math.sqrt(traj._a(t) / traj._c(t)))
+    if traj.shortcut:
+        alpha = vphi = beta = 0.0
+    else:   # valid_to ends no later than the Riccati solve
+        qq, pp, _, vphi, beta, _ = traj._riccati(t)
+        alpha = qq / pp
+    return _path2_entries(traj.Delta, gamma, phi, alpha, vphi, beta), [lam, -pi]
 
 
 def _rotation(theta: float) -> tuple[tuple[float, float], ...]:

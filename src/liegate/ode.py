@@ -13,7 +13,8 @@ either of two methods, through one step loop that reads the method as data
 
 Both share scipy's first-step rule and step-size control (safety 0.9, factor
 bounds 0.2 and 10, exponent -1/(order of the error estimate + 1)) and its
-array products per stage, the numpy (BLAS) reductions that set the bits; the
+array products per stage, the numpy (BLAS) reductions that set the bits, each
+an array's own ``.dot`` (``np.dot``'s product without its dispatch); the
 elementwise rest runs on Python floats, which give numpy's bits without its
 per-call cost.  So ``fun`` and ``event`` get t as a float and y as a list of
 floats, as the dense solution returns it, and divide by no part of y that can
@@ -158,14 +159,9 @@ def _rms(x):
     return math.sqrt(x.dot(x)) / x.size ** 0.5   # np.linalg.norm's own formula
 
 
-def _shifted(y, dy, h):
-    """y + dy h for a list y and an array dy, elementwise as numpy forms it."""
-    return [yi + di * h for yi, di in zip(y, dy.tolist())]
-
-
 def _dop853_error(KT, h, scale):
     """The step's error norm, blending the E5 and E3 estimates."""
-    err5, err3 = np.dot(KT, _E5) / scale, np.dot(KT, _E3) / scale
+    err5, err3 = KT.dot(_E5) / scale, KT.dot(_E3) / scale
     err5, err3 = math.sqrt(err5.dot(err5)) ** 2, math.sqrt(err3.dot(err3)) ** 2
     norm = math.sqrt((err5 + 0.01 * err3) * scale.size)
     return abs(h) * err5 / norm if norm else math.nan if err3 else 0.0   # numpy's 0/0 is nan
@@ -176,11 +172,11 @@ def _dop853_interpolant(fun, K, KT, t_old, h, y_old, f_old, y, f):
     first three as floats and the last four as one product, stored as the
     float columns ``_dop853_at`` reads."""
     for s, a, c in _DOP853_EXTRA:
-        K[s] = fun(t_old + c * h, _shifted(y_old, np.dot(KT[s], a), h))
+        K[s] = fun(t_old + c * h, [yi + di * h for yi, di in zip(y_old, KT[s].dot(a).tolist())])
     delta = [yi - oi for yi, oi in zip(y, y_old)]
     F = [delta, [h * fo - d for fo, d in zip(f_old, delta)],
          [2 * d - h * (fi + fo) for d, fi, fo in zip(delta, f, f_old)]]
-    return t_old, h, list(zip(*(h * np.dot(_D, K))[::-1].tolist(), *F[::-1], y_old))
+    return t_old, h, list(zip(*(h * _D.dot(K))[::-1].tolist(), *F[::-1], y_old))
 
 
 def _dop853_at(step, t):
@@ -192,7 +188,7 @@ def _dop853_at(step, t):
 
 
 def _rk45_error(KT, h, scale):
-    return _rms(np.dot(KT, _RK45_E) * h / scale)
+    return _rms(KT.dot(_RK45_E) * h / scale)
 
 
 def _rk45_interpolant(fun, K, KT, t_old, h, y_old, f_old, y, f):
@@ -202,7 +198,7 @@ def _rk45_interpolant(fun, K, KT, t_old, h, y_old, f_old, y, f):
 def _rk45_at(step, t):
     """Shampine's quartic at t, as scipy's ``RkDenseOutput`` forms it."""
     t_old, h, y_old, Q = step
-    return (h * np.dot(Q, np.cumprod(np.tile((t - t_old) / h, 4))) + y_old).tolist()
+    return (h * Q.dot(np.cumprod(np.tile((t - t_old) / h, 4))) + y_old).tolist()
 
 
 class _Method(NamedTuple):
@@ -299,6 +295,8 @@ def solve(fun, y0, bounds, rtol: float, atol: float, what: str, event=None,
     exponent = -1 / (error_order + 1)
     y = np.asarray(y0, dtype=float).tolist()
     ts, ys, steps, t_events, status = [float(bounds[0])], [y], [], [], 0
+    K = np.empty((rows, len(y)))   # the stage store, and the views its sums read
+    KT = [K[:s].T for s in range(rows + 1)]
     # a solution that overflows ends in step-size underflow (IntegrationError),
     # not in numpy's warnings
     with np.errstate(all="ignore"):
@@ -307,8 +305,6 @@ def solve(fun, y0, bounds, rtol: float, atol: float, what: str, event=None,
             spend(2, t)   # f and the first-step probe
             f = fun(t, y)
             h_abs = float(_first_step(fun, t, y, f, hi, rtol, atol, error_order))
-            K = np.empty((rows, len(y)))
-            KT = [K[:s].T for s in range(rows + 1)]
             g = None if event is None else event(t, y)
             while status == 0 and t < hi:
                 min_step = 10 * (math.nextafter(t, math.inf) - t)
@@ -323,8 +319,9 @@ def solve(fun, y0, bounds, rtol: float, atol: float, what: str, event=None,
                     h_abs = abs(h)
                     K[0] = f
                     for s, a, c in stages:
-                        K[s] = fun(t + c * h, _shifted(y, np.dot(KT[s], a), h))
-                    y_new = _shifted(y, np.dot(KT[n_stages], B), h)
+                        dy = KT[s].dot(a).tolist()
+                        K[s] = fun(t + c * h, [yi + di * h for yi, di in zip(y, dy)])
+                    y_new = [yi + di * h for yi, di in zip(y, KT[n_stages].dot(B).tolist())]
                     K[n_stages] = f_new = fun(t + h, y_new)
                     scale = np.array([atol + max(abs(yi), abs(zi)) * rtol
                                       for yi, zi in zip(y, y_new)])

@@ -315,6 +315,23 @@ class TestFloatBranch:
         ts = np.random.default_rng(13).uniform(0.0, 3.0, 2000).tolist()
         assert [t for t in ts if not bits_equal(c(t), reduced.c(np.asarray(t)))] == []
 
+    def test_tabulated_float_branch_picks_the_array_interval_at_every_break(self):
+        # one bisection over the interior breaks must pick the piece the
+        # array path's searchsorted picks on either side of each break
+        prof = Tabulated(knots_t=(-0.75, -0.7, 0.1, 0.125, 1.9, 2.0, 5.5),
+                         knots_v=(1.0, -0.4, 0.6, 2.5, 0.3, 0.9, -1.2))
+        inside = [t for tk in prof.knots_t[1:-1]
+                  for t in (math.nextafter(tk, -math.inf), tk, math.nextafter(tk, math.inf))]
+        lo, hi = prof.knots_t[0], prof.knots_t[-1]
+        ends = [lo, math.nextafter(lo, math.inf), math.nextafter(hi, -math.inf), hi]
+        assert float_branch_mismatches(prof, np.array(inside + ends + [math.nan])) == []
+        message = (r"^time outside tabulated range \[-0\.75, 5\.5\]; "
+                   r"extrapolation is refused$")
+        for compiled in prof.scalar():
+            for t in (math.nextafter(lo, -math.inf), math.nextafter(hi, math.inf)):
+                with pytest.raises(DomainError, match=message):
+                    compiled(t)
+
     def test_tabulated_float_branch_refuses_times_beyond_the_knots(self):
         lo, hi = KNOTS.knots_t[0], KNOTS.knots_t[-1]
         for compiled in KNOTS.scalar():

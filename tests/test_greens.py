@@ -618,7 +618,7 @@ class TestApplyMatchesDirectSum:
             tracemalloc.stop()
         assert peak < n**3 * 16
 
-    def test_planar_blocks_split_output_rows(self, monkeypatch):
+    def test_planar_blocks_of_one_input_row_match_the_direct_sum(self, monkeypatch):
         # with blocks of 64 entries, n^2 > 64 at n = 9 and 16, so each block
         # is one input row against all output rows, larger than 64 entries
         monkeypatch.setattr(greens, "_BLOCK_ENTRIES", 64)
@@ -630,7 +630,7 @@ class TestApplyMatchesDirectSum:
             ref = direct_apply(kernel, psi)
             assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
 
-    def test_planar_workspace_is_per_thread(self):
+    def test_concurrent_planar_applies_give_the_serial_bits(self):
         # two threads per kernel, two kernels whose blocks differ in shape:
         # every apply gives the serial bits, so no thread writes into
         # another's block buffers

@@ -261,6 +261,33 @@ class TestAssemblyReadsOnlyWhatTheMapNeeds:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 smap.M = m
 
+    def test_route_2_maps_read_no_sample(self, monkeypatch):
+        # route 2 reads its base and Riccati solves with a and c directly and
+        # puts the numbers a sample holds through _radial_entries' formula;
+        # valid_to is the half turn (shortcut, turning) or the end of the
+        # Riccati solve (blow_up)
+        shortcut = paramflow.solve_path2(CoefficientSet1D.build(a=1.0, c=1.0), 4.0, tol=1e-10)
+        turning = paramflow.solve_path2(
+            random_smooth_coeffs(np.random.default_rng(0), positive_c=True), 4.0, tol=1e-10)
+        blow_up = paramflow.solve_path2(
+            CoefficientSet1D.build(a=1.0, b=Sinusoid(2.0, 1.0), c=1.0), 3.0, tol=1e-10)
+        planar = paramflow.solve_2d(seeded_field(3), 4.0, tol=1e-10, path="path2")
+        assert shortcut.shortcut and not (turning.shortcut or planar.radial.shortcut)
+        assert blow_up.valid_to == blow_up._riccati_t_end < turning.valid_to < 4.0
+        cases = [(tr, assemble_path2) for tr in (shortcut, turning, blow_up)]
+        cases.append((planar, assemble_2d))
+        times = [[0.0, *np.linspace(0.0, tr.valid_to, 25)[1:].tolist()] for tr, _ in cases]
+        calls = []
+        for cls in (paramflow.ParamTrajectory, paramflow.ParamTrajectory2D):
+            monkeypatch.setattr(cls, "sample", lambda tr, t, sample=cls.sample:
+                                calls.append(t) or sample(tr, t))
+        got = [assemble(tr, t) for (tr, assemble), ts in zip(cases, times) for t in ts]
+        assert calls == []
+        expected = [sample_map(tr, t) for (tr, _), ts in zip(cases, times) for t in ts]
+        assert [ts[-1] for ts in times] == [tr.valid_to for tr, _ in cases]
+        assert ([(smap.M.tobytes(), smap.shift.tobytes()) for smap in got]
+                == [(m.tobytes(), shift.tobytes()) for m, shift in expected])
+
     def test_out_of_window_times_fail_as_before(self):
         cases = [(t_end, *case) for t_end in (4.0, 0.5) for case in seeded_trajectories(1, t_end)]
         # focal times inside [0, t_end], and none
