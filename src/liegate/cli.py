@@ -193,22 +193,12 @@ def _summary(cfg: dict, kind: str, traj) -> dict:
         "valid_to": traj.valid_to if math.isfinite(traj.valid_to) else None,
     }
     if kind == "1d":
-        s = traj.sample(t_end)
-        out["Delta"] = traj.Delta
-        out["shortcut"] = traj.shortcut
-        out["final"] = {
-            "S": s.S, "lam": s.lam, "Pi": s.Pi, "gamma": s.gamma,
-            "alpha": s.alpha, "phi": s.phi, "vphi": s.vphi, "beta": s.beta,
-            "u": s.u, "udot": s.udot,
-        }
+        out.update(Delta=traj.Delta, shortcut=traj.shortcut)
+        final, left_out = traj.sample(t_end)._asdict(), ("t", "v", "vdot")
     else:
-        rec = traj.sample(t_end)
         out["Delta"] = traj.radial.Delta
-        out["final"] = {
-            "S": rec["S"], "theta": rec["theta"],
-            "lam_x": rec["lam_x"], "lam_y": rec["lam_y"],
-            "Pi_x": rec["Pi_x"], "Pi_y": rec["Pi_y"],
-        }
+        final, left_out = traj.sample(t_end), ("t", "radial")
+    out["final"] = {k: v for k, v in final.items() if k not in left_out}
     return out
 
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CausticError, DomainError
-from .maps import _radial_entries, _rotation
+from .maps import _parts
 from .oracle import WaveGrid
 from .paramflow import ParamTrajectory, ParamTrajectory2D
 
@@ -169,22 +169,14 @@ def kernel_build(
             "variant 'lp' requires b(t) == 0 and c(t) == 0; "
             "use variant 'path1' for the general quadratic Hamiltonian"
         )
-    if planar:
-        rec = traj.sample(t)
-        s, rot, action = rec["radial"], np.array(_rotation(rec["theta"])), rec["S"]
-        lam = np.array([rec["lam_x"], rec["lam_y"]])
-        pi = np.array([rec["Pi_x"], rec["Pi_y"]])
-    else:
-        s = traj.sample(t)
-        rot, lam, pi, action = np.eye(1), np.array([s.lam]), np.array([s.Pi]), s.S
-
-    (g_qq, g_qp), (_, g_pp) = _radial_entries(radial, s)
+    ((g_qq, g_qp), (_, g_pp)), rot, shift, action = _parts(traj, t)
     if g_qp == 0.0:
         raise CausticError("the map's x-p entry vanishes: the kernel is singular "
                            "at this time")
     hbar = traj.hbar
-    dof = len(lam)
-    eye = np.eye(dof)
+    dof = len(rot)
+    rot, eye = np.array(rot), np.eye(dof)
+    lam, pi = np.array(shift[:dof]), -np.array(shift[dof:])   # shift = (lam, -Pi)
     a = g_pp / (2.0 * hbar * g_qp)       # Qxx = a I
     c = -1.0 / (hbar * g_qp)             # Qxx' = c R
     return GaussianKernel(

@@ -19,7 +19,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import det as _det
 
 from .errors import CausticError, DomainError
-from .paramflow import ParamSample, ParamTrajectory, ParamTrajectory2D, _check_solved
+from .paramflow import ParamTrajectory, ParamTrajectory2D, _check_solved
 
 __all__ = [
     "SymplecticMap",
@@ -91,28 +91,34 @@ def _path2_entries(delta: float, gamma: float, phi: float, alpha: float, vphi: f
     return (g_qq, g_qp), (g_pq, g_pp)
 
 
-def _radial_entries(traj: ParamTrajectory, s: ParamSample) -> tuple[tuple[float, float], ...]:
-    """The 2x2 map ((G_qq, G_qp), (G_pq, G_pp)) from one sample of ``traj``."""
-    if traj.path == "path1":
-        return _path1_entries(s.a, s.bint, s.u, s.udot, s.v, s.vdot)
-    return _path2_entries(traj.Delta, s.gamma, s.phi, s.alpha, s.vphi, s.beta)
-
-
 def _radial(traj: ParamTrajectory, t: float):
-    """The radial entries and shift (lam, -Pi) at t <= valid_to, read as
-    ``sample`` reads them: route 1 from its base solve and a, route 2 from
-    its base and Riccati solves, a and c."""
+    """The radial entries, the shift (lam, -Pi) and the action S at
+    t <= valid_to: route 1 from its base solve and a, route 2 from its base
+    and Riccati solves, a and c."""
     if traj.path == "path1":
-        lam, pi, _, *base = traj._base(t)
-        return _path1_entries(traj._a(t), *base), [lam, -pi]
-    lam, pi, _, phi = traj._base(t)
+        lam, pi, action, *base = traj._base(t)
+        return _path1_entries(traj._a(t), *base), [lam, -pi], action
+    lam, pi, action, phi = traj._base(t)
     gamma = 0.5 * math.log(traj.Delta * math.sqrt(traj._a(t) / traj._c(t)))
     if traj.shortcut:
         alpha = vphi = beta = 0.0
     else:   # valid_to ends no later than the Riccati solve
         qq, pp, _, vphi, beta, _ = traj._riccati(t)
         alpha = qq / pp
-    return _path2_entries(traj.Delta, gamma, phi, alpha, vphi, beta), [lam, -pi]
+    return _path2_entries(traj.Delta, gamma, phi, alpha, vphi, beta), [lam, -pi], action
+
+
+def _parts(traj: ParamTrajectory | ParamTrajectory2D, t: float):
+    """The map at t as the kernels and ``assemble_2d`` read it, once: the
+    radial entries, the rotation R(theta) (the 1x1 identity in 1D), the
+    shift (lam, -Pi) and the action S.  t is checked against the window."""
+    _window_check(traj, t)
+    if isinstance(traj, ParamTrajectory):
+        entries, shift, action = _radial(traj, t)
+        return entries, ((1.0,),), shift, action
+    lam_x, lam_y, pi_x, pi_y, action, theta = traj._dense(t)
+    return (_radial(traj.radial, t)[0], _rotation(theta),
+            [lam_x, lam_y, -pi_x, -pi_y], action)
 
 
 def _rotation(theta: float) -> tuple[tuple[float, float], ...]:
@@ -133,7 +139,7 @@ def _assemble_1d(traj: ParamTrajectory, t: float, path: str) -> SymplecticMap:
         raise DomainError(f"trajectory was solved with route {traj.path[-1]}; "
                           f"use assemble_{traj.path}")
     _window_check(traj, t)
-    return _map(t, *_radial(traj, t))
+    return _map(t, *_radial(traj, t)[:2])
 
 
 def assemble_path1(traj: ParamTrajectory, t: float) -> SymplecticMap:
@@ -148,12 +154,10 @@ def assemble_path2(traj: ParamTrajectory, t: float) -> SymplecticMap:
 
 def assemble_2d(traj2d: ParamTrajectory2D, t: float) -> SymplecticMap:
     """Planar map: 2x2 blocks G_ab * R(theta) in (x, y, p_x, p_y) ordering."""
-    _window_check(traj2d, t)
-    lam_x, lam_y, pi_x, pi_y, _, theta = traj2d._dense(t)
+    radial, rotation, shift, _ = _parts(traj2d, t)
     # np.kron(G, R) entry by entry: the same single product G_ij * R_kl each
     return _map(t, [[g * r for g in g_row for r in r_row]
-                    for g_row in _radial(traj2d.radial, t)[0] for r_row in _rotation(theta)],
-                [lam_x, lam_y, -pi_x, -pi_y])
+                    for g_row in radial for r_row in rotation], shift)
 
 
 def _frozen_form(dof: int) -> np.ndarray:

@@ -57,11 +57,8 @@ _MASS_REQUIREMENT = "the kinetic energy is p^2/2m"
 
 class ParamSample(NamedTuple):
     """All transformation parameters at one instant, and (u, udot) with
-    alpha = -udot/u.  The fields without a default are the params.csv columns.
-
-    Route 1 also reports its companion solution (v, vdot) and bint, the
-    integral of b(t) from 0; both routes report a(t), read for gamma.  The
-    kernels read the map from these with the rest.
+    alpha = -udot/u; route 1 also reports its companion solution (v, vdot),
+    the two fields with a default.  These are the params.csv columns.
     """
 
     t: float
@@ -77,8 +74,6 @@ class ParamSample(NamedTuple):
     udot: float
     v: float = float("nan")
     vdot: float = float("nan")
-    bint: float = float("nan")
-    a: float = float("nan")
 
 
 # No solve builds one; perfbench/spans.py wraps LinearTranslation.at by name.
@@ -98,9 +93,10 @@ class LinearTranslation:
 class ParamTrajectory:
     """Transformation parameters of one factorization route on [0, t_end]:
     the route, its coefficients, Delta, the integrator's grid, ``valid_to``
-    and what ``sample`` reads: the dense solutions and the compiled a(t)
-    (route 2: and c(t)) the solve used; route 2 also holds whether it took
-    the shortcut and, if not, its Riccati solve and where that ended.
+    and what ``sample`` and the maps and kernels read: the dense solutions
+    and the compiled a(t) (route 2: and c(t)) the solve used; route 2 also
+    holds whether it took the shortcut and, if not, its Riccati solve and
+    where that ended.
 
     All parameters vanish at t = 0 (the factorized operator is the identity
     there).  ``valid_to`` is the first focal time, or inf if there is none
@@ -140,8 +136,7 @@ class ParamTrajectory:
             alpha = -udot / u if inside else nan
             phi = bint - gamma + math.log(u) if inside else nan
             beta = self.Delta * v / u if inside else nan
-            return ParamSample(t, s, lam, pi, gamma, alpha, phi, 0.0, beta, u, udot,
-                               v, vdot, bint, a)
+            return ParamSample(t, s, lam, pi, gamma, alpha, phi, 0.0, beta, u, udot, v, vdot)
         gamma = 0.5 * math.log(self.Delta * math.sqrt(a / self._c(t)))
         lam, pi, s, phi = self._base(t)
         if self.shortcut:
@@ -153,7 +148,7 @@ class ParamTrajectory:
             udot = -alpha * u
         else:
             alpha = vphi = beta = u = udot = nan
-        return ParamSample(t, s, lam, pi, gamma, alpha, phi, vphi, beta, u, udot, a=a)
+        return ParamSample(t, s, lam, pi, gamma, alpha, phi, vphi, beta, u, udot)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,5 +1,7 @@
 """Golden outputs: the sha256 of every file a fixed set of CLI commands
 writes, of their stdout, and their exit codes, in ``tests/golden.json``.
+The commands run the shipped ``configs/`` and the small configs in
+``tests/golden/``.
 
     python3 tests/golden.py            compare this tree with the manifest
     python3 tests/golden.py --write    rewrite the manifest from this tree
@@ -44,6 +46,14 @@ def commands() -> dict[str, list[str]]:
         out[f"constants-{algebra}"] = ["constants", "--algebra", algebra]
     for seed in ("0", "7"):
         out[f"verify-{seed}"] = ["verify", "--seed", seed]
+    # small configs for the kernel variants the shipped ones do not reach
+    small = {name: str(ROOT / "tests" / "golden" / f"{name}.json")
+             for name in ("lp", "bsin", "cp2d")}
+    out["kernel-lp"] = ["kernel", "--config", small["lp"]]
+    out["apply-lp"] = ["kernel", "--config", small["lp"], "--apply", "gaussian(sigma=1)"]
+    out["kernel-bsin-path1"] = ["kernel", "--config", small["bsin"]]
+    for path in ("path1", "path2"):
+        out[f"kernel-cp2d-{path}"] = ["kernel", "--config", small["cp2d"], "--path", path]
     return out
 
 

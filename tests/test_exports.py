@@ -6,8 +6,9 @@ walk ``__all__`` with ``getattr(module, name, None)`` skip it silently.
 The same source scan checks that no module but ``cli`` opens a file,
 that no module imports scipy, that
 ``verify`` checks only solvers the CLI calls and that the presets import
-none of the checks, and the benchmark's span recorder still finds every
-name it wraps.
+none of the checks, that only ``paramflow`` and ``maps`` read a
+trajectory's solutions, and the benchmark's span recorder still finds
+every name it wraps.
 """
 
 import ast
@@ -110,6 +111,29 @@ def test_verify_checks_the_solvers_the_cli_ships():
     # a solver only verify calls would be checked while no output comes from it
     checked = paramflow_names(liegate.verify.__file__)
     assert checked and checked - paramflow_names(liegate.cli.__file__) == set()
+
+
+# a trajectory's dense solutions and compiled coefficients
+SOLUTIONS = {"_base", "_riccati", "_dense", "_a", "_c"}
+
+
+def solution_reads(path: str) -> list[int]:
+    """The line of each read of a SOLUTIONS attribute of an object other
+    than ``self``: an object's own private fields are its own business."""
+    return [node.lineno for node in ast.walk(ast.parse(pathlib.Path(path).read_text()))
+            if isinstance(node, ast.Attribute) and node.attr in SOLUTIONS
+            and not (isinstance(node.value, ast.Name) and node.value.id == "self")]
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m not in ("paramflow", "maps")])
+def test_only_paramflow_and_maps_read_trajectory_solutions(name):
+    # paramflow solves and samples, maps reads the Heisenberg map; the kernels
+    # and everything else take what those two return
+    assert solution_reads(importlib.import_module(f"liegate.{name}").__file__) == []
+
+
+def test_the_solution_scan_sees_the_map_reads():
+    assert solution_reads(importlib.import_module("liegate.maps").__file__) != []
 
 
 def package_imports(path: str) -> set[str]:

@@ -1,5 +1,6 @@
 """Gaussian propagator kernels: coefficients, quadrature, invariants."""
 
+import cmath
 import dataclasses
 import math
 import sys
@@ -28,6 +29,8 @@ from liegate.oracle import (
     grid_moments,
     split_step_evolve,
 )
+from liegate.verify import random_smooth_coeffs
+from test_maps import radial_entries
 
 
 def grid_1024(**kwargs):
@@ -477,6 +480,76 @@ class TestPlanarKernels:
         psi = self.make_grid2(n=64, half=8.0, sigma=0.9, x0=0.4, y0=0.0)
         out = kernel_apply(k, psi)
         assert abs(out.norm() - 1.0) <= 1e-6
+
+
+def sample_kernel(traj, t: float) -> GaussianKernel:
+    """The kernel at t as it is defined: the module docstring's formula on
+    the radial map of ``test_maps.radial_entries`` and one whole sample."""
+    s = traj.sample(t)
+    if isinstance(traj, paramflow.ParamTrajectory2D):
+        (g_qq, g_qp), (_, g_pp) = radial_entries(traj.radial, t)
+        rot, action = np.array(maps._rotation(s["theta"])), s["S"]
+        lam, pi = np.array([s["lam_x"], s["lam_y"]]), np.array([s["Pi_x"], s["Pi_y"]])
+    else:
+        (g_qq, g_qp), (_, g_pp) = radial_entries(traj, t)
+        rot, lam, pi, action = np.eye(1), np.array([s.lam]), np.array([s.Pi]), s.S
+    hbar, dof = traj.hbar, len(lam)
+    a, c = g_pp / (2.0 * hbar * g_qp), -1.0 / (hbar * g_qp)
+    return GaussianKernel(
+        dof=dof, t=t, prefactor=cmath.sqrt(1.0 / (2.0j * math.pi * hbar * g_qp)) ** dof,
+        qxx=a * np.eye(dof), qx1x1=g_qq / (2.0 * hbar * g_qp) * np.eye(dof), qxx1=c * rot,
+        lx=-2.0 * a * lam - pi / hbar, lx1=-c * rot.T @ lam,
+        scal=complex(a * lam @ lam + pi @ lam / hbar - action / hbar),
+        valid_to=traj.valid_to, hbar=hbar,
+    )
+
+
+class TestKernelsReadTheMap:
+    @pytest.fixture(scope="class")
+    def cases(self):
+        # variant -> trajectory: route 2 once as the shortcut (a = c = 1) and
+        # once not; the planar field has a sinusoidal B and K > 0, so its
+        # route 2 is not the shortcut either
+        general = random_smooth_coeffs(np.random.default_rng(0), positive_c=True)
+        field = FieldProfile2D.build(m=1.0, B=Sinusoid(0.5, 2.0, 0.0, 1.5), K=0.5, Ex=0.2)
+        cases = [
+            ("lp", paramflow.solve_path1(CoefficientSet1D.build(a=Exponential(1.0, -0.4),
+                                                                e=-0.7), 2.0)),
+            ("path1", paramflow.solve_path1(general, 1.0)),
+            ("path2", paramflow.solve_path2(CoefficientSet1D.build(a=1.0, c=1.0), 3.0)),
+            ("path2", paramflow.solve_path2(general, 1.0)),
+            *[(f"twod_{path}", paramflow.solve_2d(field, 1.0, path=path))
+              for path in ("path1", "path2")],
+        ]
+        radials = [tr.radial if "twod" in v else tr for v, tr in cases]
+        assert [r.shortcut for r in radials] == [False, False, True, False, False, False]
+        return cases
+
+    def test_kernels_read_no_sample_and_keep_the_sample_bits(self, cases, monkeypatch):
+        calls = []
+        for cls in (paramflow.ParamTrajectory, paramflow.ParamTrajectory2D):
+            monkeypatch.setattr(cls, "sample", lambda tr, t, sample=cls.sample:
+                                calls.append(t) or sample(tr, t))
+        times = [np.linspace(0.0, 0.95 * min(tr.t_end, tr.valid_to), 6)[1:].tolist()
+                 for _, tr in cases]
+        got = [kernel_build(tr, t, variant) for (variant, tr), ts in zip(cases, times)
+               for t in ts]
+        assert calls == []
+        expected = [sample_kernel(tr, t) for (_, tr), ts in zip(cases, times) for t in ts]
+        assert calls
+        for k, ref in zip(got, expected, strict=True):
+            for field in dataclasses.fields(GaussianKernel):
+                mine, theirs = getattr(k, field.name), getattr(ref, field.name)
+                assert np.asarray(mine).tobytes() == np.asarray(theirs).tobytes(), field.name
+                assert type(mine) is type(theirs), field.name
+
+    def test_times_outside_the_solve_fail_as_before(self, cases):
+        for variant, tr in cases:
+            assert tr.valid_to == math.inf
+            for t in (tr.t_end + 1.0, math.nan):
+                with pytest.raises(DomainError) as err:
+                    kernel_build(tr, t, variant)
+                assert str(err.value) == f"t={t} outside the solved interval [0, {tr.t_end}]"
 
 
 def direct_apply(kernel, psi0):

@@ -203,9 +203,9 @@ class TestPlanarMapsEqualKron:
                 tr = paramflow.solve_2d(field, 4.0, tol=1e-10, path=path)
 
                 def entries(t):
-                    rec = tr.sample(t)
-                    return [*np.array(maps._radial_entries(tr.radial, rec["radial"])).ravel(),
-                            math.cos(rec["theta"]), math.sin(rec["theta"])]
+                    theta = tr.sample(t)["theta"]
+                    return [*radial_entries(tr.radial, t).ravel(),
+                            math.cos(theta), math.sin(theta)]
 
                 times = [0.0, 5e-324, 1e-300, 1e-160, 1e-20,
                          *np.linspace(0.0, min(4.0, tr.valid_to), 120)[1:].tolist()]
@@ -215,24 +215,43 @@ class TestPlanarMapsEqualKron:
                         crossed.add(k)
                     times = bracketed
                 for t in times:
-                    rec = tr.sample(t)
                     m = assemble_2d(tr, t).M
-                    kron = np.kron(np.array(maps._radial_entries(tr.radial, rec["radial"])),
-                                   maps._rotation(rec["theta"]))
+                    kron = np.kron(radial_entries(tr.radial, t),
+                                   maps._rotation(tr.sample(t)["theta"]))
                     assert m.tobytes() == kron.tobytes(), (path, t)
                     signed_zeros += int(np.sum((m == 0.0) & np.signbit(m)))
         assert crossed == set(range(6))
         assert signed_zeros > 0
 
 
+def radial_entries(tr: paramflow.ParamTrajectory, t: float) -> np.ndarray:
+    """The 2x2 radial map of a 1D trajectory at t as it is defined, written
+    out here.  Route 1 reads its base solve and a(t) through
+    M = e^B [[u, v], [u'/a, v'/a]], B the integral of b; route 2 puts one
+    sample's gamma, phi, alpha, vphi and beta through G_qq = (cos phi -
+    alpha sin phi) e^(gamma + vphi) and its three companions."""
+    if tr.path == "path1":
+        _, _, _, bint, u, udot, v, vdot = tr._base(t)
+        a, eb = tr._a(t), math.exp(bint)
+        return np.array([[eb * u, eb * v], [eb * udot / a, eb * vdot / a]])
+    s = tr.sample(t)
+    cph, sph, alpha, beta, delta = math.cos(s.phi), math.sin(s.phi), s.alpha, s.beta, tr.Delta
+    ev, evm, eg, egm = (math.exp(x) for x in (s.vphi, -s.vphi, s.gamma, -s.gamma))
+    return np.array([
+        [(cph - alpha * sph) * eg * ev,
+         ((beta * cph - alpha * beta * sph) * ev + sph * evm) * eg / delta],
+        [-(alpha * cph + sph) * delta * ev * egm,
+         -((beta * sph + alpha * beta * cph) * ev - cph * evm) * egm]])
+
+
 def sample_map(tr, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """The map at t as it is defined: from one whole sample of ``tr``."""
+    """The map at t as it is defined: from ``radial_entries`` and one whole
+    sample of ``tr``."""
     s = tr.sample(t)
     if isinstance(tr, paramflow.ParamTrajectory2D):
-        return (np.kron(np.array(maps._radial_entries(tr.radial, s["radial"])),
-                        maps._rotation(s["theta"])),
+        return (np.kron(radial_entries(tr.radial, t), maps._rotation(s["theta"])),
                 np.array([s["lam_x"], s["lam_y"], -s["Pi_x"], -s["Pi_y"]]))
-    return np.array(maps._radial_entries(tr, s)), np.array([s.lam, -s.Pi])
+    return radial_entries(tr, t), np.array([s.lam, -s.Pi])
 
 
 def seeded_trajectories(seed: int, t_end: float):
@@ -263,7 +282,7 @@ class TestAssemblyReadsOnlyWhatTheMapNeeds:
 
     def test_route_2_maps_read_no_sample(self, monkeypatch):
         # route 2 reads its base and Riccati solves with a and c directly and
-        # puts the numbers a sample holds through _radial_entries' formula;
+        # puts the numbers a sample holds through radial_entries' formula;
         # valid_to is the half turn (shortcut, turning) or the end of the
         # Riccati solve (blow_up)
         shortcut = paramflow.solve_path2(CoefficientSet1D.build(a=1.0, c=1.0), 4.0, tol=1e-10)
