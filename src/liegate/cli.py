@@ -85,12 +85,32 @@ def _json_dumps(obj, indent: int = 0) -> str:
 
 
 def _write_csv(path: str, header, rows):
-    """CSV with floats at 17 significant digits and integers exactly."""
-    lines = [",".join(header)]
-    lines += [",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
-              for row in rows]
+    """CSV with floats at 17 significant digits and integers exactly; each
+    row is formatted by one format string, made from the types of the first."""
+    lines, fmt = [",".join(header)], None
+    for row in rows:
+        fmt = fmt or ",".join("%.17g" if isinstance(v, float) else "%s" for v in row)
+        lines.append(fmt % tuple(row))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _check_out(out_dir: str):
+    """Refuse an --out that is, or lies under, an existing non-directory, so
+    that no work is done for output that cannot be written; creates nothing."""
+    path = os.path.abspath(out_dir)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"--out must name a directory, and {path} is not one", field="out")
+
+
+def _make_out(out_dir: str):
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as err:   # no permission, ...
+        raise ConfigError(f"cannot create output directory {out_dir}: {err.strerror}",
+                          field="out")
 
 
 def _is_int_in(value, lo: int, hi: int) -> bool:
@@ -103,6 +123,9 @@ def load_config(path: str, overrides: dict) -> dict:
             cfg = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}", field="config")
+    except OSError as err:   # a directory, no permission, ...
+        raise ConfigError(f"config file cannot be read: {path}: {err.strerror}",
+                          field="config")
     except ValueError as err:  # JSONDecodeError, or an int too long to convert
         raise ConfigError(f"config is not valid JSON: {err}", field="config")
     if not isinstance(cfg, dict):
@@ -226,7 +249,7 @@ def _params_table(kind: str, traj, samples: int):
 def cmd_params(cfg: dict, out_dir: str) -> int:
     kind, problem = build_problem(cfg)
     traj = _solve(cfg, kind, problem)
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out(out_dir)
     _write_csv(os.path.join(out_dir, "params.csv"),
                *_params_table(kind, traj, cfg["samples"]))
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
@@ -281,7 +304,7 @@ def cmd_kernel(cfg: dict, out_dir: str, apply_spec: str | None) -> int:
     else:
         variant = "twod_" + cfg["path"]
     kernel = greens.kernel_build(traj, t_kernel, variant)
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out(out_dir)
     payload = {f.name: getattr(kernel, f.name) for f in dataclasses.fields(kernel)}
     payload.update(system=cfg["system"], variant=variant,
                    valid_to=kernel.valid_to if math.isfinite(kernel.valid_to) else None)
@@ -303,7 +326,7 @@ def cmd_verify(out_dir: str, seed: int, corrupt_map: bool) -> int:
     from . import verify  # with it the oracle and the closed forms
 
     results = verify.run_suite(seed=seed, corrupt_map=corrupt_map)
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out(out_dir)
     report = {
         "seed": seed,
         "all_passed": all(r.passed for r in results),
@@ -329,7 +352,7 @@ def cmd_constants(algebra: str, out_dir: str) -> int:
     from . import quadops
 
     table = quadops.structure_constants(algebra)
-    os.makedirs(out_dir, exist_ok=True)
+    _make_out(out_dir)
     _write_csv(os.path.join(out_dir, f"structure_constants_{algebra.lower()}.csv"),
                ("i", "j", "k", "num", "den"),
                ((i, j, k, c.numerator, c.denominator) for i, j, k, c in table.entries))
@@ -405,6 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        _check_out(args.out)
         if args.command == "verify":
             return cmd_verify(args.out, args.seed, args.corrupt_map)
         if args.command == "constants":

@@ -12,7 +12,11 @@ of spline knots.  They stay independent of the parameter solves they check
 through a different method (not DOP853), a different ODE and no knot
 segmentation; the step loop is shared, and the tests hold each method's
 steps and dense output to scipy's bit for bit, so a slip in that loop fails
-the pins of both.
+the pins of both.  Each evaluation makes A(t) as an array from a flat
+tuple of its entries, multiplies it with the state through the array's own
+``.dot`` (``@``'s bits without its dispatch) and adds f(t) as floats.  A
+flow is read only inside [0, t_end], where its interpolant does not
+extrapolate.
 
 The split-step solver deliberately refuses Hamiltonians with a nonzero
 (xp+px) coefficient: that term breaks the kinetic/potential splitting, and
@@ -45,12 +49,17 @@ __all__ = [
 @dataclass(frozen=True)
 class FlowResult:
     """Dense trajectory of a flow (frames of shape (n,)) or a fundamental
-    matrix (frames of shape (n, n))."""
+    matrix (frames of shape (n, n)), solved over [0, t_end]."""
 
     _dense: object
     shape: tuple[int, ...]
+    t_end: float
 
     def at(self, t: float) -> np.ndarray:
+        """The frame at t, for t in [0, t_end]: past the solve the
+        interpolant would extrapolate."""
+        if not 0.0 <= t <= self.t_end:
+            raise DomainError(f"t={t} outside the solved interval [0, {self.t_end}]")
         return np.asarray(self._dense(t)).reshape(self.shape)
 
 
@@ -65,7 +74,8 @@ def _generator(coeffs):
     A = J Hess H and f = J grad H(0) on the phase space (x, p) of a
     CoefficientSet1D or (x, y, p_x, p_y) of a FieldProfile2D.  Returns
     (n, A, f) with A and f callables of t, which read the coefficients
-    compiled here.
+    compiled here: A(t) is an (n, n) array made from its entries row by
+    row, and f(t) a tuple of n floats.
     """
     if isinstance(coeffs, CoefficientSet1D):
         a_of, b_of, c_of, d_of, e_of = _compiled(coeffs, "abcde")
@@ -74,10 +84,10 @@ def _generator(coeffs):
             a = a_of(t)
             b = b_of(t)
             c = c_of(t)
-            return np.array([[b, a], [-c, -b]])
+            return np.array((b, a, -c, -b)).reshape(2, 2)
 
         def f_of_t(t):
-            return np.array([d_of(t), -e_of(t)])
+            return d_of(t), -e_of(t)
 
         return 2, a_of_t, f_of_t
     if isinstance(coeffs, FieldProfile2D):
@@ -90,29 +100,27 @@ def _generator(coeffs):
             kk = k_of(t)
             wb = q * bb / (2.0 * m)
             kappa = kk + q * q * bb * bb / (4.0 * m)
-            return np.array(
-                [
-                    [0.0, -wb, 1.0 / m, 0.0],
-                    [wb, 0.0, 0.0, 1.0 / m],
-                    [-kappa, 0.0, 0.0, -wb],
-                    [0.0, -kappa, wb, 0.0],
-                ]
-            )
+            im = 1.0 / m
+            return np.array((0.0, -wb, im, 0.0,
+                             wb, 0.0, 0.0, im,
+                             -kappa, 0.0, 0.0, -wb,
+                             0.0, -kappa, wb, 0.0)).reshape(4, 4)
 
         def f_of_t(t):
-            return np.array([0.0, 0.0, -q * ex_of(t), -q * ey_of(t)])
+            return 0.0, 0.0, -q * ex_of(t), -q * ey_of(t)
 
         return 4, a_of_t, f_of_t
     raise DomainError("coeffs must be CoefficientSet1D or FieldProfile2D")
 
 
-def _integrate(rhs, y0, t_end, tol, what):
+def _integrate(rhs, y0, t_end, tol, what, shape):
     """RK45 over [0, t_end] in one piece, as ``solve_ivp(method="RK45")``
     with rtol = tol (at least its floor of 100 machine epsilons) and
-    atol = tol/100."""
+    atol = tol/100, read as frames of ``shape``."""
     check_horizon(t_end)
-    return ode.solve(rhs, y0, (0.0, t_end), max(tol, ode.RTOL_FLOOR), tol * 1e-2, what,
-                     method="RK45").sol
+    sol = ode.solve(rhs, y0, (0.0, t_end), max(tol, ode.RTOL_FLOOR), tol * 1e-2, what,
+                    method="RK45").sol
+    return FlowResult(sol, shape, float(t_end))
 
 
 def classical_flow(coeffs, z0, t_end: float, tol: float = 1e-10) -> FlowResult:
@@ -126,9 +134,9 @@ def classical_flow(coeffs, z0, t_end: float, tol: float = 1e-10) -> FlowResult:
         raise DomainError("state vector entries must be finite")
 
     def rhs(t, z):
-        return a_of_t(t) @ z + f_of_t(t)
+        return [az + f for az, f in zip(a_of_t(t).dot(z).tolist(), f_of_t(t))]
 
-    return FlowResult(_integrate(rhs, z0, t_end, tol, "classical flow"), (n,))
+    return _integrate(rhs, z0, t_end, tol, "classical flow", (n,))
 
 
 def fundamental_matrix(coeffs, t_end: float, tol: float = 1e-10) -> FlowResult:
@@ -139,10 +147,9 @@ def fundamental_matrix(coeffs, t_end: float, tol: float = 1e-10) -> FlowResult:
     n, a_of_t, _ = _generator(coeffs)
 
     def rhs(t, y):
-        return (a_of_t(t) @ np.reshape(y, (n, n))).ravel()
+        return a_of_t(t).dot(np.array(y).reshape(n, n)).ravel()
 
-    return FlowResult(_integrate(rhs, np.eye(n).ravel(), t_end, tol, "fundamental matrix"),
-                      (n, n))
+    return _integrate(rhs, np.eye(n).ravel(), t_end, tol, "fundamental matrix", (n, n))
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction as F
 
@@ -131,6 +132,44 @@ def _horizon(t_end: float, *trajs) -> float:
     return min(t_end, *(0.95 * traj.valid_to for traj in trajs))
 
 
+def _cases(seed: int, systems: dict, names, n_random: int, positive_c: bool = False) -> list:
+    """The suite systems ``names``, then ``n_random`` random systems drawn
+    from ``seed``."""
+    rng = np.random.default_rng(seed)
+    return [systems[name] for name in names] + [random_smooth_coeffs(rng, positive_c)
+                                                for _ in range(n_random)]
+
+
+class _Solves:
+    """Route-1 solves at tol 1e-12, each made once however often it is read.
+
+    ``reads`` counts the reads of each (system, horizon) to come; a solve is
+    held from its first read to its last, so only the solves that are read
+    again are kept, and none is kept with no count.  ``systems`` are the
+    suite systems every reader takes its cases from: lp's derived profiles
+    compare by identity, so two reads of lp must name the same object.
+    """
+
+    def __init__(self, systems: dict, reads: Counter | None = None):
+        self.systems = systems
+        self._reads = reads or Counter()
+        self._held = {}
+
+    def path1(self, cs, t_end: float):
+        key = (cs, t_end)
+        traj = self._held.pop(key, None)
+        if traj is None:
+            traj = paramflow.solve_path1(cs, t_end, tol=1e-12)
+        self._reads[key] -= 1
+        if self._reads[key] > 0:
+            self._held[key] = traj
+        return traj
+
+
+# the horizon of the symplectic, path-equivalence and classical checks
+SUITE_T_END = 2.0
+
+
 def check_structure_constants() -> CheckResult:
     ok = True
     count = 0
@@ -202,14 +241,12 @@ def _verdict(name: str, threshold: float, rows: list, limits: dict,
 
 
 def check_symplectic(seed: int, n_random: int = 8, times: Grid = Grid(0.0, 40, 1),
-                     corrupt: bool = False) -> CheckResult:
-    rng = np.random.default_rng(seed)
+                     corrupt: bool = False, solves: _Solves | None = None) -> CheckResult:
+    solves = solves or _Solves(suite_systems())
     rows = []
-    systems = list(suite_systems().values())
-    systems += [random_smooth_coeffs(rng) for _ in range(n_random)]
-    for cs in systems:
-        traj = paramflow.solve_path1(cs, 2.0, tol=1e-12)
-        for t in times.up_to(_horizon(2.0, traj)):
+    for cs in _cases(seed, solves.systems, solves.systems, n_random):
+        traj = solves.path1(cs, SUITE_T_END)
+        for t in times.up_to(_horizon(SUITE_T_END, traj)):
             smap = maps.assemble_path1(traj, float(t))
             if corrupt:
                 m = smap.M.copy()
@@ -220,18 +257,15 @@ def check_symplectic(seed: int, n_random: int = 8, times: Grid = Grid(0.0, 40, 1
     return _verdict("symplectic_invariants", 1e-9, rows, dict.fromkeys(("det", "form"), 1e-9))
 
 
-def check_path_equivalence(seed: int, n_random: int = 3,
-                           times: Grid = Grid(0.02, 12)) -> CheckResult:
+def check_path_equivalence(seed: int, n_random: int = 3, times: Grid = Grid(0.02, 12),
+                           solves: _Solves | None = None) -> CheckResult:
     """Route 2's affine map (M and shift) and action S against route 1's."""
-    rng = np.random.default_rng(seed)
+    solves = solves or _Solves(suite_systems())
     rows = []
-    cases = [suite_systems()["sho"], suite_systems()["iontrap"]]
-    cases += [random_smooth_coeffs(rng, positive_c=True) for _ in range(n_random)]
-    for cs in cases:
-        t_end = 2.0
-        tr1 = paramflow.solve_path1(cs, t_end, tol=1e-12)
-        tr2 = paramflow.solve_path2(cs, t_end, tol=1e-12)
-        for t in times.up_to(_horizon(t_end, tr1, tr2)):
+    for cs in _cases(seed, solves.systems, ("sho", "iontrap"), n_random, positive_c=True):
+        tr1 = solves.path1(cs, SUITE_T_END)
+        tr2 = paramflow.solve_path2(cs, SUITE_T_END, tol=1e-12)
+        for t in times.up_to(_horizon(SUITE_T_END, tr1, tr2)):
             t = float(t)
             map1, map2 = maps.assemble_path1(tr1, t), maps.assemble_path2(tr2, t)
             rows.append({"map": float(np.max(np.abs(map1.M - map2.M))),
@@ -266,25 +300,23 @@ def check_oracle_maps(times: Grid = Grid(0.0, 12, 1),
                     dict.fromkeys(("1d", "planar"), 1e-7))
 
 
-def check_classical_identification(seed: int, n_random: int = 4,
-                                   times: Grid = Grid(0.1, 10)) -> CheckResult:
+def check_classical_identification(seed: int, n_random: int = 4, times: Grid = Grid(0.1, 10),
+                                   solves: _Solves | None = None) -> CheckResult:
     """Route 1's and the planar solve's (lam, -Pi) against the classical flow
     from the phase-space origin."""
-    rng = np.random.default_rng(seed)
+    solves = solves or _Solves(suite_systems())
     rows = []
-    t_end = 2.0
-    cases = [suite_systems()["lp"]] + [random_smooth_coeffs(rng) for _ in range(n_random)]
-    for cs in cases:
-        traj = paramflow.solve_path1(cs, t_end, tol=1e-12)
-        flow = oracle.classical_flow(cs, np.zeros(2), t_end, tol=1e-12)
-        for t in times.up_to(t_end):
+    for cs in _cases(seed, solves.systems, ("lp",), n_random):
+        traj = solves.path1(cs, SUITE_T_END)
+        flow = oracle.classical_flow(cs, np.zeros(2), SUITE_T_END, tol=1e-12)
+        for t in times.up_to(SUITE_T_END):
             s = traj.sample(float(t))
             diff = np.max(np.abs(flow.at(float(t)) - np.array([s.lam, -s.Pi])))
             rows.append({"1d": float(diff)})
     fp = suite_fields()["efield"]
-    traj = paramflow.solve_2d(fp, t_end, tol=1e-12, path="path2")
-    flow = oracle.classical_flow(fp, np.zeros(4), t_end, tol=1e-12)
-    for t in times.up_to(t_end):
+    traj = paramflow.solve_2d(fp, SUITE_T_END, tol=1e-12, path="path2")
+    flow = oracle.classical_flow(fp, np.zeros(4), SUITE_T_END, tol=1e-12)
+    for t in times.up_to(SUITE_T_END):
         rec = traj.sample(float(t))
         target = np.array([rec["lam_x"], rec["lam_y"], -rec["Pi_x"], -rec["Pi_y"]])
         rows.append({"planar": float(np.max(np.abs(flow.at(float(t)) - target)))})
@@ -364,6 +396,11 @@ def check_kernels() -> CheckResult:
     system's kernel in its preset's variant, as ``liegate kernel`` does."""
     rows = []
     systems = suite_systems()
+    # a system whose kernel time ends its semigroup split (iontrap, kanai)
+    # reads one route-1 solve in both checks
+    solves = _Solves(systems, Counter(
+        [(cs, KERNEL_TIMES[name] * 1.05) for name, cs in systems.items()]
+        + [(cs, SEMIGROUP_SPLITS[name][1] * 1.05) for name, cs in systems.items()]))
     grid = oracle.gaussian_state(1024, -12.0, 24.0 / 1024, sigma=1.0)
     # Mehler comparison for the oscillator, both routes
     sho = systems["sho"]
@@ -381,14 +418,14 @@ def check_kernels() -> CheckResult:
     # unitarity for every suite system
     for name, cs in systems.items():
         t = KERNEL_TIMES[name]
-        traj = paramflow.solve_path1(cs, t * 1.05, tol=1e-12)
+        traj = solves.path1(cs, t * 1.05)
         variant = presets.PRESETS[presets.REFERENCE[name][0]].kernel or "path1"
         k = greens.kernel_build(traj, t, variant)
         rows.append({"unitarity": greens.kernel_unitarity_residual(k, grid)})
     # semigroup with one split point per system
     for name, cs in systems.items():
         t1, t2 = SEMIGROUP_SPLITS[name]
-        traj = paramflow.solve_path1(cs, t2 * 1.05, tol=1e-12)
+        traj = solves.path1(cs, t2 * 1.05)
         full = greens.kernel_apply(greens.kernel_build(traj, t2, "path1"), grid)
         mid = greens.kernel_apply(greens.kernel_build(traj, t1, "path1"), grid)
         traj_tail = paramflow.solve_path1(cs.shifted(t1), (t2 - t1) * 1.05, tol=1e-12)
@@ -403,13 +440,22 @@ def check_kernels() -> CheckResult:
 
 
 def run_suite(seed: int = 0, corrupt_map: bool = False) -> list[CheckResult]:
+    """Every check at its default arguments.  The checks at the suite horizon
+    read some route-1 solves twice (sho and iontrap in the symplectic and
+    path-equivalence checks, lp and the first seeded random systems in the
+    symplectic and classical checks): ``solves`` makes each once."""
+    systems = suite_systems()
+    cases = itertools.chain(_cases(seed, systems, systems, 8),
+                            _cases(seed, systems, ("sho", "iontrap"), 3, positive_c=True),
+                            _cases(seed, systems, ("lp",), 4))
+    solves = _Solves(systems, Counter((cs, SUITE_T_END) for cs in cases))
     return [
         check_structure_constants(),
         check_algebra_properties(seed),
-        check_symplectic(seed, corrupt=corrupt_map),
-        check_path_equivalence(seed),
+        check_symplectic(seed, corrupt=corrupt_map, solves=solves),
+        check_path_equivalence(seed, solves=solves),
         check_oracle_maps(),
-        check_classical_identification(seed),
+        check_classical_identification(seed, solves=solves),
         check_closed_forms(),
         check_mathieu(),
         check_kernels(),

@@ -12,13 +12,14 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from liegate import cli, closedforms, greens, maps, oracle, paramflow, verify
+from liegate import cli, closedforms, greens, maps, ode, oracle, paramflow, quadops, verify
 from liegate.coeffs import Derived
 from liegate.oracle import gaussian_state
 from liegate.verify import suite_fields, suite_systems
@@ -350,6 +351,37 @@ class TestVerify:
         assert report["all_passed"] is False
         failing = [c["name"] for c in report["checks"] if not c["passed"]]
         assert failing == ["symplectic_invariants"]
+
+    def test_a_run_solves_each_trajectory_once(self, monkeypatch):
+        # sho and iontrap (symplectic, path equivalence), lp and four random
+        # systems (symplectic, classical identification), iontrap and kanai
+        # (unitarity, semigroup) are each read twice and solved once, 9 of
+        # 138 solves; a second run shares nothing with the first
+        calls, solve = [], ode.solve
+
+        def counting(*args, **kwargs):
+            calls.append(args[5])
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(ode, "solve", counting)
+        first = verify.run_suite(0)
+        assert len(calls) == 129
+        assert verify.run_suite(0) == first
+        assert len(calls) == 2 * 129
+
+    def test_shared_solves_are_held_from_first_to_last_read(self, monkeypatch):
+        made = []
+        monkeypatch.setattr(paramflow, "solve_path1",
+                            lambda cs, t_end, tol: made.append((cs, t_end, tol)) or object())
+        systems = suite_systems()
+        lp, sho = systems["lp"], systems["sho"]
+        solves = verify._Solves(systems, Counter({(lp, 2.0): 3, (sho, 2.0): 1}))
+        reads = [solves.path1(cs, t_end) for cs, t_end in
+                 ((lp, 2.0), (sho, 2.0), (lp, 1.0), (lp, 2.0), (lp, 2.0), (lp, 2.0))]
+        assert made == [(lp, 2.0, 1e-12), (sho, 2.0, 1e-12), (lp, 1.0, 1e-12),
+                        (lp, 2.0, 1e-12)]
+        assert reads[0] is reads[3] is reads[4] is not reads[5]
+        assert solves._held == {}
 
     def test_route_two_action_is_checked(self, monkeypatch):
         # (lam, Pi, S, phi): route 2's S moves by 1e-4, its map does not
@@ -728,6 +760,75 @@ def test_unparsable_config_is_config_error(tmp_path, capsys, text):
     code = cli.main(["params", "--config", str(path), "--out", str(tmp_path / "x")])
     assert code == 2
     assert json.loads(capsys.readouterr().out)["error"]["field"] == "config"
+
+
+def test_a_directory_as_config_is_config_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(paramflow, "solve_path1", no_solve)
+    code = cli.main(["params", "--config", str(CONFIGS), "--out", str(tmp_path / "x")])
+    assert code == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert (err["type"], err["field"]) == ("ConfigError", "config")
+    assert err["message"] == f"config file cannot be read: {CONFIGS}: Is a directory"
+    assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["params", "--config", str(CONFIGS / "sho.json")],
+    ["kernel", "--config", str(CONFIGS / "sho.json"), "--apply", "gaussian(sigma=1)"],
+    ["verify", "--seed", "0"],
+    ["constants", "--algebra", "lp"],
+], ids=["params", "kernel", "verify", "constants"])
+@pytest.mark.parametrize("below", ["", "sub", "sub/deeper"])
+def test_an_out_at_or_under_a_file_is_refused_before_any_work(tmp_path, capsys, monkeypatch,
+                                                               command, below):
+    # makedirs would fail with FileExistsError or NotADirectoryError, and
+    # verify would reach it only after its whole suite
+    for owner, attr in ((paramflow, "solve_path1"), (verify, "run_suite"),
+                        (quadops, "structure_constants")):
+        monkeypatch.setattr(owner, attr, no_solve)
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    assert cli.main([*command, "--out", str(taken / below)]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert (err["type"], err["field"]) == ("ConfigError", "out")
+    assert err["message"] == f"--out must name a directory, and {taken} is not one"
+    assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == "kept"
+
+
+def test_an_out_that_cannot_be_made_is_config_error(tmp_path, capsys, monkeypatch):
+    def denied(path, exist_ok=False):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(os, "makedirs", denied)
+    assert cli.main(["constants", "--algebra", "lp", "--out", str(tmp_path / "x")]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert (err["field"], err["message"]) == (
+        "out", f"cannot create output directory {tmp_path / 'x'}: Permission denied")
+
+
+def per_value_csv(path, header, rows):
+    """The CSV writer's definition: each value formatted on its own."""
+    lines = [",".join(header)]
+    lines += [",".join(f"{v:.17g}" if isinstance(v, float) else str(v) for v in row)
+              for row in rows]
+    pathlib.Path(path).write_text("\n".join(lines) + "\n")
+
+
+CSV_FLOATS = [0.1, -1.0 / 3.0, 1e22, math.nan, math.inf, -math.inf, -0.0, 5e-324,
+              np.float64(2.5e-300), np.float64(-0.0), np.float64(math.nan), np.float64(-math.inf)]
+
+
+@pytest.mark.parametrize("header, rows", [
+    (("a", "b", "c"), [CSV_FLOATS[i:i + 3] for i in range(0, len(CSV_FLOATS), 3)]),
+    (("x", "re", "im"), list(zip(np.linspace(-1.0, 1.0, 7), np.sin(np.arange(7.0)),
+                                 -np.cos(np.arange(7.0))))),
+    (("i", "j", "num"), [(1, 2, -3), (10**20, 0, 7)]),
+    (("only",), []),
+], ids=["floats", "arrays", "ints", "empty"])
+def test_csv_rows_are_the_values_formatted_one_by_one(tmp_path, header, rows):
+    cli._write_csv(str(tmp_path / "ours.csv"), header, iter(rows))
+    per_value_csv(tmp_path / "theirs.csv", header, rows)
+    assert (tmp_path / "ours.csv").read_bytes() == (tmp_path / "theirs.csv").read_bytes()
 
 
 def test_seventeen_digit_serialization(tmp_path):

@@ -17,6 +17,7 @@ from liegate.oracle import (
     grid_moments,
     split_step_evolve,
 )
+from liegate.verify import random_smooth_coeffs, suite_fields, suite_systems
 
 
 def make_grid(n=1024, half_width=12.0, **kwargs):
@@ -270,3 +271,65 @@ class TestFidelityAndGrids:
         with pytest.raises(DomainError, match="sigma must be positive and finite, "
                                               "and x0 and p0 finite"):
             gaussian_state(64, -8.0, 0.25, **packet)
+
+
+def written_out(coeffs):
+    """(n, A, f) of Hamilton's equations written out as nested arrays, from
+    the profiles' own values: the definition the flows are pinned to."""
+    if isinstance(coeffs, CoefficientSet1D):
+        a, b, c, d, e = (getattr(coeffs, name) for name in "abcde")
+        return (2, lambda t: np.array([[b(t), a(t)], [-c(t), -b(t)]]),
+                lambda t: np.array([d(t), -e(t)]))
+    q, m, bb, k, ex, ey = (coeffs.charge, coeffs.m, coeffs.B, coeffs.K, coeffs.Ex, coeffs.Ey)
+
+    def a_of_t(t):
+        wb = q * bb(t) / (2.0 * m(t))
+        kappa = k(t) + q * q * bb(t) * bb(t) / (4.0 * m(t))
+        return np.array([[0.0, -wb, 1.0 / m(t), 0.0], [wb, 0.0, 0.0, 1.0 / m(t)],
+                         [-kappa, 0.0, 0.0, -wb], [0.0, -kappa, wb, 0.0]])
+
+    return 4, a_of_t, lambda t: np.array([0.0, 0.0, -q * ex(t), -q * ey(t)])
+
+
+def flow_systems():
+    rng = np.random.default_rng(5)
+    return [*suite_systems().values(), *suite_fields().values(),
+            *(random_smooth_coeffs(rng, positive_c=bool(i % 2)) for i in range(4))]
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-7])
+def test_flows_equal_rk45_on_the_written_out_equations_bitwise(tol):
+    # the flows build A(t) from a flat tuple, multiply with the array's own
+    # dot and add f(t) as floats: the same bits as the nested arrays and @
+    t_end, rng = 1.3, np.random.default_rng(8)
+    for coeffs in flow_systems():
+        n, a_of_t, f_of_t = written_out(coeffs)
+        z0 = rng.uniform(-1.0, 1.0, n)
+
+        def solved(rhs, y0):
+            return ode.solve(rhs, y0, (0.0, t_end), max(tol, ode.RTOL_FLOOR), tol * 1e-2,
+                             "reference", method="RK45")
+
+        flows = [
+            (classical_flow(coeffs, z0, t_end, tol),
+             solved(lambda t, z: a_of_t(t) @ z + f_of_t(t), z0)),
+            (fundamental_matrix(coeffs, t_end, tol),
+             solved(lambda t, y: (a_of_t(t) @ np.reshape(y, (n, n))).ravel(),
+                    np.eye(n).ravel())),
+        ]
+        for flow, ref in flows:
+            times = [*ref.t, *rng.uniform(0.0, t_end, 20)]
+            assert (np.array([flow.at(float(t)) for t in times]).ravel().tobytes()
+                    == np.array([ref.sol(float(t)) for t in times]).ravel().tobytes())
+
+
+@pytest.mark.parametrize("t", [-1e-300, 1.0 + 1e-15, 3.0, 10.0, math.nan, math.inf],
+                         ids=["before", "just-after", "three", "ten", "nan", "inf"])
+def test_flows_refuse_a_time_outside_their_solve(t):
+    # the interpolant of the last step would extrapolate: fundamental_matrix
+    # read -0.739 at t = 3 where cos 3 = -0.990, the flow 221.7 at t = 10
+    sho = CoefficientSet1D.build(a=1.0, c=1.0)
+    for flow in (fundamental_matrix(sho, 1.0), classical_flow(sho, (1.0, 0.0), 1.0)):
+        assert flow.at(0.0).shape == flow.at(1.0).shape == flow.shape
+        with pytest.raises(DomainError, match=r"outside the solved interval \[0, 1.0\]"):
+            flow.at(t)
