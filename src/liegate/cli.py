@@ -9,9 +9,10 @@ Subcommands:
 * ``liegate verify``    run the built-in invariant suite, write report.json;
 * ``liegate constants`` export an algebra's structure constants as CSV.
 
-Exit codes: 0 success, 1 verification failure, 2 malformed configuration,
-3 domain error, 4 focal-point (caustic) violation, 5 internal error (a bug:
-any other exception).  All failures print a machine-readable error object
+Exit codes: 0 success, 1 verification failure, 2 malformed configuration
+(an unusable ``--out`` or output file included), 3 domain error, 4
+focal-point (caustic) violation, 5 internal error (a bug: any other
+exception).  All failures print a machine-readable error object
 to stdout.  Numeric output carries 17 significant digits, so doubles
 round-trip exactly; an identical configuration (and ``verify`` seed)
 produces byte-identical files.
@@ -91,8 +92,17 @@ def _write_csv(path: str, header, rows):
     for row in rows:
         fmt = fmt or ",".join("%.17g" if isinstance(v, float) else "%s" for v in row)
         lines.append(fmt % tuple(row))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write(path, "\n".join(lines) + "\n")
+
+
+def _write(path: str, text: str):
+    """Write one output file; a path that cannot be written (a directory
+    stands there, no permission, ...) is a ConfigError on --out."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise ConfigError(f"cannot write output file {path}: {err.strerror}", field="out")
 
 
 def _check_out(out_dir: str):
@@ -252,8 +262,7 @@ def cmd_params(cfg: dict, out_dir: str) -> int:
     _make_out(out_dir)
     _write_csv(os.path.join(out_dir, "params.csv"),
                *_params_table(kind, traj, cfg["samples"]))
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        fh.write(_json_dumps(_summary(cfg, kind, traj)) + "\n")
+    _write(os.path.join(out_dir, "summary.json"), _json_dumps(_summary(cfg, kind, traj)) + "\n")
     return 0
 
 
@@ -308,8 +317,7 @@ def cmd_kernel(cfg: dict, out_dir: str, apply_spec: str | None) -> int:
     payload = {f.name: getattr(kernel, f.name) for f in dataclasses.fields(kernel)}
     payload.update(system=cfg["system"], variant=variant,
                    valid_to=kernel.valid_to if math.isfinite(kernel.valid_to) else None)
-    with open(os.path.join(out_dir, "kernel.json"), "w") as fh:
-        fh.write(_json_dumps(payload) + "\n")
+    _write(os.path.join(out_dir, "kernel.json"), _json_dumps(payload) + "\n")
     if apply_spec is not None:
         grid = cfg["grid"]
         psi0 = oracle.gaussian_state(
@@ -343,8 +351,7 @@ def cmd_verify(out_dir: str, seed: int, corrupt_map: bool) -> int:
             for r in results
         ],
     }
-    with open(os.path.join(out_dir, "report.json"), "w") as fh:
-        fh.write(_json_dumps(report) + "\n")
+    _write(os.path.join(out_dir, "report.json"), _json_dumps(report) + "\n")
     return 0 if report["all_passed"] else 1
 
 

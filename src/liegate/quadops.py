@@ -19,11 +19,13 @@ Commutators of quadratic observables close at this order: [A, B] = i*hbar*C
 where C follows the Poisson-bracket rule on the (quad, lin, scal) parts with
 no truncation.  hbar never appears in C.
 
-The arithmetic is exact integer arithmetic over a common denominator:
-`commutator` scales each operand to integers by the lcm of its
-denominators, and `structure_constants` reduces the generator coordinates
-once, on integers, against every pair's commutator.  Results are built
-as Fractions only at the end, so every check stays an exact equality.
+Each observable stores its coordinates (scal, lin, quad upper triangle) as
+integers over one positive denominator, in lowest terms.  `commutator`,
+`+`, `-` and `scale` work on those integers and reduce each result with
+one gcd, and `structure_constants` reduces the generator coordinates once,
+on integers, against every pair's commutator.  `quad`, `lin`, `scal` and
+`coordinates()` are Fraction views of the stored integers, and structure
+constants are Fractions, so every check stays an exact equality.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, mul
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import ConsistencyError, DomainError
@@ -50,29 +52,57 @@ RationalLike = int | Fraction
 _ZERO = Fraction(0)
 
 
-def _frac(value: RationalLike) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+def _rational(value: RationalLike) -> RationalLike:
+    """An int or a Fraction as it is, anything else as a Fraction."""
+    return value if isinstance(value, (int, Fraction)) else Fraction(value)
 
 
-@dataclass(frozen=True)
+def _layout(dof: int) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """The quad upper triangle's (i, c) in coordinate order, and the
+    coordinate slot of each entry of each full quad row."""
+    n = 2 * dof
+    upper = [(i, c) for i in range(n) for c in range(i, n)]
+    slot = {ic: 1 + n + k for k, ic in enumerate(upper)}
+    return upper, [[slot[min(i, c), max(i, c)] for c in range(n)] for i in range(n)]
+
+
+_LAYOUT = {dof: _layout(dof) for dof in (1, 2)}
+
+
+@dataclass(frozen=True, init=False)
 class QuadraticObservable:
-    """Exact coefficient representation of an at-most-quadratic observable."""
+    """Exact coefficient representation of an at-most-quadratic observable.
+
+    ``_num`` holds the integer numerators of the coordinates (scal, lin,
+    quad upper triangle) over the one positive denominator ``_den``, in
+    lowest terms, so equal values compare and hash equal however they were
+    built.
+    """
 
     dof: int
-    quad: tuple[tuple[Fraction, ...], ...]
-    lin: tuple[Fraction, ...]
-    scal: Fraction
+    _num: tuple[int, ...]
+    _den: int
 
-    def __post_init__(self):
-        n = 2 * self.dof
-        if self.dof not in (1, 2):
-            raise DomainError(f"dof must be 1 or 2, got {self.dof}")
-        if len(self.quad) != n or any(len(row) != n for row in self.quad):
+    def __init__(
+        self,
+        dof: int,
+        quad: Sequence[Sequence[RationalLike]],
+        lin: Sequence[RationalLike],
+        scal: RationalLike,
+    ):
+        if dof not in (1, 2):
+            raise DomainError(f"dof must be 1 or 2, got {dof}")
+        n = 2 * dof
+        if len(quad) != n or any(len(row) != n for row in quad):
             raise DomainError(f"quad must be {n}x{n}")
-        if len(self.lin) != n:
+        if len(lin) != n:
             raise DomainError(f"lin must have length {n}")
-        if any(tuple(row) != col for row, col in zip(self.quad, zip(*self.quad))):
+        if any(tuple(row) != col for row, col in zip(quad, zip(*quad))):
             raise DomainError("quad must be exactly symmetric")
+        values = [_rational(v) for v in (scal, *lin, *[quad[i][c] for i, c in _LAYOUT[dof][0]])]
+        # over the lcm of reduced denominators the numerators share no factor with it
+        den = lcm(*[v.denominator for v in values])
+        _store(self, dof, tuple([v.numerator * (den // v.denominator) for v in values]), den)
 
     @staticmethod
     def build(
@@ -82,26 +112,31 @@ class QuadraticObservable:
         scal: RationalLike = 0,
     ) -> "QuadraticObservable":
         n = 2 * dof
-        quad = [[0] * n] * n if quad is None else quad
-        lin = [0] * n if lin is None else lin
         return QuadraticObservable(
-            dof=dof,
-            quad=tuple(tuple(_frac(quad[i][j]) for j in range(n)) for i in range(n)),
-            lin=tuple(_frac(lin[i]) for i in range(n)),
-            scal=_frac(scal),
+            dof, [[0] * n] * n if quad is None else quad, [0] * n if lin is None else lin, scal
         )
 
+    @property
+    def quad(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(self._num[k], self._den) for k in row)
+                     for row in _LAYOUT[self.dof][1])
+
+    @property
+    def lin(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self._den) for v in self._num[1:2 * self.dof + 1])
+
+    @property
+    def scal(self) -> Fraction:
+        return Fraction(self._num[0], self._den)
+
     def is_zero(self) -> bool:
-        return not any(self.coordinates())
+        return not any(self._num)
 
     def __add__(self, other: "QuadraticObservable") -> "QuadraticObservable":
         self._check_dof(other)
-        return QuadraticObservable(
-            dof=self.dof,
-            quad=tuple(tuple(map(add, ra, rb)) for ra, rb in zip(self.quad, other.quad)),
-            lin=tuple(map(add, self.lin, other.lin)),
-            scal=self.scal + other.scal,
-        )
+        den = lcm(self._den, other._den)
+        ka, kb = den // self._den, den // other._den
+        return _reduced(self.dof, [u * ka + v * kb for u, v in zip(self._num, other._num)], den)
 
     def __sub__(self, other: "QuadraticObservable") -> "QuadraticObservable":
         return self + (-other)
@@ -110,23 +145,32 @@ class QuadraticObservable:
         return self.scale(-1)
 
     def scale(self, factor: RationalLike) -> "QuadraticObservable":
-        f = _frac(factor)
-        return QuadraticObservable(
-            dof=self.dof,
-            quad=tuple(tuple(f * v for v in row) for row in self.quad),
-            lin=tuple(f * v for v in self.lin),
-            scal=f * self.scal,
-        )
+        f = _rational(factor)
+        return _reduced(self.dof, [f.numerator * v for v in self._num], f.denominator * self._den)
 
     def coordinates(self) -> tuple[Fraction, ...]:
         """Flat exact coordinates: scal, lin entries, quad upper triangle."""
-        n = 2 * self.dof
-        upper = (self.quad[i][j] for i in range(n) for j in range(i, n))
-        return (self.scal, *self.lin, *upper)
+        return tuple(Fraction(v, self._den) for v in self._num)
 
     def _check_dof(self, other: "QuadraticObservable"):
         if self.dof != other.dof:
             raise DomainError(f"degree-of-freedom mismatch: {self.dof} vs {other.dof}")
+
+
+def _store(obs: QuadraticObservable, dof: int, num: tuple[int, ...], den: int):
+    """Set the fields of a frozen observable, which refuses plain assignment."""
+    object.__setattr__(obs, "dof", dof)
+    object.__setattr__(obs, "_num", num)
+    object.__setattr__(obs, "_den", den)
+    return obs
+
+
+def _reduced(dof: int, num: list[int], den: int) -> QuadraticObservable:
+    """The observable with coordinates num / den (den > 0), in lowest terms."""
+    g = gcd(den, *num)
+    if g > 1:
+        num, den = [v // g for v in num], den // g
+    return _store(object.__new__(QuadraticObservable), dof, tuple(num), den)
 
 
 @dataclass(frozen=True)
@@ -169,12 +213,12 @@ def _gho_generators() -> list[QuadraticObservable]:
 
 def _cp_generators() -> list[QuadraticObservable]:
     # z = (x, y, p_x, p_y); indices 0..3
-    def q(entries: Iterable[tuple[int, int, RationalLike]]) -> QuadraticObservable:
-        m = [[Fraction(0)] * 4 for _ in range(4)]
+    def q(entries: Iterable[tuple[int, int, int]]) -> QuadraticObservable:
+        m = [[0] * 4 for _ in range(4)]
         for i, j, v in entries:
-            m[i][j] += _frac(v)
+            m[i][j] += v
             if i != j:
-                m[j][i] += _frac(v)
+                m[j][i] += v
         return QuadraticObservable.build(2, quad=m)
 
     b = QuadraticObservable.build
@@ -228,7 +272,7 @@ def generator(algebra: str, index: int) -> QuadraticObservable:
     return gens[index - 1]
 
 
-def _integers(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+def _integers(values: Sequence[RationalLike]) -> tuple[int, list[int]]:
     """(den, ints): den the lcm of the denominators, ints the values times den."""
     den = lcm(*[v.denominator for v in values])
     return den, [v.numerator * (den // v.denominator) for v in values]
@@ -245,44 +289,34 @@ def commutator(a: QuadraticObservable, b: QuadraticObservable) -> QuadraticObser
         C_quad = Q_A J Q_B - Q_B J Q_A = X + X^T,  X = Q_A J Q_B
 
     The last identity holds because Q_A and Q_B are symmetric and
-    J^T = -J, so Q_B J Q_A = -X^T.  Each operand is scaled to integers by
-    the lcm of its denominators, J is applied as the signed permutation
-    (x, p) -> (p, -x) it is, and every sum is an integer dot product; each
-    coordinate of C becomes one Fraction over den_A * den_B at the end.
+    J^T = -J, so Q_B J Q_A = -X^T.  The sums run on the stored numerators,
+    J is applied as the signed permutation (x, p) -> (p, -x) it is, and
+    every sum is an integer dot product over den_A * den_B, brought to
+    lowest terms by one gcd.
     """
     a._check_dof(b)
     dof, n = a.dof, 2 * a.dof
-
-    def integer_form(obs):  # scal is left out: the identity commutes with all
-        den, ints = _integers([*obs.lin, *(v for row in obs.quad for v in row)])
-        return den, [ints[n * (i + 1): n * (i + 2)] for i in range(n)], ints[:n]
+    upper, rows = _LAYOUT[dof]
 
     def j(v: list[int]) -> list[int]:
         return v[dof:] + [-x for x in v[:dof]]
 
-    def dot(u: list[int], v: list[int]) -> int:
-        return sum(map(mul, u, v))
-
-    den_a, qa, la = integer_form(a)
-    den_b, qb, lb = integer_form(b)
-    den = den_a * den_b
+    num_a, num_b = a._num, b._num
+    la, lb = list(num_a[1:n + 1]), list(num_b[1:n + 1])
+    qa = [[num_a[k] for k in row] for row in rows]
+    qb = [[num_b[k] for k in row] for row in rows]
     jla, jlb = j(la), j(lb)
-    # X[i][c] = (Q_A J)[i] . Q_B[c], and the row (Q_A J)[i] is -J Q_A[i]
-    x = [[-dot(jrow, qb_c) for qb_c in qb] for jrow in map(j, qa)]
-    quad = [[_ZERO] * n for _ in range(n)]
-    for i in range(n):
-        for c in range(i, n):
-            quad[i][c] = quad[c][i] = Fraction(x[i][c] + x[c][i], den)
-    return QuadraticObservable(
-        dof=a.dof,
-        quad=tuple(map(tuple, quad)),
-        lin=tuple(Fraction(dot(qa[i], jlb) - dot(qb[i], jla), den) for i in range(n)),
-        scal=Fraction(dot(la, jlb), den),
-    )
+    # X[i][c] = Q_A[i] . (J Q_B)[:, c], and that column is J Q_B[c]
+    jqb = [j(row) for row in qb]
+    x = [[sum(map(mul, row, col)) for col in jqb] for row in qa]
+    return _reduced(dof, [sum(map(mul, la, jlb)),
+                          *[sum(map(mul, ra, jlb)) - sum(map(mul, rb, jla))
+                            for ra, rb in zip(qa, qb)],
+                          *[x[i][c] + x[c][i] for i, c in upper]], a._den * b._den)
 
 
 def _solve_exact(
-    columns: list[tuple[Fraction, ...]], rhss: list[tuple[Fraction, ...]]
+    columns: list[Sequence[RationalLike]], rhss: list[Sequence[RationalLike]]
 ) -> list[list[Fraction] | None]:
     """Solve sum_k x_k * columns[k] = rhs exactly for every rhs in rhss.
 
@@ -336,10 +370,15 @@ def structure_constants(algebra: str) -> StructureTable:
     """
     gens = _generators(algebra)
     pairs = [(i, j) for i in range(len(gens)) for j in range(i + 1, len(gens))]
-    solutions = _solve_exact(
-        [g.coordinates() for g in gens],
-        [commutator(gens[i], gens[j]).coordinates() for i, j in pairs],
-    )
+    brackets = [commutator(gens[i], gens[j]) for i, j in pairs]
+    # every column over one denominator: scaling them all alike keeps each solution
+    den = lcm(*(obs._den for obs in gens + brackets))
+
+    def column(obs: QuadraticObservable) -> list[int]:
+        scale = den // obs._den
+        return [v * scale for v in obs._num]
+
+    solutions = _solve_exact([column(g) for g in gens], [column(c) for c in brackets])
     entries: list[tuple[int, int, int, Fraction]] = []
     for (i, j), coeffs in zip(pairs, solutions):
         if coeffs is None:

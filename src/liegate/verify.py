@@ -184,14 +184,17 @@ def check_algebra_properties(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
 
     def rand_obs(dof):
+        # numerator in [-6, 6] and denominator in [1, 4] for each of the quad
+        # rows, lin and scal in turn, all from one call: the stream of one
+        # rng.integers call per number; built on integers over their lcm
         n = 2 * dof
-        quad = [[F(int(rng.integers(-6, 7)), int(rng.integers(1, 5))) for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                quad[j][i] = quad[i][j]
-        lin = [F(int(rng.integers(-6, 7)), int(rng.integers(1, 5))) for _ in range(n)]
-        scal = F(int(rng.integers(-6, 7)), int(rng.integers(1, 5)))
-        return quadops.QuadraticObservable.build(dof, quad=quad, lin=lin, scal=scal)
+        m = n * n + n + 1
+        draws = rng.integers([-6, 1] * m, [7, 5] * m).tolist()
+        den = math.lcm(*draws[1::2])
+        ints = [p * (den // q) for p, q in zip(draws[0::2], draws[1::2])]
+        quad = [[ints[n * min(i, j) + max(i, j)] for j in range(n)] for i in range(n)]
+        obs = quadops.QuadraticObservable(dof, quad, ints[n * n:-1], ints[-1])
+        return obs.scale(F(1, den))
 
     failures = 0
     trials = 60

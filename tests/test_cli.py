@@ -806,6 +806,31 @@ def test_an_out_that_cannot_be_made_is_config_error(tmp_path, capsys, monkeypatc
         "out", f"cannot create output directory {tmp_path / 'x'}: Permission denied")
 
 
+@pytest.mark.parametrize("command,name", [
+    (["params", "--config", str(CONFIGS / "sho.json")], "params.csv"),
+    (["params", "--config", str(CONFIGS / "sho.json")], "summary.json"),
+    (["kernel", "--config", str(CONFIGS / "sho.json"), "--apply", "gaussian(sigma=1)"],
+     "kernel.json"),
+    (["kernel", "--config", str(CONFIGS / "sho.json"), "--apply", "gaussian(sigma=1)"],
+     "psi_out.csv"),
+    (["verify", "--seed", "0"], "report.json"),
+    (["constants", "--algebra", "lp"], "structure_constants_lp.csv"),
+], ids=["params.csv", "summary.json", "kernel.json", "psi_out.csv", "report.json",
+        "structure_constants_lp.csv"])
+def test_an_output_file_path_held_by_a_directory_is_config_error(tmp_path, capsys,
+                                                                monkeypatch, command, name):
+    # the --out directory exists, and a directory holds one output file's name
+    monkeypatch.setattr(verify, "run_suite", lambda seed, corrupt_map: [
+        verify.CheckResult("stand_in", True, 0.0, 0.0)])
+    taken = tmp_path / "out" / name
+    taken.mkdir(parents=True)
+    assert cli.main([*command, "--out", str(tmp_path / "out")]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert (err["type"], err["field"]) == ("ConfigError", "out")
+    assert err["message"] == f"cannot write output file {taken}: Is a directory"
+    assert taken.is_dir() and list(taken.iterdir()) == []
+
+
 def per_value_csv(path, header, rows):
     """The CSV writer's definition: each value formatted on its own."""
     lines = [",".join(header)]

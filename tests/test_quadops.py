@@ -242,3 +242,167 @@ class TestStructureConstants:
 def test_symmetry_enforced():
     with pytest.raises(DomainError, match="symmetric"):
         QuadraticObservable.build(1, quad=[[0, 1], [0, 0]])
+
+
+class TestCanonicalForm:
+    """One stored form per value: integers over one denominator, in lowest terms."""
+
+    def test_values_built_differently_compare_and_hash_equal(self):
+        b = QuadraticObservable.build
+        rng = np.random.default_rng(41)
+        mixed = random_observable(rng, 2)
+        pairs = [
+            (b(1, lin=[F(2, 4), 0]), b(1, lin=[F(1, 2), 0])),
+            (b(2, quad=[[2, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [1, 0, 0, 0]],
+               lin=[1, -2, 0, 3], scal=5),
+             b(2, quad=[[F(4, 2), F(0), F(0), F(3, 3)], [F(0)] * 4, [F(0)] * 4,
+                        [F(1), F(0), F(0), F(0)]],
+               lin=[F(1), F(-2), F(0), F(3)], scal=F(10, 2))),
+            (mixed.scale(F(2, 3)).scale(F(3, 2)), mixed),
+            (generator("CP", 12).scale(F(2, 3)).scale(F(3, 2)), generator("CP", 12)),
+        ]
+        for x, y in pairs:
+            assert x == y and hash(x) == hash(y)
+        assert b(1, lin=[F(1, 2), 0]) != b(1, lin=[F(1, 3), 0])
+        assert b(1, scal=1) != b(2, scal=1)
+
+    @pytest.mark.parametrize("dof", [1, 2])
+    def test_a_minus_a_is_the_zero_observable(self, dof):
+        rng = np.random.default_rng(42 + dof)
+        zero = QuadraticObservable.build(dof)
+        for _ in range(20):
+            a = random_observable(rng, dof)
+            assert a - a == zero and hash(a - a) == hash(zero)
+            assert (a - a).is_zero() and not a.scale(F(1, 7)).is_zero()
+        assert zero.scale(F(3, 5)) == zero == -zero
+
+    def test_results_are_in_the_form_the_constructor_makes(self):
+        # a commutator, sum or scaled value reduced by its gcd equals, and
+        # hashes like, the same value built anew from its Fraction views
+        rng = np.random.default_rng(43)
+        for _ in range(100):
+            dof = int(rng.integers(1, 3))
+            a, b = random_observable(rng, dof), random_observable(rng, dof)
+            for value in (commutator(a, b), a + b, a.scale(F(-4, 6)), -b):
+                rebuilt = QuadraticObservable(value.dof, value.quad, value.lin, value.scal)
+                assert rebuilt == value and hash(rebuilt) == hash(value)
+
+    def test_views_are_fractions(self):
+        values = [g for gens in quadops.ALGEBRAS.values() for g in gens]
+        values += [commutator(a, b) for gens in quadops.ALGEBRAS.values()
+                   for a in gens for b in gens]
+        for obs in values:
+            entries = [obs.scal, *obs.lin, *(v for row in obs.quad for v in row),
+                       *obs.coordinates()]
+            assert all(type(v) is Fraction for v in entries)
+            n = 2 * obs.dof
+            assert len(obs.quad) == n and all(len(row) == n for row in obs.quad)
+            assert len(obs.lin) == n and len(obs.coordinates()) == 1 + n + n * (n + 1) // 2
+
+    def test_assignment_raises(self):
+        obs = generator("GHO", 6)
+        for name, value in (("dof", 2), ("quad", ((F(0),) * 2,) * 2), ("lin", (F(1), F(0))),
+                            ("scal", F(1)), ("extra", 1)):
+            with pytest.raises(AttributeError):
+                setattr(obs, name, value)
+        assert obs == QuadraticObservable.build(1, quad=[[0, 2], [2, 0]])
+
+    @pytest.mark.parametrize("args,message", [
+        ((3, [[0] * 6] * 6, [0] * 6, 0), "dof must be 1 or 2, got 3"),
+        ((1, [[0, 0, 0]] * 2, [0, 0], 0), "quad must be 2x2"),
+        ((2, [[0] * 4] * 3, [0] * 4, 0), "quad must be 4x4"),
+        ((1, [[0, 0], [0, 0]], [0, 0, 0], 0), "lin must have length 2"),
+        ((1, [[0, F(1, 2)], [F(1, 3), 0]], [0, 0], 0), "quad must be exactly symmetric"),
+    ])
+    def test_constructor_refusals(self, args, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            QuadraticObservable(*args)
+
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"lin": [1, 2, 3]}, "lin must have length 2"),
+        ({"lin": [1]}, "lin must have length 2"),
+        ({"quad": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]}, "quad must be 2x2"),
+        ({"quad": [[1, 0]]}, "quad must be 2x2"),
+    ])
+    def test_build_refuses_a_wrong_size(self, kwargs, message):
+        # neither cut to size nor read past its end
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            QuadraticObservable.build(1, **kwargs)
+
+
+def scalar_draws(seed, trials=60):
+    """The triples check_algebra_properties draws, from one rng.integers call
+    per numerator, per denominator and per dof: its draws as first written."""
+    rng = np.random.default_rng(seed)
+
+    def rand_obs(dof):
+        n = 2 * dof
+        quad = [[F(int(rng.integers(-6, 7)), int(rng.integers(1, 5))) for _ in range(n)]
+                for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                quad[j][i] = quad[i][j]
+        lin = [F(int(rng.integers(-6, 7)), int(rng.integers(1, 5))) for _ in range(n)]
+        scal = F(int(rng.integers(-6, 7)), int(rng.integers(1, 5)))
+        return QuadraticObservable.build(dof, quad=quad, lin=lin, scal=scal)
+
+    triples = []
+    for _ in range(trials):
+        dof = int(rng.integers(1, 3))
+        triples.append((rand_obs(dof), rand_obs(dof), rand_obs(dof)))
+    return triples
+
+
+class TestAlgebraCheck:
+    def checked_triples(self, monkeypatch, seed):
+        # each trial brackets [a, b], [b, a], then [b, c] first of the Jacobi sum
+        calls = []
+        real = quadops.commutator
+
+        def recording(a, b):
+            calls.append((a, b))
+            return real(a, b)
+
+        monkeypatch.setattr(quadops, "commutator", recording)
+        result = verify.check_algebra_properties(seed)
+        assert len(calls) == 8 * 60
+        return result, [(calls[k][0], calls[k][1], calls[k + 2][1])
+                        for k in range(0, len(calls), 8)]
+
+    def test_one_call_per_observable_draws_the_scalar_stream(self, monkeypatch):
+        dofs = set()
+        for seed in (0, 1, 7, 12, 123):
+            result, triples = self.checked_triples(monkeypatch, seed)
+            assert (result.passed, result.measured, result.count) == (True, 0.0, 120)
+            assert triples == scalar_draws(seed)
+            for a, b, c in triples:
+                assert a.dof == b.dof == c.dof
+                dofs.add(a.dof)
+        assert dofs == {1, 2}
+
+    def test_a_bracket_that_is_not_antisymmetric_fails(self, monkeypatch):
+        real = quadops.commutator
+        monkeypatch.setattr(quadops, "commutator",
+                            lambda a, b: real(a, b) + QuadraticObservable.build(a.dof, scal=1))
+        result = verify.check_algebra_properties(0)
+        assert result.passed is False and result.measured >= 60
+
+    def test_an_antisymmetric_bracket_that_breaks_jacobi_fails(self, monkeypatch):
+        # adding (s(a) t(b) - s(b) t(a)) * 1, s and t the x and p coefficients,
+        # keeps the bracket antisymmetric, and the identity's s and t are 0
+        real = quadops.commutator
+
+        def skew(a, b):
+            return a.lin[0] * b.lin[1] - b.lin[0] * a.lin[1]
+
+        def skewed(a, b):
+            return real(a, b) + QuadraticObservable.build(a.dof, scal=skew(a, b))
+
+        monkeypatch.setattr(quadops, "commutator", skewed)
+        result = verify.check_algebra_properties(0)
+        triples = scalar_draws(0)
+        assert all((skewed(a, b) + skewed(b, a)).is_zero() for a, b, _ in triples)
+        jacobi = sum(bool(skew(a, real(b, c)) + skew(b, real(c, a)) + skew(c, real(a, b)))
+                     for a, b, c in triples)
+        assert 0 < jacobi <= 60
+        assert result.passed is False and result.measured == jacobi

@@ -69,3 +69,17 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     # the kernel, the oracle's grids and verify's checks only where they run
     assert {"liegate.greens", "liegate.verify"} & loaded["params"] == set()
     assert "liegate.verify" not in loaded["kernel"]
+
+
+def test_the_exact_algebra_loads_no_numpy():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import json, sys\n"
+         "import liegate.quadops\n"
+         "print(json.dumps(sorted(sys.modules)))\n"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
+    loaded = json.loads(child.stdout)
+    assert "liegate.quadops" in loaded
+    assert modules_of("numpy", loaded) == set()
