@@ -25,9 +25,7 @@ differs by a constant phase only).
 Application is trapezoid quadrature, evaluated exactly through chirp
 factors of the quadratic form (see kernel_apply): one FFT convolution in 1D;
 in the plane, row (x) column chirps, each distinct phase factor formed once,
-and blocks of input rows laid out by output row, each summed by one matrix
-product and one batched row sum in two buffers made for the call: O(n^4)
-flops in O(n^2) memory.
+and one matrix product per output row: O(n^4) flops in O(n^2) memory.
 Grid adequacy is the caller's job and is diagnosed by the unitarity residual.
 """
 
@@ -53,9 +51,6 @@ __all__ = [
 ]
 
 _VARIANTS = ("lp", "path1", "path2", "twod_path1", "twod_path2")
-# complex entries (256 KiB) in one block of the planar apply, for grids of
-# up to 128 points per axis; a larger grid takes one input row per block
-_BLOCK_ENTRIES = 16384
 
 
 @dataclass(frozen=True)
@@ -230,13 +225,11 @@ def kernel_apply(kernel: GaussianKernel, psi0: WaveGrid) -> WaveGrid:
     * 2D: the chirps are row (x) column products of 1D ones.  With the
       symmetric E_ab[i, j] = exp(i Qxx'_ab x_i x_j), each formed once and a
       negated Qxx'_ab's as a conjugate, the output at (x_i, x_l) is
-      sum_j E_00[i, j] t[i, j, l], where
-      t[i, j, l] = E_10[j, l] sum_k E_01[i, k] g[j, k] E_11[k, l].  A block
-      of max(1, _BLOCK_ENTRIES // n^2) input rows j is laid out by output
-      row: a[i, j, k] = E_01[i, k] g[j, k], then t = a @ E_11 (one matrix
-      product), t *= E_10, and the sum over j is one batched matrix-vector
-      product.  a and t are two buffers of one block each, made for the
-      call and reused by its blocks: O(n^4) flops, O(n^2) memory.
+      sum_j E_00[i, j] t_i[j, l], where
+      t_i[j, l] = E_10[j, l] sum_k E_01[i, k] g[j, k] E_11[k, l].  Each
+      output row i is one matrix product, t_i = (g * E_01[i]) @ E_11, then
+      t_i *= E_10 and the sum over j, E_00[i] @ t_i: O(n^4) flops, O(n^2)
+      memory.
     The grid's hbar must be the kernel's, and Qxx' must be real, else
     DomainError: a complex one makes the chirps grow like exp(|Im c| x^2)
     and the result lose precision.
@@ -264,19 +257,11 @@ def kernel_apply(kernel: GaussianKernel, psi0: WaveGrid) -> WaveGrid:
             if q not in e:
                 e[q] = e[-q].conj() if -q in e else np.exp(1j * q * np.outer(x, x))
         e00, e01, e10, e11 = (e[q] for q in kernel.qxx1.real.ravel())
-        r = min(n, max(1, _BLOCK_ENTRIES // (n * n)))   # input rows j per block
-        buf_a, buf_t = np.empty((2, n * r * n), dtype=complex)
-        out = np.zeros((n, n), dtype=complex)
-        for j in range(0, n, r):
-            rr = min(r, n - j)
-            a = buf_a[:n * rr * n].reshape(n, rr, n)
-            t = buf_t[:n * rr * n].reshape(n, rr, n)
-            np.multiply(e01[:, None, :], g[None, j:j + rr, :], out=a)
-            np.matmul(a.reshape(-1, n), e11, out=t.reshape(-1, n))
-            t *= e10[None, j:j + rr, :]
-            row = buf_a[:n * n].reshape(n, 1, n)  # a is spent: the row sums go there
-            np.matmul(e00[:, None, j:j + rr], t, out=row)
-            out += row[:, 0, :]
+        out = np.empty((n, n), dtype=complex)
+        for i in range(n):
+            t = (g * e01[i]) @ e11
+            t *= e10
+            out[i] = e00[i] @ t
     out *= kernel.prefactor * np.exp(1j * kernel.scal) * _chirp(x, kernel.qxx + shift, kernel.lx)
     return WaveGrid(n, psi0.x_min, dx, out, psi0.hbar)
 

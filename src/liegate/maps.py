@@ -135,6 +135,9 @@ def _map(t: float, entries, shift: list) -> SymplecticMap:
 
 
 def _assemble_1d(traj: ParamTrajectory, t: float, path: str) -> SymplecticMap:
+    if isinstance(traj, ParamTrajectory2D):
+        raise DomainError(f"assemble_{path} takes a 1D trajectory; use assemble_2d "
+                          "for a planar one")
     if traj.path != path:
         raise DomainError(f"trajectory was solved with route {traj.path[-1]}; "
                           f"use assemble_{traj.path}")
@@ -154,6 +157,9 @@ def assemble_path2(traj: ParamTrajectory, t: float) -> SymplecticMap:
 
 def assemble_2d(traj2d: ParamTrajectory2D, t: float) -> SymplecticMap:
     """Planar map: 2x2 blocks G_ab * R(theta) in (x, y, p_x, p_y) ordering."""
+    if isinstance(traj2d, ParamTrajectory):
+        raise DomainError(f"assemble_2d takes a planar trajectory; use "
+                          f"assemble_{traj2d.path} for a 1D one")
     radial, rotation, shift, _ = _parts(traj2d, t)
     # np.kron(G, R) entry by entry: the same single product G_ij * R_kl each
     return _map(t, [[g * r for g in g_row for r in r_row]

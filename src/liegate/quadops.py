@@ -33,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from numbers import Rational
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -49,12 +50,17 @@ __all__ = [
 ]
 
 RationalLike = int | Fraction
-_ZERO = Fraction(0)
 
 
 def _rational(value: RationalLike) -> RationalLike:
-    """An int or a Fraction as it is, anything else as a Fraction."""
-    return value if isinstance(value, (int, Fraction)) else Fraction(value)
+    """An int or a Fraction as it is, another rational (a numpy integer) as a
+    Fraction of Python ints; anything else, a float included, is a DomainError."""
+    if isinstance(value, (int, Fraction)):
+        return value
+    if isinstance(value, Rational):
+        return Fraction(int(value.numerator), int(value.denominator))
+    raise DomainError(f"coefficients must be exact rationals (int or Fraction), "
+                      f"got {type(value).__name__} {value!r}")
 
 
 def _layout(dof: int) -> tuple[list[tuple[int, int]], list[list[int]]]:
@@ -272,12 +278,6 @@ def generator(algebra: str, index: int) -> QuadraticObservable:
     return gens[index - 1]
 
 
-def _integers(values: Sequence[RationalLike]) -> tuple[int, list[int]]:
-    """(den, ints): den the lcm of the denominators, ints the values times den."""
-    den = lcm(*[v.denominator for v in values])
-    return den, [v.numerator * (den // v.denominator) for v in values]
-
-
 def commutator(a: QuadraticObservable, b: QuadraticObservable) -> QuadraticObservable:
     """Exact commutator: returns C with [A, B] = i*hbar*C.
 
@@ -316,18 +316,18 @@ def commutator(a: QuadraticObservable, b: QuadraticObservable) -> QuadraticObser
 
 
 def _solve_exact(
-    columns: list[Sequence[RationalLike]], rhss: list[Sequence[RationalLike]]
-) -> list[list[Fraction] | None]:
+    columns: list[Sequence[int]], rhss: list[Sequence[int]]
+) -> list[dict[int, Fraction] | None]:
     """Solve sum_k x_k * columns[k] = rhs exactly for every rhs in rhss.
 
-    One Gauss-Jordan elimination of the augmented matrix [columns | rhss],
-    on integers: each row is first scaled by the lcm of its denominators,
-    which changes no solution, and rows are combined fraction-free and
-    divided by their gcd.  Returns one solution per rhs, with free
-    variables zero, or None in place of an inconsistent rhs.
+    One Gauss-Jordan elimination of the augmented integer matrix
+    [columns | rhss]: rows are combined fraction-free and divided by their
+    gcd.  Returns one solution per rhs as its nonzero entries {k: x_k} in
+    increasing k (free variables are zero), or None in place of an
+    inconsistent rhs.
     """
     n_cols = len(columns)
-    rows = [_integers([col[r] for col in columns] + [rhs[r] for rhs in rhss])[1]
+    rows = [[col[r] for col in columns] + [rhs[r] for rhs in rhss]
             for r in range(len(columns[0]))]
     pivot_cols: list[int] = []
     for col in range(n_cols):
@@ -348,16 +348,13 @@ def _solve_exact(
         if len(pivot_cols) == len(rows):
             break
     rank = len(pivot_cols)
-    solutions: list[list[Fraction] | None] = []
+    solutions: list[dict[int, Fraction] | None] = []
     for k in range(n_cols, n_cols + len(rhss)):
         if any(row[k] for row in rows[rank:]):
             solutions.append(None)
             continue
-        solution = [_ZERO] * n_cols
-        for row, col in zip(rows, pivot_cols):
-            if row[k]:
-                solution[col] = Fraction(row[k], row[col])
-        solutions.append(solution)
+        solutions.append({col: Fraction(row[k], row[col])
+                          for row, col in zip(rows, pivot_cols) if row[k]})
     return solutions
 
 
@@ -386,5 +383,5 @@ def structure_constants(algebra: str) -> StructureTable:
                 f"[{algebra} generator {i + 1}, generator {j + 1}] is outside "
                 "the algebra's span: closure failure"
             )
-        entries.extend((i + 1, j + 1, k + 1, v) for k, v in enumerate(coeffs) if v)
+        entries.extend((i + 1, j + 1, k + 1, v) for k, v in coeffs.items())
     return StructureTable(algebra=algebra.upper(), n=len(gens), entries=tuple(entries))

@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from liegate import greens, maps, paramflow
+from liegate import maps, paramflow
 from liegate.cli import _MAX_GRID_N
 from liegate.coeffs import CoefficientSet1D, Exponential, FieldProfile2D, Sinusoid
 from liegate.errors import CausticError, DomainError
@@ -595,12 +595,9 @@ def assert_matches_direct(kernel, psi):
     assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-ONE_BLOCK_N = max(n for n in range(1, 64) if greens._BLOCK_ENTRIES // n**2 >= n)
-# the planar apply sums its input rows in blocks of _BLOCK_ENTRIES // n^2:
-# the smallest CLI grid (8), the largest grid that is one block, two full
-# blocks (32), a prime n whose last block is partial (61), and the
-# benchmark's 48
-PLANAR_SIZES = [8, 16, ONE_BLOCK_N, 32, 33, 48, 61]
+# the smallest CLI grid (8), odd and even sizes, squares (9, 16, 25),
+# powers of two (16, 32), primes (61), and the benchmark's 48
+PLANAR_SIZES = [8, 9, 16, 25, 32, 33, 48, 61]
 
 
 @pytest.fixture(scope="module")
@@ -674,10 +671,12 @@ class TestApplyMatchesDirectSum:
         amps = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         assert_matches_direct(kernel, WaveGrid(n, -4.0, 8.0 / n, amps))
 
-    def test_planar_working_memory_is_below_one_cube(self):
-        # the peak stays below one n^3 complex array (4 MiB at n = 64), so no
-        # n^3 temporary can come back unnoticed; the traced apply runs on a
-        # fresh thread, so the peak counts all that the apply allocates there
+    def test_planar_working_memory_is_a_few_squares(self):
+        # the peak stays below 12 n^2 complex entries (768 KiB at n = 64): the
+        # chirps, the phase factors and two n^2 temporaries per output row, so
+        # neither an n^3 temporary nor a buffer over many rows can come back
+        # unnoticed; the traced apply runs on a fresh thread, so the peak
+        # counts all that the apply allocates there
         n = 64
         rng = np.random.default_rng(64)
         kernel = random_kernel(rng, 2, cross_scale=2.0)
@@ -689,24 +688,12 @@ class TestApplyMatchesDirectSum:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < n**3 * 16
-
-    def test_planar_blocks_of_one_input_row_match_the_direct_sum(self, monkeypatch):
-        # with blocks of 64 entries, n^2 > 64 at n = 9 and 16, so each block
-        # is one input row against all output rows, larger than 64 entries
-        monkeypatch.setattr(greens, "_BLOCK_ENTRIES", 64)
-        rng = np.random.default_rng(500)
-        kernel = random_kernel(rng, 2, cross_scale=2.0)
-        for n in (9, 16):
-            psi = WaveGrid(n, -4.0, 8.0 / n, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-            fast = kernel_apply(kernel, psi).amps
-            ref = direct_apply(kernel, psi)
-            assert np.max(np.abs(fast - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert peak < 12 * n**2 * 16
 
     def test_concurrent_planar_applies_give_the_serial_bits(self):
-        # two threads per kernel, two kernels whose blocks differ in shape:
-        # every apply gives the serial bits, so no thread writes into
-        # another's block buffers
+        # two threads per kernel, two kernels of different grid sizes: every
+        # apply gives the serial bits, so no thread writes into another's
+        # row temporaries or output
         rng = np.random.default_rng(600)
         cases = []
         for n in (33, 48):

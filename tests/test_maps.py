@@ -69,6 +69,15 @@ class TestAssemblyPathOne:
         with pytest.raises(DomainError, match="route"):
             assemble_path2(sho_traj, 0.3)
 
+    @pytest.mark.parametrize("assemble", [assemble_path1, assemble_path2])
+    def test_a_planar_trajectory_is_refused(self, assemble):
+        field = FieldProfile2D.build(m=1.0, B=1.0, K=0.0, charge=1.0)
+        for path in ("path1", "path2"):
+            tr = paramflow.solve_2d(field, 1.0, tol=1e-10, path=path)
+            with pytest.raises(DomainError, match=f"{assemble.__name__} takes a 1D "
+                                                  "trajectory; use assemble_2d"):
+                assemble(tr, 0.5)
+
 
 class TestAssemblyPathTwo:
     def test_oscillator_rotation(self):
@@ -98,6 +107,14 @@ class TestAssemblyPathTwo:
 
 
 class TestPlanarAssembly:
+    @pytest.mark.parametrize("path", ["path1", "path2"])
+    def test_a_1d_trajectory_is_refused(self, path):
+        solve = paramflow.solve_path1 if path == "path1" else paramflow.solve_path2
+        tr = solve(CoefficientSet1D.build(a=1.0, c=1.0), 1.0, tol=1e-10)
+        with pytest.raises(DomainError, match=f"assemble_2d takes a planar trajectory; "
+                                              f"use assemble_{path}"):
+            assemble_2d(tr, 0.5)
+
     def test_free_block_diagonal(self):
         field = FieldProfile2D.build(m=1.0, B=0.0, K=0.0, charge=1.0)
         tr = paramflow.solve_2d(field, 2.0, tol=1e-12, path="path1")

@@ -1,5 +1,7 @@
 """Exact-algebra tests: generators, commutators, structure constants."""
 
+import math
+from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -205,12 +207,14 @@ class TestStructureConstants:
         from liegate.quadops import _solve_exact
 
         gens = [generator("LP", 1), generator("LP", 2), generator("LP", 4)]
-        columns = [g.coordinates() for g in gens]
         c = commutator(generator("LP", 2), generator("LP", 4))
         # [x, p^2] = 2 p is outside; 3/2 * 1 - 1/4 * x in the same call is inside
         inside = generator("LP", 1).scale(F(3, 2)) - generator("LP", 2).scale(F(1, 4))
-        solutions = _solve_exact(columns, [c.coordinates(), inside.coordinates()])
-        assert solutions == [None, [F(3, 2), F(-1, 4), F(0)]]
+        # every column over inside's denominator 4
+        assert [g._den for g in gens] == [1, 1, 1] and (c._den, inside._den) == (1, 4)
+        columns = [[4 * v for v in g._num] for g in gens]
+        solutions = _solve_exact(columns, [[4 * v for v in c._num], inside._num])
+        assert solutions == [None, {0: F(3, 2), 1: F(-1, 4)}]
 
     def test_one_elimination_solves_dense_systems_exactly(self):
         # dense mixed-denominator columns with a zero last row: each rhs built
@@ -229,7 +233,11 @@ class TestStructureConstants:
             inside = [tuple(sum((c * col[r] for c, col in zip(cs, columns)), F(0))
                             for r in range(7)) for cs in coeffs]
             outside = [rhs[:-1] + (F(1, 3),) for rhs in inside]
-            assert _solve_exact(columns, outside + inside) == [None] * 4 + coeffs
+            # all over one denominator: scaling every column alike keeps each solution
+            den = math.lcm(*(v.denominator for col in columns + inside + outside for v in col))
+            ints = [[int(v * den) for v in col] for col in columns + outside + inside]
+            expected = [{k: c for k, c in enumerate(cs) if c} for cs in coeffs]
+            assert _solve_exact(ints[:5], ints[5:]) == [None] * 4 + expected
 
     def test_closure_failure_names_the_first_failing_pair(self, monkeypatch):
         # LP without p: [x, p^2] (generators 2 and 3 here) is the first pair outside
@@ -317,6 +325,28 @@ class TestCanonicalForm:
     def test_constructor_refusals(self, args, message):
         with pytest.raises(DomainError, match=f"^{message}$"):
             QuadraticObservable(*args)
+
+    @pytest.mark.parametrize("value", [0.1, 1.0, "1/2", Decimal("0.5"), 1 + 0j, np.float64(2.0)])
+    def test_a_coefficient_that_is_not_rational_is_refused(self, value):
+        # taken at its binary value, scal=0.1 would read
+        # 3602879701896397/36028797018963968: no inexact or parsed value is exact
+        message = (r"coefficients must be exact rationals \(int or Fraction\), "
+                   f"got {type(value).__name__} ")
+        for kwargs in ({"scal": value}, {"lin": [0, value]},
+                       {"quad": [[value, 0], [0, 0]]}):
+            with pytest.raises(DomainError, match=message):
+                QuadraticObservable.build(1, **kwargs)
+        with pytest.raises(DomainError, match=message):
+            generator("GHO", 6).scale(value)
+
+    def test_numpy_integers_are_rationals(self):
+        b = QuadraticObservable.build
+        built = b(1, quad=[[np.int64(2), 0], [0, np.int32(-4)]], lin=[np.int8(3), 0],
+                  scal=np.int64(5)).scale(np.int64(3))
+        assert built == b(1, quad=[[6, 0], [0, -12]], lin=[9, 0], scal=15)
+        assert all(type(v) is int for v in (*built._num, built._den))
+        # stored as Python ints, so no int64 product wraps round
+        assert b(1, scal=np.int64(2**62)).scale(np.int64(4)).scal == 2**64
 
     @pytest.mark.parametrize("kwargs,message", [
         ({"lin": [1, 2, 3]}, "lin must have length 2"),
