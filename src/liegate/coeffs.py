@@ -6,8 +6,10 @@ described by mass, magnetic field, trap stiffness and in-plane electric
 field profiles.  ``reduce_2d`` maps the latter onto the shared radial 1D
 oscillator of the rotating frame.
 
-Profiles never extrapolate: evaluating a tabulated profile outside its knot
-range is an error, not a guess.  A tabulated profile is a natural cubic
+Each profile's maths is written once, in the float pair its ``scalar()``
+compiles to; arrays are read by mapping that pair.  Profiles never
+extrapolate: evaluating a tabulated profile outside its knot range is an
+error, not a guess.  A tabulated profile is a natural cubic
 spline of the module's own: the natural-end slope system (de Boor, *A
 Practical Guide to Splines*, 2001, ch. IV), solved by a port of LAPACK's
 ``dgtsv`` (Anderson et al., *LAPACK Users' Guide*, 1999), and summed in
@@ -56,28 +58,24 @@ def check_hbar(hbar: float):
 class TimeProfile:
     """A deterministic, side-effect-free scalar function of time.
 
-    Subclasses implement ``__call__`` and ``derivative`` on float arrays.
-    ``scalar()`` compiles the profile into (value, derivative), two plain
-    functions of a float with the bits the array methods give at that time;
-    the solvers compile each coefficient once per solve.  The base class
-    compiles to ``float(self(t))``; the built-in profiles compile to
-    closures over their numbers.  ``shifted(t0)`` returns the profile
-    re-based so that its new time origin sits at ``t0`` of the old clock.
-    ``knots`` are the times at which the profile is not smooth (a spline's
-    knots); the parameter solvers restart their integration at each.
-    The solvers' and kernels' sign checks, ``require_positive`` and
-    ``vanishes``, read the profile at its ``extremal_times(t_end)``, and a
-    NaN fails both; a subclass may define those times to make the checks
-    exact, where the base class samples a uniform grid.
+    ``scalar()``, the method a custom profile defines, compiles it to
+    (value, derivative): two functions of a float that return a float.  The
+    solvers compile each coefficient once per solve, and ``__call__`` and
+    ``derivative`` map the pair over an array, with NaN where it raises an
+    arithmetic or math-domain error.  ``shifted(t0)`` moves the time origin
+    to ``t0``; the solvers restart at the ``knots``, where the profile is
+    not smooth.  The sign checks read the profile at
+    ``extremal_times(t_end)``, exact where a subclass defines them and a
+    uniform sample here; a NaN fails both.
     """
 
     knots: tuple = ()
 
     def __call__(self, t):
-        raise NotImplementedError
+        return _each(self.scalar()[0], t)
 
     def derivative(self, t):
-        raise NotImplementedError
+        return _each(self.scalar()[1], t)
 
     def extremal_times(self, t_end: float) -> np.ndarray:
         """Times in [0, t_end] that hold the profile's least and greatest
@@ -103,21 +101,28 @@ class TimeProfile:
         return bool(np.max(np.abs(values)) <= 1e-14)
 
     def scalar(self) -> tuple[Callable[[float], float], Callable[[float], float]]:
-        return (lambda t: float(self(t))), (lambda t: float(self.derivative(t)))
+        raise NotImplementedError
 
     def shifted(self, t0: float) -> "TimeProfile":
         raise NotImplementedError
 
 
+def _each(fn: Callable[[float], float], t) -> np.ndarray:
+    """``fn`` at each time of ``t``, in an array of ``t``'s shape; NaN where
+    it raises an arithmetic or math-domain error (1/0, sin(inf))."""
+    t = np.asarray(t, dtype=float)
+    values = []
+    for time in t.ravel().tolist():
+        try:
+            values.append(fn(time))
+        except (ArithmeticError, ValueError):
+            values.append(math.nan)
+    return np.array(values, dtype=float).reshape(t.shape)
+
+
 @dataclass(frozen=True)
 class Constant(TimeProfile):
     value: float
-
-    def __call__(self, t):
-        return self.value * np.ones_like(np.asarray(t, dtype=float))
-
-    def derivative(self, t):
-        return np.zeros_like(np.asarray(t, dtype=float))
 
     def scalar(self):
         value = float(self.value)
@@ -138,14 +143,6 @@ class Sinusoid(TimeProfile):
     omega: float
     phase: float = 0.0
     offset: float = 0.0
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.amplitude * np.sin(self.omega * t + self.phase) + self.offset
-
-    def derivative(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.amplitude * self.omega * np.cos(self.omega * t + self.phase)
 
     def scalar(self):
         amplitude, omega, phase, offset = self.amplitude, self.omega, self.phase, self.offset
@@ -174,12 +171,6 @@ class Exponential(TimeProfile):
 
     prefactor: float
     rate: float
-
-    def __call__(self, t):
-        return self.prefactor * np.exp(self.rate * np.asarray(t, dtype=float))
-
-    def derivative(self, t):
-        return self.prefactor * self.rate * np.exp(self.rate * np.asarray(t, dtype=float))
 
     def scalar(self):
         # np.exp, since math.exp differs from it in the last bit for some inputs
@@ -283,51 +274,26 @@ class Tabulated(TimeProfile):
     def knots(self) -> tuple[float, ...]:
         return self.knots_t
 
-    def _check_range(self, t):
-        lo, hi = self.knots_t[0], self.knots_t[-1]
-        if np.any(t < lo) or np.any(t > hi):
-            raise DomainError(
-                f"time outside tabulated range [{lo}, {hi}]; extrapolation is refused"
-            )
-        return t
-
-    def _local(self, t):
-        """Each time's offset s into its interval [x_i, x_i+1), the last one
-        closed, and that interval's coefficient rows (c3, c2, c1, c0)."""
-        x = self._x
-        t = self._check_range(np.asarray(t, dtype=float))
-        i = np.searchsorted(x[1:-1], t.ravel(), side="right")
-        return t.shape, t.ravel() - x[i], self._c.take(i, axis=1)
-
-    def __call__(self, t):
-        shape, s, (c3, c2, c1, c0) = self._local(t)
-        with np.errstate(all="ignore"):
-            return (0.0 + c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)).reshape(shape)
-
-    def derivative(self, t):
-        shape, s, (c3, c2, c1, _) = self._local(t)
-        with np.errstate(all="ignore"):
-            return (0.0 + c1 + c2 * s * 2.0 + c3 * (s * s) * 3.0).reshape(shape)
-
     def scalar(self):
-        # the same sums on floats; one bisection over the interior breaks
-        # picks the interval _local's searchsorted picks, whose piece holds
-        # its left break and rows c3 ... c0
+        # a bisection over the interior breaks picks [x_i, x_i+1), the last
+        # one closed, whose piece holds x_i and rows c3 ... c0
         breaks = self._x.tolist()
         interior, pieces = breaks[1:-1], list(zip(breaks, *self._c.tolist()))
         lo, hi = breaks[0], breaks[-1]
-        find, check = bisect.bisect_right, self._check_range
+        find = bisect.bisect_right
+        outside = (f"time outside tabulated range [{self.knots_t[0]}, {self.knots_t[-1]}]; "
+                   "extrapolation is refused")
 
         def value(t):
             if t < lo or t > hi:
-                check(t)   # raises
+                raise DomainError(outside)
             x, c3, c2, c1, c0 = pieces[find(interior, t)]
             s = t - x
             return 0.0 + c0 + c1 * s + c2 * (s * s) + c3 * (s * s * s)
 
         def rate(t):
             if t < lo or t > hi:
-                check(t)   # raises
+                raise DomainError(outside)
             x, c3, c2, c1, _ = pieces[find(interior, t)]
             s = t - x
             return 0.0 + c1 + c2 * s * 2.0 + c3 * (s * s) * 3.0
@@ -358,11 +324,11 @@ class Tabulated(TimeProfile):
 class Derived(TimeProfile):
     """Profile defined by callables; made by reductions and presets, not JSON configs.
 
-    ``fn`` and ``dfn`` receive a float array from ``__call__`` and
-    ``derivative`` and a float from the compiled pair.  ``knots`` are those
-    of the profiles the callables read.  A profile made by ``Derived.of``
-    combines ``parts``: ``build`` makes (fn, dfn) from their (value,
-    derivative) pairs, so ``scalar()`` builds it from their compiled pairs.
+    A bare ``Derived(fn, dfn)`` hands ``fn`` and ``dfn`` a float; ``knots``
+    are those of the profiles they read.  ``Derived.of`` composes ``parts``:
+    ``build`` makes its pair from their compiled pairs.  A build declared
+    ``monotone`` in its one part (``reciprocal``) reads the part's
+    extremal times, so its sign checks are as exact as the part's.
     """
 
     fn: Callable
@@ -374,28 +340,27 @@ class Derived(TimeProfile):
 
     @classmethod
     def of(cls, build: Callable, *parts: TimeProfile, label: str) -> "Derived":
-        fn, dfn = build(*((p.__call__, p.derivative) for p in parts))
+        fn, dfn = build(*(p.scalar() for p in parts))
         knots = tuple(sorted({tk for p in parts for tk in p.knots}))
         return cls(fn, dfn, label=label, knots=knots, parts=parts, build=build)
 
-    def __call__(self, t):
-        return self.fn(np.asarray(t, dtype=float))
-
-    def derivative(self, t):
-        return self.dfn(np.asarray(t, dtype=float))
-
     def scalar(self):
-        if self.build is not None:
-            return self.build(*(p.scalar() for p in self.parts))
         fn, dfn = self.fn, self.dfn
+        if self.build is not None:
+            return fn, dfn
         return (lambda t: float(fn(t))), (lambda t: float(dfn(t)))
+
+    def extremal_times(self, t_end: float) -> np.ndarray:
+        if getattr(self.build, "monotone", False):
+            return self.parts[0].extremal_times(t_end)
+        return super().extremal_times(t_end)
 
     def shifted(self, t0: float) -> "Derived":
         def build(pair):
             value, rate = pair
             return (lambda t: value(t + t0)), (lambda t: rate(t + t0))
 
-        return Derived(*build((self.fn, self.dfn)), label=self.label,
+        return Derived(*build(self.scalar()), label=self.label,
                        knots=tuple(tk - t0 for tk in self.knots), parts=(self,), build=build)
 
 
@@ -520,7 +485,8 @@ class FieldProfile2D:
 
 
 def reciprocal(m):
-    """1/m and its rate from m's (value, derivative) pair, for ``Derived.of``."""
+    """1/m and its rate from m's (value, derivative) pair, for ``Derived.of``;
+    monotone in m on each side of 0, and m = 0 raises ZeroDivisionError."""
     m, dm = m
 
     def rate(t):
@@ -528,6 +494,9 @@ def reciprocal(m):
         return -dm(t) / (mt * mt)
 
     return (lambda t: 1.0 / m(t)), rate
+
+
+reciprocal.monotone = True
 
 
 def reduce_2d(profile: FieldProfile2D) -> CoefficientSet1D:

@@ -214,6 +214,24 @@ def _chirp(x: np.ndarray, quad: np.ndarray, lin: np.ndarray) -> np.ndarray:
     return out
 
 
+def _planar_sum(g: np.ndarray, x: np.ndarray, qxx1: np.ndarray) -> np.ndarray:
+    """The planar cross-term sum of ``kernel_apply``, one output row at a
+    time; the phase factors and the row temporaries are freed on return,
+    before the caller forms the output chirp."""
+    e = {}  # Qxx'_ab -> E_ab
+    for q in qxx1.ravel():
+        if q not in e:
+            e[q] = e[-q].conj() if -q in e else np.exp(1j * q * np.outer(x, x))
+    e00, e01, e10, e11 = (e[q] for q in qxx1.ravel())
+    n = x.size
+    out = np.empty((n, n), dtype=complex)
+    for i in range(n):
+        t = (g * e01[i]) @ e11
+        t *= e10
+        out[i] = e00[i] @ t
+    return out
+
+
 def kernel_apply(kernel: GaussianKernel, psi0: WaveGrid) -> WaveGrid:
     """psi(x) = integral G(x, x') psi0(x') dx' by trapezoid quadrature.
 
@@ -252,16 +270,7 @@ def kernel_apply(kernel: GaussianKernel, psi0: WaveGrid) -> WaveGrid:
         cross[n:size - n + 1] = 0.0  # only lags |k| < n reach the output
         out = np.fft.ifft(np.fft.fft(g, size) * np.fft.fft(cross))[:n]
     else:
-        e = {}  # Qxx'_ab -> E_ab
-        for q in kernel.qxx1.real.ravel():
-            if q not in e:
-                e[q] = e[-q].conj() if -q in e else np.exp(1j * q * np.outer(x, x))
-        e00, e01, e10, e11 = (e[q] for q in kernel.qxx1.real.ravel())
-        out = np.empty((n, n), dtype=complex)
-        for i in range(n):
-            t = (g * e01[i]) @ e11
-            t *= e10
-            out[i] = e00[i] @ t
+        out = _planar_sum(g, x, kernel.qxx1.real)
     out *= kernel.prefactor * np.exp(1j * kernel.scal) * _chirp(x, kernel.qxx + shift, kernel.lx)
     return WaveGrid(n, psi0.x_min, dx, out, psi0.hbar)
 

@@ -265,8 +265,8 @@ def solve_path1(coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10) -> P
     )
 
 
-def _path2_gamma_dot(a, adot, c, cdot):
-    """gamma' of route 2 from a, c and their rates, floats or arrays."""
+def _path2_gamma_dot(a: float, adot: float, c: float, cdot: float) -> float:
+    """gamma' of route 2 from a, c and their rates."""
     return 0.25 * (adot / a - cdot / c)
 
 
@@ -277,13 +277,20 @@ def _path2_guard(t, a: float, c: float):
                           f"use route 1 instead")
 
 
-def _is_shortcut(coeffs: CoefficientSet1D, t_end: float) -> bool:
-    probe = np.linspace(0.0, t_end, _PROBE_POINTS)
-    b = coeffs.b(probe)
-    gdot = _path2_gamma_dot(coeffs.a(probe), coeffs.a.derivative(probe),
-                            coeffs.c(probe), coeffs.c.derivative(probe))
-    gap = np.abs(b - gdot)
-    return not np.any(gap >= _SHORTCUT_RTOL * (1.0 + np.abs(b) + np.abs(gdot)))
+def _is_shortcut(a_of, adot_of, b_of, c_of, cdot_of, t_end: float) -> bool:
+    """Whether b = gamma' to _SHORTCUT_RTOL at every probe time, from the
+    compiled a, a', b, c and c'.  The first probe time at which they differ,
+    or at which a read raises an arithmetic or math-domain error, rules the
+    shortcut out."""
+    try:
+        for t in np.linspace(0.0, t_end, _PROBE_POINTS).tolist():
+            b = b_of(t)
+            gdot = _path2_gamma_dot(a_of(t), adot_of(t), c_of(t), cdot_of(t))
+            if abs(b - gdot) >= _SHORTCUT_RTOL * (1.0 + abs(b) + abs(gdot)):
+                return False
+    except (ArithmeticError, ValueError):
+        return False
+    return True
 
 
 def solve_path2(coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10) -> ParamTrajectory:
@@ -303,7 +310,7 @@ def solve_path2(coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10) -> P
         p.scalar() for p in (coeffs.a, coeffs.b, coeffs.c))
     linear = _linear_rhs(coeffs)
     delta = math.sqrt(c_of(0.0) / a_of(0.0))
-    shortcut = _is_shortcut(coeffs, t_end)
+    shortcut = _is_shortcut(a_of, adot_of, b_of, c_of, cdot_of, t_end)
 
     def base_rhs(t, y):
         a, b, c = a_of(t), b_of(t), c_of(t)

@@ -12,6 +12,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import time
 from collections import Counter
 
 import numpy as np
@@ -545,6 +546,55 @@ def test_missed_positivity_dip_ends_in_json_not_traceback(tmp_path, capsys):
     assert err["exit_code"] == 3 and err["type"] == "DomainError"
     assert "a(t) must stay positive" in err["message"]
     assert "Traceback" not in captured.out + captured.err
+
+
+# configs whose coefficient's float path raises inside a sign check:
+# sin(inf) (omega t overflows at t = 2), and 1/0 (m = 1 + sin(pi t) is
+# exactly 0.0 at t = 1.5, one of m's extremal times)
+RAISING_SIGN_CHECKS = {
+    "sin-inf": {"system": "gho", "t_end": 2,
+                "coefficients": {"a": {"kind": "sinusoid", "amplitude": 0.5,
+                                       "omega": 1.7e308, "offset": 1.0}}},
+    "mass-zero": {"system": "lp", "t_end": 3,
+                  "params": {"m": {"kind": "sinusoid", "amplitude": 1,
+                                   "omega": 3.141592653589793, "offset": 1}, "f": 0.0}},
+}
+
+
+@pytest.mark.parametrize("name, at", [("sin-inf", "2"), ("mass-zero", "1.5")])
+def test_a_raising_coefficient_fails_its_sign_check(tmp_path, capsys, name, at):
+    # the time at which the float path raises reads as not positive: exit 3
+    # before the solve, where an unchecked 1/m runs into its pole
+    cfg = write_config(tmp_path, f"{name}.json", RAISING_SIGN_CHECKS[name])
+    start = time.perf_counter()
+    code = cli.main(["params", "--config", cfg, "--out", str(tmp_path / "x")])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3 and captured.err == ""
+    err = json.loads(captured.out)["error"]
+    assert err["type"] == "DomainError"
+    assert err["message"].startswith("a(t) must stay positive")
+    assert err["message"].endswith(f"violated near t={at}")
+    assert "Traceback" not in captured.out
+    assert elapsed < 0.5
+
+
+def test_a_mass_dip_between_grid_points_refuses_the_lp_solve(tmp_path, capsys):
+    # 1/m reads the sinusoid mass's trough, which 257 uniform points all
+    # miss; unchecked, the solve spends its work budget at the 1/m pole
+    cfg = write_config(tmp_path, "lpdip.json", {
+        "system": "lp", "t_end": 1.0,
+        "params": {"m": {"kind": "sinusoid", "amplitude": 1.5, "omega": 1608.5,
+                         "offset": 1.0}, "f": 0.0},
+    })
+    start = time.perf_counter()
+    code = cli.main(["params", "--config", cfg, "--out", str(tmp_path / "x")])
+    elapsed = time.perf_counter() - start
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert code == 3 and err["type"] == "DomainError"
+    assert err["message"].startswith("a(t) must stay positive on [0, 1.0]")
+    assert err["message"].endswith("violated near t=0.00292968")
+    assert elapsed < 0.5
 
 
 # the same dip in the mass, m = 1 + 1.5 sin(512 pi t)

@@ -245,25 +245,52 @@ def bits_equal(x, y) -> bool:
     return np.asarray(x, dtype=float).tobytes() == np.asarray(y, dtype=float).tobytes()
 
 
+def numpy_pair(prof):
+    """The profile's value and rate on float arrays by its direct definition:
+    each kind's formula in numpy, scipy's ``PPoly`` for a spline, a bare
+    ``Derived``'s own callables, and a ``Derived.of`` build applied to its
+    parts' numpy pairs."""
+    if isinstance(prof, Constant):
+        return (lambda t: prof.value * np.ones_like(t)), np.zeros_like
+    if isinstance(prof, Sinusoid):
+        amplitude, omega, phase, offset = prof.amplitude, prof.omega, prof.phase, prof.offset
+        return (lambda t: amplitude * np.sin(omega * t + phase) + offset,
+                lambda t: amplitude * omega * np.cos(omega * t + phase))
+    if isinstance(prof, Exponential):
+        prefactor, rate = prof.prefactor, prof.rate
+        return (lambda t: prefactor * np.exp(rate * t),
+                lambda t: prefactor * rate * np.exp(rate * t))
+    if isinstance(prof, Tabulated):
+        spline = scipy_spline(np.array(prof.knots_t), np.array(prof.knots_v))
+        return (lambda t: spline(t)), (lambda t: spline(t, 1))
+    if prof.build is None:
+        return prof.fn, prof.dfn
+    return prof.build(*map(numpy_pair, prof.parts))
+
+
 def float_branch_mismatches(prof, ts):
     """Times at which the compiled pair, given a float or an np.float64, does
-    not give a float with the bits of the array methods, value and
-    derivative; the array methods are taken both on the whole array and on
-    each time as a 0-d array."""
+    not give a float with the bits of the profile's numpy formula, value and
+    derivative; the formula is taken both on the whole array and on each
+    time as a 0-d array, and ``__call__`` and ``derivative`` on the whole
+    array must give the same bits."""
     bad = []
-    for method, compiled in zip((prof.__call__, prof.derivative), prof.scalar()):
-        whole = method(ts)
+    methods = (prof.__call__, prof.derivative)
+    for method, compiled, formula in zip(methods, prof.scalar(), numpy_pair(prof)):
+        whole, mapped = formula(ts), method(ts)
         for k, t in enumerate(ts.tolist()):
             for value in (compiled(t), compiled(np.float64(t))):
                 if not (isinstance(value, float) and bits_equal(value, whole[k])
-                        and bits_equal(value, method(np.asarray(t)))):
+                        and bits_equal(value, formula(np.asarray(t)))
+                        and bits_equal(value, mapped[k])):
                     bad.append((method.__name__, t))
     return bad
 
 
 class TestFloatBranch:
-    """The compiled pair of ``scalar()``, the float path the solvers read,
-    has the bits of the array methods."""
+    """The compiled pair of ``scalar()``, the one definition the solvers and
+    the array methods read, has the bits of each profile's direct numpy
+    definition."""
 
     @pytest.mark.parametrize("name", sorted(FLOAT_BRANCH_CASES))
     def test_float_branch_has_the_array_bits(self, name):
@@ -283,27 +310,27 @@ class TestFloatBranch:
         (MASS_KNOTS, Exponential(0.5, -0.2), Constant(0.0)),
     ], ids=["sinusoids", "exponential-m", "tabulated-m"])
     def test_reduced_profiles_match_the_0d_evaluation(self, m, B, K):
-        # the reduction compiles by composing the compiled pairs of m, B and
-        # K with the formulas its array methods use
+        # the reduction composes the compiled pairs of m, B and K; its
+        # formulas on the parts' numpy pairs, at a 0-d array, give the bits
         reduced = reduce_2d(FieldProfile2D.build(m=m, B=B, K=K, charge=1.2))
         ts = np.random.default_rng(12).uniform(0.0, 2.4, 200).tolist()
         for prof in (reduced.a, reduced.c):
-            for method, compiled in zip((prof.__call__, prof.derivative), prof.scalar()):
+            for formula, compiled in zip(numpy_pair(prof), prof.scalar()):
                 for t in ts:
                     value = compiled(t)
                     assert isinstance(value, float)
-                    assert bits_equal(value, method(np.asarray(t))), (prof.label, t)
+                    assert bits_equal(value, formula(np.asarray(t))), (prof.label, t)
 
     def test_derived_callables_receive_the_float(self):
-        # the compiled pair hands fn and dfn the time it is given; __call__
-        # and derivative hand them a float array
+        # the compiled pair hands fn and dfn the time it is given, and
+        # __call__ and derivative hand them each time of the array as a float
         seen = []
         prof = Derived(lambda t: seen.append(t) or 1.0, lambda t: seen.append(t) or 0.0)
         for p in (prof, prof.shifted(0.25)):
             value, rate = p.scalar()
             value(0.5), rate(np.float64(0.5)), p(np.array([0.5])), p.derivative([0.5])
-        assert [type(t) for t in seen] == [float, np.float64, np.ndarray, np.ndarray] * 2
-        assert seen[4:6] == [0.75, 0.75]
+        assert [type(t) for t in seen] == [float, np.float64, float, float] * 2
+        assert seen[4:] == [0.75, 0.75, 0.75, 0.75]
 
     def test_reduced_stiffness_with_tabulated_field_is_bitwise(self):
         # B(t) ** 2 would round through pow for a float and through x*x for
@@ -313,11 +340,12 @@ class TestFloatBranch:
         reduced = reduce_2d(field)
         c = reduced.c.scalar()[0]
         ts = np.random.default_rng(13).uniform(0.0, 3.0, 2000).tolist()
-        assert [t for t in ts if not bits_equal(c(t), reduced.c(np.asarray(t)))] == []
+        formula = numpy_pair(reduced.c)[0]
+        assert [t for t in ts if not bits_equal(c(t), formula(np.asarray(t)))] == []
 
     def test_tabulated_float_branch_picks_the_array_interval_at_every_break(self):
-        # one bisection over the interior breaks must pick the piece the
-        # array path's searchsorted picks on either side of each break
+        # one bisection over the interior breaks must pick the piece that
+        # scipy's PPoly picks on either side of each break
         prof = Tabulated(knots_t=(-0.75, -0.7, 0.1, 0.125, 1.9, 2.0, 5.5),
                          knots_v=(1.0, -0.4, 0.6, 2.5, 0.3, 0.9, -1.2))
         inside = [t for tk in prof.knots_t[1:-1]
@@ -491,6 +519,36 @@ def test_given_times_replace_the_extremal_times():
     assert hidden.require_positive(1.0, "m", "needed") is None
     with pytest.raises(DomainError, match="violated near t=0.00292969$"):
         hidden.require_positive(1.0, "m", "needed", times=np.array([0.5, 3 / 1024]))
+
+
+def test_a_reciprocal_reads_its_parts_extremal_times():
+    # 1/m is monotone in m: its check reads m's trough, which the base
+    # class's 257 points miss, and m = 0 there raises ZeroDivisionError,
+    # which reads as a violation, not as +inf
+    dip = Sinusoid(1.5, 512 * math.pi, 0.0, 1.0)
+    assert Derived(dip, dip.derivative).require_positive(1.0, "m", "needed") is None
+    for m, t_end, at in [(dip, 1.0, "0.00292969"), (Sinusoid(1.0, math.pi, 0.0, 1.0), 3.0, "1.5")]:
+        a = Derived.of(coeffs.reciprocal, m, label="1/m")
+        assert a.extremal_times(t_end).tobytes() == m.extremal_times(t_end).tobytes()
+        with pytest.raises(DomainError, match=f"^a\\(t\\) must stay positive .* near t={at}$"):
+            a.require_positive(t_end, "a", "needed")
+    assert Derived.of(negated, dip, label="-m").extremal_times(1.0).size == 257
+
+
+def test_array_methods_read_nan_where_the_float_path_raises():
+    # sin(inf) raises ValueError and 1/0 ZeroDivisionError on floats, where
+    # numpy gave nan and inf; a spline's refusal to extrapolate still raises
+    fast = Sinusoid(0.5, 1.7e308, 0.0, 1.0)
+    value, rate = fast.scalar()
+    with pytest.raises(ValueError):
+        value(2.0)
+    values = fast(np.array([[0.0, 2.0]]))
+    assert values.shape == (1, 2) and values[0, 0] == 1.0 and np.isnan(values[0, 1])
+    assert np.isnan(fast.derivative(2.0))
+    a = Derived.of(coeffs.reciprocal, Sinusoid(1.0, math.pi, 0.0, 1.0), label="1/m")
+    assert np.isnan(a(1.5)) and np.isnan(a.derivative(1.5)) and a(0.5) == 0.5
+    with pytest.raises(DomainError, match="extrapolation"):
+        KNOTS(np.array([0.0, 5.0]))
 
 
 def test_a_small_fast_cross_term_does_not_vanish():

@@ -23,6 +23,7 @@ from liegate.coeffs import (
 from liegate.errors import DomainError, IntegrationError
 from liegate.paramflow import solve_2d, solve_path1, solve_path2
 from liegate.verify import random_smooth_coeffs
+from test_coeffs import numpy_pair
 
 
 def sho():
@@ -364,9 +365,24 @@ class TestEventsMatchTheScan:
             # b - gamma' vanishes at the first probe only
             CoefficientSet1D.build(a=1.0, b=Sinusoid(0.1, 1.0), c=1.0),
         ] + [random_smooth_coeffs(rng, positive_c=True) for _ in range(4)]
-        decisions = [paramflow._is_shortcut(cs, 3.0) for cs in systems]
+        decisions = [paramflow._is_shortcut(*cs.a.scalar(), cs.b.scalar()[0], *cs.c.scalar(), 3.0)
+                     for cs in systems]
         assert decisions == [scalar_is_shortcut(cs, 3.0) for cs in systems]
         assert decisions == [True, True, False, True, False] + [False] * 4
+
+    def test_a_raising_rate_rules_the_shortcut_out(self):
+        # b = gamma' = 0 until a' divides by zero at the probe time 1.5: the
+        # probe stops there instead of raising
+        seen = []
+
+        def adot(t):
+            seen.append(t)
+            return 0.0 if t < 1.5 else 1.0 / (t - 1.5)
+
+        one, zero = (lambda t: 1.0), (lambda t: 0.0)
+        assert paramflow._is_shortcut(one, zero, zero, one, zero, 3.0)
+        assert not paramflow._is_shortcut(one, adot, zero, one, zero, 3.0)
+        assert seen[-1] == 1.5 and len(seen) == 129
 
 
 class TestDomainGuard:
@@ -478,19 +494,18 @@ class TestDomainGuard:
             solve(t_end)
 
 
-class ArrayOnly(TimeProfile):
-    """A profile evaluated only through its array branch, on a 0-d array:
-    what the solvers evaluated before profiles had a float branch."""
+class Reference(TimeProfile):
+    """A profile evaluated through its direct numpy definition on a 0-d
+    array (``numpy_pair``): what the solvers evaluated before profiles
+    compiled to a float pair."""
 
     def __init__(self, inner):
-        self.inner = inner
+        self.pair = numpy_pair(inner)
         self.knots = inner.knots
 
-    def __call__(self, t):
-        return self.inner(np.asarray(t, dtype=float))
-
-    def derivative(self, t):
-        return self.inner.derivative(np.asarray(t, dtype=float))
+    def scalar(self):
+        value, rate = self.pair
+        return (lambda t: float(value(np.asarray(t)))), (lambda t: float(rate(np.asarray(t))))
 
 
 def mixed_system(seed: int) -> CoefficientSet1D:
@@ -529,15 +544,17 @@ class TestFloatBranchEndToEnd:
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("route", ["path1", "path2", "2d-path1", "2d-path2"])
     def test_maps_equal_the_array_branch_bitwise(self, route, seed):
+        # solves on the compiled pairs against solves on each profile's
+        # numpy definition: the same steps, valid_to and maps, bit for bit
         if route.startswith("2d"):
             system = mixed_field(seed)
-            slow = FieldProfile2D(**{k: ArrayOnly(getattr(system, k))
+            slow = FieldProfile2D(**{k: Reference(getattr(system, k))
                                      for k in ("m", "B", "K", "Ex", "Ey")}, charge=1.0)
             solve = lambda field: solve_2d(field, 4.0, 1e-10, path=route[3:])
             assemble = maps.assemble_2d
         else:
             system = mixed_system(seed)
-            slow = CoefficientSet1D(*(ArrayOnly(getattr(system, k)) for k in "abcdeg"))
+            slow = CoefficientSet1D(*(Reference(getattr(system, k)) for k in "abcdeg"))
             solver = solve_path1 if route == "path1" else solve_path2
             solve = lambda cs: solver(cs, 4.0, 1e-10)
             assemble = maps.assemble_path1 if route == "path1" else maps.assemble_path2
@@ -553,13 +570,18 @@ class TestFloatBranchEndToEnd:
             def __init__(self, inner):
                 self.inner = inner
 
-            def __call__(self, t):
-                counts["call"] += 1
-                return self.inner(t)
+            def scalar(self):
+                value, rate = self.inner.scalar()
 
-            def derivative(self, t):
-                counts["derivative"] += 1
-                return self.inner.derivative(t)
+                def counted_value(t):
+                    counts["call"] += 1
+                    return value(t)
+
+                def counted_rate(t):
+                    counts["derivative"] += 1
+                    return rate(t)
+
+                return counted_value, counted_rate
 
         per_eval = defaultdict(set)   # integration -> profile calls of one RHS call
         run_ivp = paramflow._run_ivp
@@ -593,24 +615,26 @@ class TestFloatBranchEndToEnd:
 
 
 class Watched(TimeProfile):
-    """A profile that records every compile and every evaluation through
-    __call__ and derivative, and compiles to its inner profile's pair."""
+    """A profile that records every compile and every evaluation of its
+    compiled pair, which is its inner profile's pair."""
 
     def __init__(self, inner, log):
         self.inner, self.log = inner, log
         self.knots = inner.knots
 
-    def __call__(self, t):
-        self.log.append(("call", self, t))
-        return self.inner(t)
-
-    def derivative(self, t):
-        self.log.append(("derivative", self, t))
-        return self.inner.derivative(t)
-
     def scalar(self):
         self.log.append(("scalar", self, None))
-        return self.inner.scalar()
+        value, rate = self.inner.scalar()
+
+        def watched_value(t):
+            self.log.append(("value", self, t))
+            return value(t)
+
+        def watched_rate(t):
+            self.log.append(("rate", self, t))
+            return rate(t)
+
+        return watched_value, watched_rate
 
 
 class TestCompiledCoefficients:
@@ -624,10 +648,11 @@ class TestCompiledCoefficients:
                                     charge=1.0)
             solve = lambda t_end: solve_2d(system, t_end, 1e-10, path=route[3:])
             assemble = maps.assemble_2d
-            # the planar right-hand side compiles each profile; the radial
-            # solve compiles a = 1/m and c = K + q^2 B^2/4m, each from the
-            # compiled pairs of the profiles it reads
-            expected = {"m": 3, "B": 2, "K": 2, "Ex": 1, "Ey": 1}
+            # the mass check and the planar right-hand side compile each
+            # profile they read; reduce_2d composes a = 1/m and
+            # c = K + q^2 B^2/4m from the compiled pairs of their parts,
+            # and the radial solve reads those compositions
+            expected = {"m": 4, "B": 2, "K": 2, "Ex": 1, "Ey": 1}
         else:
             names = tuple("abcdeg")
             cs = mixed_system(0)
@@ -635,23 +660,28 @@ class TestCompiledCoefficients:
             solve = lambda t_end: (solve_path1 if route == "path1" else solve_path2)(
                 system, t_end, 1e-10)
             assemble = maps.assemble_path1 if route == "path1" else maps.assemble_path2
+            # each sign check compiles the profile it reads; route 2's
+            # shortcut probe reads the solve's own compiled pairs
             expected = dict.fromkeys(names, 1)
+            expected["a"] += 1
+            if route == "path2":
+                expected["c"] += 1
         by_profile = {getattr(system, k): k for k in names}
         for t_end in (0.5, 4.0):
             log.clear()
             traj = solve(t_end)
             compiles = Counter(by_profile[p] for kind, p, _ in log if kind == "scalar")
             assert compiles == expected, t_end
-            # evaluations outside the compiled pairs are the vectorized probes
-            probes = [t for kind, _, t in log if kind != "scalar"]
-            assert probes and all(np.ndim(t) == 1 and len(t) >= 257 for t in probes)
+            # every evaluation goes through a compiled pair, with a float
+            assert all(type(t) is float for kind, _, t in log if kind != "scalar")
         log.clear()
         times = [t for t in np.linspace(0.0, 4.0, 41) if t <= 0.95 * traj.valid_to]
         assert len(times) > 10
         for t in times:
             traj.sample(float(t))
             assemble(traj, float(t))
-        assert log == []
+        # sampling and assembly read the solve's compiled pairs
+        assert [entry for entry in log if entry[0] == "scalar"] == []
 
 
 class TestFloatState:
