@@ -33,6 +33,7 @@ from .errors import CausticError, DomainError, ResonanceError
 __all__ = [
     "MathieuEval",
     "mathieu_c",
+    "mathieu_cs",
     "ion_trap_params",
     "KanaiParams",
     "kanai_caldirola_params",
@@ -81,12 +82,25 @@ def mathieu_c(a: float, q: float, z: float, tol: float = _MATHIEU_TOL) -> Mathie
     """Cosine Mathieu function C(a, q, z) with C(a,q,0)=1, C'(a,q,0)=0.
 
     C is even in z, so a negative z is solved at |z| and C' changes sign."""
-    if z == 0.0:
-        return MathieuEval(a=a, q=q, z=0.0, C=1.0, Cp=0.0)
-    sol = ode.solve(_mathieu_rhs(a, q), [1.0, 0.0], (0.0, abs(z)), tol, tol, "Mathieu",
-                    dense=False)
-    return MathieuEval(a=a, q=q, z=z, C=float(sol.y[0, -1]),
-                       Cp=math.copysign(1.0, z) * float(sol.y[1, -1]))
+    return mathieu_cs(a, q, (z,), tol)[0]
+
+
+def mathieu_cs(a: float, q: float, zs, tol: float = _MATHIEU_TOL) -> list[MathieuEval]:
+    """``mathieu_c`` at each of ``zs`` from one solve to the largest |z|, cut
+    at each smaller one (``ode.Result.until``): bit for bit the solve to
+    each |z|."""
+    reach = max(abs(z) for z in zs)
+    sol = ode.solve(_mathieu_rhs(a, q), [1.0, 0.0], (0.0, reach), tol, tol, "Mathieu",
+                    dense=False) if reach else None
+    evals = []
+    for z in zs:
+        if z == 0.0:
+            evals.append(MathieuEval(a=a, q=q, z=0.0, C=1.0, Cp=0.0))
+            continue
+        y = sol.until(abs(z)).y
+        evals.append(MathieuEval(a=a, q=q, z=z, C=float(y[0, -1]),
+                                 Cp=math.copysign(1.0, z) * float(y[1, -1])))
+    return evals
 
 
 def _mathieu_with_reciprocal_square(a: float, q: float, z: float) -> tuple[float, float, float]:

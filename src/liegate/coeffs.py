@@ -83,22 +83,33 @@ class TimeProfile:
         return np.linspace(0.0, t_end, 257)
 
     def require_positive(self, t_end: float, name: str, requirement: str, times=None):
-        """Raise the DomainError for ``name`` unless the profile is > 0 at
-        every one of ``times``, by default its extremal times."""
+        """Raise the DomainError for ``name`` unless the profile is > 0 and
+        finite at every one of ``times``, by default its extremal times; a
+        value that overflows reads as inf, with numpy's warning silenced."""
         if times is None:
             times = self.extremal_times(t_end)
-        values = np.asarray(self(times), dtype=float)
+        values = self._read(times)
         if not np.all(values > 0.0):
             bad = float(times[np.argmin(values)])
             raise DomainError(
                 f"{name}(t) must stay positive on [0, {t_end}] ({requirement}); "
                 f"violated near t={bad:.6g}"
             )
+        if not np.all(values < math.inf):
+            bad = float(times[np.argmax(values == math.inf)])
+            raise DomainError(
+                f"{name}(t) must stay finite on [0, {t_end}] ({requirement}); "
+                f"it overflows near t={bad:.6g}"
+            )
 
     def vanishes(self, t_end: float) -> bool:
         """Whether |profile| <= 1e-14 at its extremal times; NaN does not."""
-        values = np.asarray(self(self.extremal_times(t_end)), dtype=float)
-        return bool(np.max(np.abs(values)) <= 1e-14)
+        return bool(np.max(np.abs(self._read(self.extremal_times(t_end)))) <= 1e-14)
+
+    def _read(self, times) -> np.ndarray:
+        """The profile at ``times`` for a check, without numpy's warnings."""
+        with np.errstate(all="ignore"):
+            return np.asarray(self(times), dtype=float)
 
     def scalar(self) -> tuple[Callable[[float], float], Callable[[float], float]]:
         raise NotImplementedError

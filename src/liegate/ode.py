@@ -21,6 +21,16 @@ floats, as the dense solution returns it, and divide by no part of y that can
 be zero (a float raises there).  Steps, states and event times equal scipy's
 to the last bit.  The step loop counts the right-hand-side evaluations, and a
 solve that would spend more than its work budget, ``_RHS_BUDGET``, fails.
+
+A solve keeps what each step starts from (its t and y, the proposed step
+size, the events found and the evaluations spent; f and the event's value
+are made again from t and y, so ``fun`` and ``event`` must be pure) and each
+segment's first step.  So ``Result.until(t_end)`` returns, bit for bit, the
+Result of the same solve with its bounds cut at an earlier t_end.  It keeps
+the steps before the first one whose first trial reaches t_end and runs the
+step loop again from there (from the segment's start where the first-step
+rule gives the shorter segment another first step): a solve to several
+horizons costs one solve and a step or two per horizon.
 References: Dormand and Prince, J. Comput. Appl. Math. 6 (1980) 19-26;
 Shampine, Math. Comp. 46 (1986) 135-150; Hairer, Norsett and Wanner, *Solving
 ODEs I* (2nd ed. 1993), II.4-II.6; Brent, *Algorithms for Minimization
@@ -29,9 +39,11 @@ without Derivatives* (1973), ch. 4.
 
 from __future__ import annotations
 
+import copy
 import math
+from array import array
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -258,7 +270,8 @@ class Dense:
 @dataclass
 class Result:
     """Step times, states (a column per time), the dense solution (None unless
-    asked for), the event's times, status 1 if it ended the solve, and nfev."""
+    asked for), the event's times, status 1 if it ended the solve, and nfev;
+    ``until`` cuts the solve at an earlier time."""
 
     t: np.ndarray
     y: np.ndarray
@@ -266,6 +279,182 @@ class Result:
     t_events: list[float]
     status: int
     nfev: int
+    _run: _Run = field(repr=False, compare=False)
+
+    def until(self, t_end: float) -> Result:
+        """The Result of this solve with the bounds past ``t_end`` dropped
+        and t_end as the last, bounds[0] < t_end <= bounds[-1]: the same t,
+        y, events, status, nfev and dense reads, bit for bit.
+
+        The steps before the first one whose first trial reaches t_end are
+        kept, and the solve is taken up again from that step's start (a
+        rejected trial past t_end changes the step, so the accepted step
+        does not tell); from its segment's start instead where the first-step
+        rule gives the shorter segment another first step.  A solve that a
+        terminal event ended before any step reached t_end is its own cut."""
+        run, t_end = self._run, float(t_end)
+        if not run.bounds[0] < t_end <= run.bounds[-1]:
+            raise ValueError(f"t_end={t_end} outside ({run.bounds[0]}, {run.bounds[-1]}]")
+        s = next((s for s, seg in enumerate(run.segments) if t_end <= seg.hi), None)
+        if t_end == run.bounds[-1] or s is None:
+            return self
+        seg = run.segments[s]
+        with np.errstate(all="ignore"):
+            if t_end < seg.hi and float(_first_step(
+                    run.fun, *run.start(seg.step, True)[:3], t_end, run.rtol, run.atol,
+                    run.method.error_order)) != run.h_abs[seg.step]:
+                cut = run.cut(seg.step, run.events[seg.step], seg.nfev, s, t_end)
+                cut.segment(t_end)
+                return cut.result()
+            i = next((i for i in range(seg.step, len(run.h_abs)) if run.reaches(i, t_end)),
+                     None)
+            if i is None:
+                return self
+            cut = run.cut(i, run.events[i], run.nfevs[i], s + 1, t_end)
+            cut.segments[s] = seg._replace(hi=t_end)
+            t, y, f, g = run.start(i, i == seg.step)
+            cut.advance(t, y, f, run.h_abs[i], g, t_end)
+        return cut.result()
+
+
+class _Segment(NamedTuple):
+    """A segment [lo, hi] of the bounds: the index of its first step and the
+    evaluations spent before it."""
+
+    lo: float
+    hi: float
+    step: int
+    nfev: int
+
+
+class _Run:
+    """A solve's problem and progress: the step loop, and the start of each
+    step and of each segment, from which ``Result.until`` takes a shorter
+    solve up again.  A step starts from its t and y, f and the event's
+    value (which ``start`` makes again), and from what ``h_abs``,
+    ``events`` and ``nfevs`` hold for it: the proposed step size, the
+    number of events found so far and the evaluations spent."""
+
+    def __init__(self, fun, y0, bounds, rtol, atol, what, event, dense, method):
+        self.fun, self.rtol, self.atol, self.what = fun, rtol, atol, what
+        self.event, self.dense, self.method = event, dense, _METHODS[method]
+        self.bounds = [float(b) for b in bounds]
+        self.ts, self.ys = [self.bounds[0]], [np.asarray(y0, dtype=float).tolist()]
+        self.steps, self.t_events, self.segments = [], [], []
+        self.h_abs, self.events, self.nfevs = array("d"), array("q"), array("q")
+        self.status = self.nfev = 0
+
+    def spend(self, evaluations, t):   # before they are made
+        self.nfev += evaluations
+        if self.nfev > _RHS_BUDGET:
+            raise IntegrationError(
+                f"{self.what} integration failed: work budget of {_RHS_BUDGET} right-hand-side "
+                f"evaluations spent by t = {t:.17g}", last_time=t)
+
+    def segment(self, hi: float):
+        """Step from the run's end to ``hi`` with the step-size control
+        started afresh."""
+        t, y = self.ts[-1], self.ys[-1]
+        self.segments.append(_Segment(t, hi, len(self.ts) - 1, self.nfev))
+        self.spend(2, t)   # f and the first-step probe
+        f = self.fun(t, y)
+        h_abs = float(_first_step(self.fun, t, y, f, hi, self.rtol, self.atol,
+                                  self.method.error_order))
+        self.advance(t, y, f, h_abs, None if self.event is None else self.event(t, y), hi)
+
+    def advance(self, t, y, f, h_abs, g, hi):
+        """The step loop: steps from t, where y, f = fun(t, y), the proposed
+        step size h_abs and the event's value g, up to hi or a terminal
+        event."""
+        m, fun, event, rtol, atol = self.method, self.fun, self.event, self.rtol, self.atol
+        stages, B, rows, error_order, error_norm, make_interpolant, _ = m
+        n_stages = len(stages) + 1
+        exponent = -1 / (error_order + 1)
+        ts, ys, steps, t_events = self.ts, self.ys, self.steps, self.t_events
+        K = np.empty((rows, len(y)))   # the stage store, and the views its sums read
+        KT = [K[:s].T for s in range(rows + 1)]
+        while self.status == 0 and t < hi:
+            self.h_abs.append(h_abs)
+            self.events.append(len(t_events))
+            self.nfevs.append(self.nfev)
+            min_step = 10 * (math.nextafter(t, math.inf) - t)
+            h_abs, rejected = max(h_abs, min_step), False
+            while True:
+                if not h_abs >= min_step:
+                    raise IntegrationError(f"{self.what} integration failed: {_TOO_SMALL_STEP}",
+                                           last_time=t)
+                self.spend(n_stages, t)
+                t_new = min(t + h_abs, hi)
+                h = t_new - t
+                h_abs = abs(h)
+                K[0] = f
+                for s, a, c in stages:
+                    dy = KT[s].dot(a).tolist()
+                    K[s] = fun(t + c * h, [yi + di * h for yi, di in zip(y, dy)])
+                y_new = [yi + di * h for yi, di in zip(y, KT[n_stages].dot(B).tolist())]
+                K[n_stages] = f_new = fun(t + h, y_new)
+                scale = np.array([atol + max(abs(yi), abs(zi)) * rtol
+                                  for yi, zi in zip(y, y_new)])
+                error = error_norm(KT[n_stages + 1], h, scale)
+                if error < 1:
+                    factor = min(_MAX_FACTOR, _SAFETY * error ** exponent) if error else _MAX_FACTOR
+                    h_abs *= min(1, factor) if rejected else factor
+                    break
+                h_abs *= max(_MIN_FACTOR, _SAFETY * error ** exponent)
+                rejected = True
+            t_old, y_old, f_old = t, y, f
+            t, y, f = t_new, y_new, f_new
+
+            def interpolant():
+                self.spend(rows - n_stages - 1, t)   # DOP853's extra stages
+                return make_interpolant(fun, K, KT, t_old, h, y_old, f_old, y, f)
+
+            if self.dense:
+                steps.append(interpolant())
+            if event is not None:
+                g, g_old = event(t, y), g
+                if g_old <= 0 <= g or g_old >= 0 >= g:
+                    at = Dense([t_old, t], [steps[-1] if self.dense else interpolant()], m)
+                    root = _brentq(lambda x: event(x, at(x)), t_old, t)
+                    t_events.append(root)
+                    if getattr(event, "terminal", False):
+                        self.status, t, y = 1, root, at(root)
+            ts.append(t)
+            ys.append(y)
+
+    def start(self, step: int, first: bool) -> tuple:
+        """t, y, f and the event's value at the start of ``step``, made again
+        as the step loop made them: f at (t, y) for a segment's ``first``
+        step, else at the t + h of the step before."""
+        t, y = self.ts[step], self.y[step].tolist()
+        t_f = t if first else self.ts[step - 1] + (t - self.ts[step - 1])
+        return t, y, self.fun(t_f, y), None if self.event is None else self.event(t, y)
+
+    def reaches(self, step: int, t_end: float) -> bool:
+        """Whether the first trial of ``step`` reaches t_end."""
+        t = self.ts[step]
+        return t + max(self.h_abs[step], 10 * (math.nextafter(t, math.inf) - t)) >= t_end
+
+    def cut(self, step: int, events: int, nfev: int, segments: int, t_end: float) -> _Run:
+        """A copy of the run, ending at t_end, as it stood at the start of
+        ``step`` with ``events`` events found, ``nfev`` evaluations spent
+        and ``segments`` segments opened."""
+        run = copy.copy(self)
+        run.bounds = [*self.bounds[:bisect_left(self.bounds, t_end)], t_end]
+        run.ts, run.ys = self.ts[:step + 1], self.y[:step + 1].tolist()
+        run.steps, run.h_abs = self.steps[:step], self.h_abs[:step]
+        run.events, run.nfevs = self.events[:step], self.nfevs[:step]
+        run.t_events, run.segments = self.t_events[:events], self.segments[:segments]
+        run.status, run.nfev = 0, nfev
+        return run
+
+    def result(self) -> Result:
+        """The solve's Result; the run keeps its states in the Result's
+        array from here on."""
+        self.y, self.ys = np.array(self.ys), None
+        return Result(t=np.array(self.ts), y=self.y.T,
+                      sol=Dense(self.ts, self.steps, self.method) if self.dense else None,
+                      t_events=self.t_events, status=self.status, nfev=self.nfev, _run=self)
 
 
 def solve(fun, y0, bounds, rtol: float, atol: float, what: str, event=None,
@@ -279,82 +468,15 @@ def solve(fun, y0, bounds, rtol: float, atol: float, what: str, event=None,
     DOP853's interpolant costs three extra stages; with ``dense`` it is made
     on every step, else only where the event fires.  Step-size underflow (NaN
     too) or a spent work budget raises IntegrationError at the time reached."""
-    m = _METHODS[method]
-    stages, B, rows, error_order, error_norm, make_interpolant, _ = m
-    n_stages = len(stages) + 1
-    nfev = 0
-
-    def spend(evaluations, t):   # before they are made
-        nonlocal nfev
-        nfev += evaluations
-        if nfev > _RHS_BUDGET:
-            raise IntegrationError(
-                f"{what} integration failed: work budget of {_RHS_BUDGET} right-hand-side "
-                f"evaluations spent by t = {t:.17g}", last_time=t)
-
-    exponent = -1 / (error_order + 1)
-    y = np.asarray(y0, dtype=float).tolist()
-    ts, ys, steps, t_events, status = [float(bounds[0])], [y], [], [], 0
-    K = np.empty((rows, len(y)))   # the stage store, and the views its sums read
-    KT = [K[:s].T for s in range(rows + 1)]
+    run = _Run(fun, y0, bounds, rtol, atol, what, event, dense, method)
     # a solution that overflows ends in step-size underflow (IntegrationError),
     # not in numpy's warnings
     with np.errstate(all="ignore"):
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            t, hi = float(lo), float(hi)
-            spend(2, t)   # f and the first-step probe
-            f = fun(t, y)
-            h_abs = float(_first_step(fun, t, y, f, hi, rtol, atol, error_order))
-            g = None if event is None else event(t, y)
-            while status == 0 and t < hi:
-                min_step = 10 * (math.nextafter(t, math.inf) - t)
-                h_abs, rejected = max(h_abs, min_step), False
-                while True:
-                    if not h_abs >= min_step:
-                        raise IntegrationError(f"{what} integration failed: {_TOO_SMALL_STEP}",
-                                               last_time=t)
-                    spend(n_stages, t)
-                    t_new = min(t + h_abs, hi)
-                    h = t_new - t
-                    h_abs = abs(h)
-                    K[0] = f
-                    for s, a, c in stages:
-                        dy = KT[s].dot(a).tolist()
-                        K[s] = fun(t + c * h, [yi + di * h for yi, di in zip(y, dy)])
-                    y_new = [yi + di * h for yi, di in zip(y, KT[n_stages].dot(B).tolist())]
-                    K[n_stages] = f_new = fun(t + h, y_new)
-                    scale = np.array([atol + max(abs(yi), abs(zi)) * rtol
-                                      for yi, zi in zip(y, y_new)])
-                    error = error_norm(KT[n_stages + 1], h, scale)
-                    if error < 1:
-                        factor = min(_MAX_FACTOR, _SAFETY * error ** exponent) if error else _MAX_FACTOR
-                        h_abs *= min(1, factor) if rejected else factor
-                        break
-                    h_abs *= max(_MIN_FACTOR, _SAFETY * error ** exponent)
-                    rejected = True
-                t_old, y_old, f_old = t, y, f
-                t, y, f = t_new, y_new, f_new
-
-                def interpolant():
-                    spend(rows - n_stages - 1, t)   # DOP853's extra stages
-                    return make_interpolant(fun, K, KT, t_old, h, y_old, f_old, y, f)
-
-                if dense:
-                    steps.append(interpolant())
-                if event is not None:
-                    g, g_old = event(t, y), g
-                    if g_old <= 0 <= g or g_old >= 0 >= g:
-                        at = Dense([t_old, t], [steps[-1] if dense else interpolant()], m)
-                        root = _brentq(lambda x: event(x, at(x)), t_old, t)
-                        t_events.append(root)
-                        if getattr(event, "terminal", False):
-                            status, t, y = 1, root, at(root)
-                ts.append(t)
-                ys.append(y)
-            if status:
+        for hi in run.bounds[1:]:
+            run.segment(hi)
+            if run.status:
                 break
-    return Result(t=np.array(ts), y=np.array(ys).T, sol=Dense(ts, steps, m) if dense else None,
-                  t_events=t_events, status=status, nfev=nfev)
+    return run.result()
 
 
 def _brentq(f, xa: float, xb: float) -> float:

@@ -92,11 +92,12 @@ class LinearTranslation:
 @dataclass(frozen=True, eq=False)
 class ParamTrajectory:
     """Transformation parameters of one factorization route on [0, t_end]:
-    the route, its coefficients, Delta, the integrator's grid, ``valid_to``
-    and what ``sample`` and the maps and kernels read: the dense solutions
-    and the compiled a(t) (route 2: and c(t)) the solve used; route 2 also
-    holds whether it took the shortcut and, if not, its Riccati solve and
-    where that ended.
+    the route, its coefficients, the tolerance, Delta, the integrator's grid,
+    ``valid_to`` and what ``sample`` and the maps and kernels read: the dense
+    solutions and the compiled a(t) (route 2: and c(t)) the solve used;
+    route 2 also holds whether it took the shortcut and, if not, its Riccati
+    solve and where that ended.  ``_results`` holds the solves' ``ode``
+    Results, which ``until`` cuts.
 
     All parameters vanish at t = 0 (the factorized operator is the identity
     there).  ``valid_to`` is the first focal time, or inf if there is none
@@ -111,6 +112,7 @@ class ParamTrajectory:
     path: Literal["path1", "path2"]
     coeffs: CoefficientSet1D
     t_end: float
+    tol: float
     Delta: float
     t_grid: np.ndarray
     valid_to: float
@@ -120,10 +122,23 @@ class ParamTrajectory:
     shortcut: bool = False
     _riccati: object = None
     _riccati_t_end: float = math.inf
+    _results: tuple = ()
 
     @property
     def hbar(self) -> float:
         return self.coeffs.hbar
+
+    def until(self, t_end: float) -> ParamTrajectory:
+        """The trajectory that ``solve_path1``/``solve_path2`` return for
+        [0, t_end], t_end <= self.t_end, bit for bit: the horizon's sign
+        checks (route 2: and shortcut probe) run as the solver runs them, and
+        the solves are this trajectory's cut at t_end (``ode.Result.until``);
+        route 2 solves afresh where the shortcut verdict changes."""
+        if t_end == self.t_end:
+            return self
+        _check_solved(self, t_end)
+        solver = _solve_path1 if self.path == "path1" else _solve_path2
+        return solver(self.coeffs, t_end, self.tol, self)
 
     def sample(self, t: float) -> ParamSample:
         _check_solved(self, t)
@@ -153,12 +168,16 @@ class ParamTrajectory:
 
 @dataclass(frozen=True, eq=False)
 class ParamTrajectory2D:
-    """Planar trajectory: rotation angle, per-axis translations, shared radial."""
+    """Planar trajectory: rotation angle, per-axis translations, shared
+    radial; the field profile and the translation solve's ``ode`` Result,
+    which ``until`` cuts."""
 
+    profile: FieldProfile2D
     radial: ParamTrajectory
     t_end: float
     t_grid: np.ndarray
     _dense: object
+    _results: tuple = ()
 
     @property
     def valid_to(self) -> float:
@@ -167,6 +186,15 @@ class ParamTrajectory2D:
     @property
     def hbar(self) -> float:
         return self.radial.hbar
+
+    def until(self, t_end: float) -> ParamTrajectory2D:
+        """The trajectory that ``solve_2d`` returns for [0, t_end], t_end <=
+        self.t_end, bit for bit, from this one's solves cut at t_end (see
+        ``ParamTrajectory.until``)."""
+        if t_end == self.t_end:
+            return self
+        _check_solved(self, t_end)
+        return _solve_2d(self.profile, t_end, self.radial.tol, self.radial.path, self)
 
     def sample(self, t: float):
         _check_solved(self, t)
@@ -233,6 +261,17 @@ def _first_event(sol) -> float:
 def solve_path1(coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10) -> ParamTrajectory:
     """Route 1 parameters: Delta = 1/a(0), gamma = ln(a*Delta)/2, linearized
     Riccati via u'' + (2b - a'/a) u' + a c u = 0."""
+    return _solve_path1(coeffs, t_end, tol)
+
+
+def _cut(longer, i: int, t_end: float):
+    """The ``i``-th solve of the ``longer`` trajectory cut at t_end, which is
+    the Result of ``_run_ivp`` to t_end bit for bit; None without one."""
+    return None if longer is None else longer._results[i].until(t_end)
+
+
+def _solve_path1(coeffs, t_end, tol, longer=None):
+    """``solve_path1``, cutting the solve of the ``longer`` trajectory if given."""
     check_horizon(t_end)
     coeffs.a.require_positive(t_end, "a", "required by exp(2*gamma) = a*Delta")
     (a_of, adot_of), (b_of, _), (c_of, _) = (p.scalar() for p in (coeffs.a, coeffs.b, coeffs.c))
@@ -257,11 +296,11 @@ def solve_path1(coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10) -> P
 
     y0 = [0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, a0]
     focus = lambda t, y: y[4]   # u = 0
-    sol = _run_ivp(rhs, y0, t_end, tol, "route-1 parameters",
-                   knots=_coefficient_knots(coeffs), event=focus)
+    sol = _cut(longer, 0, t_end) or _run_ivp(rhs, y0, t_end, tol, "route-1 parameters",
+                                             knots=_coefficient_knots(coeffs), event=focus)
     return ParamTrajectory(
-        path="path1", coeffs=coeffs, t_end=float(t_end), Delta=delta,
-        t_grid=sol.t, valid_to=_first_event(sol), _base=sol.sol, _a=a_of,
+        path="path1", coeffs=coeffs, t_end=float(t_end), tol=tol, Delta=delta,
+        t_grid=sol.t, valid_to=_first_event(sol), _base=sol.sol, _a=a_of, _results=(sol,),
     )
 
 
@@ -300,6 +339,12 @@ def solve_path2(coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10) -> P
     If b - gamma' vanishes identically the factorization terminates early
     and alpha = vphi = beta = 0.
     """
+    return _solve_path2(coeffs, t_end, tol)
+
+
+def _solve_path2(coeffs, t_end, tol, longer=None):
+    """``solve_path2``, cutting the solves of the ``longer`` trajectory if
+    given and it took the same shortcut verdict."""
     check_horizon(t_end)
     coeffs.a.require_positive(t_end, "a", "sqrt(a*c) must be real")
     try:
@@ -311,6 +356,8 @@ def solve_path2(coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10) -> P
     linear = _linear_rhs(coeffs)
     delta = math.sqrt(c_of(0.0) / a_of(0.0))
     shortcut = _is_shortcut(a_of, adot_of, b_of, c_of, cdot_of, t_end)
+    if longer is not None and longer.shortcut != shortcut:
+        longer = None
 
     def base_rhs(t, y):
         a, b, c = a_of(t), b_of(t), c_of(t)
@@ -318,9 +365,11 @@ def solve_path2(coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10) -> P
         return (*linear(t, y, a, b, c), math.sqrt(a * c))
 
     half_turn = lambda t, y: y[3] - math.pi   # phi = pi
-    base = _run_ivp(base_rhs, [0.0, 0.0, 0.0, 0.0], t_end, tol, "route-2 parameters",
-                    knots=_coefficient_knots(coeffs), event=half_turn)
+    base = _cut(longer, 0, t_end) or _run_ivp(
+        base_rhs, [0.0, 0.0, 0.0, 0.0], t_end, tol, "route-2 parameters",
+        knots=_coefficient_knots(coeffs), event=half_turn)
 
+    results = (base,)
     riccati_dense = None
     riccati_t_end = t_end
     if not shortcut:
@@ -353,18 +402,21 @@ def solve_path2(coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10) -> P
         # numpy's power on the float state: pow's bits, and inf where a float's ** raises
         blow_up = lambda t, y: y[0] * y[0] - np.float64(cap * y[1]) ** 2
         blow_up.terminal = True
-        ric = _run_ivp(ric_rhs, [0.0, 1.0, 0.0, 0.0, 0.0, 0.0], t_end, tol,
-                       "route-2 quadratic-phase parameters",
-                       knots=_knots(coeffs.a, coeffs.b, coeffs.c), event=blow_up)
+        ric = _cut(longer, 1, t_end) or _run_ivp(
+            ric_rhs, [0.0, 1.0, 0.0, 0.0, 0.0, 0.0], t_end, tol,
+            "route-2 quadratic-phase parameters", knots=_knots(coeffs.a, coeffs.b, coeffs.c),
+            event=blow_up)
+        results = (base, ric)
         riccati_dense = ric.sol
         if ric.status == 1:
             riccati_t_end = _first_event(ric) * (1.0 - 1e-12)
 
     valid_to = min(_first_event(base), riccati_t_end if riccati_t_end < t_end else math.inf)
     return ParamTrajectory(
-        path="path2", coeffs=coeffs, t_end=float(t_end), Delta=delta,
+        path="path2", coeffs=coeffs, t_end=float(t_end), tol=tol, Delta=delta,
         t_grid=base.t, valid_to=valid_to, _base=base.sol, _a=a_of, _c=c_of,
         shortcut=shortcut, _riccati=riccati_dense, _riccati_t_end=riccati_t_end,
+        _results=results,
     )
 
 
@@ -376,6 +428,11 @@ def solve_2d(
 ) -> ParamTrajectory2D:
     """Planar charged particle: coupled (lam, Pi) system, theta' = qB/2m,
     radial parameters delegated to the chosen 1D route."""
+    return _solve_2d(profile, t_end, tol, path)
+
+
+def _solve_2d(profile, t_end, tol, path, longer=None):
+    """``solve_2d``, cutting the solves of the ``longer`` trajectory if given."""
     check_horizon(t_end)
     if path not in ("path1", "path2"):
         raise DomainError(f"path must be 'path1' or 'path2', got {path!r}")
@@ -407,14 +464,18 @@ def solve_2d(
         return lamx_dot, lamy_dot, pix_dot, piy_dot, lagrangian, wb
 
     try:
-        sol = _run_ivp(rhs, [0.0] * 6, t_end, tol, "planar translation parameters",
-                       knots=_knots(profile.m, profile.B, profile.K, profile.Ex, profile.Ey))
+        sol = _cut(longer, 0, t_end) or _run_ivp(
+            rhs, [0.0] * 6, t_end, tol, "planar translation parameters",
+            knots=_knots(profile.m, profile.B, profile.K, profile.Ex, profile.Ey))
     except IntegrationError as err:
         # the solver can meet the 1/m pole on step size without evaluating
         # m <= 0, so look just past where it stopped
         past = err.last_time + t_end * _POLE_OFFSETS
         profile.m.require_positive(t_end, "m", _MASS_REQUIREMENT, times=past[past <= t_end])
         raise
-    solver = solve_path1 if path == "path1" else solve_path2
-    radial = solver(reduce_2d(profile), t_end, tol)
-    return ParamTrajectory2D(radial=radial, t_end=t_end, t_grid=sol.t, _dense=sol.sol)
+    if longer is not None:
+        radial = longer.radial.until(t_end)
+    else:
+        radial = (solve_path1 if path == "path1" else solve_path2)(reduce_2d(profile), t_end, tol)
+    return ParamTrajectory2D(profile=profile, radial=radial, t_end=t_end, t_grid=sol.t,
+                             _dense=sol.sol, _results=(sol,))

@@ -141,29 +141,49 @@ def _cases(seed: int, systems: dict, names, n_random: int, positive_c: bool = Fa
 
 
 class _Solves:
-    """Route-1 solves at tol 1e-12, each made once however often it is read.
+    """The checks' parameter solves at tol 1e-12: each (system, route) is
+    solved once, to the longest horizon it is read at, and each read is
+    that solve cut at the read's horizon (``until``), bit for bit the solve
+    to that horizon.
 
-    ``reads`` counts the reads of each (system, horizon) to come; a solve is
-    held from its first read to its last, so only the solves that are read
-    again are kept, and none is kept with no count.  ``systems`` are the
-    suite systems every reader takes its cases from: lp's derived profiles
-    compare by identity, so two reads of lp must name the same object.
+    ``reads`` counts the reads of each (system, route, horizon) to come; a
+    system's route is "path1" or "path2", a field's the radial route of its
+    planar solve.  A solve is made at its first read; after each read the
+    store holds it cut at the longest horizon still to be read, so that no
+    step past that horizon is kept, and drops it after its last read.  A
+    read that was not counted is solved to its own horizon and not held.
+    ``systems`` and ``fields`` are the suite systems every reader takes its
+    cases from: lp's derived profiles compare by identity, so two reads of
+    lp must name the same object.
     """
 
-    def __init__(self, systems: dict, reads: Counter | None = None):
-        self.systems = systems
-        self._reads = reads or Counter()
-        self._held = {}
+    def __init__(self, systems: dict | None = None, fields: dict | None = None,
+                 reads: Counter | None = None):
+        self.systems = suite_systems() if systems is None else systems
+        self.fields = suite_fields() if fields is None else fields
+        self._to_come, self._held = {}, {}
+        for (system, route, horizon), n in Counter(reads).items():
+            self._to_come.setdefault((system, route), Counter())[horizon] += n
 
-    def path1(self, cs, t_end: float):
-        key = (cs, t_end)
-        traj = self._held.pop(key, None)
-        if traj is None:
-            traj = paramflow.solve_path1(cs, t_end, tol=1e-12)
-        self._reads[key] -= 1
-        if self._reads[key] > 0:
-            self._held[key] = traj
-        return traj
+    def read(self, system, route: str, t_end: float):
+        """The trajectory of ``system``'s ``route`` on [0, t_end]."""
+        key = system, route
+        to_come = self._to_come.get(key, Counter())
+        if to_come[t_end] <= 0:
+            return _solve(system, route, t_end)
+        traj = self._held.pop(key, None) or _solve(system, route, max(to_come))
+        to_come[t_end] -= 1
+        to_come = self._to_come[key] = +to_come
+        if to_come:
+            self._held[key] = traj.until(max(to_come))
+        return traj.until(t_end)
+
+
+def _solve(system, route: str, t_end: float):
+    if isinstance(system, FieldProfile2D):
+        return paramflow.solve_2d(system, t_end, tol=1e-12, path=route)
+    solver = paramflow.solve_path1 if route == "path1" else paramflow.solve_path2
+    return solver(system, t_end, tol=1e-12)
 
 
 # the horizon of the symplectic, path-equivalence and classical checks
@@ -245,10 +265,10 @@ def _verdict(name: str, threshold: float, rows: list, limits: dict,
 
 def check_symplectic(seed: int, n_random: int = 8, times: Grid = Grid(0.0, 40, 1),
                      corrupt: bool = False, solves: _Solves | None = None) -> CheckResult:
-    solves = solves or _Solves(suite_systems())
+    solves = solves or _Solves()
     rows = []
     for cs in _cases(seed, solves.systems, solves.systems, n_random):
-        traj = solves.path1(cs, SUITE_T_END)
+        traj = solves.read(cs, "path1", SUITE_T_END)
         for t in times.up_to(_horizon(SUITE_T_END, traj)):
             smap = maps.assemble_path1(traj, float(t))
             if corrupt:
@@ -263,11 +283,11 @@ def check_symplectic(seed: int, n_random: int = 8, times: Grid = Grid(0.0, 40, 1
 def check_path_equivalence(seed: int, n_random: int = 3, times: Grid = Grid(0.02, 12),
                            solves: _Solves | None = None) -> CheckResult:
     """Route 2's affine map (M and shift) and action S against route 1's."""
-    solves = solves or _Solves(suite_systems())
+    solves = solves or _Solves()
     rows = []
     for cs in _cases(seed, solves.systems, ("sho", "iontrap"), n_random, positive_c=True):
-        tr1 = solves.path1(cs, SUITE_T_END)
-        tr2 = paramflow.solve_path2(cs, SUITE_T_END, tol=1e-12)
+        tr1 = solves.read(cs, "path1", SUITE_T_END)
+        tr2 = solves.read(cs, "path2", SUITE_T_END)
         for t in times.up_to(_horizon(SUITE_T_END, tr1, tr2)):
             t = float(t)
             map1, map2 = maps.assemble_path1(tr1, t), maps.assemble_path2(tr2, t)
@@ -282,23 +302,31 @@ def check_path_equivalence(seed: int, n_random: int = 3, times: Grid = Grid(0.02
 PLANAR_ROUTES = {"bsin": "path1", "efield": "path2"}
 
 
-def check_oracle_maps(times: Grid = Grid(0.0, 12, 1),
-                      planar_times: Grid = Grid(0.0, 8, 1)) -> CheckResult:
+# the horizons of the 1D and planar oracle map checks
+ORACLE_T_END, PLANAR_ORACLE_T_END = 1.5, 1.2
+
+
+def _map_gaps(part: str, assemble, traj, fm, times: Grid) -> list:
+    """A ``{part: gap}`` row per sample time before 0.95 of the focal time:
+    the assembled map's M against the oracle's fundamental matrix.  A call
+    per system, so that each system's solves are let go before the next
+    system's are made."""
+    return [{part: float(np.max(np.abs(assemble(traj, float(t)).M - fm.at(float(t)))))}
+            for t in times.up_to(_horizon(traj.t_end, traj))]
+
+
+def check_oracle_maps(times: Grid = Grid(0.0, 12, 1), planar_times: Grid = Grid(0.0, 8, 1),
+                      solves: _Solves | None = None) -> CheckResult:
+    solves = solves or _Solves()
     rows = []
-    for name, cs in suite_systems().items():
-        t_end = 1.5
-        traj = paramflow.solve_path1(cs, t_end, tol=1e-12)
-        fm = oracle.fundamental_matrix(cs, t_end, tol=1e-12)
-        for t in times.up_to(_horizon(t_end, traj)):
-            diff = np.max(np.abs(maps.assemble_path1(traj, float(t)).M - fm.at(float(t))))
-            rows.append({"1d": float(diff)})
-    for name, fp in suite_fields().items():
-        t_end = 1.2
-        traj = paramflow.solve_2d(fp, t_end, tol=1e-12, path=PLANAR_ROUTES[name])
-        fm = oracle.fundamental_matrix(fp, t_end, tol=1e-12)
-        for t in planar_times.up_to(_horizon(t_end, traj)):
-            diff = np.max(np.abs(maps.assemble_2d(traj, float(t)).M - fm.at(float(t))))
-            rows.append({"planar": float(diff)})
+    for cs in solves.systems.values():
+        rows += _map_gaps("1d", maps.assemble_path1, solves.read(cs, "path1", ORACLE_T_END),
+                          oracle.fundamental_matrix(cs, ORACLE_T_END, tol=1e-12), times)
+    for name, fp in solves.fields.items():
+        rows += _map_gaps("planar", maps.assemble_2d,
+                          solves.read(fp, PLANAR_ROUTES[name], PLANAR_ORACLE_T_END),
+                          oracle.fundamental_matrix(fp, PLANAR_ORACLE_T_END, tol=1e-12),
+                          planar_times)
     return _verdict("oracle_map_equivalence", 1e-7, rows,
                     dict.fromkeys(("1d", "planar"), 1e-7))
 
@@ -307,17 +335,17 @@ def check_classical_identification(seed: int, n_random: int = 4, times: Grid = G
                                    solves: _Solves | None = None) -> CheckResult:
     """Route 1's and the planar solve's (lam, -Pi) against the classical flow
     from the phase-space origin."""
-    solves = solves or _Solves(suite_systems())
+    solves = solves or _Solves()
     rows = []
     for cs in _cases(seed, solves.systems, ("lp",), n_random):
-        traj = solves.path1(cs, SUITE_T_END)
+        traj = solves.read(cs, "path1", SUITE_T_END)
         flow = oracle.classical_flow(cs, np.zeros(2), SUITE_T_END, tol=1e-12)
         for t in times.up_to(SUITE_T_END):
             s = traj.sample(float(t))
             diff = np.max(np.abs(flow.at(float(t)) - np.array([s.lam, -s.Pi])))
             rows.append({"1d": float(diff)})
-    fp = suite_fields()["efield"]
-    traj = paramflow.solve_2d(fp, SUITE_T_END, tol=1e-12, path="path2")
+    fp = solves.fields["efield"]
+    traj = solves.read(fp, PLANAR_ROUTES["efield"], SUITE_T_END)
     flow = oracle.classical_flow(fp, np.zeros(4), SUITE_T_END, tol=1e-12)
     for t in times.up_to(SUITE_T_END):
         rec = traj.sample(float(t))
@@ -359,16 +387,14 @@ def _closed_form_case(name: str, p: dict, traj, t: float) -> tuple:
             max(1.0, abs(rec["lam_x"]), abs(rec["Pi_x"])))
 
 
-def check_closed_forms(times: dict = CLOSED_FORM_TIMES) -> CheckResult:
+def check_closed_forms(times: dict = CLOSED_FORM_TIMES,
+                       solves: _Solves | None = None) -> CheckResult:
+    solves = solves or _Solves()
     rows = []
-    systems = {**suite_systems(), **suite_fields()}
+    systems = {**solves.systems, **solves.fields}
     params = {name: spec for name, (_, spec) in presets.REFERENCE.items()}
     for name, (horizon, samples) in times.items():
-        if name in PLANAR_ROUTES:
-            traj = paramflow.solve_2d(systems[name], horizon, tol=1e-12,
-                                      path=PLANAR_ROUTES[name])
-        else:
-            traj = paramflow.solve_path1(systems[name], horizon, tol=1e-12)
+        traj = solves.read(systems[name], PLANAR_ROUTES.get(name, "path1"), horizon)
         for t in samples:
             closed, solved, scale = _closed_form_case(name, params[name], traj, float(t))
             rows.append({name: _nanmax(abs(c - s) for c, s in zip(closed, solved)) / scale})
@@ -376,11 +402,14 @@ def check_closed_forms(times: dict = CLOSED_FORM_TIMES) -> CheckResult:
 
 
 def check_mathieu() -> CheckResult:
+    """C(a, q, z) at two tolerances, each (a, q, tol) solved once to the
+    largest z; and C(1, 0, pi/3) = 1/2."""
     rows = []
-    for a, q, z in itertools.product((0.5, 1.0, 2.0), (0.0, 0.4, 1.0), (0.7, 1.5, 3.0)):
-        c1 = closedforms.mathieu_c(a, q, z, tol=1e-12)
-        c2 = closedforms.mathieu_c(a, q, z, tol=5e-13)
-        rows.append({"halving_drift": abs(c1.C - c2.C)})
+    zs = (0.7, 1.5, 3.0)
+    for a, q in itertools.product((0.5, 1.0, 2.0), (0.0, 0.4, 1.0)):
+        c1s = closedforms.mathieu_cs(a, q, zs, tol=1e-12)
+        c2s = closedforms.mathieu_cs(a, q, zs, tol=5e-13)
+        rows += [{"halving_drift": abs(c1.C - c2.C)} for c1, c2 in zip(c1s, c2s)]
     exact = closedforms.mathieu_c(1.0, 0.0, math.pi / 3.0)
     rows.append({"pin": abs(exact.C - 0.5)})
     # the drift must stay strictly below 1e-10: at most the double before it
@@ -394,16 +423,16 @@ SEMIGROUP_SPLITS = {"lp": (0.6, 1.4), "sho": (0.5, 1.2), "iontrap": (0.18, 0.4),
                     "kanai": (0.45, 1.0)}
 
 
-def check_kernels() -> CheckResult:
+# the horizon of the Mehler comparison, both routes
+MEHLER_T_END = 1.2
+
+
+def check_kernels(solves: _Solves | None = None) -> CheckResult:
     """Mehler, unitarity and semigroup checks; the unitarity check builds each
     system's kernel in its preset's variant, as ``liegate kernel`` does."""
+    solves = solves or _Solves()
     rows = []
-    systems = suite_systems()
-    # a system whose kernel time ends its semigroup split (iontrap, kanai)
-    # reads one route-1 solve in both checks
-    solves = _Solves(systems, Counter(
-        [(cs, KERNEL_TIMES[name] * 1.05) for name, cs in systems.items()]
-        + [(cs, SEMIGROUP_SPLITS[name][1] * 1.05) for name, cs in systems.items()]))
+    systems = solves.systems
     grid = oracle.gaussian_state(1024, -12.0, 24.0 / 1024, sigma=1.0)
     # Mehler comparison for the oscillator, both routes
     sho = systems["sho"]
@@ -411,8 +440,8 @@ def check_kernels() -> CheckResult:
     mehler_q = math.cos(t) / (2.0 * math.sin(t))
     mehler_cross = -1.0 / math.sin(t)
     mehler_pref = 1.0 / np.sqrt(2.0j * math.pi * math.sin(t))
-    for route, solver in (("path1", paramflow.solve_path1), ("path2", paramflow.solve_path2)):
-        traj = solver(sho, 1.2, tol=1e-12)
+    for route in ("path1", "path2"):
+        traj = solves.read(sho, route, MEHLER_T_END)
         k = greens.kernel_build(traj, t, route)
         rows.append({"mehler": float(_nanmax((
             abs(k.qxx[0, 0] - mehler_q), abs(k.qx1x1[0, 0] - mehler_q),
@@ -421,14 +450,14 @@ def check_kernels() -> CheckResult:
     # unitarity for every suite system
     for name, cs in systems.items():
         t = KERNEL_TIMES[name]
-        traj = solves.path1(cs, t * 1.05)
+        traj = solves.read(cs, "path1", t * 1.05)
         variant = presets.PRESETS[presets.REFERENCE[name][0]].kernel or "path1"
         k = greens.kernel_build(traj, t, variant)
         rows.append({"unitarity": greens.kernel_unitarity_residual(k, grid)})
     # semigroup with one split point per system
     for name, cs in systems.items():
         t1, t2 = SEMIGROUP_SPLITS[name]
-        traj = solves.path1(cs, t2 * 1.05)
+        traj = solves.read(cs, "path1", t2 * 1.05)
         full = greens.kernel_apply(greens.kernel_build(traj, t2, "path1"), grid)
         mid = greens.kernel_apply(greens.kernel_build(traj, t1, "path1"), grid)
         traj_tail = paramflow.solve_path1(cs.shifted(t1), (t2 - t1) * 1.05, tol=1e-12)
@@ -442,24 +471,38 @@ def check_kernels() -> CheckResult:
     )
 
 
+def _suite_reads(seed: int, systems: dict, fields: dict) -> Counter:
+    """Every (system, route, horizon) that the checks read at their default
+    arguments, counted."""
+    paired = _cases(seed, systems, ("sho", "iontrap"), 3, positive_c=True)
+    return Counter(
+        [(cs, "path1", SUITE_T_END) for cs in itertools.chain(
+            _cases(seed, systems, systems, 8), paired, _cases(seed, systems, ("lp",), 4))]
+        + [(cs, "path2", SUITE_T_END) for cs in paired]
+        + [(cs, "path1", ORACLE_T_END) for cs in systems.values()]
+        + [(fp, PLANAR_ROUTES[name], PLANAR_ORACLE_T_END) for name, fp in fields.items()]
+        + [(fields["efield"], PLANAR_ROUTES["efield"], SUITE_T_END)]
+        + [({**systems, **fields}[name], PLANAR_ROUTES.get(name, "path1"), horizon)
+           for name, (horizon, _) in CLOSED_FORM_TIMES.items()]
+        + [(systems["sho"], route, MEHLER_T_END) for route in ("path1", "path2")]
+        + [(cs, "path1", KERNEL_TIMES[name] * 1.05) for name, cs in systems.items()]
+        + [(cs, "path1", SEMIGROUP_SPLITS[name][1] * 1.05) for name, cs in systems.items()])
+
+
 def run_suite(seed: int = 0, corrupt_map: bool = False) -> list[CheckResult]:
-    """Every check at its default arguments.  The checks at the suite horizon
-    read some route-1 solves twice (sho and iontrap in the symplectic and
-    path-equivalence checks, lp and the first seeded random systems in the
-    symplectic and classical checks): ``solves`` makes each once."""
-    systems = suite_systems()
-    cases = itertools.chain(_cases(seed, systems, systems, 8),
-                            _cases(seed, systems, ("sho", "iontrap"), 3, positive_c=True),
-                            _cases(seed, systems, ("lp",), 4))
-    solves = _Solves(systems, Counter((cs, SUITE_T_END) for cs in cases))
+    """Every check at its default arguments, with one store of the solves
+    they read: each (system, route) is solved once, to the longest horizon
+    any check reads it at, and cut for the shorter ones."""
+    systems, fields = suite_systems(), suite_fields()
+    solves = _Solves(systems, fields, _suite_reads(seed, systems, fields))
     return [
         check_structure_constants(),
         check_algebra_properties(seed),
         check_symplectic(seed, corrupt=corrupt_map, solves=solves),
         check_path_equivalence(seed, solves=solves),
-        check_oracle_maps(),
+        check_oracle_maps(solves=solves),
         check_classical_identification(seed, solves=solves),
-        check_closed_forms(),
+        check_closed_forms(solves=solves),
         check_mathieu(),
-        check_kernels(),
+        check_kernels(solves=solves),
     ]

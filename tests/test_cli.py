@@ -13,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -302,9 +303,10 @@ NAN_CASES = {
     "closed_form_crosschecks": (  # route 1's lam of the second system, kanai
         "kanai", paramflow, "solve_path1", lambda f: nudged(f, 0, math.nan, call=2),
         verify.check_closed_forms),
-    "mathieu_selfconsistency": (  # C of the fifth halving pair
-        "halving_drift", closedforms, "mathieu_c",
-        lambda f: on_call(f, 9, lambda e: dataclasses.replace(e, C=math.nan)),
+    "mathieu_selfconsistency": (  # C of the fifth halving pair: (0.5, 0.4) at z = 1.5
+        "halving_drift", closedforms, "mathieu_cs",
+        lambda f: on_call(f, 3, lambda es: [dataclasses.replace(e, C=math.nan)
+                                            if e.z == 1.5 else e for e in es]),
         verify.check_mathieu),
     "kernel_sanity": (  # the second of four unitarity residuals
         "unitarity", greens, "kernel_unitarity_residual",
@@ -354,10 +356,11 @@ class TestVerify:
         assert failing == ["symplectic_invariants"]
 
     def test_a_run_solves_each_trajectory_once(self, monkeypatch):
-        # sho and iontrap (symplectic, path equivalence), lp and four random
-        # systems (symplectic, classical identification), iontrap and kanai
-        # (unitarity, semigroup) are each read twice and solved once, 9 of
-        # 138 solves; a second run shares nothing with the first
+        # each (system, route) the checks read is solved once, to its longest
+        # horizon (sho's route 1 at six horizons, iontrap's at four, efield's
+        # planar solve at three), and each (a, q, tol) of the Mathieu check
+        # once, to z = 3: 73 solves, where a solve per read made 129; a
+        # second run shares nothing with the first
         calls, solve = [], ode.solve
 
         def counting(*args, **kwargs):
@@ -366,22 +369,38 @@ class TestVerify:
 
         monkeypatch.setattr(ode, "solve", counting)
         first = verify.run_suite(0)
-        assert len(calls) == 129
+        assert len(calls) == 73
         assert verify.run_suite(0) == first
-        assert len(calls) == 2 * 129
+        assert len(calls) == 2 * 73
 
     def test_shared_solves_are_held_from_first_to_last_read(self, monkeypatch):
+        @dataclasses.dataclass(frozen=True)
+        class Solve:   # a trajectory: which solve it was cut from, and its horizon
+            made: int
+            t_end: float
+
+            def until(self, t_end):
+                return Solve(self.made, t_end)
+
         made = []
-        monkeypatch.setattr(paramflow, "solve_path1",
-                            lambda cs, t_end, tol: made.append((cs, t_end, tol)) or object())
+        monkeypatch.setattr(paramflow, "solve_path1", lambda cs, t_end, tol: made.append(
+            (cs, t_end, tol)) or Solve(len(made), t_end))
         systems = suite_systems()
         lp, sho = systems["lp"], systems["sho"]
-        solves = verify._Solves(systems, Counter({(lp, 2.0): 3, (sho, 2.0): 1}))
-        reads = [solves.path1(cs, t_end) for cs, t_end in
-                 ((lp, 2.0), (sho, 2.0), (lp, 1.0), (lp, 2.0), (lp, 2.0), (lp, 2.0))]
-        assert made == [(lp, 2.0, 1e-12), (sho, 2.0, 1e-12), (lp, 1.0, 1e-12),
+        solves = verify._Solves(systems, {}, Counter(
+            {(lp, "path1", 2.0): 1, (lp, "path1", 1.0): 2, (sho, "path1", 2.0): 1}))
+        # lp is solved at its first read, to its longest counted horizon, and
+        # then held cut at the longest horizon still to be read
+        assert solves.read(lp, "path1", 2.0) == Solve(1, 2.0)
+        assert solves._held == {(lp, "path1"): Solve(1, 1.0)}
+        reads = [solves.read(cs, "path1", t_end) for cs, t_end in
+                 ((sho, 2.0), (lp, 0.5), (lp, 1.0), (lp, 1.0), (lp, 2.0))]
+        # the reads not counted, (lp, 0.5) and the second (lp, 2.0), are
+        # solved to their own horizons
+        assert made == [(lp, 2.0, 1e-12), (sho, 2.0, 1e-12), (lp, 0.5, 1e-12),
                         (lp, 2.0, 1e-12)]
-        assert reads[0] is reads[3] is reads[4] is not reads[5]
+        assert reads == [Solve(2, 2.0), Solve(3, 0.5), Solve(1, 1.0), Solve(1, 1.0),
+                         Solve(4, 2.0)]
         assert solves._held == {}
 
     def test_route_two_action_is_checked(self, monkeypatch):
@@ -417,12 +436,13 @@ class TestVerify:
             [("symplectic_invariants", "nan")]
 
     def test_mathieu_drift_must_stay_below_its_limit(self, monkeypatch):
-        def mathieu_c(a, q, z, tol=1e-12):
+        def mathieu_cs(a, q, zs, tol=1e-12):
             # every halving drift is exactly 1e-10, and the pin holds
-            c = 0.5 if z == math.pi / 3.0 else (0.0 if tol == 5e-13 else 1e-10)
-            return closedforms.MathieuEval(a, q, z, c, 0.0)
+            return [closedforms.MathieuEval(
+                a, q, z, 0.5 if z == math.pi / 3.0 else (0.0 if tol == 5e-13 else 1e-10), 0.0)
+                for z in zs]
 
-        monkeypatch.setattr(closedforms, "mathieu_c", mathieu_c)
+        monkeypatch.setattr(closedforms, "mathieu_cs", mathieu_cs)
         result = verify.check_mathieu()
         assert not result.passed
         assert result.parts == {"halving_drift": 1e-10, "pin": 0.0}
@@ -576,6 +596,35 @@ def test_a_raising_coefficient_fails_its_sign_check(tmp_path, capsys, name, at):
     assert err["message"].startswith("a(t) must stay positive")
     assert err["message"].endswith(f"violated near t={at}")
     assert "Traceback" not in captured.out
+    assert elapsed < 0.5
+
+
+EXP_400T = {"kind": "exponential", "prefactor": 1.0, "rate": 400}
+# configs whose coefficient overflows to inf inside its sign check: exp(400 t)
+# at t = 2, as route 1's a and as route 2's c
+OVERFLOWING_SIGN_CHECKS = {
+    "a": {"system": "gho", "t_end": 2, "coefficients": {"a": EXP_400T, "c": 1.0}},
+    "c": {"system": "gho", "t_end": 2, "path": "path2",
+          "coefficients": {"a": 1.0, "c": EXP_400T}},
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_SIGN_CHECKS))
+def test_an_overflowing_coefficient_fails_its_sign_check(tmp_path, capsys, name):
+    # inf is refused before the solve, which spends its work budget (a) or
+    # ends in step-size underflow (c); numpy's overflow warning stays silent
+    cfg = write_config(tmp_path, f"{name}.json", OVERFLOWING_SIGN_CHECKS[name])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        start = time.perf_counter()
+        code = cli.main(["params", "--config", cfg, "--out", str(tmp_path / "x")])
+        elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 3 and captured.err == "" and caught == []
+    err = json.loads(captured.out)["error"]
+    assert err["type"] == "DomainError"
+    assert err["message"].startswith(f"{name}(t) must stay finite on [0, 2.0]")
+    assert "it overflows near t=2" in err["message"]
     assert elapsed < 0.5
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from liegate import closedforms, paramflow
+from liegate import closedforms, ode, paramflow
 from liegate.closedforms import (
     _efield_addends,
     _sum_addends,
@@ -36,6 +36,20 @@ class TestMathieu:
         full = mathieu_c(a, q, z, tol=1e-12)
         half = mathieu_c(a, q, z, tol=5e-13)
         assert abs(full.C - half.C) < 1e-10
+
+    @pytest.mark.parametrize("tol", [1e-12, 5e-13])
+    def test_one_solve_serves_every_z_bit_for_bit(self, tol):
+        # each z against a solve to |z| alone, as mathieu_c solved before
+        zs = (0.7, -1.5, 0.0, 3.0, 1.5)
+        for a, q in ((0.5, 0.0), (2.0, 1.0), (1.0, 0.4)):
+            for z, ev in zip(zs, closedforms.mathieu_cs(a, q, zs, tol=tol)):
+                if z == 0.0:
+                    assert (ev.C, ev.Cp) == (1.0, 0.0)
+                    continue
+                sol = ode.solve(closedforms._mathieu_rhs(a, q), [1.0, 0.0], (0.0, abs(z)),
+                                tol, tol, "Mathieu", dense=False)
+                cp = math.copysign(1.0, z) * sol.y[1, -1]
+                assert (ev.z, ev.C, ev.Cp) == (z, sol.y[0, -1], cp)
 
     def test_even_function_against_scaled_cosine(self):
         # q = 0 general a: C = cos(sqrt(a) z) for a > 0

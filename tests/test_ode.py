@@ -350,3 +350,127 @@ def test_brent_port_takes_scipys_iterates(kind, coefficients, a, width, at):
             ode._brentq(f, a, b)
         return
     assert ode._brentq(f, a, b).hex() == float(expected).hex()
+
+
+def spring(t, y):
+    return y[1], -(9.0 + 3.0 * math.cos(t)) * y[0]
+
+
+def drift(t, y):
+    # y' starts small and its rate large: the first-step rule's probe step
+    # is longer than its step, and a shorter segment moves the probe
+    return (0.1 + math.sin(100.0 * t),)
+
+
+def spring_solve(bounds, event=None, dense=True, method="DOP853", fun=spring):
+    y0 = [1.0, 0.0][:2 if fun is spring else 1]
+    return ode.solve(fun, y0, bounds, 1e-9, 1e-11, "test", event, dense, method)
+
+
+def direct_and_cut(bounds, t_end, event=None, dense=True, method="DOP853", fun=spring):
+    """The solve of ``fun`` (the spring or the drift) over ``bounds`` cut at
+    t_end, asserted to be the solve over the bounds below t_end and t_end,
+    bit for bit; returns (full, cut)."""
+    solve = lambda b: spring_solve(b, event, dense, method, fun)
+    full = solve(bounds)
+    cut = full.until(t_end)
+    ref = solve([*(b for b in bounds if b < t_end), t_end])
+    assert cut.t.tobytes() == ref.t.tobytes() and cut.y.tobytes() == ref.y.tobytes()
+    assert np.array(cut.t_events).tobytes() == np.array(ref.t_events).tobytes()
+    assert (cut.status, cut.nfev) == (ref.status, ref.nfev)
+    assert (cut.sol is None) == (ref.sol is None) == (not dense)
+    if dense:
+        times = np.concatenate([ref.t, np.random.default_rng(3).uniform(0.0, ref.t[-1], 60)])
+        assert (np.array([cut.sol(t) for t in times]).tobytes()
+                == np.array([ref.sol(t) for t in times]).tobytes())
+    return full, cut
+
+
+@pytest.mark.parametrize("method", ["DOP853", "RK45"])
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "bare"])
+def test_a_cut_solve_is_the_shorter_solve(method, dense):
+    # cuts at random times and at 30 step times, across two knots, with an
+    # event that fires several times
+    bounds = (0.0, 1.0, 2.5, 4.0)
+    full = spring_solve(bounds, crossing, dense, method)
+    assert len(full.t_events) >= 3
+    cuts = [*np.random.default_rng(0).uniform(0.0, 4.0, 30),
+            *full.t[1::math.ceil(len(full.t) / 30)]]
+    for t_end in cuts:
+        direct_and_cut(bounds, t_end, crossing, dense, method)
+
+
+@pytest.mark.parametrize("method", ["DOP853", "RK45"])
+def test_a_cut_at_a_knot_or_past_it_keeps_the_segments_before(method):
+    bounds = (0.0, 1.0, 2.5, 4.0)
+    full, at_knot = direct_and_cut(bounds, 2.5, crossing, method=method)
+    # the segments up to the knot are the full solve's, steps and work alike
+    kept = full.t.tolist().index(2.5) + 1
+    assert at_knot.t.tolist() == full.t[:kept].tolist() and at_knot.nfev < full.nfev
+    _, past = direct_and_cut(bounds, 3.1, crossing, method=method)
+    assert past.t[:kept].tolist() == full.t[:kept].tolist()
+
+
+@pytest.mark.parametrize("method", ["DOP853", "RK45"])
+@pytest.mark.parametrize("bounds, t_end", [((0.0, 4.0), 1e-4), ((0.0, 1.0, 4.0), 1.0 + 1e-4)],
+                         ids=["first-segment", "after-a-knot"])
+def test_a_cut_inside_the_first_step_takes_it_to_the_cut(method, bounds, t_end):
+    # the first-step rule clips its step to the shorter segment
+    full, cut = direct_and_cut(bounds, t_end, method=method)
+    start = full.t.tolist().index(bounds[-2])
+    assert full.t[start + 1] > t_end and cut.t[-1] == t_end and len(cut.t) == start + 2
+
+
+@pytest.mark.parametrize("method", ["DOP853", "RK45"])
+@pytest.mark.parametrize("bounds, t_end", [((0.0, 1.0), 0.05), ((0.0, 0.5, 1.0), 0.55)],
+                         ids=["first-segment", "after-a-knot"])
+def test_a_first_step_the_shorter_segment_moves_takes_the_segment_again(method, bounds,
+                                                                         t_end):
+    # the rule's probe step is clipped to the shorter segment, and the step
+    # it then gives is another one, short of t_end: the segment is taken
+    # again from its start
+    full, cut = direct_and_cut(bounds, t_end, method=method, fun=drift)
+    start = full.t.tolist().index(bounds[-2])
+    assert full.t[start + 1] != cut.t[start + 1] < t_end
+
+
+@pytest.mark.parametrize("method", ["DOP853", "RK45"])
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "bare"])
+def test_an_event_in_the_step_taken_again_is_found_again(method, dense):
+    full = spring_solve((0.0, 4.0), crossing, dense, method)
+    root = full.t_events[0]
+    step = int(np.searchsorted(full.t, root))   # the step from t[step - 1] holds the root
+    t_end = (root + full.t[step]) / 2
+    _, cut = direct_and_cut((0.0, 4.0), t_end, crossing, dense, method)
+    assert cut.t[-2] < cut.t_events[-1] < t_end == cut.t[-1]
+
+
+@pytest.mark.parametrize("method", ["DOP853", "RK45"])
+@pytest.mark.parametrize("dense", [True, False], ids=["dense", "bare"])
+def test_a_terminal_event_before_or_after_the_cut(method, dense):
+    bounds = (0.0, 0.3, 1.0, 4.0)
+    root = spring_solve(bounds, first_crossing, dense, method).t_events[0]
+    assert 0.3 < root < 1.0
+    # past the step that holds the root, the event ends both solves the same
+    # way and the solve is its own cut: at the next knot, and in a segment
+    # the solve never opened
+    for t_end in (3.9, 1.0):
+        full, cut = direct_and_cut(bounds, t_end, first_crossing, dense, method)
+        assert cut is full and cut.t_events == [root]
+    # a cut inside that step takes it again, which can move the root by a
+    # rounding; a cut before the root ends at t_end with no event
+    for t_end, ended in ((root + 1e-9, 1), (root - 1e-9, 0), ((root + 0.3) / 2, 0), (0.2, 0)):
+        full, cut = direct_and_cut(bounds, t_end, first_crossing, dense, method)
+        assert cut.status == len(cut.t_events) == ended
+        assert cut.t[-1] == (cut.t_events[0] if ended else t_end)
+
+
+def test_a_cut_of_a_cut_is_the_shorter_solve():
+    full, cut = direct_and_cut((0.0, 1.0, 4.0), 3.0, crossing)
+    assert len(cut.t_events) > len(cut.until(2.0).t_events) > 0
+    assert full.until(2.0).t.tobytes() == cut.until(2.0).t.tobytes()
+    assert cut.until(2.0).nfev == full.until(2.0).nfev
+    with pytest.raises(ValueError, match="outside"):
+        cut.until(3.5)
+    with pytest.raises(ValueError, match="outside"):
+        cut.until(0.0)

@@ -9,7 +9,7 @@ import pytest
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
 
-from liegate import maps, ode, oracle, paramflow
+from liegate import maps, ode, oracle, paramflow, verify
 from liegate.coeffs import (
     CoefficientSet1D,
     Constant,
@@ -835,3 +835,108 @@ class TestKnotToKnot:
             solve_path2(mixed_system(0), 1.0, tol=1e-13)
             solve_2d(mixed_field(0), 1.0, tol=1e-13, path="path1")
         assert rtols == {100.0 * np.finfo(float).eps}
+
+
+def bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+def assert_same_trajectory(cut, direct):
+    """Two trajectories alike bit for bit: grids, focal times, shortcut and
+    Riccati end, each solve's events and work, and every sample and dense
+    read at the step times and at 40 random times."""
+    assert type(cut) is type(direct) and cut.t_end == direct.t_end
+    assert cut.t_grid.tobytes() == direct.t_grid.tobytes()
+    assert bits([cut.valid_to]) == bits([direct.valid_to])
+    assert [(r.t_events, r.status, r.nfev) for r in cut._results] == \
+        [(r.t_events, r.status, r.nfev) for r in direct._results]
+    times = np.concatenate([direct.t_grid, np.random.default_rng(0).uniform(0.0, cut.t_end, 40)])
+    if isinstance(cut, paramflow.ParamTrajectory2D):
+        assert bits([cut._dense(t) for t in times]) == bits([direct._dense(t) for t in times])
+        assert_same_trajectory(cut.radial, direct.radial)
+        return
+    assert (cut.path, cut.tol, cut.Delta, cut.shortcut) == \
+        (direct.path, direct.tol, direct.Delta, direct.shortcut)
+    assert bits([cut._riccati_t_end]) == bits([direct._riccati_t_end])
+    assert bits([cut.sample(t) for t in times]) == bits([direct.sample(t) for t in times])
+
+
+def verify_horizons():
+    """Each (system, route) that ``liegate verify --seed 0`` reads, with
+    every horizon it reads it at."""
+    systems, fields = verify.suite_systems(), verify.suite_fields()
+    horizons = defaultdict(set)
+    for system, route, t_end in verify._suite_reads(0, systems, fields):
+        horizons[system, route].add(t_end)
+    return horizons
+
+
+def solve_to(system, route, t_end):
+    if isinstance(system, FieldProfile2D):
+        return solve_2d(system, t_end, tol=1e-12, path=route)
+    return (solve_path1 if route == "path1" else solve_path2)(system, t_end, tol=1e-12)
+
+
+class TestUntil:
+    def test_a_cut_trajectory_is_the_shorter_solve_at_every_verify_horizon(self):
+        horizons = verify_horizons()
+        assert max(len(h) for h in horizons.values()) >= 4
+        for (system, route), ends in horizons.items():
+            longest = solve_to(system, route, max(ends))
+            for t_end in sorted(ends):
+                assert_same_trajectory(longest.until(t_end), solve_to(system, route, t_end))
+
+    def test_route_two_solves_afresh_where_the_shortcut_verdict_changes(self):
+        # b = gamma' = 0 up to t = 1 and b > 0 after: the shortcut holds on
+        # [0, 0.8] and not on [0, 2]
+        b = Derived(lambda t: max(t - 1.0, 0.0) ** 3, lambda t: 3.0 * max(t - 1.0, 0.0) ** 2)
+        cs = CoefficientSet1D(a=Constant(1.0), b=b, c=Constant(2.0), d=Sinusoid(0.3, 1.1),
+                              e=Constant(0.0), g=Constant(0.0))
+        longer = solve_path2(cs, 2.0)
+        cut = longer.until(0.8)
+        assert not longer.shortcut and cut.shortcut and cut._riccati is None
+        assert_same_trajectory(cut, solve_path2(cs, 0.8))
+        assert_same_trajectory(longer.until(1.5), solve_path2(cs, 1.5))
+
+    def test_route_two_solves_the_riccati_afresh_where_only_the_shorter_probe_sees_b(self):
+        # b differs from gamma' = 0 at one probe time of [0, 0.8] and at none
+        # of [0, 2]: the longer solve took the shortcut, the shorter does not
+        at = float(np.linspace(0.0, 0.8, 257)[1])
+        assert at not in np.linspace(0.0, 2.0, 257)
+        b = Derived(lambda t: 1.0 if t == at else 0.0, lambda t: 0.0)
+        cs = CoefficientSet1D(a=Constant(1.0), b=b, c=Constant(2.0), d=Sinusoid(0.3, 1.1),
+                              e=Constant(0.0), g=Constant(0.0))
+        longer = solve_path2(cs, 2.0)
+        cut = longer.until(0.8)
+        assert longer.shortcut and not cut.shortcut and len(cut._results) == 2
+        assert_same_trajectory(cut, solve_path2(cs, 0.8))
+
+    @pytest.mark.parametrize("solve", [
+        lambda t_end: solve_path1(mixed_system(0), t_end),
+        lambda t_end: solve_path2(mixed_system(0), t_end),
+        lambda t_end: solve_2d(mixed_field(0), t_end, path="path2"),
+    ], ids=["path1", "path2", "planar"])
+    def test_a_cut_runs_the_horizons_sign_checks(self, solve, monkeypatch):
+        # every profile kind, spline knots each 0.25: cut inside a segment
+        # and at a knot
+        traj = solve(3.0)
+        checked = []
+        require_positive = TimeProfile.require_positive
+
+        def recording(profile, t_end, name, *args, **kwargs):
+            checked.append(t_end)
+            return require_positive(profile, t_end, name, *args, **kwargs)
+
+        monkeypatch.setattr(TimeProfile, "require_positive", recording)
+        assert traj.until(3.0) is traj and checked == []
+        for t_end in (1.7, 1.75):
+            cut = traj.until(t_end)
+            assert checked and set(checked) == {t_end}
+            checked.clear()
+            assert_same_trajectory(cut, solve(t_end))
+            checked.clear()
+
+    def test_a_cut_past_the_solved_horizon_is_refused(self):
+        traj = solve_path1(sho(), 1.0)
+        with pytest.raises(DomainError, match="outside the solved interval"):
+            traj.until(1.5)
