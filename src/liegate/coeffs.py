@@ -82,10 +82,12 @@ class TimeProfile:
         value there.  Here 257 uniform points: a sample, not a proof."""
         return np.linspace(0.0, t_end, 257)
 
-    def require_positive(self, t_end: float, name: str, requirement: str, times=None):
+    def require_positive(self, t_end: float, name: str, requirement: str, times=None,
+                         advice: str = ""):
         """Raise the DomainError for ``name`` unless the profile is > 0 and
         finite at every one of ``times``, by default its extremal times; a
-        value that overflows reads as inf, with numpy's warning silenced."""
+        value that overflows reads as inf, with numpy's warning silenced.
+        ``advice`` ends the message of a value that is not > 0."""
         if times is None:
             times = self.extremal_times(t_end)
         values = self._read(times)
@@ -93,7 +95,7 @@ class TimeProfile:
             bad = float(times[np.argmin(values)])
             raise DomainError(
                 f"{name}(t) must stay positive on [0, {t_end}] ({requirement}); "
-                f"violated near t={bad:.6g}"
+                f"violated near t={bad:.6g}{advice}"
             )
         if not np.all(values < math.inf):
             bad = float(times[np.argmax(values == math.inf)])

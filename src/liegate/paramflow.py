@@ -309,11 +309,16 @@ def _path2_gamma_dot(a: float, adot: float, c: float, cdot: float) -> float:
     return 0.25 * (adot / a - cdot / c)
 
 
+# ends route 2's message for a c that is not positive where a is: route 1
+# solves that system, but not one with a <= 0 or an infinite c
+_ROUTE_1_ADVICE = "; route 2 needs c > 0, use route 1 instead"
+
+
 def _path2_guard(t, a: float, c: float):
     if not a > 0.0 or not c > 0.0:
         raise DomainError(f"a(t) and c(t) must stay positive (sqrt(a*c) must be real); "
-                          f"a={a:.6g}, c={c:.6g} at t={t:.6g}; route 2 needs c > 0, "
-                          f"use route 1 instead")
+                          f"a={a:.6g}, c={c:.6g} at t={t:.6g}"
+                          f"{_ROUTE_1_ADVICE if a > 0.0 else ''}")
 
 
 def _is_shortcut(a_of, adot_of, b_of, c_of, cdot_of, t_end: float) -> bool:
@@ -347,10 +352,7 @@ def _solve_path2(coeffs, t_end, tol, longer=None):
     given and it took the same shortcut verdict."""
     check_horizon(t_end)
     coeffs.a.require_positive(t_end, "a", "sqrt(a*c) must be real")
-    try:
-        coeffs.c.require_positive(t_end, "c", "sqrt(a/c) must be real")
-    except DomainError as err:
-        raise DomainError(f"{err}; route 2 needs c > 0, use route 1 instead") from None
+    coeffs.c.require_positive(t_end, "c", "sqrt(a/c) must be real", advice=_ROUTE_1_ADVICE)
     (a_of, adot_of), (b_of, _), (c_of, cdot_of) = (
         p.scalar() for p in (coeffs.a, coeffs.b, coeffs.c))
     linear = _linear_rhs(coeffs)

@@ -128,8 +128,9 @@ def suite_fields() -> dict[str, FieldProfile2D]:
     return _reference("bsin", "efield")
 
 
-def _horizon(t_end: float, *trajs) -> float:
-    return min(t_end, *(0.95 * traj.valid_to for traj in trajs))
+def _horizon(*trajs) -> float:
+    """The last sample time of ``trajs``: the earliest horizon or 0.95 of a focal time."""
+    return min(min(traj.t_end, 0.95 * traj.valid_to) for traj in trajs)
 
 
 def _cases(seed: int, systems: dict, names, n_random: int, positive_c: bool = False) -> list:
@@ -141,42 +142,48 @@ def _cases(seed: int, systems: dict, names, n_random: int, positive_c: bool = Fa
 
 
 class _Solves:
-    """The checks' parameter solves at tol 1e-12: each (system, route) is
-    solved once, to the longest horizon it is read at, and each read is
-    that solve cut at the read's horizon (``until``), bit for bit the solve
-    to that horizon.
-
-    ``reads`` counts the reads of each (system, route, horizon) to come; a
-    system's route is "path1" or "path2", a field's the radial route of its
-    planar solve.  A solve is made at its first read; after each read the
-    store holds it cut at the longest horizon still to be read, so that no
-    step past that horizon is kept, and drops it after its last read.  A
-    read that was not counted is solved to its own horizon and not held.
-    ``systems`` and ``fields`` are the suite systems every reader takes its
-    cases from: lp's derived profiles compare by identity, so two reads of
-    lp must name the same object.
+    """The checks' parameter solves at tol 1e-12, made for the reads that
+    the checks declare as plans ``(reads_of, *args)``: ``reads_of(systems,
+    fields, *args)`` is the groups of (system, route, horizon) reads that a
+    check's loops make, built once from one copy of the suite systems, and
+    ``_serve`` hands the check those very objects (lp's derived profiles and
+    the shifted systems compare by identity).  Each (system, route) is solved
+    at its first read, to the longest horizon it is declared at, and each
+    read is that solve cut at the read's horizon (``until``), bit for bit the
+    solve to that horizon; between reads the store holds it cut at the
+    longest horizon still to be read.  An undeclared plan or read raises.
     """
 
-    def __init__(self, systems: dict | None = None, fields: dict | None = None,
-                 reads: Counter | None = None):
-        self.systems = suite_systems() if systems is None else systems
-        self.fields = suite_fields() if fields is None else fields
+    def __init__(self, *plans):
+        systems, fields = suite_systems(), suite_fields()
+        self.plans = [(plan, plan[0](systems, fields, *plan[1:])) for plan in plans]
         self._to_come, self._held = {}, {}
-        for (system, route, horizon), n in Counter(reads).items():
-            self._to_come.setdefault((system, route), Counter())[horizon] += n
+        for _, groups in self.plans:
+            for system, route, horizon in itertools.chain(*groups):
+                self._to_come.setdefault((system, route), Counter())[horizon] += 1
 
     def read(self, system, route: str, t_end: float):
-        """The trajectory of ``system``'s ``route`` on [0, t_end]."""
+        """The trajectory of ``system``'s ``route`` on [0, t_end], a declared read."""
         key = system, route
         to_come = self._to_come.get(key, Counter())
         if to_come[t_end] <= 0:
-            return _solve(system, route, t_end)
+            raise LookupError(f"no declared {route} read to t_end={t_end} is still to come")
         traj = self._held.pop(key, None) or _solve(system, route, max(to_come))
         to_come[t_end] -= 1
         to_come = self._to_come[key] = +to_come
         if to_come:
             self._held[key] = traj.until(max(to_come))
         return traj.until(t_end)
+
+
+def _serve(solves: _Solves | None, *plan) -> tuple:
+    """The store that serves ``plan`` (``solves``, or else a store of
+    ``plan`` alone) and the read groups that ``plan`` declared there."""
+    solves = solves or _Solves(plan)
+    for declared, groups in solves.plans:
+        if declared == plan:
+            return solves, groups
+    raise LookupError(f"no check declared the reads {plan[0].__name__}{plan[1:]}")
 
 
 def _solve(system, route: str, t_end: float):
@@ -186,8 +193,10 @@ def _solve(system, route: str, t_end: float):
     return solver(system, t_end, tol=1e-12)
 
 
-# the horizon of the symplectic, path-equivalence and classical checks
+# the horizon of the symplectic, path-equivalence and classical checks, and
+# the random systems each draws from its seed by default
 SUITE_T_END = 2.0
+SYMPLECTIC_DRAWS, PATH_DRAWS, CLASSICAL_DRAWS = 8, 3, 4
 
 
 def check_structure_constants() -> CheckResult:
@@ -263,13 +272,16 @@ def _verdict(name: str, threshold: float, rows: list, limits: dict,
                        note=note.format(**parts), parts=parts)
 
 
-def check_symplectic(seed: int, n_random: int = 8, times: Grid = Grid(0.0, 40, 1),
+def _symplectic_reads(systems, fields, seed: int, n_random: int) -> tuple:
+    return ([(cs, "path1", SUITE_T_END) for cs in _cases(seed, systems, systems, n_random)],)
+
+
+def check_symplectic(seed: int, n_random: int = SYMPLECTIC_DRAWS, times: Grid = Grid(0.0, 40, 1),
                      corrupt: bool = False, solves: _Solves | None = None) -> CheckResult:
-    solves = solves or _Solves()
+    solves, (reads,) = _serve(solves, _symplectic_reads, seed, n_random)
     rows = []
-    for cs in _cases(seed, solves.systems, solves.systems, n_random):
-        traj = solves.read(cs, "path1", SUITE_T_END)
-        for t in times.up_to(_horizon(SUITE_T_END, traj)):
+    for traj in itertools.starmap(solves.read, reads):
+        for t in times.up_to(_horizon(traj)):
             smap = maps.assemble_path1(traj, float(t))
             if corrupt:
                 m = smap.M.copy()
@@ -280,15 +292,19 @@ def check_symplectic(seed: int, n_random: int = 8, times: Grid = Grid(0.0, 40, 1
     return _verdict("symplectic_invariants", 1e-9, rows, dict.fromkeys(("det", "form"), 1e-9))
 
 
-def check_path_equivalence(seed: int, n_random: int = 3, times: Grid = Grid(0.02, 12),
+def _paired_reads(systems, fields, seed: int, n_random: int) -> tuple:
+    cases = _cases(seed, systems, ("sho", "iontrap"), n_random, positive_c=True)
+    return tuple([(cs, route, SUITE_T_END) for cs in cases] for route in ("path1", "path2"))
+
+
+def check_path_equivalence(seed: int, n_random: int = PATH_DRAWS, times: Grid = Grid(0.02, 12),
                            solves: _Solves | None = None) -> CheckResult:
     """Route 2's affine map (M and shift) and action S against route 1's."""
-    solves = solves or _Solves()
+    solves, (route1, route2) = _serve(solves, _paired_reads, seed, n_random)
     rows = []
-    for cs in _cases(seed, solves.systems, ("sho", "iontrap"), n_random, positive_c=True):
-        tr1 = solves.read(cs, "path1", SUITE_T_END)
-        tr2 = solves.read(cs, "path2", SUITE_T_END)
-        for t in times.up_to(_horizon(SUITE_T_END, tr1, tr2)):
+    for tr1, tr2 in zip(itertools.starmap(solves.read, route1),
+                        itertools.starmap(solves.read, route2)):
+        for t in times.up_to(_horizon(tr1, tr2)):
             t = float(t)
             map1, map2 = maps.assemble_path1(tr1, t), maps.assemble_path2(tr2, t)
             rows.append({"map": float(np.max(np.abs(map1.M - map2.M))),
@@ -298,11 +314,9 @@ def check_path_equivalence(seed: int, n_random: int = 3, times: Grid = Grid(0.02
                     dict.fromkeys(("map", "shift", "action"), 1e-6))
 
 
-# planar suite system -> the radial route of its solve
+# planar suite system -> the radial route of its solve; the horizons of the
+# 1D and planar oracle map checks
 PLANAR_ROUTES = {"bsin": "path1", "efield": "path2"}
-
-
-# the horizons of the 1D and planar oracle map checks
 ORACLE_T_END, PLANAR_ORACLE_T_END = 1.5, 1.2
 
 
@@ -312,47 +326,48 @@ def _map_gaps(part: str, assemble, traj, fm, times: Grid) -> list:
     per system, so that each system's solves are let go before the next
     system's are made."""
     return [{part: float(np.max(np.abs(assemble(traj, float(t)).M - fm.at(float(t)))))}
-            for t in times.up_to(_horizon(traj.t_end, traj))]
+            for t in times.up_to(_horizon(traj))]
+
+
+def _oracle_reads(systems, fields) -> tuple:
+    return ([(cs, "path1", ORACLE_T_END) for cs in systems.values()],
+            [(fp, PLANAR_ROUTES[name], PLANAR_ORACLE_T_END) for name, fp in fields.items()])
 
 
 def check_oracle_maps(times: Grid = Grid(0.0, 12, 1), planar_times: Grid = Grid(0.0, 8, 1),
                       solves: _Solves | None = None) -> CheckResult:
-    solves = solves or _Solves()
+    solves, (line, planar) = _serve(solves, _oracle_reads)
     rows = []
-    for cs in solves.systems.values():
-        rows += _map_gaps("1d", maps.assemble_path1, solves.read(cs, "path1", ORACLE_T_END),
-                          oracle.fundamental_matrix(cs, ORACLE_T_END, tol=1e-12), times)
-    for name, fp in solves.fields.items():
-        rows += _map_gaps("planar", maps.assemble_2d,
-                          solves.read(fp, PLANAR_ROUTES[name], PLANAR_ORACLE_T_END),
-                          oracle.fundamental_matrix(fp, PLANAR_ORACLE_T_END, tol=1e-12),
-                          planar_times)
-    return _verdict("oracle_map_equivalence", 1e-7, rows,
-                    dict.fromkeys(("1d", "planar"), 1e-7))
+    for part, assemble, reads, grid in (("1d", maps.assemble_path1, line, times),
+                                        ("planar", maps.assemble_2d, planar, planar_times)):
+        for system, route, t_end in reads:
+            rows += _map_gaps(part, assemble, solves.read(system, route, t_end),
+                              oracle.fundamental_matrix(system, t_end, tol=1e-12), grid)
+    return _verdict("oracle_map_equivalence", 1e-7, rows, dict.fromkeys(("1d", "planar"), 1e-7))
 
 
-def check_classical_identification(seed: int, n_random: int = 4, times: Grid = Grid(0.1, 10),
+def _classical_reads(systems, fields, seed: int, n_random: int) -> tuple:
+    return ([(cs, "path1", SUITE_T_END) for cs in _cases(seed, systems, ("lp",), n_random)],
+            [(fields["efield"], PLANAR_ROUTES["efield"], SUITE_T_END)])
+
+
+def check_classical_identification(seed: int, n_random: int = CLASSICAL_DRAWS,
+                                   times: Grid = Grid(0.1, 10),
                                    solves: _Solves | None = None) -> CheckResult:
     """Route 1's and the planar solve's (lam, -Pi) against the classical flow
     from the phase-space origin."""
-    solves = solves or _Solves()
+    solves, groups = _serve(solves, _classical_reads, seed, n_random)
     rows = []
-    for cs in _cases(seed, solves.systems, ("lp",), n_random):
-        traj = solves.read(cs, "path1", SUITE_T_END)
-        flow = oracle.classical_flow(cs, np.zeros(2), SUITE_T_END, tol=1e-12)
-        for t in times.up_to(SUITE_T_END):
-            s = traj.sample(float(t))
-            diff = np.max(np.abs(flow.at(float(t)) - np.array([s.lam, -s.Pi])))
-            rows.append({"1d": float(diff)})
-    fp = solves.fields["efield"]
-    traj = solves.read(fp, PLANAR_ROUTES["efield"], SUITE_T_END)
-    flow = oracle.classical_flow(fp, np.zeros(4), SUITE_T_END, tol=1e-12)
-    for t in times.up_to(SUITE_T_END):
-        rec = traj.sample(float(t))
-        target = np.array([rec["lam_x"], rec["lam_y"], -rec["Pi_x"], -rec["Pi_y"]])
-        rows.append({"planar": float(np.max(np.abs(flow.at(float(t)) - target)))})
-    return _verdict("classical_identification", 1e-7, rows,
-                    dict.fromkeys(("1d", "planar"), 1e-7))
+    parts = (("1d", 2, lambda s: (s.lam, -s.Pi)),
+             ("planar", 4, lambda rec: (rec["lam_x"], rec["lam_y"], -rec["Pi_x"], -rec["Pi_y"])))
+    for (part, dim, target), reads in zip(parts, groups):
+        for system, route, t_end in reads:
+            traj = solves.read(system, route, t_end)
+            flow = oracle.classical_flow(system, np.zeros(dim), t_end, tol=1e-12)
+            rows += [{part: float(np.max(np.abs(
+                flow.at(float(t)) - np.array(target(traj.sample(float(t)))))))}
+                for t in times.up_to(t_end)]
+    return _verdict("classical_identification", 1e-7, rows, dict.fromkeys(("1d", "planar"), 1e-7))
 
 
 # system -> (solve horizon, sample times) of the closed-form cross-checks
@@ -387,14 +402,18 @@ def _closed_form_case(name: str, p: dict, traj, t: float) -> tuple:
             max(1.0, abs(rec["lam_x"]), abs(rec["Pi_x"])))
 
 
+def _closed_form_reads(systems, fields, times: dict) -> tuple:
+    systems = {**systems, **fields}
+    return ([(systems[name], PLANAR_ROUTES.get(name, "path1"), horizon)
+             for name, (horizon, _) in times.items()],)
+
+
 def check_closed_forms(times: dict = CLOSED_FORM_TIMES,
                        solves: _Solves | None = None) -> CheckResult:
-    solves = solves or _Solves()
+    solves, (reads,) = _serve(solves, _closed_form_reads, times)
     rows = []
-    systems = {**solves.systems, **solves.fields}
     params = {name: spec for name, (_, spec) in presets.REFERENCE.items()}
-    for name, (horizon, samples) in times.items():
-        traj = solves.read(systems[name], PLANAR_ROUTES.get(name, "path1"), horizon)
+    for (name, (_, samples)), traj in zip(times.items(), itertools.starmap(solves.read, reads)):
         for t in samples:
             closed, solved, scale = _closed_form_case(name, params[name], traj, float(t))
             rows.append({name: _nanmax(abs(c - s) for c, s in zip(closed, solved)) / scale})
@@ -421,49 +440,46 @@ def check_mathieu() -> CheckResult:
 KERNEL_TIMES = {"lp": 1.5, "sho": math.pi / 4, "iontrap": 0.4, "kanai": 1.0}
 SEMIGROUP_SPLITS = {"lp": (0.6, 1.4), "sho": (0.5, 1.2), "iontrap": (0.18, 0.4),
                     "kanai": (0.45, 1.0)}
+MEHLER_T_END = 1.2   # the horizon of the Mehler comparison, both routes
 
 
-# the horizon of the Mehler comparison, both routes
-MEHLER_T_END = 1.2
+def _kernel_reads(systems, fields) -> tuple:
+    """sho's two routes for Mehler's kernel; each system's route 1 past its kernel
+    time; its route 1 past t2, and the system shifted to t1 past t2 - t1."""
+    splits = [(systems[name], t1, t2) for name, (t1, t2) in SEMIGROUP_SPLITS.items()]
+    return ([(systems["sho"], route, MEHLER_T_END) for route in ("path1", "path2")],
+            [(systems[name], "path1", t * 1.05) for name, t in KERNEL_TIMES.items()],
+            [(cs, "path1", t2 * 1.05) for cs, _, t2 in splits],
+            [(cs.shifted(t1), "path1", (t2 - t1) * 1.05) for cs, t1, t2 in splits])
 
 
 def check_kernels(solves: _Solves | None = None) -> CheckResult:
     """Mehler, unitarity and semigroup checks; the unitarity check builds each
     system's kernel in its preset's variant, as ``liegate kernel`` does."""
-    solves = solves or _Solves()
+    solves, (mehler, unitarity, splits, tails) = _serve(solves, _kernel_reads)
     rows = []
-    systems = solves.systems
     grid = oracle.gaussian_state(1024, -12.0, 24.0 / 1024, sigma=1.0)
     # Mehler comparison for the oscillator, both routes
-    sho = systems["sho"]
     t = math.pi / 4
     mehler_q = math.cos(t) / (2.0 * math.sin(t))
     mehler_cross = -1.0 / math.sin(t)
     mehler_pref = 1.0 / np.sqrt(2.0j * math.pi * math.sin(t))
-    for route in ("path1", "path2"):
-        traj = solves.read(sho, route, MEHLER_T_END)
-        k = greens.kernel_build(traj, t, route)
+    for sho, route, t_end in mehler:
+        k = greens.kernel_build(solves.read(sho, route, t_end), t, route)
         rows.append({"mehler": float(_nanmax((
             abs(k.qxx[0, 0] - mehler_q), abs(k.qx1x1[0, 0] - mehler_q),
-            abs(k.qxx1[0, 0] - mehler_cross), abs(k.prefactor - mehler_pref),
-        )))})
+            abs(k.qxx1[0, 0] - mehler_cross), abs(k.prefactor - mehler_pref))))})
     # unitarity for every suite system
-    for name, cs in systems.items():
-        t = KERNEL_TIMES[name]
-        traj = solves.read(cs, "path1", t * 1.05)
+    for (name, t), read in zip(KERNEL_TIMES.items(), unitarity):
         variant = presets.PRESETS[presets.REFERENCE[name][0]].kernel or "path1"
-        k = greens.kernel_build(traj, t, variant)
+        k = greens.kernel_build(solves.read(*read), t, variant)
         rows.append({"unitarity": greens.kernel_unitarity_residual(k, grid)})
     # semigroup with one split point per system
-    for name, cs in systems.items():
-        t1, t2 = SEMIGROUP_SPLITS[name]
-        traj = solves.read(cs, "path1", t2 * 1.05)
+    for (t1, t2), read, tail in zip(SEMIGROUP_SPLITS.values(), splits, tails):
+        traj = solves.read(*read)
         full = greens.kernel_apply(greens.kernel_build(traj, t2, "path1"), grid)
         mid = greens.kernel_apply(greens.kernel_build(traj, t1, "path1"), grid)
-        traj_tail = paramflow.solve_path1(cs.shifted(t1), (t2 - t1) * 1.05, tol=1e-12)
-        two = greens.kernel_apply(
-            greens.kernel_build(traj_tail, t2 - t1, "path1"), mid
-        )
+        two = greens.kernel_apply(greens.kernel_build(solves.read(*tail), t2 - t1, "path1"), mid)
         rows.append({"semigroup": 1.0 - oracle.fidelity(full, two)})
     return _verdict(
         "kernel_sanity", 1e-5, rows, {"mehler": 1e-9, "unitarity": 1e-6, "semigroup": 1e-5},
@@ -471,30 +487,13 @@ def check_kernels(solves: _Solves | None = None) -> CheckResult:
     )
 
 
-def _suite_reads(seed: int, systems: dict, fields: dict) -> Counter:
-    """Every (system, route, horizon) that the checks read at their default
-    arguments, counted."""
-    paired = _cases(seed, systems, ("sho", "iontrap"), 3, positive_c=True)
-    return Counter(
-        [(cs, "path1", SUITE_T_END) for cs in itertools.chain(
-            _cases(seed, systems, systems, 8), paired, _cases(seed, systems, ("lp",), 4))]
-        + [(cs, "path2", SUITE_T_END) for cs in paired]
-        + [(cs, "path1", ORACLE_T_END) for cs in systems.values()]
-        + [(fp, PLANAR_ROUTES[name], PLANAR_ORACLE_T_END) for name, fp in fields.items()]
-        + [(fields["efield"], PLANAR_ROUTES["efield"], SUITE_T_END)]
-        + [({**systems, **fields}[name], PLANAR_ROUTES.get(name, "path1"), horizon)
-           for name, (horizon, _) in CLOSED_FORM_TIMES.items()]
-        + [(systems["sho"], route, MEHLER_T_END) for route in ("path1", "path2")]
-        + [(cs, "path1", KERNEL_TIMES[name] * 1.05) for name, cs in systems.items()]
-        + [(cs, "path1", SEMIGROUP_SPLITS[name][1] * 1.05) for name, cs in systems.items()])
-
-
 def run_suite(seed: int = 0, corrupt_map: bool = False) -> list[CheckResult]:
-    """Every check at its default arguments, with one store of the solves
-    they read: each (system, route) is solved once, to the longest horizon
-    any check reads it at, and cut for the shorter ones."""
-    systems, fields = suite_systems(), suite_fields()
-    solves = _Solves(systems, fields, _suite_reads(seed, systems, fields))
+    """Every check at its default arguments, with one store of the reads that
+    the solving checks declare there: each (system, route) is solved once."""
+    solves = _Solves((_symplectic_reads, seed, SYMPLECTIC_DRAWS),
+                     (_paired_reads, seed, PATH_DRAWS), (_oracle_reads,),
+                     (_classical_reads, seed, CLASSICAL_DRAWS),
+                     (_closed_form_reads, CLOSED_FORM_TIMES), (_kernel_reads,))
     return [
         check_structure_constants(),
         check_algebra_properties(seed),

@@ -278,6 +278,18 @@ def nudged(solve, index, by=1e-4, call=None):
     return on_call(solve, call, nudge)
 
 
+def counted_solves(monkeypatch) -> list:
+    """The name of every ``ode.solve`` call from now on, as they are made."""
+    calls, solve = [], ode.solve
+
+    def counting(*args, **kwargs):
+        calls.append(args[5])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(ode, "solve", counting)
+    return calls
+
+
 def first_entry_nan(frame):
     frame = frame.copy()
     frame.flat[0] = math.nan
@@ -356,22 +368,40 @@ class TestVerify:
         assert failing == ["symplectic_invariants"]
 
     def test_a_run_solves_each_trajectory_once(self, monkeypatch):
-        # each (system, route) the checks read is solved once, to its longest
-        # horizon (sho's route 1 at six horizons, iontrap's at four, efield's
+        # each (system, route) the checks declare is solved once, to its
+        # longest horizon (sho's route 1 at six horizons, its semigroup tail
+        # among them since sho shifted is sho; iontrap's at four; efield's
         # planar solve at three), and each (a, q, tol) of the Mathieu check
-        # once, to z = 3: 73 solves, where a solve per read made 129; a
+        # once, to z = 3: 72 solves, where a solve per read made 129; a
         # second run shares nothing with the first
-        calls, solve = [], ode.solve
-
-        def counting(*args, **kwargs):
-            calls.append(args[5])
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(ode, "solve", counting)
+        calls = counted_solves(monkeypatch)
         first = verify.run_suite(0)
-        assert len(calls) == 73
+        assert len(calls) == 72
         assert verify.run_suite(0) == first
-        assert len(calls) == 2 * 73
+        assert len(calls) == 2 * 72
+
+    def test_a_kernel_check_alone_solves_each_trajectory_once(self, monkeypatch):
+        # sho's route 1 is read at 1.2, pi/4 * 1.05, 1.26 and, as its own
+        # semigroup tail, 0.735: one solve each for lp, sho, iontrap and kanai
+        # on route 1, one for sho on route 2, and one for each shifted tail
+        # but sho's, where a solve per read made 14
+        calls = counted_solves(monkeypatch)
+        verify.check_kernels()
+        assert len(calls) == 8
+
+    def test_a_run_calls_each_check_once_through_the_module(self, monkeypatch):
+        # perfbench wraps the checks by name, so run_suite must look each up
+        # in the module when it runs
+        names = [name for name in dir(verify) if name.startswith("check_")]
+        calls = Counter()
+
+        def counting(name, check):
+            return lambda *args, **kwargs: calls.update([name]) or check(*args, **kwargs)
+
+        for name in names:
+            monkeypatch.setattr(verify, name, counting(name, getattr(verify, name)))
+        verify.run_suite(0)
+        assert len(names) == 9 and calls == Counter(names)
 
     def test_shared_solves_are_held_from_first_to_last_read(self, monkeypatch):
         @dataclasses.dataclass(frozen=True)
@@ -385,23 +415,36 @@ class TestVerify:
         made = []
         monkeypatch.setattr(paramflow, "solve_path1", lambda cs, t_end, tol: made.append(
             (cs, t_end, tol)) or Solve(len(made), t_end))
-        systems = suite_systems()
-        lp, sho = systems["lp"], systems["sho"]
-        solves = verify._Solves(systems, {}, Counter(
-            {(lp, "path1", 2.0): 1, (lp, "path1", 1.0): 2, (sho, "path1", 2.0): 1}))
-        # lp is solved at its first read, to its longest counted horizon, and
-        # then held cut at the longest horizon still to be read
-        assert solves.read(lp, "path1", 2.0) == Solve(1, 2.0)
+
+        def reads_of(systems, fields, *horizons):
+            lp, sho = systems["lp"], systems["sho"]
+            return [(lp, "path1", t_end) for t_end in horizons], [(sho, "path1", 2.0)]
+
+        plan = reads_of, 2.0, 1.0, 1.0
+        solves, (lp_reads, sho_reads) = verify._serve(None, *plan)
+        lp = lp_reads[0][0]
+        # lp is solved at its first read, to its longest declared horizon,
+        # and then held cut at the longest horizon still to be read
+        assert solves.read(*lp_reads[0]) == Solve(1, 2.0)
         assert solves._held == {(lp, "path1"): Solve(1, 1.0)}
-        reads = [solves.read(cs, "path1", t_end) for cs, t_end in
-                 ((sho, 2.0), (lp, 0.5), (lp, 1.0), (lp, 1.0), (lp, 2.0))]
-        # the reads not counted, (lp, 0.5) and the second (lp, 2.0), are
-        # solved to their own horizons
-        assert made == [(lp, 2.0, 1e-12), (sho, 2.0, 1e-12), (lp, 0.5, 1e-12),
-                        (lp, 2.0, 1e-12)]
-        assert reads == [Solve(2, 2.0), Solve(3, 0.5), Solve(1, 1.0), Solve(1, 1.0),
-                         Solve(4, 2.0)]
+        assert [solves.read(*read) for read in sho_reads + lp_reads[1:]] == \
+            [Solve(2, 2.0), Solve(1, 1.0), Solve(1, 1.0)]
+        assert made == [(lp, 2.0, 1e-12), (sho_reads[0][0], 2.0, 1e-12)]
         assert solves._held == {}
+        # a read that was not declared, or was declared fewer times, raises
+        # and solves nothing; so does a plan that was not declared
+        for t_end in (0.5, 1.0, 2.0):
+            with pytest.raises(LookupError, match=f"no declared path1 read to t_end={t_end}"):
+                solves.read(lp, "path1", t_end)
+        with pytest.raises(LookupError, match=r"no check declared the reads reads_of\(2.0,\)"):
+            verify._serve(solves, reads_of, 2.0)
+        assert len(made) == 2
+
+    def test_a_check_given_a_store_reads_only_what_it_declared(self):
+        # the suite's store declares the symplectic check at 8 random systems
+        solves = verify._Solves((verify._symplectic_reads, 0, 8))
+        with pytest.raises(LookupError, match="no check declared the reads _symplectic_reads"):
+            verify.check_symplectic(0, n_random=2, solves=solves)
 
     def test_route_two_action_is_checked(self, monkeypatch):
         # (lam, Pi, S, phi): route 2's S moves by 1e-4, its map does not
@@ -626,6 +669,21 @@ def test_an_overflowing_coefficient_fails_its_sign_check(tmp_path, capsys, name)
     assert err["message"].startswith(f"{name}(t) must stay finite on [0, 2.0]")
     assert "it overflows near t=2" in err["message"]
     assert elapsed < 0.5
+
+
+@pytest.mark.parametrize("c, advised", [(EXP_400T, False), (-1.0, True)])
+def test_route_two_advises_route_one_only_for_a_c_that_is_not_positive(
+        tmp_path, capsys, c, advised):
+    # route 1 solves c = -1, but not a c that overflows to inf
+    cfg = write_config(tmp_path, "c.json", {"system": "gho", "t_end": 2,
+                                            "coefficients": {"a": 1.0, "c": c}})
+    code = cli.main(["params", "--config", cfg, "--path", "path2",
+                     "--out", str(tmp_path / "x")])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.err == ""
+    err = json.loads(captured.out)["error"]
+    assert err["type"] == "DomainError"
+    assert ("use route 1" in err["message"]) is advised
 
 
 def test_a_mass_dip_between_grid_points_refuses_the_lp_solve(tmp_path, capsys):

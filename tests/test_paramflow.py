@@ -409,6 +409,16 @@ class TestDomainGuard:
         with pytest.raises(DomainError, match="at t=.*route 1"):
             solve_path2(CoefficientSet1D.build(a=1.0, c=self.HIDDEN_DIP), 1.0)
 
+    def test_route_two_advises_route_one_only_where_a_is_positive(self):
+        # route 1 needs a > 0 too, so a dip in a gets no advice
+        with pytest.raises(DomainError, match="a=-.*at t=[-0-9.e]+$"):
+            solve_path2(CoefficientSet1D.build(a=self.HIDDEN_DIP, c=1.0), 1.0)
+        for a, c, advised in [(1.0, -1.0, True), (1.0, math.nan, True), (-1.0, 1.0, False),
+                              (-1.0, -1.0, False), (math.nan, -1.0, False)]:
+            with pytest.raises(DomainError) as caught:
+                paramflow._path2_guard(0.5, a, c)
+            assert ("use route 1" in str(caught.value)) is advised
+
     def test_planar_probe_rejects_a_dip_in_m(self):
         with pytest.raises(DomainError, match="m\\(t\\) must stay positive on"):
             solve_2d(FieldProfile2D.build(m=self.DIP, B=1.0), 1.0)
@@ -861,13 +871,17 @@ def assert_same_trajectory(cut, direct):
     assert bits([cut.sample(t) for t in times]) == bits([direct.sample(t) for t in times])
 
 
-def verify_horizons():
+def verify_horizons(monkeypatch):
     """Each (system, route) that ``liegate verify --seed 0`` reads, with
     every horizon it reads it at."""
-    systems, fields = verify.suite_systems(), verify.suite_fields()
-    horizons = defaultdict(set)
-    for system, route, t_end in verify._suite_reads(0, systems, fields):
+    horizons, read = defaultdict(set), verify._Solves.read
+
+    def recording(solves, system, route, t_end):
         horizons[system, route].add(t_end)
+        return read(solves, system, route, t_end)
+
+    monkeypatch.setattr(verify._Solves, "read", recording)
+    verify.run_suite(0)
     return horizons
 
 
@@ -878,8 +892,8 @@ def solve_to(system, route, t_end):
 
 
 class TestUntil:
-    def test_a_cut_trajectory_is_the_shorter_solve_at_every_verify_horizon(self):
-        horizons = verify_horizons()
+    def test_a_cut_trajectory_is_the_shorter_solve_at_every_verify_horizon(self, monkeypatch):
+        horizons = verify_horizons(monkeypatch)
         assert max(len(h) for h in horizons.values()) >= 4
         for (system, route), ends in horizons.items():
             longest = solve_to(system, route, max(ends))
