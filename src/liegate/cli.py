@@ -306,6 +306,11 @@ def cmd_kernel(cfg: dict, out_dir: str, apply_spec: str | None) -> int:
         gauss = parse_apply_spec(apply_spec)
         if kind != "1d":
             raise DomainError("--apply operates on 1D systems")
+        grid = cfg["grid"]
+        psi0 = oracle.gaussian_state(
+            grid["n"], float(grid["x_min"]), float(grid["dx"]),
+            sigma=gauss["sigma"], x0=gauss["x0"], p0=gauss["p0"], hbar=float(cfg["hbar"]),
+        )
     traj = _solve(cfg, kind, problem)
     t_kernel = float(cfg.get("kernel_t", cfg["t_end"]))
     if kind == "1d":
@@ -319,11 +324,6 @@ def cmd_kernel(cfg: dict, out_dir: str, apply_spec: str | None) -> int:
                    valid_to=kernel.valid_to if math.isfinite(kernel.valid_to) else None)
     _write(os.path.join(out_dir, "kernel.json"), _json_dumps(payload) + "\n")
     if apply_spec is not None:
-        grid = cfg["grid"]
-        psi0 = oracle.gaussian_state(
-            grid["n"], float(grid["x_min"]), float(grid["dx"]),
-            sigma=gauss["sigma"], x0=gauss["x0"], p0=gauss["p0"], hbar=float(cfg["hbar"]),
-        )
         psi_out = greens.kernel_apply(kernel, psi0)
         _write_csv(os.path.join(out_dir, "psi_out.csv"), ("x", "re", "im"),
                    zip(psi_out.x, psi_out.amps.real, psi_out.amps.imag))

@@ -14,7 +14,9 @@ Cases:
 * constant magnetic field with sinusoidal in-plane electric drive: the
   long translation-parameter expressions, with the resonance denominator
   fixed to the product (4 w^2 - (Omega+w_c)^2)(4 w^2 - (Omega-w_c)^2)
-  demanded by the equations of motion.
+  demanded by the equations of motion.  In the frame rotating at w_c/2 the
+  free motion is one vector: y's free-motion terms are x's a quarter turn
+  of w_c t/2 later, so only y's drive terms are written out.
 
 The Mathieu cosine is computed by direct ODE integration of
 y'' + (a - 2 q cos 2z) y = 0 with y(0)=1, y'(0)=0, which is its defining
@@ -322,12 +324,25 @@ class EFieldSample:
     gamma: float = 0.0
 
 
+# a label's second letter is theta = w_c t/2; at theta - pi/2, cos -> sin, sin -> -cos
+_QUARTER_TURN = {"cc": ("cs", 1.0), "cs": ("cc", -1.0), "sc": ("ss", 1.0), "ss": ("sc", -1.0)}
+
+
+def _quarter_turn(x_table: dict, forced: dict) -> dict:
+    """y's table: drive terms ``forced``, then x's free-motion terms at theta -
+    pi/2 in x's order: the numbers, and the order, of y's table typed out."""
+    turns = ((_QUARTER_TURN[label], coef) for label, coef in x_table.items()
+             if label in _QUARTER_TURN)
+    return forced | {turned: sign * coef for (turned, sign), coef in turns}
+
+
 def _efield_addends(m, e, E0x, E0y, E1x, E1y, zeta, w, wc, om, gm2, gp2, g4):
     """Addend tables for (lam_x, lam_y, Pi_x, Pi_y).
 
     Each table maps a time-function label to its constant amplitude; labels
     are 'one', 'cw'/'sw' (cos/sin of the drive w t) and two-letter products
-    of cos/sin at Omega t/2 (first) and w_c t/2 (second).
+    of cos/sin at Omega t/2 (first) and w_c t/2 (second).  y's free-motion
+    (two-letter) terms are x's a quarter turn later (``_quarter_turn``).
     """
     sz, cz = math.sin(zeta), math.cos(zeta)
     lam_x = {
@@ -352,29 +367,14 @@ def _efield_addends(m, e, E0x, E0y, E1x, E1y, zeta, w, wc, om, gm2, gp2, g4):
                + 16 * e * E1y * w**2 * wc * sz / (g4 * m * om)
                + 4 * gm2 * e * E1y * wc * sz / (g4 * m * om)),
     }
-    lam_y = {
+    lam_y = _quarter_turn(lam_x, {
         "one": -4 * e * E0y / (gm2 * m),
         "cw": (-16 * e * E1x * w * wc / (g4 * m)
                + 16 * e * E1y * w**2 * sz / (g4 * m)
                - 4 * gm2 * e * E1y * sz / (g4 * m)),
         "sw": (16 * e * E1y * w**2 * cz / (g4 * m)
                - 4 * gm2 * e * E1y * cz / (g4 * m)),
-        "sc": (-4 * e * E0x * wc / (gm2 * m * om)
-               - 32 * e * E1y * w**3 * cz / (g4 * m * om)
-               + 8 * e * E1y * w * wc**2 * cz / (g4 * m * om)
-               + 8 * e * E1y * w * om * cz / (g4 * m)),
-        "cs": (4 * e * E0x / (gm2 * m)
-               - 16 * e * E1y * w * wc * cz / (g4 * m)),
-        "cc": (4 * e * E0y / (gm2 * m)
-               + 16 * e * E1x * w * wc / (g4 * m)
-               - 16 * e * E1y * w**2 * sz / (g4 * m)
-               + 4 * gm2 * e * E1y * sz / (g4 * m)),
-        "ss": (4 * e * E0y * wc / (gm2 * m * om)
-               - 32 * e * E1x * w**3 / (g4 * m * om)
-               + 8 * gp2 * e * E1x * w / (g4 * m * om)
-               + 16 * e * E1y * w**2 * wc * sz / (g4 * m * om)
-               + 4 * gm2 * e * E1y * wc * sz / (g4 * m * om)),
-    }
+    })
     pi_x = {
         "one": 2 * e * E0y * wc / gm2,
         "sw": (8 * e * E1y * w**2 * wc * cz / g4
@@ -399,7 +399,7 @@ def _efield_addends(m, e, E0x, E0y, E1x, E1y, zeta, w, wc, om, gm2, gp2, g4):
                - 8 * e * E1y * w**2 * wc * sz / g4
                - 2 * gm2 * e * E1y * wc * sz / g4),
     }
-    pi_y = {
+    pi_y = _quarter_turn(pi_x, {
         "one": -2 * e * E0x * wc / gm2,
         "sw": (-8 * e * E1x * w**2 * wc / g4
                - 2 * gm2 * e * E1x * wc / g4
@@ -408,22 +408,7 @@ def _efield_addends(m, e, E0x, E0y, E1x, E1y, zeta, w, wc, om, gm2, gp2, g4):
                - 4 * e * E1y * w * wc**2 * sz / g4),
         "cw": (4 * gp2 * e * E1y * w * cz / g4
                - 16 * e * E1y * w**3 * cz / g4),
-        "cc": (2 * e * E0x * wc / gm2
-               + 16 * e * E1y * w**3 * cz / g4
-               - 4 * e * E1y * w * om**2 * cz / g4
-               - 4 * e * E1y * w * wc**2 * cz / g4),
-        "ss": (2 * e * E0x * om / gm2
-               - 8 * e * E1y * w * om * wc * cz / g4),
-        "sc": (2 * e * E0y * om / gm2
-               + 8 * e * E1x * w * om * wc / g4
-               - 8 * e * E1y * w**2 * om * sz / g4
-               + 2 * gm2 * e * E1y * om * sz / g4),
-        "cs": (-2 * e * E0y * wc / gm2
-               + 16 * e * E1x * w**3 / g4
-               - 4 * gp2 * e * E1x * w / g4
-               - 8 * e * E1y * w**2 * wc * sz / g4
-               - 2 * gm2 * e * E1y * wc * sz / g4),
-    }
+    })
     return lam_x, lam_y, pi_x, pi_y
 
 

@@ -250,7 +250,9 @@ def kernel_apply(kernel: GaussianKernel, psi0: WaveGrid) -> WaveGrid:
       memory.
     The grid's hbar must be the kernel's, and Qxx' must be real, else
     DomainError: a complex one makes the chirps grow like exp(|Im c| x^2)
-    and the result lose precision.
+    and the result lose precision.  A result that is not finite (a kernel
+    time or a grid so extreme that a chirp's phase overflows) is a
+    DomainError too, and numpy does not warn of it.
     """
     if kernel.dof != psi0.dof:
         raise DomainError(f"kernel dof={kernel.dof} does not match grid dof={psi0.dof}")
@@ -259,19 +261,24 @@ def kernel_apply(kernel: GaussianKernel, psi0: WaveGrid) -> WaveGrid:
     if np.any(kernel.qxx1.imag != 0.0):
         raise DomainError("kernel_apply needs a real cross block qxx1")
     n, x, dx = psi0.n, psi0.x, psi0.dx
-    # dx**dof as products: pow(dx, 2) is not always dx * dx in the last bit
-    weights = psi0.weights * math.prod([dx] * psi0.dof)
-    shift = 0.5 * kernel.qxx1.real if kernel.dof == 1 else 0.0
-    g = weights * psi0.amps * _chirp(x, kernel.qx1x1 + shift, kernel.lx1)
-    if kernel.dof == 1:
-        size = _next_fast_len(2 * n - 1)
-        k = np.minimum(np.arange(size), size - np.arange(size))
-        cross = np.exp(-1j * shift[0, 0] * (dx * k) ** 2)
-        cross[n:size - n + 1] = 0.0  # only lags |k| < n reach the output
-        out = np.fft.ifft(np.fft.fft(g, size) * np.fft.fft(cross))[:n]
-    else:
-        out = _planar_sum(g, x, kernel.qxx1.real)
-    out *= kernel.prefactor * np.exp(1j * kernel.scal) * _chirp(x, kernel.qxx + shift, kernel.lx)
+    with np.errstate(all="ignore"):   # an overflow is refused below, not warned of
+        # dx**dof as products: pow(dx, 2) is not always dx * dx in the last bit
+        weights = psi0.weights * math.prod([dx] * psi0.dof)
+        shift = 0.5 * kernel.qxx1.real if kernel.dof == 1 else 0.0
+        g = weights * psi0.amps * _chirp(x, kernel.qx1x1 + shift, kernel.lx1)
+        if kernel.dof == 1:
+            size = _next_fast_len(2 * n - 1)
+            k = np.minimum(np.arange(size), size - np.arange(size))
+            cross = np.exp(-1j * shift[0, 0] * (dx * k) ** 2)
+            cross[n:size - n + 1] = 0.0  # only lags |k| < n reach the output
+            out = np.fft.ifft(np.fft.fft(g, size) * np.fft.fft(cross))[:n]
+        else:
+            out = _planar_sum(g, x, kernel.qxx1.real)
+        out *= kernel.prefactor * np.exp(1j * kernel.scal) * _chirp(x, kernel.qxx + shift,
+                                                                    kernel.lx)
+    if not np.isfinite(out).all():
+        raise DomainError("the applied kernel is not finite on this grid: a chirp's phase "
+                          "overflows at this kernel time and grid spacing")
     return WaveGrid(n, psi0.x_min, dx, out, psi0.hbar)
 
 

@@ -225,12 +225,21 @@ def gaussian_state(
     p0: float = 0.0,
     hbar: float = 1.0,
 ) -> WaveGrid:
-    """Normalized minimum-uncertainty packet with position width sigma."""
+    """Normalized minimum-uncertainty packet with position width sigma.
+
+    A packet whose 4 sigma^2 overflows or underflows to 0, or whose samples
+    are not finite on the grid (a phase p0 x / hbar past the float range, say),
+    is a DomainError, as is one that vanishes at every grid point."""
     _check_geometry(x_min, dx, hbar)
     if not (0 < sigma < math.inf and math.isfinite(x0) and math.isfinite(p0)):
         raise DomainError("sigma must be positive and finite, and x0 and p0 finite")
-    x = x_min + dx * np.arange(n)
-    psi = np.exp(-((x - x0) ** 2) / (4.0 * sigma**2) + 1j * p0 * (x - x0) / hbar)
+    with np.errstate(all="ignore"):   # an overflow is refused below, not warned of
+        width = 4.0 * np.float64(sigma) ** 2
+        x = x_min + dx * np.arange(n)
+        psi = np.exp(-((x - x0) ** 2) / width + 1j * p0 * (x - x0) / hbar)
+    if not (0.0 < width < math.inf and np.isfinite(psi).all()):
+        raise DomainError(f"the Gaussian packet (sigma={sigma}, x0={x0}, p0={p0}) is not "
+                          "finite on this grid: 4 sigma^2 or its exponent leaves the float range")
     grid = WaveGrid(n, x_min, dx, psi, hbar)
     return grid.normalized()
 

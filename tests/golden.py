@@ -46,14 +46,28 @@ def commands() -> dict[str, list[str]]:
         out[f"constants-{algebra}"] = ["constants", "--algebra", algebra]
     for seed in ("0", "7"):
         out[f"verify-{seed}"] = ["verify", "--seed", seed]
-    # small configs for the kernel variants the shipped ones do not reach
+    # small configs for the kernel variants the shipped ones do not reach, and
+    # for each profile kind (a tabulated a's rate enters route 1's u and v)
     small = {name: str(ROOT / "tests" / "golden" / f"{name}.json")
-             for name in ("lp", "bsin", "cp2d")}
+             for name in ("lp", "bsin", "cp2d", "gho-kinds", "cp2d-tabulated")}
     out["kernel-lp"] = ["kernel", "--config", small["lp"]]
     out["apply-lp"] = ["kernel", "--config", small["lp"], "--apply", "gaussian(sigma=1)"]
     out["kernel-bsin-path1"] = ["kernel", "--config", small["bsin"]]
     for path in ("path1", "path2"):
         out[f"kernel-cp2d-{path}"] = ["kernel", "--config", small["cp2d"], "--path", path]
+    # route 2 refuses lp and bsin, whose c(0) is 0
+    out["params-lp"] = ["params", "--config", small["lp"]]
+    out["params-bsin-path1"] = ["params", "--config", small["bsin"]]
+    for name in ("cp2d", "gho-kinds"):
+        for path in ("path1", "path2"):
+            out[f"params-{name}-{path}"] = ["params", "--config", small[name], "--path", path]
+    out["params-cp2d-tabulated"] = ["params", "--config", small["cp2d-tabulated"]]
+    # one refusal per error exit: a malformed --apply spec (2), a packet whose
+    # 4 sigma^2 overflows (3), and a kernel time past the focal time (4)
+    sho = str(ROOT / "configs" / "sho.json")
+    out["exit-2"] = ["kernel", "--config", sho, "--apply", "gaussian(width=1)"]
+    out["exit-3"] = ["kernel", "--config", sho, "--apply", "gaussian(sigma=1e300)"]
+    out["exit-4"] = ["kernel", "--config", sho, "--t-end", "2.0"]
     return out
 
 

@@ -239,6 +239,31 @@ class TestKernel:
             assert err["field"] == "apply"
             assert not (tmp_path / "x" / "kernel.json").exists()
 
+    @pytest.mark.parametrize("extra, spec, message", [
+        ({}, "gaussian(sigma=1e300)", "Gaussian packet"),
+        ({}, "gaussian(sigma=1e-300)", "Gaussian packet"),
+        ({}, "gaussian(sigma=1,p0=1e308)", "Gaussian packet"),
+        ({}, "gaussian(sigma=1,x0=1e200)", "cannot normalize the zero wavefunction"),
+        ({"kernel_t": 1e-307}, "gaussian(sigma=1)", "applied kernel"),
+        ({"grid": {"n": 8, "dx": 1e300}}, "gaussian(sigma=1)", "applied kernel"),
+    ], ids=["sigma-1e300", "sigma-1e-300", "p0-1e308", "x0-1e200", "kernel_t-1e-307",
+            "dx-1e300"])
+    def test_an_apply_that_cannot_be_sampled_is_domain_error(self, tmp_path, capsys, extra,
+                                                             spec, message):
+        # numpy's overflow warnings stay silent, no NaN row is written, and a
+        # packet is refused before the solve, so it leaves no kernel.json
+        cfg = sho_config(tmp_path, t_end=1.0, **extra)
+        out = tmp_path / "x"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(["kernel", "--config", cfg, "--out", str(out), "--apply", spec])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.err == "" and caught == []
+        err = json.loads(captured.out)["error"]
+        assert err["type"] == "DomainError" and message in err["message"]
+        assert not (out / "psi_out.csv").exists()
+        assert (out / "kernel.json").exists() is (message == "applied kernel")
+
     def test_apply_on_planar_system_is_rejected(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(paramflow, "solve_2d", no_solve)
         code = cli.main(["kernel", "--config", str(CONFIGS / "efield.json"),

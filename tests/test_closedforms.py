@@ -199,11 +199,17 @@ EFIELD_ARGS = dict(
     m=1.0, charge=1.0, B=2.0, K=0.5,
     E0x=0.3, E0y=0.0, E1x=0.0, E1y=0.2, omega=1.3, zeta=math.pi / 2,
 )
+# every term of every table nonzero: E0y and E1x drive too, and the charge
+# is negative, so the cyclotron rotation runs the other way
+GENERIC_EFIELD_ARGS = dict(
+    m=1.3, charge=-0.7, B=1.7, K=0.4,
+    E0x=0.3, E0y=-0.25, E1x=0.15, E1y=0.2, omega=1.1, zeta=0.7,
+)
 
 
-def efield_translation_ode(t_eval):
-    """Independent integration of the planar translation equations."""
-    p = EFIELD_ARGS
+def efield_translation_ode(p, t_eval):
+    """Independent integration of the planar translation equations for the
+    closed form's arguments ``p``."""
     m, q, b, k = p["m"], p["charge"], p["B"], p["K"]
     wb = q * b / (2 * m)
     kappa = k + q * q * b * b / (4 * m)
@@ -251,11 +257,12 @@ class TestEFieldConstB:
 
     def test_matches_translation_ode(self):
         ts = np.array([0.5, 1.0, 2.0])
-        ref = efield_translation_ode(ts)
-        for idx, t in enumerate(ts):
-            cf = efield_const_b_params(t=float(t), **EFIELD_ARGS)
-            got = np.array([cf.lam_x, cf.lam_y, cf.Pi_x, cf.Pi_y])
-            assert np.max(np.abs(got - ref[:, idx])) < 1e-6
+        for args in (EFIELD_ARGS, GENERIC_EFIELD_ARGS):
+            ref = efield_translation_ode(args, ts)
+            for idx, t in enumerate(ts):
+                cf = efield_const_b_params(t=float(t), **args)
+                got = np.array([cf.lam_x, cf.lam_y, cf.Pi_x, cf.Pi_y])
+                assert np.max(np.abs(got - ref[:, idx])) < 1e-6
 
     def test_alt_resonance_denominator_fails_equations_of_motion(self):
         # the denominator with (Omega + w_c)^2 in place of Omega^2 + w_c^2
@@ -267,7 +274,7 @@ class TestEFieldConstB:
         tables = _efield_addends(a["m"], a["charge"], a["E0x"], a["E0y"], a["E1x"], a["E1y"],
                                  a["zeta"], w, wc, om, d.gamma_minus2, d.gamma_plus2, g4_alt)
         got = np.array([_sum_addends(table, 2.0, om, wc, w) for table in tables])
-        ref = efield_translation_ode(np.array([2.0]))[:, 0]
+        ref = efield_translation_ode(a, np.array([2.0]))[:, 0]
         assert np.max(np.abs(got - ref)) > 1e-3
 
     def test_radial_shortcut_values(self):

@@ -252,6 +252,20 @@ class TestKernelApply:
         with pytest.raises(DomainError, match="hbar"):
             kernel_apply(k, gaussian_state(256, -8.0, 16.0 / 256, hbar=0.25))
 
+    @pytest.mark.parametrize("t, grid", [
+        (1e-307, (1024, -12.0, 24.0 / 1024)),   # the cross chirp's phase overflows
+        (1.0, (8, -12.0, 1e300)),               # x^2 overflows in the chirps
+    ])
+    def test_a_result_that_is_not_finite_is_refused(self, sho_traj, t, grid):
+        # the suite turns numpy's RuntimeWarnings into errors: none is issued
+        with pytest.raises(DomainError, match="applied kernel is not finite on this grid"):
+            kernel_apply(kernel_build(sho_traj, t, "path1"), gaussian_state(*grid))
+
+    def test_a_planar_result_that_is_not_finite_is_refused(self, efield_traj):
+        psi = WaveGrid(8, -12.0, 1e300, np.outer(*[gaussian_state(8, -12.0, 1e300).amps] * 2))
+        with pytest.raises(DomainError, match="applied kernel is not finite on this grid"):
+            kernel_apply(kernel_build(efield_traj, 0.8, "twod_path2"), psi)
+
 
 class TestUnitarity:
     def test_free_kernel(self, free_traj):

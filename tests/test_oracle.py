@@ -272,6 +272,17 @@ class TestFidelityAndGrids:
                                               "and x0 and p0 finite"):
             gaussian_state(64, -8.0, 0.25, **packet)
 
+    @pytest.mark.parametrize("packet, message", [
+        ({"sigma": 1e300}, "is not finite on this grid"),             # 4 sigma^2 overflows
+        ({"sigma": 1e-300}, "is not finite on this grid"),            # 4 sigma^2 is 0
+        ({"sigma": 1.0, "p0": 1e308}, "is not finite on this grid"),  # p0 x overflows
+        ({"x0": 1e200}, "cannot normalize the zero wavefunction"),    # (x - x0)^2 does
+    ])
+    def test_packets_refuse_samples_that_are_not_finite(self, packet, message):
+        # the suite turns numpy's RuntimeWarnings into errors: none is issued
+        with pytest.raises(DomainError, match=message):
+            gaussian_state(64, -8.0, 0.25, **packet)
+
 
 def written_out(coeffs):
     """(n, A, f) of Hamilton's equations written out as nested arrays, from
