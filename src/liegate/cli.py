@@ -194,29 +194,17 @@ def validate_config(cfg: dict):
 
 
 def build_problem(cfg: dict):
-    """Return ('1d', CoefficientSet1D) or ('2d', FieldProfile2D)."""
+    """The configured system: a CoefficientSet1D or a FieldProfile2D."""
     from . import presets
-    from .coeffs import CoefficientSet1D
 
     system = cfg["system"]
     spec = cfg.get(presets.PRESETS[system].section)
-    problem = presets.build(system, spec, float(cfg["hbar"]))
-    return ("1d" if isinstance(problem, CoefficientSet1D) else "2d"), problem
+    return presets.build(system, spec, float(cfg["hbar"]))
 
 
-def _solve(cfg: dict, kind: str, problem):
-    from . import paramflow
+def _summary(cfg: dict, traj) -> dict:
+    from .paramflow import ParamTrajectory2D
 
-    t_end = float(cfg["t_end"])
-    tol = float(cfg["tol"])
-    path = cfg["path"]
-    if kind == "1d":
-        solver = paramflow.solve_path1 if path == "path1" else paramflow.solve_path2
-        return solver(problem, t_end, tol)
-    return paramflow.solve_2d(problem, t_end, tol, path=path)
-
-
-def _summary(cfg: dict, kind: str, traj) -> dict:
     t_end = float(cfg["t_end"])
     out = {
         "system": cfg["system"],
@@ -225,44 +213,45 @@ def _summary(cfg: dict, kind: str, traj) -> dict:
         "tol": float(cfg["tol"]),
         "valid_to": traj.valid_to if math.isfinite(traj.valid_to) else None,
     }
-    if kind == "1d":
-        out.update(Delta=traj.Delta, shortcut=traj.shortcut)
-        final, left_out = traj.sample(t_end)._asdict(), ("t", "v", "vdot")
-    else:
+    if isinstance(traj, ParamTrajectory2D):
         out["Delta"] = traj.radial.Delta
         final, left_out = traj.sample(t_end), ("t", "radial")
+    else:
+        out.update(Delta=traj.Delta, shortcut=traj.shortcut)
+        final, left_out = traj.sample(t_end)._asdict(), ("t", "v", "vdot")
     out["final"] = {k: v for k, v in final.items() if k not in left_out}
     return out
 
 
-def _params_table(kind: str, traj, samples: int):
+def _params_table(traj, samples: int):
     """params.csv columns and rows: the ParamSample fields at uniform times,
     route 1 with its companion solution (v, vdot).  A planar row reads t, S,
     theta and the per-axis translations from the planar sample, the rest
     from its radial sample."""
     import numpy as np
 
-    from . import paramflow
+    from .paramflow import ParamSample, ParamTrajectory2D
 
-    sample = paramflow.ParamSample
-    names = [n for n in sample._fields if n not in sample._field_defaults]
-    if kind == "1d":
-        header = names + (["v", "vdot"] if traj.path == "path1" else [])
-    else:
+    planar = isinstance(traj, ParamTrajectory2D)
+    names = [n for n in ParamSample._fields if n not in ParamSample._field_defaults]
+    if planar:
         header = [n for n in names if n not in ("lam", "Pi")]
         header += ["theta", "lam_x", "lam_y", "Pi_x", "Pi_y"]
+    else:
+        header = names + (["v", "vdot"] if traj.path == "path1" else [])
     points = (traj.sample(float(t)) for t in np.linspace(0.0, traj.t_end, samples))
-    records = (s._asdict() if kind == "1d" else {**s["radial"]._asdict(), **s} for s in points)
+    records = ({**s["radial"]._asdict(), **s} if planar else s._asdict() for s in points)
     return header, ([rec[n] for n in header] for rec in records)
 
 
 def cmd_params(cfg: dict, out_dir: str) -> int:
-    kind, problem = build_problem(cfg)
-    traj = _solve(cfg, kind, problem)
+    from . import paramflow
+
+    traj = paramflow.solve(build_problem(cfg), float(cfg["t_end"]), float(cfg["tol"]),
+                           cfg["path"])
     _make_out(out_dir)
-    _write_csv(os.path.join(out_dir, "params.csv"),
-               *_params_table(kind, traj, cfg["samples"]))
-    _write(os.path.join(out_dir, "summary.json"), _json_dumps(_summary(cfg, kind, traj)) + "\n")
+    _write_csv(os.path.join(out_dir, "params.csv"), *_params_table(traj, cfg["samples"]))
+    _write(os.path.join(out_dir, "summary.json"), _json_dumps(_summary(cfg, traj)) + "\n")
     return 0
 
 
@@ -299,24 +288,25 @@ def parse_apply_spec(spec: str) -> dict:
 
 
 def cmd_kernel(cfg: dict, out_dir: str, apply_spec: str | None) -> int:
-    from . import greens, oracle, presets
+    from . import greens, oracle, paramflow, presets
+    from .coeffs import FieldProfile2D
 
-    kind, problem = build_problem(cfg)
+    problem = build_problem(cfg)
     if apply_spec is not None:
         gauss = parse_apply_spec(apply_spec)
-        if kind != "1d":
+        if isinstance(problem, FieldProfile2D):
             raise DomainError("--apply operates on 1D systems")
         grid = cfg["grid"]
         psi0 = oracle.gaussian_state(
             grid["n"], float(grid["x_min"]), float(grid["dx"]),
             sigma=gauss["sigma"], x0=gauss["x0"], p0=gauss["p0"], hbar=float(cfg["hbar"]),
         )
-    traj = _solve(cfg, kind, problem)
+    traj = paramflow.solve(problem, float(cfg["t_end"]), float(cfg["tol"]), cfg["path"])
     t_kernel = float(cfg.get("kernel_t", cfg["t_end"]))
-    if kind == "1d":
-        variant = presets.PRESETS[cfg["system"]].kernel or cfg["path"]
-    else:
+    if isinstance(traj, paramflow.ParamTrajectory2D):
         variant = "twod_" + cfg["path"]
+    else:
+        variant = presets.PRESETS[cfg["system"]].kernel or cfg["path"]
     kernel = greens.kernel_build(traj, t_kernel, variant)
     _make_out(out_dir)
     payload = {f.name: getattr(kernel, f.name) for f in dataclasses.fields(kernel)}

@@ -22,6 +22,11 @@ The Mathieu cosine is computed by direct ODE integration of
 y'' + (a - 2 q cos 2z) y = 0 with y(0)=1, y'(0)=0, which is its defining
 property; no characteristic-value expansions are involved.  The solves use
 ``ode.solve`` without dense output: only an event step pays for interpolation.
+The plural forms ``mathieu_cs``, ``ion_trap_params_at`` and
+``bfield_sin_params_at`` serve many times of one (a, q) from one solve to
+the largest z (the trap and field forms: one crossing probe and one 1/C^2
+quadrature), cut at each smaller z by ``ode.Result.until``, which is bit for
+bit the solve to that z; the one-time forms are the plural ones at one time.
 """
 
 from __future__ import annotations
@@ -37,9 +42,11 @@ __all__ = [
     "mathieu_c",
     "mathieu_cs",
     "ion_trap_params",
+    "ion_trap_params_at",
     "KanaiParams",
     "kanai_caldirola_params",
     "bfield_sin_params",
+    "bfield_sin_params_at",
     "EFieldDerived",
     "efield_derived_constants",
     "EFieldSample",
@@ -105,10 +112,14 @@ def mathieu_cs(a: float, q: float, zs, tol: float = _MATHIEU_TOL) -> list[Mathie
     return evals
 
 
-def _mathieu_with_reciprocal_square(a: float, q: float, z: float) -> tuple[float, float, float]:
-    """(C, C', int_0^z dz'/C^2); raises CausticError if C vanishes first."""
-    if z == 0.0:
-        return 1.0, 0.0, 0.0
+def _mathieu_with_reciprocal_square(a: float, q: float, zs) -> list[tuple[float, float, float]]:
+    """(C, C', int_0^z dz'/C^2) at each z >= 0 of ``zs``, from one crossing
+    probe and one quadrature to the largest z, each cut at the smaller ones
+    (``ode.Result.until``): bit for bit the solves to each z.  Raises
+    CausticError for the first z, in order, that C vanishes before."""
+    reach = max(zs)
+    if reach == 0.0:
+        return [(1.0, 0.0, 0.0)] * len(zs)
     tol = _RECIPROCAL_SQUARE_TOL
     rhs2 = _mathieu_rhs(a, q)
 
@@ -116,19 +127,22 @@ def _mathieu_with_reciprocal_square(a: float, q: float, z: float) -> tuple[float
     # attaching the 1/C^2 quadrature, whose blow-up stalls the integrator
     crossing = lambda zz, y: y[0]
     crossing.terminal = True
-    probe = ode.solve(rhs2, [1.0, 0.0], (0.0, z), tol, tol * 1e-2, "Mathieu", event=crossing,
-                      dense=False)
-    if probe.status == 1:
-        z_c = probe.t_events[0]
-        raise CausticError(
-            f"Mathieu cosine vanishes at z={z_c:.12g}, before the requested "
-            f"z={z}; parameters are singular there",
-            valid_to=z_c,
-        )
+    probe = ode.solve(rhs2, [1.0, 0.0], (0.0, reach), tol, tol * 1e-2, "Mathieu",
+                      event=crossing, dense=False)
+    for z in filter(None, zs):   # z = 0 needs no solve
+        cut = probe.until(z)
+        if cut.status == 1:
+            z_c = cut.t_events[0]
+            raise CausticError(
+                f"Mathieu cosine vanishes at z={z_c:.12g}, before the requested "
+                f"z={z}; parameters are singular there",
+                valid_to=z_c,
+            )
 
-    sol = ode.solve(_reciprocal_square_rhs(a, q), [1.0, 0.0, 0.0], (0.0, z), tol, tol * 1e-2,
-                    "Mathieu", dense=False)
-    return float(sol.y[0, -1]), float(sol.y[1, -1]), float(sol.y[2, -1])
+    sol = ode.solve(_reciprocal_square_rhs(a, q), [1.0, 0.0, 0.0], (0.0, reach), tol,
+                    tol * 1e-2, "Mathieu", dense=False)
+    ys = (sol.until(z).y[:, -1] if z else (1.0, 0.0, 0.0) for z in zs)
+    return [(float(y[0]), float(y[1]), float(y[2])) for y in ys]
 
 
 def ion_trap_params(
@@ -139,18 +153,23 @@ def ion_trap_params(
     alpha = -(omega/2) C'/C, phi = ln C, beta = int_0^t ds / C^2, with
     C evaluated at (4K/m omega^2, -2k/m omega^2, omega t / 2).
     """
+    return ion_trap_params_at(m, K_i, k_i, omega, (t,))[0]
+
+
+def ion_trap_params_at(
+    m: float, K_i: float, k_i: float, omega: float, ts
+) -> list[tuple[float, float, float]]:
+    """``ion_trap_params`` at each time of ``ts``, from one pair of Mathieu
+    solves to the largest (see ``mathieu_cs``)."""
     if m <= 0 or omega <= 0:
         raise DomainError("ion trap needs m > 0 and omega > 0")
-    if t < 0:
+    if any(t < 0 for t in ts):
         raise DomainError("t must be non-negative")
     a_m = 4.0 * K_i / (m * omega * omega)
     q_m = -2.0 * k_i / (m * omega * omega)
-    z = 0.5 * omega * t
-    c, cp, t_int = _mathieu_with_reciprocal_square(a_m, q_m, z)
-    alpha = -0.5 * omega * cp / c
-    phi = math.log(c)
-    beta = (2.0 / omega) * t_int
-    return alpha, phi, beta
+    mathieu = _mathieu_with_reciprocal_square(a_m, q_m, [0.5 * omega * t for t in ts])
+    return [(-0.5 * omega * cp / c, math.log(c), (2.0 / omega) * t_int)
+            for c, cp, t_int in mathieu]
 
 
 @dataclass(frozen=True)
@@ -254,22 +273,27 @@ def bfield_sin_params(
     Mathieu arguments (w_c^2/8w^2, w_c^2/16w^2, w t) with w_c = q B0 / m;
     theta = (w_c/w) sin^2(w t / 2).
     """
+    return bfield_sin_params_at(m, B0, omega, charge, (t,))[0]
+
+
+def bfield_sin_params_at(
+    m: float, B0: float, omega: float, charge: float, ts
+) -> list[tuple[float, float, float, float]]:
+    """``bfield_sin_params`` at each time of ``ts``, from one pair of Mathieu
+    solves to the largest (see ``mathieu_cs``)."""
     if m <= 0 or omega <= 0:
         raise DomainError("sinusoidal field needs m > 0 and omega > 0")
-    if t < 0:
+    if any(t < 0 for t in ts):
         raise DomainError("t must be non-negative")
     omega_c = charge * B0 / m
     if omega_c == 0.0:
-        return 0.0, 0.0, t, 0.0
+        return [(0.0, 0.0, t, 0.0) for t in ts]
     a_m = omega_c**2 / (8.0 * omega**2)
     q_m = omega_c**2 / (16.0 * omega**2)
-    z = omega * t
-    c, cp, t_int = _mathieu_with_reciprocal_square(a_m, q_m, z)
-    alpha = -omega * cp / c
-    phi = math.log(c)
-    beta = t_int / omega
-    theta = (omega_c / omega) * math.sin(0.5 * omega * t) ** 2
-    return alpha, phi, beta, theta
+    mathieu = _mathieu_with_reciprocal_square(a_m, q_m, [omega * t for t in ts])
+    return [(-omega * cp / c, math.log(c), t_int / omega,
+             (omega_c / omega) * math.sin(0.5 * omega * t) ** 2)
+            for t, (c, cp, t_int) in zip(ts, mathieu)]
 
 
 @dataclass(frozen=True)

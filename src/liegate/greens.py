@@ -88,7 +88,10 @@ class GaussianKernel:
                          [self.qxx1.T / 2.0, self.qx1x1]])
         imag = np.imag(quad)
         if np.max(np.abs(imag)) <= 1e-12 * max(1.0, np.max(np.abs(quad))):
-            if abs(np.linalg.det(self.qxx1)) == 0.0:
+            # scaled to a largest entry of 1, so that entries near 1e300
+            # neither overflow the determinant nor warn of it
+            scale = np.max(np.abs(self.qxx1))
+            if scale == 0.0 or np.linalg.det(self.qxx1 / scale) == 0.0:
                 raise DomainError(
                     "kernel is not delta-convergent: real exponent with a "
                     "singular cross block"
@@ -174,13 +177,17 @@ def kernel_build(
     lam, pi = np.array(shift[:dof]), -np.array(shift[dof:])   # shift = (lam, -Pi)
     a = g_pp / (2.0 * hbar * g_qp)       # Qxx = a I
     c = -1.0 / (hbar * g_qp)             # Qxx' = c R
+    # at an extreme t a coefficient overflows (inf * 0 is NaN): the kernel's
+    # finite check refuses it, and numpy does not warn of it
+    with np.errstate(all="ignore"):
+        terms = dict(
+            qxx=a * eye, qx1x1=g_qq / (2.0 * hbar * g_qp) * eye, qxx1=c * rot,
+            lx=-2.0 * a * lam - pi / hbar, lx1=-c * rot.T @ lam,
+            scal=complex(a * lam @ lam + pi @ lam / hbar - action / hbar),
+        )
     return GaussianKernel(
-        dof=dof, t=t,
-        prefactor=cmath.sqrt(1.0 / (2.0j * math.pi * hbar * g_qp)) ** dof,
-        qxx=a * eye, qx1x1=g_qq / (2.0 * hbar * g_qp) * eye, qxx1=c * rot,
-        lx=-2.0 * a * lam - pi / hbar, lx1=-c * rot.T @ lam,
-        scal=complex(a * lam @ lam + pi @ lam / hbar - action / hbar),
-        valid_to=traj.valid_to, hbar=hbar,
+        dof=dof, t=t, prefactor=cmath.sqrt(1.0 / (2.0j * math.pi * hbar * g_qp)) ** dof,
+        **terms, valid_to=traj.valid_to, hbar=hbar,
     )
 
 

@@ -41,6 +41,7 @@ __all__ = [
     "ParamSample",
     "ParamTrajectory",
     "ParamTrajectory2D",
+    "solve",
     "solve_path1",
     "solve_path2",
     "solve_2d",
@@ -258,6 +259,22 @@ def _first_event(sol) -> float:
     return sol.t_events[0] if sol.t_events else math.inf
 
 
+def solve(system: CoefficientSet1D | FieldProfile2D, t_end: float, tol: float = 1e-10,
+          path: Literal["path1", "path2"] = "path1") -> ParamTrajectory | ParamTrajectory2D:
+    """``system``'s trajectory by route ``path``: ``solve_2d`` for a planar
+    field, else ``solve_path1`` or ``solve_path2``, each read from the module
+    when called, so that a solver replaced there serves every caller."""
+    if isinstance(system, FieldProfile2D):
+        return solve_2d(system, t_end, tol, path)
+    _check_route(path)
+    return (solve_path1 if path == "path1" else solve_path2)(system, t_end, tol)
+
+
+def _check_route(path):
+    if path not in ("path1", "path2"):
+        raise DomainError(f"path must be 'path1' or 'path2', got {path!r}")
+
+
 def solve_path1(coeffs: CoefficientSet1D, t_end: float, tol: float = 1e-10) -> ParamTrajectory:
     """Route 1 parameters: Delta = 1/a(0), gamma = ln(a*Delta)/2, linearized
     Riccati via u'' + (2b - a'/a) u' + a c u = 0."""
@@ -436,8 +453,7 @@ def solve_2d(
 def _solve_2d(profile, t_end, tol, path, longer=None):
     """``solve_2d``, cutting the solves of the ``longer`` trajectory if given."""
     check_horizon(t_end)
-    if path not in ("path1", "path2"):
-        raise DomainError(f"path must be 'path1' or 'path2', got {path!r}")
+    _check_route(path)
     profile.m.require_positive(t_end, "m", _MASS_REQUIREMENT)
     q = profile.charge
     m_of, b_of, k_of, ex_of, ey_of = (
@@ -475,9 +491,6 @@ def _solve_2d(profile, t_end, tol, path, longer=None):
         past = err.last_time + t_end * _POLE_OFFSETS
         profile.m.require_positive(t_end, "m", _MASS_REQUIREMENT, times=past[past <= t_end])
         raise
-    if longer is not None:
-        radial = longer.radial.until(t_end)
-    else:
-        radial = (solve_path1 if path == "path1" else solve_path2)(reduce_2d(profile), t_end, tol)
+    radial = longer.radial.until(t_end) if longer else solve(reduce_2d(profile), t_end, tol, path)
     return ParamTrajectory2D(profile=profile, radial=radial, t_end=t_end, t_grid=sol.t,
                              _dense=sol.sol, _results=(sol,))

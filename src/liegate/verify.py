@@ -168,7 +168,7 @@ class _Solves:
         to_come = self._to_come.get(key, Counter())
         if to_come[t_end] <= 0:
             raise LookupError(f"no declared {route} read to t_end={t_end} is still to come")
-        traj = self._held.pop(key, None) or _solve(system, route, max(to_come))
+        traj = self._held.pop(key, None) or paramflow.solve(system, max(to_come), 1e-12, route)
         to_come[t_end] -= 1
         to_come = self._to_come[key] = +to_come
         if to_come:
@@ -184,13 +184,6 @@ def _serve(solves: _Solves | None, *plan) -> tuple:
         if declared == plan:
             return solves, groups
     raise LookupError(f"no check declared the reads {plan[0].__name__}{plan[1:]}")
-
-
-def _solve(system, route: str, t_end: float):
-    if isinstance(system, FieldProfile2D):
-        return paramflow.solve_2d(system, t_end, tol=1e-12, path=route)
-    solver = paramflow.solve_path1 if route == "path1" else paramflow.solve_path2
-    return solver(system, t_end, tol=1e-12)
 
 
 # the horizon of the symplectic, path-equivalence and classical checks, and
@@ -230,12 +223,13 @@ def check_algebra_properties(seed: int) -> CheckResult:
     for _ in range(trials):
         dof = int(rng.integers(1, 3))
         a, b, c = rand_obs(dof), rand_obs(dof), rand_obs(dof)
-        if not (quadops.commutator(a, b) + quadops.commutator(b, a)).is_zero():
+        ab = quadops.commutator(a, b)   # in both identities
+        if not (ab + quadops.commutator(b, a)).is_zero():
             failures += 1
         jac = (
             quadops.commutator(a, quadops.commutator(b, c))
             + quadops.commutator(b, quadops.commutator(c, a))
-            + quadops.commutator(c, quadops.commutator(a, b))
+            + quadops.commutator(c, ab)
         )
         if not jac.is_zero():
             failures += 1
@@ -379,27 +373,28 @@ CLOSED_FORM_TIMES = {
 }
 
 
-def _closed_form_case(name: str, p: dict, traj, t: float) -> tuple:
-    """(closed form, solved, scale) for one system at time t: the gap is the
-    largest difference of the two value tuples over the scale."""
+def _closed_form_cases(name: str, p: dict, traj, ts) -> list:
+    """(closed form, solved, scale) for one system at each time of ts: the
+    gap is the largest difference of the two value tuples over the scale.
+    The Mathieu-based forms take all the times at once."""
+    samples = [traj.sample(t) for t in ts]
     if name == "iontrap":   # rf trap
-        s = traj.sample(t)
-        return (closedforms.ion_trap_params(p["m"], p["K"], p["k"], p["omega"], t),
-                (s.alpha, s.phi, s.beta), max(1.0, abs(s.alpha), abs(s.phi), abs(s.beta)))
+        closed = closedforms.ion_trap_params_at(p["m"], p["K"], p["k"], p["omega"], ts)
+        return [(cf, (s.alpha, s.phi, s.beta), max(1.0, abs(s.alpha), abs(s.phi), abs(s.beta)))
+                for cf, s in zip(closed, samples)]
     if name == "kanai":     # damped driven oscillator
-        cf, s = closedforms.kanai_caldirola_params(**p, t=t), traj.sample(t)
-        return ((cf.lam, cf.Pi, cf.alpha, cf.phi, cf.beta),
-                (s.lam, s.Pi, s.alpha, s.phi, s.beta), max(1.0, abs(s.lam), abs(s.Pi)))
-    rec = traj.sample(t)
+        closed = [closedforms.kanai_caldirola_params(**p, t=t) for t in ts]
+        return [((cf.lam, cf.Pi, cf.alpha, cf.phi, cf.beta), (s.lam, s.Pi, s.alpha, s.phi, s.beta),
+                 max(1.0, abs(s.lam), abs(s.Pi))) for cf, s in zip(closed, samples)]
     if name == "bsin":      # sinusoidal magnetic field
-        r = rec["radial"]
-        return (closedforms.bfield_sin_params(**p, t=t),
-                (r.alpha, r.phi, r.beta, rec["theta"]), 1.0)
+        closed = closedforms.bfield_sin_params_at(**p, ts=ts)
+        return [(cf, (rec["radial"].alpha, rec["radial"].phi, rec["radial"].beta, rec["theta"]),
+                 1.0) for cf, rec in zip(closed, samples)]
     # constant magnetic field with sinusoidal electric drive
-    cf = closedforms.efield_const_b_params(**p, t=t)
-    return ((cf.lam_x, cf.lam_y, cf.Pi_x, cf.Pi_y, cf.theta),
-            (rec["lam_x"], rec["lam_y"], rec["Pi_x"], rec["Pi_y"], rec["theta"]),
-            max(1.0, abs(rec["lam_x"]), abs(rec["Pi_x"])))
+    closed = [closedforms.efield_const_b_params(**p, t=t) for t in ts]
+    return [((cf.lam_x, cf.lam_y, cf.Pi_x, cf.Pi_y, cf.theta),
+             (rec["lam_x"], rec["lam_y"], rec["Pi_x"], rec["Pi_y"], rec["theta"]),
+             max(1.0, abs(rec["lam_x"]), abs(rec["Pi_x"]))) for cf, rec in zip(closed, samples)]
 
 
 def _closed_form_reads(systems, fields, times: dict) -> tuple:
@@ -414,8 +409,8 @@ def check_closed_forms(times: dict = CLOSED_FORM_TIMES,
     rows = []
     params = {name: spec for name, (_, spec) in presets.REFERENCE.items()}
     for (name, (_, samples)), traj in zip(times.items(), itertools.starmap(solves.read, reads)):
-        for t in samples:
-            closed, solved, scale = _closed_form_case(name, params[name], traj, float(t))
+        for closed, solved, scale in _closed_form_cases(name, params[name], traj,
+                                                        [float(t) for t in samples]):
             rows.append({name: _nanmax(abs(c - s) for c, s in zip(closed, solved)) / scale})
     return _verdict("closed_form_crosschecks", 1e-6, rows, dict.fromkeys(times, 1e-6))
 

@@ -3,8 +3,15 @@ writes, of their stdout, and their exit codes, in ``tests/golden.json``.
 The commands run the shipped ``configs/`` and the small configs in
 ``tests/golden/``.
 
-    python3 tests/golden.py            compare this tree with the manifest
-    python3 tests/golden.py --write    rewrite the manifest from this tree
+    python3 tests/golden.py               compare this tree with the manifest
+    python3 tests/golden.py --write       rewrite the manifest from this tree
+    python3 tests/golden.py --against DIR compare this tree with the tree at DIR
+
+``--against`` runs the commands twice: with this tree's package, and with
+``DIR/src`` in a child process.  For each file that moved it prints the
+largest absolute and the largest relative numeric change, where it occurs
+(the row and column of a CSV file, the key path of a JSON one) and the
+value in DIR's file and in this tree's.
 
 This script is the only writer of the manifest, and it writes only when
 given ``--write``.  ``tests/test_golden.py`` runs the comparison inside the
@@ -21,7 +28,10 @@ import contextlib
 import hashlib
 import io
 import json
+import math
+import os
 import platform
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -108,8 +118,9 @@ def run(workdir: Path) -> dict[str, dict]:
     return results
 
 
-def moved(expected: dict[str, dict], actual: dict[str, dict]) -> list[str]:
-    """One line per exit code, stdout or file that differs, is missing or is new."""
+def moved(expected: dict[str, dict], actual: dict[str, dict], detail=None) -> list[str]:
+    """One line per exit code, stdout or file that differs, is missing or is
+    new; ``detail(name, file)``, if given, follows each moved file's line."""
     lines = []
     for name in sorted(set(expected) | set(actual)):
         old, new = expected.get(name), actual.get(name)
@@ -124,8 +135,94 @@ def moved(expected: dict[str, dict], actual: dict[str, dict]) -> list[str]:
             if old["files"].get(file) != new["files"].get(file):
                 what = ("moved" if file in old["files"] and file in new["files"]
                         else "missing" if file in old["files"] else "added")
+                if what == "moved" and detail is not None:
+                    what += ": " + detail(name, file)
                 lines.append(f"{name}/{file} {what}")
     return lines
+
+
+def entries(path: Path) -> dict[str, object]:
+    """Where -> value of each entry of an output file: "row R, column C" of a
+    CSV file (rows counted from 1 below the header), the key path of a JSON
+    one."""
+    text = path.read_text()
+    if path.suffix == ".csv":
+        header, *rows = (line.split(",") for line in text.splitlines())
+        return {f"row {i}, column {column}": value
+                for i, row in enumerate(rows, 1) for column, value in zip(header, row)}
+    out = {}
+
+    def walk(obj, where):
+        if isinstance(obj, dict):
+            for key, value in obj.items():
+                walk(value, f"{where}.{key}" if where else key)
+        elif isinstance(obj, list):
+            for i, value in enumerate(obj):
+                walk(value, f"{where}[{i}]")
+        else:
+            out[where] = obj
+
+    walk(json.loads(text), "")
+    return out
+
+
+def _number(value) -> float | None:
+    """A file entry as a float ("nan" and "inf" as written), else None."""
+    if isinstance(value, bool):
+        return None
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        return None
+
+
+def largest_changes(old: Path, new: Path) -> str:
+    """The largest absolute and relative change between two versions of an
+    output file, each with where it occurs and the two values; then how many
+    entries were added, removed or changed that are not numbers."""
+    before, after = entries(old), entries(new)
+    worst = {"absolute": (0.0, None), "relative": (0.0, None)}
+    other = len(before.keys() ^ after.keys())
+    for where in before.keys() & after.keys():
+        a, b = _number(before[where]), _number(after[where])
+        if a is None or b is None:
+            other += before[where] != after[where]
+            continue
+        if a == b or (math.isnan(a) and math.isnan(b)):
+            continue
+        change = abs(b - a) if math.isfinite(abs(b - a)) else math.inf   # NaN on one side: inf
+        relative = change / abs(a) if math.isfinite(change) and a else math.inf
+        for kind, size in (("absolute", change), ("relative", relative)):
+            if worst[kind][1] is None or size > worst[kind][0]:
+                worst[kind] = (size, f"{where} ({before[where]} -> {after[where]})")
+    parts = [f"largest {kind} change {size:.3g} at {where}"
+             for kind, (size, where) in worst.items() if where is not None]
+    if other:
+        parts.append(f"{other} other entries added, removed or changed")
+    return "; ".join(parts) or "no entry changed (layout only)"
+
+
+_CHILD = ("import json, pathlib, sys; sys.path[:0] = sys.argv[1:3]; import golden; "
+          "print(json.dumps(golden.run(pathlib.Path(sys.argv[3]))))")
+
+
+def against(other: Path) -> int:
+    """Run every command with this tree's package and, in a child process,
+    with ``other/src``; print each exit code, stdout and file of ``other``
+    that moved here, with the largest changes of each moved file."""
+    with tempfile.TemporaryDirectory() as tmp:
+        here, there = Path(tmp, "here"), Path(tmp, "there")
+        child = subprocess.run(
+            [sys.executable, "-c", _CHILD, str(other.resolve() / "src"), str(ROOT / "tests"),
+             str(there)],
+            env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}, capture_output=True, text=True)
+        if child.returncode:
+            print(f"the commands failed with {other / 'src'}:\n{child.stderr}")
+            return 2
+        lines = moved(json.loads(child.stdout), run(here),
+                      lambda name, file: largest_changes(there / name / file, here / name / file))
+    print("\n".join(lines) if lines else f"all {len(commands())} commands match {other}")
+    return 1 if lines else 0
 
 
 def load() -> dict:
@@ -134,9 +231,14 @@ def load() -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--write", action="store_true",
-                        help="rewrite tests/golden.json from this tree")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--write", action="store_true",
+                      help="rewrite tests/golden.json from this tree")
+    mode.add_argument("--against", metavar="DIR", type=Path,
+                      help="compare this tree with the tree at DIR, file by file")
     args = parser.parse_args(argv)
+    if args.against is not None:
+        return against(args.against)
     with tempfile.TemporaryDirectory() as tmp:
         actual = run(Path(tmp))
     if args.write:

@@ -22,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from liegate import cli, closedforms, greens, maps, ode, oracle, paramflow, quadops, verify
-from liegate.coeffs import Derived
+from liegate.coeffs import CoefficientSet1D, Derived
 from liegate.oracle import gaussian_state
 from liegate.verify import suite_fields, suite_systems
 
@@ -49,7 +49,7 @@ def sho_config(tmp_path, **extra):
 
 def sho_kernel(cfg):
     """The kernel ``liegate kernel`` builds for a sho_config, built directly."""
-    _, problem = cli.build_problem(cli.load_config(cfg, {}))
+    problem = cli.build_problem(cli.load_config(cfg, {}))
     traj = paramflow.solve_path1(problem, math.pi / 4, 1e-12)
     return greens.kernel_build(traj, math.pi / 4, "path1")
 
@@ -275,6 +275,33 @@ class TestKernel:
         assert not (tmp_path / "kernel.json").exists()
 
 
+EXTREME_KERNEL_SYSTEMS = {
+    "gho": {"system": "gho", "coefficients": {"a": 1.0, "c": 1.0}},
+    "cp2d": {"system": "cp2d", "field": {"m": 1, "B": 1, "K": 1}},
+}
+
+
+@pytest.mark.parametrize("kernel_t, code", [(1e-160, 0), (1e-200, 0), (1e-300, 0), (1e-310, 3)])
+@pytest.mark.parametrize("system", sorted(EXTREME_KERNEL_SYSTEMS))
+def test_extreme_kernel_times_warn_of_nothing(tmp_path, capsys, system, kernel_t, code):
+    # near t = 1e-300 the kernel's entries reach 1e300, and at 1e-310 they
+    # overflow (inf * 0 is NaN): the first kernel is written and the second
+    # refused by the finite check, with no numpy warning in either
+    cfg = write_config(tmp_path, "kt.json", {**EXTREME_KERNEL_SYSTEMS[system], "t_end": 1.0,
+                                             "kernel_t": kernel_t})
+    out = tmp_path / "x"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = cli.main(["kernel", "--config", cfg, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert (got, captured.err, [str(w.message) for w in caught]) == (code, "", [])
+    if code:
+        assert json.loads(captured.out)["error"]["type"] == "DomainError"
+        assert not (out / "kernel.json").exists()
+    else:
+        assert json.loads((out / "kernel.json").read_text())["t"] == kernel_t
+
+
 def on_call(func, call, change):
     """``func`` whose result passes through ``change`` at call number ``call``
     (counted from 1) only, or at every call if ``call`` is None."""
@@ -396,14 +423,16 @@ class TestVerify:
         # each (system, route) the checks declare is solved once, to its
         # longest horizon (sho's route 1 at six horizons, its semigroup tail
         # among them since sho shifted is sho; iontrap's at four; efield's
-        # planar solve at three), and each (a, q, tol) of the Mathieu check
-        # once, to z = 3: 72 solves, where a solve per read made 129; a
-        # second run shares nothing with the first
+        # planar solve at three), each (a, q, tol) of the Mathieu check
+        # once, to z = 3, and the iontrap and bsin closed forms one crossing
+        # probe and one 1/C^2 quadrature each, to their last sample time: 66
+        # solves, where a solve per read made 129; a second run shares
+        # nothing with the first
         calls = counted_solves(monkeypatch)
         first = verify.run_suite(0)
-        assert len(calls) == 72
+        assert len(calls) == 66
         assert verify.run_suite(0) == first
-        assert len(calls) == 2 * 72
+        assert len(calls) == 2 * 66
 
     def test_a_kernel_check_alone_solves_each_trajectory_once(self, monkeypatch):
         # sho's route 1 is read at 1.2, pi/4 * 1.05, 1.26 and, as its own
@@ -569,8 +598,8 @@ def test_shipped_configs_run(name, tmp_path):
 @pytest.mark.parametrize("name", SHIPPED)
 def test_shipped_configs_are_the_verify_systems(name):
     # liegate verify checks these systems; a config edit must not drift
-    kind, problem = cli.build_problem(cli.load_config(str(CONFIGS / f"{name}.json"), {}))
-    if kind == "1d":
+    problem = cli.build_problem(cli.load_config(str(CONFIGS / f"{name}.json"), {}))
+    if isinstance(problem, CoefficientSet1D):
         reference, names = suite_systems()[name], "abcdeg"
     else:
         reference, names = suite_fields()[name], ("m", "B", "K", "Ex", "Ey")
@@ -754,8 +783,8 @@ def test_derived_planar_mass_pole_is_domain_error(tmp_path, capsys, monkeypatch)
     build = cli.build_problem
 
     def derived_mass(cfg):
-        kind, field = build(cfg)
-        return kind, dataclasses.replace(field, m=Derived(field.m, field.m.derivative))
+        field = build(cfg)
+        return dataclasses.replace(field, m=Derived(field.m, field.m.derivative))
 
     monkeypatch.setattr(cli, "build_problem", derived_mass)
     cfg = write_config(tmp_path, "dip2d.json", DIP_2D)

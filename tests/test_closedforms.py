@@ -11,9 +11,11 @@ from liegate.closedforms import (
     _efield_addends,
     _sum_addends,
     bfield_sin_params,
+    bfield_sin_params_at,
     efield_const_b_params,
     efield_derived_constants,
     ion_trap_params,
+    ion_trap_params_at,
     kanai_caldirola_params,
     mathieu_c,
 )
@@ -67,6 +69,53 @@ def test_reciprocal_square_rate_is_ieee_at_a_zero_of_c():
         assert rhs(0.3, [c, 1.0, 0.0]) == (1.0, -(2.0 - math.cos(0.6)) * c, math.inf)
     assert rhs(0.3, [2.0, 1.0, 0.0])[2] == 0.25
     assert math.isnan(rhs(0.3, [math.nan, 1.0, 0.0])[2])
+
+
+def reciprocal_square_alone(a, q, z):
+    """(C, C', int_0^z dz'/C^2) from a crossing probe and a quadrature to z
+    alone, as the closed forms solved each time before; the crossing's z if
+    C vanishes first."""
+    tol = closedforms._RECIPROCAL_SQUARE_TOL
+    crossing = lambda zz, y: y[0]
+    crossing.terminal = True
+    probe = ode.solve(closedforms._mathieu_rhs(a, q), [1.0, 0.0], (0.0, z), tol, tol * 1e-2,
+                      "Mathieu", event=crossing, dense=False)
+    if probe.status == 1:
+        return probe.t_events[0]
+    sol = ode.solve(closedforms._reciprocal_square_rhs(a, q), [1.0, 0.0, 0.0], (0.0, z), tol,
+                    tol * 1e-2, "Mathieu", dense=False)
+    return tuple(float(v) for v in sol.y[:, -1])
+
+
+class TestReciprocalSquare:
+    # the rf trap's and the sinusoidal field's reference (a, q), and a cosine
+    @pytest.mark.parametrize("a, q", [(0.16, -0.024), (4.0 / 72, 4.0 / 144), (1.0, 0.0)])
+    def test_one_pair_of_solves_serves_every_z_bit_for_bit(self, a, q):
+        zs = (1.0, 0.0, 1.5, 0.4, 1.5, 1e-3)
+        assert closedforms._mathieu_with_reciprocal_square(a, q, zs) == \
+            [(1.0, 0.0, 0.0) if z == 0.0 else reciprocal_square_alone(a, q, z) for z in zs]
+
+    @pytest.mark.parametrize("past", [1.5708, 2.0, 3.0])
+    def test_the_first_z_past_a_crossing_is_refused_as_alone(self, past):
+        # C = cos z vanishes at pi/2: 1.5708 ends its solve a hair past it
+        with pytest.raises(CausticError) as caught:
+            closedforms._mathieu_with_reciprocal_square(1.0, 0.0, (1.0, past, 1.6, 3.0))
+        z_c = reciprocal_square_alone(1.0, 0.0, past)
+        assert caught.value.valid_to == z_c == pytest.approx(math.pi / 2, abs=1e-9)
+        assert str(caught.value) == (f"Mathieu cosine vanishes at z={z_c:.12g}, before the "
+                                     f"requested z={past}; parameters are singular there")
+
+    def test_the_plural_forms_are_the_one_time_forms(self):
+        ts = (0.4, 0.0, 0.8, 0.2, 0.8)
+        assert ion_trap_params_at(1.0, 1.0, 0.3, 5.0, ts) == \
+            [ion_trap_params(1.0, 1.0, 0.3, 5.0, t) for t in ts]
+        for b0 in (2.0, 0.0):
+            assert bfield_sin_params_at(1.0, b0, 3.0, 1.0, ts) == \
+                [bfield_sin_params(1.0, b0, 3.0, 1.0, t) for t in ts]
+        for plural in (lambda ts: ion_trap_params_at(1.0, 1.0, 0.3, 5.0, ts),
+                       lambda ts: bfield_sin_params_at(1.0, 2.0, 3.0, 1.0, ts)):
+            with pytest.raises(DomainError, match="t must be non-negative"):
+                plural((0.4, -0.1))
 
 
 class TestIonTrap:

@@ -5,7 +5,8 @@ re-export of another module's name, would otherwise go unseen: tools that
 walk ``__all__`` with ``getattr(module, name, None)`` skip it silently.
 The same source scan checks that no module but ``cli`` opens a file,
 that no module imports scipy, that
-``verify`` checks only solvers the CLI calls and that the presets import
+``verify`` checks only solvers the CLI calls, that no module but
+``paramflow`` names a route's solver, and that the presets import
 none of the checks, that only ``paramflow`` and ``maps`` read a
 trajectory's solutions, and the benchmark's span recorder still finds
 every name it wraps.
@@ -105,6 +106,37 @@ def paramflow_names(path: str) -> set[str]:
     return {node.attr for node in ast.walk(ast.parse(pathlib.Path(path).read_text()))
             if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
             and node.value.id == "paramflow"}
+
+
+SOLVERS = {"solve_path1", "solve_path2", "solve_2d"}
+
+
+def solver_names(path: str) -> list[int]:
+    """The line of each name, attribute or import in the module's source that
+    is one of SOLVERS."""
+    lines = []
+    for node in ast.walk(ast.parse(pathlib.Path(path).read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [alias.name for alias in node.names]
+        else:
+            names = [getattr(node, "id", None) or getattr(node, "attr", None)]
+        lines += [node.lineno for name in names if name in SOLVERS]
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "paramflow"])
+def test_only_paramflow_chooses_a_solver(name):
+    # the CLI and verify solve through paramflow.solve, so verify checks the
+    # solvers the CLI ships by construction
+    assert solver_names(importlib.import_module(f"liegate.{name}").__file__) == []
+
+
+def test_the_solver_scan_sees_every_kind_of_reference(tmp_path):
+    source = tmp_path / "chooser.py"
+    source.write_text("from .paramflow import solve_2d\nfrom . import paramflow\n\n"
+                      "def f(cs):\n    return paramflow.solve_path1(cs, 1.0)\n\n"
+                      "g = solve_path2\n")
+    assert solver_names(str(source)) == [1, 5, 7]
 
 
 def test_verify_checks_the_solvers_the_cli_ships():

@@ -19,3 +19,20 @@ def test_outputs_match_the_golden_manifest(tmp_path):
 
 def test_manifest_covers_every_command():
     assert set(golden.load()["commands"]) == set(golden.commands())
+
+
+def test_a_moved_file_names_its_largest_changes(tmp_path):
+    # what --against prints for each moved file: the row and column of a CSV
+    # entry, the key path of a JSON one, and both values
+    (tmp_path / "old.csv").write_text("t,re,im\n0,1.0,2.0\n1,3.0,-4.0\n")
+    (tmp_path / "new.csv").write_text("t,re,im\n0,1.5,2.0\n1,3.0,-4.0000001\n")
+    assert golden.largest_changes(tmp_path / "old.csv", tmp_path / "new.csv") == (
+        "largest absolute change 0.5 at row 1, column re (1.0 -> 1.5); "
+        "largest relative change 0.5 at row 1, column re (1.0 -> 1.5)")
+    (tmp_path / "old.json").write_text('{"final": {"a": 2.0, "b": "nan"}, "q": [[0.0, 1e-3]]}')
+    (tmp_path / "new.json").write_text('{"final": {"a": 2.0, "b": 1.0}, "q": [[0.0, 2e-3]], '
+                                       '"note": "x"}')
+    assert golden.largest_changes(tmp_path / "old.json", tmp_path / "new.json") == (
+        "largest absolute change inf at final.b (nan -> 1.0); "
+        "largest relative change inf at final.b (nan -> 1.0); "
+        "1 other entries added, removed or changed")

@@ -885,20 +885,15 @@ def verify_horizons(monkeypatch):
     return horizons
 
 
-def solve_to(system, route, t_end):
-    if isinstance(system, FieldProfile2D):
-        return solve_2d(system, t_end, tol=1e-12, path=route)
-    return (solve_path1 if route == "path1" else solve_path2)(system, t_end, tol=1e-12)
-
-
 class TestUntil:
     def test_a_cut_trajectory_is_the_shorter_solve_at_every_verify_horizon(self, monkeypatch):
         horizons = verify_horizons(monkeypatch)
         assert max(len(h) for h in horizons.values()) >= 4
         for (system, route), ends in horizons.items():
-            longest = solve_to(system, route, max(ends))
+            longest = paramflow.solve(system, max(ends), 1e-12, route)
             for t_end in sorted(ends):
-                assert_same_trajectory(longest.until(t_end), solve_to(system, route, t_end))
+                assert_same_trajectory(longest.until(t_end),
+                                       paramflow.solve(system, t_end, 1e-12, route))
 
     def test_route_two_solves_afresh_where_the_shortcut_verdict_changes(self):
         # b = gamma' = 0 up to t = 1 and b > 0 after: the shortcut holds on
@@ -954,3 +949,53 @@ class TestUntil:
         traj = solve_path1(sho(), 1.0)
         with pytest.raises(DomainError, match="outside the solved interval"):
             traj.until(1.5)
+
+
+class TestSolve:
+    """``paramflow.solve``: the one mapping from a system and a route to its solver."""
+
+    @pytest.mark.parametrize("route, direct", [
+        ("path1", lambda cs, fp, t_end, tol: solve_path1(cs, t_end, tol)),
+        ("path2", lambda cs, fp, t_end, tol: solve_path2(cs, t_end, tol)),
+        ("planar-path1", lambda cs, fp, t_end, tol: solve_2d(fp, t_end, tol, "path1")),
+        ("planar-path2", lambda cs, fp, t_end, tol: solve_2d(fp, t_end, tol, path="path2")),
+    ])
+    def test_each_system_and_route_is_its_solver_bit_for_bit(self, route, direct):
+        cs, fp = mixed_system(0), mixed_field(0)
+        system = fp if route.startswith("planar") else cs
+        path = route.removeprefix("planar-")
+        assert_same_trajectory(paramflow.solve(system, 1.5, 1e-11, path),
+                               direct(cs, fp, 1.5, 1e-11))
+
+    def test_the_defaults_are_the_solvers_defaults(self):
+        assert_same_trajectory(paramflow.solve(sho(), 1.0), solve_path1(sho(), 1.0))
+        assert_same_trajectory(paramflow.solve(mixed_field(1), 1.0),
+                               solve_2d(mixed_field(1), 1.0))
+
+    @pytest.mark.parametrize("system", [sho(), mixed_field(0)], ids=["1d", "planar"])
+    def test_an_unknown_route_is_refused_before_any_solve(self, system, monkeypatch):
+        def no_solve(*args):
+            raise AssertionError("solved an unknown route")
+
+        for name in ("solve_path1", "solve_path2", "_run_ivp"):
+            monkeypatch.setattr(paramflow, name, no_solve)
+        for path in ("path3", "PATH1", None):
+            with pytest.raises(DomainError) as caught:
+                paramflow.solve(system, 1.0, 1e-10, path)
+            assert str(caught.value) == f"path must be 'path1' or 'path2', got {path!r}"
+
+    def test_the_solvers_are_read_from_the_module_when_called(self, monkeypatch):
+        # a solver replaced on the module, as a test or a span recorder does,
+        # sees every solve: the planar radial solve's too
+        seen = []
+
+        def recording(name):
+            solver = getattr(paramflow, name)
+            return lambda *args: seen.append((name, args[1:])) or solver(*args)
+
+        for name in ("solve_path1", "solve_path2", "solve_2d"):
+            monkeypatch.setattr(paramflow, name, recording(name))
+        paramflow.solve(sho(), 1.0, 1e-9, "path2")
+        paramflow.solve(mixed_field(0), 0.5, 1e-9, "path1")
+        assert seen == [("solve_path2", (1.0, 1e-9)), ("solve_2d", (0.5, 1e-9, "path1")),
+                        ("solve_path1", (0.5, 1e-9))]

@@ -385,7 +385,8 @@ def scalar_draws(seed, trials=60):
 
 class TestAlgebraCheck:
     def checked_triples(self, monkeypatch, seed):
-        # each trial brackets [a, b], [b, a], then [b, c] first of the Jacobi sum
+        # each trial brackets [a, b], [b, a], then [b, c] first of the Jacobi
+        # sum, whose last term reuses [a, b]: 7 brackets a trial
         calls = []
         real = quadops.commutator
 
@@ -395,9 +396,9 @@ class TestAlgebraCheck:
 
         monkeypatch.setattr(quadops, "commutator", recording)
         result = verify.check_algebra_properties(seed)
-        assert len(calls) == 8 * 60
+        assert len(calls) == 7 * 60
         return result, [(calls[k][0], calls[k][1], calls[k + 2][1])
-                        for k in range(0, len(calls), 8)]
+                        for k in range(0, len(calls), 7)]
 
     def test_one_call_per_observable_draws_the_scalar_stream(self, monkeypatch):
         dofs = set()
