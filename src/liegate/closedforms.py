@@ -22,11 +22,13 @@ The Mathieu cosine is computed by direct ODE integration of
 y'' + (a - 2 q cos 2z) y = 0 with y(0)=1, y'(0)=0, which is its defining
 property; no characteristic-value expansions are involved.  The solves use
 ``ode.solve`` without dense output: only an event step pays for interpolation.
-The plural forms ``mathieu_cs``, ``ion_trap_params_at`` and
-``bfield_sin_params_at`` serve many times of one (a, q) from one solve to
-the largest z (the trap and field forms: one crossing probe and one 1/C^2
-quadrature), cut at each smaller z by ``ode.Result.until``, which is bit for
-bit the solve to that z; the one-time forms are the plural ones at one time.
+``mathieu_cs``, ``ion_trap_params_at`` and ``bfield_sin_params_at`` serve
+many times of one (a, q) from one solve to the largest z (the trap and
+field forms: one crossing probe and one 1/C^2 quadrature), cut at each
+smaller z by ``ode.Result.until``, which is bit for bit the solve to that
+z; the trap and field forms have no one-time form, and ``mathieu_c`` is
+``mathieu_cs`` at one z.  None of these reads a trajectory: ``liegate
+verify`` compares them with the samples ``paramflow`` returns.
 """
 
 from __future__ import annotations
@@ -41,11 +43,9 @@ __all__ = [
     "MathieuEval",
     "mathieu_c",
     "mathieu_cs",
-    "ion_trap_params",
     "ion_trap_params_at",
     "KanaiParams",
     "kanai_caldirola_params",
-    "bfield_sin_params",
     "bfield_sin_params_at",
     "EFieldDerived",
     "efield_derived_constants",
@@ -145,22 +145,16 @@ def _mathieu_with_reciprocal_square(a: float, q: float, zs) -> list[tuple[float,
     return [(float(y[0]), float(y[1]), float(y[2])) for y in ys]
 
 
-def ion_trap_params(
-    m: float, K_i: float, k_i: float, omega: float, t: float
-) -> tuple[float, float, float]:
-    """Per-axis rf-trap parameters (alpha, phi, beta) at time t.
+def ion_trap_params_at(
+    m: float, K_i: float, k_i: float, omega: float, ts
+) -> list[tuple[float, float, float]]:
+    """Per-axis rf-trap parameters (alpha, phi, beta) at each time t of
+    ``ts``, from one pair of Mathieu solves to the largest (see
+    ``mathieu_cs``).
 
     alpha = -(omega/2) C'/C, phi = ln C, beta = int_0^t ds / C^2, with
     C evaluated at (4K/m omega^2, -2k/m omega^2, omega t / 2).
     """
-    return ion_trap_params_at(m, K_i, k_i, omega, (t,))[0]
-
-
-def ion_trap_params_at(
-    m: float, K_i: float, k_i: float, omega: float, ts
-) -> list[tuple[float, float, float]]:
-    """``ion_trap_params`` at each time of ``ts``, from one pair of Mathieu
-    solves to the largest (see ``mathieu_cs``)."""
     if m <= 0 or omega <= 0:
         raise DomainError("ion trap needs m > 0 and omega > 0")
     if any(t < 0 for t in ts):
@@ -265,22 +259,16 @@ def kanai_caldirola_params(
     )
 
 
-def bfield_sin_params(
-    m: float, B0: float, omega: float, charge: float, t: float
-) -> tuple[float, float, float, float]:
-    """Radial parameters and rotation angle for B(t) = B0 sin(omega t).
+def bfield_sin_params_at(
+    m: float, B0: float, omega: float, charge: float, ts
+) -> list[tuple[float, float, float, float]]:
+    """Radial parameters (alpha, phi, beta) and rotation angle theta for
+    B(t) = B0 sin(omega t) at each time t of ``ts``, from one pair of
+    Mathieu solves to the largest (see ``mathieu_cs``).
 
     Mathieu arguments (w_c^2/8w^2, w_c^2/16w^2, w t) with w_c = q B0 / m;
     theta = (w_c/w) sin^2(w t / 2).
     """
-    return bfield_sin_params_at(m, B0, omega, charge, (t,))[0]
-
-
-def bfield_sin_params_at(
-    m: float, B0: float, omega: float, charge: float, ts
-) -> list[tuple[float, float, float, float]]:
-    """``bfield_sin_params`` at each time of ``ts``, from one pair of Mathieu
-    solves to the largest (see ``mathieu_cs``)."""
     if m <= 0 or omega <= 0:
         raise DomainError("sinusoidal field needs m > 0 and omega > 0")
     if any(t < 0 for t in ts):

@@ -7,9 +7,10 @@ initial coordinates x',
                                      + Lx.x + Lx'.x' + scal ]),
 
 together with its validity window (0, t_caustic).  Every route builds it
-with one formula from the Heisenberg map that ``maps`` assembles: the
-radial block [[G_qq, G_qp], [G_pq, G_pp]], the rotation R (the 1x1
-identity in 1D), the translation (lam, -Pi) and the action S give
+with one formula from the parts of the Heisenberg map that the trajectory
+reads (``_map_parts``): the radial block [[G_qq, G_qp], [G_pq, G_pp]], the
+rotation R (the 1x1 identity in 1D), the translation (lam, -Pi) and the
+action S give
 
     Qxx = G_pp / (2 hbar G_qp) I,   Qx'x' = G_qq / (2 hbar G_qp) I,
     Qxx' = -R / (hbar G_qp),
@@ -39,7 +40,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CausticError, DomainError
-from .maps import _parts
 from .oracle import WaveGrid
 from .paramflow import ParamTrajectory, ParamTrajectory2D
 
@@ -147,7 +147,8 @@ def kernel_build(
         raise DomainError(f"unknown kernel variant {variant!r}; choose from {_VARIANTS}")
     if t <= 0.0:
         raise DomainError("t must be positive: the t=0 kernel is a delta")
-    if t >= traj.valid_to:
+    # valid_to = inf is no focal time: the map read refuses t = inf as unsolved
+    if t >= traj.valid_to and math.isfinite(traj.valid_to):
         raise CausticError(
             f"t={t} is at or beyond the focal time valid_to={traj.valid_to}; "
             "the kernel prefactor is singular there",
@@ -167,7 +168,7 @@ def kernel_build(
             "variant 'lp' requires b(t) == 0 and c(t) == 0; "
             "use variant 'path1' for the general quadratic Hamiltonian"
         )
-    ((g_qq, g_qp), (_, g_pp)), rot, shift, action = _parts(traj, t)
+    ((g_qq, g_qp), (_, g_pp)), rot, shift, action = traj._map_parts(t)
     if g_qp == 0.0:
         raise CausticError("the map's x-p entry vanishes: the kernel is singular "
                            "at this time")

@@ -7,19 +7,19 @@ parameters.  M preserves the symplectic form and has unit determinant;
 own thresholds.
 
 Ordering is (x, p) in 1D and (x, y, p_x, p_y) in 2D, with the symplectic
-form J = [[0, I], [-I, 0]] in that ordering.
+form J = [[0, I], [-I, 0]] in that ordering.  An assembler lays out the
+parts that the trajectory's ``_map_parts`` returns.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg._umath_linalg import det as _det
 
-from .errors import CausticError, DomainError
-from .paramflow import ParamTrajectory, ParamTrajectory2D, _check_solved
+from .errors import DomainError
+from .paramflow import ParamTrajectory, ParamTrajectory2D
 
 __all__ = [
     "SymplecticMap",
@@ -60,73 +60,6 @@ class SymplecticMap:
         return self.M.shape[0] // 2
 
 
-def _window_check(traj, t: float):
-    if t > traj.valid_to:
-        raise CausticError(
-            f"t={t} is beyond the first focal time valid_to={traj.valid_to}",
-            valid_to=traj.valid_to,
-        )
-    _check_solved(traj, t)
-
-
-def _path1_entries(a: float, bint: float, u: float, udot: float, v: float, vdot: float):
-    # G_qq = e^(phi+gamma), G_qp = (beta/Delta) e^(phi+gamma),
-    # G_pq = -alpha Delta e^(phi-gamma), G_pp = e^(-phi-gamma) - alpha beta e^(phi-gamma),
-    # evaluated through the globally smooth pair (u, v):
-    # e^(phi+gamma) = e^B u, beta/Delta = v/u, alpha = -u'/u, giving
-    # M = e^B [[u, v], [u'/a, v'/a]] with B = bint.
-    eb = math.exp(bint)
-    return (eb * u, eb * v), (eb * udot / a, eb * vdot / a)
-
-
-def _path2_entries(delta: float, gamma: float, phi: float, alpha: float, vphi: float,
-                   beta: float):
-    cph, sph = math.cos(phi), math.sin(phi)
-    ev, evm = math.exp(vphi), math.exp(-vphi)
-    eg, egm = math.exp(gamma), math.exp(-gamma)
-    g_qq = (cph - alpha * sph) * eg * ev
-    g_qp = ((beta * cph - alpha * beta * sph) * ev + sph * evm) * eg / delta
-    g_pq = -(alpha * cph + sph) * delta * ev * egm
-    g_pp = -((beta * sph + alpha * beta * cph) * ev - cph * evm) * egm
-    return (g_qq, g_qp), (g_pq, g_pp)
-
-
-def _radial(traj: ParamTrajectory, t: float):
-    """The radial entries, the shift (lam, -Pi) and the action S at
-    t <= valid_to: route 1 from its base solve and a, route 2 from its base
-    and Riccati solves, a and c."""
-    if traj.path == "path1":
-        lam, pi, action, *base = traj._base(t)
-        return _path1_entries(traj._a(t), *base), [lam, -pi], action
-    lam, pi, action, phi = traj._base(t)
-    gamma = 0.5 * math.log(traj.Delta * math.sqrt(traj._a(t) / traj._c(t)))
-    if traj.shortcut:
-        alpha = vphi = beta = 0.0
-    else:   # valid_to ends no later than the Riccati solve
-        qq, pp, _, vphi, beta, _ = traj._riccati(t)
-        alpha = qq / pp
-    return _path2_entries(traj.Delta, gamma, phi, alpha, vphi, beta), [lam, -pi], action
-
-
-def _parts(traj: ParamTrajectory | ParamTrajectory2D, t: float):
-    """The map at t as the kernels and ``assemble_2d`` read it, once: the
-    radial entries, the rotation R(theta) (the 1x1 identity in 1D), the
-    shift (lam, -Pi) and the action S.  t is checked against the window."""
-    _window_check(traj, t)
-    if isinstance(traj, ParamTrajectory):
-        entries, shift, action = _radial(traj, t)
-        return entries, ((1.0,),), shift, action
-    lam_x, lam_y, pi_x, pi_y, action, theta = traj._dense(t)
-    return (_radial(traj.radial, t)[0], _rotation(theta),
-            [lam_x, lam_y, -pi_x, -pi_y], action)
-
-
-def _rotation(theta: float) -> tuple[tuple[float, float], ...]:
-    """The 2x2 rotation R(theta), as rows, that the planar maps and kernels share."""
-    c, s = math.cos(theta), math.sin(theta)
-    return (c, -s), (s, c)
-
-
 def _map(t: float, entries, shift: list) -> SymplecticMap:
     """A SymplecticMap of float rows this module built, not checked again."""
     smap = object.__new__(SymplecticMap)
@@ -141,8 +74,8 @@ def _assemble_1d(traj: ParamTrajectory, t: float, path: str) -> SymplecticMap:
     if traj.path != path:
         raise DomainError(f"trajectory was solved with route {traj.path[-1]}; "
                           f"use assemble_{traj.path}")
-    _window_check(traj, t)
-    return _map(t, *_radial(traj, t)[:2])
+    radial, _, shift, _ = traj._map_parts(t)
+    return _map(t, radial, shift)
 
 
 def assemble_path1(traj: ParamTrajectory, t: float) -> SymplecticMap:
@@ -160,7 +93,7 @@ def assemble_2d(traj2d: ParamTrajectory2D, t: float) -> SymplecticMap:
     if isinstance(traj2d, ParamTrajectory):
         raise DomainError(f"assemble_2d takes a planar trajectory; use "
                           f"assemble_{traj2d.path} for a 1D one")
-    radial, rotation, shift, _ = _parts(traj2d, t)
+    radial, rotation, shift, _ = traj2d._map_parts(t)
     # np.kron(G, R) entry by entry: the same single product G_ij * R_kl each
     return _map(t, [[g * r for g in g_row for r in r_row]
                     for g_row in radial for r_row in rotation], shift)

@@ -23,6 +23,10 @@ The linear/translation parameters (lam, Pi, S) solve the classical
 equations of motion from the origin in both routes.  ``liegate verify``
 checks route 1's (lam, -Pi) against the independent flow oracle, and route
 2's whole affine map and action S against route 1's.
+
+Only a trajectory reads its solves: ``sample`` for the parameters and
+``_map_parts`` for the map's parts, which ``maps`` lays out and ``greens``
+turns into a kernel.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import numpy as np
 
 from . import ode
 from .coeffs import CoefficientSet1D, FieldProfile2D, check_horizon, reduce_2d
-from .errors import DomainError, IntegrationError
+from .errors import CausticError, DomainError, IntegrationError
 
 __all__ = [
     "ParamSample",
@@ -94,20 +98,20 @@ class LinearTranslation:
 class ParamTrajectory:
     """Transformation parameters of one factorization route on [0, t_end]:
     the route, its coefficients, the tolerance, Delta, the integrator's grid,
-    ``valid_to`` and what ``sample`` and the maps and kernels read: the dense
+    ``valid_to`` and what ``sample`` and ``_map_parts`` read: the dense
     solutions and the compiled a(t) (route 2: and c(t)) the solve used;
     route 2 also holds whether it took the shortcut and, if not, its Riccati
     solve and where that ended.  ``_results`` holds the solves' ``ode``
-    Results, which ``until`` cuts.
+    Results, which ``until`` cuts.  No other module reads these solves.
 
     All parameters vanish at t = 0 (the factorized operator is the identity
     there).  ``valid_to`` is the first focal time, or inf if there is none
     in [0, t_end]: the first zero of u for route 1, the first time phi
     reaches pi for route 2 (or earlier, where route 2's alpha diverges), an
     event of the solve refined on the step's dense output.  Route 1 reports
-    alpha, phi and beta as NaN beyond ``valid_to``; route 2 reports alpha,
-    vphi, beta, u and udot as NaN past its Riccati solve, which carries phi
-    in its own state; ``sample`` reports phi from the base solve.
+    alpha, phi and beta as NaN at and beyond ``valid_to``; route 2 reports
+    alpha, vphi, beta, u and udot as NaN past its Riccati solve, which
+    carries phi in its own state; ``sample`` reports phi from the base solve.
     """
 
     path: Literal["path1", "path2"]
@@ -144,27 +148,56 @@ class ParamTrajectory:
     def sample(self, t: float) -> ParamSample:
         _check_solved(self, t)
         a = self._a(t)
-        inside = t < self.valid_to
-        nan = float("nan")
         if self.path == "path1":
+            inside, nan = t < self.valid_to, float("nan")
             gamma = 0.5 * math.log(a * self.Delta)
             lam, pi, s, bint, u, udot, v, vdot = self._base(t)
             alpha = -udot / u if inside else nan
             phi = bint - gamma + math.log(u) if inside else nan
             beta = self.Delta * v / u if inside else nan
             return ParamSample(t, s, lam, pi, gamma, alpha, phi, 0.0, beta, u, udot, v, vdot)
-        gamma = 0.5 * math.log(self.Delta * math.sqrt(a / self._c(t)))
         lam, pi, s, phi = self._base(t)
-        if self.shortcut:
-            alpha, vphi, beta, u, udot = 0.0, 0.0, 0.0, 1.0, 0.0
-        elif t <= self._riccati_t_end:
-            qq, pp, aint, vphi, beta, _ = self._riccati(t)
-            alpha = qq / pp
-            u = math.exp(-aint)
-            udot = -alpha * u
-        else:
-            alpha = vphi = beta = u = udot = nan
+        gamma, alpha, vphi, beta, u, udot = self._route2(t, a)
         return ParamSample(t, s, lam, pi, gamma, alpha, phi, vphi, beta, u, udot)
+
+    def _route2(self, t: float, a: float):
+        """Route 2's gamma, alpha, vphi, beta, u and udot at t, given a(t):
+        alpha = vphi = beta = 0 on the shortcut, all but gamma NaN past the
+        Riccati solve."""
+        gamma = 0.5 * math.log(self.Delta * math.sqrt(a / self._c(t)))
+        if self.shortcut:
+            return gamma, 0.0, 0.0, 0.0, 1.0, 0.0
+        if t > self._riccati_t_end:
+            return gamma, *[math.nan] * 5
+        qq, pp, aint, vphi, beta, _ = self._riccati(t)
+        alpha, u = qq / pp, math.exp(-aint)
+        return gamma, alpha, vphi, beta, u, -alpha * u
+
+    def _map_parts(self, t: float):
+        """The Heisenberg map's parts at t, checked against valid_to and
+        [0, t_end]: ((G_qq, G_qp), (G_pq, G_pp)), the rotation rows (the 1x1
+        identity), the shift (lam, -Pi) and S.  Route 2 reads no further than
+        valid_to, which ends no later than its Riccati solve."""
+        if t > self.valid_to:
+            raise CausticError(f"t={t} is beyond the first focal time valid_to={self.valid_to}",
+                               valid_to=self.valid_to)
+        _check_solved(self, t)
+        if self.path == "path1":
+            lam, pi, action, bint, u, udot, v, vdot = self._base(t)
+            # G_qq = e^(phi+gamma) = e^B u, G_qp = (beta/Delta) e^(phi+gamma) with
+            # beta/Delta = v/u, and alpha = -u'/u: M = e^B [[u, v], [u'/a, v'/a]]
+            a, eb = self._a(t), math.exp(bint)
+            block = (eb * u, eb * v), (eb * udot / a, eb * vdot / a)
+            return block, ((1.0,),), [lam, -pi], action
+        lam, pi, action, phi = self._base(t)
+        gamma, alpha, vphi, beta, _, _ = self._route2(t, self._a(t))
+        cph, sph, ev, evm = math.cos(phi), math.sin(phi), math.exp(vphi), math.exp(-vphi)
+        eg, egm, delta = math.exp(gamma), math.exp(-gamma), self.Delta
+        g_qq = (cph - alpha * sph) * eg * ev
+        g_qp = ((beta * cph - alpha * beta * sph) * ev + sph * evm) * eg / delta
+        g_pq = -(alpha * cph + sph) * delta * ev * egm
+        g_pp = -((beta * sph + alpha * beta * cph) * ev - cph * evm) * egm
+        return ((g_qq, g_qp), (g_pq, g_pp)), ((1.0,),), [lam, -pi], action
 
 
 @dataclass(frozen=True, eq=False)
@@ -202,6 +235,18 @@ class ParamTrajectory2D:
         lam_x, lam_y, pi_x, pi_y, s, theta = self._dense(t)
         return {"t": t, "S": s, "theta": theta, "lam_x": lam_x, "lam_y": lam_y,
                 "Pi_x": pi_x, "Pi_y": pi_y, "radial": self.radial.sample(t)}
+
+    def _map_parts(self, t: float):
+        """The radial route's block (its read checks t), R(theta), (lam, -Pi) and S."""
+        block = self.radial._map_parts(t)[0]
+        lam_x, lam_y, pi_x, pi_y, action, theta = self._dense(t)
+        return block, _rotation(theta), [lam_x, lam_y, -pi_x, -pi_y], action
+
+
+def _rotation(theta: float) -> tuple[tuple[float, float], ...]:
+    """The 2x2 rotation R(theta), as rows: the planar map's rotation part."""
+    c, s = math.cos(theta), math.sin(theta)
+    return (c, -s), (s, c)
 
 
 def _check_solved(traj, t: float):

@@ -6,12 +6,17 @@ The commands run the shipped ``configs/`` and the small configs in
     python3 tests/golden.py               compare this tree with the manifest
     python3 tests/golden.py --write       rewrite the manifest from this tree
     python3 tests/golden.py --against DIR compare this tree with the tree at DIR
+    python3 tests/golden.py --reach       list the package functions no command calls
 
 ``--against`` runs the commands twice: with this tree's package, and with
 ``DIR/src`` in a child process.  For each file that moved it prints the
 largest absolute and the largest relative numeric change, where it occurs
 (the row and column of a CSV file, the key path of a JSON one) and the
 value in DIR's file and in this tree's.
+
+``--reach`` runs the commands under ``sys.setprofile`` and prints each
+function and method written in a package module that none of them calls:
+code that only the tests reach, or nothing does.
 
 This script is the only writer of the manifest, and it writes only when
 given ``--write``.  ``tests/test_golden.py`` runs the comparison inside the
@@ -116,6 +121,59 @@ def run(workdir: Path) -> dict[str, dict]:
             "files": {p.relative_to(out).as_posix(): _sha256(p.read_bytes()) for p in files},
         }
     return results
+
+
+def package_functions() -> dict[object, str]:
+    """Code object -> "module.qualname" of each function and method written
+    in a package module (properties' accessors and cached functions
+    included; code a class or a function makes at run time is not)."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import liegate
+
+    out, seen = {}, set()
+    for info in pkgutil.iter_modules(liegate.__path__):
+        module = importlib.import_module(f"liegate.{info.name}")
+        stack = list(vars(module).values())
+        while stack:
+            obj = stack.pop()
+            if id(obj) in seen:
+                continue
+            seen.add(id(obj))
+            if isinstance(obj, type) and obj.__module__ == module.__name__:
+                stack += vars(obj).values()
+            elif isinstance(obj, property):
+                stack += [obj.fget, obj.fset, obj.fdel]
+            elif isinstance(obj, (staticmethod, classmethod)):
+                stack.append(obj.__func__)
+            elif callable(obj) and hasattr(inspect.unwrap(obj), "__code__"):
+                code = inspect.unwrap(obj).__code__
+                if code.co_filename == module.__file__:
+                    out[code] = f"{info.name}.{obj.__qualname__}"
+    return out
+
+
+def reach(workdir: Path) -> list[str]:
+    """The names of the package functions that no command calls, sorted:
+    ``run`` into ``workdir`` under a profile hook that records the code of
+    every Python call.  The package must not be loaded yet, so that the
+    hook also sees the calls its modules make as they load."""
+    if "liegate" in sys.modules:
+        raise RuntimeError("reach needs a process that has not loaded liegate")
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        run(workdir)
+    finally:
+        sys.setprofile(None)
+    return sorted(name for code, name in package_functions().items() if code not in called)
 
 
 def moved(expected: dict[str, dict], actual: dict[str, dict], detail=None) -> list[str]:
@@ -236,9 +294,16 @@ def main(argv: list[str] | None = None) -> int:
                       help="rewrite tests/golden.json from this tree")
     mode.add_argument("--against", metavar="DIR", type=Path,
                       help="compare this tree with the tree at DIR, file by file")
+    mode.add_argument("--reach", action="store_true",
+                      help="list the package functions that no command calls")
     args = parser.parse_args(argv)
     if args.against is not None:
         return against(args.against)
+    if args.reach:
+        with tempfile.TemporaryDirectory() as tmp:
+            unreached = reach(Path(tmp))
+        print("\n".join([*unreached, f"{len(unreached)} package functions no command calls"]))
+        return 0
     with tempfile.TemporaryDirectory() as tmp:
         actual = run(Path(tmp))
     if args.write:

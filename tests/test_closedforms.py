@@ -10,11 +10,9 @@ from liegate import closedforms, ode, paramflow
 from liegate.closedforms import (
     _efield_addends,
     _sum_addends,
-    bfield_sin_params,
     bfield_sin_params_at,
     efield_const_b_params,
     efield_derived_constants,
-    ion_trap_params,
     ion_trap_params_at,
     kanai_caldirola_params,
     mathieu_c,
@@ -106,12 +104,13 @@ class TestReciprocalSquare:
                                      f"requested z={past}; parameters are singular there")
 
     def test_the_plural_forms_are_the_one_time_forms(self):
+        # many times from one solve are each time's own solve, bit for bit
         ts = (0.4, 0.0, 0.8, 0.2, 0.8)
         assert ion_trap_params_at(1.0, 1.0, 0.3, 5.0, ts) == \
-            [ion_trap_params(1.0, 1.0, 0.3, 5.0, t) for t in ts]
+            [ion_trap_params_at(1.0, 1.0, 0.3, 5.0, (t,))[0] for t in ts]
         for b0 in (2.0, 0.0):
             assert bfield_sin_params_at(1.0, b0, 3.0, 1.0, ts) == \
-                [bfield_sin_params(1.0, b0, 3.0, 1.0, t) for t in ts]
+                [bfield_sin_params_at(1.0, b0, 3.0, 1.0, (t,))[0] for t in ts]
         for plural in (lambda ts: ion_trap_params_at(1.0, 1.0, 0.3, 5.0, ts),
                        lambda ts: bfield_sin_params_at(1.0, 2.0, 3.0, 1.0, ts)):
             with pytest.raises(DomainError, match="t must be non-negative"):
@@ -123,13 +122,13 @@ class TestIonTrap:
         # k = 0, K = m Om0^2: alpha = Om0 tan(Om0 t)
         m, om0 = 1.0, 0.8
         t = 0.9
-        alpha, phi, beta = ion_trap_params(m, m * om0 * om0, 0.0, 5.0, t)
+        alpha, phi, beta = ion_trap_params_at(m, m * om0 * om0, 0.0, 5.0, (t,))[0]
         assert alpha == pytest.approx(om0 * math.tan(om0 * t), rel=1e-9)
         assert phi == pytest.approx(math.log(math.cos(om0 * t)), rel=1e-9)
         assert beta == pytest.approx(math.tan(om0 * t) / om0, rel=1e-9)
 
     def test_zero_time(self):
-        assert ion_trap_params(1.0, 1.0, 0.3, 5.0, 0.0) == (0.0, 0.0, 0.0)
+        assert ion_trap_params_at(1.0, 1.0, 0.3, 5.0, (0.0,))[0] == (0.0, 0.0, 0.0)
 
     def test_matches_route1_solver(self):
         m, big_k, small_k, omega = 1.0, 1.0, 0.3, 5.0
@@ -138,7 +137,7 @@ class TestIonTrap:
         )
         tr = paramflow.solve_path1(cs, 0.5, tol=1e-12)
         t = 0.4
-        alpha, phi, beta = ion_trap_params(m, big_k, small_k, omega, t)
+        alpha, phi, beta = ion_trap_params_at(m, big_k, small_k, omega, (t,))[0]
         s = tr.sample(t)
         assert alpha == pytest.approx(s.alpha, abs=1e-8)
         assert phi == pytest.approx(s.phi, abs=1e-8)
@@ -147,7 +146,7 @@ class TestIonTrap:
     def test_caustic_detected(self):
         # static oscillator focuses at t = pi/(2 Om0)
         with pytest.raises(CausticError):
-            ion_trap_params(1.0, 1.0, 0.0, 5.0, 2.0)
+            ion_trap_params_at(1.0, 1.0, 0.0, 5.0, (2.0,))
 
 
 class TestKanaiCaldirola:
@@ -221,13 +220,13 @@ class TestKanaiCaldirola:
 
 class TestBFieldSin:
     def test_zero_field_is_free(self):
-        alpha, phi, beta, theta = bfield_sin_params(1.0, 0.0, 3.0, 1.0, 1.2)
+        alpha, phi, beta, theta = bfield_sin_params_at(1.0, 0.0, 3.0, 1.0, (1.2,))[0]
         assert (alpha, phi, theta) == (0.0, 0.0, 0.0)
         assert beta == pytest.approx(1.2, rel=1e-12)
 
     def test_theta_at_half_drive_period(self):
         m, b0, omega, q = 1.0, 2.0, 3.0, 1.0
-        _, _, _, theta = bfield_sin_params(m, b0, omega, q, math.pi / omega)
+        _, _, _, theta = bfield_sin_params_at(m, b0, omega, q, (math.pi / omega,))[0]
         assert theta == pytest.approx(q * b0 / m / omega, rel=1e-12)
 
     def test_matches_planar_solver(self):
@@ -235,7 +234,7 @@ class TestBFieldSin:
         field = FieldProfile2D.build(m=m, B=Sinusoid(b0, omega), K=0.0, charge=q)
         tr = paramflow.solve_2d(field, 1.0, tol=1e-12, path="path1")
         for t in (0.3, 0.7, 1.0):
-            alpha, phi, beta, theta = bfield_sin_params(m, b0, omega, q, t)
+            alpha, phi, beta, theta = bfield_sin_params_at(m, b0, omega, q, (t,))[0]
             rec = tr.sample(t)
             r = rec["radial"]
             assert alpha == pytest.approx(r.alpha, abs=1e-8)
@@ -353,7 +352,7 @@ def test_closed_forms_match_paramflow_everywhere():
     cs = CoefficientSet1D.build(a=1.0, c=Sinusoid(0.3, 5.0, math.pi / 2, 1.0))
     tr = paramflow.solve_path1(cs, 1.0, tol=1e-12)
     for t in np.linspace(0.1, 1.0, 7):
-        alpha, phi, beta = ion_trap_params(1.0, 1.0, 0.3, 5.0, float(t))
+        alpha, phi, beta = ion_trap_params_at(1.0, 1.0, 0.3, 5.0, (float(t),))[0]
         s = tr.sample(float(t))
         scale = max(1.0, abs(s.alpha), abs(s.beta))
         assert abs(alpha - s.alpha) / scale < 1e-6

@@ -7,9 +7,9 @@ The same source scan checks that no module but ``cli`` opens a file,
 that no module imports scipy, that
 ``verify`` checks only solvers the CLI calls, that no module but
 ``paramflow`` names a route's solver, and that the presets import
-none of the checks, that only ``paramflow`` and ``maps`` read a
-trajectory's solutions, and the benchmark's span recorder still finds
-every name it wraps.
+none of the checks, that only ``paramflow`` reads a trajectory's
+solutions, that no module imports another's private name, and the
+benchmark's span recorder still finds every name it wraps.
 """
 
 import ast
@@ -149,23 +149,30 @@ def test_verify_checks_the_solvers_the_cli_ships():
 SOLUTIONS = {"_base", "_riccati", "_dense", "_a", "_c"}
 
 
-def solution_reads(path: str) -> list[int]:
+def solution_reads(path: str, own: bool = False) -> list[int]:
     """The line of each read of a SOLUTIONS attribute of an object other
-    than ``self``: an object's own private fields are its own business."""
+    than ``self`` (an object's own private fields are its own business),
+    and, if ``own``, of ``self``'s too."""
     return [node.lineno for node in ast.walk(ast.parse(pathlib.Path(path).read_text()))
             if isinstance(node, ast.Attribute) and node.attr in SOLUTIONS
-            and not (isinstance(node.value, ast.Name) and node.value.id == "self")]
+            and (own or not (isinstance(node.value, ast.Name) and node.value.id == "self"))]
 
 
-@pytest.mark.parametrize("name", [m for m in MODULES if m not in ("paramflow", "maps")])
+@pytest.mark.parametrize("name", [m for m in MODULES if m != "paramflow"])
 def test_only_paramflow_and_maps_read_trajectory_solutions(name):
-    # paramflow solves and samples, maps reads the Heisenberg map; the kernels
-    # and everything else take what those two return
+    # paramflow solves, samples and reads the Heisenberg map's parts; maps,
+    # the kernels and everything else take what it returns
     assert solution_reads(importlib.import_module(f"liegate.{name}").__file__) == []
 
 
-def test_the_solution_scan_sees_the_map_reads():
-    assert solution_reads(importlib.import_module("liegate.maps").__file__) != []
+def test_the_solution_scan_sees_the_map_reads(tmp_path):
+    # the trajectories read their own solves; another object's read counts
+    # without ``own``
+    paramflow = importlib.import_module("liegate.paramflow").__file__
+    assert solution_reads(paramflow, own=True) != []
+    source = tmp_path / "reader.py"
+    source.write_text("def f(tr, t):\n    return tr._riccati(t), tr._a\n")
+    assert solution_reads(str(source)) == [2, 2]
 
 
 def package_imports(path: str) -> set[str]:
@@ -175,6 +182,29 @@ def package_imports(path: str) -> set[str]:
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             names.update([node.module] if node.module else [a.name for a in node.names])
     return names
+
+
+def private_imports(path: str) -> list[str]:
+    """``line name`` of each ``_``-prefixed name the module's source imports
+    from another package module."""
+    return [f"{node.lineno} {alias.name}"
+            for node in ast.walk(ast.parse(pathlib.Path(path).read_text()))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names if alias.name.startswith("_")]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_no_module_imports_another_modules_private_name(name):
+    # a private name is its module's own business: what a module needs of
+    # another is public, or a method of the object it was handed
+    assert private_imports(importlib.import_module(f"liegate.{name}").__file__) == []
+
+
+def test_the_private_import_scan_sees_nested_imports(tmp_path):
+    source = tmp_path / "private.py"
+    source.write_text("from .maps import _parts, assemble_2d\nfrom . import ode\n\n"
+                      "def f():\n    from .paramflow import ParamSample, _check_solved\n")
+    assert private_imports(str(source)) == ["1 _parts", "5 _check_solved"]
 
 
 def test_presets_do_not_depend_on_the_checks():

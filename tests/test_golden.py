@@ -1,10 +1,18 @@
 """Byte-identical outputs: the CLI's files, stdout and exit codes for a
 fixed set of commands against the hashes in ``tests/golden.json``
-(written by ``tests/golden.py --write``)."""
+(written by ``tests/golden.py --write``), and the functions those commands
+reach."""
+
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
 import golden
+
+GOLDEN = pathlib.Path(golden.__file__)
 
 
 def test_outputs_match_the_golden_manifest(tmp_path):
@@ -36,3 +44,15 @@ def test_a_moved_file_names_its_largest_changes(tmp_path):
         "largest absolute change inf at final.b (nan -> 1.0); "
         "largest relative change inf at final.b (nan -> 1.0); "
         "1 other entries added, removed or changed")
+
+
+def test_reach_lists_the_functions_no_command_calls():
+    # a process of its own, so that the calls the modules make as they load
+    # are seen; the planar apply has no shipped caller, the map read has
+    child = subprocess.run([sys.executable, str(GOLDEN), "--reach"], capture_output=True,
+                           text=True, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
+    assert child.returncode == 0, child.stderr
+    *unreached, count = child.stdout.splitlines()
+    assert count == f"{len(unreached)} package functions no command calls"
+    assert "greens._planar_sum" in unreached
+    assert "paramflow.ParamTrajectory._map_parts" not in unreached

@@ -502,7 +502,7 @@ def sample_kernel(traj, t: float) -> GaussianKernel:
     s = traj.sample(t)
     if isinstance(traj, paramflow.ParamTrajectory2D):
         (g_qq, g_qp), (_, g_pp) = radial_entries(traj.radial, t)
-        rot, action = np.array(maps._rotation(s["theta"])), s["S"]
+        rot, action = np.array(paramflow._rotation(s["theta"])), s["S"]
         lam, pi = np.array([s["lam_x"], s["lam_y"]]), np.array([s["Pi_x"], s["Pi_y"]])
     else:
         (g_qq, g_qp), (_, g_pp) = radial_entries(traj, t)
@@ -564,6 +564,19 @@ class TestKernelsReadTheMap:
                 with pytest.raises(DomainError) as err:
                     kernel_build(tr, t, variant)
                 assert str(err.value) == f"t={t} outside the solved interval [0, {tr.t_end}]"
+
+    def test_an_infinite_time_without_a_focal_time_is_outside_the_solve(self, cases):
+        # valid_to = inf is no focal time: t = inf is refused as the map
+        # refuses it, not as a caustic
+        free = paramflow.solve_path1(CoefficientSet1D.build(a=1.0, c=0.0), 1.0)
+        with pytest.raises(DomainError) as refused:
+            maps.assemble_path1(free, math.inf)
+        for variant, tr in [("path1", free), *cases]:
+            with pytest.raises(DomainError) as err:
+                kernel_build(tr, math.inf, variant)
+            assert type(err.value) is DomainError
+            assert str(err.value) == f"t=inf outside the solved interval [0, {tr.t_end}]"
+        assert str(refused.value) == "t=inf outside the solved interval [0, 1.0]"
 
 
 def direct_apply(kernel, psi0):

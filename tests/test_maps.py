@@ -124,7 +124,7 @@ class TestPlanarAssembly:
         assert np.allclose(smap.M, expected, atol=1e-10)
 
     def test_sin_field_mathieu_blocks(self):
-        from liegate.closedforms import bfield_sin_params, mathieu_c
+        from liegate.closedforms import bfield_sin_params_at, mathieu_c
 
         m, b0, omega, q = 1.0, 2.0, 3.0, 1.0
         field = FieldProfile2D.build(m=m, B=Sinusoid(b0, omega), K=0.0, charge=q)
@@ -134,7 +134,7 @@ class TestPlanarAssembly:
         omega_c = q * b0 / m
         ev = mathieu_c(omega_c**2 / (8 * omega**2), omega_c**2 / (16 * omega**2),
                        omega * t)
-        _, _, beta, theta = bfield_sin_params(m, b0, omega, q, t)
+        _, _, beta, theta = bfield_sin_params_at(m, b0, omega, q, (t,))[0]
         g_qq = ev.C
         g_qp = ev.C * beta / m
         rot = np.array([[math.cos(theta), -math.sin(theta)],
@@ -234,7 +234,7 @@ class TestPlanarMapsEqualKron:
                 for t in times:
                     m = assemble_2d(tr, t).M
                     kron = np.kron(radial_entries(tr.radial, t),
-                                   maps._rotation(tr.sample(t)["theta"]))
+                                   paramflow._rotation(tr.sample(t)["theta"]))
                     assert m.tobytes() == kron.tobytes(), (path, t)
                     signed_zeros += int(np.sum((m == 0.0) & np.signbit(m)))
         assert crossed == set(range(6))
@@ -266,7 +266,7 @@ def sample_map(tr, t: float) -> tuple[np.ndarray, np.ndarray]:
     sample of ``tr``."""
     s = tr.sample(t)
     if isinstance(tr, paramflow.ParamTrajectory2D):
-        return (np.kron(radial_entries(tr.radial, t), maps._rotation(s["theta"])),
+        return (np.kron(radial_entries(tr.radial, t), paramflow._rotation(s["theta"])),
                 np.array([s["lam_x"], s["lam_y"], -s["Pi_x"], -s["Pi_y"]]))
     return radial_entries(tr, t), np.array([s.lam, -s.Pi])
 

@@ -185,8 +185,8 @@ def test_terminal_events_and_failures_solve_as_scipy_does(recorded, monkeypatch)
     assert tr._riccati_t_end < 3.0
     # the Mathieu cosine vanishes first (terminal event without dense output)
     with pytest.raises(CausticError):
-        closedforms.ion_trap_params(1.0, 1.0, 0.3, 5.0, 3.0)
-    closedforms.bfield_sin_params(1.0, 2.0, 3.0, 1.0, 0.4)
+        closedforms.ion_trap_params_at(1.0, 1.0, 0.3, 5.0, (3.0,))
+    closedforms.bfield_sin_params_at(1.0, 2.0, 3.0, 1.0, (0.4,))
     closedforms.mathieu_c(2.0, 0.5, 1.0)
     # step-size underflow at a pole of c
     sing = Derived(fn=lambda t: 1.0 / (1.02 - t) ** 2, dfn=lambda t: 2.0 / (1.02 - t) ** 3)

@@ -69,6 +69,9 @@ def test_each_command_loads_only_what_it_runs(tmp_path):
     # the kernel, the oracle's grids and verify's checks only where they run
     assert {"liegate.greens", "liegate.verify"} & loaded["params"] == set()
     assert "liegate.verify" not in loaded["kernel"]
+    # the kernels read the map's parts from the trajectory, so neither
+    # command needs the assemblers
+    assert [name for name in ("params", "kernel") if "liegate.maps" in loaded[name]] == []
 
 
 def test_the_exact_algebra_loads_no_numpy():
