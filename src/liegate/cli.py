@@ -323,8 +323,8 @@ def cmd_kernel(cfg: dict, out_dir: str, apply_spec: str | None) -> int:
 def cmd_verify(out_dir: str, seed: int, corrupt_map: bool) -> int:
     from . import verify  # with it the oracle and the closed forms
 
+    _make_out(out_dir)   # a completed run writes its report, passed or failed
     results = verify.run_suite(seed=seed, corrupt_map=corrupt_map)
-    _make_out(out_dir)
     report = {
         "seed": seed,
         "all_passed": all(r.passed for r in results),

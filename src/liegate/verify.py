@@ -9,15 +9,31 @@ ingredients are driven by a caller-supplied seed so reports are
 reproducible byte for byte.
 The acceptance tests run the same checks with their own seeds, system
 counts and time grids, given as arguments; the defaults are the suite's.
+
+The oracle flows the checks compare against (fundamental matrices and
+classical flows) share no state with the parameter solves, so the checks
+declare them beside their reads and one forked worker process makes them
+while the solves run (``_Worker``).  Where ``os.fork`` is missing, or
+another Python thread runs, the same function makes them in process
+before the solves.  Each flow is pickled and loaded again on either path,
+so report.json is the same, byte for byte.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import os
+import pickle
+import signal
+import tempfile
+import threading
+import warnings
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction as F
+from typing import NamedTuple
 
 import numpy as np
 
@@ -141,6 +157,89 @@ def _cases(seed: int, systems: dict, names, n_random: int, positive_c: bool = Fa
                                                 for _ in range(n_random)]
 
 
+class Flow(NamedTuple):
+    """An oracle flow that a check declares beside its reads, the call
+    ``oracle.<kind>(system, *args, tol=1e-12)``."""
+
+    kind: str
+    system: object
+    args: tuple
+
+
+def _write_flows(flows, out):
+    """Make each flow of ``flows`` in turn and pickle it into ``out``: its
+    FlowResult, or the exception it raised.  One is alive at a time."""
+    for kind, system, args in flows:
+        try:
+            made = getattr(oracle, kind)(system, *args, tol=1e-12)
+        except Exception as err:
+            made = err
+        pickle.dump(made, out, pickle.HIGHEST_PROTOCOL)
+    out.flush()
+
+
+class _Worker:
+    """The declared flows, written by ``_write_flows`` into an unnamed
+    temporary file and read back one by one, in declaration order.  Where
+    the process can fork (``os.fork`` exists and no other Python thread
+    runs), a forked worker writes them while the parent goes on, and the
+    first read waits for it; else they are written here, before the
+    parameter solves.  Either way each flow is pickled and unpickled, so
+    the checks read the same bits."""
+
+    def __init__(self, flows: list):
+        self.flows, self.taken, self.code = flows, 0, 0
+        self.file = tempfile.TemporaryFile()
+        self.pid = 0
+        if not (hasattr(os, "fork") and threading.active_count() == 1):
+            _write_flows(flows, self.file)
+            self.file.seek(0)
+            return
+        with warnings.catch_warnings():
+            # Python >= 3.12 warns of a fork while other threads run, and
+            # OpenBLAS's own pool counts; OpenBLAS re-initialises that pool
+            # in the child, and the worker starts no thread of its own
+            warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                    DeprecationWarning)
+            self.pid = os.fork()
+        if self.pid == 0:   # the worker: write the flows, then leave without unwinding
+            status = 1
+            try:
+                _write_flows(flows, self.file)
+                status = 0
+            finally:
+                os._exit(status)
+
+    def take(self):
+        """The next flow as the worker made it: its FlowResult, or the
+        exception it raised, raised here."""
+        kind, _, args = self.flows[self.taken]
+        if self.pid:
+            _, status = os.waitpid(self.pid, 0)
+            self.pid, self.code = 0, os.waitstatus_to_exitcode(status)
+            self.file.seek(0)
+        if self.code:
+            how = (f"was killed by signal {-self.code}" if self.code < 0
+                   else f"exited with status {self.code}")
+            raise RuntimeError(f"the oracle worker {how} before it wrote flow {self.taken + 1} "
+                               f"of {len(self.flows)}, the {kind} to t_end={args[-1]}")
+        made = pickle.load(self.file)
+        self.taken += 1
+        if self.taken == len(self.flows):
+            self.close()
+        if isinstance(made, Exception):
+            raise made
+        return made
+
+    def close(self):
+        """Stop a worker that was not waited for, and let the file go."""
+        if self.pid:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = 0
+        self.file.close()
+
+
 class _Solves:
     """The checks' parameter solves at tol 1e-12, made for the reads that
     the checks declare as plans ``(reads_of, *args)``: ``reads_of(systems,
@@ -152,15 +251,39 @@ class _Solves:
     read is that solve cut at the read's horizon (``until``), bit for bit the
     solve to that horizon; between reads the store holds it cut at the
     longest horizon still to be read.  An undeclared plan or read raises.
+
+    A group may instead declare oracle flows (``Flow``).  They share no
+    state with the parameter solves, so a worker makes them all as the store
+    is built (see ``_Worker``), and ``flow`` serves them in declaration
+    order; an undeclared flow raises.  ``close``, or the end of a ``with``
+    block, stops a worker whose flows were not all read; so does letting
+    the store go.
     """
 
     def __init__(self, *plans):
         systems, fields = suite_systems(), suite_fields()
         self.plans = [(plan, plan[0](systems, fields, *plan[1:])) for plan in plans]
-        self._to_come, self._held = {}, {}
+        self._to_come, self._held, flows = {}, {}, []
         for _, groups in self.plans:
-            for system, route, horizon in itertools.chain(*groups):
-                self._to_come.setdefault((system, route), Counter())[horizon] += 1
+            for item in itertools.chain(*groups):
+                if isinstance(item, Flow):
+                    flows.append(item)
+                else:
+                    system, route, horizon = item
+                    self._to_come.setdefault((system, route), Counter())[horizon] += 1
+        self._worker = _Worker(flows) if flows else None
+        self._release = weakref.finalize(self, self._worker.close) if flows else None
+
+    def close(self):
+        """Stop the worker, if its flows were not all read, and let its file go."""
+        if self._release:
+            self._release()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
 
     def read(self, system, route: str, t_end: float):
         """The trajectory of ``system``'s ``route`` on [0, t_end], a declared read."""
@@ -174,6 +297,14 @@ class _Solves:
         if to_come:
             self._held[key] = traj.until(max(to_come))
         return traj.until(t_end)
+
+    def flow(self, kind: str, system, *args):
+        """``oracle.<kind>(system, *args, tol=1e-12)``, the next declared flow."""
+        worker = self._worker
+        if not (worker and worker.taken < len(worker.flows)
+                and worker.flows[worker.taken] == Flow(kind, system, args)):
+            raise LookupError(f"no declared {kind} to t_end={args[-1]} is next")
+        return worker.take()
 
 
 def _serve(solves: _Solves | None, *plan) -> tuple:
@@ -324,25 +455,33 @@ def _map_gaps(part: str, assemble, traj, fm, times: Grid) -> list:
 
 
 def _oracle_reads(systems, fields) -> tuple:
-    return ([(cs, "path1", ORACLE_T_END) for cs in systems.values()],
-            [(fp, PLANAR_ROUTES[name], PLANAR_ORACLE_T_END) for name, fp in fields.items()])
+    """Each system's solve, then its fundamental matrix to the same horizon."""
+    line = [(cs, "path1", ORACLE_T_END) for cs in systems.values()]
+    planar = [(fp, PLANAR_ROUTES[name], PLANAR_ORACLE_T_END) for name, fp in fields.items()]
+    return line, planar, [Flow("fundamental_matrix", system, (t_end,))
+                          for system, _, t_end in line + planar]
 
 
 def check_oracle_maps(times: Grid = Grid(0.0, 12, 1), planar_times: Grid = Grid(0.0, 8, 1),
                       solves: _Solves | None = None) -> CheckResult:
-    solves, (line, planar) = _serve(solves, _oracle_reads)
+    solves, (line, planar, _) = _serve(solves, _oracle_reads)
     rows = []
     for part, assemble, reads, grid in (("1d", maps.assemble_path1, line, times),
                                         ("planar", maps.assemble_2d, planar, planar_times)):
         for system, route, t_end in reads:
             rows += _map_gaps(part, assemble, solves.read(system, route, t_end),
-                              oracle.fundamental_matrix(system, t_end, tol=1e-12), grid)
+                              solves.flow("fundamental_matrix", system, t_end), grid)
     return _verdict("oracle_map_equivalence", 1e-7, rows, dict.fromkeys(("1d", "planar"), 1e-7))
 
 
 def _classical_reads(systems, fields, seed: int, n_random: int) -> tuple:
-    return ([(cs, "path1", SUITE_T_END) for cs in _cases(seed, systems, ("lp",), n_random)],
-            [(fields["efield"], PLANAR_ROUTES["efield"], SUITE_T_END)])
+    """Each system's solve, then its classical flow from the phase-space
+    origin to the same horizon."""
+    line = [(cs, "path1", SUITE_T_END) for cs in _cases(seed, systems, ("lp",), n_random)]
+    planar = [(fields["efield"], PLANAR_ROUTES["efield"], SUITE_T_END)]
+    return line, planar, [Flow("classical_flow", system, ((0.0,) * dim, t_end))
+                          for dim, reads in ((2, line), (4, planar))
+                          for system, _, t_end in reads]
 
 
 def check_classical_identification(seed: int, n_random: int = CLASSICAL_DRAWS,
@@ -350,14 +489,14 @@ def check_classical_identification(seed: int, n_random: int = CLASSICAL_DRAWS,
                                    solves: _Solves | None = None) -> CheckResult:
     """Route 1's and the planar solve's (lam, -Pi) against the classical flow
     from the phase-space origin."""
-    solves, groups = _serve(solves, _classical_reads, seed, n_random)
+    solves, (*groups, _) = _serve(solves, _classical_reads, seed, n_random)
     rows = []
     parts = (("1d", 2, lambda s: (s.lam, -s.Pi)),
              ("planar", 4, lambda rec: (rec["lam_x"], rec["lam_y"], -rec["Pi_x"], -rec["Pi_y"])))
     for (part, dim, target), reads in zip(parts, groups):
         for system, route, t_end in reads:
             traj = solves.read(system, route, t_end)
-            flow = oracle.classical_flow(system, np.zeros(dim), t_end, tol=1e-12)
+            flow = solves.flow("classical_flow", system, (0.0,) * dim, t_end)
             rows += [{part: float(np.max(np.abs(
                 flow.at(float(t)) - np.array(target(traj.sample(float(t)))))))}
                 for t in times.up_to(t_end)]
@@ -483,20 +622,21 @@ def check_kernels(solves: _Solves | None = None) -> CheckResult:
 
 
 def run_suite(seed: int = 0, corrupt_map: bool = False) -> list[CheckResult]:
-    """Every check at its default arguments, with one store of the reads that
-    the solving checks declare there: each (system, route) is solved once."""
-    solves = _Solves((_symplectic_reads, seed, SYMPLECTIC_DRAWS),
-                     (_paired_reads, seed, PATH_DRAWS), (_oracle_reads,),
-                     (_classical_reads, seed, CLASSICAL_DRAWS),
-                     (_closed_form_reads, CLOSED_FORM_TIMES), (_kernel_reads,))
-    return [
-        check_structure_constants(),
-        check_algebra_properties(seed),
-        check_symplectic(seed, corrupt=corrupt_map, solves=solves),
-        check_path_equivalence(seed, solves=solves),
-        check_oracle_maps(solves=solves),
-        check_classical_identification(seed, solves=solves),
-        check_closed_forms(solves=solves),
-        check_mathieu(),
-        check_kernels(solves=solves),
-    ]
+    """Every check at its default arguments, with one store of the reads and
+    flows that the solving checks declare there: each (system, route) is
+    solved once, and the oracle flows are made beside the solves."""
+    with _Solves((_symplectic_reads, seed, SYMPLECTIC_DRAWS),
+                 (_paired_reads, seed, PATH_DRAWS), (_oracle_reads,),
+                 (_classical_reads, seed, CLASSICAL_DRAWS),
+                 (_closed_form_reads, CLOSED_FORM_TIMES), (_kernel_reads,)) as solves:
+        return [
+            check_structure_constants(),
+            check_algebra_properties(seed),
+            check_symplectic(seed, corrupt=corrupt_map, solves=solves),
+            check_path_equivalence(seed, solves=solves),
+            check_oracle_maps(solves=solves),
+            check_classical_identification(seed, solves=solves),
+            check_closed_forms(solves=solves),
+            check_mathieu(),
+            check_kernels(solves=solves),
+        ]

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import gc
 import hashlib
 import io
 import itertools
@@ -9,6 +10,7 @@ import json
 import math
 import os
 import pathlib
+import signal
 import subprocess
 import sys
 import tempfile
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 
 from liegate import cli, closedforms, greens, maps, ode, oracle, paramflow, quadops, verify
 from liegate.coeffs import CoefficientSet1D, Derived
+from liegate.errors import IntegrationError
 from liegate.oracle import gaussian_state
 from liegate.verify import suite_fields, suite_systems
 
@@ -342,6 +345,20 @@ def counted_solves(monkeypatch) -> list:
     return calls
 
 
+def made_workers(monkeypatch) -> list:
+    """Every oracle worker a verify store makes from now on; each holds
+    the flows declared to it."""
+    made = []
+
+    class Recorded(verify._Worker):
+        def __init__(self, flows):
+            made.append(self)
+            super().__init__(flows)
+
+    monkeypatch.setattr(verify, "_Worker", Recorded)
+    return made
+
+
 def first_entry_nan(frame):
     frame = frame.copy()
     frame.flat[0] = math.nan
@@ -425,14 +442,16 @@ class TestVerify:
         # among them since sho shifted is sho; iontrap's at four; efield's
         # planar solve at three), each (a, q, tol) of the Mathieu check
         # once, to z = 3, and the iontrap and bsin closed forms one crossing
-        # probe and one 1/C^2 quadrature each, to their last sample time: 66
-        # solves, where a solve per read made 129; a second run shares
-        # nothing with the first
-        calls = counted_solves(monkeypatch)
+        # probe and one 1/C^2 quadrature each, to their last sample time: 54
+        # solves here, and the 12 oracle flows the checks declare (6
+        # fundamental matrices, 6 classical flows), all made by one worker:
+        # 66 where a solve per read made 129; a second run shares nothing
+        # with the first
+        calls, workers = counted_solves(monkeypatch), made_workers(monkeypatch)
         first = verify.run_suite(0)
-        assert len(calls) == 66
+        assert (len(calls), [len(w.flows) for w in workers]) == (54, [12])
         assert verify.run_suite(0) == first
-        assert len(calls) == 2 * 66
+        assert (len(calls), [len(w.flows) for w in workers]) == (2 * 54, [12, 12])
 
     def test_a_kernel_check_alone_solves_each_trajectory_once(self, monkeypatch):
         # sho's route 1 is read at 1.2, pi/4 * 1.05, 1.26 and, as its own
@@ -551,6 +570,87 @@ class TestVerify:
         err = json.loads(capsys.readouterr().out)["error"]
         assert err["type"] == "ConfigError" and err["field"] == "seed"
         assert not (out / "report.json").exists()
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(params=["forked", "in-process"])
+def worker_path(request, monkeypatch):
+    """The oracle worker forked, or run in process as where os.fork is missing."""
+    if request.param == "in-process":
+        monkeypatch.delattr(os, "fork", raising=False)
+    elif not hasattr(os, "fork"):
+        pytest.skip("os.fork is missing here")
+    return request.param
+
+
+class TestOracleWorker:
+    def test_a_run_leaves_no_worker_and_no_file(self, monkeypatch, worker_path):
+        workers = made_workers(monkeypatch)
+        verify.run_suite(0)
+        gc.collect()   # an unclosed file would warn here, an error under the suite's filters
+        assert [(w.pid, w.taken, w.file.closed) for w in workers] == [(0, 12, True)]
+        no_child_left()
+
+    def test_a_check_that_raises_before_the_first_flow_read_stops_the_worker(
+            self, monkeypatch, worker_path):
+        def spoiled(*args, **kwargs):
+            raise RuntimeError("spoiled")
+
+        monkeypatch.setattr(verify, "check_path_equivalence", spoiled)
+        workers = made_workers(monkeypatch)
+        with pytest.raises(RuntimeError, match="spoiled"):
+            verify.run_suite(0)
+        gc.collect()
+        assert [(w.pid, w.taken, w.file.closed) for w in workers] == [(0, 0, True)]
+        no_child_left()
+
+    def test_a_killed_worker_fails_the_run_naming_the_flow(self, monkeypatch, capsys, tmp_path):
+        if not hasattr(os, "fork"):
+            pytest.skip("os.fork is missing here")
+        parent = os.getpid()
+
+        def killed(flows, out):
+            if os.getpid() == parent:
+                raise AssertionError("the flows were made in process")
+            os.kill(os.getpid(), signal.SIGKILL)
+
+        monkeypatch.setattr(verify, "_write_flows", killed)
+        assert cli.main(["verify", "--seed", "0", "--out", str(tmp_path)]) == 5
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert (err["type"], err["message"]) == (
+            "RuntimeError", f"the oracle worker was killed by signal {int(signal.SIGKILL)} before "
+                            "it wrote flow 1 of 12, the fundamental_matrix to t_end=1.5")
+        gc.collect()
+        no_child_left()
+
+    def test_a_flow_that_raises_raises_the_same_at_its_read(self, monkeypatch, worker_path):
+        def failing(system, t_end, tol):
+            raise IntegrationError("fundamental matrix integration failed: spoiled",
+                                   last_time=0.25)
+
+        monkeypatch.setattr(oracle, "fundamental_matrix", failing)
+        with pytest.raises(IntegrationError) as err:
+            verify.check_oracle_maps()
+        assert (str(err.value), err.value.last_time) == (
+            "fundamental matrix integration failed: spoiled", 0.25)
+        gc.collect()
+        no_child_left()
+
+    def test_an_undeclared_flow_raises(self):
+        with verify._Solves((verify._oracle_reads,)) as solves:
+            [(_, (line, _, _))] = solves.plans
+            lp, sho = line[0][0], line[1][0]
+            with pytest.raises(LookupError, match="no declared classical_flow to t_end=1.5"):
+                solves.flow("classical_flow", lp, (0.0, 0.0), 1.5)
+            # the flows come in declaration order: lp's first, then sho's
+            with pytest.raises(LookupError, match="no declared fundamental_matrix to t_end=1.5"):
+                solves.flow("fundamental_matrix", sho, 1.5)
+            assert solves.flow("fundamental_matrix", lp, 1.5).t_end == 1.5
+        no_child_left()
 
 
 class TestConstants:
@@ -1006,15 +1106,25 @@ def test_an_out_at_or_under_a_file_is_refused_before_any_work(tmp_path, capsys, 
     assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == "kept"
 
 
-def test_an_out_that_cannot_be_made_is_config_error(tmp_path, capsys, monkeypatch):
-    def denied(path, exist_ok=False):
-        raise PermissionError(13, "Permission denied", path)
+def denied(path, exist_ok=False):
+    raise PermissionError(13, "Permission denied", path)
 
+
+def test_an_out_that_cannot_be_made_is_config_error(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(os, "makedirs", denied)
     assert cli.main(["constants", "--algebra", "lp", "--out", str(tmp_path / "x")]) == 2
     err = json.loads(capsys.readouterr().out)["error"]
     assert (err["field"], err["message"]) == (
         "out", f"cannot create output directory {tmp_path / 'x'}: Permission denied")
+
+
+def test_verify_makes_its_out_before_the_suite(tmp_path, capsys, monkeypatch):
+    # the suite, and its oracle worker, would run for nothing
+    monkeypatch.setattr(os, "makedirs", denied)
+    monkeypatch.setattr(verify, "run_suite", no_solve)
+    assert cli.main(["verify", "--seed", "0", "--out", str(tmp_path / "x")]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert (err["type"], err["field"]) == ("ConfigError", "out")
 
 
 @pytest.mark.parametrize("command,name", [
