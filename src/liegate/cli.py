@@ -106,8 +106,12 @@ def _write(path: str, text: str):
 
 
 def _check_out(out_dir: str):
-    """Refuse an --out that is, or lies under, an existing non-directory, so
-    that no work is done for output that cannot be written; creates nothing."""
+    """Refuse an --out that is empty, or is or lies under an existing
+    non-directory, so that no work is done for output that cannot be
+    written; creates nothing."""
+    if not out_dir:
+        raise ConfigError("--out must name a directory, and the empty path '' is not one",
+                          field="out")
     path = os.path.abspath(out_dir)
     while not os.path.lexists(path):
         path = os.path.dirname(path)

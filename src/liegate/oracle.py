@@ -16,10 +16,10 @@ the pins of both.  Each evaluation makes A(t) as an array from a flat
 tuple of its entries, multiplies it with the state through the array's own
 ``.dot`` (``@``'s bits without its dispatch) and adds f(t) as floats.  A
 flow is read only inside [0, t_end], where its interpolant does not
-extrapolate.  ``liegate verify`` makes its flows in a forked worker
-process, or in process where it cannot fork, and hands each over pickled:
-a FlowResult holds only floats, arrays and the module-level reader of
-its method's steps.
+extrapolate.  A FlowResult crosses a process only on ``liegate verify``'s
+forked path, where a worker makes the suite's flows and hands each over
+pickled: it holds only floats, arrays and the module-level reader of its
+method's steps.  Elsewhere verify makes each flow where it reads it.
 
 The split-step solver deliberately refuses Hamiltonians with a nonzero
 (xp+px) coefficient: that term breaks the kinetic/potential splitting, and

@@ -11,12 +11,13 @@ The acceptance tests run the same checks with their own seeds, system
 counts and time grids, given as arguments; the defaults are the suite's.
 
 The oracle flows the checks compare against (fundamental matrices and
-classical flows) share no state with the parameter solves, so the checks
-declare them beside their reads and one forked worker process makes them
-while the solves run (``_Worker``).  Where ``os.fork`` is missing, or
-another Python thread runs, the same function makes them in process
-before the solves.  Each flow is pickled and loaded again on either path,
-so report.json is the same, byte for byte.
+classical flows) are declared reads like the parameter solves, and read
+through the same store.  They share no state with the parameter solves,
+so the suite's store, entered with ``with``, forks one worker process that
+makes them while the solves run (``_Worker``).  Any other store (a check
+called on its own, or the suite where it cannot fork) makes each flow at
+its read.  A pickled flow loads as the same bits, so report.json is the
+same, byte for byte.
 """
 
 from __future__ import annotations
@@ -29,11 +30,9 @@ import signal
 import tempfile
 import threading
 import warnings
-import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction as F
-from typing import NamedTuple
 
 import numpy as np
 
@@ -157,63 +156,58 @@ def _cases(seed: int, systems: dict, names, n_random: int, positive_c: bool = Fa
                                                 for _ in range(n_random)]
 
 
-class Flow(NamedTuple):
-    """An oracle flow that a check declares beside its reads, the call
-    ``oracle.<kind>(system, *args, tol=1e-12)``."""
-
-    kind: str
-    system: object
-    args: tuple
+# the oracle flows a check reads as (system, kind, t_end), made by ``_make_flow``
+ORACLE_FLOWS = ("fundamental_matrix", "classical_flow")
 
 
-def _write_flows(flows, out):
-    """Make each flow of ``flows`` in turn and pickle it into ``out``: its
-    FlowResult, or the exception it raised.  One is alive at a time."""
-    for kind, system, args in flows:
-        try:
-            made = getattr(oracle, kind)(system, *args, tol=1e-12)
-        except Exception as err:
-            made = err
-        pickle.dump(made, out, pickle.HIGHEST_PROTOCOL)
-    out.flush()
+def _make_flow(system, kind: str, t_end: float):
+    """``system``'s ``oracle.<kind>`` to ``t_end`` at tol 1e-12; a classical
+    flow starts from the phase-space origin."""
+    if kind == "classical_flow":
+        origin = (0.0,) * (4 if isinstance(system, FieldProfile2D) else 2)
+        return oracle.classical_flow(system, origin, t_end, tol=1e-12)
+    return oracle.fundamental_matrix(system, t_end, tol=1e-12)
 
 
 class _Worker:
-    """The declared flows, written by ``_write_flows`` into an unnamed
-    temporary file and read back one by one, in declaration order.  Where
-    the process can fork (``os.fork`` exists and no other Python thread
-    runs), a forked worker writes them while the parent goes on, and the
-    first read waits for it; else they are written here, before the
-    parameter solves.  Either way each flow is pickled and unpickled, so
-    the checks read the same bits."""
+    """A forked process that makes the declared oracle flows in declaration
+    order, pickles each (its FlowResult, or the exception it raised) into an
+    unnamed temporary file and exits.  The parent goes on with its solves,
+    waits for the worker at the first ``take`` and loads one flow per
+    ``take``, so one is alive at a time; a file, unlike a pipe, never stalls
+    the worker on a flow not yet read."""
 
     def __init__(self, flows: list):
-        self.flows, self.taken, self.code = flows, 0, 0
-        self.file = tempfile.TemporaryFile()
-        self.pid = 0
-        if not (hasattr(os, "fork") and threading.active_count() == 1):
-            _write_flows(flows, self.file)
-            self.file.seek(0)
-            return
+        self.file, self.code = tempfile.TemporaryFile(), 0
         with warnings.catch_warnings():
             # Python >= 3.12 warns of a fork while other threads run, and
             # OpenBLAS's own pool counts; OpenBLAS re-initialises that pool
             # in the child, and the worker starts no thread of its own
             warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
                                     DeprecationWarning)
-            self.pid = os.fork()
+            try:
+                self.pid = os.fork()
+            except OSError:   # no worker to hand the file to (EAGAIN, ENOMEM)
+                self.file.close()
+                raise
         if self.pid == 0:   # the worker: write the flows, then leave without unwinding
             status = 1
             try:
-                _write_flows(flows, self.file)
+                for flow in flows:
+                    try:
+                        made = _make_flow(*flow)
+                    except Exception as err:
+                        made = err
+                    pickle.dump(made, self.file, pickle.HIGHEST_PROTOCOL)
+                self.file.flush()
                 status = 0
             finally:
                 os._exit(status)
 
-    def take(self):
+    def take(self, what: str):
         """The next flow as the worker made it: its FlowResult, or the
-        exception it raised, raised here."""
-        kind, _, args = self.flows[self.taken]
+        exception it raised, raised here.  ``what`` names the flow in the
+        error if the worker died."""
         if self.pid:
             _, status = os.waitpid(self.pid, 0)
             self.pid, self.code = 0, os.waitstatus_to_exitcode(status)
@@ -221,18 +215,14 @@ class _Worker:
         if self.code:
             how = (f"was killed by signal {-self.code}" if self.code < 0
                    else f"exited with status {self.code}")
-            raise RuntimeError(f"the oracle worker {how} before it wrote flow {self.taken + 1} "
-                               f"of {len(self.flows)}, the {kind} to t_end={args[-1]}")
+            raise RuntimeError(f"the oracle worker {how} before it wrote {what}")
         made = pickle.load(self.file)
-        self.taken += 1
-        if self.taken == len(self.flows):
-            self.close()
         if isinstance(made, Exception):
             raise made
         return made
 
     def close(self):
-        """Stop a worker that was not waited for, and let the file go."""
+        """Stop the worker if it was not waited for, and let the file go."""
         if self.pid:
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
@@ -241,52 +231,56 @@ class _Worker:
 
 
 class _Solves:
-    """The checks' parameter solves at tol 1e-12, made for the reads that
-    the checks declare as plans ``(reads_of, *args)``: ``reads_of(systems,
-    fields, *args)`` is the groups of (system, route, horizon) reads that a
-    check's loops make, built once from one copy of the suite systems, and
-    ``_serve`` hands the check those very objects (lp's derived profiles and
-    the shifted systems compare by identity).  Each (system, route) is solved
-    at its first read, to the longest horizon it is declared at, and each
-    read is that solve cut at the read's horizon (``until``), bit for bit the
-    solve to that horizon; between reads the store holds it cut at the
-    longest horizon still to be read.  An undeclared plan or read raises.
-
-    A group may instead declare oracle flows (``Flow``).  They share no
-    state with the parameter solves, so a worker makes them all as the store
-    is built (see ``_Worker``), and ``flow`` serves them in declaration
-    order; an undeclared flow raises.  ``close``, or the end of a ``with``
-    block, stops a worker whose flows were not all read; so does letting
-    the store go.
+    """The reads that the checks declare as plans ``(reads_of, *args)``,
+    made at tol 1e-12: ``reads_of(systems, fields, *args)`` is the groups of
+    (system, route, horizon) reads that a check's loops make, built once
+    from one copy of the suite systems, and ``_serve`` hands the check those
+    very objects (lp's derived profiles and the shifted systems compare by
+    identity).  Each (system, route) is solved at its first read, to the
+    longest horizon it is declared at, and each read is that solve cut at
+    the read's horizon (``until``), bit for bit the solve to that horizon;
+    between reads the store holds it cut at the longest horizon still to be
+    read.  A route of ``ORACLE_FLOWS`` reads that oracle flow instead, in
+    declaration order.  The flows share no state with the solves, so
+    entering the store with ``with`` forks a worker that makes them all
+    while the solves run (see ``_Worker``), where ``os.fork`` exists and no
+    other Python thread runs; leaving it stops a worker not waited for.
+    Any other store makes each flow at its read.  An undeclared plan or
+    read raises.
     """
 
     def __init__(self, *plans):
         systems, fields = suite_systems(), suite_fields()
         self.plans = [(plan, plan[0](systems, fields, *plan[1:])) for plan in plans]
-        self._to_come, self._held, flows = {}, {}, []
+        self._to_come, self._held, self._flows = {}, {}, []
         for _, groups in self.plans:
-            for item in itertools.chain(*groups):
-                if isinstance(item, Flow):
-                    flows.append(item)
+            for system, route, horizon in itertools.chain(*groups):
+                if route in ORACLE_FLOWS:
+                    self._flows.append((system, route, horizon))
                 else:
-                    system, route, horizon = item
                     self._to_come.setdefault((system, route), Counter())[horizon] += 1
-        self._worker = _Worker(flows) if flows else None
-        self._release = weakref.finalize(self, self._worker.close) if flows else None
-
-    def close(self):
-        """Stop the worker, if its flows were not all read, and let its file go."""
-        if self._release:
-            self._release()
+        self._flows_read, self._worker = 0, None
 
     def __enter__(self):
+        if self._flows and hasattr(os, "fork") and threading.active_count() == 1:
+            self._worker = _Worker(self._flows)
         return self
 
     def __exit__(self, *exc):
-        self.close()
+        if self._worker:
+            self._worker.close()
 
     def read(self, system, route: str, t_end: float):
-        """The trajectory of ``system``'s ``route`` on [0, t_end], a declared read."""
+        """The trajectory of ``system``'s ``route`` on [0, t_end], or its
+        oracle flow of that kind to t_end; a declared read."""
+        if route in ORACLE_FLOWS:
+            n, flows = self._flows_read, self._flows
+            if n == len(flows) or flows[n] != (system, route, t_end):
+                raise LookupError(f"no declared {route} to t_end={t_end} is next")
+            self._flows_read += 1
+            if not self._worker:
+                return _make_flow(system, route, t_end)
+            return self._worker.take(f"flow {n + 1} of {len(flows)}, the {route} to t_end={t_end}")
         key = system, route
         to_come = self._to_come.get(key, Counter())
         if to_come[t_end] <= 0:
@@ -297,14 +291,6 @@ class _Solves:
         if to_come:
             self._held[key] = traj.until(max(to_come))
         return traj.until(t_end)
-
-    def flow(self, kind: str, system, *args):
-        """``oracle.<kind>(system, *args, tol=1e-12)``, the next declared flow."""
-        worker = self._worker
-        if not (worker and worker.taken < len(worker.flows)
-                and worker.flows[worker.taken] == Flow(kind, system, args)):
-            raise LookupError(f"no declared {kind} to t_end={args[-1]} is next")
-        return worker.take()
 
 
 def _serve(solves: _Solves | None, *plan) -> tuple:
@@ -458,7 +444,7 @@ def _oracle_reads(systems, fields) -> tuple:
     """Each system's solve, then its fundamental matrix to the same horizon."""
     line = [(cs, "path1", ORACLE_T_END) for cs in systems.values()]
     planar = [(fp, PLANAR_ROUTES[name], PLANAR_ORACLE_T_END) for name, fp in fields.items()]
-    return line, planar, [Flow("fundamental_matrix", system, (t_end,))
+    return line, planar, [(system, "fundamental_matrix", t_end)
                           for system, _, t_end in line + planar]
 
 
@@ -470,7 +456,7 @@ def check_oracle_maps(times: Grid = Grid(0.0, 12, 1), planar_times: Grid = Grid(
                                         ("planar", maps.assemble_2d, planar, planar_times)):
         for system, route, t_end in reads:
             rows += _map_gaps(part, assemble, solves.read(system, route, t_end),
-                              solves.flow("fundamental_matrix", system, t_end), grid)
+                              solves.read(system, "fundamental_matrix", t_end), grid)
     return _verdict("oracle_map_equivalence", 1e-7, rows, dict.fromkeys(("1d", "planar"), 1e-7))
 
 
@@ -479,9 +465,8 @@ def _classical_reads(systems, fields, seed: int, n_random: int) -> tuple:
     origin to the same horizon."""
     line = [(cs, "path1", SUITE_T_END) for cs in _cases(seed, systems, ("lp",), n_random)]
     planar = [(fields["efield"], PLANAR_ROUTES["efield"], SUITE_T_END)]
-    return line, planar, [Flow("classical_flow", system, ((0.0,) * dim, t_end))
-                          for dim, reads in ((2, line), (4, planar))
-                          for system, _, t_end in reads]
+    return line, planar, [(system, "classical_flow", t_end)
+                          for system, _, t_end in line + planar]
 
 
 def check_classical_identification(seed: int, n_random: int = CLASSICAL_DRAWS,
@@ -491,12 +476,12 @@ def check_classical_identification(seed: int, n_random: int = CLASSICAL_DRAWS,
     from the phase-space origin."""
     solves, (*groups, _) = _serve(solves, _classical_reads, seed, n_random)
     rows = []
-    parts = (("1d", 2, lambda s: (s.lam, -s.Pi)),
-             ("planar", 4, lambda rec: (rec["lam_x"], rec["lam_y"], -rec["Pi_x"], -rec["Pi_y"])))
-    for (part, dim, target), reads in zip(parts, groups):
+    parts = (("1d", lambda s: (s.lam, -s.Pi)),
+             ("planar", lambda rec: (rec["lam_x"], rec["lam_y"], -rec["Pi_x"], -rec["Pi_y"])))
+    for (part, target), reads in zip(parts, groups):
         for system, route, t_end in reads:
             traj = solves.read(system, route, t_end)
-            flow = solves.flow("classical_flow", system, (0.0,) * dim, t_end)
+            flow = solves.read(system, "classical_flow", t_end)
             rows += [{part: float(np.max(np.abs(
                 flow.at(float(t)) - np.array(target(traj.sample(float(t)))))))}
                 for t in times.up_to(t_end)]
@@ -622,9 +607,10 @@ def check_kernels(solves: _Solves | None = None) -> CheckResult:
 
 
 def run_suite(seed: int = 0, corrupt_map: bool = False) -> list[CheckResult]:
-    """Every check at its default arguments, with one store of the reads and
-    flows that the solving checks declare there: each (system, route) is
-    solved once, and the oracle flows are made beside the solves."""
+    """Every check at its default arguments, with one store of the reads
+    that the solving checks declare there: each (system, route) is solved
+    once, and a worker makes the oracle flows beside the solves where the
+    process can fork."""
     with _Solves((_symplectic_reads, seed, SYMPLECTIC_DRAWS),
                  (_paired_reads, seed, PATH_DRAWS), (_oracle_reads,),
                  (_classical_reads, seed, CLASSICAL_DRAWS),

@@ -80,10 +80,12 @@ def commands() -> dict[str, list[str]]:
         for path in ("path1", "path2"):
             out[f"params-{name}-{path}"] = ["params", "--config", small[name], "--path", path]
     out["params-cp2d-tabulated"] = ["params", "--config", small["cp2d-tabulated"]]
-    # one refusal per error exit: a malformed --apply spec (2), a packet whose
-    # 4 sigma^2 overflows (3), and a kernel time past the focal time (4)
+    # one refusal per error exit: a malformed --apply spec and a malformed
+    # command line (2), a packet whose 4 sigma^2 overflows (3), and a kernel
+    # time past the focal time (4)
     sho = str(ROOT / "configs" / "sho.json")
     out["exit-2"] = ["kernel", "--config", sho, "--apply", "gaussian(width=1)"]
+    out["exit-2-seed"] = ["verify", "--seed", "-1"]
     out["exit-3"] = ["kernel", "--config", sho, "--apply", "gaussian(sigma=1e300)"]
     out["exit-4"] = ["kernel", "--config", sho, "--t-end", "2.0"]
     return out
@@ -91,7 +93,6 @@ def commands() -> dict[str, list[str]]:
 
 # package function -> why no command calls it; ``--reach`` holds its list to these
 UNREACHED = {
-    "cli._Parser.error": "no command has a malformed command line; the CLI tests do",
     "coeffs.Tabulated.shifted": "only verify's semigroup tails shift a system, none tabulated",
     "coeffs.TimeProfile.derivative": "the solvers read each rate through scalar(); a test API",
     "coeffs.TimeProfile.scalar": "abstract: every profile kind defines its own",

@@ -14,6 +14,7 @@ import signal
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import warnings
 from collections import Counter
@@ -346,12 +347,13 @@ def counted_solves(monkeypatch) -> list:
 
 
 def made_workers(monkeypatch) -> list:
-    """Every oracle worker a verify store makes from now on; each holds
+    """Every oracle worker a verify store forks from now on; each holds
     the flows declared to it."""
     made = []
 
     class Recorded(verify._Worker):
         def __init__(self, flows):
+            self.flows = flows
             made.append(self)
             super().__init__(flows)
 
@@ -579,7 +581,8 @@ def no_child_left():
 
 @pytest.fixture(params=["forked", "in-process"])
 def worker_path(request, monkeypatch):
-    """The oracle worker forked, or run in process as where os.fork is missing."""
+    """The suite's store forks its oracle worker, or makes each flow at its
+    read as where os.fork is missing."""
     if request.param == "in-process":
         monkeypatch.delattr(os, "fork", raising=False)
     elif not hasattr(os, "fork"):
@@ -587,12 +590,22 @@ def worker_path(request, monkeypatch):
     return request.param
 
 
+def forbid_fork(monkeypatch):
+    def no_fork():
+        raise AssertionError("a store forked")
+
+    monkeypatch.setattr(os, "fork", no_fork, raising=False)
+
+
 class TestOracleWorker:
     def test_a_run_leaves_no_worker_and_no_file(self, monkeypatch, worker_path):
         workers = made_workers(monkeypatch)
         verify.run_suite(0)
         gc.collect()   # an unclosed file would warn here, an error under the suite's filters
-        assert [(w.pid, w.taken, w.file.closed) for w in workers] == [(0, 12, True)]
+        # the forked run reaps its worker and closes its file; the run in
+        # process makes neither
+        assert [(len(w.flows), w.pid, w.file.closed) for w in workers] == (
+            [(12, 0, True)] if worker_path == "forked" else [])
         no_child_left()
 
     def test_a_check_that_raises_before_the_first_flow_read_stops_the_worker(
@@ -605,7 +618,8 @@ class TestOracleWorker:
         with pytest.raises(RuntimeError, match="spoiled"):
             verify.run_suite(0)
         gc.collect()
-        assert [(w.pid, w.taken, w.file.closed) for w in workers] == [(0, 0, True)]
+        assert [(w.pid, w.file.closed) for w in workers] == (
+            [(0, True)] if worker_path == "forked" else [])
         no_child_left()
 
     def test_a_killed_worker_fails_the_run_naming_the_flow(self, monkeypatch, capsys, tmp_path):
@@ -613,12 +627,12 @@ class TestOracleWorker:
             pytest.skip("os.fork is missing here")
         parent = os.getpid()
 
-        def killed(flows, out):
+        def killed(system, kind, t_end):
             if os.getpid() == parent:
-                raise AssertionError("the flows were made in process")
+                raise AssertionError("the flow was made in process")
             os.kill(os.getpid(), signal.SIGKILL)
 
-        monkeypatch.setattr(verify, "_write_flows", killed)
+        monkeypatch.setattr(verify, "_make_flow", killed)
         assert cli.main(["verify", "--seed", "0", "--out", str(tmp_path)]) == 5
         err = json.loads(capsys.readouterr().out)["error"]
         assert (err["type"], err["message"]) == (
@@ -627,16 +641,30 @@ class TestOracleWorker:
         gc.collect()
         no_child_left()
 
+    def test_a_failed_fork_fails_the_run_and_leaves_no_file(self, monkeypatch, capsys, tmp_path):
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork, raising=False)
+        assert cli.main(["verify", "--seed", "0", "--out", str(tmp_path)]) == 5
+        err = json.loads(capsys.readouterr().out)["error"]
+        assert err["type"] == "BlockingIOError"
+        gc.collect()   # the worker's file, left open, would warn here
+        no_child_left()
+
     def test_a_flow_that_raises_raises_the_same_at_its_read(self, monkeypatch, worker_path):
         def failing(system, t_end, tol):
             raise IntegrationError("fundamental matrix integration failed: spoiled",
                                    last_time=0.25)
 
         monkeypatch.setattr(oracle, "fundamental_matrix", failing)
+        workers = made_workers(monkeypatch)
         with pytest.raises(IntegrationError) as err:
-            verify.check_oracle_maps()
+            with verify._Solves((verify._oracle_reads,)) as solves:
+                verify.check_oracle_maps(solves=solves)
         assert (str(err.value), err.value.last_time) == (
             "fundamental matrix integration failed: spoiled", 0.25)
+        assert len(workers) == (worker_path == "forked")
         gc.collect()
         no_child_left()
 
@@ -645,11 +673,39 @@ class TestOracleWorker:
             [(_, (line, _, _))] = solves.plans
             lp, sho = line[0][0], line[1][0]
             with pytest.raises(LookupError, match="no declared classical_flow to t_end=1.5"):
-                solves.flow("classical_flow", lp, (0.0, 0.0), 1.5)
+                solves.read(lp, "classical_flow", 1.5)
             # the flows come in declaration order: lp's first, then sho's
             with pytest.raises(LookupError, match="no declared fundamental_matrix to t_end=1.5"):
-                solves.flow("fundamental_matrix", sho, 1.5)
-            assert solves.flow("fundamental_matrix", lp, 1.5).t_end == 1.5
+                solves.read(sho, "fundamental_matrix", 1.5)
+            assert solves.read(lp, "fundamental_matrix", 1.5).t_end == 1.5
+        no_child_left()
+
+    def test_a_check_on_its_own_makes_each_flow_at_its_read(self, monkeypatch):
+        # a store not entered with ``with`` forks no worker and makes no file;
+        # its flows are the bits the suite's store serves
+        suite = verify.run_suite(0)
+        forbid_fork(monkeypatch)
+        workers = made_workers(monkeypatch)
+        alone = [verify.check_oracle_maps(), verify.check_classical_identification(0)]
+        assert all(result.passed for result in alone)
+        assert (alone, workers) == (suite[4:6], [])
+
+    def test_a_run_beside_another_thread_forks_nothing(self, monkeypatch):
+        # the suite's store forks only where no other Python thread runs
+        forked = verify.run_suite(0)
+        forbid_fork(monkeypatch)
+        calls, workers = counted_solves(monkeypatch), made_workers(monkeypatch)
+        done = threading.Event()
+        other = threading.Thread(target=done.wait)
+        other.start()
+        try:
+            results = verify.run_suite(0)
+        finally:
+            done.set()
+            other.join()
+        # the 54 solves of the run and the 12 flows, all here
+        assert (results, len(calls), workers) == (forked, 66, [])
+        gc.collect()
         no_child_left()
 
 
@@ -1083,12 +1139,16 @@ def test_a_directory_as_config_is_config_error(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "x").exists()
 
 
-@pytest.mark.parametrize("command", [
+# each subcommand, without --out
+every_command = pytest.mark.parametrize("command", [
     ["params", "--config", str(CONFIGS / "sho.json")],
     ["kernel", "--config", str(CONFIGS / "sho.json"), "--apply", "gaussian(sigma=1)"],
     ["verify", "--seed", "0"],
     ["constants", "--algebra", "lp"],
 ], ids=["params", "kernel", "verify", "constants"])
+
+
+@every_command
 @pytest.mark.parametrize("below", ["", "sub", "sub/deeper"])
 def test_an_out_at_or_under_a_file_is_refused_before_any_work(tmp_path, capsys, monkeypatch,
                                                                command, below):
@@ -1104,6 +1164,20 @@ def test_an_out_at_or_under_a_file_is_refused_before_any_work(tmp_path, capsys, 
     assert (err["type"], err["field"]) == ("ConfigError", "out")
     assert err["message"] == f"--out must name a directory, and {taken} is not one"
     assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == "kept"
+
+
+@every_command
+def test_an_empty_out_is_refused_before_any_work(tmp_path, capsys, monkeypatch, command):
+    # makedirs("") would fail only after the solve, or the whole suite
+    for owner, attr in ((paramflow, "solve"), (verify, "run_suite"),
+                        (quadops, "structure_constants")):
+        monkeypatch.setattr(owner, attr, no_solve)
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*command, "--out", ""]) == 2
+    err = json.loads(capsys.readouterr().out)["error"]
+    assert (err["type"], err["field"], err["message"]) == (
+        "ConfigError", "out", "--out must name a directory, and the empty path '' is not one")
+    assert list(tmp_path.iterdir()) == []
 
 
 def denied(path, exist_ok=False):

@@ -50,7 +50,7 @@ def test_reach_lists_the_functions_no_command_calls():
     # a process of its own, so that the calls the modules make as they load
     # are seen; the list is UNREACHED's, with verify's forked oracle worker
     # counted: the planar apply has no shipped caller, the map read and the
-    # worker's flows have
+    # worker's flows, made by verify._make_flow, have
     child = subprocess.run([sys.executable, str(GOLDEN), "--reach"], capture_output=True,
                            text=True, env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"})
     assert child.returncode == 0, child.stdout + child.stderr
@@ -59,4 +59,4 @@ def test_reach_lists_the_functions_no_command_calls():
     assert (unreached, verdict) == (sorted(golden.UNREACHED), "as UNREACHED lists")
     assert "greens._planar_sum" in unreached
     assert {"paramflow.ParamTrajectory._map_parts", "oracle.fundamental_matrix",
-            "oracle.classical_flow", "verify._write_flows"}.isdisjoint(unreached)
+            "oracle.classical_flow", "verify._make_flow"}.isdisjoint(unreached)

@@ -116,35 +116,11 @@ def assert_same_as_scipy(fun, y0, bounds, rtol, atol, what, event=None, dense=Tr
                 == np.array([ref.sol(t) for t in times]).tobytes())
 
 
-_READINGS = []   # every Reading the fixture made, by index
-
-
-def _reading(index):
-    return _READINGS[index]
-
-
-class Reading:
-    """A dense solution that records the times it is read at.  Pickled, it
-    loads as itself, so that the flows verify's store pickles and loads
-    again in process still record here."""
-
-    def __init__(self, sol, times: list):
-        self.sol, self.times, self.index = sol, times, len(_READINGS)
-        _READINGS.append(self)
-
-    def __call__(self, t):
-        self.times.append(t)
-        return self.sol(t)
-
-    def __reduce__(self):
-        return _reading, (self.index,)
-
-
 @pytest.fixture
 def recorded(monkeypatch):
     """Every ode.solve call made while the test runs, as its arguments, and
-    the times its dense solution is read at.  verify's store makes its
-    oracle flows in process, where the calls are seen, not in a worker."""
+    the times its dense solution is read at.  verify's store makes each
+    oracle flow in process, where the calls are seen, not in a worker."""
     calls, solve = [], ode.solve
 
     def recording(fun, y0, bounds, rtol, atol, what, event=None, dense=True, method="DOP853"):
@@ -152,13 +128,18 @@ def recorded(monkeypatch):
         calls.append((fun, y0, bounds, rtol, atol, what, event, dense, method, times))
         result = solve(fun, y0, bounds, rtol, atol, what, event, dense, method)
         if method == "RK45":   # the oracle reads its solution through FlowResult.at alone
-            result.sol = Reading(result.sol, times)
+            sol = result.sol
+
+            def reading(t):
+                times.append(t)
+                return sol(t)
+
+            result.sol = reading
         return result
 
     monkeypatch.delattr(os, "fork", raising=False)
     monkeypatch.setattr(ode, "solve", recording)
-    yield calls
-    _READINGS.clear()
+    return calls
 
 
 def replay(calls, monkeypatch):
